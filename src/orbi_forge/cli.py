@@ -13,11 +13,11 @@ import os
 import sys
 
 from orbi_forge.contexts import check_spec
-from orbi_forge.errors import OrbiError
+from orbi_forge.errors import Diagnostic, OrbiError
 from orbi_forge.lint import lint as run_lint
 from orbi_forge.parser import parse_spec
 from orbi_forge.pretty import spec_str
-from orbi_forge.syntax import SYSTEMS
+from orbi_forge.syntax import SYSTEMS, Loc
 from orbi_forge.translate import translate_spec
 
 _RED = "\x1b[31m"
@@ -75,6 +75,24 @@ def _out_name(path: str, target: str) -> str:
     return f"{base}.{target}.out"
 
 
+def _encoding_error(path: str) -> Diagnostic:
+    """E-ENCODING at the first byte of ``path`` that is not UTF-8, located
+    as the text reader would see it (universal newlines)."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        prefix = data[: e.start].decode("utf-8")
+        lines = prefix.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        return Diagnostic(
+            "E-ENCODING",
+            f"input is not UTF-8: byte 0x{data[e.start]:02x} ({e.reason})",
+            Loc(len(lines), len(lines[-1]) + 1),
+        )
+    return Diagnostic("E-ENCODING", "input is not UTF-8")  # the file changed meanwhile
+
+
 def _write_atomic(path: str, text: str) -> None:
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as f:
@@ -94,8 +112,13 @@ def run(argv) -> int:
             return 2
     worst = 0
     for path in args.inputs:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
+        try:
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+        except UnicodeDecodeError:
+            _emit([_encoding_error(path)], path, args.structured)
+            worst = max(worst, 1)
+            continue
         if args.cmd == "fmt":
             try:
                 sys.stdout.write(spec_str(parse_spec(text)))

@@ -337,8 +337,9 @@ class CheckedSpec:
     theorems: tuple[Theorem, ...]
 
 
-def check_spec(spec: OrbiSpec, validate_directives: bool = True) -> CheckedSpec:
-    """Run the full checking pipeline over a parsed document."""
+def check_spec(spec: OrbiSpec) -> CheckedSpec:
+    """Run the full checking pipeline over a parsed document, including the
+    directive tables of every target system."""
     sig = check_signature(spec)
     schemas: SchemaTable = {}
     for s in spec.schemas:
@@ -368,9 +369,8 @@ def check_spec(spec: OrbiSpec, validate_directives: bool = True) -> CheckedSpec:
         names.add(t.name)
         theorems.append(scope_check_theorem(sig, schemas, relations, t))
     checked = CheckedSpec(spec, sig, schemas, relations, tuple(theorems))
-    if validate_directives:
-        from orbi_forge.directives import resolve
+    from orbi_forge.directives import resolve
 
-        for target in SYSTEMS:
-            resolve(checked, target)
+    for target in SYSTEMS:
+        resolve(checked, target)
     return checked

@@ -16,7 +16,7 @@ from orbi_forge.errors import (
     ConflictingDirectivesError,
     UnknownDestError,
 )
-from orbi_forge.syntax import ExistsTm, ForallCtx, ForallTm, FamDecl
+from orbi_forge.syntax import ExistsTm, ForallCtx, ForallTm
 
 
 @dataclass(frozen=True)
@@ -48,15 +48,17 @@ def _theorem_term_vars(thm):
 
 def resolve(checked, target: str) -> AnnotationTable:
     """Annotation table for one target system; order-independent."""
-    spec = checked.spec
     sig = checked.sig
-    rule_names = {e.decl.name for e in sig.rules()}
-    family_names = {n for n in sig.entries if isinstance(sig.entries[n].decl, FamDecl)}
-    schema_names = set(checked.schemas)
-    rel_params = {
-        name: {v for v, _ in rel.params} for name, rel in checked.relations.items()
-    }
-    thm_vars = {t.name: set(_theorem_term_vars(t)) for t in checked.theorems}
+    # variable name -> {(owner, name)} for relation parameters and theorem
+    # variables, so each directive is one lookup per namespace
+    rel_owners: dict[str, set] = {}
+    for name, rel in checked.relations.items():
+        for v, _ in rel.params:
+            rel_owners.setdefault(v, set()).add((name, v))
+    thm_owners: dict[str, set] = {}
+    for t in checked.theorems:
+        for v in _theorem_term_vars(t):
+            thm_owners.setdefault(v, set()).add((t.name, v))
 
     wf: set[str] = set()
     marks: dict[str, dict] = {
@@ -64,11 +66,11 @@ def resolve(checked, target: str) -> AnnotationTable:
         "implicit": {"rule": set(), "schema": set(), "rel": set(), "thm": set()},
     }
 
-    for d in spec.directives:
+    for d in checked.spec.directives:
         if target not in d.systems:
             continue
         if d.what == "wf":
-            if d.dest_is_ctx or d.dest not in family_names:
+            if d.dest_is_ctx or not sig.is_family(d.dest):
                 raise UnknownDestError(
                     f"wf destination {d.dest!r} is not a declared type family", d.loc
                 )
@@ -76,7 +78,7 @@ def resolve(checked, target: str) -> AnnotationTable:
             continue
         mark = marks[d.what]
         if d.dest_is_ctx:
-            hits = [(r, d.dest) for r, vs in rel_params.items() if d.dest in vs]
+            hits = rel_owners.get(d.dest)
             if not hits:
                 raise UnknownDestError(
                     f"no relation has a context parameter named {d.dest!r}", d.loc
@@ -84,14 +86,15 @@ def resolve(checked, target: str) -> AnnotationTable:
             mark["rel"].update(hits)
             continue
         namespaces = []
-        if d.dest in rule_names:
+        entry = sig.get(d.dest)
+        if entry is not None and entry.section == "Rules":
             namespaces.append("rule")
-        if d.dest in schema_names:
+        if d.dest in checked.schemas:
             namespaces.append("schema")
-        rel_hits = [(r, d.dest) for r, vs in rel_params.items() if d.dest in vs]
+        rel_hits = rel_owners.get(d.dest)
         if rel_hits:
             namespaces.append("rel")
-        thm_hits = [(t, d.dest) for t, vs in thm_vars.items() if d.dest in vs]
+        thm_hits = thm_owners.get(d.dest)
         if thm_hits:
             namespaces.append("thm")
         if not namespaces:

@@ -58,10 +58,15 @@ class SigEntry:
 
 
 class Signature:
-    """Ordered map from declared names to checked entries."""
+    """Ordered map from declared names to checked entries.
+
+    Each name is added once; ``add`` also files a constant under the family
+    its type targets, so ``constructors_of`` is a lookup.
+    """
 
     def __init__(self):
         self.entries: dict[str, SigEntry] = {}
+        self._constructors: dict[str, list[ConstDecl]] = {}
 
     def __contains__(self, name: str) -> bool:
         return name in self.entries
@@ -73,7 +78,10 @@ class Signature:
         return self.entries.get(name)
 
     def add(self, entry: SigEntry) -> None:
-        self.entries[entry.decl.name] = entry
+        decl = entry.decl
+        self.entries[decl.name] = entry
+        if isinstance(decl, ConstDecl):
+            self._constructors.setdefault(target_family(decl.tp), []).append(decl)
 
     def level(self, name: str):
         e = self.entries.get(name)
@@ -97,11 +105,7 @@ class Signature:
         return tuple(e for e in self.entries.values() if e.section == "Rules")
 
     def constructors_of(self, fam: str):
-        out = []
-        for e in self.entries.values():
-            if isinstance(e.decl, ConstDecl) and target_family(e.decl.tp) == fam:
-                out.append(e.decl)
-        return tuple(out)
+        return tuple(self._constructors.get(fam, ()))
 
 
 @dataclass(frozen=True)

@@ -96,18 +96,21 @@ class _Cursor:
         self.toks = toks
         self.i = 0
 
+    # self.i never passes the eof token, so toks[self.i] is always in bounds.
     def peek(self, k: int = 0) -> Token:
+        if k == 0:
+            return self.toks[self.i]
         return self.toks[min(self.i + k, len(self.toks) - 1)]
 
     def at(self, lexeme: str) -> bool:
-        t = self.peek()
-        return t.kind in ("punct", "kw") and t.lexeme == lexeme
+        t = self.toks[self.i]
+        return t.lexeme == lexeme and t.kind in ("punct", "kw")
 
-    def at_ident(self, k: int = 0) -> bool:
-        return self.peek(k).kind in ("id", "uid")
+    def at_ident(self) -> bool:
+        return self.toks[self.i].kind in ("id", "uid")
 
     def at_eof(self) -> bool:
-        return self.peek().kind == "eof"
+        return self.toks[self.i].kind == "eof"
 
     def take(self) -> Token:
         t = self.toks[self.i]

@@ -187,27 +187,38 @@ def eta_contract(t: Term) -> Term:
 
 
 class _Names:
-    """Fresh-name supply that never collides with user identifiers."""
+    """Fresh-name supply that never collides with user identifiers.
+
+    ``reserved`` (typically ``sig.entries``) is consulted, never copied;
+    names handed out or added go into the supply's own ``taken`` set.
+    """
 
     _UPPER = "MNOPQRSTUVWXYZABCDEFGHIJKL"
     _LOWER = "xyzuvw"
 
-    def __init__(self, taken):
+    def __init__(self, reserved, taken=()):
+        self.reserved = reserved
         self.taken = set(taken)
 
+    def __contains__(self, name: str) -> bool:
+        return name in self.taken or name in self.reserved
+
+    def add(self, name: str) -> None:
+        self.taken.add(name)
+
     def grab(self, name: str) -> str:
-        while name in self.taken:
+        while name in self:
             name += "'"
         self.taken.add(name)
         return name
 
     def _pick(self, pool):
         for ch in pool:
-            if ch not in self.taken:
+            if ch not in self:
                 self.taken.add(ch)
                 return ch
         i = 1
-        while f"{pool[0]}{i}" in self.taken:
+        while f"{pool[0]}{i}" in self:
             i += 1
         name = f"{pool[0]}{i}"
         self.taken.add(name)
@@ -311,10 +322,11 @@ def _wf_goal(expr: str, tp, names: _Names):
 
 
 def gen_wf_predicates(sig: Signature, wf_families) -> list[Clause]:
-    wanted = set(wf_families)
+    """Wf clauses of the given families, in the order given; names that are
+    not declared families are skipped."""
     out: list[Clause] = []
-    for fam in sig.families():
-        if fam not in wanted:
+    for fam in dict.fromkeys(wf_families):
+        if not sig.is_family(fam):
             continue
         if sig.level(fam) != 0:
             raise LevelError(f"wf predicate requested for non-level-0 family {fam!r}")
@@ -324,7 +336,7 @@ def gen_wf_predicates(sig: Signature, wf_families) -> list[Clause]:
             while (parts := _strip_fn(tp)) is not None:
                 doms.append(parts[0])
                 tp = parts[1]
-            names = _Names(sig.entries.keys())
+            names = _Names(sig.entries)
             arg_names = [names.fresh_upper() for _ in doms]
             head_term = c.name if not arg_names else f"{c.name} {' '.join(arg_names)}"
             head = AtomG(f"is_{fam}", (_atomize(head_term),))
@@ -357,7 +369,7 @@ def translate_rule(sig: Signature, rule: ConstDecl, target: str, ann: Annotation
         raise UnsupportedShapeError(
             f"rule {rule.name!r}: conclusion must be an atomic judgment"
         )
-    names = _Names(set(sig.entries.keys()) | set(env))
+    names = _Names(sig.entries, env)
 
     def atom_goal(a: AtomApp, env_names) -> AtomG:
         args = tuple(
@@ -444,9 +456,7 @@ def translate_schema(sig: Signature, s: Schema, target: str, ann: AnnotationTabl
                 f"mark the schema explicit (%% explicit [{target}] in {s.name})"
             )
         rendered.append((variables, atoms))
-    taken = set(sig.entries.keys()) | {s.name}
-    for variables, _ in rendered:
-        taken |= set(variables)
+    taken = _Names(sig.entries, [s.name, *(v for variables, _ in rendered for v in variables)])
     if target == "ab":
         list_var = _alpha_list_var(taken)
         clauses = [f"{s.name} nil"]
@@ -485,7 +495,7 @@ def translate_relation(
         return inductive_str(d)
     explicit_vars = ann.explicit_relation_params.get(d.name, frozenset())
     explicit_pos = {i for i, (v, _) in enumerate(d.params) if v in explicit_vars}
-    taken = set(sig.entries.keys()) | {d.name}
+    taken = _Names(sig.entries, [d.name])
     list_names = {}
     for v, _ in d.params:
         list_names[v] = _numbered(v[0].upper() + v[1:], taken)
@@ -703,8 +713,7 @@ def _forall_block(t: Theorem, p: Prp, scope, rename, warnings, expl, avoid=froze
     body = p
     while isinstance(body, (ForallCtx, ForallTm)):
         upper = body.var[0].upper() + body.var[1:]
-        taken = set(rename.values()) | set(names) | set(avoid)
-        upper = _numbered(upper, taken)
+        upper = _numbered(upper, _Names(avoid, [*rename.values(), *names]))
         rename[body.var] = upper
         names.append(upper)
         if isinstance(body, ForallCtx):
@@ -728,7 +737,7 @@ def _forall_block(t: Theorem, p: Prp, scope, rename, warnings, expl, avoid=froze
 
 def _exists_block(t, p: ExistsTm, scope, rename, warnings, expl, avoid=frozenset()) -> str:
     rename = dict(rename)
-    upper = _numbered(p.var[0].upper() + p.var[1:], set(rename.values()) | set(avoid))
+    upper = _numbered(p.var[0].upper() + p.var[1:], _Names(avoid, rename.values()))
     rename[p.var] = upper
     inner = _formula(t, p.body, scope, rename, warnings, expl, avoid=avoid)
     return f"exists {upper}, {inner}"
@@ -739,7 +748,7 @@ def translate_theorem(checked, t: Theorem, target: str, ann: AnnotationTable):
     warnings: list[Diagnostic] = []
     expl = ann.explicit_theorem_vars.get(t.name, frozenset())
     if target in ("ab", "hy"):
-        avoid = frozenset(checked.sig.entries)
+        avoid = checked.sig.entries
         text = _forall_block(t, t.statement, [], {}, warnings, expl, avoid)
         return text + ".", warnings
     if target == "bel":

@@ -106,3 +106,28 @@ def test_multiple_inputs_processed(tmp_path, capsys):
     assert run(["check", str(good), str(bad)]) == 1
     err = capsys.readouterr().err
     assert "bad.orbi" in err and "good.orbi" not in err
+
+
+@pytest.mark.parametrize("cmd", [["check"], ["lint"], ["fmt"], ["translate", "--target", "ab"]])
+def test_non_utf8_input_is_an_encoding_diagnostic(cmd, tmp_path, capsys):
+    bad = tmp_path / "bad.orbi"
+    bad.write_bytes(b"tm: type.\r\nab \xff\n")
+    good = tmp_path / "good.orbi"
+    good.write_text(corpus_source(), encoding="utf-8")
+    argv = cmd + ["--out-dir", str(tmp_path)] if cmd[0] == "translate" else cmd
+    assert run(argv + ["--structured", str(bad), str(good)]) == 1
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert all(r["severity"] == "warning" for r in records if r["path"] == str(good))
+    assert [r for r in records if r["path"] == str(bad)] == [
+        {
+            "path": str(bad),
+            "line": 2,
+            "col": 4,
+            "code": "E-ENCODING",
+            "severity": "error",
+            "message": "input is not UTF-8: byte 0xff (invalid start byte)",
+        }
+    ]
+    if cmd[0] == "translate":
+        assert (tmp_path / "good.ab.out").exists()
+        assert not (tmp_path / "bad.ab.out").exists()

@@ -1,0 +1,88 @@
+"""Every pipeline stage is linear in spec size.
+
+The input grows 4x (eq.orbi renamed into 10, then 40 disjoint copies), and
+the number of Python calls each stage makes must grow by at most 4.4x.
+Calls are counted with ``sys.setprofile`` (``call`` and ``c_call`` events),
+so the check is exact and does not depend on the machine's speed.
+"""
+
+import re
+import sys
+
+import pytest
+
+from orbi_forge import check_spec, corpus_source, parse_spec
+from orbi_forge.translate import translate_spec
+
+_ID = re.compile(r"[A-Za-z][A-Za-z0-9_']*")
+_SEPARATOR = re.compile(r"^%% *([A-Z][a-z]+) *$", re.M)
+
+MAX_GROWTH = 4.4
+
+
+def _copies(n: int) -> str:
+    """eq.orbi with every declared name renamed into ``n`` disjoint copies,
+    one shared set of section separators."""
+    source = corpus_source()
+    spec = parse_spec(source)
+    names = {decl.name for _, decl in spec.decls_in_order()}
+    names |= {s.name for s in spec.schemas} | {t.name for t in spec.theorems}
+    for d in spec.definitions:
+        names |= {d.name, *(cname for cname, _ in d.clauses)}
+    marks = list(_SEPARATOR.finditer(source))
+    parts = []
+    for i, m in enumerate(marks):
+        end = marks[i + 1].start() if i + 1 < len(marks) else len(source)
+        body = source[m.end() : end].strip("\n")
+        renamed = (
+            _ID.sub(lambda w: f"{w[0]}_{k}" if w[0] in names else w[0], body) for k in range(n)
+        )
+        parts.append(f"%% {m.group(1)}\n" + "\n".join(renamed))
+    return "\n\n".join(parts) + "\n"
+
+
+def _calls(fn, *args) -> int:
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event in ("call", "c_call"):
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+@pytest.fixture(scope="module")
+def stage_calls():
+    out = {}
+    for n in (10, 40):
+        text = _copies(n)
+        spec = parse_spec(text)
+        checked = check_spec(spec)
+        out[n] = {
+            "parse_spec": _calls(parse_spec, text),
+            "check_spec": _calls(check_spec, spec),
+            "translate_spec ab": _calls(translate_spec, checked, "ab"),
+            "translate_spec hy": _calls(translate_spec, checked, "hy"),
+        }
+    return out
+
+
+def test_copies_are_disjoint_and_complete():
+    checked = check_spec(parse_spec(_copies(3)))
+    assert len(checked.sig) == 3 * len(check_spec(parse_spec(corpus_source())).sig)
+    assert len(checked.theorems) == 12
+    assert len(translate_spec(checked, "ab").blocks) == 3 * 19
+
+
+@pytest.mark.parametrize(
+    "stage", ["parse_spec", "check_spec", "translate_spec ab", "translate_spec hy"]
+)
+def test_stage_grows_linearly(stage_calls, stage):
+    ratio = stage_calls[40][stage] / stage_calls[10][stage]
+    assert ratio <= MAX_GROWTH, f"{stage}: {ratio:.2f}x calls for 4x input"

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from orbi_forge.errors import LexError
-from orbi_forge.lexer import tokenize
+from orbi_forge.lexer import KEYWORDS, tokenize
 
 
 def _kinds_lexemes(source):
@@ -85,3 +87,150 @@ def test_illegal_character_reports_location():
         tokenize("tm: ?")
     assert exc.value.loc.line == 1
     assert exc.value.loc.col == 5
+
+
+def _full(source):
+    return [(t.kind, t.lexeme, (t.loc.line, t.loc.col), t.start, t.end) for t in tokenize(source)]
+
+
+def test_crlf_line_ends():
+    assert _full("tm: type.\r\nx: tm.\r\n") == [
+        ("id", "tm", (1, 1), 0, 2),
+        ("punct", ":", (1, 3), 2, 3),
+        ("kw", "type", (1, 5), 4, 8),
+        ("punct", ".", (1, 9), 8, 9),
+        ("id", "x", (2, 1), 11, 12),
+        ("punct", ":", (2, 2), 12, 13),
+        ("id", "tm", (2, 4), 14, 16),
+        ("punct", ".", (2, 6), 16, 17),
+        ("eof", "", (3, 1), 19, 19),
+    ]
+
+
+def test_crlf_directive_lexeme_drops_the_carriage_return():
+    assert _full("%% Syntax\r\n")[0] == ("directive", "%% Syntax", (1, 1), 0, 10)
+
+
+def test_tab_indented_directive():
+    assert _full("tm: type.\n\t %% wf [ab] in tm \n")[4:] == [
+        ("directive", "%% wf [ab] in tm", (2, 3), 12, 29),
+        ("eof", "", (3, 1), 30, 30),
+    ]
+
+
+def test_double_percent_after_a_token_is_a_comment():
+    assert _kinds_lexemes("tm %% Syntax\n%% Rules") == [
+        ("id", "tm"),
+        ("directive", "%% Rules"),
+    ]
+
+
+def test_percent_at_eof_without_newline():
+    assert _full("tm %") == [("id", "tm", (1, 1), 0, 2), ("eof", "", (1, 5), 4, 4)]
+    assert _full("%%") == [("directive", "%%", (1, 1), 0, 2), ("eof", "", (1, 3), 2, 2)]
+
+
+def test_eof_loc_without_trailing_newline():
+    assert _full("a\nbc.")[-1] == ("eof", "", (2, 4), 5, 5)
+    assert _full("")[-1] == ("eof", "", (1, 1), 0, 0)
+    assert _full("tm \t\r ") == [("id", "tm", (1, 1), 0, 2), ("eof", "", (1, 7), 6, 6)]
+
+
+def test_illegal_character_column_after_tabs():
+    with pytest.raises(LexError) as exc:
+        tokenize("tm: type.\n\t\ttm ?")
+    assert (exc.value.message, exc.value.loc.line, exc.value.loc.col) == (
+        "illegal character '?'",
+        2,
+        6,
+    )
+
+
+def test_non_ascii_letter_is_illegal():
+    with pytest.raises(LexError) as exc:
+        tokenize("café: type.")
+    assert exc.value.message == "illegal character 'é'"
+    assert (exc.value.loc.line, exc.value.loc.col) == (1, 4)
+
+
+def test_keywords_versus_identifiers():
+    assert _kinds_lexemes("type types Type prop theorem' block_ x1") == [
+        ("kw", "type"),
+        ("id", "types"),
+        ("uid", "Type"),
+        ("kw", "prop"),
+        ("id", "theorem'"),
+        ("id", "block_"),
+        ("id", "x1"),
+    ]
+
+
+# ------------------------------------------- differential check against a loop
+
+_REF_PUNCT = ("->", "<-", "||", "|-", ":", ".", "{", "}", "(", ")", "\\", ",", ";", "=", "+", "[", "]", "|", "&", "<", ">")
+
+
+def _reference_tokenize(source):
+    """Character-loop tokenizer; returns (kind, lexeme, (line, col), start, end)
+    tuples, or ("error", message, (line, col)) for the first illegal character."""
+    out = []
+    i, line, line_start, n = 0, 1, 0, len(source)
+    while i < n:
+        c = source[i]
+        col = i - line_start + 1
+        if c == "\n":
+            i += 1
+            line += 1
+            line_start = i
+        elif c in " \t\r":
+            i += 1
+        elif c == "%":
+            eol = source.find("\n", i)
+            eol = n if eol == -1 else eol
+            if source.startswith("%%", i) and not source[line_start:i].strip():
+                out.append(("directive", source[i:eol].rstrip(), (line, col), i, eol))
+            i = eol
+        elif c.isascii() and c.isalpha():
+            j = i + 1
+            while j < n and source[j].isascii() and (source[j].isalnum() or source[j] in "_'"):
+                j += 1
+            word = source[i:j]
+            kind = "kw" if word in KEYWORDS else "uid" if c.isupper() else "id"
+            out.append((kind, word, (line, col), i, j))
+            i = j
+        else:
+            p = next((p for p in _REF_PUNCT if source.startswith(p, i)), None)
+            if p is None:
+                return ("error", f"illegal character {c!r}", (line, col))
+            out.append(("punct", p, (line, col), i, i + len(p)))
+            i += len(p)
+    out.append(("eof", "", (line, n - line_start + 1), n, n))
+    return out
+
+
+_FRAGMENTS = (
+    *KEYWORDS,
+    *_REF_PUNCT,
+    "tm", "M1", "x'", "a_b", "Zz", "q", "R",
+    "%", "%%", "% c", "%% Syntax",
+    " ", "  ", "\t", "\r", "\n", "\r\n",
+    "'", "_", "1", "-", "!", "?", "#", "é", "\u00a0", "\x0b", "\u2028",
+)
+
+
+def _lex_or_error(source):
+    try:
+        return _full(source)
+    except LexError as e:
+        return ("error", e.message, (e.loc.line, e.loc.col))
+
+
+def test_tokenize_matches_character_loop_reference():
+    rng = random.Random(20151012)
+    errors = 0
+    for _ in range(3000):
+        source = "".join(rng.choice(_FRAGMENTS) for _ in range(rng.randrange(0, 30)))
+        expected = _reference_tokenize(source)
+        assert _lex_or_error(source) == expected, source
+        errors += expected[0] == "error"
+    assert 300 < errors < 2700  # both outcomes are well represented
