@@ -113,41 +113,50 @@ def run(argv) -> int:
     worst = 0
     for path in args.inputs:
         try:
-            with open(path, encoding="utf-8") as f:
-                text = f.read()
-        except UnicodeDecodeError:
-            _emit([_encoding_error(path)], path, args.structured)
+            worst = max(worst, _run_file(path, args))
+        except RecursionError:
+            depth = Diagnostic("E-DEPTH", "input nests too deeply to process", Loc(1, 1))
+            _emit([depth], path, args.structured)
             worst = max(worst, 1)
-            continue
-        if args.cmd == "fmt":
-            try:
-                sys.stdout.write(spec_str(parse_spec(text)))
-            except OrbiError as e:
-                _emit(e.diagnostics(), path, args.structured)
-                worst = max(worst, 1)
-            continue
+    return worst
+
+
+def _run_file(path: str, args) -> int:
+    """Run ``args.cmd`` on one input file; the exit code it calls for."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError:
+        _emit([_encoding_error(path)], path, args.structured)
+        return 1
+    if args.cmd == "fmt":
         try:
-            spec = parse_spec(text)
-            checked = check_spec(spec)
+            sys.stdout.write(spec_str(parse_spec(text)))
         except OrbiError as e:
             _emit(e.diagnostics(), path, args.structured)
-            worst = max(worst, 1)
-            continue
-        warnings = run_lint(checked)
-        if warnings:
-            _emit(warnings, path, args.structured)
-            if args.werror:
-                worst = max(worst, 1)
-        if args.cmd == "translate":
-            try:
-                doc = translate_spec(checked, args.target)
-            except OrbiError as e:
-                _emit(e.diagnostics(), path, args.structured)
-                worst = max(worst, 1)
-                continue
-            if doc.warnings:
-                _emit(doc.warnings, path, args.structured)
-            _write_atomic(os.path.join(args.out_dir, _out_name(path, args.target)), doc.render())
+            return 1
+        return 0
+    try:
+        spec = parse_spec(text)
+        checked = check_spec(spec)
+    except OrbiError as e:
+        _emit(e.diagnostics(), path, args.structured)
+        return 1
+    worst = 0
+    warnings = run_lint(checked)
+    if warnings:
+        _emit(warnings, path, args.structured)
+        if args.werror:
+            worst = 1
+    if args.cmd == "translate":
+        try:
+            doc = translate_spec(checked, args.target)
+        except OrbiError as e:
+            _emit(e.diagnostics(), path, args.structured)
+            return 1
+        if doc.warnings:
+            _emit(doc.warnings, path, args.structured)
+        _write_atomic(os.path.join(args.out_dir, _out_name(path, args.target)), doc.render())
     return worst
 
 

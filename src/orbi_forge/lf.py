@@ -4,7 +4,8 @@ Syntax-section families define object syntax (level 0), Judgments-section
 families are judgments indexed by level-0 terms (level 1), and Rules-section
 constants must target a judgment.  Definitional equality is beta only; rule
 declarations get their schematic variables bound by an outermost Pi-prefix
-inferred from Miller-pattern occurrences.
+inferred from Miller-pattern occurrences, in the same traversal that checks
+the rule (the checker's hole mode).
 """
 
 from __future__ import annotations
@@ -174,7 +175,17 @@ def normalize_kind(k: Kind) -> Kind:
 # ------------------------------------------------------------ kind checking
 
 
-def check_tp(sig: Signature, ctx: list[Tp], tp: Tp) -> None:
+class _Holes(dict):
+    """Schematic variable name -> reconstructed type, in first-occurrence order.
+
+    Passing one to ``check_tp`` puts the checker in hole mode: a spine headed
+    by an identifier the signature lacks is a schematic occurrence.
+    """
+
+    beta = False  # set once a beta-redex was checked through its normal form
+
+
+def check_tp(sig: Signature, ctx: list[Tp], tp: Tp, holes: _Holes | None = None) -> None:
     if isinstance(tp, AtomApp):
         if tp.family == TYPE_ATOM:
             raise LevelError(
@@ -194,16 +205,16 @@ def check_tp(sig: Signature, ctx: list[Tp], tp: Tp) -> None:
                 dom, kind = kind.dom, subst_kind(kind.cod, arg)
             else:
                 raise KindError(f"type family {tp.family!r} applied to too many arguments")
-            check_term(sig, ctx, arg, dom)
+            _check(sig, ctx, arg, dom, holes)
         if not isinstance(kind, Type):
             raise KindError(f"type family {tp.family!r} is not fully applied")
         return
     if isinstance(tp, Arrow):
-        check_tp(sig, ctx, tp.dom)
-        check_tp(sig, ctx, tp.cod)
+        check_tp(sig, ctx, tp.dom, holes)
+        check_tp(sig, ctx, tp.cod, holes)
         return
-    check_tp(sig, ctx, tp.dom)
-    check_tp(sig, ctx + [tp.dom], tp.cod)
+    check_tp(sig, ctx, tp.dom, holes)
+    check_tp(sig, ctx + [tp.dom], tp.cod, holes)
 
 
 def check_kind(sig: Signature, ctx: list[Tp], k: Kind) -> None:
@@ -219,7 +230,7 @@ def check_kind(sig: Signature, ctx: list[Tp], k: Kind) -> None:
 # ------------------------------------------------------------------ typing
 
 
-def _infer(sig: Signature, ctx: list[Tp], t: Term) -> Tp:
+def _infer(sig: Signature, ctx: list[Tp], t: Term, holes: _Holes | None = None) -> Tp:
     if isinstance(t, Var):
         if t.index >= len(ctx):
             raise UnboundVariableError(f"unbound variable index {t.index}")
@@ -237,34 +248,47 @@ def _infer(sig: Signature, ctx: list[Tp], t: Term) -> Tp:
             ta = _infer(sig, ctx, t.arg)
             tb = _infer(sig, ctx + [ta], t.fn.body)
             return normalize_tp(subst_tp(tb, t.arg))
-        tf = _infer(sig, ctx, t.fn)
+        tf = _infer(sig, ctx, t.fn, holes)
         if isinstance(tf, Arrow):
-            _check(sig, ctx, t.arg, tf.dom)
+            _check(sig, ctx, t.arg, tf.dom, holes)
             return tf.cod
         if isinstance(tf, Pi):
-            _check(sig, ctx, t.arg, tf.dom)
+            _check(sig, ctx, t.arg, tf.dom, holes)
             return normalize_tp(subst_tp(tf.cod, t.arg))
         raise LfTypeError(f"term of atomic type {tp_str(tf, [])!r} applied to an argument")
     raise LfTypeError("cannot infer the type of a bare lambda")
 
 
-def _check(sig: Signature, ctx: list[Tp], t: Term, expected: Tp) -> None:
+def _check(
+    sig: Signature, ctx: list[Tp], t: Term, expected: Tp, holes: _Holes | None = None
+) -> None:
     exp = normalize_tp(expected)
     if isinstance(t, Lam):
         if isinstance(exp, Arrow):
-            _check(sig, ctx + [exp.dom], t.body, shift_tp(exp.cod, 1))
+            _check(sig, ctx + [exp.dom], t.body, shift_tp(exp.cod, 1), holes)
             return
         if isinstance(exp, Pi):
-            _check(sig, ctx + [exp.dom], t.body, exp.cod)
+            _check(sig, ctx + [exp.dom], t.body, exp.cod, holes)
             return
+        if holes is not None:
+            raise ReconstructionError(f"lambda used where {tp_str(exp, [])!r} is expected")
         raise LfTypeError(f"expected {tp_str(exp, [])}, got a lambda")
-    actual = _infer(sig, ctx, t)
+    if holes is not None:
+        head = t
+        while isinstance(head, App):
+            head = head.fn
+        if isinstance(head, Lam):
+            # a schematic's type is read off its pattern occurrences, so
+            # reconstruction sees the normal form; _reconstruct checks the redex
+            holes.beta = True
+            _check(sig, ctx, normalize(t), exp, holes)
+            return
+        if isinstance(head, Const) and head.name not in sig:
+            _schematic(sig, ctx, t, exp, holes)
+            return
+    actual = _infer(sig, ctx, t, holes)
     if not tp_alpha_equal(actual, exp):
         raise LfTypeError(f"expected {tp_str(exp, [])}, got {tp_str(actual, [])}")
-
-
-def check_term(sig: Signature, ctx: list[Tp], t: Term, expected: Tp) -> None:
-    _check(sig, ctx, t, expected)
 
 
 def infer_type(sig: Signature, ctx: TypingCtx | None, t: Term) -> Tp:
@@ -280,116 +304,59 @@ def _tp_level0(sig: Signature, tp: Tp) -> bool:
     return all(sig.level(f) == 0 for f in families_in_tp(tp))
 
 
+def _schematic(sig: Signature, ctx: list[Tp], t: Term, exp: Tp, holes: _Holes) -> None:
+    """Record the type of the schematic head of ``t : exp``, which must be a
+    Miller pattern: the head applied to distinct bound variables."""
+    head, args = spine(t)
+    name = head.name
+    idxs = []
+    for arg in args:
+        if not isinstance(arg, Var) or arg.index >= len(ctx):
+            raise ReconstructionError(
+                f"schematic variable {name!r} must be applied to bound variables only"
+            )
+        idxs.append(arg.index)
+    if len(set(idxs)) != len(idxs):
+        raise ReconstructionError(
+            f"schematic variable {name!r} applied to repeated bound variables"
+        )
+    cand = exp
+    for i in reversed(idxs):
+        cand = Arrow(normalize_tp(shift_tp(ctx[-1 - i], i + 1)), cand)
+    if not tp_closed(cand):
+        raise ReconstructionError(
+            f"cannot infer a closed outermost type for schematic variable {name!r}"
+        )
+    if not _tp_level0(sig, cand):
+        raise ReconstructionError(
+            f"schematic variable {name!r} infers to the non-level-0 type "
+            f"{tp_str(cand, [])!r}"
+        )
+    prev = holes.get(name)
+    if prev is None:
+        holes[name] = cand
+    elif not tp_alpha_equal(prev, cand):
+        raise ReconstructionError(
+            f"schematic variable {name!r} used at incompatible types "
+            f"{tp_str(prev, [])!r} and {tp_str(cand, [])!r}"
+        )
+
+
 def _reconstruct(sig: Signature, decl: ConstDecl):
-    unknowns: dict[str, Tp] = {}
+    unknowns = _Holes()
+    check_tp(sig, [], decl.tp, unknowns)
+    rec = decl
+    if unknowns:
+        rec = ConstDecl(decl.name, _close(decl.tp, unknowns), decl.loc)
+    if unknowns.beta:
+        # the schematics' types are known now: check each redex as written,
+        # so that its discarded arguments are well typed too
+        check_tp(sig, [], rec.tp)
+    return rec, tuple(unknowns)
 
-    def scan_spine_against(ty: Tp, args, env) -> None:
-        for arg in args:
-            ty = normalize_tp(ty)
-            if isinstance(ty, Arrow):
-                scan_term(arg, ty.dom, env)
-                ty = ty.cod
-            elif isinstance(ty, Pi):
-                scan_term(arg, ty.dom, env)
-                ty = subst_tp(ty.cod, arg)
-            else:
-                raise LfTypeError(
-                    f"term of atomic type {tp_str(ty, [])!r} applied to an argument"
-                )
 
-    def scan_term(t: Term, expected: Tp, env: list[Tp]) -> None:
-        if isinstance(t, Lam):
-            exp = normalize_tp(expected)
-            if isinstance(exp, Arrow):
-                scan_term(t.body, shift_tp(exp.cod, 1), env + [exp.dom])
-            elif isinstance(exp, Pi):
-                scan_term(t.body, exp.cod, env + [exp.dom])
-            else:
-                raise ReconstructionError(
-                    f"lambda used where {tp_str(exp, [])!r} is expected"
-                )
-            return
-        head, args = spine(t)
-        if isinstance(head, Lam):
-            scan_term(normalize(t), expected, env)
-            return
-        if isinstance(head, Var):
-            if head.index >= len(env):
-                raise UnboundVariableError(f"unbound variable index {head.index}")
-            scan_spine_against(shift_tp(env[-1 - head.index], head.index + 1), args, env)
-            return
-        name = head.name
-        entry = sig.get(name)
-        if entry is not None:
-            if isinstance(entry.decl, FamDecl):
-                raise LfTypeError(f"type family {name!r} used as a term")
-            scan_spine_against(entry.decl.tp, args, env)
-            return
-        # schematic occurrence: must be a Miller pattern of distinct bound vars
-        idxs = []
-        for arg in args:
-            if not isinstance(arg, Var) or arg.index >= len(env):
-                raise ReconstructionError(
-                    f"schematic variable {name!r} must be applied to bound variables only"
-                )
-            idxs.append(arg.index)
-        if len(set(idxs)) != len(idxs):
-            raise ReconstructionError(
-                f"schematic variable {name!r} applied to repeated bound variables"
-            )
-        cand = normalize_tp(expected)
-        for i in reversed(idxs):
-            cand = Arrow(normalize_tp(shift_tp(env[-1 - i], i + 1)), cand)
-        if not tp_closed(cand):
-            raise ReconstructionError(
-                f"cannot infer a closed outermost type for schematic variable {name!r}"
-            )
-        if not _tp_level0(sig, cand):
-            raise ReconstructionError(
-                f"schematic variable {name!r} infers to the non-level-0 type "
-                f"{tp_str(cand, [])!r}"
-            )
-        prev = unknowns.get(name)
-        if prev is None:
-            unknowns[name] = cand
-        elif not tp_alpha_equal(prev, cand):
-            raise ReconstructionError(
-                f"schematic variable {name!r} used at incompatible types "
-                f"{tp_str(prev, [])!r} and {tp_str(cand, [])!r}"
-            )
-
-    def scan_tp(tp: Tp, env: list[Tp]) -> None:
-        if isinstance(tp, AtomApp):
-            if tp.family == TYPE_ATOM:
-                raise LevelError(
-                    "the kind 'type' cannot appear inside a type; "
-                    "a family may only be indexed by level-0 terms"
-                )
-            entry = sig.get(tp.family)
-            if entry is None:
-                raise UnboundVariableError(f"unknown type family {tp.family!r}")
-            if not isinstance(entry.decl, FamDecl):
-                raise LfTypeError(f"{tp.family!r} is a term constant, not a type family")
-            kind = entry.decl.kind
-            for arg in tp.args:
-                if isinstance(kind, KArrow):
-                    dom, kind = kind.dom, kind.cod
-                elif isinstance(kind, KPi):
-                    dom, kind = kind.dom, subst_kind(kind.cod, arg)
-                else:
-                    raise KindError(f"type family {tp.family!r} applied to too many arguments")
-                scan_term(arg, dom, env)
-            return
-        if isinstance(tp, Arrow):
-            scan_tp(tp.dom, env)
-            scan_tp(tp.cod, env)
-            return
-        scan_tp(tp.dom, env)
-        scan_tp(tp.cod, env + [tp.dom])
-
-    scan_tp(decl.tp, [])
-    if not unknowns:
-        return decl, ()
+def _close(tp: Tp, unknowns: dict[str, Tp]) -> Tp:
+    """Bind the schematic variables of ``tp`` by an outermost Pi-prefix."""
     names = list(unknowns)
     k = len(names)
     pos = {n: j for j, n in enumerate(names)}
@@ -412,14 +379,15 @@ def _reconstruct(sig: Signature, decl: ConstDecl):
             return Arrow(close_tp(tp.dom, d), close_tp(tp.cod, d))
         return Pi(tp.hint, close_tp(tp.dom, d), close_tp(tp.cod, d + 1))
 
-    body = close_tp(decl.tp, 0)
+    body = close_tp(tp, 0)
     for name in reversed(names):
         body = Pi(name, unknowns[name], body)
-    return ConstDecl(decl.name, body, decl.loc), tuple(names)
+    return body
 
 
 def reconstruct_implicits(sig: Signature, rule: ConstDecl) -> ConstDecl:
-    """Bind every free identifier of a rule with an outermost Pi-prefix."""
+    """Type-check a rule and bind every free identifier with an outermost
+    Pi-prefix, in first-occurrence order."""
     decl, _ = _reconstruct(sig, rule)
     return decl
 
@@ -466,7 +434,6 @@ def check_signature(spec: OrbiSpec) -> Signature:
                 if isinstance(decl, FamDecl):
                     raise LevelError("type families may not be declared in the Rules section")
                 rec, names = _reconstruct(sig, decl)
-                check_tp(sig, [], rec.tp)
                 if sig.level(target_family(rec.tp)) != 1:
                     raise LevelError(
                         f"rule {decl.name!r} must target a level-1 judgment family"

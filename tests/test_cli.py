@@ -131,3 +131,31 @@ def test_non_utf8_input_is_an_encoding_diagnostic(cmd, tmp_path, capsys):
     if cmd[0] == "translate":
         assert (tmp_path / "good.ab.out").exists()
         assert not (tmp_path / "bad.ab.out").exists()
+
+
+_DEEP_RULE = "r: j " + "(s " * 1000 + "z" + ")" * 1000 + "."
+
+
+@pytest.mark.parametrize("cmd", [["check"], ["lint"], ["fmt"], ["translate", "--target", "ab"]])
+def test_deep_nesting_is_a_depth_diagnostic(cmd, tmp_path, capsys):
+    deep = tmp_path / "deep.orbi"
+    deep.write_text(
+        "%% Syntax\nt: type.\nz: t.\ns: t -> t.\n\n%% Judgments\nj: t -> type.\n\n"
+        f"%% Rules\n{_DEEP_RULE}\n",
+        encoding="utf-8",
+    )
+    good = tmp_path / "good.orbi"
+    good.write_text(corpus_source(), encoding="utf-8")
+    argv = cmd + ["--out-dir", str(tmp_path)] if cmd[0] == "translate" else cmd
+    assert run(argv + [str(deep), str(good)]) == 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err and "RecursionError" not in err
+    assert [line for line in err.splitlines() if "[E-DEPTH]" in line] == [
+        f"{deep}:1:1: [E-DEPTH] input nests too deeply to process"
+    ]
+    assert not [line for line in err.splitlines() if str(good) in line and "[E-" in line]
+    if cmd[0] == "translate":
+        assert (tmp_path / "good.ab.out").exists()
+        assert not (tmp_path / "deep.ab.out").exists()
+    if cmd[0] == "fmt":
+        assert "%% Rules" in out

@@ -7,22 +7,26 @@ from helpers import make_spec
 from orbi_forge import check_signature, infer_type, normalize, parse_spec, reconstruct_implicits
 from orbi_forge.errors import (
     LevelError,
+    OrbiError,
     LfTypeError,
     ReconstructionError,
     UnboundVariableError,
 )
-from orbi_forge.lf import TypingCtx, normalize_tp
+from orbi_forge.lf import TypingCtx, check_tp, normalize_tp
 from orbi_forge.parser import parse_term_str, parse_tpkind_str
 from orbi_forge.pretty import tp_str
 from orbi_forge.syntax import (
+    App,
     AtomApp,
     Arrow,
+    Const,
+    Lam,
     Pi,
     alpha_equal,
     tp_alpha_equal,
     tp_closed,
 )
-from specgen import gen_tm_term
+from specgen import gen_rules_source, gen_tm_term
 
 
 def _oracle_normalize(t):
@@ -155,6 +159,118 @@ def test_reconstruct_public_op(checked, corpus_spec):
 def test_all_corpus_rules_closed_after_reconstruction(checked):
     for entry in checked.sig.rules():
         assert tp_closed(entry.decl.tp), entry.decl.name
+
+
+_FAULT_SYNTAX = make_spec(
+    syntax="t: type.\nc0: t.\nc1: t -> t.\nc2: t -> t -> t.\ncb: (t -> t) -> t.",
+    judgments="j: t -> t -> type.",
+)
+
+_ATOMIC_APPLIED = "term of atomic type 't' applied to an argument"
+
+
+@pytest.mark.parametrize(
+    "rule, code, message",
+    [
+        (r"j (\x. x) c0", "E-RECON", "lambda used where 't' is expected"),
+        (r"j (c1 (\x. x)) c0", "E-RECON", "lambda used where 't' is expected"),
+        ("j (cb c0) c0", "E-TYPE", "expected t -> t, got t"),
+        ("j c1 c0", "E-TYPE", "expected t, got t -> t"),
+        ("j (c1 c0 c0) c0", "E-TYPE", _ATOMIC_APPLIED),
+        ("j t c0", "E-TYPE", "type family 't' used as a term"),
+        ("{x:t} j (x c0) c0", "E-TYPE", _ATOMIC_APPLIED),
+        (
+            r"j (cb (\x. M c0)) c0",
+            "E-RECON",
+            "schematic variable 'M' must be applied to bound variables only",
+        ),
+        (
+            r"j (cb (\x. c2 (F x x) x)) c0",
+            "E-RECON",
+            "schematic variable 'F' applied to repeated bound variables",
+        ),
+        (
+            r"j (cb (\x. M x)) M",
+            "E-RECON",
+            "schematic variable 'M' used at incompatible types 't -> t' and 't'",
+        ),
+        ("k c0", "E-UNBOUND", "unknown type family 'k'"),
+        ("j c0", "E-KIND", "type family 'j' is not fully applied"),
+        ("j c0 c0 c0", "E-KIND", "type family 'j' applied to too many arguments"),
+        ("t", "E-LEVEL", "rule 'r' must target a level-1 judgment family"),
+        # a redex is reconstructed through its normal form but checked as written
+        (r"j ((\x. c0) M) c0", "E-UNBOUND", "unbound identifier 'M'"),
+        (r"j ((\x. c0) t) c0", "E-TYPE", "type family 't' used as a term"),
+        (r"j ((\x. \y. c2 y x) M N) c0", "E-TYPE", "cannot infer the type of a bare lambda"),
+        # two faults: the first in left-to-right order is reported
+        (r"j (cb c0) c0 -> j (M c0) c0", "E-TYPE", "expected t -> t, got t"),
+    ],
+)
+def test_rule_fault_classes(rule, code, message):
+    with pytest.raises(OrbiError) as exc:
+        check_signature(parse_spec(_FAULT_SYNTAX + f"\n%% Rules\nr: {rule}.\n"))
+    assert (exc.value.code, exc.value.message) == (code, message)
+
+
+@pytest.mark.parametrize(
+    "rule, implicit",
+    [
+        (r"j ((\x. x) M) c0", ("M",)),
+        (r"j ((\x. c0) M) M", ("M",)),
+        (r"j (cb (\x. cb (\y. M y x))) N", ("M", "N")),
+    ],
+)
+def test_rule_reconstructs(rule, implicit):
+    sig = check_signature(parse_spec(_FAULT_SYNTAX + f"\n%% Rules\nr: {rule}.\n"))
+    entry = sig.get("r")
+    assert entry.implicit == implicit
+    assert tp_closed(entry.decl.tp)
+
+
+def _free_names(sig, tp, out):
+    """Identifiers of ``tp`` that ``sig`` does not declare, in source order."""
+
+    def term(t):
+        if isinstance(t, Const):
+            if t.name not in sig and t.name not in out:
+                out.append(t.name)
+        elif isinstance(t, Lam):
+            term(t.body)
+        elif isinstance(t, App):
+            term(t.fn)
+            term(t.arg)
+
+    if isinstance(tp, AtomApp):
+        for a in tp.args:
+            term(a)
+    else:
+        _free_names(sig, tp.dom, out)
+        _free_names(sig, tp.cod, out)
+    return out
+
+
+def _specs_for_soundness(corpus_spec):
+    yield corpus_spec
+    for seed in range(50):
+        source, _ = gen_rules_source(random.Random(seed), 20)
+        yield parse_spec(source)
+
+
+def test_reconstruction_sound_against_plain_check(corpus_spec):
+    # every rule the single hole-mode pass accepts must pass the plain
+    # checker once closed, bind no free identifier, and list its implicits
+    # in the order they first occur in the rule as written
+    n = 0
+    for spec in _specs_for_soundness(corpus_spec):
+        sig = check_signature(spec)
+        written = {d.name: d for d in spec.rules}
+        for entry in sig.rules():
+            check_tp(sig, [], entry.decl.tp)
+            assert tp_closed(entry.decl.tp), entry.decl.name
+            expected = _free_names(sig, written[entry.decl.name].tp, [])
+            assert entry.implicit == tuple(expected), entry.decl.name
+            n += 1
+    assert n == 8 + 50 * 20
 
 
 def test_rule_must_target_judgment():
