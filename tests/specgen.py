@@ -38,23 +38,25 @@ from orbi_forge.syntax import (
 
 # ------------------------------------------------ random well-typed rules
 
+_RULES_HEADER = (
+    "%% Syntax",
+    "t: type.",
+    "c0: t.",
+    "c1: t -> t.",
+    "c2: t -> t -> t.",
+    "cb: (t -> t) -> t.",
+    "",
+    "%% Judgments",
+    "j: t -> t -> type.",
+    "",
+    "%% Rules",
+)
+
 
 def gen_rules_source(rng: random.Random, n_rules: int):
     """A parseable spec over one level-0 family with ``n_rules`` random
     well-typed rules of premise/conclusion depth <= 3."""
-    lines = [
-        "%% Syntax",
-        "t: type.",
-        "c0: t.",
-        "c1: t -> t.",
-        "c2: t -> t -> t.",
-        "cb: (t -> t) -> t.",
-        "",
-        "%% Judgments",
-        "j: t -> t -> type.",
-        "",
-        "%% Rules",
-    ]
+    lines = list(_RULES_HEADER)
     names = []
     for i in range(n_rules):
         cvars = [f"M{k}" for k in range(rng.randint(1, 3))]
@@ -98,6 +100,63 @@ def gen_rules_source(rng: random.Random, n_rules: int):
         names.append(name)
         lines.append(f"{name}: " + " -> ".join(premises + [conclusion]) + ".")
     return "\n".join(lines) + "\n", names
+
+
+def gen_noisy_rules_source(rng: random.Random, n_rules: int, p_fault: float = 0.03):
+    """Like ``gen_rules_source``, but the rules also use beta-redexes and
+    schematics applied to bound variables, and each subterm is replaced by
+    a fault (bare lambda, wrong arity, family as term, non-pattern
+    schematic, schematic at two types, ill-typed redex argument, ...)
+    with probability ``p_fault``. About half of the single-rule specs are
+    well typed."""
+    lines = list(_RULES_HEADER)
+
+    def fault(d, bound):
+        return rng.choice((
+            lambda: "(\\y. c0)",
+            lambda: "c1",
+            lambda: "(cb c0)",
+            lambda: f"(c1 {tm(d - 1, bound)} {tm(d - 1, bound)})",
+            lambda: "t",
+            lambda: "(F c0)",
+            lambda: "(F x x)" if "x" in bound else "(G c0)",
+            lambda: "(M c0)",
+            lambda: "(c2 (cb (\\y. H y)) H)",
+            lambda: f"({rng.choice(bound)} c0)" if bound else "(c0 c0)",
+            lambda: "((\\y. c0) (c1 c0 c0))",
+            lambda: "((\\y. c0) t)",
+            lambda: "((\\f. cb f) (\\y. y))",
+        ))()
+
+    def tm(d, bound):
+        if rng.random() < p_fault:
+            return fault(d, bound)
+        if d <= 0 or rng.random() < 0.25:
+            return rng.choice(["c0", "M", "N"] + list(bound) * 2)
+        z = "xyzw"[len(bound)]
+        opts = [
+            lambda: f"(c1 {tm(d - 1, bound)})",
+            lambda: f"(c2 {tm(d - 1, bound)} {tm(d - 1, bound)})",
+            lambda: f"(cb (\\{z}. {tm(d - 1, bound + (z,))}))",
+            lambda: f"((\\{z}. {tm(d - 1, bound + (z,))}) {tm(d - 1, bound)})",
+        ]
+        if bound:
+            opts.append(lambda: f"(F {rng.choice(bound)})")
+        if len(bound) >= 2:
+            a, b = rng.sample(bound, 2)
+            opts.append(lambda: f"(G {a} {b})")
+        return rng.choice(opts)()
+
+    for i in range(n_rules):
+        premises = []
+        for _ in range(rng.randint(0, 2)):
+            if rng.random() < 0.5:
+                premises.append(f"j {tm(2, ())} {tm(2, ())}")
+            else:
+                premises.append(f"({{x:t}} j {tm(2, ('x',))} {tm(2, ('x',))})")
+        conclusion = f"j {tm(3, ())} {tm(3, ())}"
+        lines.append(f"rul{i}: " + " -> ".join(premises + [conclusion]) + ".")
+    return "\n".join(lines) + "\n"
 
 
 # --------------------------------------------- random well-scoped documents
