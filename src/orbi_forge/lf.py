@@ -40,6 +40,7 @@ from orbi_forge.syntax import (
     TYPE_ATOM,
     Type,
     Var,
+    apply_spine,
     shift_tp,
     spine,
     subst,
@@ -243,19 +244,31 @@ def _infer(sig: Signature, ctx: list[Tp], t: Term, holes: _Holes | None = None) 
             raise LfTypeError(f"type family {t.name!r} used as a term")
         return normalize_tp(entry.decl.tp)
     if isinstance(t, App):
-        if isinstance(t.fn, Lam):
-            # beta-redex: infer the argument, then the instantiated body
-            ta = _infer(sig, ctx, t.arg)
-            tb = _infer(sig, ctx + [ta], t.fn.body)
-            return normalize_tp(subst_tp(tb, t.arg))
-        tf = _infer(sig, ctx, t.fn, holes)
-        if isinstance(tf, Arrow):
-            _check(sig, ctx, t.arg, tf.dom, holes)
-            return tf.cod
-        if isinstance(tf, Pi):
-            _check(sig, ctx, t.arg, tf.dom, holes)
-            return normalize_tp(subst_tp(tf.cod, t.arg))
-        raise LfTypeError(f"term of atomic type {tp_str(tf, [])!r} applied to an argument")
+        head, args = t.fn, [t.arg]  # the spine's arguments, last first
+        while isinstance(head, App):
+            args.append(head.arg)
+            head = head.fn
+        if isinstance(head, Lam):
+            # beta-redex: infer the first argument, so that it is typed even
+            # if the body discards it, then the instantiated body, applied to
+            # the other arguments if there are any
+            first = args.pop()
+            ta = _infer(sig, ctx, first)
+            if args:
+                return _infer(sig, ctx, apply_spine(subst(head.body, first), reversed(args)))
+            tb = _infer(sig, ctx + [ta], head.body)
+            return normalize_tp(subst_tp(tb, first))
+        tf = _infer(sig, ctx, head, holes)
+        for arg in reversed(args):
+            if isinstance(tf, Arrow):
+                _check(sig, ctx, arg, tf.dom, holes)
+                tf = tf.cod
+            elif isinstance(tf, Pi):
+                _check(sig, ctx, arg, tf.dom, holes)
+                tf = normalize_tp(subst_tp(tf.cod, arg))
+            else:
+                raise LfTypeError(f"term of atomic type {tp_str(tf, [])!r} applied to an argument")
+        return tf
     raise LfTypeError("cannot infer the type of a bare lambda")
 
 

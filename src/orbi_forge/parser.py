@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 
 from orbi_forge.errors import DirectiveError, ParseError, SpecParseError
-from orbi_forge.lexer import Token, tokenize
+from orbi_forge.lexer import Tokens, tokenize
 from orbi_forge.syntax import (
     SECTIONS,
     SYSTEMS,
@@ -54,6 +54,7 @@ from orbi_forge.syntax import (
 )
 
 _SEPARATORS = frozenset(SECTIONS)
+_IDENTS = ("id", "uid")
 
 _DIR_RE = re.compile(
     r"(?P<what>wf|explicit|implicit)\s*"
@@ -92,52 +93,72 @@ def parse_directive_line(line: str, loc: Loc = NO_LOC):
 
 
 class _Cursor:
-    def __init__(self, toks: list[Token]):
+    """A position in a token list; ``i`` never passes the eof token.
+
+    Comparing lexemes is enough to test for a keyword or a punctuation mark:
+    neither ever equals an identifier, directive lexemes start with ``%%``
+    and eof's lexeme is ``""``.
+    """
+
+    def __init__(self, toks: Tokens):
         self.toks = toks
+        self.lex = toks.lexemes
+        self.kinds = toks.kinds
         self.i = 0
 
-    # self.i never passes the eof token, so toks[self.i] is always in bounds.
-    def peek(self, k: int = 0) -> Token:
-        if k == 0:
-            return self.toks[self.i]
-        return self.toks[min(self.i + k, len(self.toks) - 1)]
-
     def at(self, lexeme: str) -> bool:
-        t = self.toks[self.i]
-        return t.lexeme == lexeme and t.kind in ("punct", "kw")
+        return self.lex[self.i] == lexeme
+
+    def at_next(self, lexeme: str) -> bool:
+        """Whether the token after the current one is ``lexeme``; not at eof."""
+        return self.lex[self.i + 1] == lexeme
 
     def at_ident(self) -> bool:
-        return self.toks[self.i].kind in ("id", "uid")
+        return self.kinds[self.i] in _IDENTS
+
+    def at_atom(self) -> bool:
+        """Whether a term atom starts here: an identifier or ``(``."""
+        i = self.i
+        return self.kinds[i] in _IDENTS or self.lex[i] == "("
+
+    def at_directive(self) -> bool:
+        return self.kinds[self.i] == "directive"
 
     def at_eof(self) -> bool:
-        return self.toks[self.i].kind == "eof"
+        return self.kinds[self.i] == "eof"
 
-    def take(self) -> Token:
-        t = self.toks[self.i]
-        if t.kind != "eof":
+    def loc(self) -> Loc:
+        return self.toks.loc(self.i)
+
+    def found(self) -> str:
+        """The current lexeme as an error message quotes it."""
+        return self.lex[self.i] or "end of input"
+
+    def take(self) -> str:
+        i = self.i
+        if self.kinds[i] != "eof":
+            self.i = i + 1
+        return self.lex[i]
+
+    def expect(self, lexeme: str, production: str) -> None:
+        if self.lex[self.i] == lexeme:
             self.i += 1
-        return t
-
-    def expect(self, lexeme: str, production: str) -> Token:
-        t = self.peek()
-        if t.kind in ("punct", "kw") and t.lexeme == lexeme:
-            return self.take()
-        found = t.lexeme or "end of input"
+            return
         raise ParseError(
-            f"expected {lexeme!r} but found {found!r}",
-            t.loc,
+            f"expected {lexeme!r} but found {self.found()!r}",
+            self.loc(),
             expected={lexeme},
             production=production,
         )
 
-    def ident(self, production: str) -> Token:
-        t = self.peek()
-        if t.kind in ("id", "uid"):
-            return self.take()
-        found = t.lexeme or "end of input"
+    def ident(self, production: str) -> str:
+        i = self.i
+        if self.kinds[i] in _IDENTS:
+            self.i = i + 1
+            return self.lex[i]
         raise ParseError(
-            f"expected an identifier but found {found!r}",
-            t.loc,
+            f"expected an identifier but found {self.found()!r}",
+            self.loc(),
             expected={"identifier"},
             production=production,
         )
@@ -156,30 +177,27 @@ def _resolve(name: str, env: list[str]):
 def _parse_term(c: _Cursor, env: list[str]):
     if c.at("\\"):
         c.take()
-        name = c.ident("term").lexeme
+        name = c.ident("term")
         c.expect(".", "term")
         body = _parse_term(c, env + [name])
         return Lam(name, body)
     t = _parse_term_atom(c, env)
-    while c.at_ident() or c.at("("):
+    while c.at_atom():
         t = App(t, _parse_term_atom(c, env))
     return t
 
 
 def _parse_term_atom(c: _Cursor, env: list[str]):
-    t = c.peek()
-    if t.kind in ("id", "uid"):
-        c.take()
-        return _resolve(t.lexeme, env)
+    if c.at_ident():
+        return _resolve(c.take(), env)
     if c.at("("):
         c.take()
         inner = _parse_term(c, env)
         c.expect(")", "term")
         return inner
-    found = t.lexeme or "end of input"
     raise ParseError(
-        f"expected a term but found {found!r}",
-        t.loc,
+        f"expected a term but found {c.found()!r}",
+        c.loc(),
         expected={"identifier", "(", "\\"},
         production="term",
     )
@@ -206,7 +224,7 @@ def _parse_tpkind(c: _Cursor, env: list[str]):
     """Parse a type-or-kind; the result is a Kind iff it terminates in `type`."""
     if c.at("{"):
         c.take()
-        name = c.ident("tp").lexeme
+        name = c.ident("tp")
         c.expect(":", "tp")
         dom = _as_tp(_parse_tpkind(c, env))
         c.expect("}", "tp")
@@ -227,10 +245,9 @@ def _parse_tpkind(c: _Cursor, env: list[str]):
             c.take()
             arms.append(_parse_tp_atom(c, env))
         if c.at("->"):
-            t = c.peek()
             raise ParseError(
                 "cannot mix '->' and '<-' without parentheses",
-                t.loc,
+                c.loc(),
                 expected={".", ";"},
                 production="tp",
             )
@@ -247,7 +264,6 @@ def _parse_tpkind(c: _Cursor, env: list[str]):
 
 
 def _parse_tp_atom(c: _Cursor, env: list[str]):
-    t = c.peek()
     if c.at("("):
         c.take()
         inner = _parse_tpkind(c, env)
@@ -256,16 +272,15 @@ def _parse_tp_atom(c: _Cursor, env: list[str]):
     if c.at("type"):
         c.take()
         return Type()
-    if t.kind in ("id", "uid"):
-        c.take()
+    if c.at_ident():
+        name = c.take()
         args = []
-        while c.at_ident() or c.at("("):
+        while c.at_atom():
             args.append(_parse_term_atom(c, env))
-        return AtomApp(t.lexeme, tuple(args))
-    found = t.lexeme or "end of input"
+        return AtomApp(name, tuple(args))
     raise ParseError(
-        f"expected a type but found {found!r}",
-        t.loc,
+        f"expected a type but found {c.found()!r}",
+        c.loc(),
         expected={"identifier", "(", "{", "type"},
         production="tp",
     )
@@ -274,8 +289,7 @@ def _parse_tp_atom(c: _Cursor, env: list[str]):
 def _parse_tp(c: _Cursor, env: list[str]):
     node = _parse_tpkind(c, env)
     if isinstance(node, Kind):
-        t = c.peek()
-        raise ParseError("expected a type, found a kind", t.loc, expected={"tp"}, production="tp")
+        raise ParseError("expected a type, found a kind", c.loc(), expected={"tp"}, production="tp")
     return node
 
 
@@ -283,13 +297,14 @@ def _parse_tp(c: _Cursor, env: list[str]):
 
 
 def _parse_decl(c: _Cursor):
-    name_tok = c.ident("decl")
+    loc = c.loc()
+    name = c.ident("decl")
     c.expect(":", "decl")
     node = _parse_tpkind(c, [])
     c.expect(".", "decl")
     if isinstance(node, Kind):
-        return FamDecl(name_tok.lexeme, node, name_tok.loc)
-    return ConstDecl(name_tok.lexeme, node, name_tok.loc)
+        return FamDecl(name, node, loc)
+    return ConstDecl(name, node, loc)
 
 
 def _parse_block(c: _Cursor):
@@ -300,7 +315,7 @@ def _parse_block(c: _Cursor):
     entries = []
     labels: list[str] = []
     while True:
-        label = c.ident("blk").lexeme
+        label = c.ident("blk")
         c.expect(":", "blk")
         tp = _parse_tp(c, labels)
         entries.append((label, tp))
@@ -315,15 +330,16 @@ def _parse_block(c: _Cursor):
 
 
 def _parse_schema(c: _Cursor):
-    kw = c.expect("schema", "s_decl")
-    name = c.ident("s_decl").lexeme
+    loc = c.loc()
+    c.expect("schema", "s_decl")
+    name = c.ident("s_decl")
     c.expect("=", "s_decl")
     alts = [_parse_block(c)]
     while c.at("+"):
         c.take()
         alts.append(_parse_block(c))
     c.expect(";", "s_decl")
-    return Schema(name, tuple(alts), kw.loc)
+    return Schema(name, tuple(alts), loc)
 
 
 # --------------------------------------------------------------- contexts
@@ -337,7 +353,7 @@ def _parse_ctx_body(c: _Cursor, production: str):
         if first and (c.at("]") or c.at("|-")):
             break
         if first:
-            name = c.ident(production).lexeme
+            name = c.ident(production)
             if c.at(":"):
                 c.take()
                 block = _parse_block(c)
@@ -349,7 +365,7 @@ def _parse_ctx_body(c: _Cursor, production: str):
             if not c.at(","):
                 break
             c.take()
-            label = c.ident(production).lexeme
+            label = c.ident(production)
             c.expect(":", production)
             block = _parse_block(c)
             pat = Snoc(pat, label, block)
@@ -367,7 +383,7 @@ def _parse_ctx(c: _Cursor):
 
 
 def _parse_def_atom(c: _Cursor):
-    name = c.ident("def_prp").lexeme
+    name = c.ident("def_prp")
     ctxs = []
     while c.at("["):
         ctxs.append(_parse_ctx(c))
@@ -383,15 +399,16 @@ def _parse_def_prp(c: _Cursor):
 
 
 def _parse_inductive(c: _Cursor):
-    kw = c.expect("inductive", "def_dec")
-    name = c.ident("def_dec").lexeme
+    loc = c.loc()
+    c.expect("inductive", "def_dec")
+    name = c.ident("def_dec")
     c.expect(":", "def_dec")
     params = []
     while c.at("{"):
         c.take()
-        v = c.ident("r_kind").lexeme
+        v = c.ident("r_kind")
         c.expect(":", "r_kind")
-        s = c.ident("r_kind").lexeme
+        s = c.ident("r_kind")
         c.expect("}", "r_kind")
         params.append((v, s))
     c.expect("prop", "r_kind")
@@ -399,7 +416,7 @@ def _parse_inductive(c: _Cursor):
     clauses = []
     c.expect("|", "def_body")
     while True:
-        cname = c.ident("def_body").lexeme
+        cname = c.ident("def_body")
         c.expect(":", "def_body")
         prp = _parse_def_prp(c)
         clauses.append((cname, prp))
@@ -408,7 +425,7 @@ def _parse_inductive(c: _Cursor):
             continue
         break
     c.expect(";", "def_dec")
-    return InductiveDef(name, tuple(params), tuple(clauses), kw.loc)
+    return InductiveDef(name, tuple(params), tuple(clauses), loc)
 
 
 # ---------------------------------------------------------------- theorems
@@ -427,10 +444,10 @@ def _classify_quantifier(var: str, tyname: str, schema_names, family_names):
 def _parse_prp(c: _Cursor, env, schema_names, family_names):
     if c.at("{"):
         c.take()
-        var = c.ident("quantif").lexeme
+        var = c.ident("quantif")
         c.expect(":", "quantif")
-        if c.at_ident() and c.peek(1).lexeme == "}":
-            tyname = c.take().lexeme
+        if c.at_ident() and c.at_next("}"):
+            tyname = c.take()
             c.expect("}", "quantif")
             body = _parse_prp(c, env, schema_names, family_names)
             if _classify_quantifier(var, tyname, schema_names, family_names) == "ctx":
@@ -442,7 +459,7 @@ def _parse_prp(c: _Cursor, env, schema_names, family_names):
         return ForallTm(var, tp, body)
     if c.at("<"):
         c.take()
-        var = c.ident("quantif").lexeme
+        var = c.ident("quantif")
         c.expect(":", "quantif")
         tp = _parse_tp(c, [])
         c.expect(">", "quantif")
@@ -476,7 +493,6 @@ def _parse_prp_and(c, env, schema_names, family_names):
 
 
 def _parse_prp_atom(c, env, schema_names, family_names):
-    t = c.peek()
     if c.at("true"):
         c.take()
         return TrueP()
@@ -492,7 +508,7 @@ def _parse_prp_atom(c, env, schema_names, family_names):
             c.take()
             p = _parse_prp(c, env, schema_names, family_names)
             c.expect(")", "prp")
-            if not (c.at("=") or c.at_ident() or c.at("(")):
+            if not (c.at("=") or c.at_atom()):
                 return p
         except ParseError:
             pass
@@ -504,19 +520,19 @@ def _parse_prp_atom(c, env, schema_names, family_names):
         c.take()
         ctx = _parse_ctx_body(c, "prp")
         c.expect("|-", "prp")
-        fam = c.ident("prp").lexeme
+        fam = c.ident("prp")
         args = []
-        while c.at_ident() or c.at("("):
+        while c.at_atom():
             args.append(_parse_term_atom(c, env))
         c.expect("]", "prp")
         return Judgment(ctx, fam, tuple(args))
-    if t.kind in ("id", "uid") and c.peek(1).lexeme == "[":
-        name = c.take().lexeme
+    if c.at_ident() and c.at_next("["):
+        name = c.take()
         ctxs = []
         while c.at("["):
             ctxs.append(_parse_ctx(c))
         return RelApp(name, tuple(ctxs))
-    if t.kind in ("id", "uid") or c.at("\\"):
+    if c.at_ident() or c.at("\\"):
         term = _parse_term(c, env)
         if c.at("="):
             c.take()
@@ -526,26 +542,26 @@ def _parse_prp_atom(c, env, schema_names, family_names):
             return RelApp(term.name, ())
         raise ParseError(
             "expected '=' after a term in a proposition",
-            c.peek().loc,
+            c.loc(),
             expected={"="},
             production="prp",
         )
-    found = t.lexeme or "end of input"
     raise ParseError(
-        f"expected a proposition but found {found!r}",
-        t.loc,
+        f"expected a proposition but found {c.found()!r}",
+        c.loc(),
         expected={"true", "false", "(", "[", "{", "<", "identifier"},
         production="prp",
     )
 
 
 def _parse_theorem(c: _Cursor, schema_names, family_names):
-    kw = c.expect("theorem", "thm")
-    name = c.ident("thm").lexeme
+    loc = c.loc()
+    c.expect("theorem", "thm")
+    name = c.ident("thm")
     c.expect(":", "thm")
     prp = _parse_prp(c, [], schema_names, family_names)
     c.expect(";", "thm")
-    return Theorem(name, prp, kw.loc)
+    return Theorem(name, prp, loc)
 
 
 # ------------------------------------------------------------- the driver
@@ -554,11 +570,10 @@ _DECL_SECTIONS = ("Syntax", "Judgments", "Rules")
 
 
 def _parse_item(c: _Cursor, section, schema_names, family_names):
-    t = c.peek()
     if section is None:
         raise ParseError(
             "declaration before any %% section separator",
-            t.loc,
+            c.loc(),
             expected={"%% Syntax"},
             production="sig",
         )
@@ -566,7 +581,7 @@ def _parse_item(c: _Cursor, section, schema_names, family_names):
         if section != "Schemas":
             raise ParseError(
                 f"schema declaration in the {section} section",
-                t.loc,
+                c.loc(),
                 expected={"%% Schemas"},
                 production="s_decl",
             )
@@ -575,7 +590,7 @@ def _parse_item(c: _Cursor, section, schema_names, family_names):
         if section != "Definitions":
             raise ParseError(
                 f"inductive definition in the {section} section",
-                t.loc,
+                c.loc(),
                 expected={"%% Definitions"},
                 production="def_dec",
             )
@@ -584,24 +599,23 @@ def _parse_item(c: _Cursor, section, schema_names, family_names):
         if section != "Theorems":
             raise ParseError(
                 f"theorem in the {section} section",
-                t.loc,
+                c.loc(),
                 expected={"%% Theorems"},
                 production="thm",
             )
         return _parse_theorem(c, schema_names, family_names)
-    if t.kind in ("id", "uid"):
+    if c.at_ident():
         if section not in _DECL_SECTIONS:
             raise ParseError(
                 f"constant or type declaration in the {section} section",
-                t.loc,
+                c.loc(),
                 expected={"%% Syntax", "%% Judgments", "%% Rules"},
                 production="decl",
             )
         return _parse_decl(c)
-    found = t.lexeme or "end of input"
     raise ParseError(
-        f"expected a declaration but found {found!r}",
-        t.loc,
+        f"expected a declaration but found {c.found()!r}",
+        c.loc(),
         expected={"identifier", "schema", "inductive", "theorem"},
         production="sig",
     )
@@ -609,10 +623,9 @@ def _parse_item(c: _Cursor, section, schema_names, family_names):
 
 def _recover(c: _Cursor) -> None:
     while not c.at_eof():
-        if c.peek().kind == "directive":
+        if c.at_directive():
             return
-        tok = c.take()
-        if tok.kind == "punct" and tok.lexeme in (".", ";"):
+        if c.take() in (".", ";"):
             return
 
 
@@ -627,19 +640,19 @@ def parse_spec(source: str) -> OrbiSpec:
     schema_names: set[str] = set()
     family_names: set[str] = set()
     while not c.at_eof():
-        tok = c.peek()
-        if tok.kind == "directive":
+        if c.at_directive():
+            i = c.i
             c.take()
             try:
-                d = parse_directive_line(tok.lexeme, tok.loc)
+                d = parse_directive_line(toks.lexemes[i], toks.loc(i))
             except DirectiveError as e:
                 errors.extend(e.diagnostics())
                 continue
             if isinstance(d, Separator):
                 if section is not None:
-                    spans.append((section, seg_start, tok.start))
+                    spans.append((section, seg_start, toks.starts[i]))
                 section = d.name
-                seg_start = tok.end
+                seg_start = toks.ends[i]
             else:
                 items.append((section or "", d))
             continue
@@ -669,8 +682,7 @@ def parse_term_str(text: str, binders=()):
     c = _Cursor(tokenize(text))
     t = _parse_term(c, list(binders))
     if not c.at_eof():
-        tok = c.peek()
-        raise ParseError(f"trailing input {tok.lexeme!r}", tok.loc, production="term")
+        raise ParseError(f"trailing input {c.found()!r}", c.loc(), production="term")
     return t
 
 
@@ -678,6 +690,5 @@ def parse_tpkind_str(text: str, binders=()):
     c = _Cursor(tokenize(text))
     node = _parse_tpkind(c, list(binders))
     if not c.at_eof():
-        tok = c.peek()
-        raise ParseError(f"trailing input {tok.lexeme!r}", tok.loc, production="tp")
+        raise ParseError(f"trailing input {c.found()!r}", c.loc(), production="tp")
     return node

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -7,7 +8,9 @@ from orbi_forge.lexer import KEYWORDS, tokenize
 
 
 def _kinds_lexemes(source):
-    return [(t.kind, t.lexeme) for t in tokenize(source) if t.kind != "eof"]
+    toks = tokenize(source)
+    assert (toks.kinds[-1], toks.lexemes[-1]) == ("eof", "")
+    return list(zip(toks.kinds[:-1], toks.lexemes[:-1]))
 
 
 def test_tokenize_judgment_decl():
@@ -43,8 +46,8 @@ def test_primed_identifiers():
 
 def test_directive_line_lexed_whole():
     toks = tokenize("tm: type.\n%% wf [hy,ab] in tm\napp: tm.\n")
-    directives = [t for t in toks if t.kind == "directive"]
-    assert [t.lexeme for t in directives] == ["%% wf [hy,ab] in tm"]
+    directives = [lexeme for kind, lexeme in zip(toks.kinds, toks.lexemes) if kind == "directive"]
+    assert directives == ["%% wf [hy,ab] in tm"]
 
 
 def test_plain_comments_discarded():
@@ -90,7 +93,9 @@ def test_illegal_character_reports_location():
 
 
 def _full(source):
-    return [(t.kind, t.lexeme, (t.loc.line, t.loc.col), t.start, t.end) for t in tokenize(source)]
+    toks = tokenize(source)
+    locs = [(loc.line, loc.col) for loc in map(toks.loc, range(len(toks)))]
+    return list(zip(toks.kinds, toks.lexemes, locs, toks.starts, toks.ends, strict=True))
 
 
 def test_crlf_line_ends():
@@ -134,6 +139,14 @@ def test_eof_loc_without_trailing_newline():
     assert _full("a\nbc.")[-1] == ("eof", "", (2, 4), 5, 5)
     assert _full("")[-1] == ("eof", "", (1, 1), 0, 0)
     assert _full("tm \t\r ") == [("id", "tm", (1, 1), 0, 2), ("eof", "", (1, 7), 6, 6)]
+
+
+def test_trailing_blanks_are_not_searched_from_every_position():
+    # searched from every position, 20k trailing blanks take about 10 s
+    source = "tm" + " \t\r\n" * 5000
+    start = time.perf_counter()
+    assert _full(source) == [("id", "tm", (1, 1), 0, 2), ("eof", "", (5001, 1), 20002, 20002)]
+    assert time.perf_counter() - start < 2
 
 
 def test_illegal_character_column_after_tabs():

@@ -115,6 +115,15 @@ def test_bare_lambda_cannot_be_inferred(checked):
         infer_type(checked.sig, None, parse_term_str(r"\x. x"))
 
 
+def test_infer_redex_applied_to_two_arguments(checked):
+    ctx = TypingCtx((("a", AtomApp("tm")), ("b", AtomApp("tm"))))
+    t = parse_term_str(r"(\x. \y. x) a b", binders=("a", "b"))
+    assert infer_type(checked.sig, ctx, t) == AtomApp("tm")
+    # the discarded argument is typed too
+    with pytest.raises(LfTypeError):
+        infer_type(checked.sig, ctx, parse_term_str(r"(\x. \y. x) a (app lam)", binders=("a",)))
+
+
 # ------------------------------------------------------------ reconstruction
 
 
@@ -218,16 +227,8 @@ def test_rule_fault_classes(rule, code, message):
         (r"j ((\x. c0) M) M", ("M",)),
         (r"j (cb (\x. cb (\y. M y x))) N", ("M", "N")),
         (r"j ((\x. c2 x M) N) c0", ("N", "M")),
-        pytest.param(
-            r"j ((\x. \y. c2 y x) M N) c0",
-            ("M", "N"),
-            marks=pytest.mark.xfail(
-                raises=OrbiError,
-                strict=True,
-                reason="_infer's beta-redex branch cannot infer a redex applied to "
-                "two arguments: 'cannot infer the type of a bare lambda'",
-            ),
-        ),
+        # implicits come in first-occurrence order of the normal form j (c2 N M) c0
+        (r"j ((\x. \y. c2 y x) M N) c0", ("N", "M")),
     ],
 )
 def test_rule_reconstructs(rule, implicit):

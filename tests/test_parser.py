@@ -1,10 +1,18 @@
+import glob
+import os
+import random
+
 import pytest
 
 from helpers import make_spec
-from orbi_forge import parse_spec
+from specgen import gen_spec
+from test_lexer import _reference_tokenize
+from orbi_forge import corpus_source, parse_spec
 from orbi_forge.errors import DirectiveError, SpecParseError
 from orbi_forge.parser import parse_directive_line, parse_term_str, parse_tpkind_str
+from orbi_forge.pretty import spec_str
 from orbi_forge.syntax import (
+    SECTIONS,
     And,
     App,
     Arrow,
@@ -318,3 +326,86 @@ def test_interleaved_sections_preserve_declaration_order():
     checked = check_all(src)
     assert checked.sig.level("c") == 0
     assert spec.section_text("Syntax") == "tm: type.\nc: tm."
+
+
+# ------------------------------------------------- locations from the lexer
+
+def _reference_item_locs(source):
+    """(line, col) of the first token of every parsed item, and the section
+    spans, both worked out from the character-loop reference tokenizer."""
+    toks = _reference_tokenize(source)
+    locs, spans = [], []
+    section = seg_start = None
+    for k, (kind, lexeme, loc, start, end) in enumerate(toks):
+        if kind == "directive":
+            body = lexeme[2:].strip()
+            if body in SECTIONS:
+                if section is not None:
+                    spans.append((section, seg_start, start))
+                section, seg_start = body, end
+            else:
+                locs.append(loc)
+        elif kind == "kw" and lexeme in ("schema", "inductive", "theorem"):
+            locs.append(loc)
+        elif (
+            kind in ("id", "uid")
+            and section in ("Syntax", "Judgments", "Rules")
+            and toks[k + 1][1] == ":"
+            # after a directive or a declaration's final '.', not a lambda's
+            and (toks[k - 1][0] == "directive" or (toks[k - 1][1] == "." and toks[k - 3][1] != "\\"))
+        ):
+            locs.append(loc)
+    if section is not None:
+        spans.append((section, seg_start, len(source)))
+    return locs, spans
+
+
+def _location_sources():
+    eq = corpus_source()
+    yield "eq.orbi", eq
+    yield "eq.orbi, CRLF", eq.replace("\n", "\r\n")
+    yield "eq.orbi, tabs", "\n".join("\t " + line.replace(" ", "\t") for line in eq.split("\n"))
+    tests_dir = os.path.dirname(__file__)
+    for path in sorted(glob.glob(os.path.join(tests_dir, "**", "*.orbi"), recursive=True)):
+        with open(path, encoding="utf-8", newline="") as f:
+            yield os.path.relpath(path, tests_dir), f.read()
+    for seed in range(20):
+        yield f"gen_spec({seed})", spec_str(gen_spec(random.Random(seed)))
+
+
+def test_item_locations_and_spans_match_reference_tokens():
+    for name, source in _location_sources():
+        spec = parse_spec(source)
+        locs, spans = _reference_item_locs(source)
+        assert [(n.loc.line, n.loc.col) for _, n in spec.items] == locs, name
+        assert list(spec.section_spans) == spans, name
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        # end of input, also after trailing blank lines
+        ("%% Syntax\ntm: type", [(2, 9, "expected '.' but found 'end of input'")]),
+        ("%% Syntax\ntm: type\n\n  ", [(4, 3, "expected '.' but found 'end of input'")]),
+        ("%% Syntax\ntm: type.\napp: tm ->", [(3, 11, "expected a type but found 'end of input'")]),
+        # CRLF line ends count one line each
+        ("%% Syntax\r\ntm: type.\r\napp tm.\r\n", [(3, 5, "expected ':' but found 'tm'")]),
+        # a tab is one column
+        ("%% Syntax\n\ttm:\t.\n", [(2, 6, "expected a type but found '.'")]),
+        # the second error of a two-error file
+        (
+            "%% Syntax\ntm: .\napp: tm -> .\n",
+            [(2, 5, "expected a type but found '.'"), (3, 12, "expected a type but found '.'")],
+        ),
+        (
+            "%% Syntax\r\n\ttm: type.\r\n\t\tapp: tm -> tm\r\n%% Rules\r\n\tr: .",
+            [(4, 1, "expected '.' but found '%% Rules'"), (5, 5, "expected a type but found '.'")],
+        ),
+    ],
+)
+def test_parse_error_locations(source, expected):
+    with pytest.raises(SpecParseError) as exc:
+        parse_spec(source)
+    diags = exc.value.diagnostics()
+    assert all(d.code == "E-PARSE" for d in diags)
+    assert [(d.loc.line, d.loc.col, d.message) for d in diags] == expected
