@@ -8,7 +8,7 @@ from orbi_forge.lf import Signature, check_signature, infer_type, normalize, rec
 from orbi_forge.lint import lint
 from orbi_forge.parser import parse_directive_line, parse_spec
 from orbi_forge.pretty import pretty
-from orbi_forge.syntax import OrbiSpec, alpha_equal, spec_alpha_equal, subst
+from orbi_forge.syntax import OrbiSpec, spec_alpha_equal, subst
 from orbi_forge.translate import TargetDoc, translate_spec
 
 __version__ = "0.1.0"
@@ -20,7 +20,6 @@ __all__ = [
     "OrbiSpec",
     "Signature",
     "TargetDoc",
-    "alpha_equal",
     "check_signature",
     "check_spec",
     "corpus_path",

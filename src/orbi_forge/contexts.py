@@ -56,7 +56,6 @@ from orbi_forge.syntax import (
     Var,
     ctx_blocks,
     ctx_head_var,
-    tp_alpha_equal,
 )
 
 SchemaTable = dict
@@ -87,7 +86,7 @@ def _block_matches(pattern: Block, alt: Block) -> bool:
     if len(pattern.entries) != len(alt.entries):
         return False
     return all(
-        tp_alpha_equal(normalize_tp(a), normalize_tp(b))
+        normalize_tp(a) == normalize_tp(b)
         for (_, a), (_, b) in zip(pattern.entries, alt.entries)
     )
 

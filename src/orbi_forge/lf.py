@@ -41,13 +41,12 @@ from orbi_forge.syntax import (
     Type,
     Var,
     apply_spine,
+    free,
     shift_tp,
     spine,
     subst,
     subst_kind,
     subst_tp,
-    tp_alpha_equal,
-    tp_closed,
 )
 
 
@@ -300,7 +299,7 @@ def _check(
             _schematic(sig, ctx, t, exp, holes)
             return
     actual = _infer(sig, ctx, t, holes)
-    if not tp_alpha_equal(actual, exp):
+    if actual != exp:
         raise LfTypeError(f"expected {tp_str(exp, [])}, got {tp_str(actual, [])}")
 
 
@@ -336,7 +335,7 @@ def _schematic(sig: Signature, ctx: list[Tp], t: Term, exp: Tp, holes: _Holes) -
     cand = exp
     for i in reversed(idxs):
         cand = Arrow(normalize_tp(shift_tp(ctx[-1 - i], i + 1)), cand)
-    if not tp_closed(cand):
+    if any(type(x) is int for x in free(cand)):
         raise ReconstructionError(
             f"cannot infer a closed outermost type for schematic variable {name!r}"
         )
@@ -348,7 +347,7 @@ def _schematic(sig: Signature, ctx: list[Tp], t: Term, exp: Tp, holes: _Holes) -
     prev = holes.get(name)
     if prev is None:
         holes[name] = cand
-    elif not tp_alpha_equal(prev, cand):
+    elif prev != cand:
         raise ReconstructionError(
             f"schematic variable {name!r} used at incompatible types "
             f"{tp_str(prev, [])!r} and {tp_str(cand, [])!r}"

@@ -15,7 +15,6 @@ from orbi_forge.syntax import (
     App,
     Arrow,
     AtomApp,
-    Const,
     ConstDecl,
     CtxPattern,
     ExistsTm,
@@ -23,43 +22,16 @@ from orbi_forge.syntax import (
     ForallTm,
     Imp,
     Judgment,
-    KArrow,
     KPi,
     Lam,
     Or,
     RelApp,
     TermEq,
     Type,
-    Var,
     ctx_blocks,
     ctx_head_var,
+    free,
 )
-
-
-def _term_uses(t, depth: int) -> bool:
-    if isinstance(t, Var):
-        return t.index == depth
-    if isinstance(t, Const):
-        return False
-    if isinstance(t, Lam):
-        return _term_uses(t.body, depth + 1)
-    return _term_uses(t.fn, depth) or _term_uses(t.arg, depth)
-
-
-def _tp_uses(tp, depth: int) -> bool:
-    if isinstance(tp, AtomApp):
-        return any(_term_uses(a, depth) for a in tp.args)
-    if isinstance(tp, Arrow):
-        return _tp_uses(tp.dom, depth) or _tp_uses(tp.cod, depth)
-    return _tp_uses(tp.dom, depth) or _tp_uses(tp.cod, depth + 1)
-
-
-def _kind_uses(k, depth: int) -> bool:
-    if isinstance(k, Type):
-        return False
-    if isinstance(k, KArrow):
-        return _tp_uses(k.dom, depth) or _kind_uses(k.cod, depth)
-    return _tp_uses(k.dom, depth) or _kind_uses(k.cod, depth + 1)
 
 
 def lint(checked: CheckedSpec) -> list[Diagnostic]:
@@ -108,7 +80,7 @@ def lint(checked: CheckedSpec) -> list[Diagnostic]:
                 loc,
                 "quantify only over syntax-level (level-0) types",
             )
-        if not _tp_uses(tp.cod, 0):
+        if 0 not in free(tp.cod):
             warn(
                 "L3",
                 f"Pi-bound variable {tp.hint!r} does not occur in the body",
@@ -121,7 +93,7 @@ def lint(checked: CheckedSpec) -> list[Diagnostic]:
     def walk_kind(k, loc):
         if isinstance(k, Type):
             return
-        if isinstance(k, KPi) and not _kind_uses(k.cod, 0):
+        if isinstance(k, KPi) and 0 not in free(k.cod):
             warn(
                 "L3",
                 f"Pi-bound variable {k.hint!r} does not occur in the kind body",

@@ -11,7 +11,6 @@ from orbi_forge.syntax import (
     SECTIONS,
     AtomApp,
     And,
-    App,
     Arrow,
     Block,
     Const,
@@ -29,11 +28,9 @@ from orbi_forge.syntax import (
     Judgment,
     KArrow,
     Kind,
-    KPi,
     Lam,
     Or,
     OrbiSpec,
-    Pi,
     Prp,
     RelApp,
     Schema,
@@ -45,6 +42,7 @@ from orbi_forge.syntax import (
     TrueP,
     Type,
     Var,
+    free,
     spine,
 )
 
@@ -56,29 +54,10 @@ _TP_LOW, _TP_DOM = 0, 1
 _P_QUANT, _P_IMP, _P_OR, _P_AND, _P_ATOM = 0, 1, 2, 3, 4
 
 
-def _escaping(node, d: int, env: list, out: set) -> None:
-    """Names free in ``node``: consts plus enclosing binders it references."""
-    if isinstance(node, Var):
-        k = node.index - d
-        if k >= 0 and k < len(env):
-            out.add(env[-1 - k])
-    elif isinstance(node, Const):
-        out.add(node.name)
-    elif isinstance(node, Lam):
-        _escaping(node.body, d + 1, env, out)
-    elif isinstance(node, App):
-        _escaping(node.fn, d, env, out)
-        _escaping(node.arg, d, env, out)
-    elif isinstance(node, AtomApp):
-        out.add(node.family)
-        for a in node.args:
-            _escaping(a, d, env, out)
-    elif isinstance(node, (Arrow, KArrow)):
-        _escaping(node.dom, d, env, out)
-        _escaping(node.cod, d, env, out)
-    elif isinstance(node, (Pi, KPi)):
-        _escaping(node.dom, d, env, out)
-        _escaping(node.cod, d + 1, env, out)
+def _escaping(node, d: int, env: list) -> set:
+    """Names free in ``node``: consts plus the enclosing binders it references."""
+    n = len(env)
+    return {x if type(x) is str else env[-1 - x] for x in free(node, d) if type(x) is str or x < n}
 
 
 def _fresh(hint: str, avoid: set) -> str:
@@ -89,9 +68,7 @@ def _fresh(hint: str, avoid: set) -> str:
 
 
 def _binder_name(hint: str, body, env: list) -> str:
-    avoid: set = set()
-    _escaping(body, 1, env, avoid)
-    return _fresh(hint, avoid)
+    return _fresh(hint, _escaping(body, 1, env))
 
 
 def term_str(t: Term, env: list, prec: int = _T_LAM) -> str:
@@ -150,7 +127,7 @@ def block_str(b: Block, env: list | None = None) -> str:
     for i, (label, tp) in enumerate(entries):
         avoid: set = set()
         for j in range(i + 1, len(entries)):
-            _escaping(entries[j][1], j - i, env + labels[:i], avoid)
+            avoid |= _escaping(entries[j][1], j - i, env + labels[:i])
         name = _fresh(label, avoid)
         parts.append(f"{name}:{tp_str(tp, env + labels)}")
         labels.append(name)

@@ -2,9 +2,14 @@
 
 Bound variables are nameless: a ``Var`` carries the number of binders between
 its occurrence and the binder that introduced it.  Surface names survive only
-as printing hints on the binders themselves, so alpha-equivalence and
-capture-avoiding substitution are plain structural recursion.  Nothing in
-this module consults a signature.
+as printing hints on the binders themselves, so capture-avoiding substitution
+is plain structural recursion and ``==`` is alpha-equivalence: the ``hint`` of
+``Lam``/``Pi``/``KPi``, ``Block`` entry labels and every ``loc`` are left out of
+equality and hashing.  Names that a reader can refer to are compared:
+``Snoc`` labels, the variables of ``ForallCtx``/``ForallTm``/``ExistsTm``,
+``InductiveDef`` clause names and every ``Directive`` field.  ``free`` is the
+one walker asking which indices and names occur.  Nothing in this module
+consults a signature.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ class Const(Term):
 
 @dataclass(frozen=True)
 class Lam(Term):
-    hint: str
+    hint: str = field(compare=False)
     body: Term
 
 
@@ -100,7 +105,7 @@ class Arrow(Tp):
 
 @dataclass(frozen=True)
 class Pi(Tp):
-    hint: str
+    hint: str = field(compare=False)
     dom: Tp
     cod: Tp  # scopes one binder
 
@@ -125,7 +130,7 @@ class KArrow(Kind):
 
 @dataclass(frozen=True)
 class KPi(Kind):
-    hint: str
+    hint: str = field(compare=False)
     dom: Tp
     cod: Kind  # scopes one binder
 
@@ -153,16 +158,25 @@ Decl = Union[ConstDecl, FamDecl]
 # ---------------------------------------------------------------- schemas
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Block:
     """Ordered telescope of labelled assumptions.
 
     Entry types may reference earlier entries of the same block through Var
     indices (the previous entry is Var(0)).  Labels are printing hints and
-    matching material for the linter only.
+    matching material for the linter only, so ``==`` and ``hash`` see the
+    entry types alone.
     """
 
     entries: tuple[tuple[str, Tp], ...]
+
+    def __eq__(self, other):
+        if type(other) is not Block:
+            return NotImplemented
+        return [tp for _, tp in self.entries] == [tp for _, tp in other.entries]
+
+    def __hash__(self):
+        return hash(tuple(tp for _, tp in self.entries))
 
 
 @dataclass(frozen=True)
@@ -444,191 +458,44 @@ def subst(body: Term, replacement: Term) -> Term:
     return subst_term(body, replacement, 0)
 
 
-# --------------------------------------------------------- alpha equality
-
-
-def alpha_equal(a: Term, b: Term) -> bool:
-    """Identity up to the choice of bound names (hints are ignored)."""
-    if isinstance(a, Var) and isinstance(b, Var):
-        return a.index == b.index
-    if isinstance(a, Const) and isinstance(b, Const):
-        return a.name == b.name
-    if isinstance(a, Lam) and isinstance(b, Lam):
-        return alpha_equal(a.body, b.body)
-    if isinstance(a, App) and isinstance(b, App):
-        return alpha_equal(a.fn, b.fn) and alpha_equal(a.arg, b.arg)
-    return False
-
-
-def tp_alpha_equal(a: Tp, b: Tp) -> bool:
-    if isinstance(a, AtomApp) and isinstance(b, AtomApp):
-        return (
-            a.family == b.family
-            and len(a.args) == len(b.args)
-            and all(alpha_equal(x, y) for x, y in zip(a.args, b.args))
-        )
-    if isinstance(a, Arrow) and isinstance(b, Arrow):
-        return tp_alpha_equal(a.dom, b.dom) and tp_alpha_equal(a.cod, b.cod)
-    if isinstance(a, Pi) and isinstance(b, Pi):
-        return tp_alpha_equal(a.dom, b.dom) and tp_alpha_equal(a.cod, b.cod)
-    return False
-
-
-def kind_alpha_equal(a: Kind, b: Kind) -> bool:
-    if isinstance(a, Type) and isinstance(b, Type):
-        return True
-    if isinstance(a, KArrow) and isinstance(b, KArrow):
-        return tp_alpha_equal(a.dom, b.dom) and kind_alpha_equal(a.cod, b.cod)
-    if isinstance(a, KPi) and isinstance(b, KPi):
-        return tp_alpha_equal(a.dom, b.dom) and kind_alpha_equal(a.cod, b.cod)
-    return False
-
-
-def block_alpha_equal(a: Block, b: Block) -> bool:
-    """Positional match of entry types; labels are renaming-invariant."""
-    return len(a.entries) == len(b.entries) and all(
-        tp_alpha_equal(x, y) for (_, x), (_, y) in zip(a.entries, b.entries)
-    )
-
-
-def ctx_alpha_equal(a: CtxPattern, b: CtxPattern) -> bool:
-    if isinstance(a, EmptyCtx) and isinstance(b, EmptyCtx):
-        return True
-    if isinstance(a, CtxVar) and isinstance(b, CtxVar):
-        return a.name == b.name
-    if isinstance(a, Snoc) and isinstance(b, Snoc):
-        return (
-            ctx_alpha_equal(a.prefix, b.prefix)
-            and a.label == b.label
-            and block_alpha_equal(a.block, b.block)
-        )
-    return False
-
-
-def prp_alpha_equal(a: Prp, b: Prp) -> bool:
-    """Structural equality; terms compared up to alpha, prp binders by name."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, RelApp):
-        return (
-            a.name == b.name
-            and len(a.ctxs) == len(b.ctxs)
-            and all(ctx_alpha_equal(x, y) for x, y in zip(a.ctxs, b.ctxs))
-        )
-    if isinstance(a, Judgment):
-        return (
-            ctx_alpha_equal(a.ctx, b.ctx)
-            and a.family == b.family
-            and len(a.args) == len(b.args)
-            and all(alpha_equal(x, y) for x, y in zip(a.args, b.args))
-        )
-    if isinstance(a, TermEq):
-        return alpha_equal(a.lhs, b.lhs) and alpha_equal(a.rhs, b.rhs)
-    if isinstance(a, (TrueP, FalseP)):
-        return True
-    if isinstance(a, (And, Or, Imp)):
-        return prp_alpha_equal(a.lhs, b.lhs) and prp_alpha_equal(a.rhs, b.rhs)
-    if isinstance(a, ForallCtx):
-        return a.var == b.var and a.schema == b.schema and prp_alpha_equal(a.body, b.body)
-    if isinstance(a, (ForallTm, ExistsTm)):
-        return a.var == b.var and tp_alpha_equal(a.tp, b.tp) and prp_alpha_equal(a.body, b.body)
-    return False
-
-
-def _node_alpha_equal(a, b) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, ConstDecl):
-        return a.name == b.name and tp_alpha_equal(a.tp, b.tp)
-    if isinstance(a, FamDecl):
-        return a.name == b.name and kind_alpha_equal(a.kind, b.kind)
-    if isinstance(a, Schema):
-        return (
-            a.name == b.name
-            and len(a.alternatives) == len(b.alternatives)
-            and all(block_alpha_equal(x, y) for x, y in zip(a.alternatives, b.alternatives))
-        )
-    if isinstance(a, InductiveDef):
-        return (
-            a.name == b.name
-            and a.params == b.params
-            and len(a.clauses) == len(b.clauses)
-            and all(
-                n1 == n2 and prp_alpha_equal(p1, p2)
-                for (n1, p1), (n2, p2) in zip(a.clauses, b.clauses)
-            )
-        )
-    if isinstance(a, Directive):
-        return a == b
-    if isinstance(a, Theorem):
-        return a.name == b.name and prp_alpha_equal(a.statement, b.statement)
-    return False
+# ------------------------------------------------- spec equality & free names
 
 
 def spec_alpha_equal(a: OrbiSpec, b: OrbiSpec) -> bool:
     """Section-wise comparison up to alpha, ignoring locations and layout."""
-    for attr in (
-        "syntax_decls",
-        "judgment_decls",
-        "rules",
-        "schemas",
-        "definitions",
-        "directives",
-        "theorems",
-    ):
-        xs, ys = getattr(a, attr), getattr(b, attr)
-        if len(xs) != len(ys) or not all(_node_alpha_equal(x, y) for x, y in zip(xs, ys)):
-            return False
-    return True
+    return all(
+        getattr(a, view) == getattr(b, view)
+        for view in (
+            "syntax_decls",
+            "judgment_decls",
+            "rules",
+            "schemas",
+            "definitions",
+            "directives",
+            "theorems",
+        )
+    )
 
 
-# -------------------------------------------------------- name inspection
-
-
-def const_names(node, out: set | None = None) -> set[str]:
-    """Every Const name occurring in a Term/Tp/Kind/Block."""
-    if out is None:
-        out = set()
-    if isinstance(node, Var):
-        pass
-    elif isinstance(node, Const):
-        out.add(node.name)
-    elif isinstance(node, Lam):
-        const_names(node.body, out)
-    elif isinstance(node, App):
-        const_names(node.fn, out)
-        const_names(node.arg, out)
-    elif isinstance(node, AtomApp):
-        out.add(node.family)
+def free(node, d: int = 0) -> set:
+    """Free de Bruijn indices (ints, counted from outside ``d`` binders) and
+    the constant and family names (strs) occurring in a Term, Tp or Kind."""
+    t = type(node)
+    if t is Var:
+        return {node.index - d} if node.index >= d else set()
+    if t is Const:
+        return {node.name}
+    if t is App:
+        return free(node.fn, d) | free(node.arg, d)
+    if t is Lam:
+        return free(node.body, d + 1)
+    if t is AtomApp:
+        out = {node.family}
         for a in node.args:
-            const_names(a, out)
-    elif isinstance(node, (Arrow, KArrow)):
-        const_names(node.dom, out)
-        const_names(node.cod, out)
-    elif isinstance(node, (Pi, KPi)):
-        const_names(node.dom, out)
-        const_names(node.cod, out)
-    elif isinstance(node, Type):
-        pass
-    elif isinstance(node, Block):
-        for _, tp in node.entries:
-            const_names(tp, out)
-    return out
-
-
-def term_closed(t: Term, depth: int = 0) -> bool:
-    if isinstance(t, Var):
-        return t.index < depth
-    if isinstance(t, Const):
-        return True
-    if isinstance(t, Lam):
-        return term_closed(t.body, depth + 1)
-    return term_closed(t.fn, depth) and term_closed(t.arg, depth)
-
-
-def tp_closed(tp: Tp, depth: int = 0) -> bool:
-    if isinstance(tp, AtomApp):
-        return all(term_closed(a, depth) for a in tp.args)
-    if isinstance(tp, Arrow):
-        return tp_closed(tp.dom, depth) and tp_closed(tp.cod, depth)
-    return tp_closed(tp.dom, depth) and tp_closed(tp.cod, depth + 1)
+            out |= free(a, d)
+        return out
+    if t is Arrow or t is KArrow:
+        return free(node.dom, d) | free(node.cod, d)
+    if t is Pi or t is KPi:
+        return free(node.dom, d) | free(node.cod, d + 1)
+    return set()

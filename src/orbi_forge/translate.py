@@ -51,6 +51,7 @@ from orbi_forge.syntax import (
     Var,
     ctx_blocks,
     ctx_head_var,
+    free,
     shift_term,
     spine,
 )
@@ -164,21 +165,11 @@ def erase_clause(cl: Clause) -> Clause:
 # -------------------------------------------------------------- eta + names
 
 
-def _uses_var0(t: Term, depth: int = 0) -> bool:
-    if isinstance(t, Var):
-        return t.index == depth
-    if isinstance(t, Const):
-        return False
-    if isinstance(t, Lam):
-        return _uses_var0(t.body, depth + 1)
-    return _uses_var0(t.fn, depth) or _uses_var0(t.arg, depth)
-
-
 def eta_contract(t: Term) -> Term:
     """Syntactic eta: \\x. (f x) becomes f when x is not free in f."""
     if isinstance(t, Lam):
         body = eta_contract(t.body)
-        if isinstance(body, App) and body.arg == Var(0) and not _uses_var0(body.fn):
+        if isinstance(body, App) and body.arg == Var(0) and 0 not in free(body.fn):
             return eta_contract(shift_term(body.fn, -1))
         return Lam(t.hint, body)
     if isinstance(t, App):
@@ -291,20 +282,12 @@ def _strip_fn(tp):
     if isinstance(tp, Pi):
         from orbi_forge.syntax import shift_tp
 
-        if _tp_uses_var0(tp.cod):
+        if 0 in free(tp.cod):
             raise UnsupportedShapeError(
                 "dependent products cannot appear in level-0 constructor types"
             )
         return tp.dom, shift_tp(tp.cod, -1)
     return None
-
-
-def _tp_uses_var0(tp, depth: int = 0) -> bool:
-    if isinstance(tp, AtomApp):
-        return any(_uses_var0(a, depth) for a in tp.args)
-    if isinstance(tp, Arrow):
-        return _tp_uses_var0(tp.dom, depth) or _tp_uses_var0(tp.cod, depth)
-    return _tp_uses_var0(tp.dom, depth) or _tp_uses_var0(tp.cod, depth + 1)
 
 
 def _wf_goal(expr: str, tp, names: _Names):
@@ -575,16 +558,6 @@ def translate_relation(
 # ---------------------------------------------------------------- theorems
 
 
-def _term_mentions(t: Term, name: str) -> bool:
-    if isinstance(t, Const):
-        return t.name == name
-    if isinstance(t, Lam):
-        return _term_mentions(t.body, name)
-    if isinstance(t, App):
-        return _term_mentions(t.fn, name) or _term_mentions(t.arg, name)
-    return False
-
-
 def _usage_ctxs(statement: Prp, var: str) -> list[str]:
     """Context variables of the judgments that mention ``var``, in order."""
     out: list[str] = []
@@ -592,7 +565,7 @@ def _usage_ctxs(statement: Prp, var: str) -> list[str]:
     def walk(p: Prp) -> None:
         if isinstance(p, Judgment):
             head = ctx_head_var(p.ctx)
-            if head is not None and any(_term_mentions(a, var) for a in p.args):
+            if head is not None and any(var in free(a) for a in p.args):
                 if head not in out:
                     out.append(head)
         elif isinstance(p, (And, Or, Imp)):

@@ -2,6 +2,7 @@
 
 from orbi_forge import check_spec, parse_spec
 from orbi_forge.errors import OrbiError
+from orbi_forge.syntax import free
 
 _SECTION_ORDER = (
     ("syntax", "Syntax"),
@@ -25,6 +26,11 @@ def make_spec(**sections) -> str:
 
 def check_all(source: str):
     return check_spec(parse_spec(source))
+
+
+def closed(node) -> bool:
+    """No de Bruijn index of ``node`` points outside it."""
+    return not any(type(x) is int for x in free(node))
 
 
 def first_error_code(source: str):

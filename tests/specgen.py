@@ -103,12 +103,12 @@ def gen_rules_source(rng: random.Random, n_rules: int):
 
 
 def gen_noisy_rules_source(rng: random.Random, n_rules: int, p_fault: float = 0.03):
-    """Like ``gen_rules_source``, but the rules also use beta-redexes and
-    schematics applied to bound variables, and each subterm is replaced by
-    a fault (bare lambda, wrong arity, family as term, non-pattern
-    schematic, schematic at two types, ill-typed redex argument, ...)
-    with probability ``p_fault``. About half of the single-rule specs are
-    well typed."""
+    """Like ``gen_rules_source``, but the rules also use beta-redexes
+    applied to one or two arguments and schematics applied to bound
+    variables, and each subterm is replaced by a fault (bare lambda, wrong
+    arity, family as term, non-pattern schematic, schematic at two types,
+    ill-typed redex argument, ...) with probability ``p_fault``. About half
+    of the single-rule specs are well typed."""
     lines = list(_RULES_HEADER)
 
     def fault(d, bound):
@@ -128,17 +128,25 @@ def gen_noisy_rules_source(rng: random.Random, n_rules: int, p_fault: float = 0.
             lambda: "((\\f. cb f) (\\y. y))",
         ))()
 
+    def redex(d, bound):
+        # applied to one argument, or less often to two
+        z, w = "xyzwuv"[len(bound) : len(bound) + 2]
+        if rng.random() < 0.3:
+            body = tm(d - 1, bound + (z, w))
+            return f"((\\{z}. \\{w}. {body}) {tm(d - 1, bound)} {tm(d - 1, bound)})"
+        return f"((\\{z}. {tm(d - 1, bound + (z,))}) {tm(d - 1, bound)})"
+
     def tm(d, bound):
         if rng.random() < p_fault:
             return fault(d, bound)
         if d <= 0 or rng.random() < 0.25:
             return rng.choice(["c0", "M", "N"] + list(bound) * 2)
-        z = "xyzw"[len(bound)]
+        z = "xyzwuv"[len(bound)]
         opts = [
             lambda: f"(c1 {tm(d - 1, bound)})",
             lambda: f"(c2 {tm(d - 1, bound)} {tm(d - 1, bound)})",
             lambda: f"(cb (\\{z}. {tm(d - 1, bound + (z,))}))",
-            lambda: f"((\\{z}. {tm(d - 1, bound + (z,))}) {tm(d - 1, bound)})",
+            lambda: redex(d, bound),
         ]
         if bound:
             opts.append(lambda: f"(F {rng.choice(bound)})")

@@ -20,7 +20,7 @@ from orbi_forge.errors import OrbiError
 from orbi_forge.lf import normalize_tp
 from orbi_forge.lint import lint
 from orbi_forge.pretty import pretty
-from orbi_forge.syntax import Arrow, AtomApp, Pi, alpha_equal, tp_alpha_equal
+from orbi_forge.syntax import Arrow, AtomApp, Pi
 from orbi_forge.translate import erase_clause, translate_rule, translate_spec
 from specgen import gen_rules_source, gen_spec, gen_tm_term
 
@@ -212,12 +212,12 @@ def test_criterion_7_normalization_invariants(checked):
         if i % 5 == 0:
             t = App(Const("de_r"), t)  # dependent type: deq <nf> <nf>
         n = normalize(t)
-        if not alpha_equal(normalize(n), n):
+        if normalize(n) != n:
             violations += 1
             continue
         before = normalize_tp(infer_type(checked.sig, None, t))
         after = normalize_tp(infer_type(checked.sig, None, n))
-        if not tp_alpha_equal(before, after):
+        if before != after:
             violations += 1
     assert violations == 0
     _report(7, "normalize idempotent and subject reduction agreed on 500 terms")

@@ -11,13 +11,15 @@ import sys
 
 import pytest
 
-from orbi_forge import check_spec, corpus_source, parse_spec
+from orbi_forge import check_spec, corpus_source, lint, parse_spec
+from orbi_forge.pretty import spec_str
 from orbi_forge.translate import translate_spec
 
 _ID = re.compile(r"[A-Za-z][A-Za-z0-9_']*")
 _SEPARATOR = re.compile(r"^%% *([A-Z][a-z]+) *$", re.M)
 
 MAX_GROWTH = 4.4
+_TARGETS = ("ab", "hy", "bel", "tw")
 
 
 def _copies(n: int) -> str:
@@ -67,8 +69,9 @@ def stage_calls():
         out[n] = {
             "parse_spec": _calls(parse_spec, text),
             "check_spec": _calls(check_spec, spec),
-            "translate_spec ab": _calls(translate_spec, checked, "ab"),
-            "translate_spec hy": _calls(translate_spec, checked, "hy"),
+            "spec_str": _calls(spec_str, spec),
+            "lint": _calls(lint, checked),
+            **{f"translate_spec {t}": _calls(translate_spec, checked, t) for t in _TARGETS},
         }
     return out
 
@@ -81,7 +84,8 @@ def test_copies_are_disjoint_and_complete():
 
 
 @pytest.mark.parametrize(
-    "stage", ["parse_spec", "check_spec", "translate_spec ab", "translate_spec hy"]
+    "stage",
+    ["parse_spec", "check_spec", "spec_str", "lint", *(f"translate_spec {t}" for t in _TARGETS)],
 )
 def test_stage_grows_linearly(stage_calls, stage):
     ratio = stage_calls[40][stage] / stage_calls[10][stage]

@@ -1,25 +1,50 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import closed
 from orbi_forge.parser import parse_term_str, parse_tpkind_str
 from orbi_forge.pretty import pretty
 from orbi_forge.syntax import (
     App,
+    Arrow,
+    AtomApp,
+    Block,
     Const,
     ConstDecl,
+    CtxVar,
+    Directive,
+    EmptyCtx,
+    ExistsTm,
+    ForallCtx,
+    ForallTm,
+    InductiveDef,
+    KArrow,
+    KPi,
     Lam,
+    Loc,
+    OrbiSpec,
+    Pi,
+    RelApp,
+    Snoc,
+    TrueP,
+    Type,
     Var,
-    alpha_equal,
+    free,
+    shift_term,
+    shift_tp,
     spec_alpha_equal,
     subst,
 )
 from orbi_forge import parse_spec
+from specgen import _gen_term, _gen_tp
 
 
 def test_subst_beta_contraction():
     body = parse_term_str(r"\x. app x x").body
     out = subst(body, Const("c"))
-    assert alpha_equal(out, parse_term_str("app c c"))
+    assert out == parse_term_str("app c c")
 
 
 def test_subst_vacuous_binder():
@@ -32,7 +57,7 @@ def test_subst_avoids_capture():
     body = parse_term_str(r"\x. lam (\y. app x y)").body
     out = subst(body, Const("y"))
     expected = App(Const("lam"), Lam("y", App(App(Const("app"), Const("y")), Var(0))))
-    assert out == expected
+    assert repr(out) == repr(expected)  # the hint `y` is kept
     assert pretty(out) == "lam (\\y'. app y y')"
 
 
@@ -45,7 +70,7 @@ def test_subst_avoids_capture():
     ],
 )
 def test_alpha_equal(a, b, eq):
-    assert alpha_equal(parse_term_str(a), parse_term_str(b)) is eq
+    assert (parse_term_str(a) == parse_term_str(b)) is eq
 
 
 def test_pretty_decl():
@@ -72,7 +97,7 @@ def test_shadowing_prints_without_capture():
     t = Lam("x", Lam("x", Var(1)))
     s = pretty(t)
     assert s == "\\x. \\x'. x"
-    assert alpha_equal(parse_term_str(s), t)
+    assert parse_term_str(s) == t
 
 
 # ---------------------------------------------------------------- property
@@ -109,20 +134,119 @@ def _rename_hints(t, suffix):
 @given(_terms(), _terms())
 def test_subst_commutes_with_alpha(body, repl):
     variant = _rename_hints(body, "0")
-    assert alpha_equal(subst(body, repl), subst(variant, repl))
+    assert subst(body, repl) == subst(variant, repl)
 
 
 @given(_terms())
 def test_pretty_parse_term_roundtrip(t):
     # closed terms only: drop candidates with out-of-scope indices
-    from orbi_forge.syntax import term_closed
-
-    if not term_closed(t):
+    if not closed(t):
         return
-    assert alpha_equal(parse_term_str(pretty(t)), t)
+    assert parse_term_str(pretty(t)) == t
 
 
 def test_corpus_roundtrip(corpus_spec):
     again = parse_spec(pretty(corpus_spec))
     assert spec_alpha_equal(corpus_spec, again)
     assert pretty(again) == pretty(corpus_spec)
+
+
+# ------------------------------------------------------- equality and free
+
+_TM, _A = AtomApp("tm"), AtomApp("a", (Var(0),))
+_BLK = Block((("x", _TM), ("u", _A)))
+
+
+@pytest.mark.parametrize(
+    "a,b,eq",
+    [
+        # binder hints and block entry labels are printing material only
+        (Lam("x", Var(0)), Lam("y", Var(0)), True),
+        (Lam("x", Var(0)), Lam("x", Var(1)), False),
+        (Pi("x", _TM, _A), Pi("y", _TM, _A), True),
+        (Pi("x", _TM, _A), Arrow(_TM, _A), False),
+        (KPi("x", _TM, Type()), KPi("y", _TM, Type()), True),
+        (KPi("x", _TM, Type()), KArrow(_TM, Type()), False),
+        (_BLK, Block((("y", _TM), ("w", _A))), True),
+        (_BLK, Block((("x", _TM), ("u", _TM))), False),
+        (_BLK, Block((("x", _TM),)), False),
+        (_BLK, _BLK.entries, False),
+        # names a reader can refer to are compared
+        (Snoc(EmptyCtx(), "b", _BLK), Snoc(EmptyCtx(), "c", _BLK), False),
+        (
+            Snoc(CtxVar("g"), "b", _BLK),
+            Snoc(CtxVar("g"), "b", Block((("z", _TM), ("v", _A)))),
+            True,
+        ),
+        (ForallTm("M", _TM, TrueP()), ForallTm("N", _TM, TrueP()), False),
+        (ExistsTm("M", _TM, TrueP()), ExistsTm("N", _TM, TrueP()), False),
+        (ForallCtx("g", "xG", TrueP()), ForallCtx("h", "xG", TrueP()), False),
+        (
+            InductiveDef("R", (("g", "xG"),), (("c1", RelApp("R", (CtxVar("g"),))),)),
+            InductiveDef("R", (("g", "xG"),), (("c2", RelApp("R", (CtxVar("g"),))),)),
+            False,
+        ),
+        (Directive("wf", ("ab",), "g", True), Directive("wf", ("ab",), "g", False), False),
+        # locations never are
+        (ConstDecl("c", _TM, Loc(1, 1)), ConstDecl("c", _TM, Loc(4, 2)), True),
+        (Directive("wf", ("ab",), "tm", loc=Loc(1, 1)), Directive("wf", ("ab",), "tm"), True),
+    ],
+)
+def test_equality_is_alpha_equivalence(a, b, eq):
+    assert (a == b) is eq
+    assert (a != b) is not eq
+    if eq:
+        assert hash(a) == hash(b)
+
+
+def test_spec_alpha_equal_ignores_loc_and_source():
+    decl = ("Syntax", ConstDecl("c", Pi("x", _TM, _TM), Loc(2, 1)))
+    a = OrbiSpec((decl, ("Directives", Directive("wf", ("ab",), "tm", loc=Loc(5, 1)))), "a")
+    b = OrbiSpec(
+        (
+            ("Syntax", ConstDecl("c", Pi("y", _TM, _TM), Loc(9, 9))),
+            ("Directives", Directive("wf", ("ab",), "tm")),
+        ),
+        "b",
+    )
+    assert spec_alpha_equal(a, b)
+    c = OrbiSpec((decl, ("Directives", Directive("wf", ("ab",), "tm", True))))
+    assert not spec_alpha_equal(a, c)
+    assert not spec_alpha_equal(a, OrbiSpec((decl,)))
+
+
+@pytest.mark.parametrize(
+    "node,d,expected",
+    [
+        (Var(0), 0, {0}),
+        (Var(0), 1, set()),
+        (Var(3), 1, {2}),
+        (Const("c"), 0, {"c"}),
+        (Lam("x", App(Var(0), Var(2))), 0, {1}),
+        (App(Const("f"), Lam("x", Var(1))), 0, {"f", 0}),
+        (AtomApp("a", (Var(1), Const("c"))), 0, {"a", 1, "c"}),
+        (Arrow(_TM, _A), 0, {"tm", "a", 0}),
+        (Pi("x", _TM, _A), 0, {"tm", "a"}),
+        (Pi("x", _A, AtomApp("a", (Var(1),))), 0, {"a", 0}),
+        (KArrow(_A, Type()), 0, {"a", 0}),
+        (KPi("x", _TM, KArrow(AtomApp("a", (Var(0), Var(1))), Type())), 0, {"tm", "a", 0}),
+        (Type(), 0, set()),
+    ],
+)
+def test_free(node, d, expected):
+    assert free(node, d) == expected
+
+
+def test_free_indices_match_shift_invariance():
+    # independent characterisation: shifting the indices >= k changes a node
+    # iff it has a free index >= k; in particular it is closed iff shift is a no-op
+    rng = random.Random(11)
+    for _ in range(400):
+        envd = rng.randrange(3)
+        tp = _gen_tp(rng, 3, envd, ["a", "b"])
+        t = _gen_term(rng, 3, envd)
+        assert closed(tp) is (shift_tp(tp, 1) == tp), tp
+        assert closed(t) is (shift_term(t, 1) == t), t
+        for k in range(envd + 1):
+            top = any(type(x) is int and x >= k for x in free(tp))
+            assert top is (shift_tp(tp, 1, k) != tp), (tp, k)
