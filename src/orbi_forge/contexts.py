@@ -66,29 +66,22 @@ RelationTable = dict
 
 
 def check_schema(sig: Signature, s: Schema) -> Schema:
+    """Check each block of ``s`` as a telescope; the returned schema holds
+    the beta-normal entry types."""
+    alternatives = []
     for block in s.alternatives:
-        labels = set()
+        labels = []
         telescope = []
         for label, tp in block.entries:
             if label in labels:
                 raise DuplicateNameError(
                     f"duplicate label {label!r} in a block of schema {s.name!r}", s.loc
                 )
-            labels.add(label)
+            labels.append(label)
             check_tp(sig, telescope, tp)
-            telescope.append(tp)
-    return s
-
-
-def _block_matches(pattern: Block, alt: Block) -> bool:
-    """Positional instance check: labels rename freely, types must agree
-    up to alpha-beta equality."""
-    if len(pattern.entries) != len(alt.entries):
-        return False
-    return all(
-        normalize_tp(a) == normalize_tp(b)
-        for (_, a), (_, b) in zip(pattern.entries, alt.entries)
-    )
+            telescope.append(normalize_tp(tp))
+        alternatives.append(Block(tuple(zip(labels, telescope))))
+    return Schema(s.name, tuple(alternatives), s.loc)
 
 
 def check_ctx_pattern(
@@ -118,8 +111,10 @@ def check_ctx_pattern(
     telescope = []
     for _, tp in c.block.entries:
         check_tp(sig, telescope, tp)
-        telescope.append(tp)
-    if not any(_block_matches(c.block, alt) for alt in schema.alternatives):
+        telescope.append(normalize_tp(tp))
+    labels = [label for label, _ in c.block.entries]
+    # Block == compares entry types only, so labels rename freely
+    if Block(tuple(zip(labels, telescope))) not in schema.alternatives:
         raise SchemaMismatchError(
             f"block {c.label!r} matches no alternative of schema {expected_schema!r}"
         )
@@ -253,7 +248,9 @@ def scope_check_theorem(
             for _, tp in block.entries:
                 try:
                     check_tp(sig, telescope, tp)
+                    tp = normalize_tp(tp)
                 except OrbiError as e:
+                    # an ill-typed entry may have no normal form
                     report(e.code, e.message)
                 telescope.append(tp)
 

@@ -6,6 +6,12 @@ constants must target a judgment.  Definitional equality is beta only; rule
 declarations get their schematic variables bound by an outermost Pi-prefix
 inferred from Miller-pattern occurrences, in the same traversal that checks
 the rule (the checker's hole mode).
+
+Every type the checker stores or pushes onto a context is beta-normal: the
+signature holds normal types (a rule written with a redex is stored
+normalised), Pi and KPi domains are normalised where they enter the context,
+and ``infer_type`` normalises the context it is given.  Types read back from
+the signature or the context are therefore compared with ``==`` as they are.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from orbi_forge.syntax import (
     FamDecl,
     KArrow,
     Kind,
-    KPi,
     Lam,
     OrbiSpec,
     Pi,
@@ -45,7 +50,6 @@ from orbi_forge.syntax import (
     shift_tp,
     spine,
     subst,
-    subst_kind,
     subst_tp,
 )
 
@@ -130,6 +134,11 @@ def kind_domains(k: Kind) -> tuple[Tp, ...]:
     return tuple(out)
 
 
+def is_level0(sig: Signature, tp: Tp) -> bool:
+    """Whether every family ``tp`` mentions is a syntax-level family."""
+    return all(sig.level(f) == 0 for f in families_in_tp(tp))
+
+
 def families_in_tp(tp: Tp, out: set | None = None) -> set[str]:
     if out is None:
         out = set()
@@ -164,14 +173,6 @@ def normalize_tp(tp: Tp) -> Tp:
     return Pi(tp.hint, normalize_tp(tp.dom), normalize_tp(tp.cod))
 
 
-def normalize_kind(k: Kind) -> Kind:
-    if isinstance(k, Type):
-        return k
-    if isinstance(k, KArrow):
-        return KArrow(normalize_tp(k.dom), normalize_kind(k.cod))
-    return KPi(k.hint, normalize_tp(k.dom), normalize_kind(k.cod))
-
-
 # ------------------------------------------------------------ kind checking
 
 
@@ -186,6 +187,8 @@ class _Holes(dict):
 
 
 def check_tp(sig: Signature, ctx: list[Tp], tp: Tp, holes: _Holes | None = None) -> None:
+    """Check that ``tp`` is a well-formed type under ``ctx``, whose entries
+    must be beta-normal (Var(0) is the last one)."""
     if isinstance(tp, AtomApp):
         if tp.family == TYPE_ATOM:
             raise LevelError(
@@ -199,12 +202,12 @@ def check_tp(sig: Signature, ctx: list[Tp], tp: Tp, holes: _Holes | None = None)
             raise LfTypeError(f"{tp.family!r} is a term constant, not a type family")
         kind = entry.decl.kind
         for arg in tp.args:
-            if isinstance(kind, KArrow):
-                dom, kind = kind.dom, kind.cod
-            elif isinstance(kind, KPi):
-                dom, kind = kind.dom, subst_kind(kind.cod, arg)
-            else:
+            if isinstance(kind, Type):
                 raise KindError(f"type family {tp.family!r} applied to too many arguments")
+            # a stored kind's domains are level-0 types, which take no
+            # indices, so its codomain mentions no term and instantiating a
+            # KPi leaves the codomain as it is
+            dom, kind = kind.dom, kind.cod
             _check(sig, ctx, arg, dom, holes)
         if not isinstance(kind, Type):
             raise KindError(f"type family {tp.family!r} is not fully applied")
@@ -214,7 +217,7 @@ def check_tp(sig: Signature, ctx: list[Tp], tp: Tp, holes: _Holes | None = None)
         check_tp(sig, ctx, tp.cod, holes)
         return
     check_tp(sig, ctx, tp.dom, holes)
-    check_tp(sig, ctx + [tp.dom], tp.cod, holes)
+    check_tp(sig, ctx + [normalize_tp(tp.dom)], tp.cod, holes)
 
 
 def check_kind(sig: Signature, ctx: list[Tp], k: Kind) -> None:
@@ -224,7 +227,7 @@ def check_kind(sig: Signature, ctx: list[Tp], k: Kind) -> None:
     if isinstance(k, KArrow):
         check_kind(sig, ctx, k.cod)
     else:
-        check_kind(sig, ctx + [k.dom], k.cod)
+        check_kind(sig, ctx + [normalize_tp(k.dom)], k.cod)
 
 
 # ------------------------------------------------------------------ typing
@@ -234,14 +237,14 @@ def _infer(sig: Signature, ctx: list[Tp], t: Term, holes: _Holes | None = None) 
     if isinstance(t, Var):
         if t.index >= len(ctx):
             raise UnboundVariableError(f"unbound variable index {t.index}")
-        return normalize_tp(shift_tp(ctx[-1 - t.index], t.index + 1))
+        return shift_tp(ctx[-1 - t.index], t.index + 1)
     if isinstance(t, Const):
         entry = sig.get(t.name)
         if entry is None:
             raise UnboundVariableError(f"unbound identifier {t.name!r}")
         if isinstance(entry.decl, FamDecl):
             raise LfTypeError(f"type family {t.name!r} used as a term")
-        return normalize_tp(entry.decl.tp)
+        return entry.decl.tp
     if isinstance(t, App):
         head, args = t.fn, [t.arg]  # the spine's arguments, last first
         while isinstance(head, App):
@@ -271,10 +274,7 @@ def _infer(sig: Signature, ctx: list[Tp], t: Term, holes: _Holes | None = None) 
     raise LfTypeError("cannot infer the type of a bare lambda")
 
 
-def _check(
-    sig: Signature, ctx: list[Tp], t: Term, expected: Tp, holes: _Holes | None = None
-) -> None:
-    exp = normalize_tp(expected)
+def _check(sig: Signature, ctx: list[Tp], t: Term, exp: Tp, holes: _Holes | None = None) -> None:
     if isinstance(t, Lam):
         if isinstance(exp, Arrow):
             _check(sig, ctx + [exp.dom], t.body, shift_tp(exp.cod, 1), holes)
@@ -305,15 +305,11 @@ def _check(
 
 def infer_type(sig: Signature, ctx: TypingCtx | None, t: Term) -> Tp:
     """Beta-normal principal type of ``t`` under ``ctx``."""
-    tps = [tp for _, tp in (ctx.entries if ctx else ())]
+    tps = [normalize_tp(tp) for _, tp in (ctx.entries if ctx else ())]
     return _infer(sig, tps, t)
 
 
 # ---------------------------------------------------------- reconstruction
-
-
-def _tp_level0(sig: Signature, tp: Tp) -> bool:
-    return all(sig.level(f) == 0 for f in families_in_tp(tp))
 
 
 def _schematic(sig: Signature, ctx: list[Tp], t: Term, exp: Tp, holes: _Holes) -> None:
@@ -334,12 +330,12 @@ def _schematic(sig: Signature, ctx: list[Tp], t: Term, exp: Tp, holes: _Holes) -
         )
     cand = exp
     for i in reversed(idxs):
-        cand = Arrow(normalize_tp(shift_tp(ctx[-1 - i], i + 1)), cand)
+        cand = Arrow(shift_tp(ctx[-1 - i], i + 1), cand)
     if any(type(x) is int for x in free(cand)):
         raise ReconstructionError(
             f"cannot infer a closed outermost type for schematic variable {name!r}"
         )
-    if not _tp_level0(sig, cand):
+    if not is_level0(sig, cand):
         raise ReconstructionError(
             f"schematic variable {name!r} infers to the non-level-0 type "
             f"{tp_str(cand, [])!r}"
@@ -362,8 +358,10 @@ def _reconstruct(sig: Signature, decl: ConstDecl):
         rec = ConstDecl(decl.name, _close(decl.tp, unknowns), decl.loc)
     if unknowns.beta:
         # the schematics' types are known now: check each redex as written,
-        # so that its discarded arguments are well typed too
+        # so that its discarded arguments are well typed too, then store the
+        # normal form
         check_tp(sig, [], rec.tp)
+        rec = ConstDecl(rec.name, normalize_tp(rec.tp), rec.loc)
     return rec, tuple(unknowns)
 
 
@@ -422,7 +420,7 @@ def check_signature(spec: OrbiSpec) -> Signature:
                     sig.add(SigEntry(decl, 0, section))
                 else:
                     check_tp(sig, [], decl.tp)
-                    if not _tp_level0(sig, decl.tp):
+                    if not is_level0(sig, decl.tp):
                         raise LevelError(
                             f"syntax-level constant {decl.name!r} may only mention "
                             "level-0 families"
@@ -436,7 +434,7 @@ def check_signature(spec: OrbiSpec) -> Signature:
                     )
                 check_kind(sig, [], decl.kind)
                 for dom in kind_domains(decl.kind):
-                    if not _tp_level0(sig, dom):
+                    if not is_level0(sig, dom):
                         raise LevelError(
                             f"judgment {decl.name!r} must be indexed by level-0 terms "
                             "only (family indexed by a family)"

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from orbi_forge.contexts import CheckedSpec
 from orbi_forge.errors import Diagnostic
-from orbi_forge.lf import families_in_tp
+from orbi_forge.lf import is_level0
 from orbi_forge.pretty import tp_str
 from orbi_forge.syntax import (
     And,
@@ -73,7 +73,7 @@ def lint(checked: CheckedSpec) -> list[Diagnostic]:
                 loc,
                 f"rename {tp.hint!r} to {tp.hint[0].lower() + tp.hint[1:]!r}",
             )
-        if in_rule and not all(sig.level(f) == 0 for f in families_in_tp(tp.dom)):
+        if in_rule and not is_level0(sig, tp.dom):
             warn(
                 "L2",
                 f"quantification over the non-level-0 type '{tp_str(tp.dom, [])}'",

@@ -416,14 +416,6 @@ def shift_tp(tp: Tp, by: int, cutoff: int = 0) -> Tp:
     return Pi(tp.hint, shift_tp(tp.dom, by, cutoff), shift_tp(tp.cod, by, cutoff + 1))
 
 
-def shift_kind(k: Kind, by: int, cutoff: int = 0) -> Kind:
-    if isinstance(k, Type):
-        return k
-    if isinstance(k, KArrow):
-        return KArrow(shift_tp(k.dom, by, cutoff), shift_kind(k.cod, by, cutoff))
-    return KPi(k.hint, shift_tp(k.dom, by, cutoff), shift_kind(k.cod, by, cutoff + 1))
-
-
 def subst_term(t: Term, repl: Term, depth: int = 0) -> Term:
     """Replace Var(depth) by ``repl`` and rebalance the indices above it."""
     if isinstance(t, Var):
@@ -443,14 +435,6 @@ def subst_tp(tp: Tp, repl: Term, depth: int = 0) -> Tp:
     if isinstance(tp, Arrow):
         return Arrow(subst_tp(tp.dom, repl, depth), subst_tp(tp.cod, repl, depth))
     return Pi(tp.hint, subst_tp(tp.dom, repl, depth), subst_tp(tp.cod, repl, depth + 1))
-
-
-def subst_kind(k: Kind, repl: Term, depth: int = 0) -> Kind:
-    if isinstance(k, Type):
-        return k
-    if isinstance(k, KArrow):
-        return KArrow(subst_tp(k.dom, repl, depth), subst_kind(k.cod, repl, depth))
-    return KPi(k.hint, subst_tp(k.dom, repl, depth), subst_kind(k.cod, repl, depth + 1))
 
 
 def subst(body: Term, replacement: Term) -> Term:

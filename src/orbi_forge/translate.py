@@ -20,7 +20,7 @@ from orbi_forge.errors import (
     NoCtxInScopeError,
     UnsupportedShapeError,
 )
-from orbi_forge.lf import Signature, families_in_tp, normalize
+from orbi_forge.lf import Signature, families_in_tp, is_level0, normalize
 from orbi_forge.pretty import prp_str, theorem_str, tp_str
 from orbi_forge.syntax import (
     And,
@@ -53,6 +53,7 @@ from orbi_forge.syntax import (
     ctx_head_var,
     free,
     shift_term,
+    shift_tp,
     spine,
 )
 
@@ -270,18 +271,12 @@ def _atomize(s: str) -> str:
     return f"({s})" if " " in s else s
 
 
-def _is_level0(sig: Signature, tp) -> bool:
-    return all(sig.level(f) == 0 for f in families_in_tp(tp))
-
-
 def _strip_fn(tp):
     """(domain, codomain) of an arrow-like type, treating a vacuous Pi as an
     arrow (level-0 types cannot be dependent)."""
     if isinstance(tp, Arrow):
         return tp.dom, tp.cod
     if isinstance(tp, Pi):
-        from orbi_forge.syntax import shift_tp
-
         if 0 in free(tp.cod):
             raise UnsupportedShapeError(
                 "dependent products cannot appear in level-0 constructor types"
@@ -332,7 +327,8 @@ def gen_wf_predicates(sig: Signature, wf_families) -> list[Clause]:
 
 
 def translate_rule(sig: Signature, rule: ConstDecl, target: str, ann: AnnotationTable) -> Clause:
-    """Render one reconstructed rule as a hereditary-Harrop clause."""
+    """Render one reconstructed rule, whose type is beta-normal, as a
+    hereditary-Harrop clause."""
     explicit = rule.name in ann.explicit_rules
     tp = rule.tp
     clause_vars: list[tuple[str, object]] = []
@@ -355,14 +351,12 @@ def translate_rule(sig: Signature, rule: ConstDecl, target: str, ann: Annotation
     names = _Names(sig.entries, env)
 
     def atom_goal(a: AtomApp, env_names) -> AtomG:
-        args = tuple(
-            render_term(eta_contract(normalize(x)), env_names, "ab", True) for x in a.args
-        )
+        args = tuple(render_term(eta_contract(x), env_names, "ab", True) for x in a.args)
         return AtomG(a.family, args)
 
     def goal_of(p, env_names):
         if isinstance(p, Pi):
-            if not _is_level0(sig, p.dom):
+            if not is_level0(sig, p.dom):
                 raise UnsupportedShapeError(
                     f"rule {rule.name!r}: premise quantifies over a non-level-0 type"
                 )
@@ -403,7 +397,7 @@ def _block_parts(sig: Signature, owner: str, block, explicit_pos: bool, ann, tar
     atoms: list[str] = []
     labels: list[str] = []
     for label, tp in block.entries:
-        if _is_level0(sig, tp):
+        if is_level0(sig, tp):
             variables.append(label)
             if explicit_pos:
                 if not isinstance(tp, AtomApp):

@@ -159,3 +159,23 @@ def test_deep_nesting_is_a_depth_diagnostic(cmd, tmp_path, capsys):
         assert not (tmp_path / "deep.ab.out").exists()
     if cmd[0] == "fmt":
         assert "%% Rules" in out
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        # hole mode normalises the redex before typing it, so this ends in
+        # E-DEPTH where an E-TYPE at the rule is due
+        r"r: j ((\x. x x) (\x. x x)) c0.",
+    ],
+)
+def test_rule_ends_in_one_diagnostic(rule, tmp_path, capsys):
+    p = tmp_path / "rule.orbi"
+    p.write_text(
+        f"%% Syntax\nt: type.\nc0: t.\n\n%% Judgments\nj: t -> t -> type.\n\n%% Rules\n{rule}\n",
+        encoding="utf-8",
+    )
+    assert run(["check", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1

@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import check_all, make_spec
+from helpers import check_all, first_error_code, make_spec
 from orbi_forge import parse_spec
 from orbi_forge.contexts import (
     check_ctx_pattern,
@@ -95,6 +95,29 @@ def test_block_matching_invariant_under_label_renaming(checked):
     check_ctx_pattern(checked.sig, checked.schemas, "xaG", pat, {"h": "xaG"})
 
 
+@pytest.mark.parametrize(
+    "alt, pattern, code",
+    [
+        ("aeq x x", r"aeq ((\y. y) x) x", None),
+        (r"aeq ((\y. y) x) x", "aeq x x", None),
+        ("aeq x x", "aeq x (app x x)", "E-SCHEMA"),
+        (r"aeq ((\y. y) x) x", "aeq x (app x x)", "E-SCHEMA"),
+    ],
+)
+def test_block_matching_up_to_beta(alt, pattern, code):
+    src = make_spec(
+        syntax="tm: type.\napp: tm -> tm -> tm.",
+        judgments="aeq: tm -> tm -> type.",
+        schemas=f"schema xaG = block (x:tm, u:{alt});",
+        definitions=(
+            "inductive R : {h:xaG} prop =\n"
+            "| R_nl: R []\n"
+            f"| R_cs: R [h] -> R [h, b:block (x:tm, u:{pattern})];"
+        ),
+    )
+    assert first_error_code(src) == code
+
+
 # ---------------------------------------------------------------- relations
 
 
@@ -155,6 +178,19 @@ def test_scope_check_reports_all_diagnostics(checked):
 def test_scope_check_stable_under_renaming(checked):
     spec = parse_spec(make_spec(theorems="theorem r2: {k:xaG}{P:tm} [k |- aeq P P];"))
     scope_check_theorem(checked.sig, checked.schemas, checked.relations, spec.theorems[0])
+
+
+def test_theorem_block_entry_after_untypable_redex(checked):
+    # the ill-typed entry is kept as written, not normalised, so the entry
+    # that depends on it is reported instead of exhausting the stack
+    block = r"block (x:tm, u:aeq ((\y. y y) (\y. y y)) x, v:aeq u x)"
+    spec = parse_spec(make_spec(theorems=f"theorem t: {{M:tm}} [b:{block} |- aeq M M];"))
+    with pytest.raises(TheoremScopeError) as exc:
+        scope_check_theorem(checked.sig, checked.schemas, checked.relations, spec.theorems[0])
+    assert [d.message for d in exc.value.diagnostics()] == [
+        "cannot infer the type of a bare lambda",
+        r"expected tm, got aeq ((\y. y y) (\y. y y)) _1",
+    ]
 
 
 def test_theorem_quantifier_level_enforced(checked):

@@ -21,8 +21,10 @@ from orbi_forge.syntax import (
     AtomApp,
     Arrow,
     Const,
+    ConstDecl,
     Lam,
     Pi,
+    free,
 )
 from specgen import gen_noisy_rules_source, gen_rules_source, gen_tm_term
 
@@ -208,6 +210,8 @@ _ATOMIC_APPLIED = "term of atomic type 't' applied to an argument"
         # a redex is reconstructed through its normal form but checked as written
         (r"j ((\x. c0) M) c0", "E-UNBOUND", "unbound identifier 'M'"),
         (r"j ((\x. c0) t) c0", "E-TYPE", "type family 't' used as a term"),
+        # a Pi domain enters the context in normal form
+        (r"{u: j ((\x. x) c0) c0} j u c0", "E-TYPE", "expected t, got j c0 c0"),
         # two faults: the first in left-to-right order is reported
         (r"j (cb c0) c0 -> j (M c0) c0", "E-TYPE", "expected t -> t, got t"),
     ],
@@ -258,11 +262,22 @@ def _free_names(sig, tp, out):
     return out
 
 
+def _assert_canonical(sig):
+    # every stored type is beta-normal, and every stored kind is indexed by
+    # level-0 types only, so it contains no term
+    for entry in sig.entries.values():
+        if isinstance(entry.decl, ConstDecl):
+            assert entry.decl.tp == normalize_tp(entry.decl.tp), entry.decl.name
+        else:
+            assert all(sig.level(f) == 0 for f in free(entry.decl.kind)), entry.decl.name
+
+
 def _assert_sound(spec, sig):
     # every rule the single hole-mode pass accepts must pass the plain
     # checker once closed, bind no free identifier, and list its implicits
     # in the order they first occur in the rule's normal form, which is the
     # form reconstruction reads redexes in
+    _assert_canonical(sig)
     written = {d.name: d for d in spec.rules}
     n = 0
     for entry in sig.rules():
