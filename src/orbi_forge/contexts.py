@@ -26,7 +26,7 @@ from orbi_forge.lf import (
     check_tp,
     families_in_tp,
     kind_domains,
-    normalize_tp,
+    normalize,
 )
 from orbi_forge.syntax import (
     And,
@@ -79,7 +79,7 @@ def check_schema(sig: Signature, s: Schema) -> Schema:
                 )
             labels.append(label)
             check_tp(sig, telescope, tp)
-            telescope.append(normalize_tp(tp))
+            telescope.append(normalize(tp))
         alternatives.append(Block(tuple(zip(labels, telescope))))
     return Schema(s.name, tuple(alternatives), s.loc)
 
@@ -111,7 +111,7 @@ def check_ctx_pattern(
     telescope = []
     for _, tp in c.block.entries:
         check_tp(sig, telescope, tp)
-        telescope.append(normalize_tp(tp))
+        telescope.append(normalize(tp))
     labels = [label for label, _ in c.block.entries]
     # Block == compares entry types only, so labels rename freely
     if Block(tuple(zip(labels, telescope))) not in schema.alternatives:
@@ -248,7 +248,7 @@ def scope_check_theorem(
             for _, tp in block.entries:
                 try:
                     check_tp(sig, telescope, tp)
-                    tp = normalize_tp(tp)
+                    tp = normalize(tp)
                 except OrbiError as e:
                     # an ill-typed entry may have no normal form
                     report(e.code, e.message)

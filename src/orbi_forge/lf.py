@@ -47,10 +47,10 @@ from orbi_forge.syntax import (
     Var,
     apply_spine,
     free,
-    shift_tp,
+    rebuild,
+    shift,
     spine,
     subst,
-    subst_tp,
 )
 
 
@@ -153,24 +153,27 @@ def families_in_tp(tp: Tp, out: set | None = None) -> set[str]:
 # ---------------------------------------------------------- normalization
 
 
-def normalize(t: Term) -> Term:
-    """Beta-normal form; eta is deliberately not applied."""
-    if isinstance(t, (Var, Const)):
-        return t
-    if isinstance(t, Lam):
-        return Lam(t.hint, normalize(t.body))
-    fn = normalize(t.fn)
-    if isinstance(fn, Lam):
-        return normalize(subst(fn.body, t.arg))
-    return App(fn, normalize(t.arg))
+def _atom_args(n, k):
+    if type(n) is not AtomApp:
+        return n
+    args = tuple(normalize(a) for a in n.args)
+    return n if all(a is b for a, b in zip(args, n.args)) else AtomApp(n.family, args)
 
 
-def normalize_tp(tp: Tp) -> Tp:
-    if isinstance(tp, AtomApp):
-        return AtomApp(tp.family, tuple(normalize(a) for a in tp.args))
-    if isinstance(tp, Arrow):
-        return Arrow(normalize_tp(tp.dom), normalize_tp(tp.cod))
-    return Pi(tp.hint, normalize_tp(tp.dom), normalize_tp(tp.cod))
+def normalize(node):
+    """Beta-normal form of a Term, Tp or Kind, without eta.  Normal order: a
+    redex is contracted before its argument is normalised, if ever."""
+    t = type(node)
+    if t is Lam:
+        body = normalize(node.body)
+        return node if body is node.body else Lam(node.hint, body)
+    if t is App:
+        fn = normalize(node.fn)
+        if type(fn) is Lam:
+            return normalize(subst(fn.body, node.arg))
+        arg = normalize(node.arg)
+        return node if fn is node.fn and arg is node.arg else App(fn, arg)
+    return node if t is Var or t is Const else rebuild(node, _atom_args)
 
 
 # ------------------------------------------------------------ kind checking
@@ -217,7 +220,7 @@ def check_tp(sig: Signature, ctx: list[Tp], tp: Tp, holes: _Holes | None = None)
         check_tp(sig, ctx, tp.cod, holes)
         return
     check_tp(sig, ctx, tp.dom, holes)
-    check_tp(sig, ctx + [normalize_tp(tp.dom)], tp.cod, holes)
+    check_tp(sig, ctx + [normalize(tp.dom)], tp.cod, holes)
 
 
 def check_kind(sig: Signature, ctx: list[Tp], k: Kind) -> None:
@@ -227,7 +230,7 @@ def check_kind(sig: Signature, ctx: list[Tp], k: Kind) -> None:
     if isinstance(k, KArrow):
         check_kind(sig, ctx, k.cod)
     else:
-        check_kind(sig, ctx + [normalize_tp(k.dom)], k.cod)
+        check_kind(sig, ctx + [normalize(k.dom)], k.cod)
 
 
 # ------------------------------------------------------------------ typing
@@ -237,7 +240,7 @@ def _infer(sig: Signature, ctx: list[Tp], t: Term, holes: _Holes | None = None) 
     if isinstance(t, Var):
         if t.index >= len(ctx):
             raise UnboundVariableError(f"unbound variable index {t.index}")
-        return shift_tp(ctx[-1 - t.index], t.index + 1)
+        return shift(ctx[-1 - t.index], t.index + 1)
     if isinstance(t, Const):
         entry = sig.get(t.name)
         if entry is None:
@@ -259,7 +262,7 @@ def _infer(sig: Signature, ctx: list[Tp], t: Term, holes: _Holes | None = None) 
             if args:
                 return _infer(sig, ctx, apply_spine(subst(head.body, first), reversed(args)))
             tb = _infer(sig, ctx + [ta], head.body)
-            return normalize_tp(subst_tp(tb, first))
+            return normalize(subst(tb, first))
         tf = _infer(sig, ctx, head, holes)
         for arg in reversed(args):
             if isinstance(tf, Arrow):
@@ -267,7 +270,7 @@ def _infer(sig: Signature, ctx: list[Tp], t: Term, holes: _Holes | None = None) 
                 tf = tf.cod
             elif isinstance(tf, Pi):
                 _check(sig, ctx, arg, tf.dom, holes)
-                tf = normalize_tp(subst_tp(tf.cod, arg))
+                tf = normalize(subst(tf.cod, arg))
             else:
                 raise LfTypeError(f"term of atomic type {tp_str(tf, [])!r} applied to an argument")
         return tf
@@ -277,7 +280,7 @@ def _infer(sig: Signature, ctx: list[Tp], t: Term, holes: _Holes | None = None) 
 def _check(sig: Signature, ctx: list[Tp], t: Term, exp: Tp, holes: _Holes | None = None) -> None:
     if isinstance(t, Lam):
         if isinstance(exp, Arrow):
-            _check(sig, ctx + [exp.dom], t.body, shift_tp(exp.cod, 1), holes)
+            _check(sig, ctx + [exp.dom], t.body, shift(exp.cod, 1), holes)
             return
         if isinstance(exp, Pi):
             _check(sig, ctx + [exp.dom], t.body, exp.cod, holes)
@@ -305,7 +308,7 @@ def _check(sig: Signature, ctx: list[Tp], t: Term, exp: Tp, holes: _Holes | None
 
 def infer_type(sig: Signature, ctx: TypingCtx | None, t: Term) -> Tp:
     """Beta-normal principal type of ``t`` under ``ctx``."""
-    tps = [normalize_tp(tp) for _, tp in (ctx.entries if ctx else ())]
+    tps = [normalize(tp) for _, tp in (ctx.entries if ctx else ())]
     return _infer(sig, tps, t)
 
 
@@ -330,7 +333,7 @@ def _schematic(sig: Signature, ctx: list[Tp], t: Term, exp: Tp, holes: _Holes) -
         )
     cand = exp
     for i in reversed(idxs):
-        cand = Arrow(shift_tp(ctx[-1 - i], i + 1), cand)
+        cand = Arrow(shift(ctx[-1 - i], i + 1), cand)
     if any(type(x) is int for x in free(cand)):
         raise ReconstructionError(
             f"cannot infer a closed outermost type for schematic variable {name!r}"
@@ -361,35 +364,20 @@ def _reconstruct(sig: Signature, decl: ConstDecl):
         # so that its discarded arguments are well typed too, then store the
         # normal form
         check_tp(sig, [], rec.tp)
-        rec = ConstDecl(rec.name, normalize_tp(rec.tp), rec.loc)
+        rec = ConstDecl(rec.name, normalize(rec.tp), rec.loc)
     return rec, tuple(unknowns)
 
 
 def _close(tp: Tp, unknowns: dict[str, Tp]) -> Tp:
     """Bind the schematic variables of ``tp`` by an outermost Pi-prefix."""
     names = list(unknowns)
-    k = len(names)
-    pos = {n: j for j, n in enumerate(names)}
+    # index of each name's binder, counted from inside the prefix
+    outer = {n: len(names) - 1 - j for j, n in enumerate(names)}
 
-    def close_term(t: Term, d: int) -> Term:
-        if isinstance(t, Var):
-            return t
-        if isinstance(t, Const):
-            if t.name in pos:
-                return Var(d + (k - 1 - pos[t.name]))
-            return t
-        if isinstance(t, Lam):
-            return Lam(t.hint, close_term(t.body, d + 1))
-        return App(close_term(t.fn, d), close_term(t.arg, d))
+    def bind(n, k):
+        return Var(k + outer[n.name]) if type(n) is Const and n.name in outer else n
 
-    def close_tp(tp: Tp, d: int) -> Tp:
-        if isinstance(tp, AtomApp):
-            return AtomApp(tp.family, tuple(close_term(a, d) for a in tp.args))
-        if isinstance(tp, Arrow):
-            return Arrow(close_tp(tp.dom, d), close_tp(tp.cod, d))
-        return Pi(tp.hint, close_tp(tp.dom, d), close_tp(tp.cod, d + 1))
-
-    body = close_tp(tp, 0)
+    body = rebuild(tp, bind)
     for name in reversed(names):
         body = Pi(name, unknowns[name], body)
     return body

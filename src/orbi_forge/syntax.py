@@ -8,8 +8,10 @@ is plain structural recursion and ``==`` is alpha-equivalence: the ``hint`` of
 equality and hashing.  Names that a reader can refer to are compared:
 ``Snoc`` labels, the variables of ``ForallCtx``/``ForallTm``/``ExistsTm``,
 ``InductiveDef`` clause names and every ``Directive`` field.  ``free`` is the
-one walker asking which indices and names occur.  Nothing in this module
-consults a signature.
+one walker asking which indices and names occur, and ``rebuild`` the one
+rewriting map (``shift``, ``subst``, ``lf._close``, ``translate.eta_contract``
+and ``lf.normalize`` on types and kinds are its instances; on a term,
+``normalize`` stays a normal-order fold).  Nothing here consults a signature.
 """
 
 from __future__ import annotations
@@ -395,51 +397,70 @@ class OrbiSpec:
         return "\n".join(parts)
 
 
-# ------------------------------------------------- shifting & substitution
+# ------------------------------------------------------- rewriting walker
 
 
-def shift_term(t: Term, by: int, cutoff: int = 0) -> Term:
-    if isinstance(t, Var):
-        return Var(t.index + by) if t.index >= cutoff else t
-    if isinstance(t, Const):
-        return t
-    if isinstance(t, Lam):
-        return Lam(t.hint, shift_term(t.body, by, cutoff + 1))
-    return App(shift_term(t.fn, by, cutoff), shift_term(t.arg, by, cutoff))
+def rebuild(node, f, d: int = 0):
+    """Bottom-up map over a Term, Tp or Kind.
+
+    Each node's children are rebuilt first; then ``f(node, k)`` replaces the
+    node, where ``k`` counts the binders above it (from ``d``).  A node none
+    of whose children changed reaches ``f`` as it is, so unchanged subtrees
+    are shared rather than copied.
+    """
+    t = type(node)
+    if t is App:
+        fn = rebuild(node.fn, f, d)
+        arg = rebuild(node.arg, f, d)
+        if fn is not node.fn or arg is not node.arg:
+            node = App(fn, arg)
+    elif t is Lam:
+        body = rebuild(node.body, f, d + 1)
+        if body is not node.body:
+            node = Lam(node.hint, body)
+    elif t is AtomApp:
+        args = node.args
+        for i, a in enumerate(node.args):
+            b = rebuild(a, f, d)
+            if b is not a:
+                args = args[:i] + (b,) + args[i + 1 :]
+        if args is not node.args:
+            node = AtomApp(node.family, args)
+    elif t is Arrow or t is KArrow:
+        dom = rebuild(node.dom, f, d)
+        cod = rebuild(node.cod, f, d)
+        if dom is not node.dom or cod is not node.cod:
+            node = t(dom, cod)
+    elif t is Pi or t is KPi:
+        dom = rebuild(node.dom, f, d)
+        cod = rebuild(node.cod, f, d + 1)
+        if dom is not node.dom or cod is not node.cod:
+            node = t(node.hint, dom, cod)
+    return f(node, d)
 
 
-def shift_tp(tp: Tp, by: int, cutoff: int = 0) -> Tp:
-    if isinstance(tp, AtomApp):
-        return AtomApp(tp.family, tuple(shift_term(a, by, cutoff) for a in tp.args))
-    if isinstance(tp, Arrow):
-        return Arrow(shift_tp(tp.dom, by, cutoff), shift_tp(tp.cod, by, cutoff))
-    return Pi(tp.hint, shift_tp(tp.dom, by, cutoff), shift_tp(tp.cod, by, cutoff + 1))
+def shift(node, by: int, cutoff: int = 0):
+    """Add ``by`` to each free index of ``node`` that is ``cutoff`` or more,
+    counted from outside ``node`` as ``free`` counts them."""
+
+    def var(n, k):
+        return Var(n.index + by) if type(n) is Var and n.index >= cutoff + k else n
+
+    return rebuild(node, var)
 
 
-def subst_term(t: Term, repl: Term, depth: int = 0) -> Term:
-    """Replace Var(depth) by ``repl`` and rebalance the indices above it."""
-    if isinstance(t, Var):
-        if t.index == depth:
-            return shift_term(repl, depth)
-        return Var(t.index - 1) if t.index > depth else t
-    if isinstance(t, Const):
-        return t
-    if isinstance(t, Lam):
-        return Lam(t.hint, subst_term(t.body, repl, depth + 1))
-    return App(subst_term(t.fn, repl, depth), subst_term(t.arg, repl, depth))
+def subst(node, repl: Term, depth: int = 0):
+    """Replace Var(depth) by ``repl`` and rebalance the indices above it; with
+    ``depth`` 0 this eliminates the binder scoping ``node``, capture-avoidingly."""
 
+    def var(n, k):
+        if type(n) is not Var or n.index < depth + k:
+            return n
+        if n.index > depth + k:
+            return Var(n.index - 1)
+        return shift(repl, depth + k) if depth + k else repl
 
-def subst_tp(tp: Tp, repl: Term, depth: int = 0) -> Tp:
-    if isinstance(tp, AtomApp):
-        return AtomApp(tp.family, tuple(subst_term(a, repl, depth) for a in tp.args))
-    if isinstance(tp, Arrow):
-        return Arrow(subst_tp(tp.dom, repl, depth), subst_tp(tp.cod, repl, depth))
-    return Pi(tp.hint, subst_tp(tp.dom, repl, depth), subst_tp(tp.cod, repl, depth + 1))
-
-
-def subst(body: Term, replacement: Term) -> Term:
-    """Eliminate the single binder scoping ``body``, capture-avoidingly."""
-    return subst_term(body, replacement, 0)
+    return rebuild(node, var)
 
 
 # ------------------------------------------------- spec equality & free names

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from orbi_forge.contexts import _clause_parts
 from orbi_forge.directives import AnnotationTable, resolve
 from orbi_forge.errors import (
     Diagnostic,
@@ -21,7 +22,7 @@ from orbi_forge.errors import (
     UnsupportedShapeError,
 )
 from orbi_forge.lf import Signature, families_in_tp, is_level0, normalize
-from orbi_forge.pretty import prp_str, theorem_str, tp_str
+from orbi_forge.pretty import inductive_str, prp_str, theorem_str, tp_str
 from orbi_forge.syntax import (
     And,
     App,
@@ -52,8 +53,8 @@ from orbi_forge.syntax import (
     ctx_blocks,
     ctx_head_var,
     free,
-    shift_term,
-    shift_tp,
+    rebuild,
+    shift,
     spine,
 )
 
@@ -166,16 +167,17 @@ def erase_clause(cl: Clause) -> Clause:
 # -------------------------------------------------------------- eta + names
 
 
+def _eta(n, k):
+    if type(n) is Lam:
+        body = n.body
+        if type(body) is App and body.arg == Var(0) and 0 not in free(body.fn):
+            return shift(body.fn, -1)
+    return n
+
+
 def eta_contract(t: Term) -> Term:
     """Syntactic eta: \\x. (f x) becomes f when x is not free in f."""
-    if isinstance(t, Lam):
-        body = eta_contract(t.body)
-        if isinstance(body, App) and body.arg == Var(0) and 0 not in free(body.fn):
-            return eta_contract(shift_term(body.fn, -1))
-        return Lam(t.hint, body)
-    if isinstance(t, App):
-        return App(eta_contract(t.fn), eta_contract(t.arg))
-    return t
+    return rebuild(t, _eta)
 
 
 class _Names:
@@ -242,7 +244,8 @@ def _numbered(base: str, taken) -> str:
     return name
 
 
-def render_term(t: Term, env: list[str], dialect: str = "ab", atom: bool = False, rename=None) -> str:
+def render_term(t: Term, env: list[str], atom: bool = False, rename=None) -> str:
+    """``t`` in the ab/hy term syntax, where a lambda is written ``x\\ body``."""
     rename = rename or {}
     if isinstance(t, Var):
         return env[-1 - t.index] if t.index < len(env) else f"_{t.index}"
@@ -252,14 +255,11 @@ def render_term(t: Term, env: list[str], dialect: str = "ab", atom: bool = False
         h = t.hint or "x"
         while h in env:
             h += "'"
-        if dialect in ("ab", "hy"):
-            s = f"{h}\\ {render_term(t.body, env + [h], dialect, False, rename)}"
-        else:
-            s = f"\\{h}. {render_term(t.body, env + [h], dialect, False, rename)}"
+        s = f"{h}\\ {render_term(t.body, env + [h], False, rename)}"
         return f"({s})" if atom else s
     head, args = spine(t)
-    parts = [render_term(head, env, dialect, True, rename)]
-    parts += [render_term(a, env, dialect, True, rename) for a in args]
+    parts = [render_term(head, env, True, rename)]
+    parts += [render_term(a, env, True, rename) for a in args]
     s = " ".join(parts)
     return f"({s})" if atom and len(parts) > 1 else s
 
@@ -281,7 +281,7 @@ def _strip_fn(tp):
             raise UnsupportedShapeError(
                 "dependent products cannot appear in level-0 constructor types"
             )
-        return tp.dom, shift_tp(tp.cod, -1)
+        return tp.dom, shift(tp.cod, -1)
     return None
 
 
@@ -326,7 +326,7 @@ def gen_wf_predicates(sig: Signature, wf_families) -> list[Clause]:
 # ------------------------------------------------------------------- rules
 
 
-def translate_rule(sig: Signature, rule: ConstDecl, target: str, ann: AnnotationTable) -> Clause:
+def translate_rule(sig: Signature, rule: ConstDecl, ann: AnnotationTable) -> Clause:
     """Render one reconstructed rule, whose type is beta-normal, as a
     hereditary-Harrop clause."""
     explicit = rule.name in ann.explicit_rules
@@ -351,7 +351,7 @@ def translate_rule(sig: Signature, rule: ConstDecl, target: str, ann: Annotation
     names = _Names(sig.entries, env)
 
     def atom_goal(a: AtomApp, env_names) -> AtomG:
-        args = tuple(render_term(eta_contract(x), env_names, "ab", True) for x in a.args)
+        args = tuple(render_term(eta_contract(x), env_names, True) for x in a.args)
         return AtomG(a.family, args)
 
     def goal_of(p, env_names):
@@ -391,7 +391,7 @@ def translate_rule(sig: Signature, rule: ConstDecl, target: str, ann: Annotation
 # ----------------------------------------------------------------- schemas
 
 
-def _block_parts(sig: Signature, owner: str, block, explicit_pos: bool, ann, target: str):
+def _block_parts(sig: Signature, owner: str, block, explicit_pos: bool, ann):
     """(fresh-variable labels, rendered atom strings) of one block."""
     variables: list[str] = []
     atoms: list[str] = []
@@ -412,7 +412,7 @@ def _block_parts(sig: Signature, owner: str, block, explicit_pos: bool, ann, tar
                 raise UnsupportedShapeError(
                     f"{owner}: block entry {label!r} must be an atomic judgment"
                 )
-            args = " ".join(render_term(a, labels, target, True) for a in tp.args)
+            args = " ".join(render_term(a, labels, True) for a in tp.args)
             atoms.append(f"{tp.family} {args}" if args else tp.family)
         labels.append(label)
     return variables, atoms
@@ -426,7 +426,7 @@ def translate_schema(sig: Signature, s: Schema, target: str, ann: AnnotationTabl
     explicit = s.name in ann.explicit_schemas
     rendered = []
     for block in s.alternatives:
-        variables, atoms = _block_parts(sig, f"schema {s.name!r}", block, explicit, ann, target)
+        variables, atoms = _block_parts(sig, f"schema {s.name!r}", block, explicit, ann)
         if not atoms:
             raise EmptyRenderingError(
                 f"schema {s.name!r}: implicit translation erases the whole block; "
@@ -467,8 +467,6 @@ def translate_relation(
     ann: AnnotationTable,
 ) -> str:
     if target == "bel":
-        from orbi_forge.pretty import inductive_str
-
         return inductive_str(d)
     explicit_vars = ann.explicit_relation_params.get(d.name, frozenset())
     explicit_pos = {i for i, (v, _) in enumerate(d.params) if v in explicit_vars}
@@ -479,8 +477,6 @@ def translate_relation(
         taken.add(list_names[v])
 
     def clause_render(cname: str, prp: Prp):
-        from orbi_forge.contexts import _clause_parts
-
         premises, head = _clause_parts(prp)
         var_name = dict(list_names)
         for prem in premises:
@@ -497,7 +493,7 @@ def translate_relation(
             for _, block in ctx_blocks(arg):
                 has_blocks = True
                 variables, batoms = _block_parts(
-                    sig, f"relation {d.name!r}", block, i in explicit_pos, ann, target
+                    sig, f"relation {d.name!r}", block, i in explicit_pos, ann
                 )
                 for v in variables:
                     if v not in nabla:
@@ -635,8 +631,8 @@ def _formula(t: Theorem, p: Prp, scope, rename, warnings, expl, prec=_F_IMP, avo
     if isinstance(p, FalseP):
         return "false"
     if isinstance(p, TermEq):
-        lhs = render_term(eta_contract(normalize(p.lhs)), [], "ab", False, rename)
-        rhs = render_term(eta_contract(normalize(p.rhs)), [], "ab", False, rename)
+        lhs = render_term(eta_contract(normalize(p.lhs)), [], False, rename)
+        rhs = render_term(eta_contract(normalize(p.rhs)), [], False, rename)
         return f"{lhs} = {rhs}"
     if isinstance(p, RelApp):
         args = []
@@ -665,7 +661,7 @@ def _formula(t: Theorem, p: Prp, scope, rename, warnings, expl, prec=_F_IMP, avo
         head = p.family
         if p.args:
             head += " " + " ".join(
-                render_term(eta_contract(normalize(a)), [], "ab", True, rename)
+                render_term(eta_contract(normalize(a)), [], True, rename)
                 for a in p.args
             )
         return f"{{{ctx_s} |- {head}}}"
@@ -782,7 +778,7 @@ def translate_spec(checked, target: str) -> TargetDoc:
                 clauses = gen_wf_predicates(sig, [fam])
                 blocks.append(DocBlock(fam, "\n".join(c.render() for c in clauses)))
         for entry in sig.rules():
-            cl = translate_rule(sig, entry.decl, target, ann)
+            cl = translate_rule(sig, entry.decl, ann)
             blocks.append(DocBlock(entry.decl.name, cl.render()))
         for s in spec.schemas:
             blocks.append(DocBlock(s.name, translate_schema(sig, s, target, ann)))

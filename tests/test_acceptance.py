@@ -17,7 +17,6 @@ from orbi_forge import (
 )
 from orbi_forge.directives import AnnotationTable
 from orbi_forge.errors import OrbiError
-from orbi_forge.lf import normalize_tp
 from orbi_forge.lint import lint
 from orbi_forge.pretty import pretty
 from orbi_forge.syntax import Arrow, AtomApp, Pi
@@ -73,8 +72,8 @@ def test_criterion_3_erasure_property(checked):
     )
     implicit = AnnotationTable("ab", frozenset({"tm"}))
     for entry in checked.sig.rules():
-        full = translate_rule(checked.sig, entry.decl, "ab", explicit)
-        bare = translate_rule(checked.sig, entry.decl, "ab", implicit)
+        full = translate_rule(checked.sig, entry.decl, explicit)
+        bare = translate_rule(checked.sig, entry.decl, implicit)
         assert erase_clause(full) == bare, entry.decl.name
         assert full.render() != "" and bare.render() != ""
         cases += 1
@@ -84,8 +83,8 @@ def test_criterion_3_erasure_property(checked):
     ex = AnnotationTable("ab", frozenset({"t"}), frozenset(names))
     im = AnnotationTable("ab", frozenset({"t"}))
     for entry in gen_checked.sig.rules():
-        full = translate_rule(gen_checked.sig, entry.decl, "ab", ex)
-        bare = translate_rule(gen_checked.sig, entry.decl, "ab", im)
+        full = translate_rule(gen_checked.sig, entry.decl, ex)
+        bare = translate_rule(gen_checked.sig, entry.decl, im)
         assert erase_clause(full) == bare, entry.decl.name
         cases += 1
     assert cases == 28
@@ -215,8 +214,8 @@ def test_criterion_7_normalization_invariants(checked):
         if normalize(n) != n:
             violations += 1
             continue
-        before = normalize_tp(infer_type(checked.sig, None, t))
-        after = normalize_tp(infer_type(checked.sig, None, n))
+        before = normalize(infer_type(checked.sig, None, t))
+        after = normalize(infer_type(checked.sig, None, n))
         if before != after:
             violations += 1
     assert violations == 0

@@ -179,3 +179,42 @@ def test_rule_ends_in_one_diagnostic(rule, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
+
+
+def test_theorem_redex_discarding_a_divergent_argument_translates(tmp_path):
+    # theorem terms are normalised without being typed
+    p = tmp_path / "thm.orbi"
+    p.write_text(
+        "%% Syntax\ntm: type.\nc: tm.\n\n%% Judgments\nj: tm -> type.\n\n%% Rules\nr: j c.\n\n"
+        "%% Theorems\ntheorem t: {M:tm} (\\x. c) ((\\y. y y) (\\y. y y)) = c;\n",
+        encoding="utf-8",
+    )
+    assert run(["translate", "--target", "ab", "--out-dir", str(tmp_path), str(p)]) == 0
+    assert "forall M, c = c." in (tmp_path / "thm.ab.out").read_text(encoding="utf-8")
+
+
+# One-rule specs nested ``n`` levels deep, at about 90% of the depth each
+# shape reaches on CPython 3.11 (493, 197, 491, 986 and 986 levels), so that
+# a walker that spends more stack per level shows here.
+_DEPTH_SIG = (
+    "%% Syntax\ntm: type.\nc: tm.\napp: tm -> tm -> tm.\nlam: (tm -> tm) -> tm.\n\n"
+    "%% Judgments\nj: tm -> type.\n\n%% Rules\n"
+)
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        pytest.param("r: j " + "(app c " * 443 + "c" + ")" * 443 + ".", id="app-args"),
+        pytest.param("r: j " + "(lam (\\x. " * 177 + "c" + "))" * 177 + ".", id="lam"),
+        pytest.param("r: j " + "((\\x. x) " * 441 + "c" + ")" * 441 + ".", id="redexes"),
+        pytest.param("r: " + "j M -> " * 887 + "j M.", id="arrow-schematic"),
+        pytest.param("r: " + "{x:tm} " * 887 + "j x.", id="pi-prefix"),
+    ],
+)
+def test_deep_rule_shapes_exit_zero(rule, tmp_path, capsys):
+    p = tmp_path / "deep.orbi"
+    p.write_text(_DEPTH_SIG + rule + "\n", encoding="utf-8")
+    for argv in (["check"], ["translate", "--target", "ab", "--out-dir", str(tmp_path)], ["fmt"]):
+        assert run(argv + [str(p)]) == 0, argv
+        assert "[E-" not in capsys.readouterr().err

@@ -1,0 +1,32 @@
+"""Every name a module of the package imports is used in that module."""
+
+import ast
+import pathlib
+
+import pytest
+
+import orbi_forge
+
+_SRC = pathlib.Path(orbi_forge.__file__).parent
+
+
+def _imported(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in _SRC.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name,
+)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = _imported(tree) - used
+    assert not unused, sorted(unused)

@@ -13,7 +13,7 @@ from orbi_forge.errors import (
     ReconstructionError,
     UnboundVariableError,
 )
-from orbi_forge.lf import TypingCtx, check_tp, normalize_tp
+from orbi_forge.lf import TypingCtx, check_tp
 from orbi_forge.parser import parse_term_str, parse_tpkind_str
 from orbi_forge.pretty import tp_str
 from orbi_forge.syntax import (
@@ -56,6 +56,16 @@ def test_normalize_under_binder_vs_oracle():
     t = parse_term_str(r"lam (\z. (\x. app x x) z)")
     assert normalize(t) == parse_term_str(r"lam (\z. app z z)")
     assert _agrees_with_oracle(t)
+
+
+_OMEGA = r"((\y. y y) (\y. y y))"
+
+
+def test_normalize_is_normal_order():
+    # the redex discards an argument that has no normal form
+    assert normalize(parse_term_str(rf"(\x. c) {_OMEGA}")) == Const("c")
+    tp = parse_tpkind_str(rf"{{u: j ((\x. c) {_OMEGA})}} j u")
+    assert normalize(tp) == parse_tpkind_str("{u: j c} j u")
 
 
 def test_check_signature_corpus_levels(corpus_spec):
@@ -210,6 +220,8 @@ _ATOMIC_APPLIED = "term of atomic type 't' applied to an argument"
         # a redex is reconstructed through its normal form but checked as written
         (r"j ((\x. c0) M) c0", "E-UNBOUND", "unbound identifier 'M'"),
         (r"j ((\x. c0) t) c0", "E-TYPE", "type family 't' used as a term"),
+        # normal order never normalises the discarded argument, which has none
+        (r"j ((\x. c0) ((\y. y y) (\y. y y))) c0", "E-TYPE", "cannot infer the type of a bare lambda"),
         # a Pi domain enters the context in normal form
         (r"{u: j ((\x. x) c0) c0} j u c0", "E-TYPE", "expected t, got j c0 c0"),
         # two faults: the first in left-to-right order is reported
@@ -267,7 +279,7 @@ def _assert_canonical(sig):
     # level-0 types only, so it contains no term
     for entry in sig.entries.values():
         if isinstance(entry.decl, ConstDecl):
-            assert entry.decl.tp == normalize_tp(entry.decl.tp), entry.decl.name
+            assert entry.decl.tp == normalize(entry.decl.tp), entry.decl.name
         else:
             assert all(sig.level(f) == 0 for f in free(entry.decl.kind)), entry.decl.name
 
@@ -283,7 +295,7 @@ def _assert_sound(spec, sig):
     for entry in sig.rules():
         check_tp(sig, [], entry.decl.tp)
         assert closed(entry.decl.tp), entry.decl.name
-        expected = _free_names(sig, normalize_tp(written[entry.decl.name].tp), [])
+        expected = _free_names(sig, normalize(written[entry.decl.name].tp), [])
         assert entry.implicit == tuple(expected), entry.decl.name
         n += 1
     return n
@@ -332,7 +344,7 @@ def test_normalize_idempotent_and_subject_reduction_sample(checked):
         assert normalize(n) == n
         before = infer_type(checked.sig, None, t)
         after = infer_type(checked.sig, None, n)
-        assert normalize_tp(before) == after
+        assert normalize(before) == after
         assert _agrees_with_oracle(t)
 
 

@@ -3,7 +3,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import lamoracle
 from helpers import closed
+from orbi_forge.lf import normalize
 from orbi_forge.parser import parse_term_str, parse_tpkind_str
 from orbi_forge.pretty import pretty
 from orbi_forge.syntax import (
@@ -32,8 +34,8 @@ from orbi_forge.syntax import (
     Type,
     Var,
     free,
-    shift_term,
-    shift_tp,
+    rebuild,
+    shift,
     spec_alpha_equal,
     subst,
 )
@@ -245,8 +247,83 @@ def test_free_indices_match_shift_invariance():
         envd = rng.randrange(3)
         tp = _gen_tp(rng, 3, envd, ["a", "b"])
         t = _gen_term(rng, 3, envd)
-        assert closed(tp) is (shift_tp(tp, 1) == tp), tp
-        assert closed(t) is (shift_term(t, 1) == t), t
+        assert closed(tp) is (shift(tp, 1) == tp), tp
+        assert closed(t) is (shift(t, 1) == t), t
         for k in range(envd + 1):
             top = any(type(x) is int and x >= k for x in free(tp))
-            assert top is (shift_tp(tp, 1, k) != tp), (tp, k)
+            assert top is (shift(tp, 1, k) != tp), (tp, k)
+
+
+# ------------------------------------------------ rebuild and its instances
+
+
+def test_rebuild_is_bottom_up_and_counts_binders():
+    seen = []
+    node = Pi("x", _TM, AtomApp("a", (Lam("y", App(Var(0), Var(1))),)))
+    out = rebuild(node, lambda n, k: seen.append((type(n).__name__, k)) or n)
+    assert out is node
+    assert seen == [
+        ("AtomApp", 0),
+        ("Var", 2),
+        ("Var", 2),
+        ("App", 2),
+        ("Lam", 1),
+        ("AtomApp", 1),
+        ("Pi", 0),
+    ]
+
+
+def test_rebuild_shares_unchanged_subtrees():
+    rng = random.Random(12)
+    for _ in range(400):
+        envd = rng.randrange(3)
+        tp = _gen_tp(rng, 3, envd, ["a", "b"])
+        t = _gen_term(rng, 3, envd)
+        for x in (tp, t):
+            if closed(x):
+                assert shift(x, 1) is x, x
+            n = normalize(x)
+            assert normalize(n) is n, x
+
+
+def test_subst_agrees_with_named_oracle():
+    rng = random.Random(13)
+    for _ in range(400):
+        envd = rng.randrange(3)
+        env = tuple(f"o{i}" for i in range(envd))
+        body = _gen_term(rng, 3, envd + 1)
+        repl = _gen_term(rng, 2, envd)
+        got = lamoracle.from_core(subst(body, repl), env)
+        want = lamoracle.nsubst(
+            lamoracle.from_core(body, env + ("hole",)), "hole", lamoracle.from_core(repl, env)
+        )
+        assert lamoracle.nalpha(got, want), (body, repl)
+
+
+# (\y. app y <Var(1) under the lambda>) c, and its normal form
+_REDEX = App(Lam("y", App(App(Const("app"), Var(0)), Var(1))), Const("c"))
+_REDUCT = App(App(Const("app"), Const("c")), Var(0))
+
+
+@pytest.mark.parametrize(
+    "node,expected",
+    [
+        (AtomApp("a", (_REDEX, Const("c"))), AtomApp("a", (_REDUCT, Const("c")))),
+        (
+            Arrow(AtomApp("a", (_REDEX,)), AtomApp("b", (Const("c"), _REDEX))),
+            Arrow(AtomApp("a", (_REDUCT,)), AtomApp("b", (Const("c"), _REDUCT))),
+        ),
+        (
+            Pi("x", AtomApp("a", (_REDEX,)), AtomApp("b", (_REDEX,))),
+            Pi("x", AtomApp("a", (_REDUCT,)), AtomApp("b", (_REDUCT,))),
+        ),
+        (KArrow(AtomApp("a", (_REDEX,)), Type()), KArrow(AtomApp("a", (_REDUCT,)), Type())),
+        (
+            KPi("x", _TM, KArrow(AtomApp("a", (_REDEX,)), Type())),
+            KPi("x", _TM, KArrow(AtomApp("a", (_REDUCT,)), Type())),
+        ),
+        (Type(), Type()),
+    ],
+)
+def test_normalize_reaches_every_sort(node, expected):
+    assert normalize(node) == expected

@@ -42,6 +42,12 @@ def test_eta_contract():
     assert eta_contract(t) == t
     nested = parse_term_str(r"lam (\x. M x)")
     assert eta_contract(nested) == parse_term_str("lam M")
+    # a redex under a binder, whose contraction makes the binder a redex too
+    assert eta_contract(parse_term_str(r"\z. lam (\y. z y)")) == parse_term_str("lam")
+    under = parse_term_str(r"lam (\x. app x (\y. N y))")
+    assert eta_contract(under) == parse_term_str(r"lam (\x. app x N)")
+    twice = parse_term_str(r"\x. f x x")
+    assert eta_contract(twice) is twice
 
 
 # ------------------------------------------------------------ wf predicates
@@ -86,7 +92,7 @@ def test_rule_goldens_from_doc(ab_doc):
 def test_rule_clauses_are_hereditary_harrop(checked):
     ann = _ann(rules=[e.decl.name for e in checked.sig.rules()])
     for entry in checked.sig.rules():
-        cl = translate_rule(checked.sig, entry.decl, "ab", ann)
+        cl = translate_rule(checked.sig, entry.decl, ann)
         assert clause_is_hereditary_harrop(cl)
     for cl in gen_wf_predicates(checked.sig, {"tm"}):
         assert clause_is_hereditary_harrop(cl)
@@ -96,8 +102,8 @@ def test_erasure_on_corpus_rules(checked):
     explicit = _ann(rules=[e.decl.name for e in checked.sig.rules()])
     implicit = _ann()
     for entry in checked.sig.rules():
-        full = translate_rule(checked.sig, entry.decl, "ab", explicit)
-        bare = translate_rule(checked.sig, entry.decl, "ab", implicit)
+        full = translate_rule(checked.sig, entry.decl, explicit)
+        bare = translate_rule(checked.sig, entry.decl, implicit)
         assert erase_clause(full) == bare, entry.decl.name
 
 
@@ -267,7 +273,7 @@ def test_premise_quantifier_over_judgment_rejected():
 
     (entry,) = checked.sig.rules()
     with pytest.raises(UnsupportedShapeError):
-        translate_rule(checked.sig, entry.decl, "ab", _ann(wf=()))
+        translate_rule(checked.sig, entry.decl, _ann(wf=()))
 
 
 def test_functional_premise_variable_gets_hereditary_wf():
@@ -278,11 +284,11 @@ def test_functional_premise_variable_gets_hereditary_wf():
     )
     checked = check_all(src)
     (entry,) = checked.sig.rules()
-    explicit = translate_rule(checked.sig, entry.decl, "ab", _ann(rules=("r",)))
+    explicit = translate_rule(checked.sig, entry.decl, _ann(rules=("r",)))
     assert explicit.render() == (
         "j c :- pi f\\ (pi x\\ is_tm x => is_tm (f x)) => j (f c)."
     )
-    implicit = translate_rule(checked.sig, entry.decl, "ab", _ann())
+    implicit = translate_rule(checked.sig, entry.decl, _ann())
     assert implicit.render() == "j c :- pi f\\ j (f c)."
     assert erase_clause(explicit) == implicit
 
