@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from orbi_forge.errors import (
     AmbiguousDestError,
     ConflictingDirectivesError,
+    LevelError,
     UnknownDestError,
 )
 from orbi_forge.syntax import ExistsTm, ForallCtx, ForallTm
@@ -73,6 +74,10 @@ def resolve(checked, target: str) -> AnnotationTable:
             if d.dest_is_ctx or not sig.is_family(d.dest):
                 raise UnknownDestError(
                     f"wf destination {d.dest!r} is not a declared type family", d.loc
+                )
+            if sig.level(d.dest) != 0:
+                raise LevelError(
+                    f"wf predicate requested for non-level-0 family {d.dest!r}", d.loc
                 )
             wf.add(d.dest)
             continue

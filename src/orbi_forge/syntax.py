@@ -449,16 +449,16 @@ def shift(node, by: int, cutoff: int = 0):
     return rebuild(node, var)
 
 
-def subst(node, repl: Term, depth: int = 0):
-    """Replace Var(depth) by ``repl`` and rebalance the indices above it; with
-    ``depth`` 0 this eliminates the binder scoping ``node``, capture-avoidingly."""
+def subst(node, repl: Term):
+    """Eliminate the binder scoping ``node``: replace Var(0) by ``repl`` and
+    lower the indices above it, capture-avoidingly."""
 
     def var(n, k):
-        if type(n) is not Var or n.index < depth + k:
+        if type(n) is not Var or n.index < k:
             return n
-        if n.index > depth + k:
+        if n.index > k:
             return Var(n.index - 1)
-        return shift(repl, depth + k) if depth + k else repl
+        return shift(repl, k) if k else repl
 
     return rebuild(node, var)
 

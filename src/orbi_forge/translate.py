@@ -3,8 +3,11 @@
 Proof-theoretic targets (ab, hy) get full pipelines: generated
 well-formedness predicates, rules as hereditary-Harrop clauses, schemas and
 context relations as inductive list predicates, theorem statements as
-formulas.  bel passes the signature through unchanged and lifts theorems;
-tw passes the signature through and comments out everything it cannot say.
+formulas.  A schema is printed as the one-parameter relation it denotes:
+both lower to the same clause list, and ``_inductive_text`` is the one
+place that writes the ab ``Define`` and the hy ``Inductive`` layout.  bel
+passes the signature through unchanged and lifts theorems; tw passes the
+signature through and comments out everything it cannot say.
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ from orbi_forge.errors import (
     EmptyRenderingError,
     LevelError,
     NoCtxInScopeError,
+    OrbiError,
     UnsupportedShapeError,
 )
 from orbi_forge.lf import Signature, families_in_tp, is_level0, normalize
-from orbi_forge.pretty import inductive_str, prp_str, theorem_str, tp_str
+from orbi_forge.pretty import prp_str, theorem_str, tp_str
 from orbi_forge.syntax import (
     And,
     App,
@@ -30,7 +34,6 @@ from orbi_forge.syntax import (
     AtomApp,
     Const,
     ConstDecl,
-    CtxVar,
     EmptyCtx,
     ExistsTm,
     FalseP,
@@ -206,7 +209,8 @@ class _Names:
         self.taken.add(name)
         return name
 
-    def _pick(self, pool):
+    def pick(self, pool):
+        """The first free name of ``pool``, else ``pool[0]`` numbered."""
         for ch in pool:
             if ch not in self:
                 self.taken.add(ch)
@@ -219,29 +223,10 @@ class _Names:
         return name
 
     def fresh_upper(self) -> str:
-        return self._pick(self._UPPER)
+        return self.pick(self._UPPER)
 
     def fresh_lower(self) -> str:
-        return self._pick(self._LOWER)
-
-
-def _alpha_list_var(taken) -> str:
-    for ch in "ABCDEFGHIJKLMNOPQRSTUVWXYZ":
-        if f"{ch}s" not in taken:
-            return f"{ch}s"
-    i = 1
-    while f"As{i}" in taken:
-        i += 1
-    return f"As{i}"
-
-
-def _numbered(base: str, taken) -> str:
-    name = base
-    i = 0
-    while name in taken:
-        i += 1
-        name = f"{base}{i}"
-    return name
+        return self.pick(self._LOWER)
 
 
 def render_term(t: Term, env: list[str], atom: bool = False, rename=None) -> str:
@@ -388,7 +373,11 @@ def translate_rule(sig: Signature, rule: ConstDecl, ann: AnnotationTable) -> Cla
     return Clause(atom_goal(tp, env), tuple(body_goals))
 
 
-# ----------------------------------------------------------------- schemas
+# --------------------------------------------------- schemas and relations
+#
+# A schema S is the one-parameter relation with a nil clause and one cons
+# clause per block, each with premise S L: schemas and relations lower to the
+# same clauses, and ``_inductive_text`` prints both in either dialect.
 
 
 def _block_parts(sig: Signature, owner: str, block, explicit_pos: bool, ann):
@@ -418,8 +407,33 @@ def _block_parts(sig: Signature, owner: str, block, explicit_pos: bool, ann):
     return variables, atoms
 
 
-def _schema_suffix(name: str) -> str:
-    return name[:-1] if name.endswith("G") and len(name) > 1 else name
+def _inductive_text(name: str, arity: int, clauses, target: str) -> str:
+    """The ``Define`` (ab) or ``Inductive`` (hy) definition of a relation over
+    ``arity`` context lists from its (clause name, nabla variables, list
+    variables, premises, head) clauses.  ab leaves clause names and list
+    variables implicit; hy binds them and guards each nabla variable with
+    ``proper``."""
+    if target == "ab":
+        parts = []
+        for _, nabla, _, premises, head in clauses:
+            s = f"nabla {' '.join(nabla)}, {head}" if nabla else head
+            parts.append(s + " := " + " /\\ ".join(premises) if premises else s)
+        tp = " -> ".join(["olist"] * arity)
+        return f"Define {name} : {tp} -> prop by\n  " + ";\n  ".join(parts) + "."
+    lines = [f"Inductive {name} : {' -> '.join(['list atm'] * arity)} -> Prop :="]
+    for k, (cname, nabla, lists, premises, head) in enumerate(clauses, 1):
+        end = "." if k == len(clauses) else ""
+        if not lists and not nabla:
+            lines.append(f"| {cname} : {head}{end}")
+            continue
+        binders = [f"({v}:list atm)" for v in lists] + [f"({v}:uexp)" for v in nabla]
+        chain = [f"proper {v}" for v in nabla] + premises + [head]
+        lines.append(f"| {cname} : forall {' '.join(binders)},")
+        lines.append(f"    {' -> '.join(chain)}{end}")
+    return "\n".join(lines)
+
+
+_AB_LISTS = tuple(f"{c}s" for c in "ABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
 def translate_schema(sig: Signature, s: Schema, target: str, ann: AnnotationTable) -> str:
@@ -433,116 +447,57 @@ def translate_schema(sig: Signature, s: Schema, target: str, ann: AnnotationTabl
                 f"mark the schema explicit (%% explicit [{target}] in {s.name})"
             )
         rendered.append((variables, atoms))
-    taken = _Names(sig.entries, [s.name, *(v for variables, _ in rendered for v in variables)])
-    if target == "ab":
-        list_var = _alpha_list_var(taken)
-        clauses = [f"{s.name} nil"]
-        for variables, atoms in rendered:
-            prefix = f"nabla {' '.join(variables)}, " if variables else ""
-            cons = " :: ".join(atoms)
-            clauses.append(f"{prefix}{s.name} ({cons} :: {list_var}) := {s.name} {list_var}")
-        return f"Define {s.name} : olist -> prop by\n  " + ";\n  ".join(clauses) + "."
-    ctx_var = _numbered("Gamma", taken)
-    sfx = _schema_suffix(s.name)
-    lines = [f"Inductive {s.name} : list atm -> Prop :=", f"| nil_{sfx} : {s.name} nil"]
-    for i, (variables, atoms) in enumerate(rendered):
-        cname = f"cns_{sfx}" if len(rendered) == 1 else f"cns_{sfx}{i + 1}"
-        binders = f"({ctx_var}:list atm)" + "".join(f" ({v}:uexp)" for v in variables)
-        chain = [f"proper {v}" for v in variables]
-        chain.append(f"{s.name} {ctx_var}")
-        chain.append(f"{s.name} ({' :: '.join(atoms)} :: {ctx_var})")
-        lines.append(f"| {cname} : forall {binders},")
-        end = "." if i == len(rendered) - 1 else ""
-        lines.append(f"    {' -> '.join(chain)}{end}")
-    return "\n".join(lines)
+    names = _Names(sig.entries, [s.name, *(v for variables, _ in rendered for v in variables)])
+    lv = names.pick(_AB_LISTS if target == "ab" else ("Gamma",))
+    sfx = s.name.removesuffix("G") or s.name  # hy clause names: xG has nil_x, cns_x
+    clauses = [(f"nil_{sfx}", (), (), (), f"{s.name} nil")]
+    for i, (variables, atoms) in enumerate(rendered, 1):
+        cname = f"cns_{sfx}" if len(rendered) == 1 else f"cns_{sfx}{i}"
+        head = f"{s.name} ({' :: '.join(atoms)} :: {lv})"
+        clauses.append((cname, variables, (lv,), [f"{s.name} {lv}"], head))
+    return _inductive_text(s.name, 1, clauses, target)
 
 
-# --------------------------------------------------------------- relations
-
-
-def translate_relation(
-    sig: Signature,
-    d: InductiveDef,
-    target: str,
-    ann: AnnotationTable,
-) -> str:
-    if target == "bel":
-        return inductive_str(d)
+def translate_relation(sig: Signature, d: InductiveDef, target: str, ann: AnnotationTable) -> str:
+    """Each clause writes its context variable ``g`` as the list variable
+    ``G`` (numbered on a clash), naming the relation's parameters first, then
+    the premises' other context variables, from one supply that also holds
+    the signature, the relation and the clause's nabla variables."""
     explicit_vars = ann.explicit_relation_params.get(d.name, frozenset())
-    explicit_pos = {i for i, (v, _) in enumerate(d.params) if v in explicit_vars}
-    taken = _Names(sig.entries, [d.name])
-    list_names = {}
-    for v, _ in d.params:
-        list_names[v] = _numbered(v[0].upper() + v[1:], taken)
-        taken.add(list_names[v])
-
-    def clause_render(cname: str, prp: Prp):
+    params = [v for v, _ in d.params]
+    clauses = []
+    for cname, prp in d.clauses:
         premises, head = _clause_parts(prp)
-        var_name = dict(list_names)
-        for prem in premises:
-            for arg in prem.ctxs:
-                if isinstance(arg, CtxVar) and arg.name not in var_name:
-                    var_name[arg.name] = _numbered(arg.name[0].upper() + arg.name[1:], taken)
         nabla: list[str] = []
-        head_args = []
-        used_lists: list[str] = []
-        for i, arg in enumerate(head.ctxs):
-            base = ctx_head_var(arg)
+        args = []  # (context variable or None, atoms) of each head argument
+        for var, arg in zip(params, head.ctxs):
             atoms: list[str] = []
-            has_blocks = False
-            for _, block in ctx_blocks(arg):
-                has_blocks = True
+            blocks = ctx_blocks(arg)
+            for _, block in blocks:
                 variables, batoms = _block_parts(
-                    sig, f"relation {d.name!r}", block, i in explicit_pos, ann
+                    sig, f"relation {d.name!r}", block, var in explicit_vars, ann
                 )
-                for v in variables:
-                    if v not in nabla:
-                        nabla.append(v)
+                nabla += [v for v in variables if v not in nabla]
                 atoms += batoms
-            if has_blocks and not atoms:
-                var = d.params[i][0]
+            if blocks and not atoms:
                 raise EmptyRenderingError(
                     f"relation {d.name!r}: context parameter {var!r} erases to "
                     f"nothing; mark it explicit (%% explicit [{target}] in [{var}])"
                 )
-            tail = var_name[base] if base is not None else "nil"
-            if base is not None:
-                used_lists.append(var_name[base])
-            if atoms:
-                head_args.append(f"({' :: '.join(atoms)} :: {tail})")
-            else:
-                head_args.append(tail)
-        head_str = f"{d.name} {' '.join(head_args)}"
-        body = [
-            f"{p.name} {' '.join(var_name[a.name] for a in p.ctxs)}" for p in premises
-        ]
-        return cname, nabla, used_lists, head_str, body
-
-    clauses = [clause_render(cname, prp) for cname, prp in d.clauses]
-    arity = len(d.params)
-    if target == "ab":
-        parts = []
-        for _, nabla, _, head_str, body in clauses:
-            prefix = f"nabla {' '.join(nabla)}, " if nabla else ""
-            s = f"{prefix}{head_str}"
-            if body:
-                s += " := " + " /\\ ".join(body)
-            parts.append(s)
-        sig_tp = " -> ".join(["olist"] * arity) + " -> prop"
-        return f"Define {d.name} : {sig_tp} by\n  " + ";\n  ".join(parts) + "."
-    lines = [f"Inductive {d.name} : {' -> '.join(['list atm'] * arity)} -> Prop :="]
-    for k, (cname, nabla, used_lists, head_str, body) in enumerate(clauses):
-        end = "." if k == len(clauses) - 1 else ""
-        binder_lists = list(dict.fromkeys(used_lists))
-        if not binder_lists and not nabla:
-            lines.append(f"| {cname} : {head_str}{end}")
-            continue
-        binders = "".join(f"({v}:list atm) " for v in binder_lists)
-        binders += " ".join(f"({v}:uexp)" for v in nabla)
-        chain = [f"proper {v}" for v in nabla] + body + [head_str]
-        lines.append(f"| {cname} : forall {binders.strip()},")
-        lines.append(f"    {' -> '.join(chain)}{end}")
-    return "\n".join(lines)
+            args.append((ctx_head_var(arg), atoms))
+        names = _Names(sig.entries, [d.name, *nabla])
+        lists: dict[str, str] = {}
+        for v in params + [a.name for p in premises for a in p.ctxs]:
+            if v not in lists:
+                lists[v] = names.pick((v[0].upper() + v[1:],))
+        heads = []
+        for v, atoms in args:
+            tail = "nil" if v is None else lists[v]
+            heads.append(f"({' :: '.join(atoms)} :: {tail})" if atoms else tail)
+        bound = list(dict.fromkeys(lists[v] for v, _ in args if v is not None))
+        body = [f"{p.name} {' '.join(lists[a.name] for a in p.ctxs)}" for p in premises]
+        clauses.append((cname, nabla, bound, body, f"{d.name} {' '.join(heads)}"))
+    return _inductive_text(d.name, len(params), clauses, target)
 
 
 # ---------------------------------------------------------------- theorems
@@ -602,30 +557,25 @@ def _atomic_family(t: Theorem, var: str, tp) -> str:
 
 
 _F_IMP, _F_OR, _F_AND, _F_ATOM = 1, 2, 3, 4
+# connective: (symbol, own precedence, precedence of its lhs, of its rhs)
+_CONNECTIVES = {
+    Imp: ("->", _F_IMP, _F_OR, _F_IMP),
+    Or: ("\\/", _F_OR, _F_OR, _F_AND),
+    And: ("/\\", _F_AND, _F_AND, _F_ATOM),
+}
 
 
 def _formula(t: Theorem, p: Prp, scope, rename, warnings, expl, prec=_F_IMP, avoid=frozenset()) -> str:
     if isinstance(p, (ForallCtx, ForallTm, ExistsTm)):
         s = _forall_block(t, p, scope, rename, warnings, expl, avoid)
         return f"({s})"
-    if isinstance(p, Imp):
+    if type(p) in _CONNECTIVES:
+        sym, own, left, right = _CONNECTIVES[type(p)]
         s = (
-            f"{_formula(t, p.lhs, scope, rename, warnings, expl, _F_OR, avoid)} -> "
-            f"{_formula(t, p.rhs, scope, rename, warnings, expl, _F_IMP, avoid)}"
+            f"{_formula(t, p.lhs, scope, rename, warnings, expl, left, avoid)} {sym} "
+            f"{_formula(t, p.rhs, scope, rename, warnings, expl, right, avoid)}"
         )
-        return f"({s})" if prec > _F_IMP else s
-    if isinstance(p, Or):
-        s = (
-            f"{_formula(t, p.lhs, scope, rename, warnings, expl, _F_OR, avoid)} \\/ "
-            f"{_formula(t, p.rhs, scope, rename, warnings, expl, _F_AND, avoid)}"
-        )
-        return f"({s})" if prec > _F_OR else s
-    if isinstance(p, And):
-        s = (
-            f"{_formula(t, p.lhs, scope, rename, warnings, expl, _F_AND, avoid)} /\\ "
-            f"{_formula(t, p.rhs, scope, rename, warnings, expl, _F_ATOM, avoid)}"
-        )
-        return f"({s})" if prec > _F_AND else s
+        return f"({s})" if prec > own else s
     if isinstance(p, TrueP):
         return "true"
     if isinstance(p, FalseP):
@@ -676,7 +626,7 @@ def _forall_block(t: Theorem, p: Prp, scope, rename, warnings, expl, avoid=froze
     body = p
     while isinstance(body, (ForallCtx, ForallTm)):
         upper = body.var[0].upper() + body.var[1:]
-        upper = _numbered(upper, _Names(avoid, [*rename.values(), *names]))
+        upper = _Names(avoid, [*rename.values(), *names]).pick((upper,))
         rename[body.var] = upper
         names.append(upper)
         if isinstance(body, ForallCtx):
@@ -700,7 +650,7 @@ def _forall_block(t: Theorem, p: Prp, scope, rename, warnings, expl, avoid=froze
 
 def _exists_block(t, p: ExistsTm, scope, rename, warnings, expl, avoid=frozenset()) -> str:
     rename = dict(rename)
-    upper = _numbered(p.var[0].upper() + p.var[1:], _Names(avoid, rename.values()))
+    upper = _Names(avoid, rename.values()).pick((p.var[0].upper() + p.var[1:],))
     rename[p.var] = upper
     inner = _formula(t, p.body, scope, rename, warnings, expl, avoid=avoid)
     return f"exists {upper}, {inner}"
@@ -766,6 +716,12 @@ def _comment_out(text: str) -> str:
     return "\n".join(f"% {line}" if line.strip() else "%" for line in text.split("\n"))
 
 
+# bel and tw copy these sections from the source; tw comments out the ones it
+# cannot say
+_COPIED = ("Syntax", "Judgments", "Rules", "Schemas", "Definitions")
+_COMMENTED = {"bel": (), "tw": ("Schemas", "Definitions")}
+
+
 def translate_spec(checked, target: str) -> TargetDoc:
     ann = resolve(checked, target)
     spec = checked.spec
@@ -777,37 +733,26 @@ def translate_spec(checked, target: str) -> TargetDoc:
             if fam in ann.wf_families:
                 clauses = gen_wf_predicates(sig, [fam])
                 blocks.append(DocBlock(fam, "\n".join(c.render() for c in clauses)))
-        for entry in sig.rules():
-            cl = translate_rule(sig, entry.decl, ann)
-            blocks.append(DocBlock(entry.decl.name, cl.render()))
-        for s in spec.schemas:
-            blocks.append(DocBlock(s.name, translate_schema(sig, s, target, ann)))
-        for d in spec.definitions:
-            blocks.append(DocBlock(d.name, translate_relation(sig, d, target, ann)))
-        for t in checked.theorems:
-            text, warns = translate_theorem(checked, t, target, ann)
-            warnings += warns
-            blocks.append(DocBlock(t.name, text))
-    elif target == "bel":
-        for sec in ("Syntax", "Judgments", "Rules", "Schemas", "Definitions"):
+        item = None  # the rule, schema or relation being translated
+        try:
+            for entry in sig.rules():
+                item = entry.decl
+                blocks.append(DocBlock(item.name, translate_rule(sig, item, ann).render()))
+            for item in spec.schemas:
+                blocks.append(DocBlock(item.name, translate_schema(sig, item, target, ann)))
+            for item in spec.definitions:
+                blocks.append(DocBlock(item.name, translate_relation(sig, item, target, ann)))
+        except OrbiError as e:
+            if e.loc.line == 0:
+                e.loc = item.loc
+            raise
+    else:
+        for sec in _COPIED:
             text = spec.section_text(sec)
             if text:
-                blocks.append(DocBlock(sec, text))
-        for t in checked.theorems:
-            text, warns = translate_theorem(checked, t, target, ann)
-            warnings += warns
-            blocks.append(DocBlock(t.name, text))
-    else:  # tw
-        for sec in ("Syntax", "Judgments", "Rules"):
-            text = spec.section_text(sec)
-            if text:
-                blocks.append(DocBlock(sec, text))
-        for sec in ("Schemas", "Definitions"):
-            text = spec.section_text(sec)
-            if text:
-                blocks.append(DocBlock(sec, _comment_out(text)))
-        for t in checked.theorems:
-            text, warns = translate_theorem(checked, t, target, ann)
-            warnings += warns
-            blocks.append(DocBlock(t.name, text))
+                blocks.append(DocBlock(sec, _comment_out(text) if sec in _COMMENTED[target] else text))
+    for t in checked.theorems:
+        text, warns = translate_theorem(checked, t, target, ann)
+        warnings += warns
+        blocks.append(DocBlock(t.name, text))
     return TargetDoc(target, tuple(blocks), tuple(warnings))

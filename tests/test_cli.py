@@ -66,6 +66,37 @@ def test_structured_diagnostics(tmp_path, capsys):
     assert records[0]["line"] == 2
 
 
+_SHAPES_SIG = "%% Syntax\ntm: type.\nc: tm.\n\n%% Judgments\nj: tm -> type.\nk: tm -> type.\n\n"
+
+
+@pytest.mark.parametrize(
+    "body, decl, code",
+    [
+        pytest.param("%% Rules\nr: ({D:j c} k c) -> k c.\n", "r:", "E-SHAPE", id="rule"),
+        pytest.param("%% Schemas\nschema xG = block (x:tm);\n", "schema", "E-EMPTY", id="schema"),
+        pytest.param(
+            "%% Schemas\nschema xG = block (x:tm);\n\n%% Definitions\n"
+            "inductive R : {g:xG} prop =\n| R_nl: R []\n| R_cs: R [g] -> R [g, b:block (x:tm)];\n\n"
+            "%% Directives\n%% wf [ab] in tm\n%% explicit [ab] in xG\n",
+            "inductive",
+            "E-EMPTY",
+            id="relation",
+        ),
+    ],
+)
+def test_translation_error_located_at_its_declaration(body, decl, code, tmp_path, capsys):
+    p = tmp_path / "shape.orbi"
+    text = _SHAPES_SIG + body
+    p.write_text(text, encoding="utf-8")
+    argv = ["translate", "--structured", "--target", "ab", "--out-dir", str(tmp_path), str(p)]
+    assert run(argv) == 1
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    (error,) = [r for r in records if r["severity"] == "error"]
+    assert error["code"] == code
+    line = next(i for i, l in enumerate(text.splitlines(), 1) if l.startswith(decl))
+    assert (error["line"], error["col"]) == (line, 1)
+
+
 def test_lint_warnings_and_werror(tmp_path, capsys):
     p = tmp_path / "warn.orbi"
     p.write_text("%% Syntax\ntm: type.\nk: {x:tm} tm.\n", encoding="utf-8")

@@ -5,6 +5,7 @@ from orbi_forge.directives import resolve
 from orbi_forge.errors import (
     AmbiguousDestError,
     ConflictingDirectivesError,
+    LevelError,
     UnknownDestError,
 )
 
@@ -80,6 +81,18 @@ def test_wf_dest_must_be_family(corpus_text):
     bad = corpus_text.replace("%% wf [hy,ab] in tm", "%% wf [hy,ab] in de_l")
     with pytest.raises(UnknownDestError):
         check_all(bad)
+
+
+def test_wf_dest_must_be_level0():
+    src = make_spec(
+        syntax="tm: type.\nc: tm.",
+        judgments="j: tm -> type.",
+        directives="%% wf [ab] in j",
+    )
+    with pytest.raises(LevelError) as exc:
+        check_all(src)
+    assert exc.value.message == "wf predicate requested for non-level-0 family 'j'"
+    assert exc.value.loc.line == src.splitlines().index("%% wf [ab] in j") + 1
 
 
 def test_ambiguous_dest():

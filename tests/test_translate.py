@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import pytest
 
 from conftest import golden
@@ -187,6 +190,79 @@ def test_relation_hybrid_uses_clause_names(hy_doc):
     out = hy_doc.block("Rda")
     assert "| Rda_nl : Rda nil nil" in out
     assert "| Rda_cs : forall (G:list atm) (H:list atm) (x:uexp)," in out
+
+
+_CAPTURE_SIG = dict(
+    syntax="tm: type.",
+    judgments="aeq: tm -> tm -> type.",
+    schemas="schema xG = block (x:tm, u:aeq x x);",
+)
+
+
+@pytest.mark.parametrize(
+    "definition",
+    [
+        pytest.param(
+            "inductive R : {g:xG}{h:xG} prop =\n| R_nl: R [] []\n"
+            "| R_cs: R [k] [K] -> R [k, b:block (x:tm, u:aeq x x)] [K, b:block (x:tm, u:aeq x x)];",
+            id="two-context-variables",
+        ),
+        pytest.param(
+            "inductive R : {x:xG} prop =\n| R_nl: R []\n"
+            "| R_cs: R [x] -> R [x, b:block (X:tm, u:aeq X X)];",
+            id="block-label",
+        ),
+    ],
+)
+@pytest.mark.parametrize("target", ["ab", "hy"])
+def test_relation_list_variables_do_not_capture(definition, target):
+    checked = check_all(make_spec(definitions=definition, **_CAPTURE_SIG))
+    text = translate_relation(checked.sig, checked.relations["R"], target, _ann(target, wf=()))
+    if target == "ab":
+        nabla, lists = re.search(r"nabla ([^,]+), .* := R (.*)\.$", text).groups()
+    else:
+        lists = re.search(r"-> R ([^(]*) -> R \(", text).group(1)
+        nabla = " ".join(re.findall(r"\(([\w']+):uexp\)", text))
+        assert set(re.findall(r"\(([\w']+):list atm\)", text)) == set(lists.split())
+    # the premise names each context variable of the clause once, in order
+    assert len(set(lists.split())) == len(lists.split()), text
+    assert not set(lists.split()) & set(nabla.split()), text
+
+
+_IS_ATOM = re.compile(r"is_\w+ [\w']+ :: ")
+
+
+def test_erasure_on_schemas_and_relations(corpus_text):
+    """With every subset of eq.orbi's explicit directives turned implicit, a
+    schema or relation translation without its is_* atoms is the implicit
+    translation, wherever that one is not E-EMPTY."""
+    lines = corpus_text.splitlines()
+    marks = [i for i, line in enumerate(lines) if line.startswith("%% explicit")]
+    erased = 0
+    for mask in range(1 << len(marks)):
+        variant = list(lines)
+        for bit, i in enumerate(marks):
+            if mask >> bit & 1:
+                variant[i] = variant[i].replace("explicit", "implicit")
+        checked = check_all("\n".join(variant))
+        items = [(translate_schema, s) for s in checked.spec.schemas]
+        items += [(translate_relation, d) for d in checked.spec.definitions]
+        for target in ("ab", "hy"):
+            ann = resolve(checked, target)
+            bare = dataclasses.replace(
+                ann, explicit_schemas=frozenset(), explicit_relation_params={}
+            )
+            for translate, item in items:
+                try:
+                    implicit = translate(checked.sig, item, target, bare)
+                except EmptyRenderingError:
+                    continue
+                explicit = translate(checked.sig, item, target, ann)
+                assert _IS_ATOM.sub("", explicit) == implicit, (mask, target, item.name)
+                erased += explicit != implicit
+    # daG under hy and Rda under ab and hy, in the 32 variants that keep each
+    # mark; xG and Rxa erase to nothing when implicit
+    assert erased == 96
 
 
 # ---------------------------------------------------------------- theorems
