@@ -3,7 +3,9 @@
 A directive's destination is looked up across the document's namespaces
 (family, rule, schema, relation parameter, theorem variable); a bare name
 that resolves in more than one of them is an error rather than a silent
-priority pick.  The defaults with no directives at all: no well-formedness
+priority pick.  A wf directive whose predicate name (``wf_name``) is
+already declared is rejected, so a generated predicate never merges with a
+user one.  The defaults with no directives at all: no well-formedness
 predicates, everything implicit.
 """
 
@@ -14,6 +16,7 @@ from dataclasses import dataclass, field
 from orbi_forge.errors import (
     AmbiguousDestError,
     ConflictingDirectivesError,
+    DuplicateNameError,
     LevelError,
     UnknownDestError,
 )
@@ -30,10 +33,18 @@ class AnnotationTable:
     explicit_theorem_vars: dict = field(default_factory=dict)
 
 
+def wf_name(family: str) -> str:
+    """Name of the generated well-formedness predicate of ``family``."""
+    return f"is_{family}"
+
+
+# namespace of a directive destination -> its name in a conflict message
+_KINDS = {"rule": "rule", "schema": "schema", "rel": "relation parameter", "thm": "theorem variable"}
+
+
 def _theorem_term_vars(thm):
     out = []
-    p = thm.statement
-    stack = [p]
+    stack = [thm.statement]
     while stack:
         node = stack.pop()
         if isinstance(node, (ForallTm, ExistsTm)):
@@ -62,11 +73,9 @@ def resolve(checked, target: str) -> AnnotationTable:
             thm_owners.setdefault(v, set()).add((t.name, v))
 
     wf: set[str] = set()
-    marks: dict[str, dict] = {
-        "explicit": {"rule": set(), "schema": set(), "rel": set(), "thm": set()},
-        "implicit": {"rule": set(), "schema": set(), "rel": set(), "thm": set()},
-    }
-
+    marks = {what: {kind: set() for kind in _KINDS} for what in ("explicit", "implicit")}
+    # (kind, item) -> location of the directive that first marks it both ways
+    clash_at: dict = {}
     for d in checked.spec.directives:
         if target not in d.systems:
             continue
@@ -79,73 +88,63 @@ def resolve(checked, target: str) -> AnnotationTable:
                 raise LevelError(
                     f"wf predicate requested for non-level-0 family {d.dest!r}", d.loc
                 )
+            pred = wf_name(d.dest)
+            if pred in sig or pred in checked.schemas or pred in checked.relations:
+                raise DuplicateNameError(
+                    f"wf predicate {pred!r} of family {d.dest!r} clashes with a declared name", d.loc
+                )
             wf.add(d.dest)
             continue
-        mark = marks[d.what]
         if d.dest_is_ctx:
-            hits = rel_owners.get(d.dest)
-            if not hits:
+            kind, items = "rel", rel_owners.get(d.dest)
+            if not items:
                 raise UnknownDestError(
                     f"no relation has a context parameter named {d.dest!r}", d.loc
                 )
-            mark["rel"].update(hits)
-            continue
-        namespaces = []
-        entry = sig.get(d.dest)
-        if entry is not None and entry.section == "Rules":
-            namespaces.append("rule")
-        if d.dest in checked.schemas:
-            namespaces.append("schema")
-        rel_hits = rel_owners.get(d.dest)
-        if rel_hits:
-            namespaces.append("rel")
-        thm_hits = thm_owners.get(d.dest)
-        if thm_hits:
-            namespaces.append("thm")
-        if not namespaces:
-            raise UnknownDestError(f"unknown directive destination {d.dest!r}", d.loc)
-        if len(namespaces) > 1:
-            raise AmbiguousDestError(
-                f"directive destination {d.dest!r} is ambiguous "
-                f"({' and '.join(namespaces)})",
-                d.loc,
-            )
-        ns = namespaces[0]
-        if ns == "rule":
-            mark["rule"].add(d.dest)
-        elif ns == "schema":
-            mark["schema"].add(d.dest)
-        elif ns == "rel":
-            mark["rel"].update(rel_hits)
         else:
-            mark["thm"].update(thm_hits)
+            found = []  # (namespace, items) of each namespace the name resolves in
+            entry = sig.get(d.dest)
+            if entry is not None and entry.section == "Rules":
+                found.append(("rule", (d.dest,)))
+            if d.dest in checked.schemas:
+                found.append(("schema", (d.dest,)))
+            if d.dest in rel_owners:
+                found.append(("rel", rel_owners[d.dest]))
+            if d.dest in thm_owners:
+                found.append(("thm", thm_owners[d.dest]))
+            if not found:
+                raise UnknownDestError(f"unknown directive destination {d.dest!r}", d.loc)
+            if len(found) > 1:
+                raise AmbiguousDestError(
+                    f"directive destination {d.dest!r} is ambiguous "
+                    f"({' and '.join(ns for ns, _ in found)})",
+                    d.loc,
+                )
+            ((kind, items),) = found
+        other = marks["implicit" if d.what == "explicit" else "explicit"][kind]
+        for x in items:
+            if x in other:
+                clash_at.setdefault((kind, x), d.loc)
+        marks[d.what][kind].update(items)
 
-    for kind, label in (
-        ("rule", "rule"),
-        ("schema", "schema"),
-        ("rel", "relation parameter"),
-        ("thm", "theorem variable"),
-    ):
-        clash = marks["explicit"][kind] & marks["implicit"][kind]
-        if clash:
-            shown = sorted(str(x) for x in clash)[0]
-            raise ConflictingDirectivesError(
-                f"{label} {shown} is marked both explicit and implicit for {target!r}"
-            )
-
-    rel_table: dict[str, frozenset] = {}
-    for rel, var in marks["explicit"]["rel"]:
-        rel_table.setdefault(rel, set())
-        rel_table[rel].add(var)
-    thm_table: dict[str, frozenset] = {}
-    for thm, var in marks["explicit"]["thm"]:
-        thm_table.setdefault(thm, set())
-        thm_table[thm].add(var)
+    if clash_at:
+        kind, shown = min(clash_at, key=lambda k: (tuple(_KINDS).index(k[0]), str(k[1])))
+        raise ConflictingDirectivesError(
+            f"{_KINDS[kind]} {shown} is marked both explicit and implicit for {target!r}",
+            clash_at[kind, shown],
+        )
     return AnnotationTable(
         target,
         frozenset(wf),
         frozenset(marks["explicit"]["rule"]),
         frozenset(marks["explicit"]["schema"]),
-        {k: frozenset(v) for k, v in rel_table.items()},
-        {k: frozenset(v) for k, v in thm_table.items()},
+        _by_owner(marks["explicit"]["rel"]),
+        _by_owner(marks["explicit"]["thm"]),
     )
+
+
+def _by_owner(pairs) -> dict:
+    out: dict[str, set] = {}
+    for owner, var in pairs:
+        out.setdefault(owner, set()).add(var)
+    return {k: frozenset(v) for k, v in out.items()}

@@ -3,20 +3,21 @@
 Proof-theoretic targets (ab, hy) get full pipelines: generated
 well-formedness predicates, rules as hereditary-Harrop clauses, schemas and
 context relations as inductive list predicates, theorem statements as
-formulas.  A schema is printed as the one-parameter relation it denotes:
-both lower to the same clause list, and ``_inductive_text`` is the one
-place that writes the ab ``Define`` and the hy ``Inductive`` layout.  bel
-passes the signature through unchanged and lifts theorems; tw passes the
-signature through and comments out everything it cannot say.
+formulas.  The first four lower to one clause IR of goal nodes in which the
+wf guard is a node of its own, so ``erase_clause`` turns an explicit clause
+into the implicit one structurally.  A schema is the one-parameter relation
+it denotes: both lower to an ``Inductive``, whose ``render`` is the one place
+that writes the ab ``Define`` and the hy ``Inductive`` layout.  bel passes
+the signature through unchanged and lifts theorems; tw passes the signature
+through and comments out everything it cannot say.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from orbi_forge.contexts import _clause_parts
-from orbi_forge.directives import AnnotationTable, resolve
+from orbi_forge.directives import AnnotationTable, resolve, wf_name
 from orbi_forge.errors import (
     Diagnostic,
     EmptyRenderingError,
@@ -61,25 +62,36 @@ from orbi_forge.syntax import (
     spine,
 )
 
-_ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_']*")
-
-
 # -------------------------------------------------------------- clause IR
 
 
 @dataclass(frozen=True)
 class AtomG:
     pred: str
-    args: tuple[str, ...] = ()
+    args: tuple = ()  # rendered terms, or a ``Cons`` for a context list
+    atomic = True
 
     def render(self) -> str:
-        return self.pred + ("" if not self.args else " " + " ".join(self.args))
+        return self.pred + ("" if not self.args else " " + " ".join(map(str, self.args)))
+
+
+@dataclass(frozen=True)
+class Guard:
+    """The wf guard ``is_<family> arg``: every wf predicate atom is one."""
+
+    family: str
+    arg: str
+    atomic = True
+
+    def render(self) -> str:
+        return f"{wf_name(self.family)} {self.arg}"
 
 
 @dataclass(frozen=True)
 class PiG:
     var: str
     body: object
+    atomic = False
 
     def render(self) -> str:
         return f"pi {self.var}\\ {self.body.render()}"
@@ -89,82 +101,78 @@ class PiG:
 class ImpG:
     hyp: object
     body: object
+    atomic = False
 
     def render(self) -> str:
         h = self.hyp.render()
-        if not isinstance(self.hyp, AtomG):
-            h = f"({h})"
-        return f"{h} => {self.body.render()}"
+        return f"{h if self.hyp.atomic else f'({h})'} => {self.body.render()}"
+
+
+@dataclass(frozen=True)
+class Cons:
+    """The context list ``(g1 :: ... :: tail)`` of a schema or relation head."""
+
+    items: tuple
+    tail: str
+
+    def __str__(self) -> str:
+        return "(" + "".join([g.render() + " :: " for g in self.items]) + self.tail + ")"
 
 
 @dataclass(frozen=True)
 class Clause:
-    head: AtomG
+    head: object  # AtomG, or the Guard a wf clause defines
     body: tuple = ()
 
     def render(self) -> str:
         if not self.body:
             return f"{self.head.render()}."
-        parts = []
-        for g in self.body:
-            s = g.render()
-            if not isinstance(g, AtomG) and len(self.body) > 1:
-                s = f"({s})"
-            parts.append(s)
+        many = len(self.body) > 1
+        parts = [g.render() if g.atomic or not many else f"({g.render()})" for g in self.body]
         return f"{self.head.render()} :- {', '.join(parts)}."
 
 
-def _goal_ok(g) -> bool:
-    if isinstance(g, AtomG):
-        return True
-    if isinstance(g, PiG):
-        return _goal_ok(g.body)
-    return _clause_ok(g.hyp) and _goal_ok(g.body)
+@dataclass(frozen=True)
+class RelClause:
+    """One clause of a schema or relation: its nabla variables stand for the
+    level-0 block entries, its list variables for the context variables."""
+
+    name: str
+    nabla: tuple
+    lists: tuple
+    premises: tuple
+    head: AtomG
 
 
-def _clause_ok(d) -> bool:
-    if isinstance(d, AtomG):
-        return True
-    if isinstance(d, PiG):
-        return _clause_ok(d.body)
-    return _goal_ok(d.hyp) and _clause_ok(d.body)
-
-
-def clause_is_hereditary_harrop(cl: Clause) -> bool:
-    return all(_goal_ok(g) for g in cl.body)
-
-
-def _mentions(g, var: str) -> bool:
-    if isinstance(g, AtomG):
-        return any(var in _ID_RE.findall(a) for a in g.args) or g.pred == var
-    if isinstance(g, PiG):
-        return _mentions(g.body, var)
-    return _mentions(g.hyp, var) or _mentions(g.body, var)
-
-
-def _erase_goal(g):
-    if isinstance(g, AtomG):
-        return None if g.pred.startswith("is_") else g
-    if isinstance(g, PiG):
-        body = _erase_goal(g.body)
-        if body is None:
-            return None
-        if not _mentions(body, g.var):
-            return body
-        return PiG(g.var, body)
-    hyp = _erase_goal(g.hyp)
-    body = _erase_goal(g.body)
-    if body is None:
+def _erase(g):
+    t = type(g)
+    if t is Guard:
         return None
-    if hyp is None:
-        return body
-    return ImpG(hyp, body)
+    if t is PiG:
+        body = _erase(g.body)
+        return None if body is None else PiG(g.var, body)
+    if t is ImpG:
+        body, hyp = _erase(g.body), _erase(g.hyp)
+        return body if body is None or hyp is None else ImpG(hyp, body)
+    if t is AtomG:
+        return AtomG(g.pred, tuple(map(_erase, g.args)))
+    if t is Cons:
+        items = _erase_all(g.items)
+        return Cons(items, g.tail) if items else g.tail
+    return g  # a rendered term
 
 
-def erase_clause(cl: Clause) -> Clause:
-    """Delete is_* atoms and the pi binders left vacuous by the deletion."""
-    body = tuple(g2 for g2 in (_erase_goal(g) for g in cl.body) if g2 is not None)
-    return Clause(cl.head, body)
+def _erase_all(goals) -> tuple:
+    return tuple([e for e in map(_erase, goals) if e is not None])
+
+
+def erase_clause(cl):
+    """The implicit form of an explicit clause: guards are dropped,
+    ``ImpG(guard, b)`` becomes ``b`` and every ``PiG`` stays.  A wf clause,
+    which defines a guard, erases to None."""
+    if type(cl) is RelClause:
+        return replace(cl, premises=_erase_all(cl.premises), head=_erase(cl.head))
+    return None if type(cl.head) is Guard else Clause(cl.head, _erase_all(cl.body))
 
 
 # -------------------------------------------------------------- eta + names
@@ -184,14 +192,9 @@ def eta_contract(t: Term) -> Term:
 
 
 class _Names:
-    """Fresh-name supply that never collides with user identifiers.
-
-    ``reserved`` (typically ``sig.entries``) is consulted, never copied;
-    names handed out or added go into the supply's own ``taken`` set.
-    """
-
-    _UPPER = "MNOPQRSTUVWXYZABCDEFGHIJKL"
-    _LOWER = "xyzuvw"
+    """Fresh-name supply that never collides with user identifiers:
+    ``reserved`` (typically ``sig.entries``) is consulted, never copied, and
+    names handed out go into the supply's own ``taken`` set."""
 
     def __init__(self, reserved, taken=()):
         self.reserved = reserved
@@ -199,9 +202,6 @@ class _Names:
 
     def __contains__(self, name: str) -> bool:
         return name in self.taken or name in self.reserved
-
-    def add(self, name: str) -> None:
-        self.taken.add(name)
 
     def grab(self, name: str) -> str:
         while name in self:
@@ -222,11 +222,8 @@ class _Names:
         self.taken.add(name)
         return name
 
-    def fresh_upper(self) -> str:
-        return self.pick(self._UPPER)
 
-    def fresh_lower(self) -> str:
-        return self.pick(self._LOWER)
+_UPPER, _LOWER = "MNOPQRSTUVWXYZABCDEFGHIJKL", "xyzuvw"
 
 
 def render_term(t: Term, env: list[str], atom: bool = False, rename=None) -> str:
@@ -277,9 +274,9 @@ def _wf_goal(expr: str, tp, names: _Names):
     so higher-order constructor arguments nest one pi/=> per order.
     """
     if isinstance(tp, AtomApp):
-        return AtomG(f"is_{tp.family}", (_atomize(expr),))
+        return Guard(tp.family, _atomize(expr))
     dom, cod = _strip_fn(tp)
-    x = names.fresh_lower()
+    x = names.pick(_LOWER)
     hyp = _wf_goal(x, dom, names)
     return PiG(x, ImpG(hyp, _wf_goal(f"{expr} {x}", cod, names)))
 
@@ -300,11 +297,9 @@ def gen_wf_predicates(sig: Signature, wf_families) -> list[Clause]:
                 doms.append(parts[0])
                 tp = parts[1]
             names = _Names(sig.entries)
-            arg_names = [names.fresh_upper() for _ in doms]
-            head_term = c.name if not arg_names else f"{c.name} {' '.join(arg_names)}"
-            head = AtomG(f"is_{fam}", (_atomize(head_term),))
-            body = tuple(_wf_goal(n, d, names) for n, d in zip(arg_names, doms))
-            out.append(Clause(head, body))
+            arg_names = [names.pick(_UPPER) for _ in doms]
+            head = Guard(fam, _atomize(" ".join([c.name, *arg_names])))
+            out.append(Clause(head, tuple([_wf_goal(n, d, names) for n, d in zip(arg_names, doms)])))
     return out
 
 
@@ -316,13 +311,14 @@ def translate_rule(sig: Signature, rule: ConstDecl, ann: AnnotationTable) -> Cla
     hereditary-Harrop clause."""
     explicit = rule.name in ann.explicit_rules
     tp = rule.tp
-    clause_vars: list[tuple[str, object]] = []
+    guards: list = []  # of the clause variables, when explicit
     env: list[str] = []
     while isinstance(tp, Pi):
         name = tp.hint
         while name in env:
             name += "'"
-        clause_vars.append((name, tp.dom))
+        if explicit and isinstance(tp.dom, AtomApp) and tp.dom.family in ann.wf_families:
+            guards.append(Guard(tp.dom.family, name))
         env.append(name)
         tp = tp.cod
     premises = []
@@ -336,8 +332,7 @@ def translate_rule(sig: Signature, rule: ConstDecl, ann: AnnotationTable) -> Cla
     names = _Names(sig.entries, env)
 
     def atom_goal(a: AtomApp, env_names) -> AtomG:
-        args = tuple(render_term(eta_contract(x), env_names, True) for x in a.args)
-        return AtomG(a.family, args)
+        return AtomG(a.family, tuple([render_term(eta_contract(x), env_names, True) for x in a.args]))
 
     def goal_of(p, env_names):
         if isinstance(p, Pi):
@@ -347,12 +342,8 @@ def translate_rule(sig: Signature, rule: ConstDecl, ann: AnnotationTable) -> Cla
                 )
             var = names.grab(p.hint or "x")
             body = goal_of(p.cod, env_names + [var])
-            if explicit:
-                if isinstance(p.dom, AtomApp):
-                    if p.dom.family in ann.wf_families:
-                        body = ImpG(AtomG(f"is_{p.dom.family}", (var,)), body)
-                elif families_in_tp(p.dom) <= ann.wf_families:
-                    body = ImpG(_wf_goal(var, p.dom, names), body)
+            if explicit and families_in_tp(p.dom) <= ann.wf_families:
+                body = ImpG(_wf_goal(var, p.dom, names), body)
             return PiG(var, body)
         if isinstance(p, Arrow):
             return ImpG(goal_of(p.dom, env_names), goal_of(p.cod, env_names))
@@ -364,140 +355,153 @@ def translate_rule(sig: Signature, rule: ConstDecl, ann: AnnotationTable) -> Cla
             return atom_goal(p, env_names)
         raise UnsupportedShapeError(f"rule {rule.name!r}: unsupported premise shape")
 
-    body_goals: list = []
-    if explicit:
-        for name, dom in clause_vars:
-            if isinstance(dom, AtomApp) and dom.family in ann.wf_families:
-                body_goals.append(AtomG(f"is_{dom.family}", (name,)))
-    body_goals += [goal_of(p, env) for p in premises]
-    return Clause(atom_goal(tp, env), tuple(body_goals))
+    return Clause(atom_goal(tp, env), tuple(guards + [goal_of(p, env) for p in premises]))
 
 
 # --------------------------------------------------- schemas and relations
 #
 # A schema S is the one-parameter relation with a nil clause and one cons
 # clause per block, each with premise S L: schemas and relations lower to the
-# same clauses, and ``_inductive_text`` prints both in either dialect.
+# same ``Inductive``, which prints both in either dialect.
 
 
-def _block_parts(sig: Signature, owner: str, block, explicit_pos: bool, ann):
-    """(fresh-variable labels, rendered atom strings) of one block."""
-    variables: list[str] = []
-    atoms: list[str] = []
-    labels: list[str] = []
-    for label, tp in block.entries:
-        if is_level0(sig, tp):
-            variables.append(label)
-            if explicit_pos:
-                if not isinstance(tp, AtomApp):
-                    raise UnsupportedShapeError(
-                        f"{owner}: cannot reify well-formedness of the higher-order "
-                        f"block entry {label!r}"
-                    )
-                if tp.family in ann.wf_families:
-                    atoms.append(f"is_{tp.family} {label}")
-        else:
-            if not isinstance(tp, AtomApp):
-                raise UnsupportedShapeError(
-                    f"{owner}: block entry {label!r} must be an atomic judgment"
-                )
-            args = " ".join(render_term(a, labels, True) for a in tp.args)
-            atoms.append(f"{tp.family} {args}" if args else tp.family)
-        labels.append(label)
-    return variables, atoms
-
-
-def _inductive_text(name: str, arity: int, clauses, target: str) -> str:
-    """The ``Define`` (ab) or ``Inductive`` (hy) definition of a relation over
-    ``arity`` context lists from its (clause name, nabla variables, list
-    variables, premises, head) clauses.  ab leaves clause names and list
+@dataclass(frozen=True)
+class Inductive:
+    """A schema or relation over ``arity`` context lists, printed as an ab
+    ``Define`` or a hy ``Inductive``.  ab leaves clause names and list
     variables implicit; hy binds them and guards each nabla variable with
     ``proper``."""
-    if target == "ab":
-        parts = []
-        for _, nabla, _, premises, head in clauses:
-            s = f"nabla {' '.join(nabla)}, {head}" if nabla else head
-            parts.append(s + " := " + " /\\ ".join(premises) if premises else s)
-        tp = " -> ".join(["olist"] * arity)
-        return f"Define {name} : {tp} -> prop by\n  " + ";\n  ".join(parts) + "."
-    lines = [f"Inductive {name} : {' -> '.join(['list atm'] * arity)} -> Prop :="]
-    for k, (cname, nabla, lists, premises, head) in enumerate(clauses, 1):
-        end = "." if k == len(clauses) else ""
-        if not lists and not nabla:
-            lines.append(f"| {cname} : {head}{end}")
-            continue
-        binders = [f"({v}:list atm)" for v in lists] + [f"({v}:uexp)" for v in nabla]
-        chain = [f"proper {v}" for v in nabla] + premises + [head]
-        lines.append(f"| {cname} : forall {' '.join(binders)},")
-        lines.append(f"    {' -> '.join(chain)}{end}")
-    return "\n".join(lines)
+
+    name: str
+    arity: int
+    target: str
+    clauses: tuple[RelClause, ...]
+
+    def render(self) -> str:
+        if self.target == "ab":
+            parts = []
+            for c in self.clauses:
+                s = c.head.render()
+                if c.nabla:
+                    s = f"nabla {' '.join(c.nabla)}, {s}"
+                if c.premises:
+                    s += " := " + " /\\ ".join([p.render() for p in c.premises])
+                parts.append(s)
+            tp = " -> ".join(["olist"] * self.arity)
+            return f"Define {self.name} : {tp} -> prop by\n  " + ";\n  ".join(parts) + "."
+        lines = [f"Inductive {self.name} : {' -> '.join(['list atm'] * self.arity)} -> Prop :="]
+        for c in self.clauses:
+            binders = [f"({v}:list atm)" for v in c.lists] + [f"({v}:uexp)" for v in c.nabla]
+            chain = [f"proper {v}" for v in c.nabla] + [p.render() for p in (*c.premises, c.head)]
+            chain = " -> ".join(chain)
+            if binders:
+                lines.append(f"| {c.name} : forall {' '.join(binders)},\n    {chain}")
+            else:
+                lines.append(f"| {c.name} : {chain}")
+        return "\n".join(lines) + "."
+
+
+def _block_parts(sig: Signature, owner: str, blocks, wf, names, nabla) -> tuple:
+    """Guard and atom goals of the (label, block) pairs of one context, with
+    the guards of the families in ``wf`` (None: implicit).  A level-0 entry
+    is a nabla variable: ``nabla`` maps (block label, entry label) to it,
+    named from ``names`` when first seen."""
+    goals: list = []
+    for key, block in blocks:
+        env: list[str] = []
+        for label, tp in block.entries:
+            if is_level0(sig, tp):
+                var = nabla.get((key, label))
+                if var is None:
+                    var = nabla[key, label] = names.grab(label)
+                if wf is not None:
+                    if not isinstance(tp, AtomApp):
+                        raise UnsupportedShapeError(
+                            f"{owner}: cannot reify well-formedness of the higher-order "
+                            f"block entry {label!r}"
+                        )
+                    if tp.family in wf:
+                        goals.append(Guard(tp.family, var))
+            else:
+                if not isinstance(tp, AtomApp):
+                    raise UnsupportedShapeError(
+                        f"{owner}: block entry {label!r} must be an atomic judgment"
+                    )
+                var = label
+                goals.append(AtomG(tp.family, tuple([render_term(a, env, True) for a in tp.args])))
+            env.append(var)
+    return tuple(goals)
 
 
 _AB_LISTS = tuple(f"{c}s" for c in "ABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
-def translate_schema(sig: Signature, s: Schema, target: str, ann: AnnotationTable) -> str:
-    explicit = s.name in ann.explicit_schemas
-    rendered = []
+def translate_schema(sig: Signature, s: Schema, target: str, ann: AnnotationTable) -> Inductive:
+    wf = ann.wf_families if s.name in ann.explicit_schemas else None
+    lowered = []  # (nabla variables, goals) of each block
     for block in s.alternatives:
-        variables, atoms = _block_parts(sig, f"schema {s.name!r}", block, explicit, ann)
-        if not atoms:
+        nabla: dict = {}
+        names = _Names(sig.entries, [s.name])
+        goals = _block_parts(sig, f"schema {s.name!r}", [(None, block)], wf, names, nabla)
+        if not goals:
             raise EmptyRenderingError(
                 f"schema {s.name!r}: implicit translation erases the whole block; "
                 f"mark the schema explicit (%% explicit [{target}] in {s.name})"
             )
-        rendered.append((variables, atoms))
-    names = _Names(sig.entries, [s.name, *(v for variables, _ in rendered for v in variables)])
+        lowered.append((tuple(nabla.values()), goals))
+    names = _Names(sig.entries, [s.name, *(v for variables, _ in lowered for v in variables)])
     lv = names.pick(_AB_LISTS if target == "ab" else ("Gamma",))
     sfx = s.name.removesuffix("G") or s.name  # hy clause names: xG has nil_x, cns_x
-    clauses = [(f"nil_{sfx}", (), (), (), f"{s.name} nil")]
-    for i, (variables, atoms) in enumerate(rendered, 1):
-        cname = f"cns_{sfx}" if len(rendered) == 1 else f"cns_{sfx}{i}"
-        head = f"{s.name} ({' :: '.join(atoms)} :: {lv})"
-        clauses.append((cname, variables, (lv,), [f"{s.name} {lv}"], head))
-    return _inductive_text(s.name, 1, clauses, target)
+    clauses = [RelClause(f"nil_{sfx}", (), (), (), AtomG(s.name, ("nil",)))]
+    for i, (variables, goals) in enumerate(lowered, 1):
+        cname = f"cns_{sfx}" if len(lowered) == 1 else f"cns_{sfx}{i}"
+        head = AtomG(s.name, (Cons(goals, lv),))
+        clauses.append(RelClause(cname, variables, (lv,), (AtomG(s.name, (lv,)),), head))
+    return Inductive(s.name, 1, target, tuple(clauses))
 
 
-def translate_relation(sig: Signature, d: InductiveDef, target: str, ann: AnnotationTable) -> str:
-    """Each clause writes its context variable ``g`` as the list variable
-    ``G`` (numbered on a clash), naming the relation's parameters first, then
-    the premises' other context variables, from one supply that also holds
-    the signature, the relation and the clause's nabla variables."""
+def translate_relation(
+    sig: Signature, d: InductiveDef, target: str, ann: AnnotationTable
+) -> Inductive:
+    """Each clause has one nabla variable per level-0 entry of each block
+    label, and writes its context variable ``g`` as the list variable ``G``
+    (numbered on a clash), naming the relation's parameters first, then the
+    premises' other context variables.  All come from one supply per clause
+    that also holds the signature and the relation's name; every list
+    variable the clause uses is bound."""
     explicit_vars = ann.explicit_relation_params.get(d.name, frozenset())
     params = [v for v, _ in d.params]
+    owner = f"relation {d.name!r}"
     clauses = []
     for cname, prp in d.clauses:
         premises, head = _clause_parts(prp)
-        nabla: list[str] = []
-        args = []  # (context variable or None, atoms) of each head argument
+        names = _Names(sig.entries, [d.name])
+        nabla: dict = {}
+        args = []  # (context variable or None, goals) of each head argument
         for var, arg in zip(params, head.ctxs):
-            atoms: list[str] = []
             blocks = ctx_blocks(arg)
-            for _, block in blocks:
-                variables, batoms = _block_parts(
-                    sig, f"relation {d.name!r}", block, var in explicit_vars, ann
-                )
-                nabla += [v for v in variables if v not in nabla]
-                atoms += batoms
-            if blocks and not atoms:
+            wf = ann.wf_families if var in explicit_vars else None
+            goals = _block_parts(sig, owner, blocks, wf, names, nabla)
+            if blocks and not goals:
                 raise EmptyRenderingError(
                     f"relation {d.name!r}: context parameter {var!r} erases to "
                     f"nothing; mark it explicit (%% explicit [{target}] in [{var}])"
                 )
-            args.append((ctx_head_var(arg), atoms))
-        names = _Names(sig.entries, [d.name, *nabla])
+            args.append((ctx_head_var(arg), goals))
         lists: dict[str, str] = {}
         for v in params + [a.name for p in premises for a in p.ctxs]:
             if v not in lists:
                 lists[v] = names.pick((v[0].upper() + v[1:],))
         heads = []
-        for v, atoms in args:
+        for v, goals in args:
             tail = "nil" if v is None else lists[v]
-            heads.append(f"({' :: '.join(atoms)} :: {tail})" if atoms else tail)
-        bound = list(dict.fromkeys(lists[v] for v, _ in args if v is not None))
-        body = [f"{p.name} {' '.join(lists[a.name] for a in p.ctxs)}" for p in premises]
-        clauses.append((cname, nabla, bound, body, f"{d.name} {' '.join(heads)}"))
-    return _inductive_text(d.name, len(params), clauses, target)
+            heads.append(Cons(goals, tail) if goals else tail)
+        body = tuple([AtomG(p.name, tuple([lists[a.name] for a in p.ctxs])) for p in premises])
+        used = {v for v, _ in args} | {a.name for p in premises for a in p.ctxs}
+        bound = tuple([name for v, name in lists.items() if v in used])
+        head_atom = AtomG(d.name, tuple(heads))
+        clauses.append(RelClause(cname, tuple(nabla.values()), bound, body, head_atom))
+    return Inductive(d.name, len(params), target, tuple(clauses))
 
 
 # ---------------------------------------------------------------- theorems
@@ -544,16 +548,6 @@ def _pick_ctx(t: Theorem, var: str, scope: list[str], warnings: list) -> str:
             )
         )
     return scope[0]
-
-
-def _atomic_family(t: Theorem, var: str, tp) -> str:
-    if not isinstance(tp, AtomApp) or tp.args:
-        raise UnsupportedShapeError(
-            f"theorem {t.name!r}: explicit variable {var!r} must have an atomic "
-            "level-0 type",
-            t.loc,
-        )
-    return tp.family
 
 
 _F_IMP, _F_OR, _F_AND, _F_ATOM = 1, 2, 3, 4
@@ -632,11 +626,16 @@ def _forall_block(t: Theorem, p: Prp, scope, rename, warnings, expl, avoid=froze
         if isinstance(body, ForallCtx):
             scope.append(body.var)
             antecedents.append(f"{body.schema} {upper}")
-        else:
-            if body.var in expl:
-                ctx = _pick_ctx(t, body.var, scope, warnings)
-                fam = _atomic_family(t, body.var, body.tp)
-                antecedents.append(f"{{{rename.get(ctx, ctx)} |- is_{fam} {upper}}}")
+        elif body.var in expl:
+            ctx = _pick_ctx(t, body.var, scope, warnings)
+            if not isinstance(body.tp, AtomApp) or body.tp.args:
+                raise UnsupportedShapeError(
+                    f"theorem {t.name!r}: explicit variable {body.var!r} must have an "
+                    "atomic level-0 type",
+                    t.loc,
+                )
+            guard = Guard(body.tp.family, upper).render()
+            antecedents.append(f"{{{rename.get(ctx, ctx)} |- {guard}}}")
         body = body.body
     if isinstance(body, ExistsTm):
         inner = _exists_block(t, body, scope, rename, warnings, expl, avoid)
@@ -706,10 +705,7 @@ class TargetDoc:
         return "\n\n".join(b.text for b in self.blocks) + "\n"
 
     def block(self, tag: str) -> str:
-        for b in self.blocks:
-            if b.tag == tag:
-                return b.text
-        raise KeyError(tag)
+        return next(b.text for b in self.blocks if b.tag == tag)
 
 
 def _comment_out(text: str) -> str:
@@ -739,9 +735,9 @@ def translate_spec(checked, target: str) -> TargetDoc:
                 item = entry.decl
                 blocks.append(DocBlock(item.name, translate_rule(sig, item, ann).render()))
             for item in spec.schemas:
-                blocks.append(DocBlock(item.name, translate_schema(sig, item, target, ann)))
+                blocks.append(DocBlock(item.name, translate_schema(sig, item, target, ann).render()))
             for item in spec.definitions:
-                blocks.append(DocBlock(item.name, translate_relation(sig, item, target, ann)))
+                blocks.append(DocBlock(item.name, translate_relation(sig, item, target, ann).render()))
         except OrbiError as e:
             if e.loc.line == 0:
                 e.loc = item.loc

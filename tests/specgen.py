@@ -324,3 +324,92 @@ def gen_tm_term(rng: random.Random, d: int, envd: int = 0):
     if envd:
         return Var(rng.randrange(envd))
     return App(lam_c, Lam("x", Var(0)))
+
+
+# ------------------------- random schemas and relations under directives
+
+_CTX_HEADER = """%% Syntax
+tm: type.
+tp: type.
+c: tm.
+app: tm -> tm -> tm.
+lam: (tm -> tm) -> tm.
+o: tp.
+
+%% Judgments
+aeq: tm -> tm -> type.
+oft: tm -> tp -> type.
+is_val: tm -> type.
+"""
+
+# rules with premise binders (one vacuous), a higher-order premise variable
+# and a user judgment whose name starts like a guard's
+_CTX_RULES = (
+    "ae_l: ({x:tm} aeq x x -> aeq (M x) (N x)) -> aeq (lam (\\x. M x)) (lam (\\x. N x)).",
+    "ae_v: ({x:tm} aeq c c) -> aeq c c.",
+    "ae_i: is_val M -> aeq M M.",
+    "ae_f: ({f:tm -> tm} aeq (f c) (f c)) -> aeq c c.",
+    "of_a: oft M A -> oft N A -> oft (app M N) A.",
+)
+
+# block bodies over entry labels x (tm) and a (tp)
+_CTX_BLOCKS = (
+    "{x}:tm",
+    "{x}:tm, u:aeq {x} {x}",
+    "{x}:tm, u:is_val {x}",
+    "{x}:tm, {a}:tp, u:oft {x} {a}",
+    "{a}:tp, {x}:tm, u:oft {x} {a}, v:aeq {x} {x}",
+)
+
+
+def gen_ctx_source(rng: random.Random) -> str:
+    """A spec with 1-3 schemas and 1-3 context relations over them, a few
+    rules, and random ``wf``/``explicit``/``implicit`` directives for ab and
+    hy.  Relation clauses mix nil clauses, clauses whose heads have no
+    blocks, premise-only context variables, and blocks whose labels are
+    shared between the two contexts or distinct within one; it always
+    checks."""
+
+    def block(body):
+        x, a = rng.choice("xyz"), rng.choice("ab")
+        return f"block ({body.format(x=x, a=a)})"
+
+    schemas = {}
+    for i in range(rng.randint(1, 3)):
+        # the bare block erases to nothing unless explicit: keep it rare
+        alts = rng.sample(_CTX_BLOCKS[1:], rng.randint(1, 2))
+        schemas[f"s{i}G"] = alts + [_CTX_BLOCKS[0]] * (rng.random() < 0.15)
+    rules = [r for r in _CTX_RULES if rng.random() < 0.6]
+    lines = [_CTX_HEADER, "%% Rules", *rules, "", "%% Schemas"]
+    lines += [f"schema {s} = " + " + ".join(map(block, alts)) + ";" for s, alts in schemas.items()]
+    lines += ["", "%% Definitions"]
+    dests = ["tm", "tp", *schemas, "[g]", *(r.split(":")[0] for r in rules)]
+    for i in range(rng.randint(1, 3)):
+        name = f"R{i}"
+        ps = [(v, rng.choice(list(schemas))) for v in ("g", "h")[: rng.randint(1, 2)]]
+        if len(ps) == 2 and "[h]" not in dests:
+            dests.append("[h]")
+        lines.append(f"inductive {name} : {' '.join(f'{{{v}:{s}}}' for v, s in ps)} prop =")
+        clauses = [f"{name}_nl: {name}{' []' * len(ps)}"]
+        for k in range(rng.randint(1, 3)):
+            heads = []
+            for v, s in ps:
+                r = rng.random()
+                if r < 0.2:
+                    heads.append("[]")
+                elif r < 0.35:
+                    heads.append(f"[{v}]")
+                else:
+                    labels = rng.sample(("b", "b1", "b2"), rng.randint(1, 2))
+                    blocks = [f"{b}:{block(rng.choice(schemas[s]))}" for b in labels]
+                    heads.append(f"[{', '.join([v, *blocks])}]")
+            premise = f"{name} {' '.join(f'[{v}]' for v, _ in ps)}"
+            clauses.append(f"{name}_c{k}: {premise} -> {name} {' '.join(heads)}")
+        lines += [f"| {c}" for c in clauses]
+        lines[-1] += ";"
+    lines += ["", "%% Directives"]
+    for dest in rng.sample(dests, rng.randint(0, len(dests))):
+        what = "wf" if dest in ("tm", "tp") else rng.choice(("explicit", "explicit", "implicit"))
+        systems = rng.choice(("ab", "hy", "hy,ab"))
+        lines.append(f"%% {what} [{systems}] in {dest}")
+    return "\n".join(lines) + "\n"

@@ -97,6 +97,20 @@ def test_translation_error_located_at_its_declaration(body, decl, code, tmp_path
     assert (error["line"], error["col"]) == (line, 1)
 
 
+def test_conflict_located_at_the_directive_completing_it(tmp_path, capsys):
+    p = tmp_path / "conf.orbi"
+    text = _SHAPES_SIG + (
+        "%% Rules\nr: j c -> k c.\n\n%% Directives\n"
+        "%% explicit [ab] in r\n%% wf [ab] in tm\n%% implicit [hy,ab] in r\n%% implicit [ab] in r\n"
+    )
+    p.write_text(text, encoding="utf-8")
+    assert run(["check", str(p)]) == 1
+    line = text.splitlines().index("%% implicit [hy,ab] in r") + 1
+    assert capsys.readouterr().err == (
+        f"{p}:{line}:1: [E-CONFLICT] rule r is marked both explicit and implicit for 'ab'\n"
+    )
+
+
 def test_lint_warnings_and_werror(tmp_path, capsys):
     p = tmp_path / "warn.orbi"
     p.write_text("%% Syntax\ntm: type.\nk: {x:tm} tm.\n", encoding="utf-8")

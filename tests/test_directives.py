@@ -5,6 +5,7 @@ from orbi_forge.directives import resolve
 from orbi_forge.errors import (
     AmbiguousDestError,
     ConflictingDirectivesError,
+    DuplicateNameError,
     LevelError,
     UnknownDestError,
 )
@@ -93,6 +94,26 @@ def test_wf_dest_must_be_level0():
         check_all(src)
     assert exc.value.message == "wf predicate requested for non-level-0 family 'j'"
     assert exc.value.loc.line == src.splitlines().index("%% wf [ab] in j") + 1
+
+
+@pytest.mark.parametrize(
+    "judgments, schemas",
+    [
+        pytest.param("is_tm: tm -> type.", "", id="judgment"),
+        pytest.param("j: tm -> type.", "schema is_tm = block (x:tm, u:j x);", id="schema"),
+    ],
+)
+def test_wf_predicate_name_must_be_free(judgments, schemas):
+    src = make_spec(
+        syntax="tm: type.\nc: tm.",
+        judgments=judgments,
+        schemas=schemas,
+        directives="%% wf [ab] in tm",
+    )
+    with pytest.raises(DuplicateNameError) as exc:
+        check_all(src)
+    assert exc.value.message == "wf predicate 'is_tm' of family 'tm' clashes with a declared name"
+    assert exc.value.loc.line == src.splitlines().index("%% wf [ab] in tm") + 1
 
 
 def test_ambiguous_dest():

@@ -1,5 +1,7 @@
 import dataclasses
+import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -13,7 +15,6 @@ from orbi_forge.errors import (
 )
 from orbi_forge.parser import parse_term_str
 from orbi_forge.translate import (
-    clause_is_hereditary_harrop,
     erase_clause,
     eta_contract,
     gen_wf_predicates,
@@ -23,6 +24,7 @@ from orbi_forge.translate import (
     translate_spec,
     translate_theorem,
 )
+from specgen import gen_ctx_source
 
 
 def _ann(target="ab", wf=("tm",), rules=(), schemas=(), rels=None, thms=None):
@@ -92,15 +94,6 @@ def test_rule_goldens_from_doc(ab_doc):
     assert ab_doc.block("de_r") + "\n" == golden("de_r.ab.golden")
 
 
-def test_rule_clauses_are_hereditary_harrop(checked):
-    ann = _ann(rules=[e.decl.name for e in checked.sig.rules()])
-    for entry in checked.sig.rules():
-        cl = translate_rule(checked.sig, entry.decl, ann)
-        assert clause_is_hereditary_harrop(cl)
-    for cl in gen_wf_predicates(checked.sig, {"tm"}):
-        assert clause_is_hereditary_harrop(cl)
-
-
 def test_erasure_on_corpus_rules(checked):
     explicit = _ann(rules=[e.decl.name for e in checked.sig.rules()])
     implicit = _ann()
@@ -142,14 +135,14 @@ def test_schema_multi_alternative():
         schemas="schema xaG = block (x:tm, u:aeq x x) + block (a:tp, v:atp a a);",
     )
     checked = check_all(src)
-    out = translate_schema(checked.sig, checked.schemas["xaG"], "ab", _ann())
+    out = translate_schema(checked.sig, checked.schemas["xaG"], "ab", _ann()).render()
     assert out == (
         "Define xaG : olist -> prop by\n"
         "  xaG nil;\n"
         "  nabla x, xaG (aeq x x :: As) := xaG As;\n"
         "  nabla a, xaG (atp a a :: As) := xaG As."
     )
-    hy = translate_schema(checked.sig, checked.schemas["xaG"], "hy", _ann(target="hy"))
+    hy = translate_schema(checked.sig, checked.schemas["xaG"], "hy", _ann(target="hy")).render()
     assert "| cns_xa1 : " in hy and "| cns_xa2 : " in hy
 
 
@@ -160,7 +153,7 @@ def test_list_variable_avoids_user_names():
         schemas="schema sG = block (x:tm, u:j x);",
     )
     checked = check_all(src)
-    out = translate_schema(checked.sig, checked.schemas["sG"], "ab", _ann())
+    out = translate_schema(checked.sig, checked.schemas["sG"], "ab", _ann()).render()
     assert ":: Bs) := sG Bs" in out
 
 
@@ -217,7 +210,7 @@ _CAPTURE_SIG = dict(
 @pytest.mark.parametrize("target", ["ab", "hy"])
 def test_relation_list_variables_do_not_capture(definition, target):
     checked = check_all(make_spec(definitions=definition, **_CAPTURE_SIG))
-    text = translate_relation(checked.sig, checked.relations["R"], target, _ann(target, wf=()))
+    text = translate_relation(checked.sig, checked.relations["R"], target, _ann(target, wf=())).render()
     if target == "ab":
         nabla, lists = re.search(r"nabla ([^,]+), .* := R (.*)\.$", text).groups()
     else:
@@ -229,40 +222,140 @@ def test_relation_list_variables_do_not_capture(definition, target):
     assert not set(lists.split()) & set(nabla.split()), text
 
 
-_IS_ATOM = re.compile(r"is_\w+ [\w']+ :: ")
+def _relation_text(clause, target):
+    definition = f"inductive R : {{g:xG}}{{h:xG}} prop =\n| R_nl: R [] []\n| {clause};"
+    checked = check_all(make_spec(definitions=definition, **_CAPTURE_SIG))
+    rel = translate_relation(checked.sig, checked.relations["R"], target, _ann(target, wf=()))
+    return rel.render().split("\n", 2)[2]  # the clause after R_nl
+
+
+@pytest.mark.parametrize(
+    "clause, hy",
+    [
+        pytest.param(
+            "R_x: R [g] [h] -> R [] []",
+            "| R_x : forall (G:list atm) (H:list atm),\n    R G H -> R nil nil.",
+            id="no-head-variable-keeps-premises",
+        ),
+        pytest.param(
+            "R_y: R [g] [h] -> R [g, b:block (x:tm, u:aeq x x)] []",
+            "| R_y : forall (G:list atm) (H:list atm) (x:uexp),\n"
+            "    proper x -> R G H -> R (aeq x x :: G) nil.",
+            id="premise-only-list-variable-bound",
+        ),
+    ],
+)
+def test_hybrid_relation_clause_binds_and_keeps_premises(clause, hy):
+    assert _relation_text(clause, "hy") == hy
+
+
+@pytest.mark.parametrize(
+    "clause, ab, hy",
+    [
+        pytest.param(
+            "R_z: R [g] [h] -> R [g, b1:block (x:tm, u:aeq x x)] [h, b2:block (x:tm, u:aeq x x)]",
+            "  nabla x x', R (aeq x x :: G) (aeq x' x' :: H) := R G H.",
+            "| R_z : forall (G:list atm) (H:list atm) (x:uexp) (x':uexp),\n"
+            "    proper x -> proper x' -> R G H -> R (aeq x x :: G) (aeq x' x' :: H).",
+            id="two-contexts",
+        ),
+        pytest.param(
+            "R_w: R [g] [h] -> R [g, b1:block (x:tm, u:aeq x x), b2:block (x:tm, u:aeq x x)] [h]",
+            "  nabla x x', R (aeq x x :: aeq x' x' :: G) H := R G H.",
+            "| R_w : forall (G:list atm) (H:list atm) (x:uexp) (x':uexp),\n"
+            "    proper x -> proper x' -> R G H -> R (aeq x x :: aeq x' x' :: G) H.",
+            id="one-context",
+        ),
+        pytest.param(
+            "R_s: R [g] [h] -> R [g, b:block (x:tm, u:aeq x x)] [h, b:block (x:tm, u:aeq x x)]",
+            "  nabla x, R (aeq x x :: G) (aeq x x :: H) := R G H.",
+            "| R_s : forall (G:list atm) (H:list atm) (x:uexp),\n"
+            "    proper x -> R G H -> R (aeq x x :: G) (aeq x x :: H).",
+            id="shared-label-shares",
+        ),
+    ],
+)
+def test_nabla_variables_are_keyed_by_block_label(clause, ab, hy):
+    assert _relation_text(clause, "ab") == ab
+    assert _relation_text(clause, "hy") == hy
+
+
+def _erasure_holds(checked, target) -> Counter:
+    """Erasing the explicit translation of every rule, wf clause, schema and
+    relation gives its implicit translation, wherever that one is not
+    E-EMPTY; the number of items of each kind whose two translations differ."""
+    sig = checked.sig
+    ann = resolve(checked, target)
+    bare = dataclasses.replace(
+        ann, explicit_rules=frozenset(), explicit_schemas=frozenset(), explicit_relation_params={}
+    )
+    for cl in gen_wf_predicates(sig, ann.wf_families):
+        assert erase_clause(cl) is None, cl
+    changed = Counter()
+    for entry in sig.rules():
+        full = translate_rule(sig, entry.decl, ann)
+        implicit = translate_rule(sig, entry.decl, bare)
+        assert erase_clause(full) == implicit, (target, entry.decl.name)
+        changed["rule"] += full != implicit
+    items = [("schema", translate_schema, x) for x in checked.spec.schemas]
+    items += [("relation", translate_relation, x) for x in checked.spec.definitions]
+    for kind, translate, item in items:
+        try:
+            implicit = translate(sig, item, target, bare)
+        except EmptyRenderingError:
+            continue
+        full = translate(sig, item, target, ann)
+        assert tuple(map(erase_clause, full.clauses)) == implicit.clauses, (target, item.name)
+        changed[kind] += full != implicit
+    return changed
 
 
 def test_erasure_on_schemas_and_relations(corpus_text):
-    """With every subset of eq.orbi's explicit directives turned implicit, a
-    schema or relation translation without its is_* atoms is the implicit
-    translation, wherever that one is not E-EMPTY."""
+    """Structural erasure, rules included, with every subset of eq.orbi's
+    explicit directives turned implicit."""
     lines = corpus_text.splitlines()
     marks = [i for i, line in enumerate(lines) if line.startswith("%% explicit")]
-    erased = 0
+    changed = Counter()
     for mask in range(1 << len(marks)):
         variant = list(lines)
         for bit, i in enumerate(marks):
             if mask >> bit & 1:
                 variant[i] = variant[i].replace("explicit", "implicit")
         checked = check_all("\n".join(variant))
-        items = [(translate_schema, s) for s in checked.spec.schemas]
-        items += [(translate_relation, d) for d in checked.spec.definitions]
         for target in ("ab", "hy"):
-            ann = resolve(checked, target)
-            bare = dataclasses.replace(
-                ann, explicit_schemas=frozenset(), explicit_relation_params={}
-            )
-            for translate, item in items:
-                try:
-                    implicit = translate(checked.sig, item, target, bare)
-                except EmptyRenderingError:
-                    continue
-                explicit = translate(checked.sig, item, target, ann)
-                assert _IS_ATOM.sub("", explicit) == implicit, (mask, target, item.name)
-                erased += explicit != implicit
-    # daG under hy and Rda under ab and hy, in the 32 variants that keep each
-    # mark; xG and Rxa erase to nothing when implicit
-    assert erased == 96
+            changed += _erasure_holds(checked, target)
+    # de_l and de_r under ab and hy, daG under hy and Rda under ab and hy, each
+    # in the 32 variants that keep its mark; xG and Rxa erase to nothing when
+    # implicit
+    assert changed == {"rule": 128, "schema": 32, "relation": 64}
+
+
+def test_erasure_on_generated_schemas_and_relations():
+    changed = Counter()
+    for seed in range(60):
+        checked = check_all(gen_ctx_source(random.Random(seed)))
+        for target in ("ab", "hy"):
+            changed += _erasure_holds(checked, target)
+    assert min(changed[kind] for kind in ("rule", "schema", "relation")) >= 20, changed
+
+
+def test_erasure_keeps_vacuous_binders_and_user_judgments():
+    checked = check_all(
+        make_spec(
+            syntax="tm: type.\nc: tm.",
+            judgments="j: tm -> type.\nis_j: tm -> type.",
+            rules="r: ({x:tm} j c) -> j c.\ns: is_j c -> j c.",
+        )
+    )
+    r, s = (e.decl for e in checked.sig.rules())
+    explicit = _ann(rules=("r", "s"))
+    assert translate_rule(checked.sig, r, explicit).render() == "j c :- pi x\\ is_tm x => j c."
+    assert erase_clause(translate_rule(checked.sig, r, explicit)).render() == "j c :- pi x\\ j c."
+    assert erase_clause(translate_rule(checked.sig, s, explicit)).render() == "j c :- is_j c."
+    for rule in (r, s):
+        assert erase_clause(translate_rule(checked.sig, rule, explicit)) == translate_rule(
+            checked.sig, rule, _ann()
+        )
 
 
 # ---------------------------------------------------------------- theorems
