@@ -1,7 +1,5 @@
 """orbi-forge: parse, validate, lint, and translate ORBI specifications."""
 
-from importlib import resources
-
 from orbi_forge.contexts import CheckedSpec, check_spec
 from orbi_forge.errors import Diagnostic, OrbiError
 from orbi_forge.lf import Signature, check_signature, infer_type, normalize, reconstruct_implicits
@@ -39,8 +37,12 @@ __all__ = [
 
 def corpus_source(name: str = "eq.orbi") -> str:
     """Text of a bundled corpus specification."""
+    from importlib import resources  # here, so that importing the CLI does not load it
+
     return resources.files("orbi_forge").joinpath(f"corpus/{name}").read_text(encoding="utf-8")
 
 
 def corpus_path(name: str = "eq.orbi") -> str:
+    from importlib import resources
+
     return str(resources.files("orbi_forge").joinpath(f"corpus/{name}"))

@@ -6,8 +6,6 @@ to a judgment-in-context, so its terms are never typed against the context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from orbi_forge.errors import (
     ArityError,
     Diagnostic,
@@ -47,6 +45,7 @@ from orbi_forge.syntax import (
     Or,
     OrbiSpec,
     Prp,
+    Record,
     RelApp,
     SYSTEMS,
     Schema,
@@ -199,6 +198,14 @@ def check_inductive_def(
                 d.loc,
             )
         for (_, schema_name), arg in zip(d.params, head.ctxs):
+            labels = set()
+            for label, _ in ctx_blocks(arg):
+                if label in labels:
+                    raise DuplicateNameError(
+                        f"block label {label!r} used twice in one context of clause {cname!r}",
+                        d.loc,
+                    )
+                labels.add(label)
             try:
                 check_ctx_pattern(sig, schemas, schema_name, arg, ctx_vars)
             except OrbiError as e:
@@ -324,13 +331,8 @@ def scope_check_theorem(
 # ------------------------------------------------------------ the pipeline
 
 
-@dataclass(frozen=True)
-class CheckedSpec:
-    spec: OrbiSpec
-    sig: Signature
-    schemas: SchemaTable
-    relations: RelationTable
-    theorems: tuple[Theorem, ...]
+class CheckedSpec(Record):
+    __slots__ = ("spec", "sig", "schemas", "relations", "theorems")
 
 
 def check_spec(spec: OrbiSpec) -> CheckedSpec:

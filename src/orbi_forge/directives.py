@@ -11,7 +11,7 @@ predicates, everything implicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from orbi_forge.errors import (
     AmbiguousDestError,
@@ -20,17 +20,19 @@ from orbi_forge.errors import (
     LevelError,
     UnknownDestError,
 )
-from orbi_forge.syntax import ExistsTm, ForallCtx, ForallTm
+from orbi_forge.syntax import ExistsTm, ForallCtx, ForallTm, Record
 
 
-@dataclass(frozen=True)
-class AnnotationTable:
-    target: str
-    wf_families: frozenset = frozenset()
-    explicit_rules: frozenset = frozenset()
-    explicit_schemas: frozenset = frozenset()
-    explicit_relation_params: dict = field(default_factory=dict)
-    explicit_theorem_vars: dict = field(default_factory=dict)
+class AnnotationTable(Record):
+    __slots__ = (
+        "target",
+        "wf_families",
+        "explicit_rules",
+        "explicit_schemas",
+        "explicit_relation_params",  # relation -> explicit parameters
+        "explicit_theorem_vars",  # theorem -> explicit variables
+    )
+    _defaults = (frozenset(),) * 3 + (MappingProxyType({}),) * 2
 
 
 def wf_name(family: str) -> str:

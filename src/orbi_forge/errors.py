@@ -6,19 +6,12 @@ assert on the class of rejection rather than on message text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from orbi_forge.syntax import Loc, NO_LOC
+from orbi_forge.syntax import Loc, NO_LOC, Record
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    code: str
-    message: str
-    loc: Loc = NO_LOC
-    severity: str = "error"
-    hint: str = ""
-    production: str = ""
+class Diagnostic(Record):
+    __slots__ = ("code", "message", "loc", "severity", "hint", "production")
+    _defaults = (NO_LOC, "error", "", "")
 
     def render(self, path: str = "") -> str:
         prefix = f"{path}:" if path else ""

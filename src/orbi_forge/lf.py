@@ -16,8 +16,6 @@ the signature or the context are therefore compared with ``==`` as they are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from orbi_forge.errors import (
     DuplicateNameError,
     KindError,
@@ -40,6 +38,7 @@ from orbi_forge.syntax import (
     Lam,
     OrbiSpec,
     Pi,
+    Record,
     Term,
     Tp,
     TYPE_ATOM,
@@ -54,12 +53,10 @@ from orbi_forge.syntax import (
 )
 
 
-@dataclass(frozen=True)
-class SigEntry:
-    decl: object
-    level: int | None
-    section: str
-    implicit: tuple[str, ...] = ()  # reconstructed prefix, first-occurrence order
+class SigEntry(Record):
+    # implicit: the reconstructed prefix, in first-occurrence order
+    __slots__ = ("decl", "level", "section", "implicit")
+    _defaults = ((),)
 
 
 class Signature:
@@ -113,11 +110,11 @@ class Signature:
         return tuple(self._constructors.get(fam, ()))
 
 
-@dataclass(frozen=True)
-class TypingCtx:
+class TypingCtx(Record):
     """Dependency-ordered hypotheses; Var(0) is the last entry."""
 
-    entries: tuple[tuple[str, Tp], ...] = ()
+    __slots__ = ("entries",)
+    _defaults = ((),)
 
 
 def target_family(tp: Tp) -> str:
@@ -334,6 +331,9 @@ def _schematic(sig: Signature, ctx: list[Tp], t: Term, exp: Tp, holes: _Holes) -
     cand = exp
     for i in reversed(idxs):
         cand = Arrow(shift(ctx[-1 - i], i + 1), cand)
+    prev = holes.get(name)
+    if prev is not None and prev == cand:
+        return  # closedness and level are alpha-invariant: checked at the first occurrence
     if any(type(x) is int for x in free(cand)):
         raise ReconstructionError(
             f"cannot infer a closed outermost type for schematic variable {name!r}"
@@ -343,10 +343,9 @@ def _schematic(sig: Signature, ctx: list[Tp], t: Term, exp: Tp, holes: _Holes) -
             f"schematic variable {name!r} infers to the non-level-0 type "
             f"{tp_str(cand, [])!r}"
         )
-    prev = holes.get(name)
     if prev is None:
         holes[name] = cand
-    elif prev != cand:
+    else:
         raise ReconstructionError(
             f"schematic variable {name!r} used at incompatible types "
             f"{tp_str(prev, [])!r} and {tp_str(cand, [])!r}"

@@ -1,31 +1,81 @@
 """Core abstract syntax shared by every stage of the toolchain.
 
-Bound variables are nameless: a ``Var`` carries the number of binders between
-its occurrence and the binder that introduced it.  Surface names survive only
-as printing hints on the binders themselves, so capture-avoiding substitution
-is plain structural recursion and ``==`` is alpha-equivalence: the ``hint`` of
-``Lam``/``Pi``/``KPi``, ``Block`` entry labels and every ``loc`` are left out of
-equality and hashing.  Names that a reader can refer to are compared:
-``Snoc`` labels, the variables of ``ForallCtx``/``ForallTm``/``ExistsTm``,
-``InductiveDef`` clause names and every ``Directive`` field.  ``free`` is the
-one walker asking which indices and names occur, and ``rebuild`` the one
-rewriting map (``shift``, ``subst``, ``lf._close``, ``translate.eta_contract``
-and ``lf.normalize`` on types and kinds are its instances; on a term,
-``normalize`` stays a normal-order fold).  Nothing here consults a signature.
+Every node is a ``Record``: its class lists its fields in ``__slots__`` and the
+values of its trailing defaulted fields in ``_defaults``, and gets a generated
+``__init__``, ``==`` and ``hash``.  Bound variables are nameless: a ``Var``
+carries the number of binders between its occurrence and the binder that
+introduced it.  Surface names survive only as printing hints on the binders
+themselves, so capture-avoiding substitution is plain structural recursion and
+``==`` is alpha-equivalence.  The fields left out of equality and hashing are
+each class's ``_hidden``: the ``hint`` of ``Lam``/``Pi``/``KPi``, the ``loc`` of
+every declaration, and the raw ``source`` and ``section_spans`` of an
+``OrbiSpec``; ``Block``'s own ``==`` ignores its entry labels.  Names that a
+reader can refer to are compared: ``Snoc`` labels, the variables of
+``ForallCtx``/``ForallTm``/``ExistsTm``, ``InductiveDef`` clause names and
+every ``Directive`` field.  ``free`` is the one walker asking which indices
+and names occur, and ``rebuild`` the one rewriting map (``shift``, ``subst``,
+``lf._close``, ``translate.eta_contract`` and ``lf.normalize`` on types and
+kinds are its instances; on a term, ``normalize`` stays a normal-order fold).
+Nothing here consults a signature.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Union
+
+class Record:
+    """Base of the syntax nodes and of every other plain record.
+
+    A subclass lists its fields in ``__slots__``, the values of its trailing
+    defaulted fields in ``_defaults`` and the fields left out of ``==`` and
+    ``hash`` in ``_hidden``.  As ``collections.namedtuple`` does, one short
+    ``exec`` per class compiles an ``__init__`` taking the fields in order,
+    positionally or by keyword, and, unless the class defines its own, an
+    ``__eq__`` (same class and equal compared fields) with its ``__hash__``.
+    Records are immutable by convention: no code assigns a field after
+    construction, and ``__slots__`` rejects new attributes.
+    """
+
+    __slots__ = ()
+    _defaults: tuple = ()
+    _hidden: tuple = ()
+
+    def __init_subclass__(cls):
+        fields = cls.__slots__
+        n = len(fields) - len(cls._defaults)
+        params = "".join(f", {f}" if i < n else f", {f}=_d[{i - n}]" for i, f in enumerate(fields))
+        body = [f" self.{f} = {f}" for f in fields] or [" pass"]
+        lines = [f"def __init__(self{params}):", *body]
+        if "__eq__" not in cls.__dict__:
+            shown = [f for f in fields if f not in cls._hidden]
+            # field by field rather than as tuples: one rich comparison less
+            # per tree level; ``is`` skips shared subtrees as tuples do
+            same = [f"(self.{f} is other.{f} or self.{f} == other.{f})" for f in shown]
+            lines += [
+                "def __eq__(self, other):",
+                " if other.__class__ is not self.__class__: return NotImplemented",
+                f" return {' and '.join(same) or 'True'}",
+                "def __hash__(self):",
+                f" return hash(({''.join(f'self.{f}, ' for f in shown)}))",
+            ]
+        methods: dict = {}
+        code = compile("\n".join(lines), f"<{cls.__qualname__}>", "exec")
+        exec(code, {"_d": cls._defaults}, methods)
+        for name, fn in methods.items():
+            setattr(cls, name, fn)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed."""
+        return type(self)(**{f: getattr(self, f) for f in self.__slots__} | changes)
 
 
-@dataclass(frozen=True)
-class Loc:
+class Loc(Record):
     """1-based source position."""
 
-    line: int
-    col: int
+    __slots__ = ("line", "col")
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}"
@@ -44,30 +94,25 @@ TYPE_ATOM = "type"
 # ------------------------------------------------------------------ terms
 
 
-class Term:
+class Term(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Var(Term):
-    index: int
+    __slots__ = ("index",)
 
 
-@dataclass(frozen=True)
 class Const(Term):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Lam(Term):
-    hint: str = field(compare=False)
-    body: Term
+    __slots__ = ("hint", "body")
+    _hidden = ("hint",)
 
 
-@dataclass(frozen=True)
 class App(Term):
-    fn: Term
-    arg: Term
+    __slots__ = ("fn", "arg")
 
 
 def spine(t: Term) -> tuple[Term, tuple[Term, ...]]:
@@ -89,79 +134,63 @@ def apply_spine(head: Term, args) -> Term:
 # ------------------------------------------------------------------ types
 
 
-class Tp:
+class Tp(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class AtomApp(Tp):
-    family: str
-    args: tuple[Term, ...] = ()
+    __slots__ = ("family", "args")
+    _defaults = ((),)
 
 
-@dataclass(frozen=True)
 class Arrow(Tp):
-    dom: Tp
-    cod: Tp
+    __slots__ = ("dom", "cod")
 
 
-@dataclass(frozen=True)
 class Pi(Tp):
-    hint: str = field(compare=False)
-    dom: Tp
-    cod: Tp  # scopes one binder
+    __slots__ = ("hint", "dom", "cod")  # cod scopes one binder
+    _hidden = ("hint",)
 
 
 # ------------------------------------------------------------------ kinds
 
 
-class Kind:
+class Kind(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Type(Kind):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class KArrow(Kind):
-    dom: Tp
-    cod: Kind
+    __slots__ = ("dom", "cod")
 
 
-@dataclass(frozen=True)
 class KPi(Kind):
-    hint: str = field(compare=False)
-    dom: Tp
-    cod: Kind  # scopes one binder
+    __slots__ = ("hint", "dom", "cod")  # cod scopes one binder
+    _hidden = ("hint",)
 
 
 # ----------------------------------------------------------- declarations
 
 
-@dataclass(frozen=True)
-class ConstDecl:
-    name: str
-    tp: Tp
-    loc: Loc = field(default=NO_LOC, compare=False)
+class ConstDecl(Record):
+    __slots__ = ("name", "tp", "loc")
+    _defaults = (NO_LOC,)
+    _hidden = ("loc",)
 
 
-@dataclass(frozen=True)
-class FamDecl:
-    name: str
-    kind: Kind
-    loc: Loc = field(default=NO_LOC, compare=False)
-
-
-Decl = Union[ConstDecl, FamDecl]
+class FamDecl(Record):
+    __slots__ = ("name", "kind", "loc")
+    _defaults = (NO_LOC,)
+    _hidden = ("loc",)
 
 
 # ---------------------------------------------------------------- schemas
 
 
-@dataclass(frozen=True, eq=False)
-class Block:
+class Block(Record):
     """Ordered telescope of labelled assumptions.
 
     Entry types may reference earlier entries of the same block through Var
@@ -170,7 +199,7 @@ class Block:
     entry types alone.
     """
 
-    entries: tuple[tuple[str, Tp], ...]
+    __slots__ = ("entries",)
 
     def __eq__(self, other):
         if type(other) is not Block:
@@ -181,35 +210,29 @@ class Block:
         return hash(tuple(tp for _, tp in self.entries))
 
 
-@dataclass(frozen=True)
-class Schema:
-    name: str
-    alternatives: tuple[Block, ...]
-    loc: Loc = field(default=NO_LOC, compare=False)
+class Schema(Record):
+    __slots__ = ("name", "alternatives", "loc")
+    _defaults = (NO_LOC,)
+    _hidden = ("loc",)
 
 
 # -------------------------------------------------------- context patterns
 
 
-class CtxPattern:
+class CtxPattern(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class EmptyCtx(CtxPattern):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class CtxVar(CtxPattern):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Snoc(CtxPattern):
-    prefix: CtxPattern
-    label: str
-    block: Block
+    __slots__ = ("prefix", "label", "block")
 
 
 def ctx_head_var(c: CtxPattern):
@@ -230,116 +253,88 @@ def ctx_blocks(c: CtxPattern) -> tuple[tuple[str, Block], ...]:
 # ------------------------------------------------------------ propositions
 
 
-class Prp:
+class Prp(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class RelApp(Prp):
-    name: str
-    ctxs: tuple[CtxPattern, ...] = ()
+    __slots__ = ("name", "ctxs")
+    _defaults = ((),)
 
 
-@dataclass(frozen=True)
 class Judgment(Prp):
-    ctx: CtxPattern
-    family: str
-    args: tuple[Term, ...] = ()
+    __slots__ = ("ctx", "family", "args")
+    _defaults = ((),)
 
 
-@dataclass(frozen=True)
 class TermEq(Prp):
-    lhs: Term
-    rhs: Term
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
 class TrueP(Prp):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class FalseP(Prp):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class And(Prp):
-    lhs: Prp
-    rhs: Prp
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
 class Or(Prp):
-    lhs: Prp
-    rhs: Prp
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
 class Imp(Prp):
-    lhs: Prp
-    rhs: Prp
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
 class ForallCtx(Prp):
-    var: str
-    schema: str
-    body: Prp
+    __slots__ = ("var", "schema", "body")
 
 
-@dataclass(frozen=True)
 class ForallTm(Prp):
-    var: str
-    tp: Tp
-    body: Prp
+    __slots__ = ("var", "tp", "body")
 
 
-@dataclass(frozen=True)
 class ExistsTm(Prp):
-    var: str
-    tp: Tp
-    body: Prp
+    __slots__ = ("var", "tp", "body")
 
 
 # ------------------------------------------------- definitions / theorems
 
 
-@dataclass(frozen=True)
-class InductiveDef:
-    name: str
-    params: tuple[tuple[str, str], ...]  # (context var, schema name)
-    clauses: tuple[tuple[str, Prp], ...]
-    loc: Loc = field(default=NO_LOC, compare=False)
+class InductiveDef(Record):
+    # params: (context var, schema name) pairs; clauses: (name, Prp) pairs
+    __slots__ = ("name", "params", "clauses", "loc")
+    _defaults = (NO_LOC,)
+    _hidden = ("loc",)
 
 
-@dataclass(frozen=True)
-class Theorem:
-    name: str
-    statement: Prp
-    loc: Loc = field(default=NO_LOC, compare=False)
+class Theorem(Record):
+    __slots__ = ("name", "statement", "loc")
+    _defaults = (NO_LOC,)
+    _hidden = ("loc",)
 
 
-@dataclass(frozen=True)
-class Directive:
-    what: str  # wf | explicit | implicit
-    systems: tuple[str, ...]
-    dest: str
-    dest_is_ctx: bool = False
-    loc: Loc = field(default=NO_LOC, compare=False)
+class Directive(Record):
+    __slots__ = ("what", "systems", "dest", "dest_is_ctx", "loc")  # what: wf | explicit | implicit
+    _defaults = (False, NO_LOC)
+    _hidden = ("loc",)
 
 
-@dataclass(frozen=True)
-class Separator:
-    name: str
-    loc: Loc = field(default=NO_LOC, compare=False)
+class Separator(Record):
+    __slots__ = ("name", "loc")
+    _defaults = (NO_LOC,)
+    _hidden = ("loc",)
 
 
 # -------------------------------------------------------------- documents
 
 
-@dataclass(frozen=True)
-class OrbiSpec:
+class OrbiSpec(Record):
     """A parsed .orbi document.
 
     ``items`` keeps every declaration in source order together with the
@@ -348,9 +343,9 @@ class OrbiSpec:
     targets can reproduce input sections byte for byte.
     """
 
-    items: tuple[tuple[str, object], ...] = ()
-    source: str = field(default="", compare=False, repr=False)
-    section_spans: tuple[tuple[str, int, int], ...] = field(default=(), compare=False, repr=False)
+    __slots__ = ("items", "source", "section_spans")
+    _defaults = ((), "", ())
+    _hidden = ("source", "section_spans")
 
     def _nodes(self, section, kinds):
         return tuple(n for s, n in self.items if s == section and isinstance(n, kinds))

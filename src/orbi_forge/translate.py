@@ -14,8 +14,6 @@ through and comments out everything it cannot say.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from orbi_forge.contexts import _clause_parts
 from orbi_forge.directives import AnnotationTable, resolve, wf_name
 from orbi_forge.errors import (
@@ -47,6 +45,7 @@ from orbi_forge.syntax import (
     Or,
     Pi,
     Prp,
+    Record,
     RelApp,
     Schema,
     Term,
@@ -65,42 +64,35 @@ from orbi_forge.syntax import (
 # -------------------------------------------------------------- clause IR
 
 
-@dataclass(frozen=True)
-class AtomG:
-    pred: str
-    args: tuple = ()  # rendered terms, or a ``Cons`` for a context list
+class AtomG(Record):
+    __slots__ = ("pred", "args")  # args: rendered terms, or a ``Cons`` for a context list
+    _defaults = ((),)
     atomic = True
 
     def render(self) -> str:
         return self.pred + ("" if not self.args else " " + " ".join(map(str, self.args)))
 
 
-@dataclass(frozen=True)
-class Guard:
+class Guard(Record):
     """The wf guard ``is_<family> arg``: every wf predicate atom is one."""
 
-    family: str
-    arg: str
+    __slots__ = ("family", "arg")
     atomic = True
 
     def render(self) -> str:
         return f"{wf_name(self.family)} {self.arg}"
 
 
-@dataclass(frozen=True)
-class PiG:
-    var: str
-    body: object
+class PiG(Record):
+    __slots__ = ("var", "body")
     atomic = False
 
     def render(self) -> str:
         return f"pi {self.var}\\ {self.body.render()}"
 
 
-@dataclass(frozen=True)
-class ImpG:
-    hyp: object
-    body: object
+class ImpG(Record):
+    __slots__ = ("hyp", "body")
     atomic = False
 
     def render(self) -> str:
@@ -108,21 +100,18 @@ class ImpG:
         return f"{h if self.hyp.atomic else f'({h})'} => {self.body.render()}"
 
 
-@dataclass(frozen=True)
-class Cons:
+class Cons(Record):
     """The context list ``(g1 :: ... :: tail)`` of a schema or relation head."""
 
-    items: tuple
-    tail: str
+    __slots__ = ("items", "tail")
 
     def __str__(self) -> str:
         return "(" + "".join([g.render() + " :: " for g in self.items]) + self.tail + ")"
 
 
-@dataclass(frozen=True)
-class Clause:
-    head: object  # AtomG, or the Guard a wf clause defines
-    body: tuple = ()
+class Clause(Record):
+    __slots__ = ("head", "body")  # head: AtomG, or the Guard a wf clause defines
+    _defaults = ((),)
 
     def render(self) -> str:
         if not self.body:
@@ -132,16 +121,11 @@ class Clause:
         return f"{self.head.render()} :- {', '.join(parts)}."
 
 
-@dataclass(frozen=True)
-class RelClause:
+class RelClause(Record):
     """One clause of a schema or relation: its nabla variables stand for the
     level-0 block entries, its list variables for the context variables."""
 
-    name: str
-    nabla: tuple
-    lists: tuple
-    premises: tuple
-    head: AtomG
+    __slots__ = ("name", "nabla", "lists", "premises", "head")
 
 
 def _erase(g):
@@ -171,7 +155,7 @@ def erase_clause(cl):
     ``ImpG(guard, b)`` becomes ``b`` and every ``PiG`` stays.  A wf clause,
     which defines a guard, erases to None."""
     if type(cl) is RelClause:
-        return replace(cl, premises=_erase_all(cl.premises), head=_erase(cl.head))
+        return cl._replace(premises=_erase_all(cl.premises), head=_erase(cl.head))
     return None if type(cl.head) is Guard else Clause(cl.head, _erase_all(cl.body))
 
 
@@ -235,7 +219,9 @@ def render_term(t: Term, env: list[str], atom: bool = False, rename=None) -> str
         return rename.get(t.name, t.name)
     if isinstance(t, Lam):
         h = t.hint or "x"
-        while h in env:
+        # rename away from the binders in scope and the constants free in the body
+        consts = [rename.get(c, c) for c in free(t.body)]
+        while h in env or h in consts:
             h += "'"
         s = f"{h}\\ {render_term(t.body, env + [h], False, rename)}"
         return f"({s})" if atom else s
@@ -365,17 +351,13 @@ def translate_rule(sig: Signature, rule: ConstDecl, ann: AnnotationTable) -> Cla
 # same ``Inductive``, which prints both in either dialect.
 
 
-@dataclass(frozen=True)
-class Inductive:
+class Inductive(Record):
     """A schema or relation over ``arity`` context lists, printed as an ab
     ``Define`` or a hy ``Inductive``.  ab leaves clause names and list
     variables implicit; hy binds them and guards each nabla variable with
     ``proper``."""
 
-    name: str
-    arity: int
-    target: str
-    clauses: tuple[RelClause, ...]
+    __slots__ = ("name", "arity", "target", "clauses")
 
     def render(self) -> str:
         if self.target == "ab":
@@ -689,17 +671,13 @@ def translate_theorem(checked, t: Theorem, target: str, ann: AnnotationTable):
 # -------------------------------------------------------------- documents
 
 
-@dataclass(frozen=True)
-class DocBlock:
-    tag: str
-    text: str
+class DocBlock(Record):
+    __slots__ = ("tag", "text")
 
 
-@dataclass(frozen=True)
-class TargetDoc:
-    target: str
-    blocks: tuple[DocBlock, ...]
-    warnings: tuple[Diagnostic, ...] = ()
+class TargetDoc(Record):
+    __slots__ = ("target", "blocks", "warnings")
+    _defaults = ((),)
 
     def render(self) -> str:
         return "\n\n".join(b.text for b in self.blocks) + "\n"

@@ -141,6 +141,39 @@ def test_relation_swapped_blocks_rejected(checked):
         check_all(src)
 
 
+@pytest.mark.parametrize(
+    "head, code",
+    [
+        pytest.param(
+            "R [g, b:block (x:tm, u:aeq x x), b:block (x:tm, u:aeq x x)] [h]",
+            "E-DUP",
+            id="one-context",
+        ),
+        pytest.param(
+            "R [g, b:block (x:tm, u:aeq x x)] [h, b:block (x:tm, u:aeq x x)]",
+            None,
+            id="two-contexts",
+        ),
+    ],
+)
+def test_block_label_once_per_context(head, code):
+    src = make_spec(
+        syntax="tm: type.",
+        judgments="aeq: tm -> tm -> type.",
+        schemas="schema xaG = block (x:tm, u:aeq x x);",
+        definitions=(
+            "inductive R : {g:xaG} {h:xaG} prop =\n"
+            "| R_nl: R [] []\n"
+            f"| R_cs: R [g] [h] -> {head};"
+        ),
+    )
+    assert first_error_code(src) == code
+    if code:
+        with pytest.raises(DuplicateNameError) as exc:
+            check_all(src)
+        assert exc.value.loc == parse_spec(src).definitions[0].loc
+
+
 def test_relation_premise_must_be_bare_vars(checked):
     from orbi_forge.errors import UnsupportedShapeError
     from orbi_forge.syntax import Imp, InductiveDef, RelApp

@@ -1,7 +1,11 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+importing the CLI loads none of the standard modules it has no use for."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -30,3 +34,18 @@ def test_every_imported_name_is_used(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = _imported(tree) - used
     assert not unused, sorted(unused)
+
+
+def test_cli_import_loads_no_unused_stdlib_module():
+    # compared with the modules loaded before, since ``site`` may load some
+    probe = (
+        "import sys; before = set(sys.modules); import orbi_forge.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(_SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = set(out.stdout.split())
+    assert "orbi_forge.translate" in loaded
+    assert not loaded & {"dataclasses", "inspect", "typing", "importlib.resources"}

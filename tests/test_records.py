@@ -1,0 +1,121 @@
+"""The ``Record`` base: construction, equality, hashing, repr and ``_replace``."""
+
+import pytest
+
+import orbi_forge.cli  # noqa: F401  (defines every record class)
+from orbi_forge.errors import Diagnostic
+from orbi_forge.syntax import (
+    NO_LOC,
+    Arrow,
+    AtomApp,
+    Block,
+    ConstDecl,
+    EmptyCtx,
+    FalseP,
+    KArrow,
+    Lam,
+    Loc,
+    Record,
+    TrueP,
+    Type,
+    Var,
+)
+
+
+def _records(cls=Record):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _records(sub)
+
+
+# the fields ``==`` and ``hash`` ignore: binder hints, locations of
+# declarations, and the raw text a parsed document keeps for passthrough
+_HIDDEN = {
+    "Lam": ("hint",),
+    "Pi": ("hint",),
+    "KPi": ("hint",),
+    "ConstDecl": ("loc",),
+    "FamDecl": ("loc",),
+    "Schema": ("loc",),
+    "InductiveDef": ("loc",),
+    "Theorem": ("loc",),
+    "Directive": ("loc",),
+    "Separator": ("loc",),
+    "OrbiSpec": ("source", "section_spans"),
+}
+
+# records with fields and the generated equality (``Block`` has its own)
+_COMPARED = sorted(
+    (c for c in set(_records()) if c.__slots__ and c is not Block), key=lambda c: c.__qualname__
+)
+
+
+def test_hidden_fields_are_exactly_the_listed_ones():
+    hidden = {c.__qualname__: c._hidden for c in _records() if c._hidden}
+    assert hidden == _HIDDEN
+
+
+@pytest.mark.parametrize("cls", _COMPARED, ids=lambda c: c.__qualname__)
+def test_equality_and_hash_ignore_exactly_the_hidden_fields(cls):
+    values = {f: object() for f in cls.__slots__}
+    a = cls(**values)
+    assert a == cls(**values) and hash(a) == hash(cls(**values))
+    for f in cls.__slots__:
+        b = a._replace(**{f: object()})
+        assert (a == b) is (f in cls._hidden), f
+        assert (a != b) is (f not in cls._hidden), f
+        if a == b:
+            assert hash(a) == hash(b), f
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        (Arrow(AtomApp("tm"), AtomApp("tm")), KArrow(AtomApp("tm"), AtomApp("tm"))),
+        (TrueP(), FalseP()),
+        (Type(), EmptyCtx()),
+        (Diagnostic("E", "m"), Diagnostic("E", "m", Loc(1, 1))),
+        (Diagnostic("E", "m"), Diagnostic("E", "m", hint="h")),
+        (Var(0), 0),
+    ],
+)
+def test_unequal(a, b):
+    assert a != b and b != a
+    assert not (a == b)
+
+
+def test_zero_field_records_equal_their_class():
+    assert Type() == Type() and hash(Type()) == hash(Type())
+    assert EmptyCtx() == EmptyCtx()
+    assert len({TrueP(), TrueP(), FalseP()}) == 2
+
+
+def test_construction_by_position_keyword_and_default():
+    tm = AtomApp("tm")
+    assert AtomApp("tm").args == ()
+    d = ConstDecl(name="c", tp=tm)
+    assert (d.name, d.tp, d.loc) == ("c", tm, NO_LOC)
+    assert ConstDecl("c", tm, Loc(2, 3)).loc == Loc(2, 3)
+    with pytest.raises(TypeError):
+        ConstDecl("c")
+    with pytest.raises(TypeError):
+        ConstDecl("c", tm, NO_LOC, None)
+    with pytest.raises(AttributeError):
+        d.extra = 1
+
+
+def test_replace():
+    d = ConstDecl("c", AtomApp("tm"))
+    moved = d._replace(loc=Loc(4, 1))
+    assert (moved.name, moved.tp, moved.loc) == ("c", d.tp, Loc(4, 1))
+    assert d.loc == NO_LOC
+    with pytest.raises(TypeError):
+        d._replace(nope=1)
+
+
+def test_repr_shows_every_field_and_hint():
+    assert repr(Lam("x", Var(0))) == "Lam(hint='x', body=Var(index=0))"
+    assert repr(Type()) == "Type()"
+    assert repr(Block((("x", AtomApp("tm")),))) == (
+        "Block(entries=(('x', AtomApp(family='tm', args=())),))"
+    )

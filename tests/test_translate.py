@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import re
 from collections import Counter
@@ -53,6 +52,19 @@ def test_eta_contract():
     assert eta_contract(under) == parse_term_str(r"lam (\x. app x N)")
     twice = parse_term_str(r"\x. f x x")
     assert eta_contract(twice) is twice
+
+
+@pytest.mark.parametrize("target", ["ab", "hy"])
+def test_lambda_binder_avoids_the_constants_of_its_body(target):
+    # the redex contracts to lam (\c. app c c), whose second c is the constant
+    checked = check_all(
+        make_spec(
+            syntax="tm: type.\nc: tm.\napp: tm -> tm -> tm.\nlam: (tm -> tm) -> tm.",
+            judgments="j: tm -> type.",
+            rules=r"r: j ((\y. lam (\c. app c y)) c).",
+        )
+    )
+    assert translate_spec(checked, target).block("r") == "j (lam (c'\\ app c' c))."
 
 
 # ------------------------------------------------------------ wf predicates
@@ -286,8 +298,8 @@ def _erasure_holds(checked, target) -> Counter:
     E-EMPTY; the number of items of each kind whose two translations differ."""
     sig = checked.sig
     ann = resolve(checked, target)
-    bare = dataclasses.replace(
-        ann, explicit_rules=frozenset(), explicit_schemas=frozenset(), explicit_relation_params={}
+    bare = ann._replace(
+        explicit_rules=frozenset(), explicit_schemas=frozenset(), explicit_relation_params={}
     )
     for cl in gen_wf_predicates(sig, ann.wf_families):
         assert erase_clause(cl) is None, cl
