@@ -156,7 +156,12 @@ def _run_file(path: str, args) -> int:
             return 1
         if doc.warnings:
             _emit(doc.warnings, path, args.structured)
-        _write_atomic(os.path.join(args.out_dir, _out_name(path, args.target)), doc.render())
+        out = os.path.join(args.out_dir, _out_name(path, args.target))
+        try:
+            _write_atomic(out, doc.render())
+        except OSError as e:
+            print(f"orbi: cannot write {out}: {e.strerror or e}", file=sys.stderr)
+            return 2
     return worst
 
 

@@ -34,6 +34,7 @@ from orbi_forge.syntax import (
     ConstDecl,
     FamDecl,
     KArrow,
+    KPi,
     Kind,
     Lam,
     OrbiSpec,
@@ -150,16 +151,10 @@ def families_in_tp(tp: Tp, out: set | None = None) -> set[str]:
 # ---------------------------------------------------------- normalization
 
 
-def _atom_args(n, k):
-    if type(n) is not AtomApp:
-        return n
-    args = tuple(normalize(a) for a in n.args)
-    return n if all(a is b for a, b in zip(args, n.args)) else AtomApp(n.family, args)
-
-
 def normalize(node):
-    """Beta-normal form of a Term, Tp or Kind, without eta.  Normal order: a
-    redex is contracted before its argument is normalised, if ever."""
+    """Beta-normal form of a Term, Tp or Kind, without eta, visiting each node
+    once.  Normal order: a redex is contracted before its argument is
+    normalised, if ever."""
     t = type(node)
     if t is Lam:
         body = normalize(node.body)
@@ -170,7 +165,16 @@ def normalize(node):
             return normalize(subst(fn.body, node.arg))
         arg = normalize(node.arg)
         return node if fn is node.fn and arg is node.arg else App(fn, arg)
-    return node if t is Var or t is Const else rebuild(node, _atom_args)
+    if t is AtomApp:
+        args = tuple([normalize(a) for a in node.args])
+        changed = [a is not b for a, b in zip(args, node.args)]
+        return AtomApp(node.family, args) if any(changed) else node
+    if t is Arrow or t is KArrow or t is Pi or t is KPi:
+        dom, cod = normalize(node.dom), normalize(node.cod)
+        if dom is node.dom and cod is node.cod:
+            return node
+        return t(dom, cod) if t is Arrow or t is KArrow else t(node.hint, dom, cod)
+    return node
 
 
 # ------------------------------------------------------------ kind checking

@@ -1,8 +1,10 @@
-"""Canonical concrete-syntax printer with minimal parenthesization.
+"""The one printer: ORBI's canonical syntax with minimal parenthesization,
+and through a ``Dialect`` the terms and formulas of ab/hy and bel.
 
-Binder hints are kept verbatim unless doing so would capture a free name in
-scope, in which case primes are appended (`y` becomes `y'`).  Re-parsing the
-output therefore yields the input up to alpha-equivalence.
+``term_str``, ``tp_str`` (types and kinds) and ``prp_str`` are the only walks
+that print these trees.  In ORBI, binder hints are kept verbatim unless that
+would capture a free name in scope, in which case primes are appended (`y`
+becomes `y'`), so re-parsing the output gives the input up to alpha.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from orbi_forge.syntax import (
     Const,
     ConstDecl,
     CtxPattern,
-    CtxVar,
     Directive,
     ExistsTm,
     FalseP,
@@ -32,9 +33,9 @@ from orbi_forge.syntax import (
     Or,
     OrbiSpec,
     Prp,
+    Record,
     RelApp,
     Schema,
-    Snoc,
     Term,
     TermEq,
     Theorem,
@@ -42,16 +43,27 @@ from orbi_forge.syntax import (
     TrueP,
     Type,
     Var,
+    ctx_blocks,
+    ctx_head_var,
     free,
     spine,
 )
 
 _KEYWORDS = {"type", "schema", "block", "inductive", "prop", "theorem", "true", "false"}
 
-# precedence levels
-_T_LAM, _T_APP, _T_ATOM = 0, 1, 2
-_TP_LOW, _TP_DOM = 0, 1
+# precedence levels of formulas
 _P_QUANT, _P_IMP, _P_OR, _P_AND, _P_ATOM = 0, 1, 2, 3, 4
+
+
+class Dialect(Record):
+    """How one target writes terms and formulas.  A lambda is
+    ``{lam}x{dot}body``, its binder named ``binder(hint, body, env)``;
+    ``or_``/``and_`` are the connectives.  A quantifier chain ``p`` prints as
+    ``quant(p, d, cx)`` and an atomic formula as ``atom(p, d, cx)``, where
+    ``cx`` is what the target's layouts track from one quantifier to the next
+    (None for ORBI); ``sep`` goes between the groups of ORBI's layout."""
+
+    __slots__ = ("lam", "dot", "binder", "or_", "and_", "sep", "quant", "atom")
 
 
 def _escaping(node, d: int, env: list) -> set:
@@ -71,52 +83,90 @@ def _binder_name(hint: str, body, env: list) -> str:
     return _fresh(hint, _escaping(body, 1, env))
 
 
-def term_str(t: Term, env: list, prec: int = _T_LAM) -> str:
-    if isinstance(t, Var):
+def _groups(p: Prp, d: Dialect, cx) -> str:
+    """``{g:S}{M:tm}<N:tm> body``: the quantifier layout of ORBI and bel.  A
+    theorem's scope ``cx`` (bel) enters each context variable with
+    ``cx.bind`` and names the context of an explicit variable with
+    ``cx.ctx_of``, written ``{M:[g |- tm]}``."""
+    groups = []
+    while True:
+        t = type(p)
+        if t is ForallCtx:
+            groups.append(f"{{{p.var}:{p.schema}}}")
+            if cx is not None:
+                cx = cx.bind(p.var)
+        elif t is ForallTm:
+            tp = tp_str(p.tp, [])
+            ctx = None if cx is None else cx.ctx_of(p.var)
+            groups.append(f"{{{p.var}:{tp}}}" if ctx is None else f"{{{p.var}:[{ctx} |- {tp}]}}")
+        elif t is ExistsTm:
+            groups.append(f"<{p.var}:{tp_str(p.tp, [])}>")
+        else:
+            return d.sep.join(groups) + " " + prp_str(p, _P_QUANT, d, cx)
+        p = p.body
+
+
+def _atom(p: Prp, d: Dialect, cx) -> str:
+    t = type(p)
+    if t is Judgment:
+        ctx = _ctx_body(p.ctx)
+        head = p.family
+        if p.args:
+            head += " " + " ".join([term_str(a, [], True, d) for a in p.args])
+        return "[" + (ctx + " " if ctx else "") + "|- " + head + "]"
+    if t is RelApp:
+        if not p.ctxs:
+            return p.name
+        return p.name + " " + " ".join([ctx_str(c) for c in p.ctxs])
+    if t is TermEq:
+        return f"{term_str(p.lhs, [], False, d)} = {term_str(p.rhs, [], False, d)}"
+    raise TypeError(f"cannot print {p!r}")
+
+
+ORBI = Dialect("\\", ". ", _binder_name, "||", "&", "", _groups, _atom)
+
+
+def term_str(t: Term, env: list, atom: bool = False, d: Dialect = ORBI) -> str:
+    """``t`` under the binder names ``env`` (innermost last), in parentheses
+    if ``atom`` and it is a lambda or an application."""
+    k = type(t)
+    if k is Var:
         if t.index < len(env):
             return env[-1 - t.index]
         return f"_{t.index}"  # out-of-scope index; diagnostics only
-    if isinstance(t, Const):
+    if k is Const:
         return t.name
-    if isinstance(t, Lam):
-        h = _binder_name(t.hint, t.body, env)
-        s = f"\\{h}. {term_str(t.body, env + [h], _T_LAM)}"
-        return f"({s})" if prec > _T_LAM else s
+    if k is Lam:
+        h = d.binder(t.hint, t.body, env)
+        s = f"{d.lam}{h}{d.dot}{term_str(t.body, env + [h], False, d)}"
+        return f"({s})" if atom else s
     head, args = spine(t)
-    parts = [term_str(head, env, _T_ATOM)]
-    parts += [term_str(a, env, _T_ATOM) for a in args]
+    parts = [term_str(head, env, True, d)]
+    parts += [term_str(a, env, True, d) for a in args]
     s = " ".join(parts)
-    return f"({s})" if prec > _T_APP else s
+    return f"({s})" if atom else s
 
 
-def tp_str(tp: Tp, env: list, prec: int = _TP_LOW) -> str:
-    if isinstance(tp, AtomApp):
+def tp_str(tp, env: list, dom: bool = False) -> str:
+    """A type or a kind, in parentheses if ``dom`` and it is an arrow or a
+    product."""
+    t = type(tp)
+    if t is AtomApp:
         if not tp.args:
             return tp.family
-        return tp.family + " " + " ".join(term_str(a, env, _T_ATOM) for a in tp.args)
-    if isinstance(tp, Arrow):
-        s = f"{tp_str(tp.dom, env, _TP_DOM)} -> {tp_str(tp.cod, env, _TP_LOW)}"
-        return f"({s})" if prec > _TP_LOW else s
-    h = _binder_name(tp.hint, tp.cod, env)
-    s = f"{{{h}:{tp_str(tp.dom, env, _TP_LOW)}}} {tp_str(tp.cod, env + [h], _TP_LOW)}"
-    return f"({s})" if prec > _TP_LOW else s
-
-
-def kind_str(k: Kind, env: list, prec: int = _TP_LOW) -> str:
-    if isinstance(k, Type):
+        return tp.family + " " + " ".join([term_str(a, env, True) for a in tp.args])
+    if t is Type:
         return "type"
-    if isinstance(k, KArrow):
-        s = f"{tp_str(k.dom, env, _TP_DOM)} -> {kind_str(k.cod, env, _TP_LOW)}"
-        return f"({s})" if prec > _TP_LOW else s
-    h = _binder_name(k.hint, k.cod, env)
-    s = f"{{{h}:{tp_str(k.dom, env, _TP_LOW)}}} {kind_str(k.cod, env + [h], _TP_LOW)}"
-    return f"({s})" if prec > _TP_LOW else s
+    if t is Arrow or t is KArrow:
+        s = f"{tp_str(tp.dom, env, True)} -> {tp_str(tp.cod, env)}"
+    else:
+        h = _binder_name(tp.hint, tp.cod, env)
+        s = f"{{{h}:{tp_str(tp.dom, env)}}} {tp_str(tp.cod, env + [h])}"
+    return f"({s})" if dom else s
 
 
 def decl_str(d) -> str:
-    if isinstance(d, FamDecl):
-        return f"{d.name}: {kind_str(d.kind, [])}."
-    return f"{d.name}: {tp_str(d.tp, [])}."
+    return f"{d.name}: {tp_str(d.kind if type(d) is FamDecl else d.tp, [])}."
 
 
 def block_str(b: Block, env: list | None = None) -> str:
@@ -139,63 +189,38 @@ def schema_str(s: Schema) -> str:
 
 
 def _ctx_body(c: CtxPattern) -> str:
-    parts: list[str] = []
-    blocks = []
-    node = c
-    while isinstance(node, Snoc):
-        blocks.append((node.label, node.block))
-        node = node.prefix
-    if isinstance(node, CtxVar):
-        parts.append(node.name)
-    for label, block in reversed(blocks):
-        parts.append(f"{label}:{block_str(block)}")
-    return ", ".join(parts)
+    head = ctx_head_var(c)
+    blocks = [f"{label}:{block_str(block)}" for label, block in ctx_blocks(c)]
+    return ", ".join(blocks if head is None else [head, *blocks])
 
 
 def ctx_str(c: CtxPattern) -> str:
     return "[" + _ctx_body(c) + "]"
 
 
-def prp_str(p: Prp, prec: int = _P_QUANT) -> str:
-    if isinstance(p, (ForallCtx, ForallTm, ExistsTm)):
-        groups = []
-        body = p
-        while isinstance(body, (ForallCtx, ForallTm, ExistsTm)):
-            if isinstance(body, ForallCtx):
-                groups.append(f"{{{body.var}:{body.schema}}}")
-            elif isinstance(body, ForallTm):
-                groups.append(f"{{{body.var}:{tp_str(body.tp, [])}}}")
-            else:
-                groups.append(f"<{body.var}:{tp_str(body.tp, [])}>")
-            body = body.body
-        s = "".join(groups) + " " + prp_str(body, _P_QUANT)
-        return f"({s})" if prec > _P_QUANT else s
-    if isinstance(p, Imp):
-        s = f"{prp_str(p.lhs, _P_OR)} -> {prp_str(p.rhs, _P_IMP)}"
+def prp_str(p: Prp, prec: int = _P_QUANT, d: Dialect = ORBI, cx=None) -> str:
+    """``p`` in dialect ``d``, in parentheses if it binds less tightly than
+    ``prec``: ``->`` takes an or-level lhs and an imp-level rhs, ``or`` takes
+    or/and, ``and`` takes and/atom, and a quantifier is parenthesised when
+    nested."""
+    t = type(p)
+    if t is Imp:
+        s = f"{prp_str(p.lhs, _P_OR, d, cx)} -> {prp_str(p.rhs, _P_IMP, d, cx)}"
         return f"({s})" if prec > _P_IMP else s
-    if isinstance(p, Or):
-        s = f"{prp_str(p.lhs, _P_OR)} || {prp_str(p.rhs, _P_AND)}"
+    if t is Or:
+        s = f"{prp_str(p.lhs, _P_OR, d, cx)} {d.or_} {prp_str(p.rhs, _P_AND, d, cx)}"
         return f"({s})" if prec > _P_OR else s
-    if isinstance(p, And):
-        s = f"{prp_str(p.lhs, _P_AND)} & {prp_str(p.rhs, _P_ATOM)}"
+    if t is And:
+        s = f"{prp_str(p.lhs, _P_AND, d, cx)} {d.and_} {prp_str(p.rhs, _P_ATOM, d, cx)}"
         return f"({s})" if prec > _P_AND else s
-    if isinstance(p, TrueP):
+    if t is TrueP:
         return "true"
-    if isinstance(p, FalseP):
+    if t is FalseP:
         return "false"
-    if isinstance(p, RelApp):
-        if not p.ctxs:
-            return p.name
-        return p.name + " " + " ".join(ctx_str(c) for c in p.ctxs)
-    if isinstance(p, Judgment):
-        ctx = _ctx_body(p.ctx)
-        head = p.family
-        if p.args:
-            head += " " + " ".join(term_str(a, [], _T_ATOM) for a in p.args)
-        return "[" + (ctx + " " if ctx else "") + "|- " + head + "]"
-    if isinstance(p, TermEq):
-        return f"{term_str(p.lhs, [])} = {term_str(p.rhs, [])}"
-    raise TypeError(f"cannot print {p!r}")
+    if t is ForallCtx or t is ForallTm or t is ExistsTm:
+        s = d.quant(p, d, cx)
+        return f"({s})" if prec > _P_QUANT else s
+    return d.atom(p, d, cx)
 
 
 def inductive_str(d: InductiveDef) -> str:
@@ -241,10 +266,8 @@ def pretty(node, binders=()) -> str:
         return spec_str(node)
     if isinstance(node, Term):
         return term_str(node, env)
-    if isinstance(node, Tp):
+    if isinstance(node, (Tp, Kind)):
         return tp_str(node, env)
-    if isinstance(node, Kind):
-        return kind_str(node, env)
     if isinstance(node, (ConstDecl, FamDecl)):
         return decl_str(node)
     if isinstance(node, Schema):

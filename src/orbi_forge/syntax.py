@@ -14,8 +14,8 @@ reader can refer to are compared: ``Snoc`` labels, the variables of
 ``ForallCtx``/``ForallTm``/``ExistsTm``, ``InductiveDef`` clause names and
 every ``Directive`` field.  ``free`` is the one walker asking which indices
 and names occur, and ``rebuild`` the one rewriting map (``shift``, ``subst``,
-``lf._close``, ``translate.eta_contract`` and ``lf.normalize`` on types and
-kinds are its instances; on a term, ``normalize`` stays a normal-order fold).
+``lf._close`` and ``translate.eta_contract`` are its instances;
+``lf.normalize`` is a normal-order fold of its own).
 Nothing here consults a signature.
 """
 
@@ -118,7 +118,7 @@ class App(Term):
 def spine(t: Term) -> tuple[Term, tuple[Term, ...]]:
     """Split left-nested applications into (head, args)."""
     args: list[Term] = []
-    while isinstance(t, App):
+    while type(t) is App:
         args.append(t.arg)
         t = t.fn
     return t, tuple(reversed(args))
@@ -237,14 +237,14 @@ class Snoc(CtxPattern):
 
 def ctx_head_var(c: CtxPattern):
     """The context variable at the head of a pattern, or None."""
-    while isinstance(c, Snoc):
+    while type(c) is Snoc:
         c = c.prefix
-    return c.name if isinstance(c, CtxVar) else None
+    return c.name if type(c) is CtxVar else None
 
 
 def ctx_blocks(c: CtxPattern) -> tuple[tuple[str, Block], ...]:
     out = []
-    while isinstance(c, Snoc):
+    while type(c) is Snoc:
         out.append((c.label, c.block))
         c = c.prefix
     return tuple(reversed(out))

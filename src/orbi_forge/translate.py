@@ -10,6 +10,10 @@ it denotes: both lower to an ``Inductive``, whose ``render`` is the one place
 that writes the ab ``Define`` and the hy ``Inductive`` layout.  bel passes
 the signature through unchanged and lifts theorems; tw passes the signature
 through and comments out everything it cannot say.
+
+No term or formula is printed here: ``pretty`` prints them in the ab/hy
+dialect ``AB``, whose binder rule and quantifier and atom layouts are defined
+here, or in ``BEL``, ORBI's dialect with spaced quantifier groups.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from orbi_forge.errors import (
     UnsupportedShapeError,
 )
 from orbi_forge.lf import Signature, families_in_tp, is_level0, normalize
-from orbi_forge.pretty import prp_str, theorem_str, tp_str
+from orbi_forge.pretty import _P_IMP, _P_QUANT, ORBI, Dialect, prp_str, term_str, theorem_str
 from orbi_forge.syntax import (
     And,
     App,
@@ -35,7 +39,6 @@ from orbi_forge.syntax import (
     ConstDecl,
     EmptyCtx,
     ExistsTm,
-    FalseP,
     ForallCtx,
     ForallTm,
     Imp,
@@ -51,14 +54,12 @@ from orbi_forge.syntax import (
     Term,
     TermEq,
     Theorem,
-    TrueP,
     Var,
     ctx_blocks,
     ctx_head_var,
     free,
     rebuild,
     shift,
-    spine,
 )
 
 # -------------------------------------------------------------- clause IR
@@ -210,28 +211,6 @@ class _Names:
 _UPPER, _LOWER = "MNOPQRSTUVWXYZABCDEFGHIJKL", "xyzuvw"
 
 
-def render_term(t: Term, env: list[str], atom: bool = False, rename=None) -> str:
-    """``t`` in the ab/hy term syntax, where a lambda is written ``x\\ body``."""
-    rename = rename or {}
-    if isinstance(t, Var):
-        return env[-1 - t.index] if t.index < len(env) else f"_{t.index}"
-    if isinstance(t, Const):
-        return rename.get(t.name, t.name)
-    if isinstance(t, Lam):
-        h = t.hint or "x"
-        # rename away from the binders in scope and the constants free in the body
-        consts = [rename.get(c, c) for c in free(t.body)]
-        while h in env or h in consts:
-            h += "'"
-        s = f"{h}\\ {render_term(t.body, env + [h], False, rename)}"
-        return f"({s})" if atom else s
-    head, args = spine(t)
-    parts = [render_term(head, env, True, rename)]
-    parts += [render_term(a, env, True, rename) for a in args]
-    s = " ".join(parts)
-    return f"({s})" if atom and len(parts) > 1 else s
-
-
 # ------------------------------------------------- well-formedness clauses
 
 
@@ -318,7 +297,7 @@ def translate_rule(sig: Signature, rule: ConstDecl, ann: AnnotationTable) -> Cla
     names = _Names(sig.entries, env)
 
     def atom_goal(a: AtomApp, env_names) -> AtomG:
-        return AtomG(a.family, tuple([render_term(eta_contract(x), env_names, True) for x in a.args]))
+        return AtomG(a.family, tuple([term_str(eta_contract(x), env_names, True, AB) for x in a.args]))
 
     def goal_of(p, env_names):
         if isinstance(p, Pi):
@@ -410,7 +389,7 @@ def _block_parts(sig: Signature, owner: str, blocks, wf, names, nabla) -> tuple:
                         f"{owner}: block entry {label!r} must be an atomic judgment"
                     )
                 var = label
-                goals.append(AtomG(tp.family, tuple([render_term(a, env, True) for a in tp.args])))
+                goals.append(AtomG(tp.family, tuple([term_str(a, env, True, AB) for a in tp.args])))
             env.append(var)
     return tuple(goals)
 
@@ -509,163 +488,141 @@ def _usage_ctxs(statement: Prp, var: str) -> list[str]:
     return out
 
 
-def _pick_ctx(t: Theorem, var: str, scope: list[str], warnings: list) -> str:
-    usage = [c for c in _usage_ctxs(t.statement, var) if c in scope]
-    if len(usage) == 1:
-        return usage[0]
-    if not scope:
-        raise NoCtxInScopeError(
-            f"theorem {t.name!r}: variable {var!r} is explicit but no context "
-            "quantifier is in scope",
-            t.loc,
-        )
-    if len(usage) > 1:
-        warnings.append(
-            Diagnostic(
-                "W-CTX",
-                f"theorem {t.name!r}: variable {var!r} is used under several "
-                f"contexts; its wf antecedent uses {scope[0]!r}",
+class _Scope(Record):
+    """A theorem's printing state at one quantifier depth: the context
+    variables in scope and the ab/hy name of each variable bound so far, with
+    what all depths share: the theorem, its explicit variables, the warnings
+    so far and the names to avoid."""
+
+    __slots__ = ("thm", "expl", "warnings", "avoid", "ctxs", "rename")
+
+    def bind(self, var: str) -> _Scope:
+        return self._replace(ctxs=(*self.ctxs, var))
+
+    def ctx_of(self, var: str):
+        """The context of the wf antecedent of ``var`` if it is explicit: the
+        one context in scope it is used under, else the outermost."""
+        if var not in self.expl:
+            return None
+        t, scope = self.thm, self.ctxs
+        usage = [c for c in _usage_ctxs(t.statement, var) if c in scope]
+        if len(usage) == 1:
+            return usage[0]
+        if not scope:
+            raise NoCtxInScopeError(
+                f"theorem {t.name!r}: variable {var!r} is explicit but no context "
+                "quantifier is in scope",
                 t.loc,
-                "warning",
             )
-        )
-    return scope[0]
-
-
-_F_IMP, _F_OR, _F_AND, _F_ATOM = 1, 2, 3, 4
-# connective: (symbol, own precedence, precedence of its lhs, of its rhs)
-_CONNECTIVES = {
-    Imp: ("->", _F_IMP, _F_OR, _F_IMP),
-    Or: ("\\/", _F_OR, _F_OR, _F_AND),
-    And: ("/\\", _F_AND, _F_AND, _F_ATOM),
-}
-
-
-def _formula(t: Theorem, p: Prp, scope, rename, warnings, expl, prec=_F_IMP, avoid=frozenset()) -> str:
-    if isinstance(p, (ForallCtx, ForallTm, ExistsTm)):
-        s = _forall_block(t, p, scope, rename, warnings, expl, avoid)
-        return f"({s})"
-    if type(p) in _CONNECTIVES:
-        sym, own, left, right = _CONNECTIVES[type(p)]
-        s = (
-            f"{_formula(t, p.lhs, scope, rename, warnings, expl, left, avoid)} {sym} "
-            f"{_formula(t, p.rhs, scope, rename, warnings, expl, right, avoid)}"
-        )
-        return f"({s})" if prec > own else s
-    if isinstance(p, TrueP):
-        return "true"
-    if isinstance(p, FalseP):
-        return "false"
-    if isinstance(p, TermEq):
-        lhs = render_term(eta_contract(normalize(p.lhs)), [], False, rename)
-        rhs = render_term(eta_contract(normalize(p.rhs)), [], False, rename)
-        return f"{lhs} = {rhs}"
-    if isinstance(p, RelApp):
-        args = []
-        for c in p.ctxs:
-            v = ctx_head_var(c)
-            if v is None or ctx_blocks(c):
-                raise UnsupportedShapeError(
-                    f"theorem {t.name!r}: relation arguments must be bare context "
-                    "variables in formula targets",
+        if len(usage) > 1:
+            self.warnings.append(
+                Diagnostic(
+                    "W-CTX",
+                    f"theorem {t.name!r}: variable {var!r} is used under several "
+                    f"contexts; its wf antecedent uses {scope[0]!r}",
                     t.loc,
+                    "warning",
                 )
-            args.append(rename.get(v, v))
-        return f"{p.name} {' '.join(args)}" if args else p.name
-    if isinstance(p, Judgment):
-        v = ctx_head_var(p.ctx)
-        if isinstance(p.ctx, EmptyCtx):
-            ctx_s = "nil"
-        elif v is None or ctx_blocks(p.ctx):
-            raise UnsupportedShapeError(
-                f"theorem {t.name!r}: judgment contexts must be bare context "
-                "variables in formula targets",
-                t.loc,
             )
-        else:
-            ctx_s = rename.get(v, v)
-        head = p.family
-        if p.args:
-            head += " " + " ".join(
-                render_term(eta_contract(normalize(a)), [], True, rename)
-                for a in p.args
-            )
-        return f"{{{ctx_s} |- {head}}}"
-    raise UnsupportedShapeError(f"theorem {t.name!r}: cannot translate {p!r}", t.loc)
+        return scope[0]
 
 
-def _forall_block(t: Theorem, p: Prp, scope, rename, warnings, expl, avoid=frozenset()) -> str:
-    scope = list(scope)
-    rename = dict(rename)
+def _ab_binder(hint: str, body: Term, env: list) -> str:
+    """ab/hy binder name: the hint, primed away from every binder in scope and
+    from the constants free in the body."""
+    h = hint or "x"
+    consts = free(body)
+    while h in env or h in consts:
+        h += "'"
+    return h
+
+
+def _upper(var: str, avoid, taken) -> str:
+    return _Names(avoid, taken).pick((var[0].upper() + var[1:],))
+
+
+def _ab_quant(p: Prp, d, cx: _Scope) -> str:
+    """``forall H M, xaG H -> {H |- is_tm M} -> body`` or ``exists N, body``:
+    the ab/hy layout of a quantifier chain.  Each variable gets an upper-case
+    name away from the signature and the names in scope; a context variable
+    has its schema as an antecedent, an explicit variable its wf guard."""
+    rename = dict(cx.rename)
+    if type(p) is ExistsTm:
+        upper = rename[p.var] = _upper(p.var, cx.avoid, rename.values())
+        return f"exists {upper}, {prp_str(p.body, _P_IMP, d, cx._replace(rename=rename))}"
     names: list[str] = []
     antecedents: list[str] = []
-    body = p
-    while isinstance(body, (ForallCtx, ForallTm)):
-        upper = body.var[0].upper() + body.var[1:]
-        upper = _Names(avoid, [*rename.values(), *names]).pick((upper,))
-        rename[body.var] = upper
+    while type(p) is ForallCtx or type(p) is ForallTm:
+        upper = rename[p.var] = _upper(p.var, cx.avoid, [*rename.values(), *names])
         names.append(upper)
-        if isinstance(body, ForallCtx):
-            scope.append(body.var)
-            antecedents.append(f"{body.schema} {upper}")
-        elif body.var in expl:
-            ctx = _pick_ctx(t, body.var, scope, warnings)
-            if not isinstance(body.tp, AtomApp) or body.tp.args:
+        if type(p) is ForallCtx:
+            cx = cx.bind(p.var)
+            antecedents.append(f"{p.schema} {upper} -> ")
+        elif (ctx := cx.ctx_of(p.var)) is not None:
+            if type(p.tp) is not AtomApp or p.tp.args:
                 raise UnsupportedShapeError(
-                    f"theorem {t.name!r}: explicit variable {body.var!r} must have an "
+                    f"theorem {cx.thm.name!r}: explicit variable {p.var!r} must have an "
                     "atomic level-0 type",
-                    t.loc,
+                    cx.thm.loc,
                 )
-            guard = Guard(body.tp.family, upper).render()
-            antecedents.append(f"{{{rename.get(ctx, ctx)} |- {guard}}}")
-        body = body.body
-    if isinstance(body, ExistsTm):
-        inner = _exists_block(t, body, scope, rename, warnings, expl, avoid)
-    else:
-        inner = _formula(t, body, scope, rename, warnings, expl, avoid=avoid)
-    if not names:
-        return inner
-    chain = "".join(a + " -> " for a in antecedents) + inner
-    return f"forall {' '.join(names)}, {chain}"
+            guard = Guard(p.tp.family, upper).render()
+            antecedents.append(f"{{{rename.get(ctx, ctx)} |- {guard}}} -> ")
+        p = p.body
+    body = prp_str(p, _P_QUANT, d, cx._replace(rename=rename))
+    return f"forall {' '.join(names)}, {''.join(antecedents)}{body}"
 
 
-def _exists_block(t, p: ExistsTm, scope, rename, warnings, expl, avoid=frozenset()) -> str:
-    rename = dict(rename)
-    upper = _Names(avoid, rename.values()).pick((p.var[0].upper() + p.var[1:],))
-    rename[p.var] = upper
-    inner = _formula(t, p.body, scope, rename, warnings, expl, avoid=avoid)
-    return f"exists {upper}, {inner}"
+def _target_term(t: Term, rename: dict) -> Term:
+    """A theorem's term as ab/hy print it: beta-normal, eta-short, and with
+    its quantified variables, which are constants here, renamed."""
+
+    def f(n, k):
+        if type(n) is Const:
+            return Const(rename[n.name]) if n.name in rename else n
+        return _eta(n, k) if type(n) is Lam else n
+
+    return rebuild(normalize(t), f)
+
+
+def _bare_var(c, cx: _Scope, what: str) -> str:
+    v = ctx_head_var(c)
+    if v is None or ctx_blocks(c):
+        raise UnsupportedShapeError(
+            f"theorem {cx.thm.name!r}: {what} must be bare context variables in formula targets",
+            cx.thm.loc,
+        )
+    return cx.rename.get(v, v)
+
+
+def _ab_atom(p: Prp, d, cx: _Scope) -> str:
+    t = type(p)
+    if t is Judgment:
+        ctx = "nil" if type(p.ctx) is EmptyCtx else _bare_var(p.ctx, cx, "judgment contexts")
+        head = p.family
+        if p.args:
+            head += " " + " ".join([term_str(_target_term(a, cx.rename), [], True, d) for a in p.args])
+        return f"{{{ctx} |- {head}}}"
+    if t is RelApp:
+        args = [_bare_var(c, cx, "relation arguments") for c in p.ctxs]
+        return f"{p.name} {' '.join(args)}" if args else p.name
+    if t is TermEq:
+        lhs = term_str(_target_term(p.lhs, cx.rename), [], False, d)
+        return f"{lhs} = {term_str(_target_term(p.rhs, cx.rename), [], False, d)}"
+    raise UnsupportedShapeError(f"theorem {cx.thm.name!r}: cannot translate {p!r}", cx.thm.loc)
+
+
+AB = Dialect("", "\\ ", _ab_binder, "\\/", "/\\", "", _ab_quant, _ab_atom)
+BEL = ORBI._replace(sep=" ")
 
 
 def translate_theorem(checked, t: Theorem, target: str, ann: AnnotationTable):
     """Render one theorem for a target; returns (text, warnings)."""
+    if target == "tw":
+        return "% " + theorem_str(t), []
     warnings: list[Diagnostic] = []
     expl = ann.explicit_theorem_vars.get(t.name, frozenset())
-    if target in ("ab", "hy"):
-        avoid = checked.sig.entries
-        text = _forall_block(t, t.statement, [], {}, warnings, expl, avoid)
-        return text + ".", warnings
-    if target == "bel":
-        groups = []
-        scope: list[str] = []
-        body = t.statement
-        while isinstance(body, (ForallCtx, ForallTm, ExistsTm)):
-            if isinstance(body, ForallCtx):
-                groups.append(f"{{{body.var}:{body.schema}}}")
-                scope.append(body.var)
-            elif isinstance(body, ForallTm):
-                if body.var in expl:
-                    ctx = _pick_ctx(t, body.var, scope, warnings)
-                    groups.append(f"{{{body.var}:[{ctx} |- {tp_str(body.tp, [])}]}}")
-                else:
-                    groups.append(f"{{{body.var}:{tp_str(body.tp, [])}}}")
-            else:
-                groups.append(f"<{body.var}:{tp_str(body.tp, [])}>")
-            body = body.body
-        prefix = " ".join(groups)
-        text = (prefix + " " if prefix else "") + prp_str(body)
-        return text + ".", warnings
-    return "% " + theorem_str(t), warnings
+    cx = _Scope(t, expl, warnings, checked.sig.entries, (), {})
+    return prp_str(t.statement, _P_QUANT, BEL if target == "bel" else AB, cx) + ".", warnings
 
 
 # -------------------------------------------------------------- documents

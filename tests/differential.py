@@ -77,15 +77,15 @@ inductive R : {g:xaG} {h:xaG} prop =
 """
 
 
-def _probes(eq: str) -> list:
-    """(name, text) of inputs that once showed a defect, one per defect."""
-    head = "\n".join(eq.split("\n")[:45]) + "\n"  # up to the Theorems section
+def _probes(eq: str, head: str) -> list:
+    """(name, text) of inputs that once showed a defect, one per defect;
+    ``head`` is eq.orbi up to its Theorems section."""
     return [
         # bel wrote a nested quantifier without the explicit annotation of M
-        ("bel-nested", head + "\n%% Theorems\ntheorem nestT: {h:xaG} true -> ({M:tm} [h |- aeq M M]);\n"),
+        ("bel-nested", head + "theorem nestT: {h:xaG} true -> ({M:tm} [h |- aeq M M]);\n"),
         (
             "bel-nested-groups",
-            head + "\n%% Theorems\ntheorem nestU: {h:xaG}{N:tm} [h |- aeq N N] || "
+            head + "theorem nestU: {h:xaG}{N:tm} [h |- aeq N N] || "
             "({g:xaG}{M:tm}<P:tm> [g |- aeq M P] & [h |- aeq N N]) -> false;\n",
         ),
         ("redex-two-args", _RULES_SIG + "\n%% Rules\nr: j ((\\x. \\y. c2 y x) M N) c0.\n"),
@@ -137,8 +137,9 @@ _THEOREMS = {
 
 def build_inputs() -> list:
     """(family, name, text) of every input, in a fixed order."""
-    sys.path.insert(0, HERE)
-    sys.path.append(os.path.join(ROOT, "perfbench"))
+    for path in (HERE, os.path.join(ROOT, "perfbench")):
+        if path not in sys.path:
+            sys.path.append(path)
     import oracle
     import specgen
     import workloads
@@ -169,8 +170,8 @@ def build_inputs() -> list:
         a, b = (pretty(specgen.gen_tm_term(rng, 3)) for _ in range(2))
         thm = f"theorem tm: {{h:xaG}}{{M:tm}} [h |- aeq M ({a})] -> ({a}) = ({b}) || [h |- aeq M M];\n"
         out.append(("gen-tm", f"gt-{seed}", eq + thm))
-    out += [("probe", f"probe-{name}", text) for name, text in _probes(eq)]
     head = "\n".join(lines[:45]) + "\n\n%% Theorems\n"
+    out += [("probe", f"probe-{name}", text) for name, text in _probes(eq, head)]
     out += [("thm", f"thm-{name}", f"{head}theorem t: {s};\n") for name, s in _THEOREMS.items()]
     return out
 

@@ -40,6 +40,14 @@ def test_missing_input_is_usage_error(capsys):
     assert "no such input" in capsys.readouterr().err
 
 
+def test_unwritable_output_is_usage_error(corpus_file, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert run(["translate", "--target", "ab", "--out-dir", str(missing), corpus_file]) == 2
+    usage = [line for line in capsys.readouterr().err.splitlines() if "[W-" not in line]
+    assert len(usage) == 1 and usage[0].startswith(f"orbi: cannot write {missing}")
+    assert not missing.exists()
+
+
 def test_no_arguments_is_usage_error(capsys):
     assert run([]) == 2
 

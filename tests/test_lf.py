@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 
 import pytest
 
@@ -66,6 +67,25 @@ def test_normalize_is_normal_order():
     assert normalize(parse_term_str(rf"(\x. c) {_OMEGA}")) == Const("c")
     tp = parse_tpkind_str(rf"{{u: j ((\x. c) {_OMEGA})}} j u")
     assert normalize(tp) == parse_tpkind_str("{u: j c} j u")
+
+
+def test_normalize_visits_each_node_once():
+    # a normal type comes back as it is, each of its 24 nodes walked once
+    tp = parse_tpkind_str(r"{x:tm} aeq (app x (app x x)) (lam (\y. app y x)) -> aeq x x")
+    calls = []
+
+    def hook(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(hook)
+    try:
+        out = normalize(tp)
+    finally:
+        sys.setprofile(None)
+    assert out is tp
+    assert calls.count("normalize") == 24
+    assert set(calls) <= {"normalize", "<listcomp>"}
 
 
 def test_check_signature_corpus_levels(corpus_spec):

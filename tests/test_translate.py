@@ -406,6 +406,28 @@ def test_beluga_lifts_only_marked_vars(bel_doc):
     assert bel_doc.block("ceqG").startswith("{g:daG} {M:[g |- tm]} {N:tm}")
 
 
+@pytest.mark.parametrize(
+    "theorem, text",
+    [
+        (
+            "{h:xaG} true -> ({M:tm} [h |- aeq M M])",
+            "{h:xaG} true -> ({M:[h |- tm]} [h |- aeq M M]).",
+        ),
+        (
+            "{h:xaG}{N:tm} [h |- aeq N N] || ({g:xaG}{M:tm}<P:tm> [g |- aeq M P] & [h |- aeq N N]) -> false",
+            "{h:xaG} {N:tm} [h |- aeq N N] || "
+            "({g:xaG} {M:[g |- tm]} <P:tm> [g |- aeq M P] & [h |- aeq N N]) -> false.",
+        ),
+    ],
+    ids=["explicit", "groups"],
+)
+def test_beluga_nested_quantifiers_are_laid_out_as_outer_ones(corpus_text, theorem, text):
+    # eq.orbi up to its Theorems section, with `%% explicit [hy,ab,bel] in M`
+    head = "\n".join(corpus_text.split("\n")[:45])
+    checked = check_all(f"{head}\n%% Theorems\ntheorem nest: {theorem};\n")
+    assert translate_spec(checked, "bel").block("nest") == text
+
+
 def test_twelf_theorems_are_comments(tw_doc):
     assert tw_doc.block("reflG") == "% theorem reflG: {h:xaG}{M:tm} [h |- aeq M M];"
 
