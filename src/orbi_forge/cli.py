@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 diagnostics at error level (or warnings under
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -35,11 +34,14 @@ def _use_color() -> bool:
 
 
 def _emit(diags, path: str, structured: bool) -> None:
+    if structured:
+        import json  # only here: every run would pay for importing it
+
+        for d in diags:
+            print(json.dumps(d.to_json(path)), file=sys.stderr)
+        return
     color = _use_color()
     for d in diags:
-        if structured:
-            print(json.dumps(d.to_json(path)), file=sys.stderr)
-            continue
         line = d.render(path)
         if color:
             tint = _YELLOW if d.severity == "warning" else _RED

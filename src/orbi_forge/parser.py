@@ -1,8 +1,17 @@
-"""Recursive-descent parser for complete .orbi documents.
+"""Parser for complete .orbi documents.
 
 Parsing is section-driven: ``%%`` separator lines pick the section, and each
 section admits its own declaration forms.  Errors are recovered at the next
 ``.`` or ``;`` so one run reports every malformed declaration.
+
+Terms and types, where nearly all the tokens are, are read by loops over the
+token lists rather than by recursive descent: a term, however deeply nested,
+is one loop with an explicit stack of open parentheses, and a type is one loop
+over its Π binders and arrows, recursing only into a parenthesised type or a
+Π domain.  A bound name resolves to its de Bruijn index in one lookup, and the
+leaves of one parse (constants, variables, argument-free type atoms) are
+shared.  Declarations, schemas, contexts and theorems are parsed by recursive
+descent through ``_Cursor``.
 """
 
 from __future__ import annotations
@@ -33,7 +42,6 @@ from orbi_forge.syntax import (
     InductiveDef,
     Judgment,
     KArrow,
-    Kind,
     KPi,
     Lam,
     Loc,
@@ -98,6 +106,14 @@ class _Cursor:
     Comparing lexemes is enough to test for a keyword or a punctuation mark:
     neither ever equals an identifier, directive lexemes start with ``%%``
     and eof's lexeme is ``""``.
+
+    The cursor also holds the binders around the current position and the
+    leaves shared within one parse.  ``names`` has one ``(name, shadowed)``
+    pair per binder, outermost first, where ``shadowed`` is the position of
+    the binder of that name it hides, or None; ``depth`` maps each bound name
+    to the position of its innermost binder, so an occurrence resolves in one
+    lookup.  ``consts``, ``vars`` and ``atoms`` hold the ``Const``, ``Var``
+    and argument-free ``AtomApp`` leaves made so far, by name or index.
     """
 
     def __init__(self, toks: Tokens):
@@ -105,6 +121,11 @@ class _Cursor:
         self.lex = toks.lexemes
         self.kinds = toks.kinds
         self.i = 0
+        self.names: list[tuple[str, int | None]] = []
+        self.depth: dict[str, int] = {}
+        self.consts: dict[str, Const] = {}
+        self.vars: dict[int, Var] = {}
+        self.atoms: dict[str, AtomApp] = {}
 
     def at(self, lexeme: str) -> bool:
         return self.lex[self.i] == lexeme
@@ -144,151 +165,242 @@ class _Cursor:
         if self.lex[self.i] == lexeme:
             self.i += 1
             return
-        raise ParseError(
-            f"expected {lexeme!r} but found {self.found()!r}",
-            self.loc(),
-            expected={lexeme},
-            production=production,
-        )
+        raise self.error(self.i, repr(lexeme), {lexeme}, production)
 
     def ident(self, production: str) -> str:
         i = self.i
         if self.kinds[i] in _IDENTS:
             self.i = i + 1
             return self.lex[i]
-        raise ParseError(
-            f"expected an identifier but found {self.found()!r}",
+        raise self.error(i, "an identifier", {"identifier"}, production)
+
+    def error(self, i: int, what: str, expected: set, production: str) -> ParseError:
+        """The error of finding token ``i`` where ``what`` was expected; the
+        cursor is left at that token."""
+        self.i = i
+        return ParseError(
+            f"expected {what} but found {self.found()!r}",
             self.loc(),
-            expected={"identifier"},
+            expected=expected,
             production=production,
         )
 
+    def bind(self, name: str) -> None:
+        depth = self.depth
+        self.names.append((name, depth.get(name)))
+        depth[name] = len(self.names) - 1
 
-def _resolve(name: str, env: list[str]):
-    for i, nm in enumerate(reversed(env)):
-        if nm == name:
-            return Var(i)
-    return Const(name)
+    def unbind(self, n: int = 0) -> None:
+        """Drop every binder but the outermost ``n``."""
+        names, depth = self.names, self.depth
+        while len(names) > n:
+            name, shadowed = names.pop()
+            if shadowed is None:
+                del depth[name]
+            else:
+                depth[name] = shadowed
 
 
 # ------------------------------------------------------------------ terms
 
 
-def _parse_term(c: _Cursor, env: list[str]):
-    if c.at("\\"):
-        c.take()
-        name = c.ident("term")
-        c.expect(".", "term")
-        body = _parse_term(c, env + [name])
-        return Lam(name, body)
-    t = _parse_term_atom(c, env)
-    while c.at_atom():
-        t = App(t, _parse_term_atom(c, env))
-    return t
+def _parse_term(c: _Cursor, args: bool = False):
+    """The term at the cursor or, with ``args``, the tuple of the term atoms
+    (identifiers and parenthesised terms) there; one must start there.
 
-
-def _parse_term_atom(c: _Cursor, env: list[str]):
-    if c.at_ident():
-        return _resolve(c.take(), env)
-    if c.at("("):
-        c.take()
-        inner = _parse_term(c, env)
-        c.expect(")", "term")
-        return inner
-    raise ParseError(
-        f"expected a term but found {c.found()!r}",
-        c.loc(),
-        expected={"identifier", "(", "\\"},
-        production="term",
-    )
+    One loop reads the tokens.  ``head`` is the application spine read so
+    far inside the innermost open parenthesis, and the binders above ``base``
+    are the lambdas opened there; ``levels`` keeps both for every enclosing
+    parenthesis.  ``collect`` holds outside every parenthesis with ``args``,
+    where atoms go to ``out`` instead of a spine.  A ``\\`` is reached only
+    where a term starts, since a spine goes on only at an identifier or ``(``.
+    """
+    lex, kinds, names, depth = c.lex, c.kinds, c.names, c.depth
+    consts, vars_ = c.consts, c.vars
+    i = c.i
+    n = base = len(names)
+    collect = args
+    out = []
+    levels = []
+    head = None
+    while True:
+        tok = lex[i]
+        if kinds[i] in _IDENTS:
+            if tok in depth:
+                k = n - 1 - depth[tok]
+                if k in vars_:
+                    t = vars_[k]
+                else:
+                    t = vars_[k] = Var(k)
+            elif tok in consts:
+                t = consts[tok]
+            else:
+                t = consts[tok] = Const(tok)
+            i += 1
+        elif tok == "(":
+            levels.append((head, base))
+            head = None
+            base = n
+            collect = False
+            i += 1
+            continue
+        elif tok == "\\":
+            if kinds[i + 1] not in _IDENTS:
+                raise c.error(i + 1, "an identifier", {"identifier"}, "term")
+            if lex[i + 2] != ".":
+                raise c.error(i + 2, "'.'", {"."}, "term")
+            c.bind(lex[i + 1])
+            n += 1
+            i += 3
+            continue
+        else:
+            raise c.error(i, "a term", {"identifier", "(", "\\"}, "term")
+        # ``t`` is a whole atom: apply the spine to it, then close every
+        # level that ends after it
+        while True:
+            if collect:
+                out.append(t)
+            elif head is None:
+                head = t
+            else:
+                head = App(head, t)
+            if kinds[i] in _IDENTS or lex[i] == "(":
+                break
+            if collect:
+                c.i = i
+                return tuple(out)
+            if n > base:
+                for name, _ in reversed(names[base:]):
+                    head = Lam(name, head)
+                c.unbind(base)
+                n = base
+            if not levels:
+                c.i = i
+                return head
+            if lex[i] != ")":
+                raise c.error(i, "')'", {")"}, "term")
+            i += 1
+            t = head
+            head, base = levels.pop()
+            collect = args and not levels
 
 
 # --------------------------------------------------------- types and kinds
 
-
-def _kind_to_tp(k) :
-    """Demote a kind that appeared in a type position; the checker rejects
-    the resulting reserved `type` atom with a level error."""
-    if isinstance(k, Type):
-        return AtomApp(TYPE_ATOM)
-    if isinstance(k, KArrow):
-        return Arrow(k.dom, _kind_to_tp(k.cod))
-    return Pi(k.hint, k.dom, _kind_to_tp(k.cod))
+_KINDS = (Type, KArrow, KPi)
 
 
 def _as_tp(node):
-    return _kind_to_tp(node) if isinstance(node, Kind) else node
+    """Demote a kind that appeared in a type position; the checker rejects
+    the resulting reserved `type` atom with a level error."""
+    outer = []
+    while type(node) is KArrow or type(node) is KPi:
+        outer.append(node)
+        node = node.cod
+    if type(node) is not Type:
+        return node
+    node = AtomApp(TYPE_ATOM)
+    for k in reversed(outer):
+        node = Arrow(k.dom, node) if type(k) is KArrow else Pi(k.hint, k.dom, node)
+    return node
 
 
-def _parse_tpkind(c: _Cursor, env: list[str]):
-    """Parse a type-or-kind; the result is a Kind iff it terminates in `type`."""
-    if c.at("{"):
-        c.take()
-        name = c.ident("tp")
-        c.expect(":", "tp")
-        dom = _as_tp(_parse_tpkind(c, env))
-        c.expect("}", "tp")
-        cod = _parse_tpkind(c, env + [name])
-        if isinstance(cod, Kind):
-            return KPi(name, dom, cod)
-        return Pi(name, dom, cod)
-    left = _parse_tp_atom(c, env)
-    if c.at("->"):
-        c.take()
-        rest = _parse_tpkind(c, env)
-        if isinstance(rest, Kind):
-            return KArrow(_as_tp(left), rest)
-        return Arrow(_as_tp(left), rest)
-    if c.at("<-"):
-        arms = [left]
-        while c.at("<-"):
-            c.take()
-            arms.append(_parse_tp_atom(c, env))
-        if c.at("->"):
-            raise ParseError(
-                "cannot mix '->' and '<-' without parentheses",
-                c.loc(),
-                expected={".", ";"},
-                production="tp",
-            )
-        if isinstance(arms[0], Kind):
-            out = arms[0]
-            for a in arms[1:]:
-                out = KArrow(_as_tp(a), out)
-            return out
-        out = _as_tp(arms[0])
+def _parse_tpkind(c: _Cursor):
+    """Parse a type-or-kind; the result is a Kind iff it terminates in `type`.
+
+    A loop collects the ``{x:A}`` binders and the ``->`` arms from the left
+    and folds them from the right; a ``<-`` chain reads ``a <- b <- c`` as
+    ``c -> b -> a``.  A parenthesised type and a Π domain recurse.
+    """
+    lex, kinds = c.lex, c.kinds
+    i = c.i
+    base = len(c.names)
+    prefix = []  # (binder, domain) of each Π, (None, domain) of each '->'
+    arms = None  # a '<-' chain's atoms
+    while True:
+        tok = lex[i]
+        if tok == "{" and arms is None:
+            if kinds[i + 1] not in _IDENTS:
+                raise c.error(i + 1, "an identifier", {"identifier"}, "tp")
+            if lex[i + 2] != ":":
+                raise c.error(i + 2, "':'", {":"}, "tp")
+            name = lex[i + 1]
+            c.i = i + 3
+            dom = _as_tp(_parse_tpkind(c))
+            i = c.i
+            if lex[i] != "}":
+                raise c.error(i, "'}'", {"}"}, "tp")
+            i += 1
+            c.bind(name)
+            prefix.append((name, dom))
+            continue
+        if kinds[i] in _IDENTS:
+            i += 1
+            if kinds[i] in _IDENTS or lex[i] == "(":
+                c.i = i
+                atom = AtomApp(tok, _parse_term(c, True))
+                i = c.i
+            elif tok in c.atoms:
+                atom = c.atoms[tok]
+            else:
+                atom = c.atoms[tok] = AtomApp(tok)
+        elif tok == "(":
+            c.i = i + 1
+            atom = _parse_tpkind(c)
+            i = c.i
+            if lex[i] != ")":
+                raise c.error(i, "')'", {")"}, "tp")
+            i += 1
+        elif tok == "type":
+            atom = Type()
+            i += 1
+        else:
+            raise c.error(i, "a type", {"identifier", "(", "{", "type"}, "tp")
+        op = lex[i]
+        if arms is not None:
+            arms.append(_as_tp(atom))
+            if op == "<-":
+                i += 1
+                continue
+            if op == "->":
+                c.i = i
+                raise ParseError(
+                    "cannot mix '->' and '<-' without parentheses",
+                    c.loc(),
+                    expected={".", ";"},
+                    production="tp",
+                )
+            break
+        if op == "->":
+            prefix.append((None, _as_tp(atom)))
+            i += 1
+            continue
+        if op != "<-":
+            break
+        arms = [atom]
+        i += 1
+    c.i = i
+    if arms is None:
+        out = atom
+    else:
+        out = arms[0]
+        arrow = KArrow if type(out) in _KINDS else Arrow
         for a in arms[1:]:
-            out = Arrow(_as_tp(a), out)
-        return out
-    return left
+            out = arrow(a, out)
+    if prefix:
+        kind = type(out) in _KINDS
+        for name, dom in reversed(prefix):
+            if name is None:
+                out = KArrow(dom, out) if kind else Arrow(dom, out)
+            else:
+                out = KPi(name, dom, out) if kind else Pi(name, dom, out)
+        c.unbind(base)
+    return out
 
 
-def _parse_tp_atom(c: _Cursor, env: list[str]):
-    if c.at("("):
-        c.take()
-        inner = _parse_tpkind(c, env)
-        c.expect(")", "tp")
-        return inner
-    if c.at("type"):
-        c.take()
-        return Type()
-    if c.at_ident():
-        name = c.take()
-        args = []
-        while c.at_atom():
-            args.append(_parse_term_atom(c, env))
-        return AtomApp(name, tuple(args))
-    raise ParseError(
-        f"expected a type but found {c.found()!r}",
-        c.loc(),
-        expected={"identifier", "(", "{", "type"},
-        production="tp",
-    )
-
-
-def _parse_tp(c: _Cursor, env: list[str]):
-    node = _parse_tpkind(c, env)
-    if isinstance(node, Kind):
+def _parse_tp(c: _Cursor):
+    node = _parse_tpkind(c)
+    if type(node) in _KINDS:
         raise ParseError("expected a type, found a kind", c.loc(), expected={"tp"}, production="tp")
     return node
 
@@ -300,9 +412,9 @@ def _parse_decl(c: _Cursor):
     loc = c.loc()
     name = c.ident("decl")
     c.expect(":", "decl")
-    node = _parse_tpkind(c, [])
+    node = _parse_tpkind(c)
     c.expect(".", "decl")
-    if isinstance(node, Kind):
+    if type(node) in _KINDS:
         return FamDecl(name, node, loc)
     return ConstDecl(name, node, loc)
 
@@ -313,17 +425,17 @@ def _parse_block(c: _Cursor):
     if parens:
         c.take()
     entries = []
-    labels: list[str] = []
+    base = len(c.names)
     while True:
         label = c.ident("blk")
         c.expect(":", "blk")
-        tp = _parse_tp(c, labels)
-        entries.append((label, tp))
-        labels.append(label)
+        entries.append((label, _parse_tp(c)))
+        c.bind(label)  # later entries see it
         if c.at(","):
             c.take()
             continue
         break
+    c.unbind(base)
     if parens:
         c.expect(")", "blk")
     return Block(tuple(entries))
@@ -441,7 +553,7 @@ def _classify_quantifier(var: str, tyname: str, schema_names, family_names):
     return "ctx" if var[0].islower() else "tm"
 
 
-def _parse_prp(c: _Cursor, env, schema_names, family_names):
+def _parse_prp(c: _Cursor, schema_names, family_names):
     if c.at("{"):
         c.take()
         var = c.ident("quantif")
@@ -449,50 +561,50 @@ def _parse_prp(c: _Cursor, env, schema_names, family_names):
         if c.at_ident() and c.at_next("}"):
             tyname = c.take()
             c.expect("}", "quantif")
-            body = _parse_prp(c, env, schema_names, family_names)
+            body = _parse_prp(c, schema_names, family_names)
             if _classify_quantifier(var, tyname, schema_names, family_names) == "ctx":
                 return ForallCtx(var, tyname, body)
             return ForallTm(var, AtomApp(tyname), body)
-        tp = _parse_tp(c, [])
+        tp = _parse_tp(c)
         c.expect("}", "quantif")
-        body = _parse_prp(c, env, schema_names, family_names)
+        body = _parse_prp(c, schema_names, family_names)
         return ForallTm(var, tp, body)
     if c.at("<"):
         c.take()
         var = c.ident("quantif")
         c.expect(":", "quantif")
-        tp = _parse_tp(c, [])
+        tp = _parse_tp(c)
         c.expect(">", "quantif")
-        body = _parse_prp(c, env, schema_names, family_names)
+        body = _parse_prp(c, schema_names, family_names)
         return ExistsTm(var, tp, body)
-    return _parse_prp_imp(c, env, schema_names, family_names)
+    return _parse_prp_imp(c, schema_names, family_names)
 
 
-def _parse_prp_imp(c, env, schema_names, family_names):
-    lhs = _parse_prp_or(c, env, schema_names, family_names)
+def _parse_prp_imp(c, schema_names, family_names):
+    lhs = _parse_prp_or(c, schema_names, family_names)
     if c.at("->"):
         c.take()
-        return Imp(lhs, _parse_prp_imp(c, env, schema_names, family_names))
+        return Imp(lhs, _parse_prp_imp(c, schema_names, family_names))
     return lhs
 
 
-def _parse_prp_or(c, env, schema_names, family_names):
-    lhs = _parse_prp_and(c, env, schema_names, family_names)
+def _parse_prp_or(c, schema_names, family_names):
+    lhs = _parse_prp_and(c, schema_names, family_names)
     while c.at("||"):
         c.take()
-        lhs = Or(lhs, _parse_prp_and(c, env, schema_names, family_names))
+        lhs = Or(lhs, _parse_prp_and(c, schema_names, family_names))
     return lhs
 
 
-def _parse_prp_and(c, env, schema_names, family_names):
-    lhs = _parse_prp_atom(c, env, schema_names, family_names)
+def _parse_prp_and(c, schema_names, family_names):
+    lhs = _parse_prp_atom(c, schema_names, family_names)
     while c.at("&"):
         c.take()
-        lhs = And(lhs, _parse_prp_atom(c, env, schema_names, family_names))
+        lhs = And(lhs, _parse_prp_atom(c, schema_names, family_names))
     return lhs
 
 
-def _parse_prp_atom(c, env, schema_names, family_names):
+def _parse_prp_atom(c, schema_names, family_names):
     if c.at("true"):
         c.take()
         return TrueP()
@@ -506,26 +618,24 @@ def _parse_prp_atom(c, env, schema_names, family_names):
         save = c.i
         try:
             c.take()
-            p = _parse_prp(c, env, schema_names, family_names)
+            p = _parse_prp(c, schema_names, family_names)
             c.expect(")", "prp")
             if not (c.at("=") or c.at_atom()):
                 return p
         except ParseError:
-            pass
+            c.unbind()
         c.i = save
-        term = _parse_term(c, env)
+        term = _parse_term(c)
         c.expect("=", "prp")
-        return TermEq(term, _parse_term(c, env))
+        return TermEq(term, _parse_term(c))
     if c.at("["):
         c.take()
         ctx = _parse_ctx_body(c, "prp")
         c.expect("|-", "prp")
         fam = c.ident("prp")
-        args = []
-        while c.at_atom():
-            args.append(_parse_term_atom(c, env))
+        args = _parse_term(c, True) if c.at_atom() else ()
         c.expect("]", "prp")
-        return Judgment(ctx, fam, tuple(args))
+        return Judgment(ctx, fam, args)
     if c.at_ident() and c.at_next("["):
         name = c.take()
         ctxs = []
@@ -533,10 +643,10 @@ def _parse_prp_atom(c, env, schema_names, family_names):
             ctxs.append(_parse_ctx(c))
         return RelApp(name, tuple(ctxs))
     if c.at_ident() or c.at("\\"):
-        term = _parse_term(c, env)
+        term = _parse_term(c)
         if c.at("="):
             c.take()
-            rhs = _parse_term(c, env)
+            rhs = _parse_term(c)
             return TermEq(term, rhs)
         if isinstance(term, Const):
             return RelApp(term.name, ())
@@ -559,7 +669,7 @@ def _parse_theorem(c: _Cursor, schema_names, family_names):
     c.expect("theorem", "thm")
     name = c.ident("thm")
     c.expect(":", "thm")
-    prp = _parse_prp(c, [], schema_names, family_names)
+    prp = _parse_prp(c, schema_names, family_names)
     c.expect(";", "thm")
     return Theorem(name, prp, loc)
 
@@ -577,6 +687,15 @@ def _parse_item(c: _Cursor, section, schema_names, family_names):
             expected={"%% Syntax"},
             production="sig",
         )
+    if c.at_ident():
+        if section not in _DECL_SECTIONS:
+            raise ParseError(
+                f"constant or type declaration in the {section} section",
+                c.loc(),
+                expected={"%% Syntax", "%% Judgments", "%% Rules"},
+                production="decl",
+            )
+        return _parse_decl(c)
     if c.at("schema"):
         if section != "Schemas":
             raise ParseError(
@@ -604,15 +723,6 @@ def _parse_item(c: _Cursor, section, schema_names, family_names):
                 production="thm",
             )
         return _parse_theorem(c, schema_names, family_names)
-    if c.at_ident():
-        if section not in _DECL_SECTIONS:
-            raise ParseError(
-                f"constant or type declaration in the {section} section",
-                c.loc(),
-                expected={"%% Syntax", "%% Judgments", "%% Rules"},
-                production="decl",
-            )
-        return _parse_decl(c)
     raise ParseError(
         f"expected a declaration but found {c.found()!r}",
         c.loc(),
@@ -639,10 +749,13 @@ def parse_spec(source: str) -> OrbiSpec:
     spans = []
     schema_names: set[str] = set()
     family_names: set[str] = set()
-    while not c.at_eof():
-        if c.at_directive():
-            i = c.i
-            c.take()
+    kinds = toks.kinds
+    while True:
+        i = c.i
+        if kinds[i] == "eof":
+            break
+        if kinds[i] == "directive":
+            c.i = i + 1
             try:
                 d = parse_directive_line(toks.lexemes[i], toks.loc(i))
             except DirectiveError as e:
@@ -661,11 +774,12 @@ def parse_spec(source: str) -> OrbiSpec:
         except ParseError as e:
             errors.extend(e.diagnostics())
             _recover(c)
+            c.unbind()
             continue
         items.append((section, node))
-        if isinstance(node, Schema):
+        if type(node) is Schema:
             schema_names.add(node.name)
-        elif isinstance(node, FamDecl):
+        elif type(node) is FamDecl:
             family_names.add(node.name)
     if section is not None:
         spans.append((section, seg_start, len(source)))
@@ -680,7 +794,9 @@ def parse_spec(source: str) -> OrbiSpec:
 def parse_term_str(text: str, binders=()):
     """Parse a standalone term; ``binders`` lists enclosing names, outermost first."""
     c = _Cursor(tokenize(text))
-    t = _parse_term(c, list(binders))
+    for name in binders:
+        c.bind(name)
+    t = _parse_term(c)
     if not c.at_eof():
         raise ParseError(f"trailing input {c.found()!r}", c.loc(), production="term")
     return t
@@ -688,7 +804,9 @@ def parse_term_str(text: str, binders=()):
 
 def parse_tpkind_str(text: str, binders=()):
     c = _Cursor(tokenize(text))
-    node = _parse_tpkind(c, list(binders))
+    for name in binders:
+        c.bind(name)
+    node = _parse_tpkind(c)
     if not c.at_eof():
         raise ParseError(f"trailing input {c.found()!r}", c.loc(), production="tp")
     return node

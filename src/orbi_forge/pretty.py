@@ -97,7 +97,7 @@ def _groups(p: Prp, d: Dialect, cx) -> str:
                 cx = cx.bind(p.var)
         elif t is ForallTm:
             tp = tp_str(p.tp, [])
-            ctx = None if cx is None else cx.ctx_of(p.var)
+            ctx = None if cx is None else cx.ctx_of(p)
             groups.append(f"{{{p.var}:{tp}}}" if ctx is None else f"{{{p.var}:[{ctx} |- {tp}]}}")
         elif t is ExistsTm:
             groups.append(f"<{p.var}:{tp_str(p.tp, [])}>")

@@ -468,8 +468,10 @@ def translate_relation(
 # ---------------------------------------------------------------- theorems
 
 
-def _usage_ctxs(statement: Prp, var: str) -> list[str]:
-    """Context variables of the judgments that mention ``var``, in order."""
+def _usage_ctxs(q: ForallTm) -> list[str]:
+    """Context variables of the judgments in the scope of ``q`` that mention
+    its variable, in order; a quantifier that rebinds the name ends the scope."""
+    var = q.var
     out: list[str] = []
 
     def walk(p: Prp) -> None:
@@ -481,10 +483,10 @@ def _usage_ctxs(statement: Prp, var: str) -> list[str]:
         elif isinstance(p, (And, Or, Imp)):
             walk(p.lhs)
             walk(p.rhs)
-        elif isinstance(p, (ForallCtx, ForallTm, ExistsTm)):
+        elif isinstance(p, (ForallCtx, ForallTm, ExistsTm)) and p.var != var:
             walk(p.body)
 
-    walk(statement)
+    walk(q.body)
     return out
 
 
@@ -499,13 +501,15 @@ class _Scope(Record):
     def bind(self, var: str) -> _Scope:
         return self._replace(ctxs=(*self.ctxs, var))
 
-    def ctx_of(self, var: str):
-        """The context of the wf antecedent of ``var`` if it is explicit: the
-        one context in scope it is used under, else the outermost."""
+    def ctx_of(self, q: ForallTm):
+        """The context of the wf antecedent of the variable of ``q`` if it is
+        explicit: the one context in scope it is used under, else the
+        outermost."""
+        var = q.var
         if var not in self.expl:
             return None
         t, scope = self.thm, self.ctxs
-        usage = [c for c in _usage_ctxs(t.statement, var) if c in scope]
+        usage = [c for c in _usage_ctxs(q) if c in scope]
         if len(usage) == 1:
             return usage[0]
         if not scope:
@@ -558,7 +562,7 @@ def _ab_quant(p: Prp, d, cx: _Scope) -> str:
         if type(p) is ForallCtx:
             cx = cx.bind(p.var)
             antecedents.append(f"{p.schema} {upper} -> ")
-        elif (ctx := cx.ctx_of(p.var)) is not None:
+        elif (ctx := cx.ctx_of(p)) is not None:
             if type(p.tp) is not AtomApp or p.tp.args:
                 raise UnsupportedShapeError(
                     f"theorem {cx.thm.name!r}: explicit variable {p.var!r} must have an "

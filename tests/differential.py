@@ -88,6 +88,12 @@ def _probes(eq: str, head: str) -> list:
             head + "theorem nestU: {h:xaG}{N:tm} [h |- aeq N N] || "
             "({g:xaG}{M:tm}<P:tm> [g |- aeq M P] & [h |- aeq N N]) -> false;\n",
         ),
+        # an inner {M:tm} took the contexts the outer M is used under
+        (
+            "shadow-usage",
+            head + "theorem shadowU: {g:xaG}{h:xaG}{M:tm} [g |- aeq M M] -> "
+            "({M:tm} [h |- aeq M M]);\n",
+        ),
         ("redex-two-args", _RULES_SIG + "\n%% Rules\nr: j ((\\x. \\y. c2 y x) M N) c0.\n"),
         ("omega-redex", _RULES_SIG + "\n%% Rules\nr: j ((\\x. x x) (\\x. x x)) c0.\n"),
         ("const-capture", _RULES_SIG + "\n%% Rules\nr: aeq ((\\y. lam (\\c. app c y)) c) c.\n"),

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from conftest import golden
+import orbi_forge
 from orbi_forge import corpus_source
 from orbi_forge.cli import run
 
@@ -247,8 +251,14 @@ def test_theorem_redex_discarding_a_divergent_argument_translates(tmp_path):
 
 
 # One-rule specs nested ``n`` levels deep, at about 90% of the depth each
-# shape reaches on CPython 3.11 (493, 197, 491, 986 and 986 levels), so that
-# a walker that spends more stack per level shows here.
+# shape reached when the parser set the limits (493, 197, 491, 986 and 986
+# levels), so that a walker that spends more stack per level shows here.  The
+# parser sets none of them now (test_parser.py::test_deep_rules_parse).
+# Re-probed on CPython 3.11 through ``check``, ``translate`` and ``fmt``, the
+# shapes reach 494, 329, 494, 987 and 987 levels: the LF checker sets the
+# limit of the first two (``lf._check``, and ``pretty.term_str`` in ``fmt``
+# at the same 329 for the lambdas) and of the last two (``lf.check_tp``), the
+# printer that of the redexes (``pretty.term_str`` in ``fmt``).
 _DEPTH_SIG = (
     "%% Syntax\ntm: type.\nc: tm.\napp: tm -> tm -> tm.\nlam: (tm -> tm) -> tm.\n\n"
     "%% Judgments\nj: tm -> type.\n\n%% Rules\n"
@@ -271,3 +281,17 @@ def test_deep_rule_shapes_exit_zero(rule, tmp_path, capsys):
     for argv in (["check"], ["translate", "--target", "ab", "--out-dir", str(tmp_path)], ["fmt"]):
         assert run(argv + [str(p)]) == 0, argv
         assert "[E-" not in capsys.readouterr().err
+
+
+def test_importing_the_cli_leaves_json_out():
+    # only --structured output needs json, and every run pays for imports
+    code = "import sys, orbi_forge.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'json'))"
+    src = os.path.dirname(os.path.dirname(orbi_forge.__file__))
+    p = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert p.stdout.strip() == "[]"

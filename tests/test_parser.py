@@ -1,6 +1,7 @@
 import glob
 import os
 import random
+import sys
 
 import pytest
 
@@ -407,6 +408,33 @@ def test_item_locations_and_spans_match_reference_tokens():
             "%% Syntax\r\n\ttm: type.\r\n\t\tapp: tm -> tm\r\n%% Rules\r\n\tr: .",
             [(4, 1, "expected '.' but found '%% Rules'"), (5, 5, "expected a type but found '.'")],
         ),
+        # every exit of the term loop: no term in parentheses or after a dot
+        ("%% Rules\nr: j ().\n", [(2, 7, "expected a term but found ')'")]),
+        ("%% Rules\nr: j (lam (\\x.)).\n", [(2, 15, "expected a term but found ')'")]),
+        # a lambda after a head ends the spine, so its parenthesis is open
+        (
+            "%% Rules\nr: j (app \\x. x) c.\n",
+            [(2, 11, "expected ')' but found '\\\\'"), (2, 16, "expected ':' but found ')'")],
+        ),
+        ("%% Rules\nr: j (lam (\\x. app x x).\n", [(2, 24, "expected ')' but found '.'")]),
+        ("%% Rules\nr: j (lam (\\x. x)\ns: j c.\n", [(3, 2, "expected ')' but found ':'")]),
+        (
+            "%% Rules\nr: j (lam (\\. x)).\n",
+            [(2, 13, "expected an identifier but found '.'"), (2, 16, "expected ':' but found ')'")],
+        ),
+        ("%% Rules\nr: j (lam (\\", [(2, 13, "expected an identifier but found 'end of input'")]),
+        ("%% Rules\nr: j (lam (\\x x)).\n", [(2, 15, "expected '.' but found 'x'")]),
+        # and of the type loop
+        ("%% Rules\nr: j c ->.\n", [(2, 10, "expected a type but found '.'")]),
+        ("%% Rules\nr: j M <- {x:tm} j x.\n", [(2, 11, "expected a type but found '{'")]),
+        ("%% Rules\nr: (j M -> j M.\n", [(2, 15, "expected ')' but found '.'")]),
+        ("%% Rules\nr: {x tm} j x.\n", [(2, 7, "expected ':' but found 'tm'")]),
+        ("%% Rules\nr: {x:tm j x.\n", [(2, 13, "expected '}' but found '.'")]),
+        ("%% Rules\nr: j M <- j N -> j M.\n", [(2, 15, "cannot mix '->' and '<-' without parentheses")]),
+        (
+            "%% Rules\nr: j M -> j N <- j M <- j N -> j M.\n",
+            [(2, 29, "cannot mix '->' and '<-' without parentheses")],
+        ),
     ],
 )
 def test_parse_error_locations(source, expected):
@@ -415,3 +443,75 @@ def test_parse_error_locations(source, expected):
     diags = exc.value.diagnostics()
     assert all(d.code == "E-PARSE" for d in diags)
     assert [(d.loc.line, d.loc.col, d.message) for d in diags] == expected
+
+
+# ----------------------------------------------------------- deep nesting
+
+_DEEP_SIG = "%% Syntax\ntm: type.\nc: tm.\napp: tm -> tm -> tm.\nlam: (tm -> tm) -> tm.\n\n%% Rules\n"
+_DEEP = 10_000
+
+
+def _app_args(t):
+    # app c (…)
+    assert type(t) is App and t.fn == App(Const("app"), Const("c"))
+    return t.arg
+
+
+def _lam(t):
+    # lam (\x. …)
+    assert type(t) is App and t.fn == Const("lam") and type(t.arg) is Lam and t.arg.hint == "x"
+    return t.arg.body
+
+
+def _redex(t):
+    # (\x. x) (…)
+    assert type(t) is App and type(t.fn) is Lam and t.fn.body == Var(0)
+    return t.arg
+
+
+def _arrow(t):
+    assert type(t) is Arrow and t.dom == AtomApp("j", (Const("M"),))
+    return t.cod
+
+
+def _pi(t):
+    assert type(t) is Pi and t.hint == "x" and t.dom == AtomApp("tm")
+    return t.cod
+
+
+@pytest.mark.parametrize(
+    "rule, level, innermost",
+    [
+        ("r: j " + "(app c " * _DEEP + "c" + ")" * _DEEP + ".", _app_args, Const("c")),
+        ("r: j " + "(lam (\\x. " * _DEEP + "c" + "))" * _DEEP + ".", _lam, Const("c")),
+        ("r: j " + "((\\x. x) " * _DEEP + "c" + ")" * _DEEP + ".", _redex, Const("c")),
+        ("r: " + "j M -> " * _DEEP + "j M.", _arrow, AtomApp("j", (Const("M"),))),
+        ("r: " + "{x:tm} " * _DEEP + "j x.", _pi, AtomApp("j", (Var(0),))),
+    ],
+    ids=["app-args", "lam", "redexes", "arrow-schematic", "pi-prefix"],
+)
+def test_deep_rules_parse(rule, level, innermost):
+    # the shapes of test_cli.py::test_deep_rule_shapes_exit_zero, at
+    # CPython's default recursion limit; walked level by level, as == and
+    # repr recurse
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        (decl,) = parse_spec(_DEEP_SIG + rule + "\n").rules
+    finally:
+        sys.setrecursionlimit(limit)
+    node = decl.tp
+    if type(node) is AtomApp:
+        (node,) = node.args
+    for _ in range(_DEEP):
+        node = level(node)
+    assert node == innermost
+
+
+def test_leaves_are_shared_within_one_parse_only():
+    src = "%% Syntax\ntm: type.\nc: tm.\nf: tm -> tm.\n%% Rules\nr: j (f c) c.\ns: j c c.\n"
+    r, s = parse_spec(src).rules
+    (fc, c), (c2, c3) = r.tp.args, s.tp.args
+    assert fc.arg is c is c2 is c3
+    assert parse_spec(src).rules[1].tp.args[0] is not c
+

@@ -428,6 +428,31 @@ def test_beluga_nested_quantifiers_are_laid_out_as_outer_ones(corpus_text, theor
     assert translate_spec(checked, "bel").block("nest") == text
 
 
+@pytest.mark.parametrize(
+    "target, text",
+    [
+        (
+            "ab",
+            "forall G H M, xaG G -> xaG H -> {G |- is_tm M} -> {G |- aeq M M} -> "
+            "(forall M1, {H |- is_tm M1} -> {H |- aeq M1 M1}).",
+        ),
+        ("bel", "{g:xaG} {h:xaG} {M:[g |- tm]} [g |- aeq M M] -> ({M:[h |- tm]} [h |- aeq M M])."),
+    ],
+    ids=["ab", "bel"],
+)
+def test_shadowing_quantifier_has_its_own_usage_contexts(corpus_text, target, text):
+    # eq.orbi, with `%% explicit [hy,ab,bel] in M`: the outer M is used only
+    # under g and the inner one only under h, so neither warns
+    head = "\n".join(corpus_text.split("\n")[:45])
+    checked = check_all(
+        f"{head}\n%% Theorems\n"
+        "theorem sh: {g:xaG}{h:xaG}{M:tm} [g |- aeq M M] -> ({M:tm} [h |- aeq M M]);\n"
+    )
+    doc = translate_spec(checked, target)
+    assert doc.block("sh") == text
+    assert not [w for w in doc.warnings if w.code == "W-CTX"]
+
+
 def test_twelf_theorems_are_comments(tw_doc):
     assert tw_doc.block("reflG") == "% theorem reflG: {h:xaG}{M:tm} [h |- aeq M M];"
 
