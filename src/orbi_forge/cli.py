@@ -131,39 +131,32 @@ def _run_file(path: str, args) -> int:
     except UnicodeDecodeError:
         _emit([_encoding_error(path)], path, args.structured)
         return 1
-    if args.cmd == "fmt":
-        try:
-            sys.stdout.write(spec_str(parse_spec(text)))
-        except OrbiError as e:
-            _emit(e.diagnostics(), path, args.structured)
-            return 1
-        return 0
+    worst = 0
     try:
         spec = parse_spec(text)
+        if args.cmd == "fmt":
+            sys.stdout.write(spec_str(spec))
+            return 0
         checked = check_spec(spec)
+        warnings = run_lint(checked)
+        if warnings:
+            _emit(warnings, path, args.structured)
+            if args.werror:
+                worst = 1
+        if args.cmd != "translate":
+            return worst
+        doc = translate_spec(checked, args.target)
     except OrbiError as e:
-        _emit(e.diagnostics(), path, args.structured)
+        _emit(e.diagnostics, path, args.structured)
         return 1
-    worst = 0
-    warnings = run_lint(checked)
-    if warnings:
-        _emit(warnings, path, args.structured)
-        if args.werror:
-            worst = 1
-    if args.cmd == "translate":
-        try:
-            doc = translate_spec(checked, args.target)
-        except OrbiError as e:
-            _emit(e.diagnostics(), path, args.structured)
-            return 1
-        if doc.warnings:
-            _emit(doc.warnings, path, args.structured)
-        out = os.path.join(args.out_dir, _out_name(path, args.target))
-        try:
-            _write_atomic(out, doc.render())
-        except OSError as e:
-            print(f"orbi: cannot write {out}: {e.strerror or e}", file=sys.stderr)
-            return 2
+    if doc.warnings:
+        _emit(doc.warnings, path, args.structured)
+    out = os.path.join(args.out_dir, _out_name(path, args.target))
+    try:
+        _write_atomic(out, doc.render())
+    except OSError as e:
+        print(f"orbi: cannot write {out}: {e.strerror or e}", file=sys.stderr)
+        return 2
     return worst
 
 

@@ -6,18 +6,7 @@ to a judgment-in-context, so its terms are never typed against the context.
 
 from __future__ import annotations
 
-from orbi_forge.errors import (
-    ArityError,
-    Diagnostic,
-    DuplicateNameError,
-    OrbiError,
-    SchemaMismatchError,
-    TheoremScopeError,
-    UnknownCtxVarError,
-    UnknownRelationError,
-    UnknownSchemaError,
-    UnsupportedShapeError,
-)
+from orbi_forge.errors import Diagnostic, OrbiError
 from orbi_forge.lf import (
     Signature,
     check_signature,
@@ -73,8 +62,8 @@ def check_schema(sig: Signature, s: Schema) -> Schema:
         telescope = []
         for label, tp in block.entries:
             if label in labels:
-                raise DuplicateNameError(
-                    f"duplicate label {label!r} in a block of schema {s.name!r}", s.loc
+                raise OrbiError(
+                    "E-DUP", f"duplicate label {label!r} in a block of schema {s.name!r}"
                 )
             labels.append(label)
             check_tp(sig, telescope, tp)
@@ -93,17 +82,18 @@ def check_ctx_pattern(
     ctx_vars = ctx_vars or {}
     schema = schemas.get(expected_schema)
     if schema is None:
-        raise UnknownSchemaError(f"unknown schema {expected_schema!r}")
+        raise OrbiError("E-NO-SCHEMA", f"unknown schema {expected_schema!r}")
     if isinstance(c, EmptyCtx):
         return c
     if isinstance(c, CtxVar):
         declared = ctx_vars.get(c.name)
         if declared is None:
-            raise UnknownCtxVarError(f"context variable {c.name!r} is not declared")
+            raise OrbiError("E-CTXVAR", f"context variable {c.name!r} is not declared")
         if declared != expected_schema:
-            raise SchemaMismatchError(
+            raise OrbiError(
+                "E-SCHEMA",
                 f"context variable {c.name!r} has schema {declared!r} "
-                f"but {expected_schema!r} is expected"
+                f"but {expected_schema!r} is expected",
             )
         return c
     check_ctx_pattern(sig, schemas, expected_schema, c.prefix, ctx_vars)
@@ -114,8 +104,8 @@ def check_ctx_pattern(
     labels = [label for label, _ in c.block.entries]
     # Block == compares entry types only, so labels rename freely
     if Block(tuple(zip(labels, telescope))) not in schema.alternatives:
-        raise SchemaMismatchError(
-            f"block {c.label!r} matches no alternative of schema {expected_schema!r}"
+        raise OrbiError(
+            "E-SCHEMA", f"block {c.label!r} matches no alternative of schema {expected_schema!r}"
         )
     return c
 
@@ -140,17 +130,17 @@ def check_inductive_def(
     seen = set()
     for var, schema in d.params:
         if var in seen:
-            raise DuplicateNameError(f"duplicate context parameter {var!r}", d.loc)
+            raise OrbiError("E-DUP", f"duplicate context parameter {var!r}")
         seen.add(var)
         if schema not in schemas:
-            raise UnknownSchemaError(f"unknown schema {schema!r}", d.loc)
+            raise OrbiError("E-NO-SCHEMA", f"unknown schema {schema!r}")
 
     def arity_of(name: str) -> int:
         if name == d.name:
             return len(d.params)
         rel = relations.get(name)
         if rel is None:
-            raise UnknownRelationError(f"unknown relation {name!r}", d.loc)
+            raise OrbiError("E-NO-RELATION", f"unknown relation {name!r}")
         return len(rel.params)
 
     def param_schema(name: str, i: int) -> str:
@@ -161,57 +151,52 @@ def check_inductive_def(
     for cname, prp in d.clauses:
         premises, head = _clause_parts(prp)
         if not isinstance(head, RelApp) or head.name != d.name:
-            raise UnsupportedShapeError(
-                f"clause {cname!r} must conclude with the relation being defined", d.loc
+            raise OrbiError(
+                "E-SHAPE", f"clause {cname!r} must conclude with the relation being defined"
             )
         ctx_vars: dict[str, str] = {}
         for prem in premises:
             if not isinstance(prem, RelApp):
-                raise UnsupportedShapeError(
-                    f"premise of clause {cname!r} must be a relation application", d.loc
+                raise OrbiError(
+                    "E-SHAPE", f"premise of clause {cname!r} must be a relation application"
                 )
             if len(prem.ctxs) != arity_of(prem.name):
-                raise ArityError(
+                raise OrbiError(
+                    "E-ARITY",
                     f"relation {prem.name!r} expects {arity_of(prem.name)} context "
                     f"arguments, got {len(prem.ctxs)}",
-                    d.loc,
                 )
             for i, arg in enumerate(prem.ctxs):
                 if not isinstance(arg, CtxVar):
-                    raise UnsupportedShapeError(
+                    raise OrbiError(
+                        "E-SHAPE",
                         f"premise context arguments of clause {cname!r} must be bare "
                         "context variables",
-                        d.loc,
                     )
                 expected = param_schema(prem.name, i)
                 declared = ctx_vars.setdefault(arg.name, expected)
                 if declared != expected:
-                    raise SchemaMismatchError(
+                    raise OrbiError(
+                        "E-SCHEMA",
                         f"context variable {arg.name!r} used at schemas "
                         f"{declared!r} and {expected!r}",
-                        d.loc,
                     )
         if len(head.ctxs) != len(d.params):
-            raise ArityError(
+            raise OrbiError(
+                "E-ARITY",
                 f"relation {d.name!r} expects {len(d.params)} context arguments, "
                 f"got {len(head.ctxs)}",
-                d.loc,
             )
         for (_, schema_name), arg in zip(d.params, head.ctxs):
             labels = set()
             for label, _ in ctx_blocks(arg):
                 if label in labels:
-                    raise DuplicateNameError(
+                    raise OrbiError(
+                        "E-DUP",
                         f"block label {label!r} used twice in one context of clause {cname!r}",
-                        d.loc,
                     )
                 labels.add(label)
-            try:
-                check_ctx_pattern(sig, schemas, schema_name, arg, ctx_vars)
-            except OrbiError as e:
-                if e.loc.line == 0:
-                    e.loc = d.loc
-                raise
+            check_ctx_pattern(sig, schemas, schema_name, arg, ctx_vars)
     return d
 
 
@@ -324,7 +309,7 @@ def scope_check_theorem(
 
     walk(t.statement, {}, {})
     if diags:
-        raise TheoremScopeError(diags)
+        raise OrbiError.of(diags)
     return t
 
 
@@ -337,33 +322,30 @@ class CheckedSpec(Record):
 
 def check_spec(spec: OrbiSpec) -> CheckedSpec:
     """Run the full checking pipeline over a parsed document, including the
-    directive tables of every target system."""
+    directive tables of every target system.  An error raised without a
+    location is placed at the declaration being checked."""
     sig = check_signature(spec)
     schemas: SchemaTable = {}
     for s in spec.schemas:
         try:
             if s.name in schemas or s.name in sig:
-                raise DuplicateNameError(f"duplicate declaration of {s.name!r}")
+                raise OrbiError("E-DUP", f"duplicate declaration of {s.name!r}")
             schemas[s.name] = check_schema(sig, s)
         except OrbiError as e:
-            if e.loc.line == 0:
-                e.loc = s.loc
-            raise
+            raise e.at(s.loc)
     relations: RelationTable = {}
     for d in spec.definitions:
         try:
             if d.name in relations or d.name in sig or d.name in schemas:
-                raise DuplicateNameError(f"duplicate declaration of {d.name!r}")
+                raise OrbiError("E-DUP", f"duplicate declaration of {d.name!r}")
             relations[d.name] = check_inductive_def(sig, schemas, relations, d)
         except OrbiError as e:
-            if e.loc.line == 0:
-                e.loc = d.loc
-            raise
+            raise e.at(d.loc)
     names = set()
     theorems = []
     for t in spec.theorems:
         if t.name in names:
-            raise DuplicateNameError(f"duplicate theorem {t.name!r}", t.loc)
+            raise OrbiError("E-DUP", f"duplicate theorem {t.name!r}", t.loc)
         names.add(t.name)
         theorems.append(scope_check_theorem(sig, schemas, relations, t))
     checked = CheckedSpec(spec, sig, schemas, relations, tuple(theorems))

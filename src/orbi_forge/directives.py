@@ -13,13 +13,7 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
-from orbi_forge.errors import (
-    AmbiguousDestError,
-    ConflictingDirectivesError,
-    DuplicateNameError,
-    LevelError,
-    UnknownDestError,
-)
+from orbi_forge.errors import OrbiError
 from orbi_forge.syntax import ExistsTm, ForallCtx, ForallTm, Record
 
 
@@ -83,25 +77,27 @@ def resolve(checked, target: str) -> AnnotationTable:
             continue
         if d.what == "wf":
             if d.dest_is_ctx or not sig.is_family(d.dest):
-                raise UnknownDestError(
-                    f"wf destination {d.dest!r} is not a declared type family", d.loc
+                raise OrbiError(
+                    "E-DEST", f"wf destination {d.dest!r} is not a declared type family", d.loc
                 )
             if sig.level(d.dest) != 0:
-                raise LevelError(
-                    f"wf predicate requested for non-level-0 family {d.dest!r}", d.loc
+                raise OrbiError(
+                    "E-LEVEL", f"wf predicate requested for non-level-0 family {d.dest!r}", d.loc
                 )
             pred = wf_name(d.dest)
             if pred in sig or pred in checked.schemas or pred in checked.relations:
-                raise DuplicateNameError(
-                    f"wf predicate {pred!r} of family {d.dest!r} clashes with a declared name", d.loc
+                raise OrbiError(
+                    "E-DUP",
+                    f"wf predicate {pred!r} of family {d.dest!r} clashes with a declared name",
+                    d.loc,
                 )
             wf.add(d.dest)
             continue
         if d.dest_is_ctx:
             kind, items = "rel", rel_owners.get(d.dest)
             if not items:
-                raise UnknownDestError(
-                    f"no relation has a context parameter named {d.dest!r}", d.loc
+                raise OrbiError(
+                    "E-DEST", f"no relation has a context parameter named {d.dest!r}", d.loc
                 )
         else:
             found = []  # (namespace, items) of each namespace the name resolves in
@@ -115,9 +111,10 @@ def resolve(checked, target: str) -> AnnotationTable:
             if d.dest in thm_owners:
                 found.append(("thm", thm_owners[d.dest]))
             if not found:
-                raise UnknownDestError(f"unknown directive destination {d.dest!r}", d.loc)
+                raise OrbiError("E-DEST", f"unknown directive destination {d.dest!r}", d.loc)
             if len(found) > 1:
-                raise AmbiguousDestError(
+                raise OrbiError(
+                    "E-AMBIG",
                     f"directive destination {d.dest!r} is ambiguous "
                     f"({' and '.join(ns for ns, _ in found)})",
                     d.loc,
@@ -131,7 +128,8 @@ def resolve(checked, target: str) -> AnnotationTable:
 
     if clash_at:
         kind, shown = min(clash_at, key=lambda k: (tuple(_KINDS).index(k[0]), str(k[1])))
-        raise ConflictingDirectivesError(
+        raise OrbiError(
+            "E-CONFLICT",
             f"{_KINDS[kind]} {shown} is marked both explicit and implicit for {target!r}",
             clash_at[kind, shown],
         )

@@ -1,8 +1,7 @@
-"""Diagnostics and the error hierarchy used across the toolchain.
+"""Diagnostics, and the one exception that carries them.
 
-Every failure carries a stable machine-readable code so that batch tools can
-assert on the class of rejection rather than on message text.
-"""
+Every diagnostic has a stable code (README lists them all), so that batch
+tools can assert on the class of a rejection rather than on its message."""
 
 from __future__ import annotations
 
@@ -34,130 +33,38 @@ class Diagnostic(Record):
 
 
 class OrbiError(Exception):
-    """Base of all toolchain failures."""
+    """A rejection of the input: the error diagnostics it carries, in order."""
 
-    code = "E"
-
-    def __init__(self, message: str, loc: Loc = NO_LOC, hint: str = ""):
+    def __init__(self, code: str, message: str, loc: Loc = NO_LOC, hint="", production=""):
         super().__init__(message)
-        self.message = message
-        self.loc = loc
-        self.hint = hint
+        self.diagnostics = (Diagnostic(code, message, loc, "error", hint, production),)
 
-    def diagnostics(self) -> list[Diagnostic]:
-        return [Diagnostic(self.code, self.message, self.loc, "error", self.hint)]
+    @staticmethod
+    def of(diags) -> OrbiError:
+        """One error carrying every diagnostic of ``diags``."""
+        e = OrbiError.__new__(OrbiError, diags[0].message)
+        e.diagnostics = tuple(diags)
+        return e
 
+    code = property(lambda self: self.diagnostics[0].code)
+    message = property(lambda self: self.diagnostics[0].message)
+    loc = property(lambda self: self.diagnostics[0].loc)
 
-class LexError(OrbiError):
-    code = "E-LEX"
+    def at(self, loc: Loc) -> OrbiError:
+        """Give every diagnostic that has no location ``loc``; returns ``self``."""
+        out = ()
+        for d in self.diagnostics:
+            if d.loc.line == 0:
+                d = Diagnostic(d.code, d.message, loc, d.severity, d.hint, d.production)
+            out += (d,)
+        self.diagnostics = out
+        return self
 
 
 class ParseError(OrbiError):
-    code = "E-PARSE"
+    """``E-PARSE``, caught by class where the parser backtracks or recovers."""
 
-    def __init__(self, message, loc=NO_LOC, hint="", expected=(), production=""):
-        super().__init__(message, loc, hint)
-        self.expected = frozenset(expected)
-        self.production = production
-
-    def diagnostics(self):
-        return [Diagnostic(self.code, self.message, self.loc, "error", self.hint, self.production)]
-
-
-class SpecParseError(OrbiError):
-    """Aggregate of every parse diagnostic recovered in one run."""
-
-    code = "E-PARSE"
-
-    def __init__(self, diags):
-        self._diags = list(diags)
-        first = self._diags[0]
-        super().__init__(first.message, first.loc)
-
-    def diagnostics(self):
-        return list(self._diags)
-
-
-class DirectiveError(OrbiError):
-    code = "E-DIR"
-
-
-class KindError(OrbiError):
-    code = "E-KIND"
-
-
-class LfTypeError(OrbiError):
-    code = "E-TYPE"
-
-
-class LevelError(OrbiError):
-    code = "E-LEVEL"
-
-
-class ReconstructionError(OrbiError):
-    code = "E-RECON"
-
-
-class DuplicateNameError(OrbiError):
-    code = "E-DUP"
-
-
-class UnboundVariableError(OrbiError):
-    code = "E-UNBOUND"
-
-
-class SchemaMismatchError(OrbiError):
-    code = "E-SCHEMA"
-
-
-class UnknownCtxVarError(OrbiError):
-    code = "E-CTXVAR"
-
-
-class UnknownSchemaError(OrbiError):
-    code = "E-NO-SCHEMA"
-
-
-class UnknownRelationError(OrbiError):
-    code = "E-NO-RELATION"
-
-
-class ArityError(OrbiError):
-    code = "E-ARITY"
-
-
-class UnknownDestError(OrbiError):
-    code = "E-DEST"
-
-
-class AmbiguousDestError(OrbiError):
-    code = "E-AMBIG"
-
-
-class ConflictingDirectivesError(OrbiError):
-    code = "E-CONFLICT"
-
-
-class UnsupportedShapeError(OrbiError):
-    code = "E-SHAPE"
-
-
-class EmptyRenderingError(OrbiError):
-    code = "E-EMPTY"
-
-
-class NoCtxInScopeError(OrbiError):
-    code = "E-NOCTX"
-
-
-class TheoremScopeError(OrbiError):
-    """Collects every scope problem found in one theorem statement."""
-
-    def __init__(self, diags):
-        self._diags = list(diags)
-        first = self._diags[0]
-        super().__init__(first.message, first.loc)
-        self.code = first.code
-
-    def diagnostics(self):
-        return list(self._diags)
+    def __init__(self, message: str, loc: Loc = NO_LOC, production: str = ""):
+        # not through OrbiError.__init__: backtracking raises many of these
+        Exception.__init__(self, message)
+        self.diagnostics = (Diagnostic("E-PARSE", message, loc, "error", "", production),)

@@ -25,7 +25,7 @@ from bisect import bisect_right
 from itertools import accumulate, compress, repeat
 from operator import sub
 
-from orbi_forge.errors import LexError
+from orbi_forge.errors import OrbiError
 from orbi_forge.syntax import Loc
 
 KEYWORDS = frozenset({"type", "schema", "block", "inductive", "prop", "theorem", "true", "false"})
@@ -104,7 +104,7 @@ def tokenize(source: str) -> Tokens:
     found = kind_of.values()
     if "illegal" in found:
         i = kinds.index("illegal")
-        raise LexError(f"illegal character {lexemes[i]!r}", toks.loc(i))
+        raise OrbiError("E-LEX", f"illegal character {lexemes[i]!r}", toks.loc(i))
     if "comment" in found:
         _sort_comments(toks, raw)
     n = len(source)

@@ -16,15 +16,7 @@ the signature or the context are therefore compared with ``==`` as they are.
 
 from __future__ import annotations
 
-from orbi_forge.errors import (
-    DuplicateNameError,
-    KindError,
-    LevelError,
-    LfTypeError,
-    OrbiError,
-    ReconstructionError,
-    UnboundVariableError,
-)
+from orbi_forge.errors import OrbiError
 from orbi_forge.pretty import tp_str
 from orbi_forge.syntax import (
     App,
@@ -195,26 +187,29 @@ def check_tp(sig: Signature, ctx: list[Tp], tp: Tp, holes: _Holes | None = None)
     must be beta-normal (Var(0) is the last one)."""
     if isinstance(tp, AtomApp):
         if tp.family == TYPE_ATOM:
-            raise LevelError(
+            raise OrbiError(
+                "E-LEVEL",
                 "the kind 'type' cannot appear inside a type; "
-                "a family may only be indexed by level-0 terms"
+                "a family may only be indexed by level-0 terms",
             )
         entry = sig.get(tp.family)
         if entry is None:
-            raise UnboundVariableError(f"unknown type family {tp.family!r}")
+            raise OrbiError("E-UNBOUND", f"unknown type family {tp.family!r}")
         if not isinstance(entry.decl, FamDecl):
-            raise LfTypeError(f"{tp.family!r} is a term constant, not a type family")
+            raise OrbiError("E-TYPE", f"{tp.family!r} is a term constant, not a type family")
         kind = entry.decl.kind
         for arg in tp.args:
             if isinstance(kind, Type):
-                raise KindError(f"type family {tp.family!r} applied to too many arguments")
+                raise OrbiError(
+                    "E-KIND", f"type family {tp.family!r} applied to too many arguments"
+                )
             # a stored kind's domains are level-0 types, which take no
             # indices, so its codomain mentions no term and instantiating a
             # KPi leaves the codomain as it is
             dom, kind = kind.dom, kind.cod
             _check(sig, ctx, arg, dom, holes)
         if not isinstance(kind, Type):
-            raise KindError(f"type family {tp.family!r} is not fully applied")
+            raise OrbiError("E-KIND", f"type family {tp.family!r} is not fully applied")
         return
     if isinstance(tp, Arrow):
         check_tp(sig, ctx, tp.dom, holes)
@@ -240,14 +235,14 @@ def check_kind(sig: Signature, ctx: list[Tp], k: Kind) -> None:
 def _infer(sig: Signature, ctx: list[Tp], t: Term, holes: _Holes | None = None) -> Tp:
     if isinstance(t, Var):
         if t.index >= len(ctx):
-            raise UnboundVariableError(f"unbound variable index {t.index}")
+            raise OrbiError("E-UNBOUND", f"unbound variable index {t.index}")
         return shift(ctx[-1 - t.index], t.index + 1)
     if isinstance(t, Const):
         entry = sig.get(t.name)
         if entry is None:
-            raise UnboundVariableError(f"unbound identifier {t.name!r}")
+            raise OrbiError("E-UNBOUND", f"unbound identifier {t.name!r}")
         if isinstance(entry.decl, FamDecl):
-            raise LfTypeError(f"type family {t.name!r} used as a term")
+            raise OrbiError("E-TYPE", f"type family {t.name!r} used as a term")
         return entry.decl.tp
     if isinstance(t, App):
         head, args = t.fn, [t.arg]  # the spine's arguments, last first
@@ -273,9 +268,11 @@ def _infer(sig: Signature, ctx: list[Tp], t: Term, holes: _Holes | None = None) 
                 _check(sig, ctx, arg, tf.dom, holes)
                 tf = normalize(subst(tf.cod, arg))
             else:
-                raise LfTypeError(f"term of atomic type {tp_str(tf, [])!r} applied to an argument")
+                raise OrbiError(
+                    "E-TYPE", f"term of atomic type {tp_str(tf, [])!r} applied to an argument"
+                )
         return tf
-    raise LfTypeError("cannot infer the type of a bare lambda")
+    raise OrbiError("E-TYPE", "cannot infer the type of a bare lambda")
 
 
 def _check(sig: Signature, ctx: list[Tp], t: Term, exp: Tp, holes: _Holes | None = None) -> None:
@@ -287,8 +284,8 @@ def _check(sig: Signature, ctx: list[Tp], t: Term, exp: Tp, holes: _Holes | None
             _check(sig, ctx + [exp.dom], t.body, exp.cod, holes)
             return
         if holes is not None:
-            raise ReconstructionError(f"lambda used where {tp_str(exp, [])!r} is expected")
-        raise LfTypeError(f"expected {tp_str(exp, [])}, got a lambda")
+            raise OrbiError("E-RECON", f"lambda used where {tp_str(exp, [])!r} is expected")
+        raise OrbiError("E-TYPE", f"expected {tp_str(exp, [])}, got a lambda")
     if holes is not None:
         head = t
         while isinstance(head, App):
@@ -304,7 +301,7 @@ def _check(sig: Signature, ctx: list[Tp], t: Term, exp: Tp, holes: _Holes | None
             return
     actual = _infer(sig, ctx, t, holes)
     if actual != exp:
-        raise LfTypeError(f"expected {tp_str(exp, [])}, got {tp_str(actual, [])}")
+        raise OrbiError("E-TYPE", f"expected {tp_str(exp, [])}, got {tp_str(actual, [])}")
 
 
 def infer_type(sig: Signature, ctx: TypingCtx | None, t: Term) -> Tp:
@@ -324,13 +321,13 @@ def _schematic(sig: Signature, ctx: list[Tp], t: Term, exp: Tp, holes: _Holes) -
     idxs = []
     for arg in args:
         if not isinstance(arg, Var) or arg.index >= len(ctx):
-            raise ReconstructionError(
-                f"schematic variable {name!r} must be applied to bound variables only"
+            raise OrbiError(
+                "E-RECON", f"schematic variable {name!r} must be applied to bound variables only"
             )
         idxs.append(arg.index)
     if len(set(idxs)) != len(idxs):
-        raise ReconstructionError(
-            f"schematic variable {name!r} applied to repeated bound variables"
+        raise OrbiError(
+            "E-RECON", f"schematic variable {name!r} applied to repeated bound variables"
         )
     cand = exp
     for i in reversed(idxs):
@@ -339,20 +336,21 @@ def _schematic(sig: Signature, ctx: list[Tp], t: Term, exp: Tp, holes: _Holes) -
     if prev is not None and prev == cand:
         return  # closedness and level are alpha-invariant: checked at the first occurrence
     if any(type(x) is int for x in free(cand)):
-        raise ReconstructionError(
-            f"cannot infer a closed outermost type for schematic variable {name!r}"
+        raise OrbiError(
+            "E-RECON", f"cannot infer a closed outermost type for schematic variable {name!r}"
         )
     if not is_level0(sig, cand):
-        raise ReconstructionError(
-            f"schematic variable {name!r} infers to the non-level-0 type "
-            f"{tp_str(cand, [])!r}"
+        raise OrbiError(
+            "E-RECON",
+            f"schematic variable {name!r} infers to the non-level-0 type {tp_str(cand, [])!r}",
         )
     if prev is None:
         holes[name] = cand
     else:
-        raise ReconstructionError(
+        raise OrbiError(
+            "E-RECON",
             f"schematic variable {name!r} used at incompatible types "
-            f"{tp_str(prev, [])!r} and {tp_str(cand, [])!r}"
+            f"{tp_str(prev, [])!r} and {tp_str(cand, [])!r}",
         )
 
 
@@ -401,51 +399,54 @@ def check_signature(spec: OrbiSpec) -> Signature:
     for section, decl in spec.decls_in_order():
         try:
             if decl.name in sig:
-                raise DuplicateNameError(f"duplicate declaration of {decl.name!r}")
+                raise OrbiError("E-DUP", f"duplicate declaration of {decl.name!r}")
             if section == "Syntax":
                 if isinstance(decl, FamDecl):
                     if not isinstance(decl.kind, Type):
-                        raise LevelError(
-                            f"syntax-level family {decl.name!r} must have kind 'type'"
+                        raise OrbiError(
+                            "E-LEVEL", f"syntax-level family {decl.name!r} must have kind 'type'"
                         )
                     sig.add(SigEntry(decl, 0, section))
                 else:
                     check_tp(sig, [], decl.tp)
                     if not is_level0(sig, decl.tp):
-                        raise LevelError(
+                        raise OrbiError(
+                            "E-LEVEL",
                             f"syntax-level constant {decl.name!r} may only mention "
-                            "level-0 families"
+                            "level-0 families",
                         )
                     sig.add(SigEntry(decl, 0, section))
             elif section == "Judgments":
                 if isinstance(decl, ConstDecl):
-                    raise LevelError(
+                    raise OrbiError(
+                        "E-LEVEL",
                         "only judgment (type family) declarations may appear in the "
-                        "Judgments section"
+                        "Judgments section",
                     )
                 check_kind(sig, [], decl.kind)
                 for dom in kind_domains(decl.kind):
                     if not is_level0(sig, dom):
-                        raise LevelError(
+                        raise OrbiError(
+                            "E-LEVEL",
                             f"judgment {decl.name!r} must be indexed by level-0 terms "
-                            "only (family indexed by a family)"
+                            "only (family indexed by a family)",
                         )
                 sig.add(SigEntry(decl, 1, section))
             elif section == "Rules":
                 if isinstance(decl, FamDecl):
-                    raise LevelError("type families may not be declared in the Rules section")
+                    raise OrbiError(
+                        "E-LEVEL", "type families may not be declared in the Rules section"
+                    )
                 rec, names = _reconstruct(sig, decl)
                 if sig.level(target_family(rec.tp)) != 1:
-                    raise LevelError(
-                        f"rule {decl.name!r} must target a level-1 judgment family"
+                    raise OrbiError(
+                        "E-LEVEL", f"rule {decl.name!r} must target a level-1 judgment family"
                     )
                 sig.add(SigEntry(rec, 1, section, names))
             else:
-                raise LevelError(
-                    f"constant or type declaration in unsupported section {section!r}"
+                raise OrbiError(
+                    "E-LEVEL", f"constant or type declaration in unsupported section {section!r}"
                 )
         except OrbiError as e:
-            if e.loc.line == 0:
-                e.loc = decl.loc
-            raise
+            raise e.at(decl.loc)
     return sig

@@ -11,14 +11,15 @@ over its Π binders and arrows, recursing only into a parenthesised type or a
 Π domain.  A bound name resolves to its de Bruijn index in one lookup, and the
 leaves of one parse (constants, variables, argument-free type atoms) are
 shared.  Declarations, schemas, contexts and theorems are parsed by recursive
-descent through ``_Cursor``.
+descent through ``_Cursor``; a proposition's quantifiers and connectives are
+read in loops, so only its parentheses recurse.
 """
 
 from __future__ import annotations
 
 import re
 
-from orbi_forge.errors import DirectiveError, ParseError, SpecParseError
+from orbi_forge.errors import OrbiError, ParseError
 from orbi_forge.lexer import Tokens, tokenize
 from orbi_forge.syntax import (
     SECTIONS,
@@ -77,22 +78,25 @@ def parse_directive_line(line: str, loc: Loc = NO_LOC):
     if body.startswith("%%"):
         body = body[2:].strip()
     if not body:
-        raise DirectiveError("empty directive line", loc)
+        raise OrbiError("E-DIR", "empty directive line", loc)
     if body in _SEPARATORS:
         return Separator(body, loc)
     m = _DIR_RE.match(body)
     if not m:
-        raise DirectiveError(
+        raise OrbiError(
+            "E-DIR",
             f"malformed directive: {body!r}",
             loc,
             hint="expected '%% <Section>' or '%% wf|explicit|implicit [sy,..] in <dest>'",
         )
     systems = tuple(s.strip() for s in m.group("systems").split(",") if s.strip())
     if not systems:
-        raise DirectiveError("empty system set", loc)
+        raise OrbiError("E-DIR", "empty system set", loc)
     for s in systems:
         if s not in SYSTEMS:
-            raise DirectiveError(f"unknown system {s!r}", loc, hint="systems are hy, ab, bel, tw")
+            raise OrbiError(
+                "E-DIR", f"unknown system {s!r}", loc, hint="systems are hy, ab, bel, tw"
+            )
     systems = tuple(dict.fromkeys(systems))
     what = m.group("what")
     if m.group("ctx"):
@@ -165,24 +169,21 @@ class _Cursor:
         if self.lex[self.i] == lexeme:
             self.i += 1
             return
-        raise self.error(self.i, repr(lexeme), {lexeme}, production)
+        raise self.error(self.i, repr(lexeme), production)
 
     def ident(self, production: str) -> str:
         i = self.i
         if self.kinds[i] in _IDENTS:
             self.i = i + 1
             return self.lex[i]
-        raise self.error(i, "an identifier", {"identifier"}, production)
+        raise self.error(i, "an identifier", production)
 
-    def error(self, i: int, what: str, expected: set, production: str) -> ParseError:
+    def error(self, i: int, what: str, production: str) -> ParseError:
         """The error of finding token ``i`` where ``what`` was expected; the
         cursor is left at that token."""
         self.i = i
         return ParseError(
-            f"expected {what} but found {self.found()!r}",
-            self.loc(),
-            expected=expected,
-            production=production,
+            f"expected {what} but found {self.found()!r}", self.loc(), production=production
         )
 
     def bind(self, name: str) -> None:
@@ -246,15 +247,15 @@ def _parse_term(c: _Cursor, args: bool = False):
             continue
         elif tok == "\\":
             if kinds[i + 1] not in _IDENTS:
-                raise c.error(i + 1, "an identifier", {"identifier"}, "term")
+                raise c.error(i + 1, "an identifier", "term")
             if lex[i + 2] != ".":
-                raise c.error(i + 2, "'.'", {"."}, "term")
+                raise c.error(i + 2, "'.'", "term")
             c.bind(lex[i + 1])
             n += 1
             i += 3
             continue
         else:
-            raise c.error(i, "a term", {"identifier", "(", "\\"}, "term")
+            raise c.error(i, "a term", "term")
         # ``t`` is a whole atom: apply the spine to it, then close every
         # level that ends after it
         while True:
@@ -278,7 +279,7 @@ def _parse_term(c: _Cursor, args: bool = False):
                 c.i = i
                 return head
             if lex[i] != ")":
-                raise c.error(i, "')'", {")"}, "term")
+                raise c.error(i, "')'", "term")
             i += 1
             t = head
             head, base = levels.pop()
@@ -321,15 +322,15 @@ def _parse_tpkind(c: _Cursor):
         tok = lex[i]
         if tok == "{" and arms is None:
             if kinds[i + 1] not in _IDENTS:
-                raise c.error(i + 1, "an identifier", {"identifier"}, "tp")
+                raise c.error(i + 1, "an identifier", "tp")
             if lex[i + 2] != ":":
-                raise c.error(i + 2, "':'", {":"}, "tp")
+                raise c.error(i + 2, "':'", "tp")
             name = lex[i + 1]
             c.i = i + 3
             dom = _as_tp(_parse_tpkind(c))
             i = c.i
             if lex[i] != "}":
-                raise c.error(i, "'}'", {"}"}, "tp")
+                raise c.error(i, "'}'", "tp")
             i += 1
             c.bind(name)
             prefix.append((name, dom))
@@ -349,13 +350,13 @@ def _parse_tpkind(c: _Cursor):
             atom = _parse_tpkind(c)
             i = c.i
             if lex[i] != ")":
-                raise c.error(i, "')'", {")"}, "tp")
+                raise c.error(i, "')'", "tp")
             i += 1
         elif tok == "type":
             atom = Type()
             i += 1
         else:
-            raise c.error(i, "a type", {"identifier", "(", "{", "type"}, "tp")
+            raise c.error(i, "a type", "tp")
         op = lex[i]
         if arms is not None:
             arms.append(_as_tp(atom))
@@ -365,10 +366,7 @@ def _parse_tpkind(c: _Cursor):
             if op == "->":
                 c.i = i
                 raise ParseError(
-                    "cannot mix '->' and '<-' without parentheses",
-                    c.loc(),
-                    expected={".", ";"},
-                    production="tp",
+                    "cannot mix '->' and '<-' without parentheses", c.loc(), production="tp"
                 )
             break
         if op == "->":
@@ -401,7 +399,7 @@ def _parse_tpkind(c: _Cursor):
 def _parse_tp(c: _Cursor):
     node = _parse_tpkind(c)
     if type(node) in _KINDS:
-        raise ParseError("expected a type, found a kind", c.loc(), expected={"tp"}, production="tp")
+        raise ParseError("expected a type, found a kind", c.loc(), production="tp")
     return node
 
 
@@ -553,55 +551,51 @@ def _classify_quantifier(var: str, tyname: str, schema_names, family_names):
     return "ctx" if var[0].islower() else "tm"
 
 
+# binding strength and node of each connective; -> is the loosest and the
+# only right-associative one
+_CONNECTIVES = {"->": (1, Imp), "||": (2, Or), "&": (3, And)}
+
+
 def _parse_prp(c: _Cursor, schema_names, family_names):
-    if c.at("{"):
-        c.take()
+    """A proposition: a prefix of quantifiers, then atoms joined by
+    connectives, folded with an operator stack.  Only a parenthesised
+    proposition recurses, two frames a level."""
+    quants = []  # (exists, var, type name or None, type), outermost first
+    lex = c.lex
+    while lex[c.i] == "{" or lex[c.i] == "<":
+        exists = c.take() == "<"
         var = c.ident("quantif")
         c.expect(":", "quantif")
-        if c.at_ident() and c.at_next("}"):
-            tyname = c.take()
-            c.expect("}", "quantif")
-            body = _parse_prp(c, schema_names, family_names)
-            if _classify_quantifier(var, tyname, schema_names, family_names) == "ctx":
-                return ForallCtx(var, tyname, body)
-            return ForallTm(var, AtomApp(tyname), body)
-        tp = _parse_tp(c)
-        c.expect("}", "quantif")
-        body = _parse_prp(c, schema_names, family_names)
-        return ForallTm(var, tp, body)
-    if c.at("<"):
-        c.take()
-        var = c.ident("quantif")
-        c.expect(":", "quantif")
-        tp = _parse_tp(c)
-        c.expect(">", "quantif")
-        body = _parse_prp(c, schema_names, family_names)
-        return ExistsTm(var, tp, body)
-    return _parse_prp_imp(c, schema_names, family_names)
-
-
-def _parse_prp_imp(c, schema_names, family_names):
-    lhs = _parse_prp_or(c, schema_names, family_names)
-    if c.at("->"):
-        c.take()
-        return Imp(lhs, _parse_prp_imp(c, schema_names, family_names))
-    return lhs
-
-
-def _parse_prp_or(c, schema_names, family_names):
-    lhs = _parse_prp_and(c, schema_names, family_names)
-    while c.at("||"):
-        c.take()
-        lhs = Or(lhs, _parse_prp_and(c, schema_names, family_names))
-    return lhs
-
-
-def _parse_prp_and(c, schema_names, family_names):
-    lhs = _parse_prp_atom(c, schema_names, family_names)
-    while c.at("&"):
-        c.take()
-        lhs = And(lhs, _parse_prp_atom(c, schema_names, family_names))
-    return lhs
+        if not exists and c.at_ident() and c.at_next("}"):
+            quants.append((False, var, c.take(), None))
+        else:
+            quants.append((exists, var, None, _parse_tp(c)))
+        c.expect(">" if exists else "}", "quantif")
+    args = [_parse_prp_atom(c, schema_names, family_names)]
+    ops = []  # (strength, node) of the connectives not folded yet
+    while True:
+        op = lex[c.i]
+        strength, node = _CONNECTIVES[op] if op in _CONNECTIVES else (0, None)
+        # fold what binds tighter than ``op``, and as tight unless ``op`` is ->
+        while ops and ops[-1][0] >= strength + (node is Imp):
+            rhs = args.pop()
+            args[-1] = ops.pop()[1](args[-1], rhs)
+        if node is None:
+            break
+        c.i += 1
+        ops.append((strength, node))
+        args.append(_parse_prp_atom(c, schema_names, family_names))
+    body = args[0]
+    for exists, var, tyname, tp in reversed(quants):
+        if exists:
+            body = ExistsTm(var, tp, body)
+        elif tp is not None:
+            body = ForallTm(var, tp, body)
+        elif _classify_quantifier(var, tyname, schema_names, family_names) == "ctx":
+            body = ForallCtx(var, tyname, body)
+        else:
+            body = ForallTm(var, AtomApp(tyname), body)
+    return body
 
 
 def _parse_prp_atom(c, schema_names, family_names):
@@ -650,18 +644,8 @@ def _parse_prp_atom(c, schema_names, family_names):
             return TermEq(term, rhs)
         if isinstance(term, Const):
             return RelApp(term.name, ())
-        raise ParseError(
-            "expected '=' after a term in a proposition",
-            c.loc(),
-            expected={"="},
-            production="prp",
-        )
-    raise ParseError(
-        f"expected a proposition but found {c.found()!r}",
-        c.loc(),
-        expected={"true", "false", "(", "[", "{", "<", "identifier"},
-        production="prp",
-    )
+        raise ParseError("expected '=' after a term in a proposition", c.loc(), production="prp")
+    raise ParseError(f"expected a proposition but found {c.found()!r}", c.loc(), production="prp")
 
 
 def _parse_theorem(c: _Cursor, schema_names, family_names):
@@ -681,54 +665,30 @@ _DECL_SECTIONS = ("Syntax", "Judgments", "Rules")
 
 def _parse_item(c: _Cursor, section, schema_names, family_names):
     if section is None:
-        raise ParseError(
-            "declaration before any %% section separator",
-            c.loc(),
-            expected={"%% Syntax"},
-            production="sig",
-        )
+        raise ParseError("declaration before any %% section separator", c.loc(), production="sig")
     if c.at_ident():
         if section not in _DECL_SECTIONS:
             raise ParseError(
-                f"constant or type declaration in the {section} section",
-                c.loc(),
-                expected={"%% Syntax", "%% Judgments", "%% Rules"},
-                production="decl",
+                f"constant or type declaration in the {section} section", c.loc(), production="decl"
             )
         return _parse_decl(c)
     if c.at("schema"):
         if section != "Schemas":
             raise ParseError(
-                f"schema declaration in the {section} section",
-                c.loc(),
-                expected={"%% Schemas"},
-                production="s_decl",
+                f"schema declaration in the {section} section", c.loc(), production="s_decl"
             )
         return _parse_schema(c)
     if c.at("inductive"):
         if section != "Definitions":
             raise ParseError(
-                f"inductive definition in the {section} section",
-                c.loc(),
-                expected={"%% Definitions"},
-                production="def_dec",
+                f"inductive definition in the {section} section", c.loc(), production="def_dec"
             )
         return _parse_inductive(c)
     if c.at("theorem"):
         if section != "Theorems":
-            raise ParseError(
-                f"theorem in the {section} section",
-                c.loc(),
-                expected={"%% Theorems"},
-                production="thm",
-            )
+            raise ParseError(f"theorem in the {section} section", c.loc(), production="thm")
         return _parse_theorem(c, schema_names, family_names)
-    raise ParseError(
-        f"expected a declaration but found {c.found()!r}",
-        c.loc(),
-        expected={"identifier", "schema", "inductive", "theorem"},
-        production="sig",
-    )
+    raise ParseError(f"expected a declaration but found {c.found()!r}", c.loc(), production="sig")
 
 
 def _recover(c: _Cursor) -> None:
@@ -758,8 +718,8 @@ def parse_spec(source: str) -> OrbiSpec:
             c.i = i + 1
             try:
                 d = parse_directive_line(toks.lexemes[i], toks.loc(i))
-            except DirectiveError as e:
-                errors.extend(e.diagnostics())
+            except OrbiError as e:
+                errors += e.diagnostics
                 continue
             if isinstance(d, Separator):
                 if section is not None:
@@ -772,7 +732,7 @@ def parse_spec(source: str) -> OrbiSpec:
         try:
             node = _parse_item(c, section, schema_names, family_names)
         except ParseError as e:
-            errors.extend(e.diagnostics())
+            errors += e.diagnostics
             _recover(c)
             c.unbind()
             continue
@@ -784,7 +744,7 @@ def parse_spec(source: str) -> OrbiSpec:
     if section is not None:
         spans.append((section, seg_start, len(source)))
     if errors:
-        raise SpecParseError(errors)
+        raise OrbiError.of(errors)
     return OrbiSpec(tuple(items), source, tuple(spans))
 
 

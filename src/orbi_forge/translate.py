@@ -20,14 +20,7 @@ from __future__ import annotations
 
 from orbi_forge.contexts import _clause_parts
 from orbi_forge.directives import AnnotationTable, resolve, wf_name
-from orbi_forge.errors import (
-    Diagnostic,
-    EmptyRenderingError,
-    LevelError,
-    NoCtxInScopeError,
-    OrbiError,
-    UnsupportedShapeError,
-)
+from orbi_forge.errors import Diagnostic, OrbiError
 from orbi_forge.lf import Signature, families_in_tp, is_level0, normalize
 from orbi_forge.pretty import _P_IMP, _P_QUANT, ORBI, Dialect, prp_str, term_str, theorem_str
 from orbi_forge.syntax import (
@@ -225,8 +218,8 @@ def _strip_fn(tp):
         return tp.dom, tp.cod
     if isinstance(tp, Pi):
         if 0 in free(tp.cod):
-            raise UnsupportedShapeError(
-                "dependent products cannot appear in level-0 constructor types"
+            raise OrbiError(
+                "E-SHAPE", "dependent products cannot appear in level-0 constructor types"
             )
         return tp.dom, shift(tp.cod, -1)
     return None
@@ -254,7 +247,7 @@ def gen_wf_predicates(sig: Signature, wf_families) -> list[Clause]:
         if not sig.is_family(fam):
             continue
         if sig.level(fam) != 0:
-            raise LevelError(f"wf predicate requested for non-level-0 family {fam!r}")
+            raise OrbiError("E-LEVEL", f"wf predicate requested for non-level-0 family {fam!r}")
         for c in sig.constructors_of(fam):
             doms = []
             tp = c.tp
@@ -291,8 +284,8 @@ def translate_rule(sig: Signature, rule: ConstDecl, ann: AnnotationTable) -> Cla
         premises.append(tp.dom)
         tp = tp.cod
     if not isinstance(tp, AtomApp):
-        raise UnsupportedShapeError(
-            f"rule {rule.name!r}: conclusion must be an atomic judgment"
+        raise OrbiError(
+            "E-SHAPE", f"rule {rule.name!r}: conclusion must be an atomic judgment"
         )
     names = _Names(sig.entries, env)
 
@@ -302,8 +295,8 @@ def translate_rule(sig: Signature, rule: ConstDecl, ann: AnnotationTable) -> Cla
     def goal_of(p, env_names):
         if isinstance(p, Pi):
             if not is_level0(sig, p.dom):
-                raise UnsupportedShapeError(
-                    f"rule {rule.name!r}: premise quantifies over a non-level-0 type"
+                raise OrbiError(
+                    "E-SHAPE", f"rule {rule.name!r}: premise quantifies over a non-level-0 type"
                 )
             var = names.grab(p.hint or "x")
             body = goal_of(p.cod, env_names + [var])
@@ -314,11 +307,11 @@ def translate_rule(sig: Signature, rule: ConstDecl, ann: AnnotationTable) -> Cla
             return ImpG(goal_of(p.dom, env_names), goal_of(p.cod, env_names))
         if isinstance(p, AtomApp):
             if sig.level(p.family) != 1:
-                raise UnsupportedShapeError(
-                    f"rule {rule.name!r}: premise atom {p.family!r} is not a judgment"
+                raise OrbiError(
+                    "E-SHAPE", f"rule {rule.name!r}: premise atom {p.family!r} is not a judgment"
                 )
             return atom_goal(p, env_names)
-        raise UnsupportedShapeError(f"rule {rule.name!r}: unsupported premise shape")
+        raise OrbiError("E-SHAPE", f"rule {rule.name!r}: unsupported premise shape")
 
     return Clause(atom_goal(tp, env), tuple(guards + [goal_of(p, env) for p in premises]))
 
@@ -377,16 +370,17 @@ def _block_parts(sig: Signature, owner: str, blocks, wf, names, nabla) -> tuple:
                     var = nabla[key, label] = names.grab(label)
                 if wf is not None:
                     if not isinstance(tp, AtomApp):
-                        raise UnsupportedShapeError(
+                        raise OrbiError(
+                            "E-SHAPE",
                             f"{owner}: cannot reify well-formedness of the higher-order "
-                            f"block entry {label!r}"
+                            f"block entry {label!r}",
                         )
                     if tp.family in wf:
                         goals.append(Guard(tp.family, var))
             else:
                 if not isinstance(tp, AtomApp):
-                    raise UnsupportedShapeError(
-                        f"{owner}: block entry {label!r} must be an atomic judgment"
+                    raise OrbiError(
+                        "E-SHAPE", f"{owner}: block entry {label!r} must be an atomic judgment"
                     )
                 var = label
                 goals.append(AtomG(tp.family, tuple([term_str(a, env, True, AB) for a in tp.args])))
@@ -405,9 +399,10 @@ def translate_schema(sig: Signature, s: Schema, target: str, ann: AnnotationTabl
         names = _Names(sig.entries, [s.name])
         goals = _block_parts(sig, f"schema {s.name!r}", [(None, block)], wf, names, nabla)
         if not goals:
-            raise EmptyRenderingError(
+            raise OrbiError(
+                "E-EMPTY",
                 f"schema {s.name!r}: implicit translation erases the whole block; "
-                f"mark the schema explicit (%% explicit [{target}] in {s.name})"
+                f"mark the schema explicit (%% explicit [{target}] in {s.name})",
             )
         lowered.append((tuple(nabla.values()), goals))
     names = _Names(sig.entries, [s.name, *(v for variables, _ in lowered for v in variables)])
@@ -444,9 +439,10 @@ def translate_relation(
             wf = ann.wf_families if var in explicit_vars else None
             goals = _block_parts(sig, owner, blocks, wf, names, nabla)
             if blocks and not goals:
-                raise EmptyRenderingError(
+                raise OrbiError(
+                    "E-EMPTY",
                     f"relation {d.name!r}: context parameter {var!r} erases to "
-                    f"nothing; mark it explicit (%% explicit [{target}] in [{var}])"
+                    f"nothing; mark it explicit (%% explicit [{target}] in [{var}])",
                 )
             args.append((ctx_head_var(arg), goals))
         lists: dict[str, str] = {}
@@ -513,7 +509,8 @@ class _Scope(Record):
         if len(usage) == 1:
             return usage[0]
         if not scope:
-            raise NoCtxInScopeError(
+            raise OrbiError(
+                "E-NOCTX",
                 f"theorem {t.name!r}: variable {var!r} is explicit but no context "
                 "quantifier is in scope",
                 t.loc,
@@ -564,7 +561,8 @@ def _ab_quant(p: Prp, d, cx: _Scope) -> str:
             antecedents.append(f"{p.schema} {upper} -> ")
         elif (ctx := cx.ctx_of(p)) is not None:
             if type(p.tp) is not AtomApp or p.tp.args:
-                raise UnsupportedShapeError(
+                raise OrbiError(
+                    "E-SHAPE",
                     f"theorem {cx.thm.name!r}: explicit variable {p.var!r} must have an "
                     "atomic level-0 type",
                     cx.thm.loc,
@@ -591,7 +589,8 @@ def _target_term(t: Term, rename: dict) -> Term:
 def _bare_var(c, cx: _Scope, what: str) -> str:
     v = ctx_head_var(c)
     if v is None or ctx_blocks(c):
-        raise UnsupportedShapeError(
+        raise OrbiError(
+            "E-SHAPE",
             f"theorem {cx.thm.name!r}: {what} must be bare context variables in formula targets",
             cx.thm.loc,
         )
@@ -612,7 +611,7 @@ def _ab_atom(p: Prp, d, cx: _Scope) -> str:
     if t is TermEq:
         lhs = term_str(_target_term(p.lhs, cx.rename), [], False, d)
         return f"{lhs} = {term_str(_target_term(p.rhs, cx.rename), [], False, d)}"
-    raise UnsupportedShapeError(f"theorem {cx.thm.name!r}: cannot translate {p!r}", cx.thm.loc)
+    raise OrbiError("E-SHAPE", f"theorem {cx.thm.name!r}: cannot translate {p!r}", cx.thm.loc)
 
 
 AB = Dialect("", "\\ ", _ab_binder, "\\/", "/\\", "", _ab_quant, _ab_atom)
@@ -678,9 +677,7 @@ def translate_spec(checked, target: str) -> TargetDoc:
             for item in spec.definitions:
                 blocks.append(DocBlock(item.name, translate_relation(sig, item, target, ann).render()))
         except OrbiError as e:
-            if e.loc.line == 0:
-                e.loc = item.loc
-            raise
+            raise e.at(item.loc)
     else:
         for sec in _COPIED:
             text = spec.section_text(sec)

@@ -1,5 +1,9 @@
 """Small shared helpers for building inline specifications in tests."""
 
+import contextlib
+
+import pytest
+
 from orbi_forge import check_spec, parse_spec
 from orbi_forge.errors import OrbiError
 from orbi_forge.syntax import free
@@ -38,5 +42,13 @@ def first_error_code(source: str):
     try:
         check_all(source)
     except OrbiError as e:
-        return e.diagnostics()[0].code
+        return e.code
     return None
+
+
+@contextlib.contextmanager
+def raises_code(code: str):
+    """``pytest.raises(OrbiError)`` whose first diagnostic has ``code``."""
+    with pytest.raises(OrbiError) as exc:
+        yield exc
+    assert exc.value.code == code, exc.value.diagnostics

@@ -157,7 +157,7 @@ def test_criterion_4_mutants_rejected(desc, find, replace, code, corpus_text):
     mutant = corpus_text.replace(find, replace)
     with pytest.raises(OrbiError) as exc:
         check_all(mutant)
-    assert exc.value.diagnostics()[0].code == code, desc
+    assert exc.value.code == code, desc
 
 
 def test_criterion_4_summary(corpus_text):
@@ -167,7 +167,7 @@ def test_criterion_4_summary(corpus_text):
         try:
             check_all(corpus_text.replace(find, replace))
         except OrbiError as e:
-            if e.diagnostics()[0].code == code:
+            if e.code == code:
                 rejected += 1
     assert rejected == len(_MUTANTS)
     _report(4, f"{rejected}/{len(_MUTANTS)} seeded mutants rejected with expected codes")

@@ -283,6 +283,58 @@ def test_deep_rule_shapes_exit_zero(rule, tmp_path, capsys):
         assert "[E-" not in capsys.readouterr().err
 
 
+def test_deeply_parenthesised_theorem_checks(tmp_path, capsys):
+    # each level of parentheses costs the proposition parser two frames
+    p = tmp_path / "deep.orbi"
+    theorem = "theorem t: " + "(" * 400 + "a" + ")" * 400 + " = a;"
+    p.write_text(f"%% Syntax\ntm: type.\na: tm.\n\n%% Theorems\n{theorem}\n", encoding="utf-8")
+    assert run(["check", str(p)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+_PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def test_every_printed_diagnostic_has_a_location(tmp_path, capsys):
+    # a diagnostic raised without a location gets that of its declaration
+    # (OrbiError.at in lf, contexts and translate)
+    from test_acceptance import _MUTANTS
+
+    if _PERFBENCH not in sys.path:
+        sys.path.append(_PERFBENCH)
+    import workloads
+
+    eq = corpus_source()
+    inputs = [(desc, eq.replace(find, replace)) for desc, find, replace, _ in _MUTANTS]
+    faulty = [f for f in workloads.rules(7).files if f.reject]
+    assert sorted(f.reject for f in faulty) == sorted(fault[0] for fault in workloads.RULE_FAULTS)
+    inputs += [(f.reject, f.text) for f in faulty]
+    # rejected by translation only
+    inputs += [
+        ("implicit schema", eq.replace("%% explicit [hy,ab] in xG\n", "")),
+        ("implicit relation parameter", eq.replace("%% explicit [hy,ab] in [g]\n", "")),
+        (
+            "premise over a judgment",
+            "%% Syntax\ntm: type.\nc: tm.\n\n%% Judgments\nj: tm -> type.\nk: tm -> type.\n\n"
+            "%% Rules\nr: ({D:j c} k c) -> k c.\n",
+        ),
+    ]
+    p = tmp_path / "in.orbi"
+    commands = [["check"]] + [
+        ["translate", "--target", t, "--out-dir", str(tmp_path)] for t in ("ab", "bel")
+    ]
+    unplaced = []
+    for name, text in inputs:
+        p.write_text(text, encoding="utf-8")
+        for argv in commands:
+            run(argv + ["--structured", str(p)])
+            diags = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+            if argv[-1] == "ab":
+                assert any(d["severity"] == "error" for d in diags), name
+            unplaced += [(name, argv[-1], d) for d in diags if d["line"] < 1]
+    assert not unplaced
+
+
 def test_importing_the_cli_leaves_json_out():
     # only --structured output needs json, and every run pays for imports
     code = "import sys, orbi_forge.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'json'))"

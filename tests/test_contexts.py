@@ -1,19 +1,12 @@
 import pytest
 
-from helpers import check_all, first_error_code, make_spec
+from helpers import check_all, first_error_code, make_spec, raises_code
 from orbi_forge import parse_spec
 from orbi_forge.contexts import (
     check_ctx_pattern,
     check_inductive_def,
     check_schema,
     scope_check_theorem,
-)
-from orbi_forge.errors import (
-    DuplicateNameError,
-    SchemaMismatchError,
-    TheoremScopeError,
-    UnboundVariableError,
-    UnknownCtxVarError,
 )
 from orbi_forge.syntax import AtomApp, Block, CtxVar, EmptyCtx, Snoc, Var
 
@@ -45,7 +38,7 @@ def test_check_schema_unbound_variable():
         judgments="aeq: tm -> tm -> type.",
         schemas="schema bad = block (u:aeq x x);",
     )
-    with pytest.raises(UnboundVariableError):
+    with raises_code("E-UNBOUND"):
         check_all(src)
 
 
@@ -53,7 +46,7 @@ def test_check_schema_duplicate_label(checked):
     from orbi_forge.syntax import Schema
 
     bad = Schema("zz", (Block((("x", AtomApp("tm")), ("x", AtomApp("tm")))),))
-    with pytest.raises(DuplicateNameError):
+    with raises_code("E-DUP"):
         check_schema(checked.sig, bad)
 
 
@@ -74,17 +67,17 @@ def test_empty_ctx_inhabits_every_schema(checked):
 def test_ctx_pattern_schema_mismatch(checked):
     deq_block = checked.schemas["xdG"].alternatives[0]
     pat = Snoc(CtxVar("g"), "b", deq_block)
-    with pytest.raises(SchemaMismatchError):
+    with raises_code("E-SCHEMA"):
         check_ctx_pattern(checked.sig, checked.schemas, "xaG", pat, {"g": "xaG"})
 
 
 def test_ctx_pattern_unknown_var(checked):
-    with pytest.raises(UnknownCtxVarError):
+    with raises_code("E-CTXVAR"):
         check_ctx_pattern(checked.sig, checked.schemas, "xaG", CtxVar("nope"), {})
 
 
 def test_ctx_var_wrong_schema(checked):
-    with pytest.raises(SchemaMismatchError):
+    with raises_code("E-SCHEMA"):
         check_ctx_pattern(checked.sig, checked.schemas, "xaG", CtxVar("g"), {"g": "xG"})
 
 
@@ -137,7 +130,7 @@ def test_relation_swapped_blocks_rejected(checked):
             "Rxa [g, b:block (x:tm, u:aeq x x)] [h, b:block (x:tm)];"
         ),
     )
-    with pytest.raises(SchemaMismatchError):
+    with raises_code("E-SCHEMA"):
         check_all(src)
 
 
@@ -169,13 +162,12 @@ def test_block_label_once_per_context(head, code):
     )
     assert first_error_code(src) == code
     if code:
-        with pytest.raises(DuplicateNameError) as exc:
+        with raises_code("E-DUP") as exc:
             check_all(src)
         assert exc.value.loc == parse_spec(src).definitions[0].loc
 
 
 def test_relation_premise_must_be_bare_vars(checked):
-    from orbi_forge.errors import UnsupportedShapeError
     from orbi_forge.syntax import Imp, InductiveDef, RelApp
 
     pat = Snoc(EmptyCtx(), "b", checked.schemas["xG"].alternatives[0])
@@ -184,7 +176,7 @@ def test_relation_premise_must_be_bare_vars(checked):
         (("g", "xG"),),
         (("R2_c", Imp(RelApp("R2", (pat,)), RelApp("R2", (CtxVar("g"),)))),),
     )
-    with pytest.raises(UnsupportedShapeError):
+    with raises_code("E-SHAPE"):
         check_inductive_def(checked.sig, checked.schemas, {}, bad)
 
 
@@ -202,9 +194,9 @@ def test_scope_check_trivial_truth(checked):
 
 def test_scope_check_reports_all_diagnostics(checked):
     spec = parse_spec(make_spec(theorems="theorem bad: {g:noSuch} [g |- aeq M M];"))
-    with pytest.raises(TheoremScopeError) as exc:
+    with raises_code("E-NO-SCHEMA") as exc:
         scope_check_theorem(checked.sig, checked.schemas, checked.relations, spec.theorems[0])
-    codes = {d.code for d in exc.value.diagnostics()}
+    codes = {d.code for d in exc.value.diagnostics}
     assert codes == {"E-NO-SCHEMA", "E-UNBOUND"}
 
 
@@ -218,9 +210,9 @@ def test_theorem_block_entry_after_untypable_redex(checked):
     # that depends on it is reported instead of exhausting the stack
     block = r"block (x:tm, u:aeq ((\y. y y) (\y. y y)) x, v:aeq u x)"
     spec = parse_spec(make_spec(theorems=f"theorem t: {{M:tm}} [b:{block} |- aeq M M];"))
-    with pytest.raises(TheoremScopeError) as exc:
+    with raises_code("E-TYPE") as exc:
         scope_check_theorem(checked.sig, checked.schemas, checked.relations, spec.theorems[0])
-    assert [d.message for d in exc.value.diagnostics()] == [
+    assert [d.message for d in exc.value.diagnostics] == [
         "cannot infer the type of a bare lambda",
         r"expected tm, got aeq ((\y. y y) (\y. y y)) _1",
     ]
@@ -228,12 +220,11 @@ def test_theorem_block_entry_after_untypable_redex(checked):
 
 def test_theorem_quantifier_level_enforced(checked):
     spec = parse_spec(make_spec(theorems="theorem t: {M:aeq} true;"))
-    with pytest.raises(TheoremScopeError) as exc:
+    with raises_code("E-LEVEL"):
         scope_check_theorem(checked.sig, checked.schemas, checked.relations, spec.theorems[0])
-    assert exc.value.code == "E-LEVEL"
 
 
 def test_schema_may_not_shadow_signature():
     src = make_spec(syntax="tm: type.", schemas="schema tm = block (x:tm);")
-    with pytest.raises(DuplicateNameError):
+    with raises_code("E-DUP"):
         check_all(src)

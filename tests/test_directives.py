@@ -1,14 +1,7 @@
 import pytest
 
-from helpers import check_all, make_spec
+from helpers import check_all, make_spec, raises_code
 from orbi_forge.directives import resolve
-from orbi_forge.errors import (
-    AmbiguousDestError,
-    ConflictingDirectivesError,
-    DuplicateNameError,
-    LevelError,
-    UnknownDestError,
-)
 
 
 def test_resolve_corpus_ab(checked):
@@ -68,19 +61,19 @@ def test_resolution_order_independent(corpus_text):
 
 def test_conflicting_directives_rejected(corpus_text):
     bad = corpus_text.replace("%% explicit [hy] in daG", "%% implicit [hy] in de_l")
-    with pytest.raises(ConflictingDirectivesError):
+    with raises_code("E-CONFLICT"):
         check_all(bad)
 
 
 def test_unknown_dest(corpus_text):
     bad = corpus_text.replace("%% wf [hy,ab] in tm", "%% wf [hy,ab] in tmm")
-    with pytest.raises(UnknownDestError):
+    with raises_code("E-DEST"):
         check_all(bad)
 
 
 def test_wf_dest_must_be_family(corpus_text):
     bad = corpus_text.replace("%% wf [hy,ab] in tm", "%% wf [hy,ab] in de_l")
-    with pytest.raises(UnknownDestError):
+    with raises_code("E-DEST"):
         check_all(bad)
 
 
@@ -90,7 +83,7 @@ def test_wf_dest_must_be_level0():
         judgments="j: tm -> type.",
         directives="%% wf [ab] in j",
     )
-    with pytest.raises(LevelError) as exc:
+    with raises_code("E-LEVEL") as exc:
         check_all(src)
     assert exc.value.message == "wf predicate requested for non-level-0 family 'j'"
     assert exc.value.loc.line == src.splitlines().index("%% wf [ab] in j") + 1
@@ -110,7 +103,7 @@ def test_wf_predicate_name_must_be_free(judgments, schemas):
         schemas=schemas,
         directives="%% wf [ab] in tm",
     )
-    with pytest.raises(DuplicateNameError) as exc:
+    with raises_code("E-DUP") as exc:
         check_all(src)
     assert exc.value.message == "wf predicate 'is_tm' of family 'tm' clashes with a declared name"
     assert exc.value.loc.line == src.splitlines().index("%% wf [ab] in tm") + 1
@@ -124,5 +117,5 @@ def test_ambiguous_dest():
         directives="%% explicit [ab] in M",
         theorems="theorem t: {M:tm} [ |- j M];",
     )
-    with pytest.raises(AmbiguousDestError):
+    with raises_code("E-AMBIG"):
         check_all(src)

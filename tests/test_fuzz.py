@@ -2,19 +2,24 @@
 
 Token soups, mutated copies of eq.orbi and random bytes go through every
 command.  Each run must end in exit 0, 1 or 2 with no exception escaping
-``cli.run``, and ``fmt`` output must format to itself.
+``cli.run``, and ``fmt`` output must format to itself.  Copies of eq.orbi
+with the identifiers of one declaration edited mostly parse, so they reach
+the checker and the translator, which must accept them or reject them with
+an ``OrbiError``.
 """
 
 import contextlib
 import io
 import os
+import random
 import re
 import tempfile
 
 from hypothesis import given, settings, strategies as st
 
-from orbi_forge import corpus_source
+from orbi_forge import check_spec, corpus_source, parse_spec, translate_spec
 from orbi_forge.cli import run
+from orbi_forge.errors import OrbiError
 from orbi_forge.lexer import KEYWORDS
 from orbi_forge.syntax import SECTIONS, SYSTEMS
 
@@ -104,3 +109,76 @@ def test_mutated_corpus(source, target):
 @given(st.binary(max_size=400), st.sampled_from(SYSTEMS))
 def test_random_bytes(data, target):
     _every_command(data, target)
+
+
+# The body of each declaration of eq.orbi: what follows its name (and its
+# keyword, if any) up to the end of the declaration.
+_DECL_BODY = re.compile(
+    r"^(?:(?:schema|inductive|theorem) )?[A-Za-z][\w']* ?[:=](.*(?:\n\|.*)*)", re.M
+)
+_BODIES = [m.span(1) for m in _DECL_BODY.finditer(corpus_source())]
+_NAMES = sorted(set(re.findall(r"[A-Za-z][\w']*", corpus_source())) - set(KEYWORDS))
+_DECL_OPS = ("rename", "rename", "duplicate", "delete", "swap")
+
+
+def _mutate_decl(which: int, edits) -> str:
+    """eq.orbi with the identifiers of one declaration's body edited: one
+    renamed, deleted or duplicated, or two swapped."""
+    text = corpus_source()
+    start, end = _BODIES[which % len(_BODIES)]
+    toks = re.findall(r"[A-Za-z][\w']*|->|<-|\|-|\|\||\S", text[start:end])
+    for op, at, name in edits:
+        idents = [i for i, tok in enumerate(toks) if tok[0].isalpha()]
+        if not idents:
+            break
+        i, j = idents[at % len(idents)], idents[(at * 7 + 3) % len(idents)]
+        if op == "rename":
+            toks[i] = name
+        elif op == "delete":
+            del toks[i]
+        elif op == "duplicate":
+            toks.insert(i, toks[i])
+        else:
+            toks[i], toks[j] = toks[j], toks[i]
+    return f"{text[:start]} {' '.join(toks)}{text[end:]}"
+
+
+_DECL_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(_DECL_OPS),
+        st.integers(0, 200),
+        st.sampled_from(_NAMES),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@_SETTINGS
+@given(st.integers(0, len(_BODIES) - 1), _DECL_EDITS)
+def test_declaration_mutants_check_or_reject(which, edits):
+    try:
+        checked = check_spec(parse_spec(_mutate_decl(which, edits)))
+    except OrbiError:
+        return
+    for target in SYSTEMS:
+        try:
+            translate_spec(checked, target)
+        except OrbiError:
+            pass
+
+
+def test_declaration_mutants_mostly_parse():
+    rng = random.Random(13)
+    parsed = 0
+    for _ in range(300):
+        edits = [
+            (rng.choice(_DECL_OPS), rng.randrange(201), rng.choice(_NAMES))
+            for _ in range(rng.randint(1, 3))
+        ]
+        try:
+            parse_spec(_mutate_decl(rng.randrange(len(_BODIES)), edits))
+            parsed += 1
+        except OrbiError:
+            pass
+    assert parsed > 150

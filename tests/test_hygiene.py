@@ -1,9 +1,11 @@
-"""Every name a module of the package imports is used in that module, and
-importing the CLI loads none of the standard modules it has no use for."""
+"""Every name a module of the package imports is used in that module,
+importing the CLI loads none of the standard modules it has no use for, and
+README lists every diagnostic code."""
 
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -49,3 +51,18 @@ def test_cli_import_loads_no_unused_stdlib_module():
     loaded = set(out.stdout.split())
     assert "orbi_forge.translate" in loaded
     assert not loaded & {"dataclasses", "inspect", "typing", "importlib.resources"}
+
+
+def test_readme_lists_every_diagnostic_code():
+    # codes are string literals at their raise sites, so only this keeps the
+    # README's table and the code in step
+    codes = set()
+    for path in _SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if re.fullmatch(r"[EW]-[A-Z]+(-[A-Z]+)*", node.value):
+                    codes.add(node.value)
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = set(re.findall(r"^\| `([EW]-[A-Z-]+)` \|", readme, re.M))
+    assert codes == listed
+    assert len(codes) == 23  # 22 errors and one warning

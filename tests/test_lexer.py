@@ -1,9 +1,8 @@
 import random
 import time
 
-import pytest
-
-from orbi_forge.errors import LexError
+from helpers import raises_code
+from orbi_forge.errors import OrbiError
 from orbi_forge.lexer import KEYWORDS, tokenize
 
 
@@ -86,7 +85,7 @@ def test_arrows_and_angles():
 
 
 def test_illegal_character_reports_location():
-    with pytest.raises(LexError) as exc:
+    with raises_code("E-LEX") as exc:
         tokenize("tm: ?")
     assert exc.value.loc.line == 1
     assert exc.value.loc.col == 5
@@ -150,7 +149,7 @@ def test_trailing_blanks_are_not_searched_from_every_position():
 
 
 def test_illegal_character_column_after_tabs():
-    with pytest.raises(LexError) as exc:
+    with raises_code("E-LEX") as exc:
         tokenize("tm: type.\n\t\ttm ?")
     assert (exc.value.message, exc.value.loc.line, exc.value.loc.col) == (
         "illegal character '?'",
@@ -160,7 +159,7 @@ def test_illegal_character_column_after_tabs():
 
 
 def test_non_ascii_letter_is_illegal():
-    with pytest.raises(LexError) as exc:
+    with raises_code("E-LEX") as exc:
         tokenize("café: type.")
     assert exc.value.message == "illegal character 'é'"
     assert (exc.value.loc.line, exc.value.loc.col) == (1, 4)
@@ -234,7 +233,8 @@ _FRAGMENTS = (
 def _lex_or_error(source):
     try:
         return _full(source)
-    except LexError as e:
+    except OrbiError as e:
+        assert e.code == "E-LEX"
         return ("error", e.message, (e.loc.line, e.loc.col))
 
 

@@ -5,15 +5,9 @@ import sys
 import pytest
 
 import lamoracle
-from helpers import closed, make_spec
+from helpers import closed, make_spec, raises_code
 from orbi_forge import check_signature, infer_type, normalize, parse_spec, reconstruct_implicits
-from orbi_forge.errors import (
-    LevelError,
-    OrbiError,
-    LfTypeError,
-    ReconstructionError,
-    UnboundVariableError,
-)
+from orbi_forge.errors import OrbiError
 from orbi_forge.lf import TypingCtx, check_tp
 from orbi_forge.parser import parse_term_str, parse_tpkind_str
 from orbi_forge.pretty import tp_str
@@ -99,7 +93,7 @@ def test_check_signature_corpus_levels(corpus_spec):
 
 def test_judgment_indexed_by_family_rejected():
     src = make_spec(syntax="tm: type.", judgments="bad: (tm -> type) -> type.")
-    with pytest.raises(LevelError):
+    with raises_code("E-LEVEL"):
         check_signature(parse_spec(src))
 
 
@@ -110,7 +104,7 @@ def test_empty_spec_checks_to_empty_signature():
 
 def test_signature_order_sensitive():
     src = make_spec(syntax="app: tm -> tm -> tm.\ntm: type.")
-    with pytest.raises(UnboundVariableError):
+    with raises_code("E-UNBOUND"):
         check_signature(parse_spec(src))
 
 
@@ -125,7 +119,7 @@ def test_infer_constant_lookup(checked):
 
 
 def test_infer_type_mismatch_reports_both_types(checked):
-    with pytest.raises(LfTypeError) as exc:
+    with raises_code("E-TYPE") as exc:
         infer_type(checked.sig, None, parse_term_str("app lam"))
     assert "expected tm" in exc.value.message
     assert "(tm -> tm) -> tm" in exc.value.message
@@ -139,7 +133,7 @@ def test_infer_with_typing_ctx(checked):
 
 
 def test_bare_lambda_cannot_be_inferred(checked):
-    with pytest.raises(LfTypeError):
+    with raises_code("E-TYPE"):
         infer_type(checked.sig, None, parse_term_str(r"\x. x"))
 
 
@@ -148,9 +142,9 @@ def test_infer_redex_applied_to_two_arguments(checked):
     t = parse_term_str(r"(\x. \y. x) a b", binders=("a", "b"))
     assert infer_type(checked.sig, ctx, t) == AtomApp("tm")
     # a discarded argument is typed too, first or last
-    with pytest.raises(LfTypeError):
+    with raises_code("E-TYPE"):
         infer_type(checked.sig, ctx, parse_term_str(r"(\x. \y. x) a (app lam)", binders=("a",)))
-    with pytest.raises(LfTypeError):
+    with raises_code("E-TYPE"):
         infer_type(checked.sig, ctx, parse_term_str(r"(\x. \y. y) (app lam) b", binders=("a", "b")))
 
 
@@ -184,7 +178,7 @@ def test_reconstruct_rejects_non_pattern():
         judgments="aeq: tm -> tm -> type.",
         rules="bad: aeq M (M M).",
     )
-    with pytest.raises(ReconstructionError):
+    with raises_code("E-RECON"):
         check_signature(parse_spec(src))
 
 
@@ -349,7 +343,7 @@ def test_reconstruction_sound_on_noisy_rules():
 
 def test_rule_must_target_judgment():
     src = make_spec(syntax="tm: type.\nc: tm.", judgments="j: tm -> type.", rules="r: tm.")
-    with pytest.raises(LevelError):
+    with raises_code("E-LEVEL"):
         check_signature(parse_spec(src))
 
 

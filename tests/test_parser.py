@@ -5,11 +5,10 @@ import sys
 
 import pytest
 
-from helpers import make_spec
+from helpers import make_spec, raises_code
 from specgen import gen_spec
 from test_lexer import _reference_tokenize
 from orbi_forge import corpus_source, parse_spec
-from orbi_forge.errors import DirectiveError, SpecParseError
 from orbi_forge.parser import parse_directive_line, parse_term_str, parse_tpkind_str
 from orbi_forge.pretty import spec_str
 from orbi_forge.syntax import (
@@ -68,9 +67,9 @@ def test_theorem_ast_shape():
 
 
 def test_malformed_decl_reports_expected_type():
-    with pytest.raises(SpecParseError) as exc:
+    with raises_code("E-PARSE") as exc:
         parse_spec(make_spec(syntax="lam: tm ->."))
-    (diag,) = exc.value.diagnostics()
+    (diag,) = exc.value.diagnostics
     assert diag.code == "E-PARSE"
     assert diag.production == "tp"
     assert "'.'" in diag.message
@@ -78,17 +77,17 @@ def test_malformed_decl_reports_expected_type():
 
 def test_error_recovery_reports_all_errors():
     src = make_spec(syntax="a: -> b.\ntm: type.\nc: tm tm tm.\nd: {x} tm.")
-    with pytest.raises(SpecParseError) as exc:
+    with raises_code("E-PARSE") as exc:
         parse_spec(src)
-    diags = exc.value.diagnostics()
+    diags = exc.value.diagnostics
     assert len(diags) >= 2
     assert all(d.code == "E-PARSE" for d in diags)
 
 
 def test_declaration_before_any_section_rejected():
-    with pytest.raises(SpecParseError) as exc:
+    with raises_code("E-PARSE") as exc:
         parse_spec("tm: type.\n")
-    assert "section separator" in exc.value.diagnostics()[0].message
+    assert "section separator" in exc.value.diagnostics[0].message
 
 
 def test_ctx_var_only_at_head():
@@ -96,7 +95,7 @@ def test_ctx_var_only_at_head():
         schemas="schema xG = block (x:tm);",
         definitions="inductive R : {g:xG} prop =\n| R_c: R [g, h];",
     )
-    with pytest.raises(SpecParseError):
+    with raises_code("E-PARSE"):
         parse_spec(src)
 
 
@@ -122,9 +121,7 @@ def test_reverse_arrow_chain_left_assoc():
 
 
 def test_mixed_arrows_rejected():
-    from orbi_forge.errors import ParseError
-
-    with pytest.raises(ParseError):
+    with raises_code("E-PARSE"):
         parse_tpkind_str("a <- b -> c")
 
 
@@ -296,24 +293,24 @@ def test_parse_directive_ctx_dest():
 
 
 def test_parse_directive_unknown_system():
-    with pytest.raises(DirectiveError) as exc:
+    with raises_code("E-DIR") as exc:
         parse_directive_line("%% wf [xy] in tm")
     assert "xy" in exc.value.message
 
 
 def test_parse_directive_malformed():
-    with pytest.raises(DirectiveError):
+    with raises_code("E-DIR"):
         parse_directive_line("%% frobnicate [ab] in tm")
-    with pytest.raises(DirectiveError):
+    with raises_code("E-DIR"):
         parse_directive_line("%% Syntax trailing")
-    with pytest.raises(DirectiveError):
+    with raises_code("E-DIR"):
         parse_directive_line("%%")
 
 
 def test_section_discipline_enforced():
-    with pytest.raises(SpecParseError):
+    with raises_code("E-PARSE"):
         parse_spec("%% Syntax\nschema xG = block (x:tm);\n")
-    with pytest.raises(SpecParseError):
+    with raises_code("E-PARSE"):
         parse_spec("%% Directives\ntm: type.\n")
 
 
@@ -438,9 +435,9 @@ def test_item_locations_and_spans_match_reference_tokens():
     ],
 )
 def test_parse_error_locations(source, expected):
-    with pytest.raises(SpecParseError) as exc:
+    with raises_code("E-PARSE") as exc:
         parse_spec(source)
-    diags = exc.value.diagnostics()
+    diags = exc.value.diagnostics
     assert all(d.code == "E-PARSE" for d in diags)
     assert [(d.loc.line, d.loc.col, d.message) for d in diags] == expected
 

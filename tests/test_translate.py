@@ -5,13 +5,9 @@ from collections import Counter
 import pytest
 
 from conftest import golden
-from helpers import check_all, make_spec
+from helpers import check_all, make_spec, raises_code
 from orbi_forge.directives import AnnotationTable, resolve
-from orbi_forge.errors import (
-    EmptyRenderingError,
-    LevelError,
-    NoCtxInScopeError,
-)
+from orbi_forge.errors import OrbiError
 from orbi_forge.parser import parse_term_str
 from orbi_forge.translate import (
     erase_clause,
@@ -93,7 +89,7 @@ def test_gen_wf_third_order_nesting():
 
 
 def test_gen_wf_rejects_level1(checked):
-    with pytest.raises(LevelError):
+    with raises_code("E-LEVEL"):
         gen_wf_predicates(checked.sig, {"aeq"})
 
 
@@ -131,7 +127,7 @@ def test_schema_explicit_xG(ab_doc):
 
 
 def test_schema_implicit_erasure_error(checked):
-    with pytest.raises(EmptyRenderingError) as exc:
+    with raises_code("E-EMPTY") as exc:
         translate_schema(checked.sig, checked.schemas["xG"], "ab", _ann())
     assert "explicit" in exc.value.message
 
@@ -187,7 +183,7 @@ def test_relation_nil_clause_always_nil(ab_doc):
 
 def test_relation_fully_implicit_erasure_error(checked):
     rxa = checked.relations["Rxa"]
-    with pytest.raises(EmptyRenderingError):
+    with raises_code("E-EMPTY"):
         translate_relation(checked.sig, rxa, "ab", _ann())
 
 
@@ -314,7 +310,8 @@ def _erasure_holds(checked, target) -> Counter:
     for kind, translate, item in items:
         try:
             implicit = translate(sig, item, target, bare)
-        except EmptyRenderingError:
+        except OrbiError as e:
+            assert e.code == "E-EMPTY", e.diagnostics
             continue
         full = translate(sig, item, target, ann)
         assert tuple(map(erase_clause, full.clauses)) == implicit.clauses, (target, item.name)
@@ -393,7 +390,7 @@ def test_explicit_var_needs_ctx_in_scope():
     )
     checked = check_all(src)
     ann = resolve(checked, "ab")
-    with pytest.raises(NoCtxInScopeError):
+    with raises_code("E-NOCTX"):
         translate_theorem(checked, checked.theorems[0], "ab", ann)
 
 
@@ -497,10 +494,8 @@ def test_premise_quantifier_over_judgment_rejected():
         rules="r: ({D:j c} k c) -> k c.",
     )
     checked = check_all(src)
-    from orbi_forge.errors import UnsupportedShapeError
-
     (entry,) = checked.sig.rules()
-    with pytest.raises(UnsupportedShapeError):
+    with raises_code("E-SHAPE"):
         translate_rule(checked.sig, entry.decl, _ann(wf=()))
 
 
