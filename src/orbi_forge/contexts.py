@@ -23,7 +23,6 @@ from orbi_forge.syntax import (
     CtxVar,
     EmptyCtx,
     ExistsTm,
-    FalseP,
     ForallCtx,
     ForallTm,
     Imp,
@@ -40,7 +39,6 @@ from orbi_forge.syntax import (
     Schema,
     TermEq,
     Theorem,
-    TrueP,
     Var,
     ctx_blocks,
     ctx_head_var,
@@ -246,12 +244,17 @@ def scope_check_theorem(
                     report(e.code, e.message)
                 telescope.append(tp)
 
-    def walk(p: Prp, ctx_env: dict, term_env: dict) -> None:
-        if isinstance(p, ForallCtx):
+    # (formula, context variables, term variables) still to visit, in
+    # left-to-right pre-order: the last one pushed is visited first
+    stack: list = [(t.statement, {}, {})]
+    while stack:
+        p, ctx_env, term_env = stack.pop()
+        k = type(p)
+        if k is ForallCtx:
             if p.schema not in schemas:
                 report("E-NO-SCHEMA", f"unknown schema {p.schema!r}")
-            walk(p.body, {**ctx_env, p.var: p.schema}, term_env)
-        elif isinstance(p, (ForallTm, ExistsTm)):
+            stack.append((p.body, {**ctx_env, p.var: p.schema}, term_env))
+        elif k is ForallTm or k is ExistsTm:
             bad_level = False
             for fam in families_in_tp(p.tp):
                 lvl = sig.level(fam)
@@ -270,8 +273,8 @@ def scope_check_theorem(
                     check_tp(sig, [], p.tp)
                 except OrbiError as e:
                     report(e.code, e.message)
-            walk(p.body, ctx_env, {**term_env, p.var: p.tp})
-        elif isinstance(p, Judgment):
+            stack.append((p.body, ctx_env, {**term_env, p.var: p.tp}))
+        elif k is Judgment:
             scope_ctx(p.ctx, ctx_env)
             if p.family not in sig or not sig.is_family(p.family):
                 report("E-UNBOUND", f"unknown judgment {p.family!r}")
@@ -286,7 +289,7 @@ def scope_check_theorem(
                     )
             for a in p.args:
                 scope_term(a, 0, term_env)
-        elif isinstance(p, RelApp):
+        elif k is RelApp:
             rel = relations.get(p.name)
             if rel is None:
                 report("E-NO-RELATION", f"unknown relation {p.name!r}")
@@ -298,16 +301,13 @@ def scope_check_theorem(
                 )
             for c in p.ctxs:
                 scope_ctx(c, ctx_env)
-        elif isinstance(p, TermEq):
+        elif k is TermEq:
             scope_term(p.lhs, 0, term_env)
             scope_term(p.rhs, 0, term_env)
-        elif isinstance(p, (And, Or, Imp)):
-            walk(p.lhs, ctx_env, term_env)
-            walk(p.rhs, ctx_env, term_env)
-        elif isinstance(p, (TrueP, FalseP)):
-            pass
+        elif k is And or k is Or or k is Imp:
+            stack.append((p.rhs, ctx_env, term_env))
+            stack.append((p.lhs, ctx_env, term_env))
 
-    walk(t.statement, {}, {})
     if diags:
         raise OrbiError.of(diags)
     return t

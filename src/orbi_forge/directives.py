@@ -72,9 +72,14 @@ def resolve(checked, target: str) -> AnnotationTable:
     marks = {what: {kind: set() for kind in _KINDS} for what in ("explicit", "implicit")}
     # (kind, item) -> location of the directive that first marks it both ways
     clash_at: dict = {}
+    # a repeated directive marks the same items again, and those marks are
+    # sets: each distinct one is applied once
+    applied: set = set()
     for d in checked.spec.directives:
-        if target not in d.systems:
+        key = (d.what, d.dest, d.dest_is_ctx)
+        if target not in d.systems or key in applied:
             continue
+        applied.add(key)
         if d.what == "wf":
             if d.dest_is_ctx or not sig.is_family(d.dest):
                 raise OrbiError(

@@ -2,16 +2,23 @@
 
 Syntax-section families define object syntax (level 0), Judgments-section
 families are judgments indexed by level-0 terms (level 1), and Rules-section
-constants must target a judgment.  Definitional equality is beta only; rule
-declarations get their schematic variables bound by an outermost Pi-prefix
-inferred from Miller-pattern occurrences, in the same traversal that checks
-the rule (the checker's hole mode).
+constants must target a judgment.  Definitional equality is beta only.  A
+rule's schematic variables are left implicit in the source; their types are
+inferred from Miller-pattern occurrences in the same traversal that checks
+the rule (the checker's hole mode).  The signature stores a rule as it was
+checked: its open body, in which each schematic occurrence is still a
+``Const``, and its schematic prefix, the names in ``SigEntry.implicit`` with
+their types.  ``closed_decl`` builds the closed rule, the body under an
+outermost Pi-prefix that binds the schematics, only where it is shown or
+checked as a whole: for ``reconstruct_implicits``, for the type of a rule
+used as a term, and for the second check of a rule written with a redex.
 
 Every type the checker stores or pushes onto a context is beta-normal: the
-signature holds normal types (a rule written with a redex is stored
-normalised), Pi and KPi domains are normalised where they enter the context,
-and ``infer_type`` normalises the context it is given.  Types read back from
-the signature or the context are therefore compared with ``==`` as they are.
+signature holds normal types (a rule written with a redex is stored as its
+open normal form), Pi and KPi domains are normalised where they enter the
+context, and ``infer_type`` normalises the context it is given.  Types read
+back from the signature or the context are therefore compared with ``==`` as
+they are.
 """
 
 from __future__ import annotations
@@ -47,9 +54,10 @@ from orbi_forge.syntax import (
 
 
 class SigEntry(Record):
-    # implicit: the reconstructed prefix, in first-occurrence order
-    __slots__ = ("decl", "level", "section", "implicit")
-    _defaults = ((),)
+    # implicit: a rule's schematic variables, in first-occurrence order, and
+    # implicit_tps their reconstructed types; decl holds the open body
+    __slots__ = ("decl", "level", "section", "implicit", "implicit_tps")
+    _defaults = ((), ())
 
 
 class Signature:
@@ -75,7 +83,7 @@ class Signature:
     def add(self, entry: SigEntry) -> None:
         decl = entry.decl
         self.entries[decl.name] = entry
-        if isinstance(decl, ConstDecl):
+        if type(decl) is ConstDecl:
             self._constructors.setdefault(target_family(decl.tp), []).append(decl)
 
     def level(self, name: str):
@@ -84,7 +92,7 @@ class Signature:
 
     def is_family(self, name: str) -> bool:
         e = self.entries.get(name)
-        return e is not None and isinstance(e.decl, FamDecl)
+        return e is not None and type(e.decl) is FamDecl
 
     def family_kind(self, name: str) -> Kind:
         return self.entries[name].decl.kind
@@ -93,7 +101,7 @@ class Signature:
         return tuple(
             e.decl.name
             for e in self.entries.values()
-            if isinstance(e.decl, FamDecl) and (level is None or e.level == level)
+            if type(e.decl) is FamDecl and (level is None or e.level == level)
         )
 
     def rules(self):
@@ -111,14 +119,14 @@ class TypingCtx(Record):
 
 
 def target_family(tp: Tp) -> str:
-    while not isinstance(tp, AtomApp):
+    while type(tp) is not AtomApp:
         tp = tp.cod
     return tp.family
 
 
 def kind_domains(k: Kind) -> tuple[Tp, ...]:
     out = []
-    while not isinstance(k, Type):
+    while type(k) is not Type:
         out.append(k.dom)
         k = k.cod
     return tuple(out)
@@ -132,7 +140,7 @@ def is_level0(sig: Signature, tp: Tp) -> bool:
 def families_in_tp(tp: Tp, out: set | None = None) -> set[str]:
     if out is None:
         out = set()
-    if isinstance(tp, AtomApp):
+    if type(tp) is AtomApp:
         out.add(tp.family)
     else:
         families_in_tp(tp.dom, out)
@@ -185,7 +193,8 @@ class _Holes(dict):
 def check_tp(sig: Signature, ctx: list[Tp], tp: Tp, holes: _Holes | None = None) -> None:
     """Check that ``tp`` is a well-formed type under ``ctx``, whose entries
     must be beta-normal (Var(0) is the last one)."""
-    if isinstance(tp, AtomApp):
+    t = type(tp)
+    if t is AtomApp:
         if tp.family == TYPE_ATOM:
             raise OrbiError(
                 "E-LEVEL",
@@ -195,11 +204,11 @@ def check_tp(sig: Signature, ctx: list[Tp], tp: Tp, holes: _Holes | None = None)
         entry = sig.get(tp.family)
         if entry is None:
             raise OrbiError("E-UNBOUND", f"unknown type family {tp.family!r}")
-        if not isinstance(entry.decl, FamDecl):
+        if type(entry.decl) is not FamDecl:
             raise OrbiError("E-TYPE", f"{tp.family!r} is a term constant, not a type family")
         kind = entry.decl.kind
         for arg in tp.args:
-            if isinstance(kind, Type):
+            if type(kind) is Type:
                 raise OrbiError(
                     "E-KIND", f"type family {tp.family!r} applied to too many arguments"
                 )
@@ -208,10 +217,10 @@ def check_tp(sig: Signature, ctx: list[Tp], tp: Tp, holes: _Holes | None = None)
             # KPi leaves the codomain as it is
             dom, kind = kind.dom, kind.cod
             _check(sig, ctx, arg, dom, holes)
-        if not isinstance(kind, Type):
+        if type(kind) is not Type:
             raise OrbiError("E-KIND", f"type family {tp.family!r} is not fully applied")
         return
-    if isinstance(tp, Arrow):
+    if t is Arrow:
         check_tp(sig, ctx, tp.dom, holes)
         check_tp(sig, ctx, tp.cod, holes)
         return
@@ -220,10 +229,11 @@ def check_tp(sig: Signature, ctx: list[Tp], tp: Tp, holes: _Holes | None = None)
 
 
 def check_kind(sig: Signature, ctx: list[Tp], k: Kind) -> None:
-    if isinstance(k, Type):
+    t = type(k)
+    if t is Type:
         return
     check_tp(sig, ctx, k.dom)
-    if isinstance(k, KArrow):
+    if t is KArrow:
         check_kind(sig, ctx, k.cod)
     else:
         check_kind(sig, ctx + [normalize(k.dom)], k.cod)
@@ -233,23 +243,24 @@ def check_kind(sig: Signature, ctx: list[Tp], k: Kind) -> None:
 
 
 def _infer(sig: Signature, ctx: list[Tp], t: Term, holes: _Holes | None = None) -> Tp:
-    if isinstance(t, Var):
+    k = type(t)
+    if k is Var:
         if t.index >= len(ctx):
             raise OrbiError("E-UNBOUND", f"unbound variable index {t.index}")
         return shift(ctx[-1 - t.index], t.index + 1)
-    if isinstance(t, Const):
+    if k is Const:
         entry = sig.get(t.name)
         if entry is None:
             raise OrbiError("E-UNBOUND", f"unbound identifier {t.name!r}")
-        if isinstance(entry.decl, FamDecl):
+        if type(entry.decl) is FamDecl:
             raise OrbiError("E-TYPE", f"type family {t.name!r} used as a term")
-        return entry.decl.tp
-    if isinstance(t, App):
+        return closed_decl(entry).tp if entry.implicit else entry.decl.tp
+    if k is App:
         head, args = t.fn, [t.arg]  # the spine's arguments, last first
-        while isinstance(head, App):
+        while type(head) is App:
             args.append(head.arg)
             head = head.fn
-        if isinstance(head, Lam):
+        if type(head) is Lam:
             # beta-redex: infer the first argument, so that it is typed even
             # if the body discards it, then the instantiated body, applied to
             # the other arguments if there are any
@@ -261,10 +272,10 @@ def _infer(sig: Signature, ctx: list[Tp], t: Term, holes: _Holes | None = None) 
             return normalize(subst(tb, first))
         tf = _infer(sig, ctx, head, holes)
         for arg in reversed(args):
-            if isinstance(tf, Arrow):
+            if type(tf) is Arrow:
                 _check(sig, ctx, arg, tf.dom, holes)
                 tf = tf.cod
-            elif isinstance(tf, Pi):
+            elif type(tf) is Pi:
                 _check(sig, ctx, arg, tf.dom, holes)
                 tf = normalize(subst(tf.cod, arg))
             else:
@@ -276,11 +287,11 @@ def _infer(sig: Signature, ctx: list[Tp], t: Term, holes: _Holes | None = None) 
 
 
 def _check(sig: Signature, ctx: list[Tp], t: Term, exp: Tp, holes: _Holes | None = None) -> None:
-    if isinstance(t, Lam):
-        if isinstance(exp, Arrow):
+    if type(t) is Lam:
+        if type(exp) is Arrow:
             _check(sig, ctx + [exp.dom], t.body, shift(exp.cod, 1), holes)
             return
-        if isinstance(exp, Pi):
+        if type(exp) is Pi:
             _check(sig, ctx + [exp.dom], t.body, exp.cod, holes)
             return
         if holes is not None:
@@ -288,15 +299,15 @@ def _check(sig: Signature, ctx: list[Tp], t: Term, exp: Tp, holes: _Holes | None
         raise OrbiError("E-TYPE", f"expected {tp_str(exp, [])}, got a lambda")
     if holes is not None:
         head = t
-        while isinstance(head, App):
+        while type(head) is App:
             head = head.fn
-        if isinstance(head, Lam):
+        if type(head) is Lam:
             # a schematic's type is read off its pattern occurrences, so
             # reconstruction sees the normal form; _reconstruct checks the redex
             holes.beta = True
             _check(sig, ctx, normalize(t), exp, holes)
             return
-        if isinstance(head, Const) and head.name not in sig:
+        if type(head) is Const and head.name not in sig:
             _schematic(sig, ctx, t, exp, holes)
             return
     actual = _infer(sig, ctx, t, holes)
@@ -320,7 +331,7 @@ def _schematic(sig: Signature, ctx: list[Tp], t: Term, exp: Tp, holes: _Holes) -
     name = head.name
     idxs = []
     for arg in args:
-        if not isinstance(arg, Var) or arg.index >= len(ctx):
+        if type(arg) is not Var or arg.index >= len(ctx):
             raise OrbiError(
                 "E-RECON", f"schematic variable {name!r} must be applied to bound variables only"
             )
@@ -354,24 +365,25 @@ def _schematic(sig: Signature, ctx: list[Tp], t: Term, exp: Tp, holes: _Holes) -
         )
 
 
-def _reconstruct(sig: Signature, decl: ConstDecl):
+def _reconstruct(sig: Signature, decl: ConstDecl) -> SigEntry:
+    """Check a rule and infer its schematic prefix; the entry keeps the open
+    body."""
     unknowns = _Holes()
     check_tp(sig, [], decl.tp, unknowns)
-    rec = decl
-    if unknowns:
-        rec = ConstDecl(decl.name, _close(decl.tp, unknowns), decl.loc)
+    entry = SigEntry(decl, 1, "Rules", tuple(unknowns), tuple(unknowns.values()))
     if unknowns.beta:
         # the schematics' types are known now: check each redex as written,
         # so that its discarded arguments are well typed too, then store the
-        # normal form
-        check_tp(sig, [], rec.tp)
-        rec = ConstDecl(rec.name, normalize(rec.tp), rec.loc)
-    return rec, tuple(unknowns)
+        # open normal form (schematics are opaque constants, so normalising
+        # commutes with closing)
+        check_tp(sig, [], closed_decl(entry).tp)
+        entry = entry._replace(decl=ConstDecl(decl.name, normalize(decl.tp), decl.loc))
+    return entry
 
 
-def _close(tp: Tp, unknowns: dict[str, Tp]) -> Tp:
-    """Bind the schematic variables of ``tp`` by an outermost Pi-prefix."""
-    names = list(unknowns)
+def _close(tp: Tp, names: tuple[str, ...], tps: tuple[Tp, ...]) -> Tp:
+    """Bind the schematic variables ``names`` of ``tp`` by an outermost
+    Pi-prefix with domains ``tps``."""
     # index of each name's binder, counted from inside the prefix
     outer = {n: len(names) - 1 - j for j, n in enumerate(names)}
 
@@ -379,16 +391,24 @@ def _close(tp: Tp, unknowns: dict[str, Tp]) -> Tp:
         return Var(k + outer[n.name]) if type(n) is Const and n.name in outer else n
 
     body = rebuild(tp, bind)
-    for name in reversed(names):
-        body = Pi(name, unknowns[name], body)
+    for name, dom in zip(reversed(names), reversed(tps)):
+        body = Pi(name, dom, body)
     return body
+
+
+def closed_decl(entry: SigEntry) -> ConstDecl:
+    """The declaration of a checked constant with its schematic variables
+    bound by an outermost Pi-prefix, in first-occurrence order."""
+    decl = entry.decl
+    if not entry.implicit:
+        return decl
+    return ConstDecl(decl.name, _close(decl.tp, entry.implicit, entry.implicit_tps), decl.loc)
 
 
 def reconstruct_implicits(sig: Signature, rule: ConstDecl) -> ConstDecl:
     """Type-check a rule and bind every free identifier with an outermost
     Pi-prefix, in first-occurrence order."""
-    decl, _ = _reconstruct(sig, rule)
-    return decl
+    return closed_decl(_reconstruct(sig, rule))
 
 
 # ---------------------------------------------------------------- checking
@@ -401,8 +421,8 @@ def check_signature(spec: OrbiSpec) -> Signature:
             if decl.name in sig:
                 raise OrbiError("E-DUP", f"duplicate declaration of {decl.name!r}")
             if section == "Syntax":
-                if isinstance(decl, FamDecl):
-                    if not isinstance(decl.kind, Type):
+                if type(decl) is FamDecl:
+                    if type(decl.kind) is not Type:
                         raise OrbiError(
                             "E-LEVEL", f"syntax-level family {decl.name!r} must have kind 'type'"
                         )
@@ -417,7 +437,7 @@ def check_signature(spec: OrbiSpec) -> Signature:
                         )
                     sig.add(SigEntry(decl, 0, section))
             elif section == "Judgments":
-                if isinstance(decl, ConstDecl):
+                if type(decl) is ConstDecl:
                     raise OrbiError(
                         "E-LEVEL",
                         "only judgment (type family) declarations may appear in the "
@@ -433,16 +453,16 @@ def check_signature(spec: OrbiSpec) -> Signature:
                         )
                 sig.add(SigEntry(decl, 1, section))
             elif section == "Rules":
-                if isinstance(decl, FamDecl):
+                if type(decl) is FamDecl:
                     raise OrbiError(
                         "E-LEVEL", "type families may not be declared in the Rules section"
                     )
-                rec, names = _reconstruct(sig, decl)
-                if sig.level(target_family(rec.tp)) != 1:
+                entry = _reconstruct(sig, decl)
+                if sig.level(target_family(decl.tp)) != 1:
                     raise OrbiError(
                         "E-LEVEL", f"rule {decl.name!r} must target a level-1 judgment family"
                     )
-                sig.add(SigEntry(rec, 1, section, names))
+                sig.add(entry)
             else:
                 raise OrbiError(
                     "E-LEVEL", f"constant or type declaration in unsupported section {section!r}"

@@ -43,7 +43,8 @@ def lint(checked: CheckedSpec) -> list[Diagnostic]:
         diags.append(Diagnostic(code, message, loc, "warning", hint))
 
     def walk_terms(t, loc):
-        if isinstance(t, Lam):
+        k = type(t)
+        if k is Lam:
             if t.hint and t.hint[0].isupper():
                 warn(
                     "L1",
@@ -52,16 +53,17 @@ def lint(checked: CheckedSpec) -> list[Diagnostic]:
                     f"rename {t.hint!r} to {t.hint[0].lower() + t.hint[1:]!r}",
                 )
             walk_terms(t.body, loc)
-        elif isinstance(t, App):
+        elif k is App:
             walk_terms(t.fn, loc)
             walk_terms(t.arg, loc)
 
     def walk_tp(tp, loc, in_rule: bool):
-        if isinstance(tp, AtomApp):
+        k = type(tp)
+        if k is AtomApp:
             for a in tp.args:
                 walk_terms(a, loc)
             return
-        if isinstance(tp, Arrow):
+        if k is Arrow:
             walk_tp(tp.dom, loc, in_rule)
             walk_tp(tp.cod, loc, in_rule)
             return
@@ -91,9 +93,10 @@ def lint(checked: CheckedSpec) -> list[Diagnostic]:
         walk_tp(tp.cod, loc, in_rule)
 
     def walk_kind(k, loc):
-        if isinstance(k, Type):
+        t = type(k)
+        if t is Type:
             return
-        if isinstance(k, KPi) and 0 not in free(k.cod):
+        if t is KPi and 0 not in free(k.cod):
             warn(
                 "L3",
                 f"Pi-bound variable {k.hint!r} does not occur in the kind body",
@@ -128,7 +131,7 @@ def lint(checked: CheckedSpec) -> list[Diagnostic]:
 
     # declarations
     for section, decl in spec.decls_in_order():
-        if isinstance(decl, ConstDecl):
+        if type(decl) is ConstDecl:
             walk_tp(decl.tp, decl.loc, in_rule=(section == "Rules"))
         else:
             walk_kind(decl.kind, decl.loc)
@@ -156,9 +159,10 @@ def lint(checked: CheckedSpec) -> list[Diagnostic]:
             stack = [prp]
             while stack:
                 node = stack.pop()
-                if isinstance(node, Imp):
+                k = type(node)
+                if k is Imp:
                     stack += [node.lhs, node.rhs]
-                elif isinstance(node, RelApp):
+                elif k is RelApp:
                     for c in node.ctxs:
                         head = ctx_head_var(c)
                         if head is not None:
@@ -170,22 +174,23 @@ def lint(checked: CheckedSpec) -> list[Diagnostic]:
         stack = [t.statement]
         while stack:
             node = stack.pop()
-            if isinstance(node, ForallCtx):
+            k = type(node)
+            if k is ForallCtx:
                 check_ctx_var(node.var, t.loc)
                 stack.append(node.body)
-            elif isinstance(node, (ForallTm, ExistsTm)):
+            elif k is ForallTm or k is ExistsTm:
                 walk_tp(node.tp, t.loc, False)
                 stack.append(node.body)
-            elif isinstance(node, (And, Or, Imp)):
+            elif k is And or k is Or or k is Imp:
                 stack += [node.lhs, node.rhs]
-            elif isinstance(node, Judgment):
+            elif k is Judgment:
                 check_ctx_labels(node.ctx, t.loc)
                 for a in node.args:
                     walk_terms(a, t.loc)
-            elif isinstance(node, RelApp):
+            elif k is RelApp:
                 for c in node.ctxs:
                     check_ctx_labels(c, t.loc)
-            elif isinstance(node, TermEq):
+            elif k is TermEq:
                 walk_terms(node.lhs, t.loc)
                 walk_terms(node.rhs, t.loc)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from orbi_forge.contexts import _clause_parts
 from orbi_forge.directives import AnnotationTable, resolve, wf_name
 from orbi_forge.errors import Diagnostic, OrbiError
-from orbi_forge.lf import Signature, families_in_tp, is_level0, normalize
+from orbi_forge.lf import SigEntry, Signature, families_in_tp, is_level0, normalize
 from orbi_forge.pretty import _P_IMP, _P_QUANT, ORBI, Dialect, prp_str, term_str, theorem_str
 from orbi_forge.syntax import (
     And,
@@ -29,7 +29,6 @@ from orbi_forge.syntax import (
     Arrow,
     AtomApp,
     Const,
-    ConstDecl,
     EmptyCtx,
     ExistsTm,
     ForallCtx,
@@ -264,21 +263,26 @@ def gen_wf_predicates(sig: Signature, wf_families) -> list[Clause]:
 # ------------------------------------------------------------------- rules
 
 
-def translate_rule(sig: Signature, rule: ConstDecl, ann: AnnotationTable) -> Clause:
-    """Render one reconstructed rule, whose type is beta-normal, as a
-    hereditary-Harrop clause."""
+def translate_rule(sig: Signature, entry: SigEntry, ann: AnnotationTable) -> Clause:
+    """Render one checked rule as a hereditary-Harrop clause.  Its clause
+    variables are its schematic prefix, then the Pi binders that open its
+    beta-normal body, in which a schematic occurrence is a constant that
+    prints as its name."""
+    rule = entry.decl
     explicit = rule.name in ann.explicit_rules
     tp = rule.tp
+    binders = list(zip(entry.implicit, entry.implicit_tps))
+    while type(tp) is Pi:
+        binders.append((tp.hint, tp.dom))
+        tp = tp.cod
     guards: list = []  # of the clause variables, when explicit
     env: list[str] = []
-    while isinstance(tp, Pi):
-        name = tp.hint
+    for name, dom in binders:
         while name in env:
             name += "'"
-        if explicit and isinstance(tp.dom, AtomApp) and tp.dom.family in ann.wf_families:
-            guards.append(Guard(tp.dom.family, name))
+        if explicit and type(dom) is AtomApp and dom.family in ann.wf_families:
+            guards.append(Guard(dom.family, name))
         env.append(name)
-        tp = tp.cod
     premises = []
     while isinstance(tp, Arrow):
         premises.append(tp.dom)
@@ -671,7 +675,7 @@ def translate_spec(checked, target: str) -> TargetDoc:
         try:
             for entry in sig.rules():
                 item = entry.decl
-                blocks.append(DocBlock(item.name, translate_rule(sig, item, ann).render()))
+                blocks.append(DocBlock(item.name, translate_rule(sig, entry, ann).render()))
             for item in spec.schemas:
                 blocks.append(DocBlock(item.name, translate_schema(sig, item, target, ann).render()))
             for item in spec.definitions:

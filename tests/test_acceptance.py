@@ -17,6 +17,7 @@ from orbi_forge import (
 )
 from orbi_forge.directives import AnnotationTable
 from orbi_forge.errors import OrbiError
+from orbi_forge.lf import closed_decl
 from orbi_forge.lint import lint
 from orbi_forge.pretty import pretty
 from orbi_forge.syntax import Arrow, AtomApp, Pi
@@ -72,8 +73,8 @@ def test_criterion_3_erasure_property(checked):
     )
     implicit = AnnotationTable("ab", frozenset({"tm"}))
     for entry in checked.sig.rules():
-        full = translate_rule(checked.sig, entry.decl, explicit)
-        bare = translate_rule(checked.sig, entry.decl, implicit)
+        full = translate_rule(checked.sig, entry, explicit)
+        bare = translate_rule(checked.sig, entry, implicit)
         assert erase_clause(full) == bare, entry.decl.name
         assert full.render() != "" and bare.render() != ""
         cases += 1
@@ -83,8 +84,8 @@ def test_criterion_3_erasure_property(checked):
     ex = AnnotationTable("ab", frozenset({"t"}), frozenset(names))
     im = AnnotationTable("ab", frozenset({"t"}))
     for entry in gen_checked.sig.rules():
-        full = translate_rule(gen_checked.sig, entry.decl, ex)
-        bare = translate_rule(gen_checked.sig, entry.decl, im)
+        full = translate_rule(gen_checked.sig, entry, ex)
+        bare = translate_rule(gen_checked.sig, entry, im)
         assert erase_clause(full) == bare, entry.decl.name
         cases += 1
     assert cases == 28
@@ -188,13 +189,13 @@ def test_criterion_5_roundtrip(corpus_spec):
 def test_criterion_6_reconstruction(checked):
     ae_a = checked.sig.get("ae_a")
     assert ae_a.implicit == ("M1", "N1", "M2", "N2")
-    tp = ae_a.decl.tp
+    tp = closed_decl(ae_a).tp
     for _ in range(4):
         assert isinstance(tp, Pi) and tp.dom == AtomApp("tm")
         tp = tp.cod
     ae_l = checked.sig.get("ae_l")
     assert ae_l.implicit == ("M", "N")
-    tp = ae_l.decl.tp
+    tp = closed_decl(ae_l).tp
     for _ in range(2):
         assert isinstance(tp, Pi) and tp.dom == Arrow(AtomApp("tm"), AtomApp("tm"))
         tp = tp.cod

@@ -292,6 +292,22 @@ def test_deeply_parenthesised_theorem_checks(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize(
+    "statement",
+    [
+        pytest.param("{M:tm} " * 3000 + "true", id="quantifiers"),
+        pytest.param("true -> " * 3000 + "true", id="implications"),
+    ],
+)
+def test_long_theorem_checks(statement, tmp_path, capsys):
+    # scope checking walks a proposition with an explicit stack
+    p = tmp_path / "long.orbi"
+    text = f"%% Syntax\ntm: type.\n\n%% Theorems\ntheorem t: {statement};\n"
+    p.write_text(text, encoding="utf-8")
+    assert run(["check", str(p)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 _PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
@@ -333,6 +349,37 @@ def test_every_printed_diagnostic_has_a_location(tmp_path, capsys):
                 assert any(d["severity"] == "error" for d in diags), name
             unplaced += [(name, argv[-1], d) for d in diags if d["line"] < 1]
     assert not unplaced
+
+
+def test_open_rules_are_never_closed(corpus_file, tmp_path, monkeypatch, capsys):
+    # check and translate read a rule's open body and schematic prefix; only
+    # a rule written with a redex is closed, once, to check the redex
+    import orbi_forge.lf as lf
+
+    if _PERFBENCH not in sys.path:
+        sys.path.append(_PERFBENCH)
+    import workloads
+
+    closed = []
+    close = lf._close
+    monkeypatch.setattr(lf, "_close", lambda *args: closed.append(args) or close(*args))
+    files = [corpus_file]
+    for i, f in enumerate(f for f in workloads.rules(7).files if not f.reject):
+        files.append(str(tmp_path / f"rules{i}.orbi"))
+        (tmp_path / f"rules{i}.orbi").write_text(f.text, encoding="utf-8")
+    assert len(files) == 17
+    assert run(["check", *files]) == 0
+    for target in ("ab", "hy", "bel", "tw"):
+        assert run(["translate", "--target", target, "--out-dir", str(tmp_path), *files]) == 0
+    assert "[E-" not in capsys.readouterr().err
+    assert closed == []
+    redex = tmp_path / "redex.orbi"
+    redex.write_text(
+        "%% Syntax\ntm: type.\n\n%% Judgments\nj: tm -> type.\n\n%% Rules\nr: j ((\\x. x) M).\n",
+        encoding="utf-8",
+    )
+    assert run(["check", str(redex)]) == 0
+    assert len(closed) == 1
 
 
 def test_importing_the_cli_leaves_json_out():

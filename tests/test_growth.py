@@ -3,7 +3,10 @@
 The input grows 4x (eq.orbi renamed into 10, then 40 disjoint copies), and
 the number of Python calls each stage makes must grow by at most 4.4x.
 Calls are counted with ``sys.setprofile`` (``call`` and ``c_call`` events),
-so the check is exact and does not depend on the machine's speed.
+so the check is exact and does not depend on the machine's speed.  A loop
+that makes no Python call, such as the marking of a directive's items in
+``resolve``, shows only in the number of bytecodes executed, counted with
+``sys.settrace`` (``opcode`` events).
 """
 
 import re
@@ -12,6 +15,7 @@ import sys
 import pytest
 
 from orbi_forge import check_spec, corpus_source, lint, parse_spec
+from orbi_forge.directives import resolve
 from orbi_forge.pretty import spec_str
 from orbi_forge.translate import translate_spec
 
@@ -59,6 +63,27 @@ def _calls(fn, *args) -> int:
     return count
 
 
+def _opcodes(fn, *args) -> int:
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return local
+
+    def trace(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return local
+
+    sys.settrace(trace)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(None)
+    return count
+
+
 @pytest.fixture(scope="module")
 def stage_calls():
     out = {}
@@ -90,3 +115,11 @@ def test_copies_are_disjoint_and_complete():
 def test_stage_grows_linearly(stage_calls, stage):
     ratio = stage_calls[40][stage] / stage_calls[10][stage]
     assert ratio <= MAX_GROWTH, f"{stage}: {ratio:.2f}x calls for 4x input"
+
+
+def test_resolve_grows_linearly():
+    # every copy repeats eq.orbi's directives on the shared names g and M,
+    # each of which has one owner per copy
+    ops = {n: _opcodes(resolve, check_spec(parse_spec(_copies(n))), "ab") for n in (10, 40)}
+    ratio = ops[40] / ops[10]
+    assert ratio <= MAX_GROWTH, f"resolve: {ratio:.2f}x bytecodes for 4x input"

@@ -8,7 +8,7 @@ import lamoracle
 from helpers import closed, make_spec, raises_code
 from orbi_forge import check_signature, infer_type, normalize, parse_spec, reconstruct_implicits
 from orbi_forge.errors import OrbiError
-from orbi_forge.lf import TypingCtx, check_tp
+from orbi_forge.lf import TypingCtx, check_tp, closed_decl
 from orbi_forge.parser import parse_term_str, parse_tpkind_str
 from orbi_forge.pretty import tp_str
 from orbi_forge.syntax import (
@@ -154,18 +154,18 @@ def test_infer_redex_applied_to_two_arguments(checked):
 def test_reconstruct_ae_a(checked):
     entry = checked.sig.get("ae_a")
     assert entry.implicit == ("M1", "N1", "M2", "N2")
-    tp = entry.decl.tp
+    tp = closed_decl(entry).tp
     for name in ("M1", "N1", "M2", "N2"):
         assert isinstance(tp, Pi) and tp.hint == name
         assert tp.dom == AtomApp("tm")
         tp = tp.cod
-    assert closed(entry.decl.tp)
+    assert closed(closed_decl(entry).tp)
 
 
 def test_reconstruct_ae_l(checked):
     entry = checked.sig.get("ae_l")
     assert entry.implicit == ("M", "N")
-    tp = entry.decl.tp
+    tp = closed_decl(entry).tp
     for name in ("M", "N"):
         assert isinstance(tp, Pi) and tp.hint == name
         assert tp.dom == Arrow(AtomApp("tm"), AtomApp("tm"))
@@ -191,7 +191,7 @@ def test_reconstruct_public_op(checked, corpus_spec):
 
 def test_all_corpus_rules_closed_after_reconstruction(checked):
     for entry in checked.sig.rules():
-        assert closed(entry.decl.tp), entry.decl.name
+        assert closed(closed_decl(entry).tp), entry.decl.name
 
 
 _FAULT_SYNTAX = make_spec(
@@ -240,6 +240,8 @@ _ATOMIC_APPLIED = "term of atomic type 't' applied to an argument"
         (r"{u: j ((\x. x) c0) c0} j u c0", "E-TYPE", "expected t, got j c0 c0"),
         # two faults: the first in left-to-right order is reported
         (r"j (cb c0) c0 -> j (M c0) c0", "E-TYPE", "expected t -> t, got t"),
+        # a rule used as a term shows its type with its schematic prefix
+        ("j M N.\nq: j r c0", "E-TYPE", "expected t, got {M:t} {N:t} j M N"),
     ],
 )
 def test_rule_fault_classes(rule, code, message):
@@ -263,7 +265,7 @@ def test_rule_reconstructs(rule, implicit):
     sig = check_signature(parse_spec(_FAULT_SYNTAX + f"\n%% Rules\nr: {rule}.\n"))
     entry = sig.get("r")
     assert entry.implicit == implicit
-    assert closed(entry.decl.tp)
+    assert closed(closed_decl(entry).tp)
 
 
 def _free_names(sig, tp, out):
@@ -307,8 +309,9 @@ def _assert_sound(spec, sig):
     written = {d.name: d for d in spec.rules}
     n = 0
     for entry in sig.rules():
-        check_tp(sig, [], entry.decl.tp)
-        assert closed(entry.decl.tp), entry.decl.name
+        rule = closed_decl(entry)
+        check_tp(sig, [], rule.tp)
+        assert closed(rule.tp), entry.decl.name
         expected = _free_names(sig, normalize(written[entry.decl.name].tp), [])
         assert entry.implicit == tuple(expected), entry.decl.name
         n += 1

@@ -106,8 +106,8 @@ def test_erasure_on_corpus_rules(checked):
     explicit = _ann(rules=[e.decl.name for e in checked.sig.rules()])
     implicit = _ann()
     for entry in checked.sig.rules():
-        full = translate_rule(checked.sig, entry.decl, explicit)
-        bare = translate_rule(checked.sig, entry.decl, implicit)
+        full = translate_rule(checked.sig, entry, explicit)
+        bare = translate_rule(checked.sig, entry, implicit)
         assert erase_clause(full) == bare, entry.decl.name
 
 
@@ -301,8 +301,8 @@ def _erasure_holds(checked, target) -> Counter:
         assert erase_clause(cl) is None, cl
     changed = Counter()
     for entry in sig.rules():
-        full = translate_rule(sig, entry.decl, ann)
-        implicit = translate_rule(sig, entry.decl, bare)
+        full = translate_rule(sig, entry, ann)
+        implicit = translate_rule(sig, entry, bare)
         assert erase_clause(full) == implicit, (target, entry.decl.name)
         changed["rule"] += full != implicit
     items = [("schema", translate_schema, x) for x in checked.spec.schemas]
@@ -356,7 +356,7 @@ def test_erasure_keeps_vacuous_binders_and_user_judgments():
             rules="r: ({x:tm} j c) -> j c.\ns: is_j c -> j c.",
         )
     )
-    r, s = (e.decl for e in checked.sig.rules())
+    r, s = checked.sig.rules()
     explicit = _ann(rules=("r", "s"))
     assert translate_rule(checked.sig, r, explicit).render() == "j c :- pi x\\ is_tm x => j c."
     assert erase_clause(translate_rule(checked.sig, r, explicit)).render() == "j c :- pi x\\ j c."
@@ -496,7 +496,7 @@ def test_premise_quantifier_over_judgment_rejected():
     checked = check_all(src)
     (entry,) = checked.sig.rules()
     with raises_code("E-SHAPE"):
-        translate_rule(checked.sig, entry.decl, _ann(wf=()))
+        translate_rule(checked.sig, entry, _ann(wf=()))
 
 
 def test_functional_premise_variable_gets_hereditary_wf():
@@ -507,11 +507,11 @@ def test_functional_premise_variable_gets_hereditary_wf():
     )
     checked = check_all(src)
     (entry,) = checked.sig.rules()
-    explicit = translate_rule(checked.sig, entry.decl, _ann(rules=("r",)))
+    explicit = translate_rule(checked.sig, entry, _ann(rules=("r",)))
     assert explicit.render() == (
         "j c :- pi f\\ (pi x\\ is_tm x => is_tm (f x)) => j (f c)."
     )
-    implicit = translate_rule(checked.sig, entry.decl, _ann())
+    implicit = translate_rule(checked.sig, entry, _ann())
     assert implicit.render() == "j c :- pi f\\ j (f c)."
     assert erase_clause(explicit) == implicit
 
