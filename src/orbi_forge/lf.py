@@ -19,6 +19,13 @@ open normal form), Pi and KPi domains are normalised where they enter the
 context, and ``infer_type`` normalises the context it is given.  Types read
 back from the signature or the context are therefore compared with ``==`` as
 they are.
+
+The parser shares the leaves of one file: one ``Const`` and ``Var`` object per
+name or index, and one argument-free ``AtomApp`` per family.  An argument-free
+atom is closed and normal, so shifting, substituting into or normalising it
+returns it as it is, it mentions its family alone, and it is equal to itself.
+The checker therefore hands no such leaf to ``shift``, ``normalize``, ``free``
+or ``families_in_tp``, and compares types by identity before structure.
 """
 
 from __future__ import annotations
@@ -134,6 +141,9 @@ def kind_domains(k: Kind) -> tuple[Tp, ...]:
 
 def is_level0(sig: Signature, tp: Tp) -> bool:
     """Whether every family ``tp`` mentions is a syntax-level family."""
+    if type(tp) is AtomApp:  # its indices are terms, which mention no family
+        entry = sig.entries.get(tp.family)
+        return entry is not None and entry.level == 0
     return all(sig.level(f) == 0 for f in families_in_tp(tp))
 
 
@@ -156,6 +166,8 @@ def normalize(node):
     once.  Normal order: a redex is contracted before its argument is
     normalised, if ever."""
     t = type(node)
+    if t is AtomApp and not node.args:
+        return node
     if t is Lam:
         body = normalize(node.body)
         return node if body is node.body else Lam(node.hint, body)
@@ -201,7 +213,7 @@ def check_tp(sig: Signature, ctx: list[Tp], tp: Tp, holes: _Holes | None = None)
                 "the kind 'type' cannot appear inside a type; "
                 "a family may only be indexed by level-0 terms",
             )
-        entry = sig.get(tp.family)
+        entry = sig.entries.get(tp.family)
         if entry is None:
             raise OrbiError("E-UNBOUND", f"unknown type family {tp.family!r}")
         if type(entry.decl) is not FamDecl:
@@ -224,19 +236,25 @@ def check_tp(sig: Signature, ctx: list[Tp], tp: Tp, holes: _Holes | None = None)
         check_tp(sig, ctx, tp.dom, holes)
         check_tp(sig, ctx, tp.cod, holes)
         return
-    check_tp(sig, ctx, tp.dom, holes)
-    check_tp(sig, ctx + [normalize(tp.dom)], tp.cod, holes)
+    dom = tp.dom
+    check_tp(sig, ctx, dom, holes)
+    if type(dom) is not AtomApp or dom.args:
+        dom = normalize(dom)
+    check_tp(sig, ctx + [dom], tp.cod, holes)
 
 
 def check_kind(sig: Signature, ctx: list[Tp], k: Kind) -> None:
     t = type(k)
     if t is Type:
         return
-    check_tp(sig, ctx, k.dom)
+    dom = k.dom
+    check_tp(sig, ctx, dom)
     if t is KArrow:
         check_kind(sig, ctx, k.cod)
-    else:
-        check_kind(sig, ctx + [normalize(k.dom)], k.cod)
+        return
+    if type(dom) is not AtomApp or dom.args:
+        dom = normalize(dom)
+    check_kind(sig, ctx + [dom], k.cod)
 
 
 # ------------------------------------------------------------------ typing
@@ -247,9 +265,10 @@ def _infer(sig: Signature, ctx: list[Tp], t: Term, holes: _Holes | None = None) 
     if k is Var:
         if t.index >= len(ctx):
             raise OrbiError("E-UNBOUND", f"unbound variable index {t.index}")
-        return shift(ctx[-1 - t.index], t.index + 1)
+        tp = ctx[-1 - t.index]
+        return tp if type(tp) is AtomApp and not tp.args else shift(tp, t.index + 1)
     if k is Const:
-        entry = sig.get(t.name)
+        entry = sig.entries.get(t.name)
         if entry is None:
             raise OrbiError("E-UNBOUND", f"unbound identifier {t.name!r}")
         if type(entry.decl) is FamDecl:
@@ -269,7 +288,7 @@ def _infer(sig: Signature, ctx: list[Tp], t: Term, holes: _Holes | None = None) 
             if args:
                 return _infer(sig, ctx, apply_spine(subst(head.body, first), reversed(args)))
             tb = _infer(sig, ctx + [ta], head.body)
-            return normalize(subst(tb, first))
+            return tb if type(tb) is AtomApp and not tb.args else normalize(subst(tb, first))
         tf = _infer(sig, ctx, head, holes)
         for arg in reversed(args):
             if type(tf) is Arrow:
@@ -277,7 +296,9 @@ def _infer(sig: Signature, ctx: list[Tp], t: Term, holes: _Holes | None = None) 
                 tf = tf.cod
             elif type(tf) is Pi:
                 _check(sig, ctx, arg, tf.dom, holes)
-                tf = normalize(subst(tf.cod, arg))
+                tf = tf.cod
+                if type(tf) is not AtomApp or tf.args:
+                    tf = normalize(subst(tf, arg))
             else:
                 raise OrbiError(
                     "E-TYPE", f"term of atomic type {tp_str(tf, [])!r} applied to an argument"
@@ -289,7 +310,10 @@ def _infer(sig: Signature, ctx: list[Tp], t: Term, holes: _Holes | None = None) 
 def _check(sig: Signature, ctx: list[Tp], t: Term, exp: Tp, holes: _Holes | None = None) -> None:
     if type(t) is Lam:
         if type(exp) is Arrow:
-            _check(sig, ctx + [exp.dom], t.body, shift(exp.cod, 1), holes)
+            cod = exp.cod
+            if type(cod) is not AtomApp or cod.args:
+                cod = shift(cod, 1)
+            _check(sig, ctx + [exp.dom], t.body, cod, holes)
             return
         if type(exp) is Pi:
             _check(sig, ctx + [exp.dom], t.body, exp.cod, holes)
@@ -307,17 +331,22 @@ def _check(sig: Signature, ctx: list[Tp], t: Term, exp: Tp, holes: _Holes | None
             holes.beta = True
             _check(sig, ctx, normalize(t), exp, holes)
             return
-        if type(head) is Const and head.name not in sig:
-            _schematic(sig, ctx, t, exp, holes)
+        if type(head) is Const and head.name not in sig.entries:
+            if head is not t or holes.get(t.name) is not exp:
+                _schematic(sig, ctx, t, exp, holes)
+            # else a bare occurrence already recorded at this very type
             return
     actual = _infer(sig, ctx, t, holes)
-    if actual != exp:
+    if actual is not exp and actual != exp:
         raise OrbiError("E-TYPE", f"expected {tp_str(exp, [])}, got {tp_str(actual, [])}")
 
 
 def infer_type(sig: Signature, ctx: TypingCtx | None, t: Term) -> Tp:
     """Beta-normal principal type of ``t`` under ``ctx``."""
-    tps = [normalize(tp) for _, tp in (ctx.entries if ctx else ())]
+    tps = [
+        tp if type(tp) is AtomApp and not tp.args else normalize(tp)
+        for _, tp in (ctx.entries if ctx else ())
+    ]
     return _infer(sig, tps, t)
 
 
@@ -342,11 +371,12 @@ def _schematic(sig: Signature, ctx: list[Tp], t: Term, exp: Tp, holes: _Holes) -
         )
     cand = exp
     for i in reversed(idxs):
-        cand = Arrow(shift(ctx[-1 - i], i + 1), cand)
+        dom = ctx[-1 - i]
+        cand = Arrow(dom if type(dom) is AtomApp and not dom.args else shift(dom, i + 1), cand)
     prev = holes.get(name)
-    if prev is not None and prev == cand:
+    if prev is not None and (prev is cand or prev == cand):
         return  # closedness and level are alpha-invariant: checked at the first occurrence
-    if any(type(x) is int for x in free(cand)):
+    if (type(cand) is not AtomApp or cand.args) and any(type(x) is int for x in free(cand)):
         raise OrbiError(
             "E-RECON", f"cannot infer a closed outermost type for schematic variable {name!r}"
         )

@@ -13,7 +13,6 @@ from orbi_forge.pretty import tp_str
 from orbi_forge.syntax import (
     And,
     App,
-    Arrow,
     AtomApp,
     ConstDecl,
     CtxPattern,
@@ -25,6 +24,7 @@ from orbi_forge.syntax import (
     KPi,
     Lam,
     Or,
+    Pi,
     RelApp,
     TermEq,
     Type,
@@ -43,54 +43,62 @@ def lint(checked: CheckedSpec) -> list[Diagnostic]:
         diags.append(Diagnostic(code, message, loc, "warning", hint))
 
     def walk_terms(t, loc):
-        k = type(t)
-        if k is Lam:
-            if t.hint and t.hint[0].isupper():
-                warn(
-                    "L1",
-                    f"eigenvariable {t.hint!r} should be lowercase",
-                    loc,
-                    f"rename {t.hint!r} to {t.hint[0].lower() + t.hint[1:]!r}",
-                )
-            walk_terms(t.body, loc)
-        elif k is App:
-            walk_terms(t.fn, loc)
-            walk_terms(t.arg, loc)
+        # visits the lambdas of ``t`` left to right; a Var or Const leaf,
+        # which holds none, is never entered
+        while True:
+            k = type(t)
+            if k is Lam:
+                if t.hint and t.hint[0].isupper():
+                    warn(
+                        "L1",
+                        f"eigenvariable {t.hint!r} should be lowercase",
+                        loc,
+                        f"rename {t.hint!r} to {t.hint[0].lower() + t.hint[1:]!r}",
+                    )
+                t = t.body
+            elif k is App:
+                k = type(t.fn)
+                if k is Lam or k is App:
+                    walk_terms(t.fn, loc)
+                t = t.arg
+            else:
+                return
 
     def walk_tp(tp, loc, in_rule: bool):
-        k = type(tp)
-        if k is AtomApp:
-            for a in tp.args:
-                walk_terms(a, loc)
-            return
-        if k is Arrow:
+        # a Pi's warnings, then its domain, then its codomain, in a loop
+        # along the codomains
+        while True:
+            k = type(tp)
+            if k is AtomApp:
+                for a in tp.args:
+                    k = type(a)
+                    if k is Lam or k is App:
+                        walk_terms(a, loc)
+                return
+            if k is Pi:
+                if in_rule and tp.hint and tp.hint[0].isupper():
+                    warn(
+                        "L1",
+                        f"eigenvariable {tp.hint!r} should be lowercase",
+                        loc,
+                        f"rename {tp.hint!r} to {tp.hint[0].lower() + tp.hint[1:]!r}",
+                    )
+                if in_rule and not is_level0(sig, tp.dom):
+                    warn(
+                        "L2",
+                        f"quantification over the non-level-0 type '{tp_str(tp.dom, [])}'",
+                        loc,
+                        "quantify only over syntax-level (level-0) types",
+                    )
+                if 0 not in free(tp.cod):
+                    warn(
+                        "L3",
+                        f"Pi-bound variable {tp.hint!r} does not occur in the body",
+                        loc,
+                        "write the non-dependent product as 'A -> B'",
+                    )
             walk_tp(tp.dom, loc, in_rule)
-            walk_tp(tp.cod, loc, in_rule)
-            return
-        # Pi binder
-        if in_rule and tp.hint and tp.hint[0].isupper():
-            warn(
-                "L1",
-                f"eigenvariable {tp.hint!r} should be lowercase",
-                loc,
-                f"rename {tp.hint!r} to {tp.hint[0].lower() + tp.hint[1:]!r}",
-            )
-        if in_rule and not is_level0(sig, tp.dom):
-            warn(
-                "L2",
-                f"quantification over the non-level-0 type '{tp_str(tp.dom, [])}'",
-                loc,
-                "quantify only over syntax-level (level-0) types",
-            )
-        if 0 not in free(tp.cod):
-            warn(
-                "L3",
-                f"Pi-bound variable {tp.hint!r} does not occur in the body",
-                loc,
-                "write the non-dependent product as 'A -> B'",
-            )
-        walk_tp(tp.dom, loc, in_rule)
-        walk_tp(tp.cod, loc, in_rule)
+            tp = tp.cod
 
     def walk_kind(k, loc):
         t = type(k)

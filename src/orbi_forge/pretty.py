@@ -202,17 +202,28 @@ def prp_str(p: Prp, prec: int = _P_QUANT, d: Dialect = ORBI, cx=None) -> str:
     """``p`` in dialect ``d``, in parentheses if it binds less tightly than
     ``prec``: ``->`` takes an or-level lhs and an imp-level rhs, ``or`` takes
     or/and, ``and`` takes and/atom, and a quantifier is parenthesised when
-    nested."""
+    nested.  A chain of one connective, along the right spine of ``->`` and
+    the left spine of ``or``/``and``, prints in a loop, its operands left to
+    right."""
     t = type(p)
     if t is Imp:
-        s = f"{prp_str(p.lhs, _P_OR, d, cx)} -> {prp_str(p.rhs, _P_IMP, d, cx)}"
+        s = prp_str(p.lhs, _P_OR, d, cx)
+        p = p.rhs
+        while type(p) is Imp:
+            s += " -> " + prp_str(p.lhs, _P_OR, d, cx)
+            p = p.rhs
+        s += " -> " + prp_str(p, _P_IMP, d, cx)
         return f"({s})" if prec > _P_IMP else s
-    if t is Or:
-        s = f"{prp_str(p.lhs, _P_OR, d, cx)} {d.or_} {prp_str(p.rhs, _P_AND, d, cx)}"
-        return f"({s})" if prec > _P_OR else s
-    if t is And:
-        s = f"{prp_str(p.lhs, _P_AND, d, cx)} {d.and_} {prp_str(p.rhs, _P_ATOM, d, cx)}"
-        return f"({s})" if prec > _P_AND else s
+    if t is Or or t is And:
+        level, op = (_P_OR, f" {d.or_} ") if t is Or else (_P_AND, f" {d.and_} ")
+        rhs = []  # the right operands, outermost first
+        while type(p) is t:
+            rhs += (p.rhs,)
+            p = p.lhs
+        s = prp_str(p, level, d, cx)
+        for r in rhs[::-1]:
+            s += op + prp_str(r, level + 1, d, cx)
+        return f"({s})" if prec > level else s
     if t is TrueP:
         return "true"
     if t is FalseP:

@@ -21,6 +21,8 @@ Nothing here consults a signature.
 
 from __future__ import annotations
 
+_COMPILED: dict = {}  # generated Record source -> its code object
+
 
 class Record:
     """Base of the syntax nodes and of every other plain record.
@@ -31,6 +33,8 @@ class Record:
     ``exec`` per class compiles an ``__init__`` taking the fields in order,
     positionally or by keyword, and, unless the class defines its own, an
     ``__eq__`` (same class and equal compared fields) with its ``__hash__``.
+    Classes of one shape share the compiled code: each distinct source is
+    compiled once, so ``And`` and ``Or`` run the same ``__eq__`` code.
     Records are immutable by convention: no code assigns a field after
     construction, and ``__slots__`` rejects new attributes.
     """
@@ -57,8 +61,11 @@ class Record:
                 "def __hash__(self):",
                 f" return hash(({''.join(f'self.{f}, ' for f in shown)}))",
             ]
+        source = "\n".join(lines)
+        code = _COMPILED.get(source)
+        if code is None:
+            code = _COMPILED[source] = compile(source, f"<record({', '.join(fields)})>", "exec")
         methods: dict = {}
-        code = compile("\n".join(lines), f"<{cls.__qualname__}>", "exec")
         exec(code, {"_d": cls._defaults}, methods)
         for name, fn in methods.items():
             setattr(cls, name, fn)

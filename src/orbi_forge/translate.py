@@ -171,11 +171,14 @@ def eta_contract(t: Term) -> Term:
 class _Names:
     """Fresh-name supply that never collides with user identifiers:
     ``reserved`` (typically ``sig.entries``) is consulted, never copied, and
-    names handed out go into the supply's own ``taken`` set."""
+    names handed out go into the supply's own ``taken`` set.  Taken names
+    stay taken until ``drop``, so numbering a stem resumes where it last
+    stopped."""
 
     def __init__(self, reserved, taken=()):
         self.reserved = reserved
         self.taken = set(taken)
+        self.numbered: dict[str, int] = {}  # stem -> its highest number handed out
 
     def __contains__(self, name: str) -> bool:
         return name in self.taken or name in self.reserved
@@ -192,12 +195,19 @@ class _Names:
             if ch not in self:
                 self.taken.add(ch)
                 return ch
-        i = 1
-        while f"{pool[0]}{i}" in self:
+        stem = pool[0]
+        i = self.numbered.get(stem, 0) + 1
+        while f"{stem}{i}" in self:
             i += 1
-        name = f"{pool[0]}{i}"
+        self.numbered[stem] = i
+        name = f"{stem}{i}"
         self.taken.add(name)
         return name
+
+    def drop(self, name: str) -> None:
+        """Make ``name`` free again; numbering restarts from 1."""
+        self.taken.discard(name)
+        self.numbered.clear()
 
 
 _UPPER, _LOWER = "MNOPQRSTUVWXYZABCDEFGHIJKL", "xyzuvw"
@@ -473,20 +483,18 @@ def _usage_ctxs(q: ForallTm) -> list[str]:
     its variable, in order; a quantifier that rebinds the name ends the scope."""
     var = q.var
     out: list[str] = []
-
-    def walk(p: Prp) -> None:
+    stack = [q.body]
+    while stack:
+        p = stack.pop()
         if isinstance(p, Judgment):
             head = ctx_head_var(p.ctx)
             if head is not None and any(var in free(a) for a in p.args):
                 if head not in out:
                     out.append(head)
         elif isinstance(p, (And, Or, Imp)):
-            walk(p.lhs)
-            walk(p.rhs)
+            stack += [p.rhs, p.lhs]
         elif isinstance(p, (ForallCtx, ForallTm, ExistsTm)) and p.var != var:
-            walk(p.body)
-
-    walk(q.body)
+            stack.append(p.body)
     return out
 
 
@@ -542,23 +550,26 @@ def _ab_binder(hint: str, body: Term, env: list) -> str:
     return h
 
 
-def _upper(var: str, avoid, taken) -> str:
-    return _Names(avoid, taken).pick((var[0].upper() + var[1:],))
-
-
 def _ab_quant(p: Prp, d, cx: _Scope) -> str:
     """``forall H M, xaG H -> {H |- is_tm M} -> body`` or ``exists N, body``:
     the ab/hy layout of a quantifier chain.  Each variable gets an upper-case
     name away from the signature and the names in scope; a context variable
     has its schema as an antecedent, an explicit variable its wf guard."""
     rename = dict(cx.rename)
+    supply = _Names(cx.avoid, rename.values())
     if type(p) is ExistsTm:
-        upper = rename[p.var] = _upper(p.var, cx.avoid, rename.values())
+        upper = rename[p.var] = supply.pick((p.var[0].upper() + p.var[1:],))
         return f"exists {upper}, {prp_str(p.body, _P_IMP, d, cx._replace(rename=rename))}"
+    outer = set(supply.taken)  # names of the variables bound outside the chain
     names: list[str] = []
     antecedents: list[str] = []
     while type(p) is ForallCtx or type(p) is ForallTm:
-        upper = rename[p.var] = _upper(p.var, cx.avoid, [*rename.values(), *names])
+        old = rename.get(p.var)
+        upper = rename[p.var] = supply.pick((p.var[0].upper() + p.var[1:],))
+        if old in outer:
+            # the outer variable is shadowed from here on: its name is free
+            outer.discard(old)
+            supply.drop(old)
         names.append(upper)
         if type(p) is ForallCtx:
             cx = cx.bind(p.var)

@@ -9,6 +9,7 @@ from conftest import golden
 import orbi_forge
 from orbi_forge import corpus_source
 from orbi_forge.cli import run
+from orbi_forge.syntax import AtomApp, Const
 
 
 @pytest.fixture()
@@ -297,14 +298,22 @@ def test_deeply_parenthesised_theorem_checks(tmp_path, capsys):
     [
         pytest.param("{M:tm} " * 3000 + "true", id="quantifiers"),
         pytest.param("true -> " * 3000 + "true", id="implications"),
+        pytest.param(
+            " & ".join(["true"] * 3000) + " -> " + " || ".join(["true"] * 3000),
+            id="conjunctions",
+        ),
     ],
 )
 def test_long_theorem_checks(statement, tmp_path, capsys):
-    # scope checking walks a proposition with an explicit stack
+    # scope checking walks a proposition with an explicit stack, and the
+    # printer folds a chain of one connective in a loop
     p = tmp_path / "long.orbi"
     text = f"%% Syntax\ntm: type.\n\n%% Theorems\ntheorem t: {statement};\n"
     p.write_text(text, encoding="utf-8")
     assert run(["check", str(p)]) == 0
+    assert run(["fmt", str(p)]) == 0
+    for target in ("ab", "hy", "bel", "tw"):
+        assert run(["translate", "--target", target, "--out-dir", str(tmp_path), str(p)]) == 0
     assert capsys.readouterr().err == ""
 
 
@@ -380,6 +389,45 @@ def test_open_rules_are_never_closed(corpus_file, tmp_path, monkeypatch, capsys)
     )
     assert run(["check", str(redex)]) == 0
     assert len(closed) == 1
+
+
+def test_checker_walks_no_shared_leaf(corpus_file, tmp_path, monkeypatch, capsys):
+    # an argument-free atom is closed and normal, so lf hands none to a walk
+    # (a walk's calls to itself are its own), and a bare schematic occurrence
+    # already recorded at the identical type never reaches _schematic
+    import orbi_forge.lf as lf
+
+    if _PERFBENCH not in sys.path:
+        sys.path.append(_PERFBENCH)
+    import workloads
+
+    leaves = []
+    for name in ("shift", "normalize", "free", "families_in_tp"):
+
+        def recording(node, *rest, walk=getattr(lf, name), name=name):
+            caller = sys._getframe(1).f_code
+            if caller is not walk.__code__ and type(node) is AtomApp and not node.args:
+                leaves.append((name, caller.co_name, node))
+            return walk(node, *rest)
+
+        monkeypatch.setattr(lf, name, recording)
+    schematic, reached, repeated = lf._schematic, [], []
+
+    def counting(sig, ctx, t, exp, holes):
+        reached.append(t)
+        if type(t) is Const and t.name in holes:
+            repeated.append(t.name)
+        return schematic(sig, ctx, t, exp, holes)
+
+    monkeypatch.setattr(lf, "_schematic", counting)
+    files = [corpus_file]
+    for i, f in enumerate(f for f in workloads.rules(7).files if not f.reject):
+        files.append(str(tmp_path / f"rules{i}.orbi"))
+        (tmp_path / f"rules{i}.orbi").write_text(f.text, encoding="utf-8")
+    assert run(["check", *files]) == 0
+    assert "[E-" not in capsys.readouterr().err
+    assert leaves == []
+    assert reached and repeated == []
 
 
 def test_importing_the_cli_leaves_json_out():

@@ -123,3 +123,14 @@ def test_resolve_grows_linearly():
     ops = {n: _opcodes(resolve, check_spec(parse_spec(_copies(n))), "ab") for n in (10, 40)}
     ratio = ops[40] / ops[10]
     assert ratio <= MAX_GROWTH, f"resolve: {ratio:.2f}x bytecodes for 4x input"
+
+
+def test_quantifier_chain_names_grow_linearly():
+    # ab/hy name the variables of one chain from one supply, which resumes
+    # numbering a stem where it stopped: M, M1, M2, ... for {M:tm} {M:tm} ...
+    def calls(n):
+        text = "%% Syntax\ntm: type.\n\n%% Theorems\ntheorem t: " + "{M:tm} " * n + "true;\n"
+        return _calls(translate_spec, check_spec(parse_spec(text)), "ab")
+
+    ratio = calls(1000) / calls(250)
+    assert ratio <= MAX_GROWTH, f"translate_spec ab: {ratio:.2f}x calls for 4x quantifiers"

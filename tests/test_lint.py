@@ -36,6 +36,20 @@ def test_l1_uppercase_eigenvariable():
     assert "L1" in _codes(src)
 
 
+def test_l1_uppercase_lambda_hints_warn_in_source_order():
+    # the walk skips the leaves c and x but enters both lambdas, left to right
+    src = make_spec(
+        syntax="tm: type.\nc: tm.\nlam: (tm -> tm) -> tm.\napp: tm -> tm -> tm.",
+        judgments="j: tm -> tm -> type.",
+        rules=r"r: {x:tm} j c (app (lam (\Y. app x Y)) (app c (lam (\X. X)))).",
+    )
+    l1 = [d.message for d in lint(check_all(src)) if d.code == "L1"]
+    assert l1 == [
+        "eigenvariable 'Y' should be lowercase",
+        "eigenvariable 'X' should be lowercase",
+    ]
+
+
 def test_l1_uppercase_context_variable():
     src = make_spec(
         syntax="tm: type.",

@@ -6,6 +6,7 @@ import orbi_forge.cli  # noqa: F401  (defines every record class)
 from orbi_forge.errors import Diagnostic
 from orbi_forge.syntax import (
     NO_LOC,
+    And,
     Arrow,
     AtomApp,
     Block,
@@ -15,6 +16,7 @@ from orbi_forge.syntax import (
     KArrow,
     Lam,
     Loc,
+    Or,
     Record,
     TrueP,
     Type,
@@ -88,6 +90,16 @@ def test_zero_field_records_equal_their_class():
     assert Type() == Type() and hash(Type()) == hash(Type())
     assert EmptyCtx() == EmptyCtx()
     assert len({TrueP(), TrueP(), FalseP()}) == 2
+
+
+def test_classes_of_one_shape_share_their_code():
+    # each distinct generated source is compiled once, at import
+    assert And.__eq__.__code__ is Or.__eq__.__code__
+    assert And.__init__.__code__ is Or.__init__.__code__
+    assert TrueP.__eq__.__code__ is Type.__eq__.__code__
+    assert And.__eq__ is not Or.__eq__
+    assert And(TrueP(), TrueP()) != Or(TrueP(), TrueP())
+    assert Arrow.__eq__.__code__ is not Lam.__eq__.__code__
 
 
 def test_construction_by_position_keyword_and_default():

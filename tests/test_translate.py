@@ -529,3 +529,17 @@ def test_theorem_variable_rename_avoids_signature_constants():
     )
     # the quantified m must not collide with the constant M
     assert text == "forall G M1, sG G -> {G |- j M1} -> {G |- j M}."
+
+
+@pytest.mark.parametrize("target", ["ab", "hy"])
+def test_inner_chain_reuses_the_names_of_shadowed_variables(target):
+    # once the inner m and M shadow the outer ones, their names M1 and M are
+    # free again: one name supply per chain, which frees a shadowed name
+    checked = check_all(
+        make_spec(
+            syntax="tm: type.",
+            theorems="theorem t: {M:tm}{m:tm} true -> ({m:tm}{M:tm}{m:tm}{M1:tm} true);",
+        )
+    )
+    text, _ = translate_theorem(checked, checked.theorems[0], target, _ann(wf=()))
+    assert text == "forall M M1, true -> (forall M2 M1 M M11, true)."
