@@ -56,14 +56,14 @@ def check_schema(sig: Signature, s: Schema) -> Schema:
     the beta-normal entry types."""
     alternatives = []
     for block in s.alternatives:
-        labels = []
+        labels: dict[str, None] = {}  # in order, with a constant-time lookup
         telescope = []
         for label, tp in block.entries:
             if label in labels:
                 raise OrbiError(
                     "E-DUP", f"duplicate label {label!r} in a block of schema {s.name!r}"
                 )
-            labels.append(label)
+            labels[label] = None
             check_tp(sig, telescope, tp)
             telescope.append(normalize(tp))
         alternatives.append(Block(tuple(zip(labels, telescope))))

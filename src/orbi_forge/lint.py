@@ -28,9 +28,10 @@ from orbi_forge.syntax import (
     RelApp,
     TermEq,
     Type,
+    chain,
     ctx_blocks,
     ctx_head_var,
-    free,
+    last_uses,
 )
 
 
@@ -65,8 +66,11 @@ def lint(checked: CheckedSpec) -> list[Diagnostic]:
                 return
 
     def walk_tp(tp, loc, in_rule: bool):
-        # a Pi's warnings, then its domain, then its codomain, in a loop
-        # along the codomains
+        # a type or a kind: a product's warnings, then its domain, then its
+        # codomain, in a loop along the codomains.  A binder is vacuous (L3)
+        # when nothing under it mentions it: one last_uses pass over the
+        # chain from its first product
+        last = None
         while True:
             k = type(tp)
             if k is AtomApp:
@@ -75,7 +79,9 @@ def lint(checked: CheckedSpec) -> list[Diagnostic]:
                     if k is Lam or k is App:
                         walk_terms(a, loc)
                 return
-            if k is Pi:
+            if k is Type:
+                return
+            if k is Pi or k is KPi:
                 if in_rule and tp.hint and tp.hint[0].isupper():
                     warn(
                         "L1",
@@ -90,29 +96,19 @@ def lint(checked: CheckedSpec) -> list[Diagnostic]:
                         loc,
                         "quantify only over syntax-level (level-0) types",
                     )
-                if 0 not in free(tp.cod):
+                if last is None:
+                    last, i = last_uses(chain(tp)[1]), 0
+                if i not in last:
+                    body, form = ("body", "A -> B") if k is Pi else ("kind body", "A -> K")
                     warn(
                         "L3",
-                        f"Pi-bound variable {tp.hint!r} does not occur in the body",
+                        f"Pi-bound variable {tp.hint!r} does not occur in the {body}",
                         loc,
-                        "write the non-dependent product as 'A -> B'",
+                        f"write the non-dependent product as '{form}'",
                     )
+                i += 1
             walk_tp(tp.dom, loc, in_rule)
             tp = tp.cod
-
-    def walk_kind(k, loc):
-        t = type(k)
-        if t is Type:
-            return
-        if t is KPi and 0 not in free(k.cod):
-            warn(
-                "L3",
-                f"Pi-bound variable {k.hint!r} does not occur in the kind body",
-                loc,
-                "write the non-dependent product as 'A -> K'",
-            )
-        walk_tp(k.dom, loc, False)
-        walk_kind(k.cod, loc)
 
     def check_ctx_labels(c: CtxPattern, loc):
         seen: dict[str, str] = {}
@@ -142,7 +138,7 @@ def lint(checked: CheckedSpec) -> list[Diagnostic]:
         if type(decl) is ConstDecl:
             walk_tp(decl.tp, decl.loc, in_rule=(section == "Rules"))
         else:
-            walk_kind(decl.kind, decl.loc)
+            walk_tp(decl.kind, decl.loc, False)
     for entry in sig.rules():
         for name in entry.implicit:
             if name[0].islower():

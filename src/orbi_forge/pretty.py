@@ -4,15 +4,18 @@ and through a ``Dialect`` the terms and formulas of ab/hy and bel.
 ``term_str``, ``tp_str`` (types and kinds) and ``prp_str`` are the only walks
 that print these trees.  In ORBI, binder hints are kept verbatim unless that
 would capture a free name in scope, in which case primes are appended (`y`
-becomes `y'`), so re-parsing the output gives the input up to alpha.
+becomes `y'`), so re-parsing the output gives the input up to alpha.  The
+binders of a telescope, a chain of products or a block, are named from one
+``last_uses`` pass over it, so printing one is linear in its length.
 """
 
 from __future__ import annotations
 
 from orbi_forge.syntax import (
     SECTIONS,
-    AtomApp,
     And,
+    App,
+    AtomApp,
     Arrow,
     Block,
     Const,
@@ -29,9 +32,11 @@ from orbi_forge.syntax import (
     Judgment,
     KArrow,
     Kind,
+    KPi,
     Lam,
     Or,
     OrbiSpec,
+    Pi,
     Prp,
     Record,
     RelApp,
@@ -43,10 +48,10 @@ from orbi_forge.syntax import (
     TrueP,
     Type,
     Var,
+    chain,
     ctx_blocks,
     ctx_head_var,
-    free,
-    spine,
+    last_uses,
 )
 
 _KEYWORDS = {"type", "schema", "block", "inductive", "prop", "theorem", "true", "false"}
@@ -66,21 +71,9 @@ class Dialect(Record):
     __slots__ = ("lam", "dot", "binder", "or_", "and_", "sep", "quant", "atom")
 
 
-def _escaping(node, d: int, env: list) -> set:
-    """Names free in ``node``: consts plus the enclosing binders it references."""
-    n = len(env)
-    return {x if type(x) is str else env[-1 - x] for x in free(node, d) if type(x) is str or x < n}
-
-
-def _fresh(hint: str, avoid: set) -> str:
-    h = hint or "x"
-    while h in avoid or h in _KEYWORDS:
-        h += "'"
-    return h
-
-
 def _binder_name(hint: str, body, env: list) -> str:
-    return _fresh(hint, _escaping(body, 1, env))
+    """A lambda's binder name: a telescope of one binder, its body under it."""
+    return _telescope_names((hint,), ((body, 1),), env)[0]
 
 
 def _groups(p: Prp, d: Dialect, cx) -> str:
@@ -140,28 +133,79 @@ def term_str(t: Term, env: list, atom: bool = False, d: Dialect = ORBI) -> str:
         h = d.binder(t.hint, t.body, env)
         s = f"{d.lam}{h}{d.dot}{term_str(t.body, env + [h], False, d)}"
         return f"({s})" if atom else s
-    head, args = spine(t)
-    parts = [term_str(head, env, True, d)]
-    parts += [term_str(a, env, True, d) for a in args]
-    s = " ".join(parts)
+    args = []  # the spine, innermost argument first
+    while k is App:
+        args += (t.arg,)
+        t = t.fn
+        k = type(t)
+    args += (t,)
+    s = " ".join(arg_strs(args[::-1], env, d))
     return f"({s})" if atom else s
+
+
+def arg_strs(ts, env: list, d: Dialect = ORBI) -> list[str]:
+    """Each term of ``ts`` in argument position; a constant or an in-scope
+    variable is read in place."""
+    out: list[str] = []
+    for a in ts:
+        k = type(a)
+        if k is Const:
+            out += (a.name,)
+        elif k is Var and a.index < len(env):
+            out += (env[-1 - a.index],)
+        else:
+            out += (term_str(a, env, True, d),)
+    return out
+
+
+def _telescope_names(hints, parts, env: list) -> list[str]:
+    """Names of a telescope's binders, given their ``hints`` and the
+    telescope's ``parts`` as ``last_uses`` takes them: binder i keeps its
+    hint, primed away from the keywords and from every name that a part
+    under it (k > i) mentions, a constant or a binder in scope."""
+    last = last_uses(parts)  # its str keys are the constants
+    n = len(env)
+    reach: dict[str, int] = {}  # binder name -> the largest k of a part mentioning it
+    for x, k in last.items():
+        if type(x) is int and -n <= x < 0 and (env[x] not in reach or reach[env[x]] < k):
+            reach[env[x]] = k
+    names: list[str] = []
+    for i, h in enumerate(hints):
+        h = h or "x"
+        while h in _KEYWORDS or h in last and last[h] > i or h in reach and reach[h] > i:
+            h += "'"
+        names += (h,)
+        if i in last and (h not in reach or reach[h] < last[i]):
+            reach[h] = last[i]
+    return names
 
 
 def tp_str(tp, env: list, dom: bool = False) -> str:
     """A type or a kind, in parentheses if ``dom`` and it is an arrow or a
-    product."""
+    product.  A chain of arrows and products prints in a loop along its
+    codomains, its binders named by one ``_telescope_names`` pass."""
     t = type(tp)
     if t is AtomApp:
         if not tp.args:
             return tp.family
-        return tp.family + " " + " ".join([term_str(a, env, True) for a in tp.args])
+        return tp.family + " " + " ".join(arg_strs(tp.args, env))
     if t is Type:
         return "type"
-    if t is Arrow or t is KArrow:
-        s = f"{tp_str(tp.dom, env, True)} -> {tp_str(tp.cod, env)}"
-    else:
-        h = _binder_name(tp.hint, tp.cod, env)
-        s = f"{{{h}:{tp_str(tp.dom, env)}}} {tp_str(tp.cod, env + [h])}"
+    s = ""
+    names = None  # the chain's binder names, from its first product on
+    while t is Arrow or t is KArrow or t is Pi or t is KPi:
+        if t is Arrow or t is KArrow:
+            s += tp_str(tp.dom, env, True) + " -> "
+        else:
+            if names is None:
+                names = iter(_telescope_names(*chain(tp), env))
+                env = list(env)
+            h = next(names)
+            s += f"{{{h}:{tp_str(tp.dom, env)}}} "
+            env += (h,)
+        tp = tp.cod
+        t = type(tp)
+    s += tp_str(tp, env)
     return f"({s})" if dom else s
 
 
@@ -170,17 +214,16 @@ def decl_str(d) -> str:
 
 
 def block_str(b: Block, env: list | None = None) -> str:
+    """A block: a telescope whose entry i lies under entries 0..i-1."""
     env = list(env or [])
-    labels: list[str] = []
+    entries = b.entries
+    names = _telescope_names(
+        [label for label, _ in entries], [(tp, i) for i, (_, tp) in enumerate(entries)], env
+    )
     parts = []
-    entries = list(b.entries)
-    for i, (label, tp) in enumerate(entries):
-        avoid: set = set()
-        for j in range(i + 1, len(entries)):
-            avoid |= _escaping(entries[j][1], j - i, env + labels[:i])
-        name = _fresh(label, avoid)
-        parts.append(f"{name}:{tp_str(tp, env + labels)}")
-        labels.append(name)
+    for name, (_, tp) in zip(names, entries):
+        parts += (f"{name}:{tp_str(tp, env)}",)
+        env += (name,)
     return "block (" + ", ".join(parts) + ")"
 
 

@@ -13,9 +13,12 @@ every declaration, and the raw ``source`` and ``section_spans`` of an
 reader can refer to are compared: ``Snoc`` labels, the variables of
 ``ForallCtx``/``ForallTm``/``ExistsTm``, ``InductiveDef`` clause names and
 every ``Directive`` field.  ``free`` is the one walker asking which indices
-and names occur, and ``rebuild`` the one rewriting map (``shift``, ``subst``,
-``lf._close`` and ``translate.eta_contract`` are its instances;
-``lf.normalize`` is a normal-order fold of its own).
+and names occur, and ``rebuild`` the one rewriting map (``shift``, ``subst``
+and ``lf._close`` are its instances; ``lf.normalize`` is a normal-order fold
+of its own, and ``translate.eta_contract`` a bottom-up walk that enters only
+applications and lambdas).  ``last_uses`` runs ``free`` once over each part
+of a telescope, a chain of products (``chain``) or a block, for the printer
+to name its binders and for the linter to find the vacuous ones.
 Nothing here consults a signature.
 """
 
@@ -486,23 +489,74 @@ def spec_alpha_equal(a: OrbiSpec, b: OrbiSpec) -> bool:
 
 def free(node, d: int = 0) -> set:
     """Free de Bruijn indices (ints, counted from outside ``d`` binders) and
-    the constant and family names (strs) occurring in a Term, Tp or Kind."""
+    the constant and family names (strs) occurring in a Term, Tp or Kind.
+    The arguments of an application or an atom are walked in a loop, each
+    leaf read in place."""
     t = type(node)
     if t is Var:
         return {node.index - d} if node.index >= d else set()
     if t is Const:
         return {node.name}
-    if t is App:
-        return free(node.fn, d) | free(node.arg, d)
+    if t is App or t is AtomApp:
+        if t is App:
+            out, args = set(), []  # the spine, innermost argument first
+            while t is App:
+                args += (node.arg,)
+                node = node.fn
+                t = type(node)
+            args += (node,)
+        else:
+            out, args = {node.family}, node.args
+        for a in args:
+            t = type(a)
+            if t is Const:
+                out |= {a.name}
+            elif t is Var:
+                if a.index >= d:
+                    out |= {a.index - d}
+            else:
+                out |= free(a, d)
+        return out
     if t is Lam:
         return free(node.body, d + 1)
-    if t is AtomApp:
-        out = {node.family}
-        for a in node.args:
-            out |= free(a, d)
-        return out
     if t is Arrow or t is KArrow:
         return free(node.dom, d) | free(node.cod, d)
     if t is Pi or t is KPi:
         return free(node.dom, d) | free(node.cod, d + 1)
     return set()
+
+
+def chain(tp) -> tuple[list, list]:
+    """A chain of arrows and products (``Arrow``, ``KArrow``, ``Pi``,
+    ``KPi``) followed along its codomains: the hints of its products,
+    outermost first, and its parts as ``last_uses`` takes them, each link's
+    domain and then the body that ends the chain, each under the products
+    before it."""
+    hints: list = []
+    parts: list = []
+    t = type(tp)
+    while t is Arrow or t is KArrow or t is Pi or t is KPi:
+        parts += ((tp.dom, len(hints)),)
+        if t is Pi or t is KPi:
+            hints += (tp.hint,)
+        tp = tp.cod
+        t = type(tp)
+    parts += ((tp, len(hints)),)
+    return hints, parts
+
+
+def last_uses(parts) -> dict:
+    """Where a telescope last mentions each name.  ``parts`` are (node, k)
+    pairs in order of ``k``, each node lying under the telescope's first
+    ``k`` binders.  The result maps each constant or family name (str) and
+    each binder position (int: binder i is i, and an index y free outside
+    the telescope is -1 - y) that a part under a binder mentions to the
+    largest such ``k``, so binder i is mentioned inside its own scope iff
+    ``i`` is a key.  A part under no binder is in no binder's scope, and
+    is skipped."""
+    last: dict = {}
+    for node, k in parts:
+        if k:
+            for x in free(node):
+                last[x if type(x) is str else k - 1 - x] = k
+    return last

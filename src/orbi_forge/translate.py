@@ -14,6 +14,12 @@ through and comments out everything it cannot say.
 No term or formula is printed here: ``pretty`` prints them in the ab/hy
 dialect ``AB``, whose binder rule and quantifier and atom layouts are defined
 here, or in ``BEL``, ORBI's dialect with spaced quantifier groups.
+
+Emission relies on the leaves the parser shares: within one parse every
+occurrence of a name is one ``Const`` or ``Var`` object, and a leaf holds no
+lambda and no redex.  So ``eta_contract`` enters only applications and
+lambdas and returns a leaf as it is, a rule atom hands it no leaf argument,
+and a leaf is printed, and tested for a name, in place.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from orbi_forge.contexts import _clause_parts
 from orbi_forge.directives import AnnotationTable, resolve, wf_name
 from orbi_forge.errors import Diagnostic, OrbiError
 from orbi_forge.lf import SigEntry, Signature, families_in_tp, is_level0, normalize
-from orbi_forge.pretty import _P_IMP, _P_QUANT, ORBI, Dialect, prp_str, term_str, theorem_str
+from orbi_forge.pretty import _P_IMP, _P_QUANT, ORBI, Dialect, arg_strs, prp_str, term_str, theorem_str
 from orbi_forge.syntax import (
     And,
     App,
@@ -155,17 +161,37 @@ def erase_clause(cl):
 # -------------------------------------------------------------- eta + names
 
 
-def _eta(n, k):
-    if type(n) is Lam:
-        body = n.body
-        if type(body) is App and body.arg == Var(0) and 0 not in free(body.fn):
-            return shift(body.fn, -1)
-    return n
-
-
 def eta_contract(t: Term) -> Term:
-    """Syntactic eta: \\x. (f x) becomes f when x is not free in f."""
-    return rebuild(t, _eta)
+    """Syntactic eta, bottom-up: \\x. (f x) becomes f when x is not free in
+    f.  Only applications and lambdas are entered; a leaf is returned as it
+    is, and a term none of whose subterms changed is returned itself."""
+    k = type(t)
+    if k is App:
+        fn, arg = t.fn, t.arg
+        k = type(fn)
+        if k is App or k is Lam:
+            fn = eta_contract(fn)
+        k = type(arg)
+        if k is App or k is Lam:
+            arg = eta_contract(arg)
+        return t if fn is t.fn and arg is t.arg else App(fn, arg)
+    if k is Lam:
+        body = t.body
+        k = type(body)
+        if k is App or k is Lam:
+            body = eta_contract(body)
+        if type(body) is App and type(body.arg) is Var and body.arg.index == 0:
+            fn = body.fn
+            k = type(fn)
+            if k is Const:
+                return fn
+            if k is Var:
+                if fn.index:
+                    return Var(fn.index - 1)
+            elif 0 not in free(fn):
+                return shift(fn, -1)
+        return t if body is t.body else Lam(t.hint, body)
+    return t
 
 
 class _Names:
@@ -223,9 +249,9 @@ def _atomize(s: str) -> str:
 def _strip_fn(tp):
     """(domain, codomain) of an arrow-like type, treating a vacuous Pi as an
     arrow (level-0 types cannot be dependent)."""
-    if isinstance(tp, Arrow):
+    if type(tp) is Arrow:
         return tp.dom, tp.cod
-    if isinstance(tp, Pi):
+    if type(tp) is Pi:
         if 0 in free(tp.cod):
             raise OrbiError(
                 "E-SHAPE", "dependent products cannot appear in level-0 constructor types"
@@ -240,7 +266,7 @@ def _wf_goal(expr: str, tp, names: _Names):
     Function types recurse into an embedded implication under a fresh pi,
     so higher-order constructor arguments nest one pi/=> per order.
     """
-    if isinstance(tp, AtomApp):
+    if type(tp) is AtomApp:
         return Guard(tp.family, _atomize(expr))
     dom, cod = _strip_fn(tp)
     x = names.pick(_LOWER)
@@ -294,20 +320,22 @@ def translate_rule(sig: Signature, entry: SigEntry, ann: AnnotationTable) -> Cla
             guards.append(Guard(dom.family, name))
         env.append(name)
     premises = []
-    while isinstance(tp, Arrow):
+    while type(tp) is Arrow:
         premises.append(tp.dom)
         tp = tp.cod
-    if not isinstance(tp, AtomApp):
+    if type(tp) is not AtomApp:
         raise OrbiError(
             "E-SHAPE", f"rule {rule.name!r}: conclusion must be an atomic judgment"
         )
     names = _Names(sig.entries, env)
 
     def atom_goal(a: AtomApp, env_names) -> AtomG:
-        return AtomG(a.family, tuple([term_str(eta_contract(x), env_names, True, AB) for x in a.args]))
+        args = [x if type(x) is Const or type(x) is Var else eta_contract(x) for x in a.args]
+        return AtomG(a.family, tuple(arg_strs(args, env_names, AB)))
 
     def goal_of(p, env_names):
-        if isinstance(p, Pi):
+        t = type(p)
+        if t is Pi:
             if not is_level0(sig, p.dom):
                 raise OrbiError(
                     "E-SHAPE", f"rule {rule.name!r}: premise quantifies over a non-level-0 type"
@@ -317,10 +345,10 @@ def translate_rule(sig: Signature, entry: SigEntry, ann: AnnotationTable) -> Cla
             if explicit and families_in_tp(p.dom) <= ann.wf_families:
                 body = ImpG(_wf_goal(var, p.dom, names), body)
             return PiG(var, body)
-        if isinstance(p, Arrow):
+        if t is Arrow:
             return ImpG(goal_of(p.dom, env_names), goal_of(p.cod, env_names))
-        if isinstance(p, AtomApp):
-            if sig.level(p.family) != 1:
+        if t is AtomApp:
+            if sig.entries[p.family].level != 1:
                 raise OrbiError(
                     "E-SHAPE", f"rule {rule.name!r}: premise atom {p.family!r} is not a judgment"
                 )
@@ -383,7 +411,7 @@ def _block_parts(sig: Signature, owner: str, blocks, wf, names, nabla) -> tuple:
                 if var is None:
                     var = nabla[key, label] = names.grab(label)
                 if wf is not None:
-                    if not isinstance(tp, AtomApp):
+                    if type(tp) is not AtomApp:
                         raise OrbiError(
                             "E-SHAPE",
                             f"{owner}: cannot reify well-formedness of the higher-order "
@@ -392,12 +420,12 @@ def _block_parts(sig: Signature, owner: str, blocks, wf, names, nabla) -> tuple:
                     if tp.family in wf:
                         goals.append(Guard(tp.family, var))
             else:
-                if not isinstance(tp, AtomApp):
+                if type(tp) is not AtomApp:
                     raise OrbiError(
                         "E-SHAPE", f"{owner}: block entry {label!r} must be an atomic judgment"
                     )
                 var = label
-                goals.append(AtomG(tp.family, tuple([term_str(a, env, True, AB) for a in tp.args])))
+                goals.append(AtomG(tp.family, tuple(arg_strs(tp.args, env, AB))))
             env.append(var)
     return tuple(goals)
 
@@ -488,9 +516,12 @@ def _usage_ctxs(q: ForallTm) -> list[str]:
         p = stack.pop()
         if isinstance(p, Judgment):
             head = ctx_head_var(p.ctx)
-            if head is not None and any(var in free(a) for a in p.args):
-                if head not in out:
-                    out.append(head)
+            if head is not None and head not in out:
+                for a in p.args:
+                    k = type(a)
+                    if a.name == var if k is Const else k is not Var and var in free(a):
+                        out.append(head)
+                        break
         elif isinstance(p, (And, Or, Imp)):
             stack += [p.rhs, p.lhs]
         elif isinstance(p, (ForallCtx, ForallTm, ExistsTm)) and p.var != var:
@@ -594,11 +625,10 @@ def _target_term(t: Term, rename: dict) -> Term:
     its quantified variables, which are constants here, renamed."""
 
     def f(n, k):
-        if type(n) is Const:
-            return Const(rename[n.name]) if n.name in rename else n
-        return _eta(n, k) if type(n) is Lam else n
+        return Const(rename[n.name]) if type(n) is Const and n.name in rename else n
 
-    return rebuild(normalize(t), f)
+    t = rebuild(normalize(t), f)
+    return t if type(t) is Const or type(t) is Var else eta_contract(t)
 
 
 def _bare_var(c, cx: _Scope, what: str) -> str:

@@ -9,7 +9,7 @@ from conftest import golden
 import orbi_forge
 from orbi_forge import corpus_source
 from orbi_forge.cli import run
-from orbi_forge.syntax import AtomApp, Const
+from orbi_forge.syntax import AtomApp, Const, Var
 
 
 @pytest.fixture()
@@ -317,6 +317,16 @@ def test_long_theorem_checks(statement, tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_long_pi_chain_formats(tmp_path, capsys):
+    # the printer names a chain's binders in one pass and prints it in a loop
+    binders = " ".join(f"{{x{i}:t}}" for i in range(1000))
+    text = f"%% Syntax\nt: type.\n\n%% Judgments\nj: t -> type.\n\n%% Rules\nr: {binders} j x0.\n"
+    p = tmp_path / "flat.orbi"
+    p.write_text(text, encoding="utf-8")
+    assert run(["fmt", str(p)]) == 0
+    assert capsys.readouterr() == (text, "")
+
+
 _PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
@@ -428,6 +438,40 @@ def test_checker_walks_no_shared_leaf(corpus_file, tmp_path, monkeypatch, capsys
     assert "[E-" not in capsys.readouterr().err
     assert leaves == []
     assert reached and repeated == []
+
+
+@pytest.mark.parametrize("target", ["ab", "hy"])
+def test_emitter_walks_no_shared_leaf(target, corpus_file, tmp_path, monkeypatch, capsys):
+    # a Const or Var leaf holds no lambda and no redex, so the emitter and
+    # the printer, which reaches free through syntax.last_uses, hand none to
+    # eta_contract or free (a walk's calls to itself are its own)
+    import orbi_forge.syntax as syntax
+    import orbi_forge.translate as translate
+
+    if _PERFBENCH not in sys.path:
+        sys.path.append(_PERFBENCH)
+    import workloads
+
+    leaves = []
+    walks = {"eta_contract": translate.eta_contract, "free": syntax.free}
+    for module, name in ((translate, "eta_contract"), (translate, "free"), (syntax, "free")):
+
+        def recording(node, *rest, walk=walks[name], name=name):
+            caller = sys._getframe(1).f_code
+            if caller is not walk.__code__ and type(node) in (Const, Var):
+                leaves.append((name, caller.co_name, node))
+            return walk(node, *rest)
+
+        monkeypatch.setattr(module, name, recording)
+    files = [corpus_file]
+    for i, f in enumerate(f for f in workloads.rules(7).files if not f.reject):
+        files.append(str(tmp_path / f"rules{i}.orbi"))
+        (tmp_path / f"rules{i}.orbi").write_text(f.text, encoding="utf-8")
+    assert len(files) == 17
+    out = ["--out-dir", str(tmp_path)]
+    assert run(["translate", "--target", target, *out, *files]) == 0
+    assert "[E-" not in capsys.readouterr().err
+    assert leaves == []
 
 
 def test_importing_the_cli_leaves_json_out():

@@ -17,6 +17,7 @@ import pytest
 from orbi_forge import check_spec, corpus_source, lint, parse_spec
 from orbi_forge.directives import resolve
 from orbi_forge.pretty import spec_str
+from orbi_forge.syntax import Block, Schema
 from orbi_forge.translate import translate_spec
 
 _ID = re.compile(r"[A-Za-z][A-Za-z0-9_']*")
@@ -134,3 +135,57 @@ def test_quantifier_chain_names_grow_linearly():
 
     ratio = calls(1000) / calls(250)
     assert ratio <= MAX_GROWTH, f"translate_spec ab: {ratio:.2f}x calls for 4x quantifiers"
+
+
+def _flat_rule(n: int) -> str:
+    """``r: {x0:t} … {x_{n-1}:t} j x0.``: one Pi chain of ``n`` binders."""
+    binders = " ".join(f"{{x{i}:t}}" for i in range(n))
+    return f"%% Syntax\nt: type.\n\n%% Judgments\nj: t -> type.\n\n%% Rules\nr: {binders} j x0.\n"
+
+
+def _wide_block(n: int) -> str:
+    """A schema of one block of ``n`` entries."""
+    entries = ", ".join(f"x{i}:t" for i in range(n))
+    return f"%% Syntax\nt: type.\n\n%% Schemas\nschema s = block ({entries});\n"
+
+
+def test_pi_chain_prints_linearly():
+    # one last_uses pass names every binder of the chain, which prints in a loop
+    calls = {n: _calls(spec_str, parse_spec(_flat_rule(n))) for n in (250, 1000)}
+    ratio = calls[1000] / calls[250]
+    assert ratio <= MAX_GROWTH, f"spec_str: {ratio:.2f}x calls for 4x binders"
+
+
+def test_pi_chain_lints_linearly():
+    # L3 reads vacuity from one last_uses pass over the chain
+    calls = {n: _calls(lint, check_spec(parse_spec(_flat_rule(n)))) for n in (150, 600)}
+    ratio = calls[600] / calls[150]
+    assert ratio <= MAX_GROWTH, f"lint: {ratio:.2f}x calls for 4x binders"
+
+
+class _Label(str):
+    # compares in Python, so that each comparison of two labels is a call
+    def __eq__(self, other):
+        return str.__eq__(self, other)
+
+    __hash__ = str.__hash__
+
+
+def _with_counted_labels(spec):
+    items = []
+    for section, item in spec.items:
+        if type(item) is Schema:
+            blocks = [Block(tuple((_Label(x), tp) for x, tp in b.entries)) for b in item.alternatives]
+            item = item._replace(alternatives=tuple(blocks))
+        items.append((section, item))
+    return spec._replace(items=tuple(items))
+
+
+@pytest.mark.parametrize("stage", ["spec_str", "check_spec"])
+def test_wide_block_grows_linearly(stage):
+    # a block's entries are named by one telescope pass, and check_schema
+    # finds a duplicate label by lookup rather than by scanning
+    fn = spec_str if stage == "spec_str" else check_spec
+    specs = {n: _with_counted_labels(parse_spec(_wide_block(n))) for n in (200, 800)}
+    ratio = _calls(fn, specs[800]) / _calls(fn, specs[200])
+    assert ratio <= MAX_GROWTH, f"{stage}: {ratio:.2f}x calls for 4x entries"

@@ -3,12 +3,14 @@ import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import golden
 from helpers import check_all, make_spec, raises_code
 from orbi_forge.directives import AnnotationTable, resolve
 from orbi_forge.errors import OrbiError
 from orbi_forge.parser import parse_term_str
+from orbi_forge.syntax import App, Const, Lam, Var, free, rebuild, shift
 from orbi_forge.translate import (
     erase_clause,
     eta_contract,
@@ -48,6 +50,42 @@ def test_eta_contract():
     assert eta_contract(under) == parse_term_str(r"lam (\x. app x N)")
     twice = parse_term_str(r"\x. f x x")
     assert eta_contract(twice) is twice
+
+
+def _eta_reference(t):
+    # eta_contract's definition as a rebuild, which visits every node
+    def eta(n, k):
+        if type(n) is Lam:
+            body = n.body
+            if type(body) is App and body.arg == Var(0) and 0 not in free(body.fn):
+                return shift(body.fn, -1)
+        return n
+
+    return rebuild(t, eta)
+
+
+@st.composite
+def _eta_terms(draw, depth=0):
+    """Terms with bound and free indices, rich in \\x. (f x) redexes."""
+    choice = draw(st.integers(0, 4 if depth < 4 else 1))
+    if choice == 0:
+        return Var(draw(st.integers(0, depth + 1)))
+    if choice == 1:
+        return Const(draw(st.sampled_from(["f", "c", "M"])))
+    if choice == 2:
+        return Lam("x", draw(_eta_terms(depth + 1)))
+    if choice == 3:
+        return Lam("x", App(draw(_eta_terms(depth + 1)), Var(0)))
+    return App(draw(_eta_terms(depth)), draw(_eta_terms(depth)))
+
+
+@given(_eta_terms())
+def test_eta_contract_matches_its_rebuild_definition(t):
+    # the same term, and the input itself exactly when nothing contracts
+    want = _eta_reference(t)
+    got = eta_contract(t)
+    assert got == want
+    assert (got is t) == (want is t)
 
 
 @pytest.mark.parametrize("target", ["ab", "hy"])
