@@ -3,11 +3,12 @@
 Exit codes: 0 success, 1 diagnostics at error level (or warnings under
 --werror), 2 usage errors.  Diagnostics go to stderr as
 ``path:line:col: [CODE] message`` or as JSON records under --structured.
+The grammar of argv is ``_USAGE``, read by one loop (``_read_argv``):
+building an ``argparse`` parser took a third of a ``check`` of the corpus.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
@@ -49,25 +50,71 @@ def _emit(diags, path: str, structured: bool) -> None:
         print(line, file=sys.stderr)
 
 
-def _build_argparser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="orbi", description="ORBI specification toolchain")
-    sub = p.add_subparsers(dest="cmd", required=True)
+_COMMANDS = ("check", "lint", "translate", "fmt")
+_USAGE = f"""\
+usage: orbi {{check,lint,fmt}} [--werror] [--structured] FILE...
+       orbi translate --target {{{",".join(SYSTEMS)}}} [--out-dir DIR]
+                      [--werror] [--structured] FILE...
+"""
+_HELP = f"""{_USAGE}
+ORBI specification toolchain.  check and lint parse, type-check and validate
+each FILE and print its lint warnings; translate also writes
+<name>.<target>.out into --out-dir (default .); fmt pretty-prints it
+canonically to stdout.  --werror fails on lint warnings, and --structured
+prints diagnostics as JSON records.
+"""
 
-    def common(sp):
-        sp.add_argument("inputs", nargs="+", metavar="FILE", help=".orbi input files")
-        sp.add_argument("--werror", action="store_true", help="treat lint warnings as errors")
-        sp.add_argument(
-            "--structured", action="store_true", help="machine-readable JSON diagnostics"
-        )
 
-    common(sub.add_parser("check", help="parse, type-check and validate"))
-    common(sub.add_parser("lint", help="report style-guideline warnings"))
-    tr = sub.add_parser("translate", help="emit a target dialect")
-    tr.add_argument("--target", required=True, choices=SYSTEMS)
-    tr.add_argument("--out-dir", default=".", help="directory for <name>.<target>.out files")
-    common(tr)
-    common(sub.add_parser("fmt", help="pretty-print canonically to stdout"))
-    return p
+class _Args:
+    """What an argv asks for: ``cmd``, the options as attributes (an option
+    given twice keeps its last value) and the input files in ``inputs``."""
+
+    target = None
+    out_dir = "."
+    werror = structured = False
+
+
+class _UsageError(Exception):
+    """An argv that ``run`` cannot act on; the message says why."""
+
+
+def _read_argv(argv) -> _Args | None:
+    """Read ``argv``; ``None`` for ``-h``/``--help``.  Options may come
+    before or after the files, as ``--opt VALUE`` or ``--opt=VALUE``, and
+    ``--`` ends them."""
+    rest = iter(argv)
+    args = _Args()
+    args.cmd = next(rest, None)
+    if args.cmd in ("-h", "--help"):
+        return None
+    if args.cmd not in _COMMANDS:
+        raise _UsageError(f"unknown command {args.cmd!r}" if args.cmd else "no command given")
+    valued = ("--target", "--out-dir") if args.cmd == "translate" else ()
+    args.inputs = inputs = []
+    for arg in rest:
+        if arg == "--":
+            inputs += rest
+        elif arg in ("-h", "--help"):
+            return None
+        elif arg[:1] != "-" or arg == "-":
+            inputs.append(arg)
+        else:
+            name, eq, value = arg.partition("=")
+            if name in valued:
+                value = value if eq else next(rest, None)
+                if value is None:
+                    raise _UsageError(f"option {name} needs a value")
+            elif name in ("--werror", "--structured") and not eq:
+                value = True
+            else:
+                raise _UsageError(f"unknown option {arg!r}")
+            setattr(args, name[2:].replace("-", "_"), value)
+    if args.cmd == "translate" and args.target not in SYSTEMS:
+        bad = "translate needs --target" if args.target is None else f"unknown target {args.target!r}"
+        raise _UsageError(f"{bad}; the targets are {', '.join(SYSTEMS)}")
+    if not inputs:
+        raise _UsageError("no input files given")
+    return args
 
 
 def _out_name(path: str, target: str) -> str:
@@ -103,11 +150,14 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def run(argv) -> int:
-    parser = _build_argparser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code) if e.code else 0
+        args = _read_argv(argv)
+    except _UsageError as e:
+        print(f"{_USAGE}orbi: {e}", file=sys.stderr)
+        return 2
+    if args is None:
+        sys.stdout.write(_HELP)
+        return 0
     for path in args.inputs:
         if not os.path.isfile(path):
             print(f"orbi: no such input file: {path}", file=sys.stderr)

@@ -204,9 +204,18 @@ class _Holes(dict):
 
 def check_tp(sig: Signature, ctx: list[Tp], tp: Tp, holes: _Holes | None = None) -> None:
     """Check that ``tp`` is a well-formed type under ``ctx``, whose entries
-    must be beta-normal (Var(0) is the last one)."""
-    t = type(tp)
-    if t is AtomApp:
+    must be beta-normal (Var(0) is the last one).  A Pi/arrow chain is
+    walked in a loop that pushes each normalised Pi domain onto ``ctx`` and
+    pops them all on the way out, also when the check raises."""
+    pushed = 0
+    try:
+        while type(tp) is not AtomApp:
+            dom = tp.dom
+            check_tp(sig, ctx, dom, holes)
+            if type(tp) is Pi:
+                ctx.append(dom if type(dom) is AtomApp and not dom.args else normalize(dom))
+                pushed += 1
+            tp = tp.cod
         if tp.family == TYPE_ATOM:
             raise OrbiError(
                 "E-LEVEL",
@@ -231,30 +240,25 @@ def check_tp(sig: Signature, ctx: list[Tp], tp: Tp, holes: _Holes | None = None)
             _check(sig, ctx, arg, dom, holes)
         if type(kind) is not Type:
             raise OrbiError("E-KIND", f"type family {tp.family!r} is not fully applied")
-        return
-    if t is Arrow:
-        check_tp(sig, ctx, tp.dom, holes)
-        check_tp(sig, ctx, tp.cod, holes)
-        return
-    dom = tp.dom
-    check_tp(sig, ctx, dom, holes)
-    if type(dom) is not AtomApp or dom.args:
-        dom = normalize(dom)
-    check_tp(sig, ctx + [dom], tp.cod, holes)
+    finally:
+        if pushed:
+            del ctx[-pushed:]
 
 
 def check_kind(sig: Signature, ctx: list[Tp], k: Kind) -> None:
-    t = type(k)
-    if t is Type:
-        return
-    dom = k.dom
-    check_tp(sig, ctx, dom)
-    if t is KArrow:
-        check_kind(sig, ctx, k.cod)
-        return
-    if type(dom) is not AtomApp or dom.args:
-        dom = normalize(dom)
-    check_kind(sig, ctx + [dom], k.cod)
+    """The same loop as ``check_tp``'s along a KPi/KArrow chain."""
+    pushed = 0
+    try:
+        while type(k) is not Type:
+            dom = k.dom
+            check_tp(sig, ctx, dom)
+            if type(k) is KPi:
+                ctx.append(dom if type(dom) is AtomApp and not dom.args else normalize(dom))
+                pushed += 1
+            k = k.cod
+    finally:
+        if pushed:
+            del ctx[-pushed:]
 
 
 # ------------------------------------------------------------------ typing

@@ -32,7 +32,9 @@ class Record:
 
     A subclass lists its fields in ``__slots__``, the values of its trailing
     defaulted fields in ``_defaults`` and the fields left out of ``==`` and
-    ``hash`` in ``_hidden``.  As ``collections.namedtuple`` does, one short
+    ``hash`` in ``_hidden``.  The slots it names in ``_derived`` are not
+    fields but values its own ``__getattr__`` derives from them on first use;
+    the fields are ``_fields``.  As ``collections.namedtuple`` does, one short
     ``exec`` per class compiles an ``__init__`` taking the fields in order,
     positionally or by keyword, and, unless the class defines its own, an
     ``__eq__`` (same class and equal compared fields) with its ``__hash__``.
@@ -45,9 +47,10 @@ class Record:
     __slots__ = ()
     _defaults: tuple = ()
     _hidden: tuple = ()
+    _derived: tuple = ()
 
     def __init_subclass__(cls):
-        fields = cls.__slots__
+        fields = cls._fields = tuple(f for f in cls.__slots__ if f not in cls._derived)
         n = len(fields) - len(cls._defaults)
         params = "".join(f", {f}" if i < n else f", {f}=_d[{i - n}]" for i, f in enumerate(fields))
         body = [f" self.{f} = {f}" for f in fields] or [" pass"]
@@ -74,12 +77,12 @@ class Record:
             setattr(cls, name, fn)
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({shown})"
 
     def _replace(self, **changes):
         """A copy with the named fields changed."""
-        return type(self)(**{f: getattr(self, f) for f in self.__slots__} | changes)
+        return type(self)(**{f: getattr(self, f) for f in self._fields} | changes)
 
 
 class Loc(Record):
@@ -348,48 +351,48 @@ class OrbiSpec(Record):
     """A parsed .orbi document.
 
     ``items`` keeps every declaration in source order together with the
-    section it was written under; the per-section views below are derived.
-    The raw source and section spans are retained so that passthrough
-    targets can reproduce input sections byte for byte.
+    section it was written under.  The per-section views (``rules``,
+    ``schemas``, ...) are derived from it in one pass, at the first read of
+    any of them.  The raw source and section spans are retained so that
+    passthrough targets can reproduce input sections byte for byte.
     """
 
-    __slots__ = ("items", "source", "section_spans")
+    _derived = (
+        *("syntax_decls", "judgment_decls", "rules", "_decls"),
+        *("schemas", "definitions", "directives", "theorems"),
+    )
+    __slots__ = ("items", "source", "section_spans", *_derived)
     _defaults = ((), "", ())
     _hidden = ("source", "section_spans")
+    _DECL_VIEWS = {"Syntax": "syntax_decls", "Judgments": "judgment_decls", "Rules": "rules"}
+    _ITEM_VIEWS = {
+        Schema: "schemas",
+        InductiveDef: "definitions",
+        Directive: "directives",
+        Theorem: "theorems",
+    }
 
-    def _nodes(self, section, kinds):
-        return tuple(n for s, n in self.items if s == section and isinstance(n, kinds))
-
-    @property
-    def syntax_decls(self):
-        return self._nodes("Syntax", (ConstDecl, FamDecl))
-
-    @property
-    def judgment_decls(self):
-        return self._nodes("Judgments", (ConstDecl, FamDecl))
-
-    @property
-    def rules(self):
-        return self._nodes("Rules", (ConstDecl, FamDecl))
-
-    @property
-    def schemas(self):
-        return tuple(n for _, n in self.items if isinstance(n, Schema))
-
-    @property
-    def definitions(self):
-        return tuple(n for _, n in self.items if isinstance(n, InductiveDef))
-
-    @property
-    def directives(self):
-        return tuple(n for _, n in self.items if isinstance(n, Directive))
-
-    @property
-    def theorems(self):
-        return tuple(n for _, n in self.items if isinstance(n, Theorem))
+    def __getattr__(self, name):
+        # reached only while the views are unset
+        if name not in self._derived:
+            raise AttributeError(name)
+        views = {view: [] for view in self._derived}
+        for section, node in self.items:
+            kind = type(node)
+            if kind is ConstDecl or kind is FamDecl:
+                views["_decls"].append((section, node))
+                view = self._DECL_VIEWS.get(section)
+            else:
+                view = self._ITEM_VIEWS.get(kind)
+            if view is not None:
+                views[view].append(node)
+        for view, nodes in views.items():
+            setattr(self, view, tuple(nodes))
+        return getattr(self, name)
 
     def decls_in_order(self):
-        return tuple((s, n) for s, n in self.items if isinstance(n, (ConstDecl, FamDecl)))
+        """The (section, declaration) pairs of every constant and family."""
+        return self._decls
 
     def section_text(self, section: str) -> str:
         """Raw source of a section (separator lines excluded)."""

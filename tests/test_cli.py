@@ -61,6 +61,59 @@ def test_unknown_target_is_usage_error(corpus_file, capsys):
     assert run(["translate", "--target", "coq", corpus_file]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        pytest.param(["--help"], 0, id="help"),
+        pytest.param(["check", "--help"], 0, id="command-help"),
+        pytest.param(["translate", "--target=ab", "--out-dir=OUT", "FILE"], 0, id="opt=value"),
+        pytest.param(["check", "--", "FILE"], 0, id="double-dash"),
+        pytest.param(["translate", "FILE", "--target", "ab", "--out-dir", "OUT"], 0, id="opts-last"),
+        pytest.param(["translate", "--out-dir", "OUT", "FILE"], 2, id="no-target"),
+        pytest.param(["check", "--bogus", "FILE"], 2, id="unknown-option"),
+        pytest.param(["check"], 2, id="no-file"),
+    ],
+)
+def test_argv_contract(argv, code, corpus_file, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = [a.replace("OUT", str(out_dir)).replace("FILE", corpus_file) for a in argv]
+    assert run(argv) == code
+    out, err = capsys.readouterr()
+    if "--help" in argv:
+        assert out.startswith("usage:") and err == ""
+    elif code == 2:
+        # the usage, then one line that says what is wrong
+        assert "usage:" in err and err.splitlines()[-1].startswith("orbi")
+    else:
+        assert "[E-" not in err
+    assert (out_dir / "eq.ab.out").exists() is (code == 0 and argv[0] == "translate")
+
+
+def test_argv_costs_under_100_calls(corpus_file, tmp_path, monkeypatch):
+    # reading argv is one loop: no parser objects, no help formatting
+    import orbi_forge.cli as cli
+
+    events = []
+
+    def profile(frame, event, arg):
+        if event == "call" or event == "c_call":
+            events.append(frame.f_code.co_name if event == "call" else arg)
+
+    def parse_spec(text, parse=cli.parse_spec):
+        sys.setprofile(None)
+        return parse(text)
+
+    monkeypatch.setattr(cli, "parse_spec", parse_spec)
+    sys.setprofile(profile)
+    try:
+        code = cli.run(["translate", "--target", "ab", "--out-dir", str(tmp_path), corpus_file])
+    finally:
+        sys.setprofile(None)
+    assert code == 0
+    assert len(events) < 100, events
+
+
 def test_bad_spec_reports_diagnostic_line(tmp_path, capsys):
     p = tmp_path / "bad.orbi"
     p.write_text("%% Syntax\nlam: tm ->.\n", encoding="utf-8")
@@ -256,10 +309,14 @@ def test_theorem_redex_discarding_a_divergent_argument_translates(tmp_path):
 # levels), so that a walker that spends more stack per level shows here.  The
 # parser sets none of them now (test_parser.py::test_deep_rules_parse).
 # Re-probed on CPython 3.11 through ``check``, ``translate`` and ``fmt``, the
-# shapes reach 494, 329, 494, 987 and 987 levels: the LF checker sets the
+# first three shapes reach 494, 329 and 494 levels: the LF checker sets the
 # limit of the first two (``lf._check``, and ``pretty.term_str`` in ``fmt``
-# at the same 329 for the lambdas) and of the last two (``lf.check_tp``), the
-# printer that of the redexes (``pretty.term_str`` in ``fmt``).
+# at the same 329 for the lambdas), the printer that of the redexes
+# (``pretty.term_str`` in ``fmt``).  ``lf.check_tp`` walks an arrow or Pi
+# chain in a loop, so it no longer limits the last two: both pass all seven
+# commands at 1,000 levels, and the arrows at 10,000.  The Pi prefix, whose
+# binders are all named ``x``, is slow to translate for ab and hy instead
+# (``translate_rule`` primes each clash: 3 s at 1,000 levels).
 _DEPTH_SIG = (
     "%% Syntax\ntm: type.\nc: tm.\napp: tm -> tm -> tm.\nlam: (tm -> tm) -> tm.\n\n"
     "%% Judgments\nj: tm -> type.\n\n%% Rules\n"
@@ -325,6 +382,39 @@ def test_long_pi_chain_formats(tmp_path, capsys):
     p.write_text(text, encoding="utf-8")
     assert run(["fmt", str(p)]) == 0
     assert capsys.readouterr() == (text, "")
+
+
+def _flat_rule(n):
+    binders = " ".join(f"{{x{i}:t}}" for i in range(n))
+    return f"%% Syntax\nt: type.\n\n%% Judgments\nj: t -> type.\n\n%% Rules\nr: {binders} j x0.\n"
+
+
+def _long_kind(n):
+    binders = " ".join(f"{{x{i}:t}}" for i in range(n))
+    return (
+        f"%% Syntax\nt: type.\nc: t.\n\n%% Judgments\nj: {binders} type.\n\n"
+        f"%% Rules\nr: j{' c' * n}.\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(_flat_rule(1000), id="rule-1000"),
+        pytest.param(_flat_rule(10000), id="rule-10000"),
+        pytest.param(_long_kind(1000), id="kind-1000"),
+    ],
+)
+def test_long_pi_chains_pass_every_command(text, tmp_path, capsys):
+    # check_tp and check_kind push a chain's domains onto one context in a loop
+    p = tmp_path / "long.orbi"
+    p.write_text(text, encoding="utf-8")
+    out = ["--out-dir", str(tmp_path)]
+    commands = [["check"], ["lint"], ["fmt"]]
+    commands += [["translate", "--target", t, *out] for t in ("ab", "hy", "bel", "tw")]
+    for argv in commands:
+        assert run(argv + [str(p)]) == 0, argv
+        assert "[E-" not in capsys.readouterr().err, argv
 
 
 _PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")

@@ -11,12 +11,14 @@ from orbi_forge.syntax import (
     AtomApp,
     Block,
     ConstDecl,
+    Directive,
     EmptyCtx,
     FalseP,
     KArrow,
     Lam,
     Loc,
     Or,
+    OrbiSpec,
     Record,
     TrueP,
     Type,
@@ -59,10 +61,10 @@ def test_hidden_fields_are_exactly_the_listed_ones():
 
 @pytest.mark.parametrize("cls", _COMPARED, ids=lambda c: c.__qualname__)
 def test_equality_and_hash_ignore_exactly_the_hidden_fields(cls):
-    values = {f: object() for f in cls.__slots__}
+    values = {f: object() for f in cls._fields}
     a = cls(**values)
     assert a == cls(**values) and hash(a) == hash(cls(**values))
-    for f in cls.__slots__:
+    for f in cls._fields:
         b = a._replace(**{f: object()})
         assert (a == b) is (f in cls._hidden), f
         assert (a != b) is (f not in cls._hidden), f
@@ -131,3 +133,17 @@ def test_repr_shows_every_field_and_hint():
     assert repr(Block((("x", AtomApp("tm")),))) == (
         "Block(entries=(('x', AtomApp(family='tm', args=())),))"
     )
+
+
+def test_spec_views_are_derived_once_and_left_out_of_equality():
+    decl = ConstDecl("c", AtomApp("tm"))
+    wf = Directive("wf", ("ab",), "tm")
+    a = OrbiSpec((("Syntax", decl), ("Rules", decl), ("Directives", wf)))
+    assert (a.syntax_decls, a.judgment_decls, a.directives) == ((decl,), (), (wf,))
+    assert a.rules is a.rules
+    assert a.decls_in_order() == (("Syntax", decl), ("Rules", decl))
+    b = OrbiSpec(a.items)  # its views are still unset
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert OrbiSpec._fields == ("items", "source", "section_spans")
+    with pytest.raises(AttributeError):
+        a.nope
