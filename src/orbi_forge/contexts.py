@@ -6,6 +6,7 @@ to a judgment-in-context, so its terms are never typed against the context.
 
 from __future__ import annotations
 
+from orbi_forge import directives
 from orbi_forge.errors import Diagnostic, OrbiError
 from orbi_forge.lf import (
     Signature,
@@ -206,8 +207,10 @@ def scope_check_theorem(
     schemas: SchemaTable,
     relations: RelationTable,
     t: Theorem,
-) -> Theorem:
+) -> list[str]:
+    """Scope- and arity-check ``t``; returns the names its term quantifiers bind."""
     diags: list[Diagnostic] = []
+    bound: list[str] = []
     seen: set[tuple[str, str]] = set()
 
     def report(code: str, message: str) -> None:
@@ -273,6 +276,7 @@ def scope_check_theorem(
                     check_tp(sig, [], p.tp)
                 except OrbiError as e:
                     report(e.code, e.message)
+            bound.append(p.var)
             stack.append((p.body, ctx_env, {**term_env, p.var: p.tp}))
         elif k is Judgment:
             scope_ctx(p.ctx, ctx_env)
@@ -310,14 +314,16 @@ def scope_check_theorem(
 
     if diags:
         raise OrbiError.of(diags)
-    return t
+    return bound
 
 
 # ------------------------------------------------------------ the pipeline
 
 
 class CheckedSpec(Record):
-    __slots__ = ("spec", "sig", "schemas", "relations", "theorems")
+    # directive_index: each distinct directive's verdict (directives.index_directives)
+    __slots__ = ("spec", "sig", "schemas", "relations", "theorems", "directive_index")
+    _hidden = ("directive_index",)
 
 
 def check_spec(spec: OrbiSpec) -> CheckedSpec:
@@ -341,16 +347,15 @@ def check_spec(spec: OrbiSpec) -> CheckedSpec:
             relations[d.name] = check_inductive_def(sig, schemas, relations, d)
         except OrbiError as e:
             raise e.at(d.loc)
-    names = set()
-    theorems = []
+    thm_vars: dict[str, list] = {}  # theorem -> the names its term quantifiers bind
     for t in spec.theorems:
-        if t.name in names:
+        if t.name in thm_vars:
             raise OrbiError("E-DUP", f"duplicate theorem {t.name!r}", t.loc)
-        names.add(t.name)
-        theorems.append(scope_check_theorem(sig, schemas, relations, t))
-    checked = CheckedSpec(spec, sig, schemas, relations, tuple(theorems))
-    from orbi_forge.directives import resolve
-
+        thm_vars[t.name] = scope_check_theorem(sig, schemas, relations, t)
+    index = {}
+    if spec.directives:
+        index = directives.index_directives(spec, sig, schemas, relations, thm_vars)
+    checked = CheckedSpec(spec, sig, schemas, relations, spec.theorems, index)
     for target in SYSTEMS:
-        resolve(checked, target)
+        directives.resolve(checked, target)
     return checked

@@ -6,7 +6,9 @@ that resolves in more than one of them is an error rather than a silent
 priority pick.  A wf directive whose predicate name (``wf_name``) is
 already declared is rejected, so a generated predicate never merges with a
 user one.  The defaults with no directives at all: no well-formedness
-predicates, everything implicit.
+predicates, everything implicit.  What does not depend on the target is
+worked out once per checked specification (``index_directives``), so each
+``resolve`` is one lookup per directive.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from types import MappingProxyType
 
 from orbi_forge.errors import OrbiError
-from orbi_forge.syntax import ExistsTm, ForallCtx, ForallTm, Record
+from orbi_forge.syntax import Record
 
 
 class AnnotationTable(Record):
@@ -38,38 +40,68 @@ def wf_name(family: str) -> str:
 _KINDS = {"rule": "rule", "schema": "schema", "rel": "relation parameter", "thm": "theorem variable"}
 
 
-def _theorem_term_vars(thm):
-    out = []
-    stack = [thm.statement]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ForallTm, ExistsTm)):
-            out.append(node.var)
-            stack.append(node.body)
-        elif isinstance(node, ForallCtx):
-            stack.append(node.body)
-        elif hasattr(node, "lhs"):
-            stack.append(node.lhs)
-            stack.append(node.rhs)
-    return out
+def index_directives(spec, sig, schemas, relations, thm_vars) -> dict:
+    """Verdict of each distinct directive of ``spec``, keyed ``(what, dest,
+    dest_is_ctx)``: the namespace and items it marks, or the error, without a
+    location, that applying it raises.  ``thm_vars`` maps each theorem to the
+    names its term quantifiers bind."""
+    # (namespace, name) -> {(owner, name)} of the relation parameters and
+    # theorem variables, so a destination is one lookup per namespace
+    owners: dict[tuple, set] = {}
+    for name, rel in relations.items():
+        for v, _ in rel.params:
+            owners.setdefault(("rel", v), set()).add((name, v))
+    for name, bound in thm_vars.items():
+        for v in bound:
+            owners.setdefault(("thm", v), set()).add((name, v))
+    verdicts: dict = {}
+    for d in spec.directives:
+        key = (d.what, d.dest, d.dest_is_ctx)
+        if key not in verdicts:
+            verdicts[key] = _verdict(d, sig, schemas, relations, owners)
+    return verdicts
+
+
+def _verdict(d, sig, schemas, relations, owners):
+    if d.what == "wf":
+        if d.dest_is_ctx or not sig.is_family(d.dest):
+            return OrbiError("E-DEST", f"wf destination {d.dest!r} is not a declared type family")
+        if sig.level(d.dest) != 0:
+            return OrbiError("E-LEVEL", f"wf predicate requested for non-level-0 family {d.dest!r}")
+        pred = wf_name(d.dest)
+        if pred in sig or pred in schemas or pred in relations:
+            return OrbiError(
+                "E-DUP", f"wf predicate {pred!r} of family {d.dest!r} clashes with a declared name"
+            )
+        return "fam", (d.dest,)
+    if d.dest_is_ctx:
+        if ("rel", d.dest) not in owners:
+            return OrbiError("E-DEST", f"no relation has a context parameter named {d.dest!r}")
+        return "rel", owners["rel", d.dest]
+    found = []  # (namespace, items) of each namespace the name resolves in
+    entry = sig.get(d.dest)
+    if entry is not None and entry.section == "Rules":
+        found.append(("rule", (d.dest,)))
+    if d.dest in schemas:
+        found.append(("schema", (d.dest,)))
+    found += [(ns, owners[ns, d.dest]) for ns in ("rel", "thm") if (ns, d.dest) in owners]
+    if not found:
+        return OrbiError("E-DEST", f"unknown directive destination {d.dest!r}")
+    if len(found) > 1:
+        return OrbiError(
+            "E-AMBIG",
+            f"directive destination {d.dest!r} is ambiguous "
+            f"({' and '.join(ns for ns, _ in found)})",
+        )
+    return found[0]
 
 
 def resolve(checked, target: str) -> AnnotationTable:
-    """Annotation table for one target system; order-independent."""
-    sig = checked.sig
-    # variable name -> {(owner, name)} for relation parameters and theorem
-    # variables, so each directive is one lookup per namespace
-    rel_owners: dict[str, set] = {}
-    for name, rel in checked.relations.items():
-        for v, _ in rel.params:
-            rel_owners.setdefault(v, set()).add((name, v))
-    thm_owners: dict[str, set] = {}
-    for t in checked.theorems:
-        for v in _theorem_term_vars(t):
-            thm_owners.setdefault(v, set()).add((t.name, v))
-
-    wf: set[str] = set()
-    marks = {what: {kind: set() for kind in _KINDS} for what in ("explicit", "implicit")}
+    """Annotation table for one target system, the same in any order of the
+    directives.  Those for ``target`` are applied in file order, each with its
+    verdict from ``checked.directive_index``, and an error is raised at the
+    directive being applied."""
+    marks = {what: {k: set() for k in ("fam", *_KINDS)} for what in ("wf", "explicit", "implicit")}
     # (kind, item) -> location of the directive that first marks it both ways
     clash_at: dict = {}
     # a repeated directive marks the same items again, and those marks are
@@ -80,51 +112,11 @@ def resolve(checked, target: str) -> AnnotationTable:
         if target not in d.systems or key in applied:
             continue
         applied.add(key)
-        if d.what == "wf":
-            if d.dest_is_ctx or not sig.is_family(d.dest):
-                raise OrbiError(
-                    "E-DEST", f"wf destination {d.dest!r} is not a declared type family", d.loc
-                )
-            if sig.level(d.dest) != 0:
-                raise OrbiError(
-                    "E-LEVEL", f"wf predicate requested for non-level-0 family {d.dest!r}", d.loc
-                )
-            pred = wf_name(d.dest)
-            if pred in sig or pred in checked.schemas or pred in checked.relations:
-                raise OrbiError(
-                    "E-DUP",
-                    f"wf predicate {pred!r} of family {d.dest!r} clashes with a declared name",
-                    d.loc,
-                )
-            wf.add(d.dest)
-            continue
-        if d.dest_is_ctx:
-            kind, items = "rel", rel_owners.get(d.dest)
-            if not items:
-                raise OrbiError(
-                    "E-DEST", f"no relation has a context parameter named {d.dest!r}", d.loc
-                )
-        else:
-            found = []  # (namespace, items) of each namespace the name resolves in
-            entry = sig.get(d.dest)
-            if entry is not None and entry.section == "Rules":
-                found.append(("rule", (d.dest,)))
-            if d.dest in checked.schemas:
-                found.append(("schema", (d.dest,)))
-            if d.dest in rel_owners:
-                found.append(("rel", rel_owners[d.dest]))
-            if d.dest in thm_owners:
-                found.append(("thm", thm_owners[d.dest]))
-            if not found:
-                raise OrbiError("E-DEST", f"unknown directive destination {d.dest!r}", d.loc)
-            if len(found) > 1:
-                raise OrbiError(
-                    "E-AMBIG",
-                    f"directive destination {d.dest!r} is ambiguous "
-                    f"({' and '.join(ns for ns, _ in found)})",
-                    d.loc,
-                )
-            ((kind, items),) = found
+        verdict = checked.directive_index[key]
+        if type(verdict) is OrbiError:
+            raise OrbiError(verdict.code, verdict.message, d.loc)
+        kind, items = verdict
+        # a family is marked by wf directives only, so a wf mark opposes none
         other = marks["implicit" if d.what == "explicit" else "explicit"][kind]
         for x in items:
             if x in other:
@@ -140,7 +132,7 @@ def resolve(checked, target: str) -> AnnotationTable:
         )
     return AnnotationTable(
         target,
-        frozenset(wf),
+        frozenset(marks["wf"]["fam"]),
         frozenset(marks["explicit"]["rule"]),
         frozenset(marks["explicit"]["schema"]),
         _by_owner(marks["explicit"]["rel"]),

@@ -313,9 +313,12 @@ def translate_rule(sig: Signature, entry: SigEntry, ann: AnnotationTable) -> Cla
         tp = tp.cod
     guards: list = []  # of the clause variables, when explicit
     env: list[str] = []
-    for name, dom in binders:
-        while name in env:
+    last: dict[str, str] = {}  # name taken -> where priming it as a hint resumes; none is freed
+    for hint, dom in binders:
+        name = last[hint] if hint in last else hint
+        while name in last:
             name += "'"
+        last[hint] = last[name] = name
         if explicit and type(dom) is AtomApp and dom.family in ann.wf_families:
             guards.append(Guard(dom.family, name))
         env.append(name)

@@ -114,6 +114,9 @@ def _probes(eq: str, head: str) -> list:
             "%% Syntax\ntm: type.\n\n%% Judgments\naeq: j -> tm -> type.\nbeq: k -> tm -> type.\n\n"
             "%% Rules\nra: aeq M M.\nrb: beq M M.\n",
         ),
+        # a directive error sits at the directive being applied: hy goes first
+        ("directive-same-key", eq + "%% wf [ab] in nope\n%% wf [hy] in nope\n"),
+        ("directive-target-order", eq + "%% wf [ab] in nope\n%% explicit [hy] in nada\n"),
         (
             "illtyped-theorem",
             eq.replace(

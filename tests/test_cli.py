@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -389,6 +390,11 @@ def _flat_rule(n):
     return f"%% Syntax\nt: type.\n\n%% Judgments\nj: t -> type.\n\n%% Rules\nr: {binders} j x0.\n"
 
 
+def _clashing_rule(n):
+    # every binder is named x, so ab and hy prime each one
+    return f"%% Syntax\nt: type.\n\n%% Judgments\nj: t -> type.\n\n%% Rules\nr: {'{x:t} ' * n}j x.\n"
+
+
 def _long_kind(n):
     binders = " ".join(f"{{x{i}:t}}" for i in range(n))
     return (
@@ -403,6 +409,7 @@ def _long_kind(n):
         pytest.param(_flat_rule(1000), id="rule-1000"),
         pytest.param(_flat_rule(10000), id="rule-10000"),
         pytest.param(_long_kind(1000), id="kind-1000"),
+        pytest.param(_clashing_rule(1000), id="clash-1000"),
     ],
 )
 def test_long_pi_chains_pass_every_command(text, tmp_path, capsys):
@@ -415,6 +422,18 @@ def test_long_pi_chains_pass_every_command(text, tmp_path, capsys):
     for argv in commands:
         assert run(argv + [str(p)]) == 0, argv
         assert "[E-" not in capsys.readouterr().err, argv
+
+
+@pytest.mark.parametrize("target", ["ab", "hy"])
+def test_clashing_pi_binders_translate_in_linear_time(target, tmp_path, capsys):
+    # priming a binder resumes where the last binder of its hint stopped; a
+    # call count cannot show this, since `in` on a list makes no call
+    p = tmp_path / "clash.orbi"
+    p.write_text(_clashing_rule(1000), encoding="utf-8")
+    start = time.perf_counter()
+    assert run(["translate", "--target", target, "--out-dir", str(tmp_path), str(p)]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert "[E-" not in capsys.readouterr().err
 
 
 _PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")

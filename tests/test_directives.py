@@ -65,6 +65,42 @@ def test_conflicting_directives_rejected(corpus_text):
         check_all(bad)
 
 
+@pytest.mark.parametrize(
+    "appended, code, line, message",
+    [
+        # hy is resolved first: its error sits at the hy directive, although
+        # the ab directive of the same key comes first in the file
+        pytest.param(
+            "%% wf [ab] in nope\n%% wf [hy] in nope\n",
+            "E-DEST",
+            52,
+            "wf destination 'nope' is not a declared type family",
+            id="same-key-later-target",
+        ),
+        pytest.param(
+            "%% wf [ab] in nope\n%% explicit [hy] in nada\n",
+            "E-DEST",
+            52,
+            "unknown directive destination 'nada'",
+            id="hy-error-first",
+        ),
+        pytest.param(
+            "%% implicit [tw] in de_l\n%% implicit [hy] in de_l\n",
+            "E-CONFLICT",
+            52,
+            "rule de_l is marked both explicit and implicit for 'hy'",
+            id="conflict-at-completing-directive",
+        ),
+    ],
+)
+def test_directive_error_order_and_location(corpus_text, appended, code, line, message):
+    # targets go hy, ab, bel, tw; within one, directives go in file order, and
+    # an error sits at the directive being applied
+    with raises_code(code) as exc:
+        check_all(corpus_text + appended)
+    assert (exc.value.loc.line, exc.value.message) == (line, message)
+
+
 def test_unknown_dest(corpus_text):
     bad = corpus_text.replace("%% wf [hy,ab] in tm", "%% wf [hy,ab] in tmm")
     with raises_code("E-DEST"):

@@ -126,6 +126,20 @@ def test_resolve_grows_linearly():
     assert ratio <= MAX_GROWTH, f"resolve: {ratio:.2f}x bytecodes for 4x input"
 
 
+def test_resolve_reads_theorem_variables_from_check():
+    # check_spec collects the theorem variables while scope-checking; a
+    # later resolve looks a directive up and walks no statement
+    def calls(n):
+        quantifiers = "".join(f"{{M{i}:tm}}" for i in range(n))
+        text = (
+            "%% Syntax\ntm: type.\n\n%% Directives\n%% explicit [ab] in M0\n\n"
+            f"%% Theorems\ntheorem t: {quantifiers} true;\n"
+        )
+        return _calls(resolve, check_spec(parse_spec(text)), "ab")
+
+    assert calls(1000) == calls(10)
+
+
 def test_quantifier_chain_names_grow_linearly():
     # ab/hy name the variables of one chain from one supply, which resumes
     # numbering a stem where it stopped: M, M1, M2, ... for {M:tm} {M:tm} ...

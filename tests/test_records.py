@@ -33,7 +33,8 @@ def _records(cls=Record):
 
 
 # the fields ``==`` and ``hash`` ignore: binder hints, locations of
-# declarations, and the raw text a parsed document keeps for passthrough
+# declarations, the raw text a parsed document keeps for passthrough, and
+# the directive verdicts a checked specification derives
 _HIDDEN = {
     "Lam": ("hint",),
     "Pi": ("hint",),
@@ -46,6 +47,7 @@ _HIDDEN = {
     "Directive": ("loc",),
     "Separator": ("loc",),
     "OrbiSpec": ("source", "section_spans"),
+    "CheckedSpec": ("directive_index",),
 }
 
 # records with fields and the generated equality (``Block`` has its own)
