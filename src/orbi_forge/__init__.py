@@ -2,7 +2,7 @@
 
 from orbi_forge.contexts import CheckedSpec, check_spec
 from orbi_forge.errors import Diagnostic, OrbiError
-from orbi_forge.lf import Signature, check_signature, infer_type, normalize, reconstruct_implicits
+from orbi_forge.lf import Signature, check_signature, normalize
 from orbi_forge.lint import lint
 from orbi_forge.parser import parse_directive_line, parse_spec
 from orbi_forge.pretty import pretty
@@ -22,13 +22,11 @@ __all__ = [
     "check_spec",
     "corpus_path",
     "corpus_source",
-    "infer_type",
     "lint",
     "normalize",
     "parse_directive_line",
     "parse_spec",
     "pretty",
-    "reconstruct_implicits",
     "spec_alpha_equal",
     "subst",
     "translate_spec",

@@ -22,8 +22,8 @@ from orbi_forge.syntax import (
     Const,
     CtxPattern,
     CtxVar,
-    EmptyCtx,
     ExistsTm,
+    FamDecl,
     ForallCtx,
     ForallTm,
     Imp,
@@ -44,10 +44,6 @@ from orbi_forge.syntax import (
     ctx_blocks,
     ctx_head_var,
 )
-
-SchemaTable = dict
-RelationTable = dict
-
 
 # ----------------------------------------------------------------- schemas
 
@@ -73,39 +69,36 @@ def check_schema(sig: Signature, s: Schema) -> Schema:
 
 def check_ctx_pattern(
     sig: Signature,
-    schemas: SchemaTable,
+    schemas: dict,
     expected_schema: str,
     c: CtxPattern,
     ctx_vars: dict[str, str] | None = None,
 ) -> CtxPattern:
-    ctx_vars = ctx_vars or {}
     schema = schemas.get(expected_schema)
     if schema is None:
         raise OrbiError("E-NO-SCHEMA", f"unknown schema {expected_schema!r}")
-    if isinstance(c, EmptyCtx):
-        return c
-    if isinstance(c, CtxVar):
-        declared = ctx_vars.get(c.name)
+    head = ctx_head_var(c)
+    if head is not None:
+        declared = (ctx_vars or {}).get(head)
         if declared is None:
-            raise OrbiError("E-CTXVAR", f"context variable {c.name!r} is not declared")
+            raise OrbiError("E-CTXVAR", f"context variable {head!r} is not declared")
         if declared != expected_schema:
             raise OrbiError(
                 "E-SCHEMA",
-                f"context variable {c.name!r} has schema {declared!r} "
+                f"context variable {head!r} has schema {declared!r} "
                 f"but {expected_schema!r} is expected",
             )
-        return c
-    check_ctx_pattern(sig, schemas, expected_schema, c.prefix, ctx_vars)
-    telescope = []
-    for _, tp in c.block.entries:
-        check_tp(sig, telescope, tp)
-        telescope.append(normalize(tp))
-    labels = [label for label, _ in c.block.entries]
-    # Block == compares entry types only, so labels rename freely
-    if Block(tuple(zip(labels, telescope))) not in schema.alternatives:
-        raise OrbiError(
-            "E-SCHEMA", f"block {c.label!r} matches no alternative of schema {expected_schema!r}"
-        )
+    for label, block in ctx_blocks(c):
+        telescope = []
+        for _, tp in block.entries:
+            check_tp(sig, telescope, tp)
+            telescope.append(normalize(tp))
+        labels = [name for name, _ in block.entries]
+        # Block == compares entry types only, so labels rename freely
+        if Block(tuple(zip(labels, telescope))) not in schema.alternatives:
+            raise OrbiError(
+                "E-SCHEMA", f"block {label!r} matches no alternative of schema {expected_schema!r}"
+            )
     return c
 
 
@@ -121,10 +114,7 @@ def _clause_parts(prp: Prp):
 
 
 def check_inductive_def(
-    sig: Signature,
-    schemas: SchemaTable,
-    relations: RelationTable,
-    d: InductiveDef,
+    sig: Signature, schemas: dict, relations: dict, d: InductiveDef
 ) -> InductiveDef:
     seen = set()
     for var, schema in d.params:
@@ -133,19 +123,6 @@ def check_inductive_def(
         seen.add(var)
         if schema not in schemas:
             raise OrbiError("E-NO-SCHEMA", f"unknown schema {schema!r}")
-
-    def arity_of(name: str) -> int:
-        if name == d.name:
-            return len(d.params)
-        rel = relations.get(name)
-        if rel is None:
-            raise OrbiError("E-NO-RELATION", f"unknown relation {name!r}")
-        return len(rel.params)
-
-    def param_schema(name: str, i: int) -> str:
-        if name == d.name:
-            return d.params[i][1]
-        return relations[name].params[i][1]
 
     for cname, prp in d.clauses:
         premises, head = _clause_parts(prp)
@@ -159,20 +136,22 @@ def check_inductive_def(
                 raise OrbiError(
                     "E-SHAPE", f"premise of clause {cname!r} must be a relation application"
                 )
-            if len(prem.ctxs) != arity_of(prem.name):
+            rel = d if prem.name == d.name else relations.get(prem.name)
+            if rel is None:
+                raise OrbiError("E-NO-RELATION", f"unknown relation {prem.name!r}")
+            if len(prem.ctxs) != len(rel.params):
                 raise OrbiError(
                     "E-ARITY",
-                    f"relation {prem.name!r} expects {arity_of(prem.name)} context "
+                    f"relation {prem.name!r} expects {len(rel.params)} context "
                     f"arguments, got {len(prem.ctxs)}",
                 )
-            for i, arg in enumerate(prem.ctxs):
+            for (_, expected), arg in zip(rel.params, prem.ctxs):
                 if not isinstance(arg, CtxVar):
                     raise OrbiError(
                         "E-SHAPE",
                         f"premise context arguments of clause {cname!r} must be bare "
                         "context variables",
                     )
-                expected = param_schema(prem.name, i)
                 declared = ctx_vars.setdefault(arg.name, expected)
                 if declared != expected:
                     raise OrbiError(
@@ -202,16 +181,15 @@ def check_inductive_def(
 # ---------------------------------------------------------------- theorems
 
 
-def scope_check_theorem(
-    sig: Signature,
-    schemas: SchemaTable,
-    relations: RelationTable,
-    t: Theorem,
-) -> list[str]:
+def scope_check_theorem(sig: Signature, schemas: dict, relations: dict, t: Theorem) -> list[str]:
     """Scope- and arity-check ``t``; returns the names its term quantifiers bind."""
     diags: list[Diagnostic] = []
     bound: list[str] = []
     seen: set[tuple[str, str]] = set()
+    # the context and the term variables bound around the formula being
+    # visited, each with the number of its binders there
+    ctx_scope: dict[str, int] = {}
+    term_scope: dict[str, int] = {}
 
     def report(code: str, message: str) -> None:
         key = (code, message)
@@ -219,22 +197,22 @@ def scope_check_theorem(
             seen.add(key)
             diags.append(Diagnostic(code, message, t.loc))
 
-    def scope_term(term, depth: int, term_env: dict) -> None:
+    def scope_term(term, depth: int) -> None:
         if isinstance(term, Var):
             if term.index >= depth:
                 report("E-UNBOUND", f"unbound variable index {term.index}")
         elif isinstance(term, Const):
-            if term.name not in term_env and term.name not in sig:
+            if term.name not in term_scope and term.name not in sig.entries:
                 report("E-UNBOUND", f"unbound term variable {term.name!r}")
         elif isinstance(term, Lam):
-            scope_term(term.body, depth + 1, term_env)
+            scope_term(term.body, depth + 1)
         elif isinstance(term, App):
-            scope_term(term.fn, depth, term_env)
-            scope_term(term.arg, depth, term_env)
+            scope_term(term.fn, depth)
+            scope_term(term.arg, depth)
 
-    def scope_ctx(c: CtxPattern, ctx_env: dict) -> None:
+    def scope_ctx(c: CtxPattern) -> None:
         head = ctx_head_var(c)
-        if head is not None and head not in ctx_env:
+        if head is not None and head not in ctx_scope:
             report("E-UNBOUND", f"context variable {head!r} is not bound by a quantifier")
         for _, block in ctx_blocks(c):
             telescope = []
@@ -247,24 +225,36 @@ def scope_check_theorem(
                     report(e.code, e.message)
                 telescope.append(tp)
 
-    # (formula, context variables, term variables) still to visit, in
-    # left-to-right pre-order: the last one pushed is visited first
-    stack: list = [(t.statement, {}, {})]
+    def enter(scope: dict, name: str, body: Prp) -> None:
+        # the body is visited next, and (scope, name) once the body is done
+        scope[name] = scope.get(name, 0) + 1
+        stack.append((scope, name))
+        stack.append(body)
+
+    # formulas still to visit, in left-to-right pre-order: the last one
+    # pushed is visited first
+    stack: list = [t.statement]
     while stack:
-        p, ctx_env, term_env = stack.pop()
+        p = stack.pop()
         k = type(p)
-        if k is ForallCtx:
+        if k is tuple:  # leaving the body of a quantifier
+            scope, name = p
+            if scope[name] == 1:
+                del scope[name]
+            else:
+                scope[name] -= 1
+        elif k is ForallCtx:
             if p.schema not in schemas:
                 report("E-NO-SCHEMA", f"unknown schema {p.schema!r}")
-            stack.append((p.body, {**ctx_env, p.var: p.schema}, term_env))
+            enter(ctx_scope, p.var, p.body)
         elif k is ForallTm or k is ExistsTm:
             bad_level = False
             for fam in families_in_tp(p.tp):
-                lvl = sig.level(fam)
-                if lvl is None:
+                entry = sig.entries.get(fam)
+                if entry is None:
                     report("E-UNBOUND", f"unknown type family {fam!r}")
                     bad_level = True
-                elif lvl != 0:
+                elif entry.level != 0:
                     report(
                         "E-LEVEL",
                         f"theorem quantifier {p.var!r} must range over a level-0 "
@@ -277,22 +267,23 @@ def scope_check_theorem(
                 except OrbiError as e:
                     report(e.code, e.message)
             bound.append(p.var)
-            stack.append((p.body, ctx_env, {**term_env, p.var: p.tp}))
+            enter(term_scope, p.var, p.body)
         elif k is Judgment:
-            scope_ctx(p.ctx, ctx_env)
-            if p.family not in sig or not sig.is_family(p.family):
+            scope_ctx(p.ctx)
+            entry = sig.entries.get(p.family)
+            if entry is None or type(entry.decl) is not FamDecl:
                 report("E-UNBOUND", f"unknown judgment {p.family!r}")
             else:
-                if sig.level(p.family) != 1:
+                if entry.level != 1:
                     report("E-LEVEL", f"judgment head {p.family!r} is not a level-1 family")
-                want = len(kind_domains(sig.family_kind(p.family)))
+                want = len(kind_domains(entry.decl.kind))
                 if len(p.args) != want:
                     report(
                         "E-ARITY",
                         f"judgment {p.family!r} expects {want} arguments, got {len(p.args)}",
                     )
             for a in p.args:
-                scope_term(a, 0, term_env)
+                scope_term(a, 0)
         elif k is RelApp:
             rel = relations.get(p.name)
             if rel is None:
@@ -304,13 +295,13 @@ def scope_check_theorem(
                     f"arguments, got {len(p.ctxs)}",
                 )
             for c in p.ctxs:
-                scope_ctx(c, ctx_env)
+                scope_ctx(c)
         elif k is TermEq:
-            scope_term(p.lhs, 0, term_env)
-            scope_term(p.rhs, 0, term_env)
+            scope_term(p.lhs, 0)
+            scope_term(p.rhs, 0)
         elif k is And or k is Or or k is Imp:
-            stack.append((p.rhs, ctx_env, term_env))
-            stack.append((p.lhs, ctx_env, term_env))
+            stack.append(p.rhs)
+            stack.append(p.lhs)
 
     if diags:
         raise OrbiError.of(diags)
@@ -331,18 +322,18 @@ def check_spec(spec: OrbiSpec) -> CheckedSpec:
     directive tables of every target system.  An error raised without a
     location is placed at the declaration being checked."""
     sig = check_signature(spec)
-    schemas: SchemaTable = {}
+    schemas: dict = {}
     for s in spec.schemas:
         try:
-            if s.name in schemas or s.name in sig:
+            if s.name in schemas or s.name in sig.entries:
                 raise OrbiError("E-DUP", f"duplicate declaration of {s.name!r}")
             schemas[s.name] = check_schema(sig, s)
         except OrbiError as e:
             raise e.at(s.loc)
-    relations: RelationTable = {}
+    relations: dict = {}
     for d in spec.definitions:
         try:
-            if d.name in relations or d.name in sig or d.name in schemas:
+            if d.name in relations or d.name in sig.entries or d.name in schemas:
                 raise OrbiError("E-DUP", f"duplicate declaration of {d.name!r}")
             relations[d.name] = check_inductive_def(sig, schemas, relations, d)
         except OrbiError as e:

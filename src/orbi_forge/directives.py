@@ -16,7 +16,7 @@ from __future__ import annotations
 from types import MappingProxyType
 
 from orbi_forge.errors import OrbiError
-from orbi_forge.syntax import Record
+from orbi_forge.syntax import FamDecl, Record
 
 
 class AnnotationTable(Record):
@@ -63,13 +63,14 @@ def index_directives(spec, sig, schemas, relations, thm_vars) -> dict:
 
 
 def _verdict(d, sig, schemas, relations, owners):
+    entry = sig.entries.get(d.dest)
     if d.what == "wf":
-        if d.dest_is_ctx or not sig.is_family(d.dest):
+        if d.dest_is_ctx or entry is None or type(entry.decl) is not FamDecl:
             return OrbiError("E-DEST", f"wf destination {d.dest!r} is not a declared type family")
-        if sig.level(d.dest) != 0:
+        if entry.level != 0:
             return OrbiError("E-LEVEL", f"wf predicate requested for non-level-0 family {d.dest!r}")
         pred = wf_name(d.dest)
-        if pred in sig or pred in schemas or pred in relations:
+        if pred in sig.entries or pred in schemas or pred in relations:
             return OrbiError(
                 "E-DUP", f"wf predicate {pred!r} of family {d.dest!r} clashes with a declared name"
             )
@@ -79,7 +80,6 @@ def _verdict(d, sig, schemas, relations, owners):
             return OrbiError("E-DEST", f"no relation has a context parameter named {d.dest!r}")
         return "rel", owners["rel", d.dest]
     found = []  # (namespace, items) of each namespace the name resolves in
-    entry = sig.get(d.dest)
     if entry is not None and entry.section == "Rules":
         found.append(("rule", (d.dest,)))
     if d.dest in schemas:

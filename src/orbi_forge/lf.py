@@ -10,15 +10,14 @@ checked: its open body, in which each schematic occurrence is still a
 ``Const``, and its schematic prefix, the names in ``SigEntry.implicit`` with
 their types.  ``closed_decl`` builds the closed rule, the body under an
 outermost Pi-prefix that binds the schematics, only where it is shown or
-checked as a whole: for ``reconstruct_implicits``, for the type of a rule
-used as a term, and for the second check of a rule written with a redex.
+checked as a whole: for the type of a rule used as a term, and for the
+second check of a rule written with a redex.
 
 Every type the checker stores or pushes onto a context is beta-normal: the
 signature holds normal types (a rule written with a redex is stored as its
-open normal form), Pi and KPi domains are normalised where they enter the
-context, and ``infer_type`` normalises the context it is given.  Types read
-back from the signature or the context are therefore compared with ``==`` as
-they are.
+open normal form), and Pi and KPi domains are normalised where they enter the
+context.  Types read back from the signature or the context are therefore
+compared with ``==`` as they are.
 
 The parser shares the leaves of one file: one ``Const`` and ``Var`` object per
 name or index, and one argument-free ``AtomApp`` per family.  An argument-free
@@ -68,7 +67,7 @@ class SigEntry(Record):
 
 
 class Signature:
-    """Ordered map from declared names to checked entries.
+    """Ordered map ``entries`` from declared names to checked entries.
 
     Each name is added once; ``add`` also files a constant under the family
     its type targets, so ``constructors_of`` is a lookup.
@@ -78,51 +77,17 @@ class Signature:
         self.entries: dict[str, SigEntry] = {}
         self._constructors: dict[str, list[ConstDecl]] = {}
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def get(self, name: str) -> SigEntry | None:
-        return self.entries.get(name)
-
     def add(self, entry: SigEntry) -> None:
         decl = entry.decl
         self.entries[decl.name] = entry
         if type(decl) is ConstDecl:
             self._constructors.setdefault(target_family(decl.tp), []).append(decl)
 
-    def level(self, name: str):
-        e = self.entries.get(name)
-        return e.level if e else None
-
-    def is_family(self, name: str) -> bool:
-        e = self.entries.get(name)
-        return e is not None and type(e.decl) is FamDecl
-
-    def family_kind(self, name: str) -> Kind:
-        return self.entries[name].decl.kind
-
-    def families(self, level: int | None = None):
-        return tuple(
-            e.decl.name
-            for e in self.entries.values()
-            if type(e.decl) is FamDecl and (level is None or e.level == level)
-        )
-
     def rules(self):
         return tuple(e for e in self.entries.values() if e.section == "Rules")
 
     def constructors_of(self, fam: str):
         return tuple(self._constructors.get(fam, ()))
-
-
-class TypingCtx(Record):
-    """Dependency-ordered hypotheses; Var(0) is the last entry."""
-
-    __slots__ = ("entries",)
-    _defaults = ((),)
 
 
 def target_family(tp: Tp) -> str:
@@ -141,17 +106,20 @@ def kind_domains(k: Kind) -> tuple[Tp, ...]:
 
 def is_level0(sig: Signature, tp: Tp) -> bool:
     """Whether every family ``tp`` mentions is a syntax-level family."""
-    if type(tp) is AtomApp:  # its indices are terms, which mention no family
-        entry = sig.entries.get(tp.family)
-        return entry is not None and entry.level == 0
-    return all(sig.level(f) == 0 for f in families_in_tp(tp))
+    # an atom's indices are terms, which mention no family
+    for fam in (tp.family,) if type(tp) is AtomApp else families_in_tp(tp):
+        entry = sig.entries.get(fam)
+        if entry is None or entry.level != 0:
+            return False
+    return True
 
 
-def families_in_tp(tp: Tp, out: set | None = None) -> set[str]:
+def families_in_tp(tp: Tp, out: dict | None = None) -> dict[str, None]:
+    """The families ``tp`` mentions, as the keys of a dict in source order."""
     if out is None:
-        out = set()
+        out = {}
     if type(tp) is AtomApp:
-        out.add(tp.family)
+        out[tp.family] = None
     else:
         families_in_tp(tp.dom, out)
         families_in_tp(tp.cod, out)
@@ -345,15 +313,6 @@ def _check(sig: Signature, ctx: list[Tp], t: Term, exp: Tp, holes: _Holes | None
         raise OrbiError("E-TYPE", f"expected {tp_str(exp, [])}, got {tp_str(actual, [])}")
 
 
-def infer_type(sig: Signature, ctx: TypingCtx | None, t: Term) -> Tp:
-    """Beta-normal principal type of ``t`` under ``ctx``."""
-    tps = [
-        tp if type(tp) is AtomApp and not tp.args else normalize(tp)
-        for _, tp in (ctx.entries if ctx else ())
-    ]
-    return _infer(sig, tps, t)
-
-
 # ---------------------------------------------------------- reconstruction
 
 
@@ -439,12 +398,6 @@ def closed_decl(entry: SigEntry) -> ConstDecl:
     return ConstDecl(decl.name, _close(decl.tp, entry.implicit, entry.implicit_tps), decl.loc)
 
 
-def reconstruct_implicits(sig: Signature, rule: ConstDecl) -> ConstDecl:
-    """Type-check a rule and bind every free identifier with an outermost
-    Pi-prefix, in first-occurrence order."""
-    return closed_decl(_reconstruct(sig, rule))
-
-
 # ---------------------------------------------------------------- checking
 
 
@@ -452,7 +405,7 @@ def check_signature(spec: OrbiSpec) -> Signature:
     sig = Signature()
     for section, decl in spec.decls_in_order():
         try:
-            if decl.name in sig:
+            if decl.name in sig.entries:
                 raise OrbiError("E-DUP", f"duplicate declaration of {decl.name!r}")
             if section == "Syntax":
                 if type(decl) is FamDecl:
@@ -492,7 +445,7 @@ def check_signature(spec: OrbiSpec) -> Signature:
                         "E-LEVEL", "type families may not be declared in the Rules section"
                     )
                 entry = _reconstruct(sig, decl)
-                if sig.level(target_family(decl.tp)) != 1:
+                if sig.entries[target_family(decl.tp)].level != 1:
                     raise OrbiError(
                         "E-LEVEL", f"rule {decl.name!r} must target a level-1 judgment family"
                     )

@@ -37,6 +37,7 @@ from orbi_forge.syntax import (
     Const,
     EmptyCtx,
     ExistsTm,
+    FamDecl,
     ForallCtx,
     ForallTm,
     Imp,
@@ -279,9 +280,10 @@ def gen_wf_predicates(sig: Signature, wf_families) -> list[Clause]:
     not declared families are skipped."""
     out: list[Clause] = []
     for fam in dict.fromkeys(wf_families):
-        if not sig.is_family(fam):
+        entry = sig.entries.get(fam)
+        if entry is None or type(entry.decl) is not FamDecl:
             continue
-        if sig.level(fam) != 0:
+        if entry.level != 0:
             raise OrbiError("E-LEVEL", f"wf predicate requested for non-level-0 family {fam!r}")
         for c in sig.constructors_of(fam):
             doms = []
@@ -345,7 +347,7 @@ def translate_rule(sig: Signature, entry: SigEntry, ann: AnnotationTable) -> Cla
                 )
             var = names.grab(p.hint or "x")
             body = goal_of(p.cod, env_names + [var])
-            if explicit and families_in_tp(p.dom) <= ann.wf_families:
+            if explicit and families_in_tp(p.dom).keys() <= ann.wf_families:
                 body = ImpG(_wf_goal(var, p.dom, names), body)
             return PiG(var, body)
         if t is Arrow:
@@ -711,7 +713,7 @@ def translate_spec(checked, target: str) -> TargetDoc:
     blocks: list[DocBlock] = []
     warnings: list[Diagnostic] = []
     if target in ("ab", "hy"):
-        for fam in sig.families():
+        for fam in sig.entries:  # every wf family is a declared one
             if fam in ann.wf_families:
                 clauses = gen_wf_predicates(sig, [fam])
                 blocks.append(DocBlock(fam, "\n".join(c.render() for c in clauses)))

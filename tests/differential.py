@@ -125,6 +125,8 @@ def _probes(eq: str, head: str) -> list:
                 "theorem bad: {h:xaG}{M:tm} [h |- aeq (M M M) M] & (lam M) = app;",
             ),
         ),
+        # the unknown families of a quantifier's type came in hash-seed order
+        ("theorem-unknown-families", head + "theorem t: {M: foo -> bar -> baz} true;\n"),
     ]
 
 

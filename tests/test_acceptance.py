@@ -10,14 +10,13 @@ from helpers import check_all
 from orbi_forge import (
     check_spec,
     corpus_source,
-    infer_type,
     normalize,
     parse_spec,
     spec_alpha_equal,
 )
 from orbi_forge.directives import AnnotationTable
 from orbi_forge.errors import OrbiError
-from orbi_forge.lf import closed_decl
+from orbi_forge.lf import _infer, closed_decl
 from orbi_forge.lint import lint
 from orbi_forge.pretty import pretty
 from orbi_forge.syntax import Arrow, AtomApp, Pi
@@ -187,13 +186,13 @@ def test_criterion_5_roundtrip(corpus_spec):
 
 
 def test_criterion_6_reconstruction(checked):
-    ae_a = checked.sig.get("ae_a")
+    ae_a = checked.sig.entries["ae_a"]
     assert ae_a.implicit == ("M1", "N1", "M2", "N2")
     tp = closed_decl(ae_a).tp
     for _ in range(4):
         assert isinstance(tp, Pi) and tp.dom == AtomApp("tm")
         tp = tp.cod
-    ae_l = checked.sig.get("ae_l")
+    ae_l = checked.sig.entries["ae_l"]
     assert ae_l.implicit == ("M", "N")
     tp = closed_decl(ae_l).tp
     for _ in range(2):
@@ -215,8 +214,8 @@ def test_criterion_7_normalization_invariants(checked):
         if normalize(n) != n:
             violations += 1
             continue
-        before = normalize(infer_type(checked.sig, None, t))
-        after = normalize(infer_type(checked.sig, None, n))
+        before = normalize(_infer(checked.sig, [], t))
+        after = normalize(_infer(checked.sig, [], n))
         if before != after:
             violations += 1
     assert violations == 0

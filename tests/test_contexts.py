@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+import time
+
 import pytest
 
+import orbi_forge
 from helpers import check_all, first_error_code, make_spec, raises_code
 from orbi_forge import parse_spec
 from orbi_forge.contexts import (
     check_ctx_pattern,
+    check_spec,
     check_inductive_def,
     check_schema,
     scope_check_theorem,
@@ -222,6 +229,38 @@ def test_theorem_quantifier_level_enforced(checked):
     spec = parse_spec(make_spec(theorems="theorem t: {M:aeq} true;"))
     with raises_code("E-LEVEL"):
         scope_check_theorem(checked.sig, checked.schemas, checked.relations, spec.theorems[0])
+
+
+def test_theorem_unknown_families_in_source_order(tmp_path):
+    # the families of a quantifier's type were once reported in set order,
+    # which depends on the hash seed of the run
+    path = tmp_path / "t.orbi"
+    path.write_text(
+        make_spec(syntax="tm: type.", theorems="theorem t: {M: foo -> bar -> baz} true;"),
+        encoding="utf-8",
+    )
+    src = os.path.dirname(os.path.dirname(orbi_forge.__file__))
+    for seed in range(1, 7):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)}
+        p = subprocess.run(
+            [sys.executable, "-m", "orbi_forge.cli", "check", str(path)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert p.returncode == 1
+        named = [line.rsplit(" ", 1)[1] for line in (p.stdout + p.stderr).splitlines()]
+        assert named == ["'foo'", "'bar'", "'baz'"], seed
+
+
+def test_theorem_scoping_is_linear_in_quantifiers():
+    # each quantifier once copied the names bound around it
+    body = "".join(f"{{M{i}:tm}}" for i in range(16_000))
+    spec = parse_spec(make_spec(syntax="tm: type.", theorems=f"theorem t: {body} true;"))
+    start = time.perf_counter()
+    checked = check_spec(spec)
+    assert time.perf_counter() - start < 0.5
+    assert checked.theorems == spec.theorems
 
 
 def test_schema_may_not_shadow_signature():

@@ -104,7 +104,7 @@ def stage_calls():
 
 def test_copies_are_disjoint_and_complete():
     checked = check_spec(parse_spec(_copies(3)))
-    assert len(checked.sig) == 3 * len(check_spec(parse_spec(corpus_source())).sig)
+    assert len(checked.sig.entries) == 3 * len(check_spec(parse_spec(corpus_source())).sig.entries)
     assert len(checked.theorems) == 12
     assert len(translate_spec(checked, "ab").blocks) == 3 * 19
 

@@ -1,6 +1,7 @@
-"""Every name a module of the package imports is used in that module,
-importing the CLI loads none of the standard modules it has no use for, and
-README lists every diagnostic code."""
+"""Every name a module of the package imports is used in that module, every
+function, class and method it defines is named by the program, importing the
+CLI loads none of the standard modules it has no use for, and README lists
+every diagnostic code."""
 
 import ast
 import os
@@ -36,6 +37,47 @@ def test_every_imported_name_is_used(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = _imported(tree) - used
     assert not unused, sorted(unused)
+
+
+# defined in the package for the tests alone
+_TEST_HELPERS = {"erase_clause", "parse_term_str", "parse_tpkind_str"}
+
+
+def _definitions(tree: ast.Module):
+    """Names of a module's top-level functions and classes and of their
+    methods, but not the dunder methods Python calls itself."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield item.name
+
+
+def test_every_definition_is_named_by_the_program():
+    # a name counts wherever src/ or perfbench/ spells it: as a name, an
+    # attribute, an import alias or a string (perfbench wraps functions by
+    # their names)
+    named = set()
+    root = _SRC.parents[1]
+    for path in [*_SRC.glob("*.py"), *(root / "perfbench").rglob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.asname or node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+    unnamed = {
+        f"{path.name}:{name}"
+        for path in _SRC.glob("*.py")
+        for name in _definitions(ast.parse(path.read_text(encoding="utf-8")))
+        if name not in named and name not in orbi_forge.__all__ and name not in _TEST_HELPERS
+    }
+    assert not unnamed, sorted(unnamed)
 
 
 def test_cli_import_loads_no_unused_stdlib_module():

@@ -6,9 +6,9 @@ import pytest
 
 import lamoracle
 from helpers import closed, make_spec, raises_code
-from orbi_forge import check_signature, infer_type, normalize, parse_spec, reconstruct_implicits
+from orbi_forge import check_signature, normalize, parse_spec
 from orbi_forge.errors import OrbiError
-from orbi_forge.lf import TypingCtx, check_tp, closed_decl
+from orbi_forge.lf import _infer, _reconstruct, check_tp, closed_decl
 from orbi_forge.parser import parse_term_str, parse_tpkind_str
 from orbi_forge.pretty import tp_str
 from orbi_forge.syntax import (
@@ -84,9 +84,9 @@ def test_normalize_visits_each_node_once():
 
 def test_check_signature_corpus_levels(corpus_spec):
     sig = check_signature(corpus_spec)
-    assert sig.level("tm") == 0
-    assert sig.level("aeq") == 1
-    assert sig.level("deq") == 1
+    assert sig.entries["tm"].level == 0
+    assert sig.entries["aeq"].level == 1
+    assert sig.entries["deq"].level == 1
     assert len(sig.rules()) == 8
     assert all(e.level == 1 for e in sig.rules())
 
@@ -99,7 +99,7 @@ def test_judgment_indexed_by_family_rejected():
 
 def test_empty_spec_checks_to_empty_signature():
     sig = check_signature(parse_spec(""))
-    assert len(sig) == 0
+    assert sig.entries == {}
 
 
 def test_signature_order_sensitive():
@@ -110,49 +110,50 @@ def test_signature_order_sensitive():
 
 def test_infer_lambda_under_constructor(checked):
     t = parse_term_str(r"lam (\x. app x x)")
-    assert infer_type(checked.sig, None, t) == AtomApp("tm")
+    assert _infer(checked.sig, [], t) == AtomApp("tm")
 
 
 def test_infer_constant_lookup(checked):
-    tp = infer_type(checked.sig, None, parse_term_str("app"))
+    tp = _infer(checked.sig, [], parse_term_str("app"))
     assert tp == Arrow(AtomApp("tm"), Arrow(AtomApp("tm"), AtomApp("tm")))
 
 
 def test_infer_type_mismatch_reports_both_types(checked):
     with raises_code("E-TYPE") as exc:
-        infer_type(checked.sig, None, parse_term_str("app lam"))
+        _infer(checked.sig, [], parse_term_str("app lam"))
     assert "expected tm" in exc.value.message
     assert "(tm -> tm) -> tm" in exc.value.message
 
 
 def test_infer_with_typing_ctx(checked):
-    ctx = TypingCtx((("x", AtomApp("tm")),))
-    from orbi_forge.syntax import App, Const, Var
+    # a context lists normal types, Var(0) its last one
+    from orbi_forge.syntax import Var
 
-    assert infer_type(checked.sig, ctx, App(App(Const("app"), Var(0)), Var(0))) == AtomApp("tm")
+    t = App(App(Const("app"), Var(0)), Var(0))
+    assert _infer(checked.sig, [AtomApp("tm")], t) == AtomApp("tm")
 
 
 def test_bare_lambda_cannot_be_inferred(checked):
     with raises_code("E-TYPE"):
-        infer_type(checked.sig, None, parse_term_str(r"\x. x"))
+        _infer(checked.sig, [], parse_term_str(r"\x. x"))
 
 
 def test_infer_redex_applied_to_two_arguments(checked):
-    ctx = TypingCtx((("a", AtomApp("tm")), ("b", AtomApp("tm"))))
+    ctx = [AtomApp("tm"), AtomApp("tm")]  # a, b
     t = parse_term_str(r"(\x. \y. x) a b", binders=("a", "b"))
-    assert infer_type(checked.sig, ctx, t) == AtomApp("tm")
+    assert _infer(checked.sig, ctx, t) == AtomApp("tm")
     # a discarded argument is typed too, first or last
     with raises_code("E-TYPE"):
-        infer_type(checked.sig, ctx, parse_term_str(r"(\x. \y. x) a (app lam)", binders=("a",)))
+        _infer(checked.sig, ctx, parse_term_str(r"(\x. \y. x) a (app lam)", binders=("a",)))
     with raises_code("E-TYPE"):
-        infer_type(checked.sig, ctx, parse_term_str(r"(\x. \y. y) (app lam) b", binders=("a", "b")))
+        _infer(checked.sig, ctx, parse_term_str(r"(\x. \y. y) (app lam) b", binders=("a", "b")))
 
 
 # ------------------------------------------------------------ reconstruction
 
 
 def test_reconstruct_ae_a(checked):
-    entry = checked.sig.get("ae_a")
+    entry = checked.sig.entries["ae_a"]
     assert entry.implicit == ("M1", "N1", "M2", "N2")
     tp = closed_decl(entry).tp
     for name in ("M1", "N1", "M2", "N2"):
@@ -163,7 +164,7 @@ def test_reconstruct_ae_a(checked):
 
 
 def test_reconstruct_ae_l(checked):
-    entry = checked.sig.get("ae_l")
+    entry = checked.sig.entries["ae_l"]
     assert entry.implicit == ("M", "N")
     tp = closed_decl(entry).tp
     for name in ("M", "N"):
@@ -182,9 +183,9 @@ def test_reconstruct_rejects_non_pattern():
         check_signature(parse_spec(src))
 
 
-def test_reconstruct_public_op(checked, corpus_spec):
+def test_reconstruct_closes_rule(checked, corpus_spec):
     rule = corpus_spec.rules[0]
-    rec = reconstruct_implicits(checked.sig, rule)
+    rec = closed_decl(_reconstruct(checked.sig, rule))
     assert closed(rec.tp)
     assert tp_str(rec.tp, []).startswith("{M1:tm} {N1:tm} {M2:tm} {N2:tm}")
 
@@ -263,7 +264,7 @@ def test_rule_fault_classes(rule, code, message):
 )
 def test_rule_reconstructs(rule, implicit):
     sig = check_signature(parse_spec(_FAULT_SYNTAX + f"\n%% Rules\nr: {rule}.\n"))
-    entry = sig.get("r")
+    entry = sig.entries["r"]
     assert entry.implicit == implicit
     assert closed(closed_decl(entry).tp)
 
@@ -273,7 +274,7 @@ def _free_names(sig, tp, out):
 
     def term(t):
         if isinstance(t, Const):
-            if t.name not in sig and t.name not in out:
+            if t.name not in sig.entries and t.name not in out:
                 out.append(t.name)
         elif isinstance(t, Lam):
             term(t.body)
@@ -297,7 +298,7 @@ def _assert_canonical(sig):
         if isinstance(entry.decl, ConstDecl):
             assert entry.decl.tp == normalize(entry.decl.tp), entry.decl.name
         else:
-            assert all(sig.level(f) == 0 for f in free(entry.decl.kind)), entry.decl.name
+            assert all(sig.entries[f].level == 0 for f in free(entry.decl.kind)), entry.decl.name
 
 
 def _assert_sound(spec, sig):
@@ -359,8 +360,8 @@ def test_normalize_idempotent_and_subject_reduction_sample(checked):
         t = gen_tm_term(rng, 4)
         n = normalize(t)
         assert normalize(n) == n
-        before = infer_type(checked.sig, None, t)
-        after = infer_type(checked.sig, None, n)
+        before = _infer(checked.sig, [], t)
+        after = _infer(checked.sig, [], n)
         assert normalize(before) == after
         assert _agrees_with_oracle(t)
 
@@ -374,5 +375,5 @@ def test_dependent_application_substitutes():
     sig = check_signature(parse_spec(src))
     from orbi_forge.syntax import App, Const
 
-    tp = infer_type(sig, None, App(Const("refl"), Const("c")))
+    tp = _infer(sig, [], App(Const("refl"), Const("c")))
     assert tp == parse_tpkind_str("eq c c")

@@ -328,7 +328,7 @@ def test_interleaved_sections_preserve_declaration_order():
     from helpers import check_all
 
     checked = check_all(src)
-    assert checked.sig.level("c") == 0
+    assert checked.sig.entries["c"].level == 0
     assert spec.section_text("Syntax") == "tm: type.\nc: tm."
 
 
