@@ -21,7 +21,6 @@ from orbi_forge.syntax import (
     Block,
     Const,
     CtxPattern,
-    CtxVar,
     ExistsTm,
     FamDecl,
     ForallCtx,
@@ -41,8 +40,6 @@ from orbi_forge.syntax import (
     TermEq,
     Theorem,
     Var,
-    ctx_blocks,
-    ctx_head_var,
 )
 
 # ----------------------------------------------------------------- schemas
@@ -77,18 +74,17 @@ def check_ctx_pattern(
     schema = schemas.get(expected_schema)
     if schema is None:
         raise OrbiError("E-NO-SCHEMA", f"unknown schema {expected_schema!r}")
-    head = ctx_head_var(c)
-    if head is not None:
-        declared = (ctx_vars or {}).get(head)
+    if c.var is not None:
+        declared = (ctx_vars or {}).get(c.var)
         if declared is None:
-            raise OrbiError("E-CTXVAR", f"context variable {head!r} is not declared")
+            raise OrbiError("E-CTXVAR", f"context variable {c.var!r} is not declared")
         if declared != expected_schema:
             raise OrbiError(
                 "E-SCHEMA",
-                f"context variable {head!r} has schema {declared!r} "
+                f"context variable {c.var!r} has schema {declared!r} "
                 f"but {expected_schema!r} is expected",
             )
-    for label, block in ctx_blocks(c):
+    for label, block in c.blocks:
         telescope = []
         for _, tp in block.entries:
             check_tp(sig, telescope, tp)
@@ -105,14 +101,6 @@ def check_ctx_pattern(
 # --------------------------------------------------------------- relations
 
 
-def _clause_parts(prp: Prp):
-    premises = []
-    while isinstance(prp, Imp):
-        premises.append(prp.lhs)
-        prp = prp.rhs
-    return premises, prp
-
-
 def check_inductive_def(
     sig: Signature, schemas: dict, relations: dict, d: InductiveDef
 ) -> InductiveDef:
@@ -124,18 +112,13 @@ def check_inductive_def(
         if schema not in schemas:
             raise OrbiError("E-NO-SCHEMA", f"unknown schema {schema!r}")
 
-    for cname, prp in d.clauses:
-        premises, head = _clause_parts(prp)
-        if not isinstance(head, RelApp) or head.name != d.name:
+    for cname, premises, head in d.clauses:
+        if head.name != d.name:
             raise OrbiError(
                 "E-SHAPE", f"clause {cname!r} must conclude with the relation being defined"
             )
         ctx_vars: dict[str, str] = {}
         for prem in premises:
-            if not isinstance(prem, RelApp):
-                raise OrbiError(
-                    "E-SHAPE", f"premise of clause {cname!r} must be a relation application"
-                )
             rel = d if prem.name == d.name else relations.get(prem.name)
             if rel is None:
                 raise OrbiError("E-NO-RELATION", f"unknown relation {prem.name!r}")
@@ -146,17 +129,17 @@ def check_inductive_def(
                     f"arguments, got {len(prem.ctxs)}",
                 )
             for (_, expected), arg in zip(rel.params, prem.ctxs):
-                if not isinstance(arg, CtxVar):
+                if arg.var is None or arg.blocks:
                     raise OrbiError(
                         "E-SHAPE",
                         f"premise context arguments of clause {cname!r} must be bare "
                         "context variables",
                     )
-                declared = ctx_vars.setdefault(arg.name, expected)
+                declared = ctx_vars.setdefault(arg.var, expected)
                 if declared != expected:
                     raise OrbiError(
                         "E-SCHEMA",
-                        f"context variable {arg.name!r} used at schemas "
+                        f"context variable {arg.var!r} used at schemas "
                         f"{declared!r} and {expected!r}",
                     )
         if len(head.ctxs) != len(d.params):
@@ -167,7 +150,7 @@ def check_inductive_def(
             )
         for (_, schema_name), arg in zip(d.params, head.ctxs):
             labels = set()
-            for label, _ in ctx_blocks(arg):
+            for label, _ in arg.blocks:
                 if label in labels:
                     raise OrbiError(
                         "E-DUP",
@@ -211,10 +194,9 @@ def scope_check_theorem(sig: Signature, schemas: dict, relations: dict, t: Theor
             scope_term(term.arg, depth)
 
     def scope_ctx(c: CtxPattern) -> None:
-        head = ctx_head_var(c)
-        if head is not None and head not in ctx_scope:
-            report("E-UNBOUND", f"context variable {head!r} is not bound by a quantifier")
-        for _, block in ctx_blocks(c):
+        if c.var is not None and c.var not in ctx_scope:
+            report("E-UNBOUND", f"context variable {c.var!r} is not bound by a quantifier")
+        for _, block in c.blocks:
             telescope = []
             for _, tp in block.entries:
                 try:

@@ -29,8 +29,6 @@ from orbi_forge.syntax import (
     TermEq,
     Type,
     chain,
-    ctx_blocks,
-    ctx_head_var,
     last_uses,
 )
 
@@ -112,7 +110,7 @@ def lint(checked: CheckedSpec) -> list[Diagnostic]:
 
     def check_ctx_labels(c: CtxPattern, loc):
         seen: dict[str, str] = {}
-        for blabel, block in ctx_blocks(c):
+        for blabel, block in c.blocks:
             for label, _ in block.entries:
                 if label in seen:
                     warn(
@@ -159,19 +157,13 @@ def lint(checked: CheckedSpec) -> list[Diagnostic]:
     for d in spec.definitions:
         for v, _ in d.params:
             check_ctx_var(v, d.loc)
-        for _, prp in d.clauses:
-            stack = [prp]
-            while stack:
-                node = stack.pop()
-                k = type(node)
-                if k is Imp:
-                    stack += [node.lhs, node.rhs]
-                elif k is RelApp:
-                    for c in node.ctxs:
-                        head = ctx_head_var(c)
-                        if head is not None:
-                            check_ctx_var(head, d.loc)
-                        check_ctx_labels(c, d.loc)
+        for _, premises, head in d.clauses:
+            # the head first, then the premises from last to first
+            for rel in (head, *premises[::-1]):
+                for c in rel.ctxs:
+                    if c.var is not None:
+                        check_ctx_var(c.var, d.loc)
+                    check_ctx_labels(c, d.loc)
 
     # theorems
     for t in checked.theorems:

@@ -11,8 +11,8 @@ over its Π binders and arrows, recursing only into a parenthesised type or a
 Π domain.  A bound name resolves to its de Bruijn index in one lookup, and the
 leaves of one parse (constants, variables, argument-free type atoms) are
 shared.  Declarations, schemas, contexts and theorems are parsed by recursive
-descent through ``_Cursor``; a proposition's quantifiers and connectives are
-read in loops, so only its parentheses recurse.
+descent through ``_Cursor``; a proposition's quantifiers and connectives, and
+a relation clause's premises, are read in loops, so only parentheses recurse.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ from orbi_forge.syntax import (
     Block,
     Const,
     ConstDecl,
-    CtxVar,
+    CtxPattern,
     Directive,
-    EmptyCtx,
     ExistsTm,
     FalseP,
     FamDecl,
@@ -53,7 +52,6 @@ from orbi_forge.syntax import (
     RelApp,
     Schema,
     Separator,
-    Snoc,
     TermEq,
     Theorem,
     TrueP,
@@ -457,29 +455,20 @@ def _parse_schema(c: _Cursor):
 
 def _parse_ctx_body(c: _Cursor, production: str):
     """Context pattern items up to (not including) the closing delimiter."""
-    pat = EmptyCtx()
-    first = True
-    while True:
-        if first and (c.at("]") or c.at("|-")):
-            break
-        if first:
-            name = c.ident(production)
-            if c.at(":"):
-                c.take()
-                block = _parse_block(c)
-                pat = Snoc(pat, name, block)
-            else:
-                pat = CtxVar(name)
-            first = False
-        else:
-            if not c.at(","):
-                break
-            c.take()
-            label = c.ident(production)
-            c.expect(":", production)
-            block = _parse_block(c)
-            pat = Snoc(pat, label, block)
-    return pat
+    if c.at("]") or c.at("|-"):
+        return CtxPattern()
+    var = c.ident(production)
+    blocks = []
+    if c.at(":"):
+        c.take()
+        blocks.append((var, _parse_block(c)))
+        var = None
+    while c.at(","):
+        c.take()
+        label = c.ident(production)
+        c.expect(":", production)
+        blocks.append((label, _parse_block(c)))
+    return CtxPattern(var, tuple(blocks))
 
 
 def _parse_ctx(c: _Cursor):
@@ -498,14 +487,6 @@ def _parse_def_atom(c: _Cursor):
     while c.at("["):
         ctxs.append(_parse_ctx(c))
     return RelApp(name, tuple(ctxs))
-
-
-def _parse_def_prp(c: _Cursor):
-    lhs = _parse_def_atom(c)
-    if c.at("->"):
-        c.take()
-        return Imp(lhs, _parse_def_prp(c))
-    return lhs
 
 
 def _parse_inductive(c: _Cursor):
@@ -528,8 +509,11 @@ def _parse_inductive(c: _Cursor):
     while True:
         cname = c.ident("def_body")
         c.expect(":", "def_body")
-        prp = _parse_def_prp(c)
-        clauses.append((cname, prp))
+        atoms = [_parse_def_atom(c)]
+        while c.at("->"):
+            c.take()
+            atoms.append(_parse_def_atom(c))
+        clauses.append((cname, tuple(atoms[:-1]), atoms[-1]))
         if c.at("|"):
             c.take()
             continue
@@ -631,11 +615,7 @@ def _parse_prp_atom(c, schema_names, family_names):
         c.expect("]", "prp")
         return Judgment(ctx, fam, args)
     if c.at_ident() and c.at_next("["):
-        name = c.take()
-        ctxs = []
-        while c.at("["):
-            ctxs.append(_parse_ctx(c))
-        return RelApp(name, tuple(ctxs))
+        return _parse_def_atom(c)
     if c.at_ident() or c.at("\\"):
         term = _parse_term(c)
         if c.at("="):

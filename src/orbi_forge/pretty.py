@@ -49,8 +49,6 @@ from orbi_forge.syntax import (
     Type,
     Var,
     chain,
-    ctx_blocks,
-    ctx_head_var,
     last_uses,
 )
 
@@ -232,9 +230,8 @@ def schema_str(s: Schema) -> str:
 
 
 def _ctx_body(c: CtxPattern) -> str:
-    head = ctx_head_var(c)
-    blocks = [f"{label}:{block_str(block)}" for label, block in ctx_blocks(c)]
-    return ", ".join(blocks if head is None else [head, *blocks])
+    blocks = [f"{label}:{block_str(block)}" for label, block in c.blocks]
+    return ", ".join(blocks if c.var is None else [c.var, *blocks])
 
 
 def ctx_str(c: CtxPattern) -> str:
@@ -280,9 +277,9 @@ def prp_str(p: Prp, prec: int = _P_QUANT, d: Dialect = ORBI, cx=None) -> str:
 def inductive_str(d: InductiveDef) -> str:
     params = "".join(f"{{{v}:{s}}} " for v, s in d.params)
     lines = [f"inductive {d.name} : {params}prop ="]
-    for i, (cname, prp) in enumerate(d.clauses):
+    for i, (cname, premises, head) in enumerate(d.clauses):
         end = ";" if i == len(d.clauses) - 1 else ""
-        lines.append(f"| {cname}: {prp_str(prp)}{end}")
+        lines.append(f"| {cname}: {' -> '.join(map(prp_str, (*premises, head)))}{end}")
     return "\n".join(lines)
 
 

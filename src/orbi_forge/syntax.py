@@ -10,12 +10,14 @@ themselves, so capture-avoiding substitution is plain structural recursion and
 each class's ``_hidden``: the ``hint`` of ``Lam``/``Pi``/``KPi``, the ``loc`` of
 every declaration, and the raw ``source`` and ``section_spans`` of an
 ``OrbiSpec``; ``Block``'s own ``==`` ignores its entry labels.  Names that a
-reader can refer to are compared: ``Snoc`` labels, the variables of
-``ForallCtx``/``ForallTm``/``ExistsTm``, ``InductiveDef`` clause names and
-every ``Directive`` field.  ``free`` is the one walker asking which indices
-and names occur, and ``rebuild`` the one rewriting map (``shift``, ``subst``
-and ``lf._close`` are its instances; ``lf.normalize`` is a normal-order fold
-of its own, and ``translate.eta_contract`` a bottom-up walk that enters only
+reader can refer to are compared: the block labels of a ``CtxPattern``, the
+variables of ``ForallCtx``/``ForallTm``/``ExistsTm``, ``InductiveDef`` clause
+names and every ``Directive`` field.  Context patterns and relation clauses
+are stored flat: a ``CtxPattern`` keeps its blocks in a tuple, and a clause
+its premises.  ``free`` is the one walker asking which indices and names
+occur, and ``rebuild`` the one rewriting map (``shift``, ``subst`` and
+``lf._close`` are its instances; ``lf.normalize`` is a normal-order fold of
+its own, and ``translate.eta_contract`` a bottom-up walk that enters only
 applications and lambdas).  ``last_uses`` runs ``free`` once over each part
 of a telescope, a chain of products (``chain``) or a block, for the printer
 to name its binders and for the linter to find the vacuous ones.
@@ -233,34 +235,11 @@ class Schema(Record):
 
 
 class CtxPattern(Record):
-    __slots__ = ()
+    """A context: its context variable, or None when it starts empty, then
+    its (label, ``Block``) pairs in source order."""
 
-
-class EmptyCtx(CtxPattern):
-    __slots__ = ()
-
-
-class CtxVar(CtxPattern):
-    __slots__ = ("name",)
-
-
-class Snoc(CtxPattern):
-    __slots__ = ("prefix", "label", "block")
-
-
-def ctx_head_var(c: CtxPattern):
-    """The context variable at the head of a pattern, or None."""
-    while type(c) is Snoc:
-        c = c.prefix
-    return c.name if type(c) is CtxVar else None
-
-
-def ctx_blocks(c: CtxPattern) -> tuple[tuple[str, Block], ...]:
-    out = []
-    while type(c) is Snoc:
-        out.append((c.label, c.block))
-        c = c.prefix
-    return tuple(reversed(out))
+    __slots__ = ("var", "blocks")
+    _defaults = (None, ())
 
 
 # ------------------------------------------------------------ propositions
@@ -320,7 +299,8 @@ class ExistsTm(Prp):
 
 
 class InductiveDef(Record):
-    # params: (context var, schema name) pairs; clauses: (name, Prp) pairs
+    # params: (context var, schema name) pairs; clauses: (name, premises,
+    # head) triples, each premise and the head a RelApp
     __slots__ = ("name", "params", "clauses", "loc")
     _defaults = (NO_LOC,)
     _hidden = ("loc",)

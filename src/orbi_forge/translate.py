@@ -24,7 +24,6 @@ and a leaf is printed, and tested for a name, in place.
 
 from __future__ import annotations
 
-from orbi_forge.contexts import _clause_parts
 from orbi_forge.directives import AnnotationTable, resolve, wf_name
 from orbi_forge.errors import Diagnostic, OrbiError
 from orbi_forge.lf import SigEntry, Signature, families_in_tp, is_level0, normalize
@@ -35,7 +34,6 @@ from orbi_forge.syntax import (
     Arrow,
     AtomApp,
     Const,
-    EmptyCtx,
     ExistsTm,
     FamDecl,
     ForallCtx,
@@ -51,11 +49,8 @@ from orbi_forge.syntax import (
     RelApp,
     Schema,
     Term,
-    TermEq,
     Theorem,
     Var,
-    ctx_blocks,
-    ctx_head_var,
     free,
     rebuild,
     shift,
@@ -247,32 +242,20 @@ def _atomize(s: str) -> str:
     return f"({s})" if " " in s else s
 
 
-def _strip_fn(tp):
-    """(domain, codomain) of an arrow-like type, treating a vacuous Pi as an
-    arrow (level-0 types cannot be dependent)."""
-    if type(tp) is Arrow:
-        return tp.dom, tp.cod
-    if type(tp) is Pi:
-        if 0 in free(tp.cod):
-            raise OrbiError(
-                "E-SHAPE", "dependent products cannot appear in level-0 constructor types"
-            )
-        return tp.dom, shift(tp.cod, -1)
-    return None
-
-
 def _wf_goal(expr: str, tp, names: _Names):
-    """Goal asserting that ``expr`` is a well-formed inhabitant of ``tp``.
+    """Goal asserting that ``expr`` is a well-formed inhabitant of the
+    level-0 type ``tp``.
 
     Function types recurse into an embedded implication under a fresh pi,
-    so higher-order constructor arguments nest one pi/=> per order.
+    so higher-order constructor arguments nest one pi/=> per order.  A
+    level-0 family has kind ``type``, so no level-0 type mentions a term: a
+    product is an arrow, and its codomain needs no shift.
     """
     if type(tp) is AtomApp:
         return Guard(tp.family, _atomize(expr))
-    dom, cod = _strip_fn(tp)
     x = names.pick(_LOWER)
-    hyp = _wf_goal(x, dom, names)
-    return PiG(x, ImpG(hyp, _wf_goal(f"{expr} {x}", cod, names)))
+    hyp = _wf_goal(x, tp.dom, names)
+    return PiG(x, ImpG(hyp, _wf_goal(f"{expr} {x}", tp.cod, names)))
 
 
 def gen_wf_predicates(sig: Signature, wf_families) -> list[Clause]:
@@ -288,9 +271,9 @@ def gen_wf_predicates(sig: Signature, wf_families) -> list[Clause]:
         for c in sig.constructors_of(fam):
             doms = []
             tp = c.tp
-            while (parts := _strip_fn(tp)) is not None:
-                doms.append(parts[0])
-                tp = parts[1]
+            while type(tp) is Arrow or type(tp) is Pi:
+                doms.append(tp.dom)
+                tp = tp.cod
             names = _Names(sig.entries)
             arg_names = [names.pick(_UPPER) for _ in doms]
             head = Guard(fam, _atomize(" ".join([c.name, *arg_names])))
@@ -352,13 +335,12 @@ def translate_rule(sig: Signature, entry: SigEntry, ann: AnnotationTable) -> Cla
             return PiG(var, body)
         if t is Arrow:
             return ImpG(goal_of(p.dom, env_names), goal_of(p.cod, env_names))
-        if t is AtomApp:
-            if sig.entries[p.family].level != 1:
-                raise OrbiError(
-                    "E-SHAPE", f"rule {rule.name!r}: premise atom {p.family!r} is not a judgment"
-                )
-            return atom_goal(p, env_names)
-        raise OrbiError("E-SHAPE", f"rule {rule.name!r}: unsupported premise shape")
+        # a type that is neither a Pi nor an arrow is an atom
+        if sig.entries[p.family].level != 1:
+            raise OrbiError(
+                "E-SHAPE", f"rule {rule.name!r}: premise atom {p.family!r} is not a judgment"
+            )
+        return atom_goal(p, env_names)
 
     return Clause(atom_goal(tp, env), tuple(guards + [goal_of(p, env) for p in premises]))
 
@@ -476,32 +458,30 @@ def translate_relation(
     params = [v for v, _ in d.params]
     owner = f"relation {d.name!r}"
     clauses = []
-    for cname, prp in d.clauses:
-        premises, head = _clause_parts(prp)
+    for cname, premises, head in d.clauses:
         names = _Names(sig.entries, [d.name])
         nabla: dict = {}
         args = []  # (context variable or None, goals) of each head argument
         for var, arg in zip(params, head.ctxs):
-            blocks = ctx_blocks(arg)
             wf = ann.wf_families if var in explicit_vars else None
-            goals = _block_parts(sig, owner, blocks, wf, names, nabla)
-            if blocks and not goals:
+            goals = _block_parts(sig, owner, arg.blocks, wf, names, nabla)
+            if arg.blocks and not goals:
                 raise OrbiError(
                     "E-EMPTY",
                     f"relation {d.name!r}: context parameter {var!r} erases to "
                     f"nothing; mark it explicit (%% explicit [{target}] in [{var}])",
                 )
-            args.append((ctx_head_var(arg), goals))
+            args.append((arg.var, goals))
         lists: dict[str, str] = {}
-        for v in params + [a.name for p in premises for a in p.ctxs]:
+        for v in params + [a.var for p in premises for a in p.ctxs]:
             if v not in lists:
                 lists[v] = names.pick((v[0].upper() + v[1:],))
         heads = []
         for v, goals in args:
             tail = "nil" if v is None else lists[v]
             heads.append(Cons(goals, tail) if goals else tail)
-        body = tuple([AtomG(p.name, tuple([lists[a.name] for a in p.ctxs])) for p in premises])
-        used = {v for v, _ in args} | {a.name for p in premises for a in p.ctxs}
+        body = tuple([AtomG(p.name, tuple([lists[a.var] for a in p.ctxs])) for p in premises])
+        used = {v for v, _ in args} | {a.var for p in premises for a in p.ctxs}
         bound = tuple([name for v, name in lists.items() if v in used])
         head_atom = AtomG(d.name, tuple(heads))
         clauses.append(RelClause(cname, tuple(nabla.values()), bound, body, head_atom))
@@ -520,7 +500,7 @@ def _usage_ctxs(q: ForallTm) -> list[str]:
     while stack:
         p = stack.pop()
         if isinstance(p, Judgment):
-            head = ctx_head_var(p.ctx)
+            head = p.ctx.var
             if head is not None and head not in out:
                 for a in p.args:
                     k = type(a)
@@ -637,20 +617,20 @@ def _target_term(t: Term, rename: dict) -> Term:
 
 
 def _bare_var(c, cx: _Scope, what: str) -> str:
-    v = ctx_head_var(c)
-    if v is None or ctx_blocks(c):
+    if c.var is None or c.blocks:
         raise OrbiError(
             "E-SHAPE",
             f"theorem {cx.thm.name!r}: {what} must be bare context variables in formula targets",
             cx.thm.loc,
         )
-    return cx.rename.get(v, v)
+    return cx.rename.get(c.var, c.var)
 
 
 def _ab_atom(p: Prp, d, cx: _Scope) -> str:
     t = type(p)
     if t is Judgment:
-        ctx = "nil" if type(p.ctx) is EmptyCtx else _bare_var(p.ctx, cx, "judgment contexts")
+        c = p.ctx
+        ctx = "nil" if c.var is None and not c.blocks else _bare_var(c, cx, "judgment contexts")
         head = p.family
         if p.args:
             head += " " + " ".join([term_str(_target_term(a, cx.rename), [], True, d) for a in p.args])
@@ -658,10 +638,9 @@ def _ab_atom(p: Prp, d, cx: _Scope) -> str:
     if t is RelApp:
         args = [_bare_var(c, cx, "relation arguments") for c in p.ctxs]
         return f"{p.name} {' '.join(args)}" if args else p.name
-    if t is TermEq:
-        lhs = term_str(_target_term(p.lhs, cx.rename), [], False, d)
-        return f"{lhs} = {term_str(_target_term(p.rhs, cx.rename), [], False, d)}"
-    raise OrbiError("E-SHAPE", f"theorem {cx.thm.name!r}: cannot translate {p!r}", cx.thm.loc)
+    # prp_str hands this only atoms, so ``p`` is a TermEq
+    lhs = term_str(_target_term(p.lhs, cx.rename), [], False, d)
+    return f"{lhs} = {term_str(_target_term(p.rhs, cx.rename), [], False, d)}"
 
 
 AB = Dialect("", "\\ ", _ab_binder, "\\/", "/\\", "", _ab_quant, _ab_atom)

@@ -76,6 +76,17 @@ schema xaG = block (x:tm, u:aeq x x);
 inductive R : {g:xaG} {h:xaG} prop =
 """
 
+_XG_SIG = "%% Syntax\ntm: type.\n\n%% Schemas\nschema xG = block (x:tm);\n\n%% Definitions\n"
+
+
+def relation_premises(n: int) -> str:
+    """A spec whose relation has a clause with ``n`` premises."""
+    return (
+        _XG_SIG + "inductive R : {g:xG} prop =\n| R_nl: R []\n"
+        f"| R_cs: {'R [g] -> ' * n}R [g, b:block (x:tm)];\n\n"
+        "%% Directives\n%% wf [ab,hy] in tm\n%% explicit [ab,hy] in xG\n%% explicit [ab,hy] in [g]\n"
+    )
+
 
 def _probes(eq: str, head: str) -> list:
     """(name, text) of inputs that once showed a defect, one per defect;
@@ -127,6 +138,15 @@ def _probes(eq: str, head: str) -> list:
         ),
         # the unknown families of a quantifier's type came in hash-seed order
         ("theorem-unknown-families", head + "theorem t: {M: foo -> bar -> baz} true;\n"),
+        ("relation-premises-300", relation_premises(300)),
+        # lint visits a clause's head first, then its premises from last to first
+        (
+            "relation-lint-order",
+            _XG_SIG + "inductive R : {G:xG} {K:xG} prop =\n"
+            "| R_c: R [G] [K] -> R [K] [G] -> R [G, b:block (x:tm), c:block (x:tm)] [K];\n",
+        ),
+        # ab and hy cannot translate a context made only of blocks
+        ("closed-block-ctx", head + "theorem t: {h:xaG}{M:tm} [b:block (x:tm, u:aeq x x) |- aeq M M];\n"),
     ]
 
 

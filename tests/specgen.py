@@ -10,9 +10,8 @@ from orbi_forge.syntax import (
     Block,
     Const,
     ConstDecl,
-    CtxVar,
+    CtxPattern,
     Directive,
-    EmptyCtx,
     ExistsTm,
     FalseP,
     FamDecl,
@@ -28,7 +27,6 @@ from orbi_forge.syntax import (
     Pi,
     RelApp,
     Schema,
-    Snoc,
     TermEq,
     Theorem,
     TrueP,
@@ -219,11 +217,9 @@ def _gen_block(rng, fams, n=None):
 
 def _gen_ctx(rng, fams, cvars):
     r = rng.random()
-    base = EmptyCtx() if r < 0.4 or not cvars else CtxVar(rng.choice(cvars))
-    pat = base
-    for k in range(rng.randint(0, 2)):
-        pat = Snoc(pat, f"blk{k}", _gen_block(rng, fams))
-    return pat
+    var = None if r < 0.4 or not cvars else rng.choice(cvars)
+    n = rng.randint(0, 2)
+    return CtxPattern(var, tuple((f"blk{k}", _gen_block(rng, fams)) for k in range(n)))
 
 
 def _gen_prp(rng, d, fams, schemas, rels, cvars):
@@ -283,10 +279,9 @@ def gen_spec(rng: random.Random) -> OrbiSpec:
         cvars = [v for v, _ in params]
         clauses = []
         for k in range(rng.randint(1, 2)):
-            prp = RelApp(name, tuple(_gen_ctx(rng, fams, cvars) for _ in params))
-            for _ in range(rng.randint(0, 1)):
-                prp = Imp(RelApp(name, tuple(CtxVar(v) for v in cvars)), prp)
-            clauses.append((f"{name}_c{k}", prp))
+            head = RelApp(name, tuple(_gen_ctx(rng, fams, cvars) for _ in params))
+            premise = RelApp(name, tuple(CtxPattern(v) for v in cvars))
+            clauses.append((f"{name}_c{k}", (premise,) * rng.randint(0, 1), head))
         items.append(("Definitions", InductiveDef(name, params, tuple(clauses))))
     for i in range(rng.randint(0, 3)):
         what = rng.choice(("wf", "explicit", "implicit"))

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from conftest import golden
+from differential import relation_premises
 import orbi_forge
 from orbi_forge import corpus_source
 from orbi_forge.cli import run
@@ -410,10 +411,13 @@ def _long_kind(n):
         pytest.param(_flat_rule(10000), id="rule-10000"),
         pytest.param(_long_kind(1000), id="kind-1000"),
         pytest.param(_clashing_rule(1000), id="clash-1000"),
+        pytest.param(relation_premises(1000), id="premises-1000"),
+        pytest.param(relation_premises(10000), id="premises-10000"),
     ],
 )
 def test_long_pi_chains_pass_every_command(text, tmp_path, capsys):
-    # check_tp and check_kind push a chain's domains onto one context in a loop
+    # check_tp and check_kind push a chain's domains onto one context in a
+    # loop, and a relation clause keeps its premises in a tuple
     p = tmp_path / "long.orbi"
     p.write_text(text, encoding="utf-8")
     out = ["--out-dir", str(tmp_path)]

@@ -15,7 +15,7 @@ from orbi_forge.contexts import (
     check_schema,
     scope_check_theorem,
 )
-from orbi_forge.syntax import AtomApp, Block, CtxVar, EmptyCtx, Snoc, Var
+from orbi_forge.syntax import AtomApp, Block, CtxPattern, Var
 
 
 def test_check_schema_dependent_block(checked):
@@ -61,37 +61,37 @@ def test_check_schema_duplicate_label(checked):
 
 
 def test_ctx_pattern_block_instance(checked):
-    pat = Snoc(CtxVar("h"), "b", checked.schemas["xaG"].alternatives[0])
+    pat = CtxPattern("h", (("b", checked.schemas["xaG"].alternatives[0]),))
     out = check_ctx_pattern(checked.sig, checked.schemas, "xaG", pat, {"h": "xaG"})
     assert out is pat
 
 
 def test_empty_ctx_inhabits_every_schema(checked):
     for name in checked.schemas:
-        check_ctx_pattern(checked.sig, checked.schemas, name, EmptyCtx())
+        check_ctx_pattern(checked.sig, checked.schemas, name, CtxPattern())
 
 
 def test_ctx_pattern_schema_mismatch(checked):
     deq_block = checked.schemas["xdG"].alternatives[0]
-    pat = Snoc(CtxVar("g"), "b", deq_block)
+    pat = CtxPattern("g", (("b", deq_block),))
     with raises_code("E-SCHEMA"):
         check_ctx_pattern(checked.sig, checked.schemas, "xaG", pat, {"g": "xaG"})
 
 
 def test_ctx_pattern_unknown_var(checked):
     with raises_code("E-CTXVAR"):
-        check_ctx_pattern(checked.sig, checked.schemas, "xaG", CtxVar("nope"), {})
+        check_ctx_pattern(checked.sig, checked.schemas, "xaG", CtxPattern("nope"), {})
 
 
 def test_ctx_var_wrong_schema(checked):
     with raises_code("E-SCHEMA"):
-        check_ctx_pattern(checked.sig, checked.schemas, "xaG", CtxVar("g"), {"g": "xG"})
+        check_ctx_pattern(checked.sig, checked.schemas, "xaG", CtxPattern("g"), {"g": "xG"})
 
 
 def test_block_matching_invariant_under_label_renaming(checked):
     xa = checked.schemas["xaG"].alternatives[0]
     renamed = Block((("y", xa.entries[0][1]), ("w", xa.entries[1][1])))
-    pat = Snoc(CtxVar("h"), "b", renamed)
+    pat = CtxPattern("h", (("b", renamed),))
     check_ctx_pattern(checked.sig, checked.schemas, "xaG", pat, {"h": "xaG"})
 
 
@@ -175,16 +175,59 @@ def test_block_label_once_per_context(head, code):
 
 
 def test_relation_premise_must_be_bare_vars(checked):
-    from orbi_forge.syntax import Imp, InductiveDef, RelApp
+    from orbi_forge.syntax import InductiveDef, RelApp
 
-    pat = Snoc(EmptyCtx(), "b", checked.schemas["xG"].alternatives[0])
+    pat = CtxPattern(None, (("b", checked.schemas["xG"].alternatives[0]),))
     bad = InductiveDef(
         "R2",
         (("g", "xG"),),
-        (("R2_c", Imp(RelApp("R2", (pat,)), RelApp("R2", (CtxVar("g"),)))),),
+        (("R2_c", (RelApp("R2", (pat,)),), RelApp("R2", (CtxPattern("g"),))),),
     )
     with raises_code("E-SHAPE"):
         check_inductive_def(checked.sig, checked.schemas, {}, bad)
+
+
+@pytest.mark.parametrize(
+    "definition, code, message",
+    [
+        pytest.param(
+            "inductive R : {g:xG} {g:xG} prop =\n| R_nl: R [] [];",
+            "E-DUP",
+            "duplicate context parameter 'g'",
+            id="duplicate-parameter",
+        ),
+        pytest.param(
+            "inductive S : {g:xG} prop =\n| S_nl: S [];\n\n"
+            "inductive R : {g:xG} prop =\n| R_nl: R []\n| R_c: S [g];",
+            "E-SHAPE",
+            "clause 'R_c' must conclude with the relation being defined",
+            id="foreign-head",
+        ),
+        pytest.param(
+            "inductive R : {g:xG} {h:xaG} prop =\n| R_c: R [g] [g] -> R [g] [h];",
+            "E-SCHEMA",
+            "context variable 'g' used at schemas 'xG' and 'xaG'",
+            id="premise-schemas",
+        ),
+        pytest.param(
+            "inductive R : {g:xG} {h:xaG} prop =\n| R_c: R [g];",
+            "E-ARITY",
+            "relation 'R' expects 2 context arguments, got 1",
+            id="head-arity",
+        ),
+    ],
+)
+def test_relation_clause_diagnostics(definition, code, message):
+    src = make_spec(
+        syntax="tm: type.",
+        judgments="aeq: tm -> tm -> type.",
+        schemas="schema xG = block (x:tm);\nschema xaG = block (x:tm, u:aeq x x);",
+        definitions=definition,
+    )
+    assert first_error_code(src) == code
+    with raises_code(code) as exc:
+        check_all(src)
+    assert exc.value.diagnostics[0].message == message
 
 
 # ---------------------------------------------------------------- theorems

@@ -35,7 +35,7 @@ def _copies(n: int) -> str:
     names = {decl.name for _, decl in spec.decls_in_order()}
     names |= {s.name for s in spec.schemas} | {t.name for t in spec.theorems}
     for d in spec.definitions:
-        names |= {d.name, *(cname for cname, _ in d.clauses)}
+        names |= {d.name, *(cname for cname, _, _ in d.clauses)}
     marks = list(_SEPARATOR.finditer(source))
     parts = []
     for i, m in enumerate(marks):

@@ -19,9 +19,8 @@ from orbi_forge.syntax import (
     AtomApp,
     Block,
     Const,
-    CtxVar,
+    CtxPattern,
     Directive,
-    EmptyCtx,
     ExistsTm,
     ForallCtx,
     ForallTm,
@@ -34,7 +33,6 @@ from orbi_forge.syntax import (
     Pi,
     RelApp,
     Separator,
-    Snoc,
     TermEq,
     TrueP,
     Type,
@@ -61,7 +59,7 @@ def test_theorem_ast_shape():
         ForallTm(
             "M",
             AtomApp("tm"),
-            Judgment(CtxVar("h"), "aeq", (Const("M"), Const("M"))),
+            Judgment(CtxPattern("h"), "aeq", (Const("M"), Const("M"))),
         ),
     )
 
@@ -186,12 +184,10 @@ def test_inductive_definition_shape(corpus_spec):
     assert rxa.name == "Rxa"
     assert rxa.params == (("g", "xG"), ("h", "xaG"))
     assert [c[0] for c in rxa.clauses] == ["Rxa_nl", "Rxa_cs"]
-    nl = rxa.clauses[0][1]
-    assert nl == RelApp("Rxa", (EmptyCtx(), EmptyCtx()))
-    cs = rxa.clauses[1][1]
-    assert isinstance(cs, Imp)
-    head = cs.rhs
-    assert isinstance(head.ctxs[0], Snoc) and head.ctxs[0].label == "b"
+    assert rxa.clauses[0][1:] == ((), RelApp("Rxa", (CtxPattern(), CtxPattern())))
+    _, premises, head = rxa.clauses[1]
+    assert premises == (RelApp("Rxa", (CtxPattern("g"), CtxPattern("h"))),)
+    assert [label for label, _ in head.ctxs[0].blocks] == ["b"]
 
 
 def test_ctx_productions():
@@ -207,11 +203,11 @@ def test_ctx_productions():
         ),
     )
     spec = parse_spec(src)
-    pats = [c[1].ctxs[0] for c in spec.definitions[0].clauses]
-    assert isinstance(pats[0], EmptyCtx)
-    assert pats[1] == CtxVar("g")
-    assert isinstance(pats[2], Snoc) and pats[2].prefix == CtxVar("g")
-    assert isinstance(pats[3], Snoc) and isinstance(pats[3].prefix, EmptyCtx)
+    pats = [head.ctxs[0] for _, _, head in spec.definitions[0].clauses]
+    assert pats[0] == CtxPattern()
+    assert pats[1] == CtxPattern("g")
+    assert pats[2].var == "g" and [label for label, _ in pats[2].blocks] == ["b"]
+    assert pats[3].var is None and [label for label, _ in pats[3].blocks] == ["b"]
 
 
 def test_block_commas_bind_tighter_than_context_commas():
@@ -224,11 +220,9 @@ def test_block_commas_bind_tighter_than_context_commas():
             "| R_c: R [g, b:block (x:tm, u:aeq x x), c:block (y:tm)];"
         ),
     )
-    pat = parse_spec(src).definitions[0].clauses[0][1].ctxs[0]
-    assert isinstance(pat, Snoc) and pat.label == "c"
-    assert len(pat.block.entries) == 1
-    inner = pat.prefix
-    assert inner.label == "b" and len(inner.block.entries) == 2
+    pat = parse_spec(src).definitions[0].clauses[0][2].ctxs[0]
+    assert pat.var == "g"
+    assert [(label, len(block.entries)) for label, block in pat.blocks] == [("b", 2), ("c", 1)]
 
 
 # ------------------------------------------- grammar coverage: theorems

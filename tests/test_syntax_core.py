@@ -15,9 +15,8 @@ from orbi_forge.syntax import (
     Block,
     Const,
     ConstDecl,
-    CtxVar,
+    CtxPattern,
     Directive,
-    EmptyCtx,
     ExistsTm,
     ForallCtx,
     ForallTm,
@@ -29,7 +28,6 @@ from orbi_forge.syntax import (
     OrbiSpec,
     Pi,
     RelApp,
-    Snoc,
     TrueP,
     Type,
     Var,
@@ -174,18 +172,18 @@ _BLK = Block((("x", _TM), ("u", _A)))
         (_BLK, Block((("x", _TM),)), False),
         (_BLK, _BLK.entries, False),
         # names a reader can refer to are compared
-        (Snoc(EmptyCtx(), "b", _BLK), Snoc(EmptyCtx(), "c", _BLK), False),
+        (CtxPattern(None, (("b", _BLK),)), CtxPattern(None, (("c", _BLK),)), False),
         (
-            Snoc(CtxVar("g"), "b", _BLK),
-            Snoc(CtxVar("g"), "b", Block((("z", _TM), ("v", _A)))),
+            CtxPattern("g", (("b", _BLK),)),
+            CtxPattern("g", (("b", Block((("z", _TM), ("v", _A)))),)),
             True,
         ),
         (ForallTm("M", _TM, TrueP()), ForallTm("N", _TM, TrueP()), False),
         (ExistsTm("M", _TM, TrueP()), ExistsTm("N", _TM, TrueP()), False),
         (ForallCtx("g", "xG", TrueP()), ForallCtx("h", "xG", TrueP()), False),
         (
-            InductiveDef("R", (("g", "xG"),), (("c1", RelApp("R", (CtxVar("g"),))),)),
-            InductiveDef("R", (("g", "xG"),), (("c2", RelApp("R", (CtxVar("g"),))),)),
+            InductiveDef("R", (("g", "xG"),), (("c1", (), RelApp("R", (CtxPattern("g"),))),)),
+            InductiveDef("R", (("g", "xG"),), (("c2", (), RelApp("R", (CtxPattern("g"),))),)),
             False,
         ),
         (Directive("wf", ("ab",), "g", True), Directive("wf", ("ab",), "g", False), False),
