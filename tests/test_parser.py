@@ -426,6 +426,123 @@ def test_item_locations_and_spans_match_reference_tokens():
             "%% Rules\nr: j M -> j N <- j M <- j N -> j M.\n",
             [(2, 29, "cannot mix '->' and '<-' without parentheses")],
         ),
+        # every exit of a schema and of its blocks
+        ("%% Schemas\nschema = block (x:tm);\n", [(2, 8, "expected an identifier but found '='")]),
+        ("%% Schemas\nschema xG block (x:tm);\n", [(2, 11, "expected '=' but found 'block'")]),
+        ("%% Schemas\nschema xG = (x:tm);\n", [(2, 13, "expected 'block' but found '('")]),
+        ("%% Schemas\nschema xG = block (:tm);\n", [(2, 20, "expected an identifier but found ':'")]),
+        ("%% Schemas\nschema xG = block (x tm);\n", [(2, 22, "expected ':' but found 'tm'")]),
+        ("%% Schemas\nschema xG = block (x:type);\n", [(2, 26, "expected a type, found a kind")]),
+        ("%% Schemas\nschema xG = block (x:tm;\n", [(2, 24, "expected ')' but found ';'")]),
+        ("%% Schemas\nschema xG = block x:tm\n", [(3, 1, "expected ';' but found 'end of input'")]),
+        ("%% Schemas\nschema xG = block (x:tm) + ;\n", [(2, 28, "expected 'block' but found ';'")]),
+        ("%% Schemas\nschema xG = block (x:tm) (u:tm);\n", [(2, 26, "expected ';' but found '('")]),
+        # Beluga's schemas with parameters are not parsed
+        (
+            "%% Syntax\ntm: type.\ntp: type.\n\n%% Judgments\nof: tm -> tp -> type.\n\n"
+            "%% Schemas\nschema tG = some [t:tp] block (x:tm, u:of x t);\n",
+            [(9, 13, "expected 'block' but found 'some'")],
+        ),
+        # of a context
+        (
+            "%% Definitions\ninductive R : {g:xG} prop =\n| c: R [, b:block (x:tm)];\n",
+            [(3, 9, "expected an identifier but found ','")],
+        ),
+        (
+            "%% Definitions\ninductive R : {g:xG} prop =\n| c: R [g, :block (x:tm)];\n",
+            [(3, 12, "expected an identifier but found ':'")],
+        ),
+        (
+            "%% Definitions\ninductive R : {g:xG} prop =\n| c: R [g, b block (x:tm)];\n",
+            [(3, 14, "expected ':' but found 'block'")],
+        ),
+        (
+            "%% Definitions\ninductive R : {g:xG} prop =\n| c: R [g;\n",
+            [(3, 10, "expected ']' but found ';'")],
+        ),
+        # of an inductive definition's header, parameters and clauses
+        (
+            "%% Definitions\ninductive : {g:xG} prop =\n| c: R [];\n",
+            [(2, 11, "expected an identifier but found ':'")],
+        ),
+        ("%% Definitions\ninductive R {g:xG} prop =\n| c: R [];\n", [(2, 13, "expected ':' but found '{'")]),
+        (
+            "%% Definitions\ninductive R : {:xG} prop =\n| c: R [];\n",
+            [(2, 16, "expected an identifier but found ':'")],
+        ),
+        (
+            "%% Definitions\ninductive R : {g xG} prop =\n| c: R [];\n",
+            [(2, 18, "expected ':' but found 'xG'")],
+        ),
+        (
+            "%% Definitions\ninductive R : {g:} prop =\n| c: R [];\n",
+            [(2, 18, "expected an identifier but found '}'")],
+        ),
+        (
+            "%% Definitions\ninductive R : {g:xG prop =\n| c: R [];\n",
+            [(2, 21, "expected '}' but found 'prop'")],
+        ),
+        (
+            "%% Definitions\ninductive R : {g:xG} =\n| c: R [];\n",
+            [(2, 22, "expected 'prop' but found '='")],
+        ),
+        (
+            "%% Definitions\ninductive R : {g:xG} prop\n| c: R [];\n",
+            [(3, 1, "expected '=' but found '|'")],
+        ),
+        (
+            "%% Definitions\ninductive R : {g:xG} prop =\nc: R [];\n",
+            [(3, 1, "expected '|' but found 'c'")],
+        ),
+        (
+            "%% Definitions\ninductive R : {g:xG} prop =\n| : R [];\n",
+            [(3, 3, "expected an identifier but found ':'")],
+        ),
+        (
+            "%% Definitions\ninductive R : {g:xG} prop =\n| c R [];\n",
+            [(3, 5, "expected ':' but found 'R'")],
+        ),
+        (
+            "%% Definitions\ninductive R : {g:xG} prop =\n| c: [];\n",
+            [(3, 6, "expected an identifier but found '['")],
+        ),
+        (
+            "%% Definitions\ninductive R : {g:xG} prop =\n| c: R [] -> ;\n",
+            [(3, 14, "expected an identifier but found ';'")],
+        ),
+        (
+            "%% Definitions\ninductive R : {g:xG} prop =\n| c: R []\n",
+            [(4, 1, "expected ';' but found 'end of input'")],
+        ),
+        # of a theorem and its quantifiers
+        ("%% Theorems\ntheorem : true;\n", [(2, 9, "expected an identifier but found ':'")]),
+        ("%% Theorems\ntheorem t true;\n", [(2, 11, "expected ':' but found 'true'")]),
+        ("%% Theorems\ntheorem t: {:tm} true;\n", [(2, 13, "expected an identifier but found ':'")]),
+        ("%% Theorems\ntheorem t: {M tm} true;\n", [(2, 15, "expected ':' but found 'tm'")]),
+        ("%% Theorems\ntheorem t: {M:tm true;\n", [(2, 18, "expected '}' but found 'true'")]),
+        ("%% Theorems\ntheorem t: {M:tm -> tm true;\n", [(2, 24, "expected '}' but found 'true'")]),
+        ("%% Theorems\ntheorem t: <M:tm} true;\n", [(2, 17, "expected '>' but found '}'")]),
+        ("%% Theorems\ntheorem t: true\n", [(3, 1, "expected ';' but found 'end of input'")]),
+        # of a proposition's atoms
+        ("%% Theorems\ntheorem t: ;\n", [(2, 12, "expected a proposition but found ';'")]),
+        ("%% Theorems\ntheorem t: [g aeq M M];\n", [(2, 15, "expected '|-' but found 'aeq'")]),
+        ("%% Theorems\ntheorem t: [g |- ];\n", [(2, 18, "expected an identifier but found ']'")]),
+        ("%% Theorems\ntheorem t: [g |- aeq M M;\n", [(2, 25, "expected ']' but found ';'")]),
+        ("%% Theorems\ntheorem t: R [g;\n", [(2, 16, "expected ']' but found ';'")]),
+        ("%% Theorems\ntheorem t: M N;\n", [(2, 15, "expected '=' after a term in a proposition")]),
+        ("%% Theorems\ntheorem t: (M) N;\n", [(2, 17, "expected '=' but found ';'")]),
+        # the error of the term reading, not of the proposition reading
+        ("%% Theorems\ntheorem t: (true -> ;\n", [(2, 13, "expected a term but found 'true'")]),
+        # of the item dispatch
+        ("tm: type.\n", [(1, 1, "declaration before any %% section separator")]),
+        ("%% Syntax\nschema xG = block (x:tm);\n", [(2, 1, "schema declaration in the Syntax section")]),
+        (
+            "%% Syntax\ninductive R : prop = | c: R;\n",
+            [(2, 1, "inductive definition in the Syntax section")],
+        ),
+        ("%% Syntax\ntheorem t: true;\n", [(2, 1, "theorem in the Syntax section")]),
+        ("%% Theorems\ntm: type.\n", [(2, 1, "constant or type declaration in the Theorems section")]),
+        ("%% Syntax\nprop tm: type.\n", [(2, 1, "expected a declaration but found 'prop'")]),
     ],
 )
 def test_parse_error_locations(source, expected):
