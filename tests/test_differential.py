@@ -10,3 +10,14 @@ def test_slice_matches_manifest():
     want = differential.read_manifest()
     assert len(got) > 1000
     assert differential.differing(got, {k: want.get(k) for k in got}) == {}
+
+
+def test_manifest_is_in_input_order():
+    # the order ``--write`` gives, so a rewrite that changes no digest
+    # changes no line either
+    keys = [
+        f"{family}/{name}/{label}"
+        for family, name, _ in differential.build_inputs()
+        for label in differential.COMMANDS
+    ]
+    assert list(differential.read_manifest()) == keys
