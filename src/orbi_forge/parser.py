@@ -4,15 +4,17 @@ Parsing is section-driven: ``%%`` separator lines pick the section, and each
 section admits its own declaration forms.  Errors are recovered at the next
 ``.`` or ``;`` so one run reports every malformed declaration.
 
-Terms and types, where nearly all the tokens are, are read by loops over the
-token lists rather than by recursive descent: a term, however deeply nested,
-is one loop with an explicit stack of open parentheses, and a type is one loop
-over its Π binders and arrows, recursing only into a parenthesised type or a
-Π domain.  A bound name resolves to its de Bruijn index in one lookup, and the
-leaves of one parse (constants, variables, argument-free type atoms) are
-shared.  Declarations, schemas, contexts and theorems are parsed by recursive
-descent through ``_Cursor``; a proposition's quantifiers and connectives, and
-a relation clause's premises, are read in loops, so only parentheses recurse.
+Every production reads the token lists through a local index: a lookahead is
+a list index, and a fixed run of tokens such as ``inductive NAME :`` or
+``{ v : s }`` is checked in place, so no call is made per token.  A
+production stores the index back in the cursor only to call another one or to
+return.  A term, however deeply nested, is one loop with an explicit stack of
+open parentheses; a type is one loop over its Π binders and arrows, recursing
+only into a parenthesised type or a Π domain; a proposition's quantifiers and
+connectives, and a relation clause's premises, are read in loops, so only
+parentheses recurse.  A bound name resolves to its de Bruijn index in one
+lookup, and the leaves of one parse (constants, variables, argument-free type
+atoms) are shared.
 """
 
 from __future__ import annotations
@@ -63,59 +65,78 @@ from orbi_forge.syntax import (
 _SEPARATORS = frozenset(SECTIONS)
 _IDENTS = ("id", "uid")
 
-_DIR_RE = re.compile(
+_NAME = r"[A-Za-z][A-Za-z0-9_']*"
+# A directive after its ``%%``; compiled on first use, as only a line that
+# the fast path below rejects needs it.
+_DIR_PATTERN = (
     r"(?P<what>wf|explicit|implicit)\s*"
     r"\[(?P<systems>[^\]]*)\]\s*"
-    r"in\s+(?:\[\s*(?P<ctx>[A-Za-z][A-Za-z0-9_']*)\s*\]|(?P<name>[A-Za-z][A-Za-z0-9_']*))\s*$"
+    rf"in\s+(?:\[\s*(?P<ctx>{_NAME})\s*\]|(?P<name>{_NAME}))\s*$"
+)
+# A well-formed line as the lexer gives it, in one match: a separator, or a
+# directive that lists its systems without blanks.  Any other line takes the
+# general path, which reports what is wrong.
+_SYSTEM = "|".join(SYSTEMS)
+_LINE_RE = re.compile(
+    rf"%%[ \t]*(?:({'|'.join(SECTIONS)})"
+    rf"|(wf|explicit|implicit)[ \t]*\[((?:{_SYSTEM})(?:,(?:{_SYSTEM}))*)\][ \t]*"
+    rf"in[ \t]+(?:\[[ \t]*({_NAME})[ \t]*\]|({_NAME})))\Z"
 )
 
 
 def parse_directive_line(line: str, loc: Loc = NO_LOC):
     """Parse one ``%%`` line into a Separator or an annotation Directive."""
-    body = line.strip()
-    if body.startswith("%%"):
-        body = body[2:].strip()
-    if not body:
-        raise OrbiError("E-DIR", "empty directive line", loc)
-    if body in _SEPARATORS:
-        return Separator(body, loc)
-    m = _DIR_RE.match(body)
-    if not m:
-        raise OrbiError(
-            "E-DIR",
-            f"malformed directive: {body!r}",
-            loc,
-            hint="expected '%% <Section>' or '%% wf|explicit|implicit [sy,..] in <dest>'",
-        )
-    systems = tuple(s.strip() for s in m.group("systems").split(",") if s.strip())
-    if not systems:
-        raise OrbiError("E-DIR", "empty system set", loc)
-    for s in systems:
-        if s not in SYSTEMS:
+    m = _LINE_RE.match(line)
+    if m is not None:
+        section, what, systems, ctx, name = m.groups()
+        if section is not None:
+            return Separator(section, loc)
+        systems = systems.split(",")
+    else:
+        body = line.strip()
+        if body.startswith("%%"):
+            body = body[2:].strip()
+        if not body:
+            raise OrbiError("E-DIR", "empty directive line", loc)
+        if body in _SEPARATORS:
+            return Separator(body, loc)
+        m = re.match(_DIR_PATTERN, body)
+        if not m:
             raise OrbiError(
-                "E-DIR", f"unknown system {s!r}", loc, hint="systems are hy, ab, bel, tw"
+                "E-DIR",
+                f"malformed directive: {body!r}",
+                loc,
+                hint="expected '%% <Section>' or '%% wf|explicit|implicit [sy,..] in <dest>'",
             )
-    systems = tuple(dict.fromkeys(systems))
-    what = m.group("what")
-    if m.group("ctx"):
-        return Directive(what, systems, m.group("ctx"), True, loc)
-    return Directive(what, systems, m.group("name"), False, loc)
+        what, systems, ctx, name = m.groups()
+        systems = [s.strip() for s in systems.split(",") if s.strip()]
+        if not systems:
+            raise OrbiError("E-DIR", "empty system set", loc)
+        for s in systems:
+            if s not in SYSTEMS:
+                raise OrbiError(
+                    "E-DIR", f"unknown system {s!r}", loc, hint="systems are hy, ab, bel, tw"
+                )
+    return Directive(what, tuple(dict.fromkeys(systems)), ctx or name, ctx is not None, loc)
 
 
 class _Cursor:
-    """A position in a token list; ``i`` never passes the eof token.
+    """The state of one parse: the token lists, the position ``i`` in them,
+    the binders around it and the leaves made so far.
 
-    Comparing lexemes is enough to test for a keyword or a punctuation mark:
-    neither ever equals an identifier, directive lexemes start with ``%%``
-    and eof's lexeme is ``""``.
+    ``i`` never passes the eof token.  A production reads ``lex`` and
+    ``kinds`` at a local index, so it may look at token ``i + k`` once the
+    tokens before it are known not to be eof.  Comparing lexemes is enough to
+    test for a keyword or a punctuation mark: neither ever equals an
+    identifier, directive lexemes start with ``%%`` and eof's lexeme is ``""``.
 
-    The cursor also holds the binders around the current position and the
-    leaves shared within one parse.  ``names`` has one ``(name, shadowed)``
-    pair per binder, outermost first, where ``shadowed`` is the position of
-    the binder of that name it hides, or None; ``depth`` maps each bound name
-    to the position of its innermost binder, so an occurrence resolves in one
-    lookup.  ``consts``, ``vars`` and ``atoms`` hold the ``Const``, ``Var``
-    and argument-free ``AtomApp`` leaves made so far, by name or index.
+    ``names`` has one ``(name, shadowed)`` pair per binder, outermost first,
+    where ``shadowed`` is the position of the binder of that name it hides,
+    or None; ``depth`` maps each bound name to the position of its innermost
+    binder, so an occurrence resolves in one lookup.  A production pushes and
+    pops its own binders; after an error they are dropped all at once.
+    ``consts``, ``vars`` and ``atoms`` hold the ``Const``, ``Var`` and
+    argument-free ``AtomApp`` leaves made so far, by name or index.
     """
 
     def __init__(self, toks: Tokens):
@@ -129,75 +150,22 @@ class _Cursor:
         self.vars: dict[int, Var] = {}
         self.atoms: dict[str, AtomApp] = {}
 
-    def at(self, lexeme: str) -> bool:
-        return self.lex[self.i] == lexeme
-
-    def at_next(self, lexeme: str) -> bool:
-        """Whether the token after the current one is ``lexeme``; not at eof."""
-        return self.lex[self.i + 1] == lexeme
-
-    def at_ident(self) -> bool:
-        return self.kinds[self.i] in _IDENTS
-
-    def at_atom(self) -> bool:
-        """Whether a term atom starts here: an identifier or ``(``."""
-        i = self.i
-        return self.kinds[i] in _IDENTS or self.lex[i] == "("
-
-    def at_directive(self) -> bool:
-        return self.kinds[self.i] == "directive"
-
-    def at_eof(self) -> bool:
-        return self.kinds[self.i] == "eof"
-
-    def loc(self) -> Loc:
-        return self.toks.loc(self.i)
-
-    def found(self) -> str:
-        """The current lexeme as an error message quotes it."""
-        return self.lex[self.i] or "end of input"
-
-    def take(self) -> str:
-        i = self.i
-        if self.kinds[i] != "eof":
-            self.i = i + 1
-        return self.lex[i]
-
-    def expect(self, lexeme: str, production: str) -> None:
-        if self.lex[self.i] == lexeme:
-            self.i += 1
-            return
-        raise self.error(self.i, repr(lexeme), production)
-
-    def ident(self, production: str) -> str:
-        i = self.i
-        if self.kinds[i] in _IDENTS:
-            self.i = i + 1
-            return self.lex[i]
-        raise self.error(i, "an identifier", production)
-
     def error(self, i: int, what: str, production: str) -> ParseError:
-        """The error of finding token ``i`` where ``what`` was expected; the
-        cursor is left at that token."""
+        """The error of finding token ``i`` where ``what`` was expected."""
+        found = self.lex[i] or "end of input"
+        return self.fail(i, f"expected {what} but found {found!r}", production)
+
+    def name_error(self, i: int, after: str, production: str) -> ParseError:
+        """The error where a name was expected at token ``i`` and ``after``
+        right after it, and one of them is not there."""
+        if self.kinds[i] not in _IDENTS:
+            return self.error(i, "an identifier", production)
+        return self.error(i + 1, repr(after), production)
+
+    def fail(self, i: int, message: str, production: str) -> ParseError:
+        """The error ``message`` at token ``i``; the cursor is left there."""
         self.i = i
-        return ParseError(
-            f"expected {what} but found {self.found()!r}", self.loc(), production=production
-        )
-
-    def bind(self, name: str) -> None:
-        depth = self.depth
-        self.names.append((name, depth.get(name)))
-        depth[name] = len(self.names) - 1
-
-    def unbind(self, n: int = 0) -> None:
-        """Drop every binder but the outermost ``n``."""
-        names, depth = self.names, self.depth
-        while len(names) > n:
-            name, shadowed = names.pop()
-            if shadowed is None:
-                del depth[name]
-            else:
-                depth[name] = shadowed
+        return ParseError(message, self.toks.loc(i), production=production)
 
 
 # ------------------------------------------------------------------ terms
@@ -244,11 +212,11 @@ def _parse_term(c: _Cursor, args: bool = False):
             i += 1
             continue
         elif tok == "\\":
-            if kinds[i + 1] not in _IDENTS:
-                raise c.error(i + 1, "an identifier", "term")
-            if lex[i + 2] != ".":
-                raise c.error(i + 2, "'.'", "term")
-            c.bind(lex[i + 1])
+            if kinds[i + 1] not in _IDENTS or lex[i + 2] != ".":
+                raise c.name_error(i + 1, ".", "term")
+            name = lex[i + 1]
+            names.append((name, depth.get(name)))
+            depth[name] = n
             n += 1
             i += 3
             continue
@@ -269,9 +237,13 @@ def _parse_term(c: _Cursor, args: bool = False):
                 c.i = i
                 return tuple(out)
             if n > base:
-                for name, _ in reversed(names[base:]):
+                for name, shadowed in reversed(names[base:]):
                     head = Lam(name, head)
-                c.unbind(base)
+                    if shadowed is None:
+                        del depth[name]
+                    else:
+                        depth[name] = shadowed
+                del names[base:]
                 n = base
             if not levels:
                 c.i = i
@@ -289,15 +261,14 @@ def _parse_term(c: _Cursor, args: bool = False):
 _KINDS = (Type, KArrow, KPi)
 
 
-def _as_tp(node):
+def _as_tp(kind):
     """Demote a kind that appeared in a type position; the checker rejects
-    the resulting reserved `type` atom with a level error."""
+    the resulting reserved `type` atom with a level error.  Every kind ends
+    in `type`: a kind's arrows and Π binders are built over a kind only."""
     outer = []
-    while type(node) is KArrow or type(node) is KPi:
-        outer.append(node)
-        node = node.cod
-    if type(node) is not Type:
-        return node
+    while type(kind) is not Type:
+        outer.append(kind)
+        kind = kind.cod
     node = AtomApp(TYPE_ATOM)
     for k in reversed(outer):
         node = Arrow(k.dom, node) if type(k) is KArrow else Pi(k.hint, k.dom, node)
@@ -311,27 +282,30 @@ def _parse_tpkind(c: _Cursor):
     and folds them from the right; a ``<-`` chain reads ``a <- b <- c`` as
     ``c -> b -> a``.  A parenthesised type and a Π domain recurse.
     """
-    lex, kinds = c.lex, c.kinds
+    lex, kinds, names, depth = c.lex, c.kinds, c.names, c.depth
     i = c.i
-    base = len(c.names)
-    prefix = []  # (binder, domain) of each Π, (None, domain) of each '->'
+    n = base = len(names)
+    prefix = []  # (binder, domain, shadowed) of each Π, (None, domain, None) of each '->'
     arms = None  # a '<-' chain's atoms
     while True:
         tok = lex[i]
         if tok == "{" and arms is None:
-            if kinds[i + 1] not in _IDENTS:
-                raise c.error(i + 1, "an identifier", "tp")
-            if lex[i + 2] != ":":
-                raise c.error(i + 2, "':'", "tp")
+            if kinds[i + 1] not in _IDENTS or lex[i + 2] != ":":
+                raise c.name_error(i + 1, ":", "tp")
             name = lex[i + 1]
             c.i = i + 3
-            dom = _as_tp(_parse_tpkind(c))
+            dom = _parse_tpkind(c)
+            if type(dom) in _KINDS:
+                dom = _as_tp(dom)
             i = c.i
             if lex[i] != "}":
                 raise c.error(i, "'}'", "tp")
             i += 1
-            c.bind(name)
-            prefix.append((name, dom))
+            shadowed = depth.get(name)
+            names.append((name, shadowed))
+            depth[name] = n
+            n += 1
+            prefix.append((name, dom, shadowed))
             continue
         if kinds[i] in _IDENTS:
             i += 1
@@ -357,18 +331,15 @@ def _parse_tpkind(c: _Cursor):
             raise c.error(i, "a type", "tp")
         op = lex[i]
         if arms is not None:
-            arms.append(_as_tp(atom))
+            arms.append(_as_tp(atom) if type(atom) in _KINDS else atom)
             if op == "<-":
                 i += 1
                 continue
             if op == "->":
-                c.i = i
-                raise ParseError(
-                    "cannot mix '->' and '<-' without parentheses", c.loc(), production="tp"
-                )
+                raise c.fail(i, "cannot mix '->' and '<-' without parentheses", "tp")
             break
         if op == "->":
-            prefix.append((None, _as_tp(atom)))
+            prefix.append((None, _as_tp(atom) if type(atom) in _KINDS else atom, None))
             i += 1
             continue
         if op != "<-":
@@ -385,155 +356,148 @@ def _parse_tpkind(c: _Cursor):
             out = arrow(a, out)
     if prefix:
         kind = type(out) in _KINDS
-        for name, dom in reversed(prefix):
+        for name, dom, shadowed in reversed(prefix):
             if name is None:
                 out = KArrow(dom, out) if kind else Arrow(dom, out)
+                continue
+            out = KPi(name, dom, out) if kind else Pi(name, dom, out)
+            if shadowed is None:
+                del depth[name]
             else:
-                out = KPi(name, dom, out) if kind else Pi(name, dom, out)
-        c.unbind(base)
+                depth[name] = shadowed
+        del names[base:]
     return out
 
 
-def _parse_tp(c: _Cursor):
-    node = _parse_tpkind(c)
-    if type(node) in _KINDS:
-        raise ParseError("expected a type, found a kind", c.loc(), production="tp")
-    return node
-
-
-# ----------------------------------------------------------- declarations
-
-
-def _parse_decl(c: _Cursor):
-    loc = c.loc()
-    name = c.ident("decl")
-    c.expect(":", "decl")
-    node = _parse_tpkind(c)
-    c.expect(".", "decl")
-    if type(node) in _KINDS:
-        return FamDecl(name, node, loc)
-    return ConstDecl(name, node, loc)
+# ------------------------------------------------------ schemas and contexts
 
 
 def _parse_block(c: _Cursor):
-    c.expect("block", "blk")
-    parens = c.at("(")
-    if parens:
-        c.take()
+    """``block (x:A, …)``; the parentheses may be left out."""
+    lex, kinds, names, depth = c.lex, c.kinds, c.names, c.depth
+    i = c.i
+    if lex[i] != "block":
+        raise c.error(i, "'block'", "blk")
+    parens = lex[i + 1] == "("
+    i += 2 if parens else 1
     entries = []
-    base = len(c.names)
+    n = base = len(names)
     while True:
-        label = c.ident("blk")
-        c.expect(":", "blk")
-        entries.append((label, _parse_tp(c)))
-        c.bind(label)  # later entries see it
-        if c.at(","):
-            c.take()
-            continue
-        break
-    c.unbind(base)
+        if kinds[i] not in _IDENTS or lex[i + 1] != ":":
+            raise c.name_error(i, ":", "blk")
+        label = lex[i]
+        c.i = i + 2
+        tp = _parse_tpkind(c)
+        i = c.i
+        if type(tp) in _KINDS:
+            raise c.fail(i, "expected a type, found a kind", "tp")
+        entries.append((label, tp))
+        # later entries see it
+        names.append((label, depth.get(label)))
+        depth[label] = n
+        n += 1
+        if lex[i] != ",":
+            break
+        i += 1
+    for label, shadowed in reversed(names[base:]):
+        if shadowed is None:
+            del depth[label]
+        else:
+            depth[label] = shadowed
+    del names[base:]
     if parens:
-        c.expect(")", "blk")
+        if lex[i] != ")":
+            raise c.error(i, "')'", "blk")
+        i += 1
+    c.i = i
     return Block(tuple(entries))
-
-
-def _parse_schema(c: _Cursor):
-    loc = c.loc()
-    c.expect("schema", "s_decl")
-    name = c.ident("s_decl")
-    c.expect("=", "s_decl")
-    alts = [_parse_block(c)]
-    while c.at("+"):
-        c.take()
-        alts.append(_parse_block(c))
-    c.expect(";", "s_decl")
-    return Schema(name, tuple(alts), loc)
-
-
-# --------------------------------------------------------------- contexts
 
 
 def _parse_ctx_body(c: _Cursor, production: str):
     """Context pattern items up to (not including) the closing delimiter."""
-    if c.at("]") or c.at("|-"):
+    lex, kinds = c.lex, c.kinds
+    i = c.i
+    var = lex[i]
+    if var == "]" or var == "|-":
         return CtxPattern()
-    var = c.ident(production)
+    if kinds[i] not in _IDENTS:
+        raise c.error(i, "an identifier", production)
+    i += 1
     blocks = []
-    if c.at(":"):
-        c.take()
+    if lex[i] == ":":
+        c.i = i + 1
         blocks.append((var, _parse_block(c)))
+        i = c.i
         var = None
-    while c.at(","):
-        c.take()
-        label = c.ident(production)
-        c.expect(":", production)
-        blocks.append((label, _parse_block(c)))
+    while lex[i] == ",":
+        if kinds[i + 1] not in _IDENTS or lex[i + 2] != ":":
+            raise c.name_error(i + 1, ":", production)
+        c.i = i + 3
+        blocks.append((lex[i + 1], _parse_block(c)))
+        i = c.i
+    c.i = i
     return CtxPattern(var, tuple(blocks))
-
-
-def _parse_ctx(c: _Cursor):
-    c.expect("[", "ctx")
-    pat = _parse_ctx_body(c, "ctx")
-    c.expect("]", "ctx")
-    return pat
 
 
 # -------------------------------------------------- inductive definitions
 
 
 def _parse_def_atom(c: _Cursor):
-    name = c.ident("def_prp")
+    """A relation applied to its bracketed contexts: ``R [g] [h, b:block …]``."""
+    lex = c.lex
+    i = c.i
+    if c.kinds[i] not in _IDENTS:
+        raise c.error(i, "an identifier", "def_prp")
+    name = lex[i]
+    i += 1
     ctxs = []
-    while c.at("["):
-        ctxs.append(_parse_ctx(c))
+    while lex[i] == "[":
+        c.i = i + 1
+        ctxs.append(_parse_ctx_body(c, "ctx"))
+        i = c.i
+        if lex[i] != "]":
+            raise c.error(i, "']'", "ctx")
+        i += 1
+    c.i = i
     return RelApp(name, tuple(ctxs))
 
 
 def _parse_inductive(c: _Cursor):
-    loc = c.loc()
-    c.expect("inductive", "def_dec")
-    name = c.ident("def_dec")
-    c.expect(":", "def_dec")
+    """The parameters ``{v:s} … prop`` and the clauses ``= | c: R … | …`` of
+    an inductive definition."""
+    lex, kinds = c.lex, c.kinds
+    i = c.i
     params = []
-    while c.at("{"):
-        c.take()
-        v = c.ident("r_kind")
-        c.expect(":", "r_kind")
-        s = c.ident("r_kind")
-        c.expect("}", "r_kind")
-        params.append((v, s))
-    c.expect("prop", "r_kind")
-    c.expect("=", "def_dec")
+    while lex[i] == "{":
+        if kinds[i + 1] not in _IDENTS or lex[i + 2] != ":":
+            raise c.name_error(i + 1, ":", "r_kind")
+        if kinds[i + 3] not in _IDENTS or lex[i + 4] != "}":
+            raise c.name_error(i + 3, "}", "r_kind")
+        params.append((lex[i + 1], lex[i + 3]))
+        i += 5
+    if lex[i] != "prop":
+        raise c.error(i, "'prop'", "r_kind")
+    if lex[i + 1] != "=":
+        raise c.error(i + 1, "'='", "def_dec")
+    if lex[i + 2] != "|":
+        raise c.error(i + 2, "'|'", "def_body")
+    i += 3
     clauses = []
-    c.expect("|", "def_body")
     while True:
-        cname = c.ident("def_body")
-        c.expect(":", "def_body")
+        if kinds[i] not in _IDENTS or lex[i + 1] != ":":
+            raise c.name_error(i, ":", "def_body")
+        c.i = i + 2
         atoms = [_parse_def_atom(c)]
-        while c.at("->"):
-            c.take()
+        while lex[c.i] == "->":
+            c.i += 1
             atoms.append(_parse_def_atom(c))
-        clauses.append((cname, tuple(atoms[:-1]), atoms[-1]))
-        if c.at("|"):
-            c.take()
-            continue
-        break
-    c.expect(";", "def_dec")
-    return InductiveDef(name, tuple(params), tuple(clauses), loc)
+        clauses.append((lex[i], tuple(atoms[:-1]), atoms[-1]))
+        if lex[c.i] != "|":
+            return tuple(params), tuple(clauses)
+        i = c.i + 1
 
 
 # ---------------------------------------------------------------- theorems
-
-
-def _classify_quantifier(var: str, tyname: str, schema_names, family_names):
-    """A `{v:id}` quantifier is context-valued when id is a declared schema;
-    otherwise the variable's case decides (lowercase vars name contexts)."""
-    if tyname in schema_names:
-        return "ctx"
-    if tyname in family_names:
-        return "tm"
-    return "ctx" if var[0].islower() else "tm"
-
 
 # binding strength and node of each connective; -> is the loosest and the
 # only right-associative one
@@ -543,18 +507,33 @@ _CONNECTIVES = {"->": (1, Imp), "||": (2, Or), "&": (3, And)}
 def _parse_prp(c: _Cursor, schema_names, family_names):
     """A proposition: a prefix of quantifiers, then atoms joined by
     connectives, folded with an operator stack.  Only a parenthesised
-    proposition recurses, two frames a level."""
+    proposition recurses, two frames a level.
+
+    A ``{v:id}`` quantifier ranges over contexts when ``id`` is a declared
+    schema; otherwise the variable's case decides (lowercase variables name
+    contexts) unless ``id`` is a declared family."""
+    lex, kinds = c.lex, c.kinds
+    i = c.i
     quants = []  # (exists, var, type name or None, type), outermost first
-    lex = c.lex
-    while lex[c.i] == "{" or lex[c.i] == "<":
-        exists = c.take() == "<"
-        var = c.ident("quantif")
-        c.expect(":", "quantif")
-        if not exists and c.at_ident() and c.at_next("}"):
-            quants.append((False, var, c.take(), None))
-        else:
-            quants.append((exists, var, None, _parse_tp(c)))
-        c.expect(">" if exists else "}", "quantif")
+    while lex[i] == "{" or lex[i] == "<":
+        close = "}" if lex[i] == "{" else ">"
+        if kinds[i + 1] not in _IDENTS or lex[i + 2] != ":":
+            raise c.name_error(i + 1, ":", "quantif")
+        var = lex[i + 1]
+        if close == "}" and kinds[i + 3] in _IDENTS and lex[i + 4] == "}":
+            quants.append((False, var, lex[i + 3], None))
+            i += 5
+            continue
+        c.i = i + 3
+        tp = _parse_tpkind(c)
+        i = c.i
+        if type(tp) in _KINDS:
+            raise c.fail(i, "expected a type, found a kind", "tp")
+        if lex[i] != close:
+            raise c.error(i, repr(close), "quantif")
+        quants.append((close == ">", var, None, tp))
+        i += 1
+    c.i = i
     args = [_parse_prp_atom(c, schema_names, family_names)]
     ops = []  # (strength, node) of the connectives not folded yet
     while True:
@@ -575,113 +554,128 @@ def _parse_prp(c: _Cursor, schema_names, family_names):
             body = ExistsTm(var, tp, body)
         elif tp is not None:
             body = ForallTm(var, tp, body)
-        elif _classify_quantifier(var, tyname, schema_names, family_names) == "ctx":
+        elif tyname in schema_names or tyname not in family_names and var[0].islower():
             body = ForallCtx(var, tyname, body)
         else:
             body = ForallTm(var, AtomApp(tyname), body)
     return body
 
 
-def _parse_prp_atom(c, schema_names, family_names):
-    if c.at("true"):
-        c.take()
-        return TrueP()
-    if c.at("false"):
-        c.take()
-        return FalseP()
-    if c.at("("):
+def _parse_prp_atom(c: _Cursor, schema_names, family_names):
+    lex, kinds = c.lex, c.kinds
+    i = c.i
+    tok = lex[i]
+    if tok == "true" or tok == "false":
+        c.i = i + 1
+        return TrueP() if tok == "true" else FalseP()
+    if tok == "(":
         # `(` opens either a parenthesized proposition or a parenthesized
         # term starting a term equality; try the proposition reading first
         # and fall back to the term reading.
-        save = c.i
+        c.i = i + 1
         try:
-            c.take()
             p = _parse_prp(c, schema_names, family_names)
-            c.expect(")", "prp")
-            if not (c.at("=") or c.at_atom()):
-                return p
         except ParseError:
-            c.unbind()
-        c.i = save
+            c.names.clear()
+            c.depth.clear()
+        else:
+            j = c.i + 1
+            if lex[j - 1] == ")" and not (kinds[j] in _IDENTS or lex[j] in ("(", "=")):
+                c.i = j
+                return p
+        c.i = i
         term = _parse_term(c)
-        c.expect("=", "prp")
+        j = c.i
+        if lex[j] != "=":
+            raise c.error(j, "'='", "prp")
+        c.i = j + 1
         return TermEq(term, _parse_term(c))
-    if c.at("["):
-        c.take()
+    if tok == "[":
+        c.i = i + 1
         ctx = _parse_ctx_body(c, "prp")
-        c.expect("|-", "prp")
-        fam = c.ident("prp")
-        args = _parse_term(c, True) if c.at_atom() else ()
-        c.expect("]", "prp")
+        i = c.i
+        if lex[i] != "|-":
+            raise c.error(i, "'|-'", "prp")
+        if kinds[i + 1] not in _IDENTS:
+            raise c.error(i + 1, "an identifier", "prp")
+        fam = lex[i + 1]
+        i += 2
+        args = ()
+        if kinds[i] in _IDENTS or lex[i] == "(":
+            c.i = i
+            args = _parse_term(c, True)
+            i = c.i
+        if lex[i] != "]":
+            raise c.error(i, "']'", "prp")
+        c.i = i + 1
         return Judgment(ctx, fam, args)
-    if c.at_ident() and c.at_next("["):
+    if kinds[i] in _IDENTS and lex[i + 1] == "[":
         return _parse_def_atom(c)
-    if c.at_ident() or c.at("\\"):
+    if kinds[i] in _IDENTS or tok == "\\":
         term = _parse_term(c)
-        if c.at("="):
-            c.take()
-            rhs = _parse_term(c)
-            return TermEq(term, rhs)
-        if isinstance(term, Const):
+        j = c.i
+        if lex[j] == "=":
+            c.i = j + 1
+            return TermEq(term, _parse_term(c))
+        if type(term) is Const:
             return RelApp(term.name, ())
-        raise ParseError("expected '=' after a term in a proposition", c.loc(), production="prp")
-    raise ParseError(f"expected a proposition but found {c.found()!r}", c.loc(), production="prp")
-
-
-def _parse_theorem(c: _Cursor, schema_names, family_names):
-    loc = c.loc()
-    c.expect("theorem", "thm")
-    name = c.ident("thm")
-    c.expect(":", "thm")
-    prp = _parse_prp(c, schema_names, family_names)
-    c.expect(";", "thm")
-    return Theorem(name, prp, loc)
+        raise c.fail(j, "expected '=' after a term in a proposition", "prp")
+    raise c.error(i, "a proposition", "prp")
 
 
 # ------------------------------------------------------------- the driver
 
-_DECL_SECTIONS = ("Syntax", "Judgments", "Rules")
+# The item a keyword starts (None: an identifier starts a declaration): the
+# sections it may stand in, what an error calls it, its production, and the
+# tokens after its name and at its end.
+_ITEMS = {
+    None: (("Syntax", "Judgments", "Rules"), "constant or type declaration", "decl", ":", "."),
+    "schema": (("Schemas",), "schema declaration", "s_decl", "=", ";"),
+    "inductive": (("Definitions",), "inductive definition", "def_dec", ":", ";"),
+    "theorem": (("Theorems",), "theorem", "thm", ":", ";"),
+}
 
 
 def _parse_item(c: _Cursor, section, schema_names, family_names):
+    lex, kinds = c.lex, c.kinds
+    i = c.i
     if section is None:
-        raise ParseError("declaration before any %% section separator", c.loc(), production="sig")
-    if c.at_ident():
-        if section not in _DECL_SECTIONS:
-            raise ParseError(
-                f"constant or type declaration in the {section} section", c.loc(), production="decl"
-            )
-        return _parse_decl(c)
-    if c.at("schema"):
-        if section != "Schemas":
-            raise ParseError(
-                f"schema declaration in the {section} section", c.loc(), production="s_decl"
-            )
-        return _parse_schema(c)
-    if c.at("inductive"):
-        if section != "Definitions":
-            raise ParseError(
-                f"inductive definition in the {section} section", c.loc(), production="def_dec"
-            )
-        return _parse_inductive(c)
-    if c.at("theorem"):
-        if section != "Theorems":
-            raise ParseError(f"theorem in the {section} section", c.loc(), production="thm")
-        return _parse_theorem(c, schema_names, family_names)
-    raise ParseError(f"expected a declaration but found {c.found()!r}", c.loc(), production="sig")
-
-
-def _recover(c: _Cursor) -> None:
-    while not c.at_eof():
-        if c.at_directive():
-            return
-        if c.take() in (".", ";"):
-            return
+        raise c.fail(i, "declaration before any %% section separator", "sig")
+    key = None if kinds[i] in _IDENTS else lex[i]
+    if key not in _ITEMS:
+        raise c.error(i, "a declaration", "sig")
+    sections, what, production, after, end = _ITEMS[key]
+    if section not in sections:
+        raise c.fail(i, f"{what} in the {section} section", production)
+    j = i if key is None else i + 1  # the name
+    if kinds[j] not in _IDENTS or lex[j + 1] != after:
+        raise c.name_error(j, after, production)
+    name, loc = lex[j], c.toks.loc(i)
+    c.i = j + 2
+    if key is None:
+        node = _parse_tpkind(c)
+        node = (FamDecl if type(node) in _KINDS else ConstDecl)(name, node, loc)
+    elif key == "schema":
+        alts = [_parse_block(c)]
+        while lex[c.i] == "+":
+            c.i += 1
+            alts.append(_parse_block(c))
+        node = Schema(name, tuple(alts), loc)
+    elif key == "inductive":
+        node = InductiveDef(name, *_parse_inductive(c), loc)
+    else:
+        node = Theorem(name, _parse_prp(c, schema_names, family_names), loc)
+    i = c.i
+    if lex[i] != end:
+        raise c.error(i, repr(end), production)
+    c.i = i + 1
+    return node
 
 
 def parse_spec(source: str) -> OrbiSpec:
     toks = tokenize(source)
     c = _Cursor(toks)
+    lex, kinds = c.lex, c.kinds
     items = []
     errors = []
     section = None
@@ -689,7 +683,6 @@ def parse_spec(source: str) -> OrbiSpec:
     spans = []
     schema_names: set[str] = set()
     family_names: set[str] = set()
-    kinds = toks.kinds
     while True:
         i = c.i
         if kinds[i] == "eof":
@@ -697,11 +690,11 @@ def parse_spec(source: str) -> OrbiSpec:
         if kinds[i] == "directive":
             c.i = i + 1
             try:
-                d = parse_directive_line(toks.lexemes[i], toks.loc(i))
+                d = parse_directive_line(lex[i], toks.loc(i))
             except OrbiError as e:
                 errors += e.diagnostics
                 continue
-            if isinstance(d, Separator):
+            if type(d) is Separator:
                 if section is not None:
                     spans.append((section, seg_start, toks.starts[i]))
                 section = d.name
@@ -713,8 +706,15 @@ def parse_spec(source: str) -> OrbiSpec:
             node = _parse_item(c, section, schema_names, family_names)
         except ParseError as e:
             errors += e.diagnostics
-            _recover(c)
-            c.unbind()
+            # go on after the next '.' or ';', or at the next directive
+            i = c.i
+            while kinds[i] != "eof" and kinds[i] != "directive":
+                i += 1
+                if lex[i - 1] == "." or lex[i - 1] == ";":
+                    break
+            c.i = i
+            c.names.clear()
+            c.depth.clear()
             continue
         items.append((section, node))
         if type(node) is Schema:
@@ -731,22 +731,21 @@ def parse_spec(source: str) -> OrbiSpec:
 # ------------------------------------------------------------ test helpers
 
 
+def _parse_str(parse, production: str, text: str, binders):
+    c = _Cursor(tokenize(text))
+    for k, name in enumerate(binders):
+        c.names.append((name, c.depth.get(name)))
+        c.depth[name] = k
+    node = parse(c)
+    if c.kinds[c.i] != "eof":
+        raise c.fail(c.i, f"trailing input {c.lex[c.i]!r}", production)
+    return node
+
+
 def parse_term_str(text: str, binders=()):
     """Parse a standalone term; ``binders`` lists enclosing names, outermost first."""
-    c = _Cursor(tokenize(text))
-    for name in binders:
-        c.bind(name)
-    t = _parse_term(c)
-    if not c.at_eof():
-        raise ParseError(f"trailing input {c.found()!r}", c.loc(), production="term")
-    return t
+    return _parse_str(_parse_term, "term", text, binders)
 
 
 def parse_tpkind_str(text: str, binders=()):
-    c = _Cursor(tokenize(text))
-    for name in binders:
-        c.bind(name)
-    node = _parse_tpkind(c)
-    if not c.at_eof():
-        raise ParseError(f"trailing input {c.found()!r}", c.loc(), production="tp")
-    return node
+    return _parse_str(_parse_tpkind, "tp", text, binders)

@@ -16,6 +16,7 @@ import pytest
 
 from orbi_forge import check_spec, corpus_source, lint, parse_spec
 from orbi_forge.directives import resolve
+from orbi_forge.lexer import tokenize
 from orbi_forge.pretty import spec_str
 from orbi_forge.syntax import Block, Schema
 from orbi_forge.translate import translate_spec
@@ -116,6 +117,14 @@ def test_copies_are_disjoint_and_complete():
 def test_stage_grows_linearly(stage_calls, stage):
     ratio = stage_calls[40][stage] / stage_calls[10][stage]
     assert ratio <= MAX_GROWTH, f"{stage}: {ratio:.2f}x calls for 4x input"
+
+
+def test_parse_makes_few_calls_per_token():
+    # the productions read the token lists at a local index, with no call
+    # per token; a helper call per lookahead or expected token gives about 3
+    text = _copies(40)
+    per_token = _calls(parse_spec, text) / len(tokenize(text))
+    assert per_token <= 2.5, f"parse_spec: {per_token:.2f} calls per token"
 
 
 def test_resolve_grows_linearly():
