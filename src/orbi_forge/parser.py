@@ -62,61 +62,44 @@ from orbi_forge.syntax import (
     Var,
 )
 
-_SEPARATORS = frozenset(SECTIONS)
 _IDENTS = ("id", "uid")
 
 _NAME = r"[A-Za-z][A-Za-z0-9_']*"
-# A directive after its ``%%``; compiled on first use, as only a line that
-# the fast path below rejects needs it.
-_DIR_PATTERN = (
-    r"(?P<what>wf|explicit|implicit)\s*"
-    r"\[(?P<systems>[^\]]*)\]\s*"
-    rf"in\s+(?:\[\s*(?P<ctx>{_NAME})\s*\]|(?P<name>{_NAME}))\s*$"
-)
-# A well-formed line as the lexer gives it, in one match: a separator, or a
-# directive that lists its systems without blanks.  Any other line takes the
-# general path, which reports what is wrong.
-_SYSTEM = "|".join(SYSTEMS)
+# A whole ``%%`` line: a separator, or a directive whose systems are checked
+# after the match.
 _LINE_RE = re.compile(
-    rf"%%[ \t]*(?:({'|'.join(SECTIONS)})"
-    rf"|(wf|explicit|implicit)[ \t]*\[((?:{_SYSTEM})(?:,(?:{_SYSTEM}))*)\][ \t]*"
-    rf"in[ \t]+(?:\[[ \t]*({_NAME})[ \t]*\]|({_NAME})))\Z"
+    rf"\s*(?:%%\s*)?(?:({'|'.join(SECTIONS)})"
+    r"|(wf|explicit|implicit)\s*\[([^\]]*)\]\s*"
+    rf"in\s+(?:\[\s*({_NAME})\s*\]|({_NAME})))\s*\Z"
 )
 
 
 def parse_directive_line(line: str, loc: Loc = NO_LOC):
     """Parse one ``%%`` line into a Separator or an annotation Directive."""
     m = _LINE_RE.match(line)
-    if m is not None:
-        section, what, systems, ctx, name = m.groups()
-        if section is not None:
-            return Separator(section, loc)
-        systems = systems.split(",")
-    else:
+    if m is None:
         body = line.strip()
         if body.startswith("%%"):
             body = body[2:].strip()
         if not body:
             raise OrbiError("E-DIR", "empty directive line", loc)
-        if body in _SEPARATORS:
-            return Separator(body, loc)
-        m = re.match(_DIR_PATTERN, body)
-        if not m:
+        raise OrbiError(
+            "E-DIR",
+            f"malformed directive: {body!r}",
+            loc,
+            hint="expected '%% <Section>' or '%% wf|explicit|implicit [sy,..] in <dest>'",
+        )
+    section, what, systems, ctx, name = m.groups()
+    if section is not None:
+        return Separator(section, loc)
+    systems = [t for s in systems.split(",") if (t := s.strip())]
+    if not systems:
+        raise OrbiError("E-DIR", "empty system set", loc)
+    for s in systems:
+        if s not in SYSTEMS:
             raise OrbiError(
-                "E-DIR",
-                f"malformed directive: {body!r}",
-                loc,
-                hint="expected '%% <Section>' or '%% wf|explicit|implicit [sy,..] in <dest>'",
+                "E-DIR", f"unknown system {s!r}", loc, hint="systems are hy, ab, bel, tw"
             )
-        what, systems, ctx, name = m.groups()
-        systems = [s.strip() for s in systems.split(",") if s.strip()]
-        if not systems:
-            raise OrbiError("E-DIR", "empty system set", loc)
-        for s in systems:
-            if s not in SYSTEMS:
-                raise OrbiError(
-                    "E-DIR", f"unknown system {s!r}", loc, hint="systems are hy, ab, bel, tw"
-                )
     return Directive(what, tuple(dict.fromkeys(systems)), ctx or name, ctx is not None, loc)
 
 
@@ -133,8 +116,9 @@ class _Cursor:
     ``names`` has one ``(name, shadowed)`` pair per binder, outermost first,
     where ``shadowed`` is the position of the binder of that name it hides,
     or None; ``depth`` maps each bound name to the position of its innermost
-    binder, so an occurrence resolves in one lookup.  A production pushes and
-    pops its own binders; after an error they are dropped all at once.
+    binder, so an occurrence resolves in one lookup.  A production pushes its
+    binders inline and drops them with one ``unbind`` where their scope ends;
+    after an error they are all dropped.
     ``consts``, ``vars`` and ``atoms`` hold the ``Const``, ``Var`` and
     argument-free ``AtomApp`` leaves made so far, by name or index.
     """
@@ -166,6 +150,16 @@ class _Cursor:
         """The error ``message`` at token ``i``; the cursor is left there."""
         self.i = i
         return ParseError(message, self.toks.loc(i), production=production)
+
+    def unbind(self, n: int = 0) -> None:
+        """Drop every binder but the outermost ``n``."""
+        names, depth = self.names, self.depth
+        for name, shadowed in reversed(names[n:]):
+            if shadowed is None:
+                del depth[name]
+            else:
+                depth[name] = shadowed
+        del names[n:]
 
 
 # ------------------------------------------------------------------ terms
@@ -237,13 +231,9 @@ def _parse_term(c: _Cursor, args: bool = False):
                 c.i = i
                 return tuple(out)
             if n > base:
-                for name, shadowed in reversed(names[base:]):
+                for name, _ in reversed(names[base:]):
                     head = Lam(name, head)
-                    if shadowed is None:
-                        del depth[name]
-                    else:
-                        depth[name] = shadowed
-                del names[base:]
+                c.unbind(base)
                 n = base
             if not levels:
                 c.i = i
@@ -261,10 +251,14 @@ def _parse_term(c: _Cursor, args: bool = False):
 _KINDS = (Type, KArrow, KPi)
 
 
-def _as_tp(kind):
-    """Demote a kind that appeared in a type position; the checker rejects
-    the resulting reserved `type` atom with a level error.  Every kind ends
-    in `type`: a kind's arrows and Π binders are built over a kind only."""
+def _as_tp(node):
+    """``node`` as a type: a kind that appeared in a type position is
+    demoted, and the checker rejects the resulting reserved `type` atom with
+    a level error.  Every kind ends in `type`: a kind's arrows and Π binders
+    are built over a kind only."""
+    if type(node) not in _KINDS:
+        return node
+    kind = node
     outer = []
     while type(kind) is not Type:
         outer.append(kind)
@@ -285,7 +279,7 @@ def _parse_tpkind(c: _Cursor):
     lex, kinds, names, depth = c.lex, c.kinds, c.names, c.depth
     i = c.i
     n = base = len(names)
-    prefix = []  # (binder, domain, shadowed) of each Π, (None, domain, None) of each '->'
+    prefix = []  # (binder, domain) of each Π, (None, domain) of each '->'
     arms = None  # a '<-' chain's atoms
     while True:
         tok = lex[i]
@@ -294,18 +288,15 @@ def _parse_tpkind(c: _Cursor):
                 raise c.name_error(i + 1, ":", "tp")
             name = lex[i + 1]
             c.i = i + 3
-            dom = _parse_tpkind(c)
-            if type(dom) in _KINDS:
-                dom = _as_tp(dom)
+            dom = _as_tp(_parse_tpkind(c))
             i = c.i
             if lex[i] != "}":
                 raise c.error(i, "'}'", "tp")
             i += 1
-            shadowed = depth.get(name)
-            names.append((name, shadowed))
+            names.append((name, depth.get(name)))
             depth[name] = n
             n += 1
-            prefix.append((name, dom, shadowed))
+            prefix.append((name, dom))
             continue
         if kinds[i] in _IDENTS:
             i += 1
@@ -331,7 +322,7 @@ def _parse_tpkind(c: _Cursor):
             raise c.error(i, "a type", "tp")
         op = lex[i]
         if arms is not None:
-            arms.append(_as_tp(atom) if type(atom) in _KINDS else atom)
+            arms.append(_as_tp(atom))
             if op == "<-":
                 i += 1
                 continue
@@ -339,7 +330,7 @@ def _parse_tpkind(c: _Cursor):
                 raise c.fail(i, "cannot mix '->' and '<-' without parentheses", "tp")
             break
         if op == "->":
-            prefix.append((None, _as_tp(atom) if type(atom) in _KINDS else atom, None))
+            prefix.append((None, _as_tp(atom)))
             i += 1
             continue
         if op != "<-":
@@ -356,16 +347,13 @@ def _parse_tpkind(c: _Cursor):
             out = arrow(a, out)
     if prefix:
         kind = type(out) in _KINDS
-        for name, dom, shadowed in reversed(prefix):
+        for name, dom in reversed(prefix):
             if name is None:
                 out = KArrow(dom, out) if kind else Arrow(dom, out)
-                continue
-            out = KPi(name, dom, out) if kind else Pi(name, dom, out)
-            if shadowed is None:
-                del depth[name]
             else:
-                depth[name] = shadowed
-        del names[base:]
+                out = KPi(name, dom, out) if kind else Pi(name, dom, out)
+        if n > base:
+            c.unbind(base)
     return out
 
 
@@ -399,12 +387,7 @@ def _parse_block(c: _Cursor):
         if lex[i] != ",":
             break
         i += 1
-    for label, shadowed in reversed(names[base:]):
-        if shadowed is None:
-            del depth[label]
-        else:
-            depth[label] = shadowed
-    del names[base:]
+    c.unbind(base)
     if parens:
         if lex[i] != ")":
             raise c.error(i, "')'", "blk")
@@ -576,8 +559,7 @@ def _parse_prp_atom(c: _Cursor, schema_names, family_names):
         try:
             p = _parse_prp(c, schema_names, family_names)
         except ParseError:
-            c.names.clear()
-            c.depth.clear()
+            c.unbind()
         else:
             j = c.i + 1
             if lex[j - 1] == ")" and not (kinds[j] in _IDENTS or lex[j] in ("(", "=")):
@@ -713,8 +695,7 @@ def parse_spec(source: str) -> OrbiSpec:
                 if lex[i - 1] == "." or lex[i - 1] == ";":
                     break
             c.i = i
-            c.names.clear()
-            c.depth.clear()
+            c.unbind()
             continue
         items.append((section, node))
         if type(node) is Schema:

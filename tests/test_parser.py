@@ -286,6 +286,26 @@ def test_parse_directive_ctx_dest():
     assert d == Directive("explicit", ("hy", "ab"), "g", True)
 
 
+@pytest.mark.parametrize(
+    "line, plain",
+    [
+        ("%% wf [hy, ab] in tm", "%% wf [hy,ab] in tm"),
+        ("%%\twf [ab,ab] in [ g ]", "%% wf [ab] in [g]"),
+        ("%% explicit [ab,,hy] in M", "%% explicit [ab,hy] in M"),
+        ("  %%  implicit[ tw ,bel ]in\tx  ", "%% implicit [tw,bel] in x"),
+        ("%%\tRules ", "%% Rules"),
+    ],
+)
+def test_parse_directive_blanks_and_repeats(line, plain):
+    assert parse_directive_line(line) == parse_directive_line(plain)
+
+
+def test_parse_directive_empty_system_set():
+    with raises_code("E-DIR") as exc:
+        parse_directive_line("%% wf [ , ] in tm")
+    assert exc.value.message == "empty system set"
+
+
 def test_parse_directive_unknown_system():
     with raises_code("E-DIR") as exc:
         parse_directive_line("%% wf [xy] in tm")
