@@ -197,8 +197,10 @@ def test_all_corpus_rules_closed_after_reconstruction(checked):
 
 _FAULT_SYNTAX = make_spec(
     syntax="t: type.\nc0: t.\nc1: t -> t.\nc2: t -> t -> t.\ncb: (t -> t) -> t.",
-    judgments="j: t -> t -> type.",
+    judgments="j: t -> t -> type.\nk: t -> t -> type.",
 )
+# rules that the rows below use as terms
+_FAULT_RULES = "r0: {x:t} j x x.\nr2: j M N -> k M N.\n"
 
 _ATOMIC_APPLIED = "term of atomic type 't' applied to an argument"
 
@@ -228,7 +230,7 @@ _ATOMIC_APPLIED = "term of atomic type 't' applied to an argument"
             "E-RECON",
             "schematic variable 'M' used at incompatible types 't -> t' and 't'",
         ),
-        ("k c0", "E-UNBOUND", "unknown type family 'k'"),
+        ("l c0", "E-UNBOUND", "unknown type family 'l'"),
         ("j c0", "E-KIND", "type family 'j' is not fully applied"),
         ("j c0 c0 c0", "E-KIND", "type family 'j' applied to too many arguments"),
         ("t", "E-LEVEL", "rule 'r' must target a level-1 judgment family"),
@@ -243,11 +245,20 @@ _ATOMIC_APPLIED = "term of atomic type 't' applied to an argument"
         (r"j (cb c0) c0 -> j (M c0) c0", "E-TYPE", "expected t -> t, got t"),
         # a rule used as a term shows its type with its schematic prefix
         ("j M N.\nq: j r c0", "E-TYPE", "expected t, got {M:t} {N:t} j M N"),
+        # a variable of a level-1 type shows it shifted to where it is read
+        ("{x:t} {d: j x x} k d d", "E-TYPE", "expected t, got j _1 _1"),
+        # a rule applied as a term has its Pi-prefix instantiated
+        ("j (r0 c0) c0", "E-TYPE", "expected t, got j c0 c0"),
+        (
+            "j (r2 c0 c0 X) c0",
+            "E-RECON",
+            "schematic variable 'X' infers to the non-level-0 type 'j c0 c0'",
+        ),
     ],
 )
 def test_rule_fault_classes(rule, code, message):
     with pytest.raises(OrbiError) as exc:
-        check_signature(parse_spec(_FAULT_SYNTAX + f"\n%% Rules\nr: {rule}.\n"))
+        check_signature(parse_spec(_FAULT_SYNTAX + f"\n%% Rules\n{_FAULT_RULES}r: {rule}.\n"))
     assert (exc.value.code, exc.value.message) == (code, message)
 
 
