@@ -8,23 +8,20 @@ inferred from Miller-pattern occurrences in the same traversal that checks
 the rule (the checker's hole mode).  The signature stores a rule as it was
 checked: its open body, in which each schematic occurrence is still a
 ``Const``, and its schematic prefix, the names in ``SigEntry.implicit`` with
-their types.  ``closed_decl`` builds the closed rule, the body under an
-outermost Pi-prefix that binds the schematics, only where it is shown or
-checked as a whole: for the type of a rule used as a term, and for the
-second check of a rule written with a redex.
+their types.  ``closed_decl`` builds the closed rule only where it is shown or
+checked as a whole: for a rule used as a term, and to recheck a redex.
 
-Every type the checker stores or pushes onto a context is beta-normal: the
-signature holds normal types (a rule written with a redex is stored as its
-open normal form), and Pi and KPi domains are normalised where they enter the
-context.  Types read back from the signature or the context are therefore
-compared with ``==`` as they are.
-
-The parser shares the leaves of one file: one ``Const`` and ``Var`` object per
-name or index, and one argument-free ``AtomApp`` per family.  An argument-free
-atom is closed and normal, so shifting, substituting into or normalising it
-returns it as it is, it mentions its family alone, and it is equal to itself.
-The checker therefore hands no such leaf to ``shift``, ``normalize``, ``free``
-or ``families_in_tp``, and compares types by identity before structure.
+Every term of a spec is a level-0 term, and a level-0 family has kind
+``type``, so a level-0 type mentions no term: it is closed and beta-normal.
+The checker keeps level-0 types as they are, with no shift, substitution or
+normalisation, and compares them with ``==`` (by identity first: the parser
+shares one argument-free ``AtomApp`` per family).  Only a type that is not
+level-0 can mention a bound variable.  Outside hole mode one may sit in the
+context (a block entry such as ``u: aeq x x``); in hole mode one enters only
+through a Pi domain such as ``{d: j x x}`` or a rule used as a term, and
+``_Holes.dependent`` records that it did.  Where one can occur, the checker
+shifts a variable's type to where it is read, instantiates a Pi codomain and
+checks that a schematic's type is closed and level-0.
 """
 
 from __future__ import annotations
@@ -54,7 +51,6 @@ from orbi_forge.syntax import (
     free,
     rebuild,
     shift,
-    spine,
     subst,
 )
 
@@ -157,32 +153,44 @@ def normalize(node):
     return node
 
 
-# ------------------------------------------------------------ kind checking
+# ------------------------------------------------------- type and kind checking
 
 
 class _Holes(dict):
     """Schematic variable name -> reconstructed type, in first-occurrence order.
 
     Passing one to ``check_tp`` puts the checker in hole mode: a spine headed
-    by an identifier the signature lacks is a schematic occurrence.
+    by an identifier the signature lacks is a schematic occurrence.  Until
+    ``dependent`` is set, every context entry and expected type is level-0,
+    so closed and normal.
     """
 
-    beta = False  # set once a beta-redex was checked through its normal form
+    beta = False  # set once a beta-redex was checked
+    dependent = False  # set once a type that is not level-0 entered the check
 
 
-def check_tp(sig: Signature, ctx: list[Tp], tp: Tp, holes: _Holes | None = None) -> None:
-    """Check that ``tp`` is a well-formed type under ``ctx``, whose entries
-    must be beta-normal (Var(0) is the last one).  A Pi/arrow chain is
-    walked in a loop that pushes each normalised Pi domain onto ``ctx`` and
-    pops them all on the way out, also when the check raises."""
-    pushed = 0
+def check_tp(sig: Signature, ctx: list[Tp], tp: Tp | Kind, holes: _Holes | None = None) -> bool:
+    """Check that the type or kind ``tp`` is well formed under ``ctx`` (Var(0)
+    is the last entry) and return whether it is level-0: whether every family
+    it mentions is a syntax-level one.  An arrow or Pi chain is walked in a
+    loop that pushes each Pi domain onto ``ctx`` and pops them all on the way
+    out, also when the check raises.  A level-0 domain is pushed as it is; any
+    other is pushed in normal form and makes ``holes`` dependent."""
+    pushed, level0 = 0, True
     try:
         while type(tp) is not AtomApp:
+            if type(tp) is Type:  # the end of a kind
+                return level0
             dom = tp.dom
-            check_tp(sig, ctx, dom, holes)
-            if type(tp) is Pi:
-                ctx.append(dom if type(dom) is AtomApp and not dom.args else normalize(dom))
+            dom0 = check_tp(sig, ctx, dom, holes)
+            if type(tp) is Pi or type(tp) is KPi:
+                if not dom0:
+                    dom = normalize(dom)
+                    if holes is not None:
+                        holes.dependent = True
+                ctx.append(dom)
                 pushed += 1
+            level0 = level0 and dom0
             tp = tp.cod
         if tp.family == TYPE_ATOM:
             raise OrbiError(
@@ -208,22 +216,7 @@ def check_tp(sig: Signature, ctx: list[Tp], tp: Tp, holes: _Holes | None = None)
             _check(sig, ctx, arg, dom, holes)
         if type(kind) is not Type:
             raise OrbiError("E-KIND", f"type family {tp.family!r} is not fully applied")
-    finally:
-        if pushed:
-            del ctx[-pushed:]
-
-
-def check_kind(sig: Signature, ctx: list[Tp], k: Kind) -> None:
-    """The same loop as ``check_tp``'s along a KPi/KArrow chain."""
-    pushed = 0
-    try:
-        while type(k) is not Type:
-            dom = k.dom
-            check_tp(sig, ctx, dom)
-            if type(k) is KPi:
-                ctx.append(dom if type(dom) is AtomApp and not dom.args else normalize(dom))
-                pushed += 1
-            k = k.cod
+        return level0 and entry.level == 0
     finally:
         if pushed:
             del ctx[-pushed:]
@@ -238,14 +231,20 @@ def _infer(sig: Signature, ctx: list[Tp], t: Term, holes: _Holes | None = None) 
         if t.index >= len(ctx):
             raise OrbiError("E-UNBOUND", f"unbound variable index {t.index}")
         tp = ctx[-1 - t.index]
-        return tp if type(tp) is AtomApp and not tp.args else shift(tp, t.index + 1)
+        if (holes is None or holes.dependent) and (type(tp) is not AtomApp or tp.args):
+            return shift(tp, t.index + 1)  # it may mention the variables bound before it
+        return tp
     if k is Const:
         entry = sig.entries.get(t.name)
         if entry is None:
             raise OrbiError("E-UNBOUND", f"unbound identifier {t.name!r}")
         if type(entry.decl) is FamDecl:
             raise OrbiError("E-TYPE", f"type family {t.name!r} used as a term")
-        return closed_decl(entry).tp if entry.implicit else entry.decl.tp
+        if not entry.level:
+            return entry.decl.tp
+        if holes is not None:
+            holes.dependent = True  # a rule used as a term, typed with its schematic prefix
+        return closed_decl(entry).tp
     if k is App:
         head, args = t.fn, [t.arg]  # the spine's arguments, last first
         while type(head) is App:
@@ -262,46 +261,48 @@ def _infer(sig: Signature, ctx: list[Tp], t: Term, holes: _Holes | None = None) 
             tb = _infer(sig, ctx + [ta], head.body)
             return tb if type(tb) is AtomApp and not tb.args else normalize(subst(tb, first))
         tf = _infer(sig, ctx, head, holes)
+        dependent = holes is None or holes.dependent
         for arg in reversed(args):
-            if type(tf) is Arrow:
-                _check(sig, ctx, arg, tf.dom, holes)
-                tf = tf.cod
-            elif type(tf) is Pi:
-                _check(sig, ctx, arg, tf.dom, holes)
-                tf = tf.cod
-                if type(tf) is not AtomApp or tf.args:
-                    tf = normalize(subst(tf, arg))
-            else:
+            k = type(tf)
+            if k is not Arrow and k is not Pi:
                 raise OrbiError(
                     "E-TYPE", f"term of atomic type {tp_str(tf, [])!r} applied to an argument"
                 )
+            _check(sig, ctx, arg, tf.dom, holes)
+            tf = tf.cod
+            if k is Pi and dependent and (type(tf) is not AtomApp or tf.args):
+                tf = normalize(subst(tf, arg))
         return tf
     raise OrbiError("E-TYPE", "cannot infer the type of a bare lambda")
 
 
 def _check(sig: Signature, ctx: list[Tp], t: Term, exp: Tp, holes: _Holes | None = None) -> None:
     if type(t) is Lam:
-        if type(exp) is Arrow:
-            cod = exp.cod
-            if type(cod) is not AtomApp or cod.args:
-                cod = shift(cod, 1)
-            _check(sig, ctx + [exp.dom], t.body, cod, holes)
-            return
-        if type(exp) is Pi:
-            _check(sig, ctx + [exp.dom], t.body, exp.cod, holes)
-            return
-        if holes is not None:
-            raise OrbiError("E-RECON", f"lambda used where {tp_str(exp, [])!r} is expected")
-        raise OrbiError("E-TYPE", f"expected {tp_str(exp, [])}, got a lambda")
+        k = type(exp)
+        if k is not Arrow and k is not Pi:
+            if holes is not None:
+                raise OrbiError("E-RECON", f"lambda used where {tp_str(exp, [])!r} is expected")
+            raise OrbiError("E-TYPE", f"expected {tp_str(exp, [])}, got a lambda")
+        cod = exp.cod
+        if k is Arrow and (type(cod) is not AtomApp or cod.args):
+            if holes is None or holes.dependent:
+                cod = shift(cod, 1)  # it may mention the variables bound before it
+        _check(sig, ctx + [exp.dom], t.body, cod, holes)
+        return
     if holes is not None:
         head = t
         while type(head) is App:
             head = head.fn
         if type(head) is Lam:
-            # a schematic's type is read off its pattern occurrences, so
-            # reconstruction sees the normal form; _reconstruct checks the redex
+            # _reconstruct checks each redex once more in the closed rule,
+            # and stores the open normal form
             holes.beta = True
-            _check(sig, ctx, normalize(t), exp, holes)
+            if any(type(x) is str and x not in sig.entries for x in free(t)):
+                # a schematic's type is read off its pattern occurrences,
+                # so reconstruction sees the normal form
+                _check(sig, ctx, normalize(t), exp, holes)
+            else:
+                _check(sig, ctx, t, exp)  # typed as written, so it normalises
             return
         if type(head) is Const and head.name not in sig.entries:
             if head is not t or holes.get(t.name) is not exp:
@@ -318,44 +319,40 @@ def _check(sig: Signature, ctx: list[Tp], t: Term, exp: Tp, holes: _Holes | None
 
 def _schematic(sig: Signature, ctx: list[Tp], t: Term, exp: Tp, holes: _Holes) -> None:
     """Record the type of the schematic head of ``t : exp``, which must be a
-    Miller pattern: the head applied to distinct bound variables."""
-    head, args = spine(t)
-    name = head.name
-    idxs = []
-    for arg in args:
+    Miller pattern: the head applied to distinct bound variables.  One loop
+    along the spine, last argument first, builds the candidate type, which is
+    closed and level-0 as built unless ``holes`` is dependent."""
+    cand, seen, fault, dependent = exp, 0, "", holes.dependent
+    while type(t) is App:
+        arg, t = t.arg, t.fn
         if type(arg) is not Var or arg.index >= len(ctx):
+            fault = "must be applied to bound variables only"
+        elif not fault:
+            i = arg.index
+            if seen >> i & 1:
+                fault = "applied to repeated bound variables"
+            seen |= 1 << i
+            dom = ctx[-1 - i]
+            if dependent and (type(dom) is not AtomApp or dom.args):
+                dom = shift(dom, i + 1)
+            cand = Arrow(dom, cand)
+    name = t.name
+    if not fault:
+        prev = holes.get(name)
+        if prev is not None and (prev is cand or prev == cand):
+            return  # closedness and level are alpha-invariant: checked at the first occurrence
+        if dependent and any(type(x) is int for x in free(cand)):
             raise OrbiError(
-                "E-RECON", f"schematic variable {name!r} must be applied to bound variables only"
+                "E-RECON", f"cannot infer a closed outermost type for schematic variable {name!r}"
             )
-        idxs.append(arg.index)
-    if len(set(idxs)) != len(idxs):
-        raise OrbiError(
-            "E-RECON", f"schematic variable {name!r} applied to repeated bound variables"
-        )
-    cand = exp
-    for i in reversed(idxs):
-        dom = ctx[-1 - i]
-        cand = Arrow(dom if type(dom) is AtomApp and not dom.args else shift(dom, i + 1), cand)
-    prev = holes.get(name)
-    if prev is not None and (prev is cand or prev == cand):
-        return  # closedness and level are alpha-invariant: checked at the first occurrence
-    if (type(cand) is not AtomApp or cand.args) and any(type(x) is int for x in free(cand)):
-        raise OrbiError(
-            "E-RECON", f"cannot infer a closed outermost type for schematic variable {name!r}"
-        )
-    if not is_level0(sig, cand):
-        raise OrbiError(
-            "E-RECON",
-            f"schematic variable {name!r} infers to the non-level-0 type {tp_str(cand, [])!r}",
-        )
-    if prev is None:
-        holes[name] = cand
-    else:
-        raise OrbiError(
-            "E-RECON",
-            f"schematic variable {name!r} used at incompatible types "
-            f"{tp_str(prev, [])!r} and {tp_str(cand, [])!r}",
-        )
+        if dependent and not is_level0(sig, cand):
+            fault = f"infers to the non-level-0 type {tp_str(cand, [])!r}"
+        elif prev is not None:
+            fault = f"used at incompatible types {tp_str(prev, [])!r} and {tp_str(cand, [])!r}"
+        else:
+            holes[name] = cand
+            return
+    raise OrbiError("E-RECON", f"schematic variable {name!r} {fault}")
 
 
 def _reconstruct(sig: Signature, decl: ConstDecl) -> SigEntry:
@@ -413,16 +410,12 @@ def check_signature(spec: OrbiSpec) -> Signature:
                         raise OrbiError(
                             "E-LEVEL", f"syntax-level family {decl.name!r} must have kind 'type'"
                         )
-                    sig.add(SigEntry(decl, 0, section))
-                else:
-                    check_tp(sig, [], decl.tp)
-                    if not is_level0(sig, decl.tp):
-                        raise OrbiError(
-                            "E-LEVEL",
-                            f"syntax-level constant {decl.name!r} may only mention "
-                            "level-0 families",
-                        )
-                    sig.add(SigEntry(decl, 0, section))
+                elif not check_tp(sig, [], decl.tp):
+                    raise OrbiError(
+                        "E-LEVEL",
+                        f"syntax-level constant {decl.name!r} may only mention level-0 families",
+                    )
+                sig.add(SigEntry(decl, 0, section))
             elif section == "Judgments":
                 if type(decl) is ConstDecl:
                     raise OrbiError(
@@ -430,14 +423,12 @@ def check_signature(spec: OrbiSpec) -> Signature:
                         "only judgment (type family) declarations may appear in the "
                         "Judgments section",
                     )
-                check_kind(sig, [], decl.kind)
-                for dom in kind_domains(decl.kind):
-                    if not is_level0(sig, dom):
-                        raise OrbiError(
-                            "E-LEVEL",
-                            f"judgment {decl.name!r} must be indexed by level-0 terms "
-                            "only (family indexed by a family)",
-                        )
+                if not check_tp(sig, [], decl.kind):
+                    raise OrbiError(
+                        "E-LEVEL",
+                        f"judgment {decl.name!r} must be indexed by level-0 terms "
+                        "only (family indexed by a family)",
+                    )
                 sig.add(SigEntry(decl, 1, section))
             elif section == "Rules":
                 if type(decl) is FamDecl:

@@ -130,15 +130,6 @@ class App(Term):
     __slots__ = ("fn", "arg")
 
 
-def spine(t: Term) -> tuple[Term, tuple[Term, ...]]:
-    """Split left-nested applications into (head, args)."""
-    args: list[Term] = []
-    while type(t) is App:
-        args.append(t.arg)
-        t = t.fn
-    return t, tuple(reversed(args))
-
-
 def apply_spine(head: Term, args) -> Term:
     t = head
     for a in args:

@@ -6,8 +6,9 @@ import time
 import pytest
 
 from conftest import golden
-from helpers import check_all
+from helpers import check_all, make_spec
 from orbi_forge import (
+    check_signature,
     check_spec,
     corpus_source,
     normalize,
@@ -18,7 +19,8 @@ from orbi_forge.directives import AnnotationTable
 from orbi_forge.errors import OrbiError
 from orbi_forge.lf import _infer, closed_decl
 from orbi_forge.lint import lint
-from orbi_forge.pretty import pretty
+from orbi_forge.parser import parse_term_str
+from orbi_forge.pretty import pretty, term_str, tp_str
 from orbi_forge.syntax import Arrow, AtomApp, Pi
 from orbi_forge.translate import erase_clause, translate_rule, translate_spec
 from specgen import gen_rules_source, gen_spec, gen_tm_term
@@ -201,22 +203,36 @@ def test_criterion_6_reconstruction(checked):
     _report(6, "ae_a reconstructs {M1,N1,M2,N2}:tm and ae_l {M,N}:tm -> tm")
 
 
-def test_criterion_7_normalization_invariants(checked):
-    from orbi_forge.syntax import App, Const
+_DEQ = make_spec(
+    syntax="tm: type.\napp: tm -> tm -> tm.\nlam: (tm -> tm) -> tm.",
+    judgments="deq: tm -> tm -> type.",
+    rules="de_r: deq M M.",
+)
 
+
+def test_criterion_7_normalization_invariants(checked):
     rng = random.Random(77)
     violations = 0
     for i in range(500):
         t = gen_tm_term(rng, 5)
-        if i % 5 == 0:
-            t = App(Const("de_r"), t)  # dependent type: deq <nf> <nf>
         n = normalize(t)
-        if normalize(n) != n:
+        if normalize(n) != n or _infer(checked.sig, [], t) != _infer(checked.sig, [], n):
             violations += 1
             continue
-        before = normalize(_infer(checked.sig, [], t))
-        after = normalize(_infer(checked.sig, [], n))
-        if before != after:
+        if i % 5:
+            continue
+        # through check: a rule types the term as written and stores its
+        # normal form, and de_r used as a term is rejected with its type
+        # instantiated in normal form
+        written = term_str(t, [], atom=True)
+        rule = check_signature(parse_spec(_DEQ + f"r: deq {written} {written}.\n")).entries["r"]
+        if rule.decl.tp != AtomApp("deq", (n, n)):
+            violations += 1
+        # printed with the binder names of the parsed term
+        parsed = normalize(parse_term_str(written))
+        with pytest.raises(OrbiError) as exc:
+            check_signature(parse_spec(_DEQ + f"r: deq (de_r {written}) {written}.\n"))
+        if exc.value.message != f"expected tm, got {tp_str(AtomApp('deq', (parsed, parsed)), [])}":
             violations += 1
     assert violations == 0
     _report(7, "normalize idempotent and subject reduction agreed on 500 terms")

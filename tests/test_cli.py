@@ -277,8 +277,8 @@ def test_deep_nesting_is_a_depth_diagnostic(cmd, tmp_path, capsys):
 @pytest.mark.parametrize(
     "rule",
     [
-        # hole mode normalises the redex before typing it, so this ends in
-        # E-DEPTH where an E-TYPE at the rule is due
+        # a redex that mentions no schematic is typed before it is contracted,
+        # so the untypable one ends in an E-TYPE at its rule, not in E-DEPTH
         r"r: j ((\x. x x) (\x. x x)) c0.",
     ],
 )
@@ -291,7 +291,7 @@ def test_rule_ends_in_one_diagnostic(rule, tmp_path, capsys):
     assert run(["check", str(p)]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert len(err.splitlines()) == 1
+    assert err.splitlines() == [f"{p}:9:1: [E-TYPE] cannot infer the type of a bare lambda"]
 
 
 def test_theorem_redex_discarding_a_divergent_argument_translates(tmp_path):

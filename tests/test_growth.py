@@ -9,17 +9,19 @@ that makes no Python call, such as the marking of a directive's items in
 ``sys.settrace`` (``opcode`` events).
 """
 
+import random
 import re
 import sys
 
 import pytest
 
-from orbi_forge import check_spec, corpus_source, lint, parse_spec
+from orbi_forge import check_signature, check_spec, corpus_source, lint, parse_spec
 from orbi_forge.directives import resolve
 from orbi_forge.lexer import tokenize
 from orbi_forge.pretty import spec_str
 from orbi_forge.syntax import Block, Schema
 from orbi_forge.translate import translate_spec
+from specgen import gen_rules_source
 
 _ID = re.compile(r"[A-Za-z][A-Za-z0-9_']*")
 _SEPARATOR = re.compile(r"^%% *([A-Z][a-z]+) *$", re.M)
@@ -125,6 +127,17 @@ def test_parse_makes_few_calls_per_token():
     text = _copies(40)
     per_token = _calls(parse_spec, text) / len(tokenize(text))
     assert per_token <= 2.5, f"parse_spec: {per_token:.2f} calls per token"
+
+
+def test_check_signature_makes_few_calls_per_token():
+    # a level-0 term is checked against a closed simple type: a schematic
+    # occurrence is one loop along its spine, with no shift, free or level
+    # walk; with those walks it makes about 2 calls per token
+    for seed in range(3):
+        text = gen_rules_source(random.Random(seed), 40)[0]
+        spec = parse_spec(text)
+        per_token = _calls(check_signature, spec) / len(tokenize(text))
+        assert per_token <= 1.85, f"seed {seed}: {per_token:.2f} calls per token"
 
 
 def test_resolve_grows_linearly():

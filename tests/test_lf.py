@@ -239,6 +239,8 @@ _ATOMIC_APPLIED = "term of atomic type 't' applied to an argument"
         (r"j ((\x. c0) t) c0", "E-TYPE", "type family 't' used as a term"),
         # normal order never normalises the discarded argument, which has none
         (r"j ((\x. c0) ((\y. y y) (\y. y y))) c0", "E-TYPE", "cannot infer the type of a bare lambda"),
+        # a redex that mentions no schematic is typed before it is contracted
+        (r"j ((\x. x x) (\x. x x)) c0", "E-TYPE", "cannot infer the type of a bare lambda"),
         # a Pi domain enters the context in normal form
         (r"{u: j ((\x. x) c0) c0} j u c0", "E-TYPE", "expected t, got j c0 c0"),
         # two faults: the first in left-to-right order is reported
@@ -378,13 +380,13 @@ def test_normalize_idempotent_and_subject_reduction_sample(checked):
 
 
 def test_dependent_application_substitutes():
+    # a rule applied as a term is rejected, with its Pi-prefix instantiated
+    # by the argument in normal form
     src = make_spec(
         syntax="tm: type.\nc: tm.",
         judgments="eq: tm -> tm -> type.",
-        rules="refl: {M:tm} eq M M.",
+        rules="refl: {M:tm} eq M M.\nbad: eq (refl ((\\x. x) c)) c.",
     )
-    sig = check_signature(parse_spec(src))
-    from orbi_forge.syntax import App, Const
-
-    tp = _infer(sig, [], App(Const("refl"), Const("c")))
-    assert tp == parse_tpkind_str("eq c c")
+    with pytest.raises(OrbiError) as exc:
+        check_signature(parse_spec(src))
+    assert (exc.value.code, exc.value.message) == ("E-TYPE", "expected tm, got eq c c")
