@@ -121,6 +121,8 @@ class _Cursor:
     after an error they are all dropped.
     ``consts``, ``vars`` and ``atoms`` hold the ``Const``, ``Var`` and
     argument-free ``AtomApp`` leaves made so far, by name or index.
+    ``closers`` maps the index of each ``(`` to that of its ``)``; it is made
+    once, when a ``(`` first opens a proposition atom.
     """
 
     def __init__(self, toks: Tokens):
@@ -133,6 +135,7 @@ class _Cursor:
         self.consts: dict[str, Const] = {}
         self.vars: dict[int, Var] = {}
         self.atoms: dict[str, AtomApp] = {}
+        self.closers: dict[int, int] | None = None
 
     def error(self, i: int, what: str, production: str) -> ParseError:
         """The error of finding token ``i`` where ``what`` was expected."""
@@ -553,18 +556,28 @@ def _parse_prp_atom(c: _Cursor, schema_names, family_names):
         return TrueP() if tok == "true" else FalseP()
     if tok == "(":
         # `(` opens either a parenthesized proposition or a parenthesized
-        # term starting a term equality; try the proposition reading first
-        # and fall back to the term reading.
-        c.i = i + 1
-        try:
-            p = _parse_prp(c, schema_names, family_names)
-        except ParseError:
-            c.unbind()
-        else:
-            j = c.i + 1
-            if lex[j - 1] == ")" and not (kinds[j] in _IDENTS or lex[j] in ("(", "=")):
-                c.i = j
-                return p
+        # term starting a term equality.  The token after the matching `)`
+        # decides: an identifier, `(` or `=` there means the term reading.
+        # Otherwise the proposition reading is tried, and if it fails the
+        # term reading gives the error.
+        if c.closers is None:
+            c.closers, opened = {}, []
+            for j, t in enumerate(lex):
+                if t == "(":
+                    opened.append(j)
+                elif t == ")" and opened:
+                    c.closers[opened.pop()] = j
+        j = c.closers.get(i, -2) + 1
+        if not (kinds[j] in _IDENTS or lex[j] in ("(", "=")):
+            c.i = i + 1
+            try:
+                p = _parse_prp(c, schema_names, family_names)
+            except ParseError:
+                c.unbind()
+            else:
+                if c.i + 1 == j:
+                    c.i = j
+                    return p
         c.i = i
         term = _parse_term(c)
         j = c.i

@@ -173,6 +173,18 @@ def test_quantifier_chain_names_grow_linearly():
     assert ratio <= MAX_GROWTH, f"translate_spec ab: {ratio:.2f}x calls for 4x quantifiers"
 
 
+def test_parenthesised_term_equality_parses_linearly():
+    # the token after the matching ')' decides between a parenthesised
+    # proposition and a term, so the term is read once, not once per '('
+    def calls(n):
+        term = "(" * n + "M" + "".join(f") N{k}" for k in range(n - 1)) + ")"
+        text = f"%% Syntax\ntm: type.\n\n%% Theorems\ntheorem t: {term} = Q;\n"
+        return _calls(parse_spec, text)
+
+    ratio = calls(400) / calls(100)
+    assert ratio <= MAX_GROWTH, f"parse_spec: {ratio:.2f}x calls for 4x parentheses"
+
+
 def _flat_rule(n: int) -> str:
     """``r: {x0:t} … {x_{n-1}:t} j x0.``: one Pi chain of ``n`` binders."""
     binders = " ".join(f"{{x{i}:t}}" for i in range(n))
