@@ -195,12 +195,26 @@ def test_all_corpus_rules_closed_after_reconstruction(checked):
         assert closed(closed_decl(entry).tp), entry.decl.name
 
 
-_FAULT_SYNTAX = make_spec(
-    syntax="t: type.\nc0: t.\nc1: t -> t.\nc2: t -> t -> t.\ncb: (t -> t) -> t.",
-    judgments="j: t -> t -> type.\nk: t -> t -> type.",
+_FAULT_DECLS = "t: type.\nc0: t.\nc1: t -> t.\nc2: t -> t -> t.\ncb: (t -> t) -> t."
+_FAULT_SYNTAX = make_spec(syntax=_FAULT_DECLS, judgments="j: t -> t -> type.")
+
+# Rows with a level-1 Pi domain or a rule used as a term.  Only they get the
+# judgment k and the rules r0 and r2, so that k stays unknown to the others.
+_DEPENDENT_SYNTAX = make_spec(
+    syntax=_FAULT_DECLS, judgments="j: t -> t -> type.\nk: t -> t -> type."
 )
-# rules that the rows below use as terms
-_FAULT_RULES = "r0: {x:t} j x x.\nr2: j M N -> k M N.\n"
+_DEPENDENT_RULES = "r0: {x:t} j x x.\nr2: j M N -> k M N.\n"
+_DEPENDENT_FAULTS = [
+    # a variable of a level-1 type shows it shifted to where it is read
+    ("{x:t} {d: j x x} k d d", "E-TYPE", "expected t, got j _1 _1"),
+    # a rule applied as a term has its Pi-prefix instantiated
+    ("j (r0 c0) c0", "E-TYPE", "expected t, got j c0 c0"),
+    (
+        "j (r2 c0 c0 X) c0",
+        "E-RECON",
+        "schematic variable 'X' infers to the non-level-0 type 'j c0 c0'",
+    ),
+]
 
 _ATOMIC_APPLIED = "term of atomic type 't' applied to an argument"
 
@@ -230,37 +244,37 @@ _ATOMIC_APPLIED = "term of atomic type 't' applied to an argument"
             "E-RECON",
             "schematic variable 'M' used at incompatible types 't -> t' and 't'",
         ),
-        ("l c0", "E-UNBOUND", "unknown type family 'l'"),
+        ("k c0", "E-UNBOUND", "unknown type family 'k'"),
         ("j c0", "E-KIND", "type family 'j' is not fully applied"),
         ("j c0 c0 c0", "E-KIND", "type family 'j' applied to too many arguments"),
         ("t", "E-LEVEL", "rule 'r' must target a level-1 judgment family"),
         # a redex is reconstructed through its normal form but checked as written
         (r"j ((\x. c0) M) c0", "E-UNBOUND", "unbound identifier 'M'"),
         (r"j ((\x. c0) t) c0", "E-TYPE", "type family 't' used as a term"),
-        # normal order never normalises the discarded argument, which has none
+        # the argument a redex discards is typed too; this one has no type
+        # and no normal form
         (r"j ((\x. c0) ((\y. y y) (\y. y y))) c0", "E-TYPE", "cannot infer the type of a bare lambda"),
         # a redex that mentions no schematic is typed before it is contracted
-        (r"j ((\x. x x) (\x. x x)) c0", "E-TYPE", "cannot infer the type of a bare lambda"),
+        (
+            r"j ((\x. x x) (\x. x x)) c0",
+            "E-TYPE",
+            "cannot infer the type of a bare lambda",
+        ),
         # a Pi domain enters the context in normal form
         (r"{u: j ((\x. x) c0) c0} j u c0", "E-TYPE", "expected t, got j c0 c0"),
         # two faults: the first in left-to-right order is reported
         (r"j (cb c0) c0 -> j (M c0) c0", "E-TYPE", "expected t -> t, got t"),
         # a rule used as a term shows its type with its schematic prefix
         ("j M N.\nq: j r c0", "E-TYPE", "expected t, got {M:t} {N:t} j M N"),
-        # a variable of a level-1 type shows it shifted to where it is read
-        ("{x:t} {d: j x x} k d d", "E-TYPE", "expected t, got j _1 _1"),
-        # a rule applied as a term has its Pi-prefix instantiated
-        ("j (r0 c0) c0", "E-TYPE", "expected t, got j c0 c0"),
-        (
-            "j (r2 c0 c0 X) c0",
-            "E-RECON",
-            "schematic variable 'X' infers to the non-level-0 type 'j c0 c0'",
-        ),
+        *_DEPENDENT_FAULTS,
     ],
 )
 def test_rule_fault_classes(rule, code, message):
+    head, rules = _FAULT_SYNTAX, ""
+    if (rule, code, message) in _DEPENDENT_FAULTS:
+        head, rules = _DEPENDENT_SYNTAX, _DEPENDENT_RULES
     with pytest.raises(OrbiError) as exc:
-        check_signature(parse_spec(_FAULT_SYNTAX + f"\n%% Rules\n{_FAULT_RULES}r: {rule}.\n"))
+        check_signature(parse_spec(head + f"\n%% Rules\n{rules}r: {rule}.\n"))
     assert (exc.value.code, exc.value.message) == (code, message)
 
 
