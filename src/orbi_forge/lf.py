@@ -341,7 +341,8 @@ def _schematic(sig: Signature, ctx: list[Tp], t: Term, exp: Tp, holes: _Holes) -
         prev = holes.get(name)
         if prev is not None and (prev is cand or prev == cand):
             return  # closedness and level are alpha-invariant: checked at the first occurrence
-        if dependent and any(type(x) is int for x in free(cand)):
+        closed = type(cand) is AtomApp and not cand.args
+        if dependent and not closed and any(type(x) is int for x in free(cand)):
             raise OrbiError(
                 "E-RECON", f"cannot infer a closed outermost type for schematic variable {name!r}"
             )

@@ -567,16 +567,16 @@ def _parse_prp_atom(c: _Cursor, schema_names, family_names):
                     opened.append(j)
                 elif t == ")" and opened:
                     c.closers[opened.pop()] = j
-        j = c.closers.get(i, -2) + 1
-        if not (kinds[j] in _IDENTS or lex[j] in ("(", "=")):
+        close = c.closers.get(i)  # None: this `(` is never closed
+        if close is None or not (kinds[close + 1] in _IDENTS or lex[close + 1] in ("(", "=")):
             c.i = i + 1
             try:
                 p = _parse_prp(c, schema_names, family_names)
             except ParseError:
                 c.unbind()
             else:
-                if c.i + 1 == j:
-                    c.i = j
+                if c.i == close:
+                    c.i = close + 1
                     return p
         c.i = i
         term = _parse_term(c)
