@@ -9,7 +9,7 @@ from __future__ import annotations
 from orbi_forge.contexts import CheckedSpec
 from orbi_forge.errors import Diagnostic
 from orbi_forge.lf import is_level0
-from orbi_forge.pretty import tp_str
+from orbi_forge.pretty import telescope_names, tp_str
 from orbi_forge.syntax import (
     And,
     App,
@@ -31,6 +31,17 @@ from orbi_forge.syntax import (
     chain,
     last_uses,
 )
+
+
+def _scope_names(scope) -> list[str]:
+    """The names fmt gives the binders over a domain: ``scope`` is None, or the
+    scope of the domain's chain, its first product or None, and how many of
+    its products are over the domain."""
+    if scope is None:
+        return []
+    outer, first, n = scope
+    env = _scope_names(outer)
+    return env if first is None else env + telescope_names(*chain(first), env)[:n]
 
 
 def lint(checked: CheckedSpec) -> list[Diagnostic]:
@@ -63,12 +74,13 @@ def lint(checked: CheckedSpec) -> list[Diagnostic]:
             else:
                 return
 
-    def walk_tp(tp, loc, in_rule: bool):
+    def walk_tp(tp, loc, in_rule: bool, scope=None):
         # a type or a kind: a product's warnings, then its domain, then its
         # codomain, in a loop along the codomains.  A binder is vacuous (L3)
         # when nothing under it mentions it: one last_uses pass over the
-        # chain from its first product
-        last = None
+        # chain from its first product.  ``scope`` places ``tp`` in the
+        # chains around it, for _scope_names
+        first, i = None, 0  # the chain's first product, and its products so far
         while True:
             k = type(tp)
             if k is AtomApp:
@@ -79,6 +91,7 @@ def lint(checked: CheckedSpec) -> list[Diagnostic]:
                 return
             if k is Type:
                 return
+            over = (scope, first, i)  # the binders over ``tp.dom``
             if k is Pi or k is KPi:
                 if in_rule and tp.hint and tp.hint[0].isupper():
                     warn(
@@ -88,14 +101,15 @@ def lint(checked: CheckedSpec) -> list[Diagnostic]:
                         f"rename {tp.hint!r} to {tp.hint[0].lower() + tp.hint[1:]!r}",
                     )
                 if in_rule and not is_level0(sig, tp.dom):
+                    dom = tp_str(tp.dom, _scope_names(over))
                     warn(
                         "L2",
-                        f"quantification over the non-level-0 type '{tp_str(tp.dom, [])}'",
+                        f"quantification over the non-level-0 type '{dom}'",
                         loc,
                         "quantify only over syntax-level (level-0) types",
                     )
-                if last is None:
-                    last, i = last_uses(chain(tp)[1]), 0
+                if first is None:
+                    first, last = tp, last_uses(chain(tp)[1])
                 if i not in last:
                     body, form = ("body", "A -> B") if k is Pi else ("kind body", "A -> K")
                     warn(
@@ -105,7 +119,7 @@ def lint(checked: CheckedSpec) -> list[Diagnostic]:
                         f"write the non-dependent product as '{form}'",
                     )
                 i += 1
-            walk_tp(tp.dom, loc, in_rule)
+            walk_tp(tp.dom, loc, in_rule, over)
             tp = tp.cod
 
     def check_ctx_labels(c: CtxPattern, loc):

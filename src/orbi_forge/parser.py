@@ -4,7 +4,7 @@ Parsing is section-driven: ``%%`` separator lines pick the section, and each
 section admits its own declaration forms.  Errors are recovered at the next
 ``.`` or ``;`` so one run reports every malformed declaration.
 
-Every production reads the token lists through a local index: a lookahead is
+Every production reads the lexeme list through a local index: a lookahead is
 a list index, and a fixed run of tokens such as ``inductive NAME :`` or
 ``{ v : s }`` is checked in place, so no call is made per token.  A
 production stores the index back in the cursor only to call another one or to
@@ -62,8 +62,6 @@ from orbi_forge.syntax import (
     Var,
 )
 
-_IDENTS = ("id", "uid")
-
 _NAME = r"[A-Za-z][A-Za-z0-9_']*"
 # A whole ``%%`` line: a separator, or a directive whose systems are checked
 # after the match.
@@ -104,14 +102,14 @@ def parse_directive_line(line: str, loc: Loc = NO_LOC):
 
 
 class _Cursor:
-    """The state of one parse: the token lists, the position ``i`` in them,
+    """The state of one parse: the lexemes, the position ``i`` among them,
     the binders around it and the leaves made so far.
 
-    ``i`` never passes the eof token.  A production reads ``lex`` and
-    ``kinds`` at a local index, so it may look at token ``i + k`` once the
-    tokens before it are known not to be eof.  Comparing lexemes is enough to
-    test for a keyword or a punctuation mark: neither ever equals an
-    identifier, directive lexemes start with ``%%`` and eof's lexeme is ``""``.
+    ``i`` never passes the eof token.  A production reads ``lex`` at a local
+    index, so it may look at token ``i + k`` once the tokens before it are
+    known not to be eof.  An identifier's lexeme is in the set ``ids``, a
+    directive's starts with ``%%`` and eof's is ``""``; comparing lexemes
+    tests for a keyword or a punctuation mark.
 
     ``names`` has one ``(name, shadowed)`` pair per binder, outermost first,
     where ``shadowed`` is the position of the binder of that name it hides,
@@ -128,7 +126,7 @@ class _Cursor:
     def __init__(self, toks: Tokens):
         self.toks = toks
         self.lex = toks.lexemes
-        self.kinds = toks.kinds
+        self.ids = toks.idents
         self.i = 0
         self.names: list[tuple[str, int | None]] = []
         self.depth: dict[str, int] = {}
@@ -145,7 +143,7 @@ class _Cursor:
     def name_error(self, i: int, after: str, production: str) -> ParseError:
         """The error where a name was expected at token ``i`` and ``after``
         right after it, and one of them is not there."""
-        if self.kinds[i] not in _IDENTS:
+        if self.lex[i] not in self.ids:
             return self.error(i, "an identifier", production)
         return self.error(i + 1, repr(after), production)
 
@@ -179,7 +177,7 @@ def _parse_term(c: _Cursor, args: bool = False):
     where atoms go to ``out`` instead of a spine.  A ``\\`` is reached only
     where a term starts, since a spine goes on only at an identifier or ``(``.
     """
-    lex, kinds, names, depth = c.lex, c.kinds, c.names, c.depth
+    lex, ids, names, depth = c.lex, c.ids, c.names, c.depth
     consts, vars_ = c.consts, c.vars
     i = c.i
     n = base = len(names)
@@ -189,7 +187,7 @@ def _parse_term(c: _Cursor, args: bool = False):
     head = None
     while True:
         tok = lex[i]
-        if kinds[i] in _IDENTS:
+        if tok in ids:
             if tok in depth:
                 k = n - 1 - depth[tok]
                 if k in vars_:
@@ -209,7 +207,7 @@ def _parse_term(c: _Cursor, args: bool = False):
             i += 1
             continue
         elif tok == "\\":
-            if kinds[i + 1] not in _IDENTS or lex[i + 2] != ".":
+            if lex[i + 1] not in ids or lex[i + 2] != ".":
                 raise c.name_error(i + 1, ".", "term")
             name = lex[i + 1]
             names.append((name, depth.get(name)))
@@ -228,7 +226,7 @@ def _parse_term(c: _Cursor, args: bool = False):
                 head = t
             else:
                 head = App(head, t)
-            if kinds[i] in _IDENTS or lex[i] == "(":
+            if lex[i] in ids or lex[i] == "(":
                 break
             if collect:
                 c.i = i
@@ -279,7 +277,7 @@ def _parse_tpkind(c: _Cursor):
     and folds them from the right; a ``<-`` chain reads ``a <- b <- c`` as
     ``c -> b -> a``.  A parenthesised type and a Π domain recurse.
     """
-    lex, kinds, names, depth = c.lex, c.kinds, c.names, c.depth
+    lex, ids, names, depth = c.lex, c.ids, c.names, c.depth
     i = c.i
     n = base = len(names)
     prefix = []  # (binder, domain) of each Π, (None, domain) of each '->'
@@ -287,7 +285,7 @@ def _parse_tpkind(c: _Cursor):
     while True:
         tok = lex[i]
         if tok == "{" and arms is None:
-            if kinds[i + 1] not in _IDENTS or lex[i + 2] != ":":
+            if lex[i + 1] not in ids or lex[i + 2] != ":":
                 raise c.name_error(i + 1, ":", "tp")
             name = lex[i + 1]
             c.i = i + 3
@@ -301,9 +299,9 @@ def _parse_tpkind(c: _Cursor):
             n += 1
             prefix.append((name, dom))
             continue
-        if kinds[i] in _IDENTS:
+        if tok in ids:
             i += 1
-            if kinds[i] in _IDENTS or lex[i] == "(":
+            if lex[i] in ids or lex[i] == "(":
                 c.i = i
                 atom = AtomApp(tok, _parse_term(c, True))
                 i = c.i
@@ -365,7 +363,7 @@ def _parse_tpkind(c: _Cursor):
 
 def _parse_block(c: _Cursor):
     """``block (x:A, …)``; the parentheses may be left out."""
-    lex, kinds, names, depth = c.lex, c.kinds, c.names, c.depth
+    lex, ids, names, depth = c.lex, c.ids, c.names, c.depth
     i = c.i
     if lex[i] != "block":
         raise c.error(i, "'block'", "blk")
@@ -374,7 +372,7 @@ def _parse_block(c: _Cursor):
     entries = []
     n = base = len(names)
     while True:
-        if kinds[i] not in _IDENTS or lex[i + 1] != ":":
+        if lex[i] not in ids or lex[i + 1] != ":":
             raise c.name_error(i, ":", "blk")
         label = lex[i]
         c.i = i + 2
@@ -401,12 +399,12 @@ def _parse_block(c: _Cursor):
 
 def _parse_ctx_body(c: _Cursor, production: str):
     """Context pattern items up to (not including) the closing delimiter."""
-    lex, kinds = c.lex, c.kinds
+    lex, ids = c.lex, c.ids
     i = c.i
     var = lex[i]
     if var == "]" or var == "|-":
         return CtxPattern()
-    if kinds[i] not in _IDENTS:
+    if lex[i] not in ids:
         raise c.error(i, "an identifier", production)
     i += 1
     blocks = []
@@ -416,7 +414,7 @@ def _parse_ctx_body(c: _Cursor, production: str):
         i = c.i
         var = None
     while lex[i] == ",":
-        if kinds[i + 1] not in _IDENTS or lex[i + 2] != ":":
+        if lex[i + 1] not in ids or lex[i + 2] != ":":
             raise c.name_error(i + 1, ":", production)
         c.i = i + 3
         blocks.append((lex[i + 1], _parse_block(c)))
@@ -432,7 +430,7 @@ def _parse_def_atom(c: _Cursor):
     """A relation applied to its bracketed contexts: ``R [g] [h, b:block …]``."""
     lex = c.lex
     i = c.i
-    if c.kinds[i] not in _IDENTS:
+    if lex[i] not in c.ids:
         raise c.error(i, "an identifier", "def_prp")
     name = lex[i]
     i += 1
@@ -451,13 +449,13 @@ def _parse_def_atom(c: _Cursor):
 def _parse_inductive(c: _Cursor):
     """The parameters ``{v:s} … prop`` and the clauses ``= | c: R … | …`` of
     an inductive definition."""
-    lex, kinds = c.lex, c.kinds
+    lex, ids = c.lex, c.ids
     i = c.i
     params = []
     while lex[i] == "{":
-        if kinds[i + 1] not in _IDENTS or lex[i + 2] != ":":
+        if lex[i + 1] not in ids or lex[i + 2] != ":":
             raise c.name_error(i + 1, ":", "r_kind")
-        if kinds[i + 3] not in _IDENTS or lex[i + 4] != "}":
+        if lex[i + 3] not in ids or lex[i + 4] != "}":
             raise c.name_error(i + 3, "}", "r_kind")
         params.append((lex[i + 1], lex[i + 3]))
         i += 5
@@ -470,7 +468,7 @@ def _parse_inductive(c: _Cursor):
     i += 3
     clauses = []
     while True:
-        if kinds[i] not in _IDENTS or lex[i + 1] != ":":
+        if lex[i] not in ids or lex[i + 1] != ":":
             raise c.name_error(i, ":", "def_body")
         c.i = i + 2
         atoms = [_parse_def_atom(c)]
@@ -498,15 +496,15 @@ def _parse_prp(c: _Cursor, schema_names, family_names):
     A ``{v:id}`` quantifier ranges over contexts when ``id`` is a declared
     schema; otherwise the variable's case decides (lowercase variables name
     contexts) unless ``id`` is a declared family."""
-    lex, kinds = c.lex, c.kinds
+    lex, ids = c.lex, c.ids
     i = c.i
     quants = []  # (exists, var, type name or None, type), outermost first
     while lex[i] == "{" or lex[i] == "<":
         close = "}" if lex[i] == "{" else ">"
-        if kinds[i + 1] not in _IDENTS or lex[i + 2] != ":":
+        if lex[i + 1] not in ids or lex[i + 2] != ":":
             raise c.name_error(i + 1, ":", "quantif")
         var = lex[i + 1]
-        if close == "}" and kinds[i + 3] in _IDENTS and lex[i + 4] == "}":
+        if close == "}" and lex[i + 3] in ids and lex[i + 4] == "}":
             quants.append((False, var, lex[i + 3], None))
             i += 5
             continue
@@ -548,7 +546,7 @@ def _parse_prp(c: _Cursor, schema_names, family_names):
 
 
 def _parse_prp_atom(c: _Cursor, schema_names, family_names):
-    lex, kinds = c.lex, c.kinds
+    lex, ids = c.lex, c.ids
     i = c.i
     tok = lex[i]
     if tok == "true" or tok == "false":
@@ -568,7 +566,7 @@ def _parse_prp_atom(c: _Cursor, schema_names, family_names):
                 elif t == ")" and opened:
                     c.closers[opened.pop()] = j
         close = c.closers.get(i)  # None: this `(` is never closed
-        if close is None or not (kinds[close + 1] in _IDENTS or lex[close + 1] in ("(", "=")):
+        if close is None or not (lex[close + 1] in ids or lex[close + 1] in ("(", "=")):
             c.i = i + 1
             try:
                 p = _parse_prp(c, schema_names, family_names)
@@ -591,12 +589,12 @@ def _parse_prp_atom(c: _Cursor, schema_names, family_names):
         i = c.i
         if lex[i] != "|-":
             raise c.error(i, "'|-'", "prp")
-        if kinds[i + 1] not in _IDENTS:
+        if lex[i + 1] not in ids:
             raise c.error(i + 1, "an identifier", "prp")
         fam = lex[i + 1]
         i += 2
         args = ()
-        if kinds[i] in _IDENTS or lex[i] == "(":
+        if lex[i] in ids or lex[i] == "(":
             c.i = i
             args = _parse_term(c, True)
             i = c.i
@@ -604,9 +602,9 @@ def _parse_prp_atom(c: _Cursor, schema_names, family_names):
             raise c.error(i, "']'", "prp")
         c.i = i + 1
         return Judgment(ctx, fam, args)
-    if kinds[i] in _IDENTS and lex[i + 1] == "[":
+    if tok in ids and lex[i + 1] == "[":
         return _parse_def_atom(c)
-    if kinds[i] in _IDENTS or tok == "\\":
+    if tok in ids or tok == "\\":
         term = _parse_term(c)
         j = c.i
         if lex[j] == "=":
@@ -632,18 +630,18 @@ _ITEMS = {
 
 
 def _parse_item(c: _Cursor, section, schema_names, family_names):
-    lex, kinds = c.lex, c.kinds
+    lex, ids = c.lex, c.ids
     i = c.i
     if section is None:
         raise c.fail(i, "declaration before any %% section separator", "sig")
-    key = None if kinds[i] in _IDENTS else lex[i]
+    key = None if lex[i] in ids else lex[i]
     if key not in _ITEMS:
         raise c.error(i, "a declaration", "sig")
     sections, what, production, after, end = _ITEMS[key]
     if section not in sections:
         raise c.fail(i, f"{what} in the {section} section", production)
     j = i if key is None else i + 1  # the name
-    if kinds[j] not in _IDENTS or lex[j + 1] != after:
+    if lex[j] not in ids or lex[j + 1] != after:
         raise c.name_error(j, after, production)
     name, loc = lex[j], c.toks.loc(i)
     c.i = j + 2
@@ -670,7 +668,7 @@ def _parse_item(c: _Cursor, section, schema_names, family_names):
 def parse_spec(source: str) -> OrbiSpec:
     toks = tokenize(source)
     c = _Cursor(toks)
-    lex, kinds = c.lex, c.kinds
+    lex = c.lex
     items = []
     errors = []
     section = None
@@ -680,9 +678,9 @@ def parse_spec(source: str) -> OrbiSpec:
     family_names: set[str] = set()
     while True:
         i = c.i
-        if kinds[i] == "eof":
+        if not lex[i]:  # eof
             break
-        if kinds[i] == "directive":
+        if lex[i][0] == "%":  # a directive
             c.i = i + 1
             try:
                 d = parse_directive_line(lex[i], toks.loc(i))
@@ -690,10 +688,10 @@ def parse_spec(source: str) -> OrbiSpec:
                 errors += e.diagnostics
                 continue
             if type(d) is Separator:
+                start, end = toks.span(i)
                 if section is not None:
-                    spans.append((section, seg_start, toks.starts[i]))
-                section = d.name
-                seg_start = toks.ends[i]
+                    spans.append((section, seg_start, start))
+                section, seg_start = d.name, end
             else:
                 items.append((section or "", d))
             continue
@@ -703,7 +701,7 @@ def parse_spec(source: str) -> OrbiSpec:
             errors += e.diagnostics
             # go on after the next '.' or ';', or at the next directive
             i = c.i
-            while kinds[i] != "eof" and kinds[i] != "directive":
+            while lex[i] and lex[i][0] != "%":
                 i += 1
                 if lex[i - 1] == "." or lex[i - 1] == ";":
                     break
@@ -731,7 +729,7 @@ def _parse_str(parse, production: str, text: str, binders):
         c.names.append((name, c.depth.get(name)))
         c.depth[name] = k
     node = parse(c)
-    if c.kinds[c.i] != "eof":
+    if c.lex[c.i]:
         raise c.fail(c.i, f"trailing input {c.lex[c.i]!r}", production)
     return node
 

@@ -71,7 +71,7 @@ class Dialect(Record):
 
 def _binder_name(hint: str, body, env: list) -> str:
     """A lambda's binder name: a telescope of one binder, its body under it."""
-    return _telescope_names((hint,), ((body, 1),), env)[0]
+    return telescope_names((hint,), ((body, 1),), env)[0]
 
 
 def _groups(p: Prp, d: Dialect, cx) -> str:
@@ -156,7 +156,7 @@ def arg_strs(ts, env: list, d: Dialect = ORBI) -> list[str]:
     return out
 
 
-def _telescope_names(hints, parts, env: list) -> list[str]:
+def telescope_names(hints, parts, env: list) -> list[str]:
     """Names of a telescope's binders, given their ``hints`` and the
     telescope's ``parts`` as ``last_uses`` takes them: binder i keeps its
     hint, primed away from the keywords and from every name that a part
@@ -181,7 +181,7 @@ def _telescope_names(hints, parts, env: list) -> list[str]:
 def tp_str(tp, env: list, dom: bool = False) -> str:
     """A type or a kind, in parentheses if ``dom`` and it is an arrow or a
     product.  A chain of arrows and products prints in a loop along its
-    codomains, its binders named by one ``_telescope_names`` pass."""
+    codomains, its binders named by one ``telescope_names`` pass."""
     t = type(tp)
     if t is AtomApp:
         if not tp.args:
@@ -196,7 +196,7 @@ def tp_str(tp, env: list, dom: bool = False) -> str:
             s += tp_str(tp.dom, env, True) + " -> "
         else:
             if names is None:
-                names = iter(_telescope_names(*chain(tp), env))
+                names = iter(telescope_names(*chain(tp), env))
                 env = list(env)
             h = next(names)
             s += f"{{{h}:{tp_str(tp.dom, env)}}} "
@@ -215,7 +215,7 @@ def block_str(b: Block, env: list | None = None) -> str:
     """A block: a telescope whose entry i lies under entries 0..i-1."""
     env = list(env or [])
     entries = b.entries
-    names = _telescope_names(
+    names = telescope_names(
         [label for label, _ in entries], [(tp, i) for i, (_, tp) in enumerate(entries)], env
     )
     parts = []

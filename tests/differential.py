@@ -147,6 +147,22 @@ def _probes(eq: str, head: str) -> list:
         ),
         # ab and hy cannot translate a context made only of blocks
         ("closed-block-ctx", head + "theorem t: {h:xaG}{M:tm} [b:block (x:tm, u:aeq x x) |- aeq M M];\n"),
+        # the lexer reports the first illegal character in source order
+        ("two-illegal", "%% Syntax\ntm: type.\nc: # tm.\nd: ? tm ! @.\n"),
+        # a %% after a token is a comment; a plain % comment is dropped
+        ("mid-line-percent", "%% Syntax\ntm: type. %% Rules\nc: tm.\n"),
+        ("plain-comment", "%% Syntax\ntm: type.\n% a comment\nc: tm.\n\n% another\n%% Judgments\n"),
+        (
+            "crlf-directives",
+            "\r\n".join(line + " \t" if line.startswith("%%") else line for line in eq.split("\n")),
+        ),
+        ("blanks-only", " \t\r\n  \n\t"),
+        # lint L2 printed a domain with the binders before it as _0, _1, ...
+        (
+            "l2-binder-names",
+            _RULES_SIG + "k: t -> t -> type.\n\n%% Rules\n"
+            "r3: {x:t} {d: j x x} k x x.\nr4: {y:t} ({d: j y y} {x:t} {e: k x y} j c0 c0) -> k y y.\n",
+        ),
     ]
 
 

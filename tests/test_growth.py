@@ -6,12 +6,15 @@ Calls are counted with ``sys.setprofile`` (``call`` and ``c_call`` events),
 so the check is exact and does not depend on the machine's speed.  A loop
 that makes no Python call, such as the marking of a directive's items in
 ``resolve``, shows only in the number of bytecodes executed, counted with
-``sys.settrace`` (``opcode`` events).
+``sys.settrace`` (``opcode`` events).  The memory a parse holds per token
+is measured with ``tracemalloc``.
 """
 
+import gc
 import random
 import re
 import sys
+import tracemalloc
 
 import pytest
 
@@ -127,6 +130,26 @@ def test_parse_makes_few_calls_per_token():
     text = _copies(40)
     per_token = _calls(parse_spec, text) / len(tokenize(text))
     assert per_token <= 2.5, f"parse_spec: {per_token:.2f} calls per token"
+
+
+def test_parse_peaks_at_little_memory_per_token():
+    # the lexer sets the peak: the matches and the lexemes, of which a parse
+    # keeps only the lexemes, the identifier set and one small cached int a
+    # token.  Storing a kind and boxed start and end offsets per token as
+    # well peaked at 159 B a token; CPython 3.11 reads 74 B
+    text = _copies(40)
+    tokens = len(tokenize(text))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        parse_spec(text)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    per_token = peak / tokens
+    assert per_token <= 100, f"parse_spec: {per_token:.1f} B peak per token"
 
 
 def test_check_signature_makes_few_calls_per_token():

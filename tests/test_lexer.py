@@ -1,15 +1,32 @@
 import random
 import time
 
+import pytest
+
 from helpers import raises_code
 from orbi_forge.errors import OrbiError
 from orbi_forge.lexer import KEYWORDS, tokenize
 
 
+def _kind(toks, lexeme):
+    """The kind of a token, read off its lexeme and the identifier set."""
+    if not lexeme:
+        return "eof"
+    if lexeme[0] == "%":
+        return "directive"
+    if lexeme in toks.idents:
+        return "uid" if lexeme[0].isupper() else "id"
+    return "kw" if lexeme in KEYWORDS else "punct"
+
+
+def _kinds(toks):
+    return [_kind(toks, lexeme) for lexeme in toks.lexemes]
+
+
 def _kinds_lexemes(source):
     toks = tokenize(source)
-    assert (toks.kinds[-1], toks.lexemes[-1]) == ("eof", "")
-    return list(zip(toks.kinds[:-1], toks.lexemes[:-1]))
+    assert toks.lexemes[-1] == "" and "" not in toks.lexemes[:-1]
+    return list(zip(_kinds(toks)[:-1], toks.lexemes[:-1]))
 
 
 def test_tokenize_judgment_decl():
@@ -45,7 +62,7 @@ def test_primed_identifiers():
 
 def test_directive_line_lexed_whole():
     toks = tokenize("tm: type.\n%% wf [hy,ab] in tm\napp: tm.\n")
-    directives = [lexeme for kind, lexeme in zip(toks.kinds, toks.lexemes) if kind == "directive"]
+    directives = [lexeme for kind, lexeme in zip(_kinds(toks), toks.lexemes) if kind == "directive"]
     assert directives == ["%% wf [hy,ab] in tm"]
 
 
@@ -92,9 +109,18 @@ def test_illegal_character_reports_location():
 
 
 def _full(source):
+    """(kind, lexeme, (line, col), start, end) of every token.  The spans are
+    asked for last to first and the locations first to last, so that the
+    offsets are summed both ways; a directive ends with its line."""
     toks = tokenize(source)
+    spans = [toks.span(i) for i in reversed(range(len(toks)))][::-1]
     locs = [(loc.line, loc.col) for loc in map(toks.loc, range(len(toks)))]
-    return list(zip(toks.kinds, toks.lexemes, locs, toks.starts, toks.ends, strict=True))
+    starts = [start for start, _ in spans]
+    ends = [
+        eol if lexeme[:1] == "%" else start + len(lexeme)
+        for (start, eol), lexeme in zip(spans, toks.lexemes)
+    ]
+    return list(zip(_kinds(toks), toks.lexemes, locs, starts, ends, strict=True))
 
 
 def test_crlf_line_ends():
@@ -146,6 +172,18 @@ def test_trailing_blanks_are_not_searched_from_every_position():
     start = time.perf_counter()
     assert _full(source) == [("id", "tm", (1, 1), 0, 2), ("eof", "", (5001, 1), 20002, 20002)]
     assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("source, char", [("a: ! ?", "!"), ("a: ? !", "?")])
+def test_first_illegal_character_in_source_order(source, char):
+    # the set of distinct lexemes has no order: the report follows the source
+    with raises_code("E-LEX") as exc:
+        tokenize(source)
+    assert (exc.value.message, exc.value.loc.line, exc.value.loc.col) == (
+        f"illegal character {char!r}",
+        1,
+        4,
+    )
 
 
 def test_illegal_character_column_after_tabs():

@@ -1,3 +1,5 @@
+import pytest
+
 from helpers import check_all, make_spec
 from orbi_forge.lint import lint
 
@@ -66,6 +68,24 @@ def test_l2_non_level0_quantification():
         rules="r: ({D:j c} j c) -> j c.",
     )
     assert "L2" in _codes(src)
+
+
+@pytest.mark.parametrize(
+    "rule, domains",
+    [
+        ("r3: {x:t} {d: j x x} k x x.", ["j x x"]),
+        # a nested chain's domain names its own binders and the outer ones
+        ("r4: {y:t} ({d: j y y} {x:t} {e: k x y} j c0 c0) -> k y y.", ["j y y", "k x y"]),
+    ],
+)
+def test_l2_prints_the_domain_under_the_binder_names_of_fmt(rule, domains):
+    src = make_spec(
+        syntax="t: type.\nc0: t.",
+        judgments="j: t -> t -> type.\nk: t -> t -> type.",
+        rules=rule,
+    )
+    l2 = [d.message for d in lint(check_all(src)) if d.code == "L2"]
+    assert l2 == [f"quantification over the non-level-0 type {dom!r}" for dom in domains]
 
 
 def test_l3_vacuous_pi_suggests_arrow():
