@@ -79,6 +79,29 @@ inductive R : {g:xaG} {h:xaG} prop =
 _XG_SIG = "%% Syntax\ntm: type.\n\n%% Schemas\nschema xG = block (x:tm);\n\n%% Definitions\n"
 
 
+_KIND_SIG = "%% Syntax\ntm: type.\nc0: tm.\n\n%% Judgments\n"
+_KIND_RULES = _KIND_SIG + "j: tm -> type.\n\n%% Rules\n"
+
+# Where the kind ``type`` may end a chain and where it may not: in and around
+# the kind of a family, in a rule, and in the types of a block entry and of a
+# theorem quantifier.
+KIND_PROBES = {
+    "kind-family-domain": _KIND_SIG + "j: (tm -> type) -> type.\n",
+    "kind-type-domain": _KIND_SIG + "j: type -> type.\n",
+    "kind-pi-domain": _KIND_SIG + "j: {x: tm -> type} type.\n",
+    "kind-rule-domain": _KIND_RULES + "r: type -> j c0.\n",
+    "kind-parenthesised": _KIND_SIG + "j: tm -> (tm -> type).\n",
+    "kind-back-arrow": _KIND_SIG + "j: type <- tm.\n",
+    "kind-vacuous-pi": _KIND_SIG + "j: {x:tm} type.\n",
+    "kind-vacuous-rule-pi": _KIND_RULES + "r: {x:tm} j c0.\n",
+    "kind-syntax-indexed": "%% Syntax\ntm: type.\nf: tm -> type.\n",
+    "kind-judgment-constant": _KIND_SIG + "j: tm.\n",
+    "kind-rules-family": _KIND_RULES + "r: j c0 -> type.\n",
+    "kind-block-entry": _KIND_SIG + "j: tm -> type.\n\n%% Schemas\nschema xG = block (x: tm -> type);\n",
+    "kind-quantifier": _KIND_SIG + "%% Theorems\ntheorem t: {M: tm -> type} true;\n",
+}
+
+
 def relation_premises(n: int) -> str:
     """A spec whose relation has a clause with ``n`` premises."""
     return (
@@ -163,6 +186,7 @@ def _probes(eq: str, head: str) -> list:
             _RULES_SIG + "k: t -> t -> type.\n\n%% Rules\n"
             "r3: {x:t} {d: j x x} k x x.\nr4: {y:t} ({d: j y y} {x:t} {e: k x y} j c0 c0) -> k y y.\n",
         ),
+        *KIND_PROBES.items(),
     ]
 
 

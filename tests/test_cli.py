@@ -7,7 +7,7 @@ import time
 import pytest
 
 from conftest import golden
-from differential import relation_premises
+from differential import KIND_PROBES, relation_premises
 import orbi_forge
 from orbi_forge import corpus_source
 from orbi_forge.cli import run
@@ -163,6 +163,69 @@ def test_translation_error_located_at_its_declaration(body, decl, code, tmp_path
     assert error["code"] == code
     line = next(i for i, l in enumerate(text.splitlines(), 1) if l.startswith(decl))
     assert (error["line"], error["col"]) == (line, 1)
+
+
+_INSIDE = (
+    "[E-LEVEL] the kind 'type' cannot appear inside a type; "
+    "a family may only be indexed by level-0 terms"
+)
+_FOUND_KIND = "[E-PARSE] expected a type, found a kind"
+
+
+@pytest.mark.parametrize(
+    "probe, diag, printed",
+    [
+        ("kind-family-domain", "6:1: " + _INSIDE, "j: (tm -> type) -> type."),
+        ("kind-type-domain", "6:1: " + _INSIDE, "j: type -> type."),
+        ("kind-pi-domain", "6:1: " + _INSIDE, "j: {x:tm -> type} type."),
+        ("kind-rule-domain", "9:1: " + _INSIDE, "r: type -> j c0."),
+        ("kind-parenthesised", None, "j: tm -> tm -> type."),
+        ("kind-back-arrow", None, "j: tm -> type."),
+        (
+            "kind-vacuous-pi",
+            "6:1: [L3] Pi-bound variable 'x' does not occur in the kind body",
+            "j: {x:tm} type.",
+        ),
+        (
+            "kind-vacuous-rule-pi",
+            "9:1: [L3] Pi-bound variable 'x' does not occur in the body",
+            "r: {x:tm} j c0.",
+        ),
+        (
+            "kind-syntax-indexed",
+            "3:1: [E-LEVEL] syntax-level family 'f' must have kind 'type'",
+            "f: tm -> type.",
+        ),
+        (
+            "kind-judgment-constant",
+            "6:1: [E-LEVEL] only judgment (type family) declarations may appear in the "
+            "Judgments section",
+            "j: tm.",
+        ),
+        (
+            "kind-rules-family",
+            "9:1: [E-LEVEL] type families may not be declared in the Rules section",
+            "r: j c0 -> type.",
+        ),
+        ("kind-block-entry", "9:33: " + _FOUND_KIND, None),
+        ("kind-quantifier", "7:26: " + _FOUND_KIND, None),
+    ],
+)
+def test_kind_positions(probe, diag, printed, tmp_path, capsys):
+    # the diagnostic of each probe under check and lint, if any, and under
+    # fmt its parse error or the declaration as printed
+    p = tmp_path / "kind.orbi"
+    p.write_text(KIND_PROBES[probe], encoding="utf-8")
+    want = [f"{p}:{diag}"] if diag else []
+    for cmd in ("check", "lint"):
+        assert run([cmd, str(p)]) == (1 if diag and "[E-" in diag else 0), cmd
+        assert capsys.readouterr().err.splitlines() == want, cmd
+    assert run(["fmt", str(p)]) == (0 if printed else 1)
+    out, err = capsys.readouterr()
+    if printed:
+        assert (out.splitlines()[-1], err) == (printed, "")
+    else:
+        assert err.splitlines() == want
 
 
 def test_conflict_located_at_the_directive_completing_it(tmp_path, capsys):
