@@ -35,9 +35,6 @@ from orbi_forge.syntax import (
     Const,
     ConstDecl,
     FamDecl,
-    KArrow,
-    KPi,
-    Kind,
     Lam,
     OrbiSpec,
     Pi,
@@ -45,7 +42,6 @@ from orbi_forge.syntax import (
     Term,
     Tp,
     TYPE_ATOM,
-    Type,
     Var,
     apply_spine,
     free,
@@ -92,9 +88,10 @@ def target_family(tp: Tp) -> str:
     return tp.family
 
 
-def kind_domains(k: Kind) -> tuple[Tp, ...]:
+def kind_domains(k: Tp) -> tuple[Tp, ...]:
+    """The domains of a family's kind, up to the `type` atom that ends it."""
     out = []
-    while type(k) is not Type:
+    while type(k) is not AtomApp:
         out.append(k.dom)
         k = k.cod
     return tuple(out)
@@ -126,7 +123,7 @@ def families_in_tp(tp: Tp, out: dict | None = None) -> dict[str, None]:
 
 
 def normalize(node):
-    """Beta-normal form of a Term, Tp or Kind, without eta, visiting each node
+    """Beta-normal form of a Term or a Tp, without eta, visiting each node
     once.  Normal order: a redex is contracted before its argument is
     normalised, if ever."""
     t = type(node)
@@ -145,11 +142,11 @@ def normalize(node):
         args = tuple([normalize(a) for a in node.args])
         changed = [a is not b for a, b in zip(args, node.args)]
         return AtomApp(node.family, args) if any(changed) else node
-    if t is Arrow or t is KArrow or t is Pi or t is KPi:
+    if t is Arrow or t is Pi:
         dom, cod = normalize(node.dom), normalize(node.cod)
         if dom is node.dom and cod is node.cod:
             return node
-        return t(dom, cod) if t is Arrow or t is KArrow else t(node.hint, dom, cod)
+        return Arrow(dom, cod) if t is Arrow else Pi(node.hint, dom, cod)
     return node
 
 
@@ -169,21 +166,23 @@ class _Holes(dict):
     dependent = False  # set once a type that is not level-0 entered the check
 
 
-def check_tp(sig: Signature, ctx: list[Tp], tp: Tp | Kind, holes: _Holes | None = None) -> bool:
-    """Check that the type or kind ``tp`` is well formed under ``ctx`` (Var(0)
-    is the last entry) and return whether it is level-0: whether every family
-    it mentions is a syntax-level one.  An arrow or Pi chain is walked in a
-    loop that pushes each Pi domain onto ``ctx`` and pops them all on the way
-    out, also when the check raises.  A level-0 domain is pushed as it is; any
-    other is pushed in normal form and makes ``holes`` dependent."""
+def check_tp(
+    sig: Signature, ctx: list[Tp], tp: Tp, holes: _Holes | None = None, kind: bool = False
+) -> bool:
+    """Check that ``tp`` is a well-formed type under ``ctx`` (Var(0) is the
+    last entry), or with ``kind`` a family's kind, the one chain that may end
+    in `type`, and return whether it is level-0: whether every family it
+    mentions is a syntax-level one.  An arrow or Pi chain
+    is walked in a loop that pushes each Pi domain onto ``ctx`` and pops them
+    all on the way out, also when the check raises.  A level-0 domain is
+    pushed as it is; any other is pushed in normal form and makes ``holes``
+    dependent."""
     pushed, level0 = 0, True
     try:
         while type(tp) is not AtomApp:
-            if type(tp) is Type:  # the end of a kind
-                return level0
             dom = tp.dom
             dom0 = check_tp(sig, ctx, dom, holes)
-            if type(tp) is Pi or type(tp) is KPi:
+            if type(tp) is Pi:
                 if not dom0:
                     dom = normalize(dom)
                     if holes is not None:
@@ -193,6 +192,8 @@ def check_tp(sig: Signature, ctx: list[Tp], tp: Tp | Kind, holes: _Holes | None 
             level0 = level0 and dom0
             tp = tp.cod
         if tp.family == TYPE_ATOM:
+            if kind:
+                return level0
             raise OrbiError(
                 "E-LEVEL",
                 "the kind 'type' cannot appear inside a type; "
@@ -203,18 +204,18 @@ def check_tp(sig: Signature, ctx: list[Tp], tp: Tp | Kind, holes: _Holes | None 
             raise OrbiError("E-UNBOUND", f"unknown type family {tp.family!r}")
         if type(entry.decl) is not FamDecl:
             raise OrbiError("E-TYPE", f"{tp.family!r} is a term constant, not a type family")
-        kind = entry.decl.kind
+        k = entry.decl.kind
         for arg in tp.args:
-            if type(kind) is Type:
+            if type(k) is AtomApp:
                 raise OrbiError(
                     "E-KIND", f"type family {tp.family!r} applied to too many arguments"
                 )
             # a stored kind's domains are level-0 types, which take no
             # indices, so its codomain mentions no term and instantiating a
-            # KPi leaves the codomain as it is
-            dom, kind = kind.dom, kind.cod
+            # Pi of a kind leaves the codomain as it is
+            dom, k = k.dom, k.cod
             _check(sig, ctx, arg, dom, holes)
-        if type(kind) is not Type:
+        if type(k) is not AtomApp:
             raise OrbiError("E-KIND", f"type family {tp.family!r} is not fully applied")
         return level0 and entry.level == 0
     finally:
@@ -407,7 +408,7 @@ def check_signature(spec: OrbiSpec) -> Signature:
                 raise OrbiError("E-DUP", f"duplicate declaration of {decl.name!r}")
             if section == "Syntax":
                 if type(decl) is FamDecl:
-                    if type(decl.kind) is not Type:
+                    if type(decl.kind) is not AtomApp:
                         raise OrbiError(
                             "E-LEVEL", f"syntax-level family {decl.name!r} must have kind 'type'"
                         )
@@ -424,7 +425,7 @@ def check_signature(spec: OrbiSpec) -> Signature:
                         "only judgment (type family) declarations may appear in the "
                         "Judgments section",
                     )
-                if not check_tp(sig, [], decl.kind):
+                if not check_tp(sig, [], decl.kind, None, True):
                     raise OrbiError(
                         "E-LEVEL",
                         f"judgment {decl.name!r} must be indexed by level-0 terms "

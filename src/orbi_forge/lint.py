@@ -21,13 +21,11 @@ from orbi_forge.syntax import (
     ForallTm,
     Imp,
     Judgment,
-    KPi,
     Lam,
     Or,
     Pi,
     RelApp,
     TermEq,
-    Type,
     chain,
     last_uses,
 )
@@ -74,9 +72,9 @@ def lint(checked: CheckedSpec) -> list[Diagnostic]:
             else:
                 return
 
-    def walk_tp(tp, loc, in_rule: bool, scope=None):
-        # a type or a kind: a product's warnings, then its domain, then its
-        # codomain, in a loop along the codomains.  A binder is vacuous (L3)
+    def walk_tp(tp, loc, in_rule: bool, scope=None, kind: bool = False):
+        # a type, or with ``kind`` a family's kind: a product's warnings, then
+        # its domain, then its codomain, in a loop along the codomains.  A binder is vacuous (L3)
         # when nothing under it mentions it: one last_uses pass over the
         # chain from its first product.  ``scope`` places ``tp`` in the
         # chains around it, for _scope_names
@@ -89,10 +87,8 @@ def lint(checked: CheckedSpec) -> list[Diagnostic]:
                     if k is Lam or k is App:
                         walk_terms(a, loc)
                 return
-            if k is Type:
-                return
             over = (scope, first, i)  # the binders over ``tp.dom``
-            if k is Pi or k is KPi:
+            if k is Pi:
                 if in_rule and tp.hint and tp.hint[0].isupper():
                     warn(
                         "L1",
@@ -111,7 +107,7 @@ def lint(checked: CheckedSpec) -> list[Diagnostic]:
                 if first is None:
                     first, last = tp, last_uses(chain(tp)[1])
                 if i not in last:
-                    body, form = ("body", "A -> B") if k is Pi else ("kind body", "A -> K")
+                    body, form = ("kind body", "A -> K") if kind else ("body", "A -> B")
                     warn(
                         "L3",
                         f"Pi-bound variable {tp.hint!r} does not occur in the {body}",
@@ -150,7 +146,7 @@ def lint(checked: CheckedSpec) -> list[Diagnostic]:
         if type(decl) is ConstDecl:
             walk_tp(decl.tp, decl.loc, in_rule=(section == "Rules"))
         else:
-            walk_tp(decl.kind, decl.loc, False)
+            walk_tp(decl.kind, decl.loc, False, kind=True)
     for entry in sig.rules():
         for name in entry.implicit:
             if name[0].islower():

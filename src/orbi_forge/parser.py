@@ -43,8 +43,6 @@ from orbi_forge.syntax import (
     Imp,
     InductiveDef,
     Judgment,
-    KArrow,
-    KPi,
     Lam,
     Loc,
     NO_LOC,
@@ -57,8 +55,7 @@ from orbi_forge.syntax import (
     TermEq,
     Theorem,
     TrueP,
-    Type,
-    TYPE_ATOM,
+    TYPE,
     Var,
 )
 
@@ -249,29 +246,11 @@ def _parse_term(c: _Cursor, args: bool = False):
 
 # --------------------------------------------------------- types and kinds
 
-_KINDS = (Type, KArrow, KPi)
-
-
-def _as_tp(node):
-    """``node`` as a type: a kind that appeared in a type position is
-    demoted, and the checker rejects the resulting reserved `type` atom with
-    a level error.  Every kind ends in `type`: a kind's arrows and Π binders
-    are built over a kind only."""
-    if type(node) not in _KINDS:
-        return node
-    kind = node
-    outer = []
-    while type(kind) is not Type:
-        outer.append(kind)
-        kind = kind.cod
-    node = AtomApp(TYPE_ATOM)
-    for k in reversed(outer):
-        node = Arrow(k.dom, node) if type(k) is KArrow else Pi(k.hint, k.dom, node)
-    return node
-
 
 def _parse_tpkind(c: _Cursor):
-    """Parse a type-or-kind; the result is a Kind iff it terminates in `type`.
+    """Parse a type or a kind: a chain of ``Arrow`` and ``Pi`` that is a kind
+    iff it ends in the `type` atom ``TYPE``.  Only a family's kind may end
+    so; the checker rejects `type` anywhere else with a level error.
 
     A loop collects the ``{x:A}`` binders and the ``->`` arms from the left
     and folds them from the right; a ``<-`` chain reads ``a <- b <- c`` as
@@ -289,7 +268,7 @@ def _parse_tpkind(c: _Cursor):
                 raise c.name_error(i + 1, ":", "tp")
             name = lex[i + 1]
             c.i = i + 3
-            dom = _as_tp(_parse_tpkind(c))
+            dom = _parse_tpkind(c)
             i = c.i
             if lex[i] != "}":
                 raise c.error(i, "'}'", "tp")
@@ -317,13 +296,13 @@ def _parse_tpkind(c: _Cursor):
                 raise c.error(i, "')'", "tp")
             i += 1
         elif tok == "type":
-            atom = Type()
+            atom = TYPE
             i += 1
         else:
             raise c.error(i, "a type", "tp")
         op = lex[i]
         if arms is not None:
-            arms.append(_as_tp(atom))
+            arms.append(atom)
             if op == "<-":
                 i += 1
                 continue
@@ -331,7 +310,7 @@ def _parse_tpkind(c: _Cursor):
                 raise c.fail(i, "cannot mix '->' and '<-' without parentheses", "tp")
             break
         if op == "->":
-            prefix.append((None, _as_tp(atom)))
+            prefix.append((None, atom))
             i += 1
             continue
         if op != "<-":
@@ -343,19 +322,24 @@ def _parse_tpkind(c: _Cursor):
         out = atom
     else:
         out = arms[0]
-        arrow = KArrow if type(out) in _KINDS else Arrow
         for a in arms[1:]:
-            out = arrow(a, out)
+            out = Arrow(a, out)
     if prefix:
-        kind = type(out) in _KINDS
         for name, dom in reversed(prefix):
-            if name is None:
-                out = KArrow(dom, out) if kind else Arrow(dom, out)
-            else:
-                out = KPi(name, dom, out) if kind else Pi(name, dom, out)
+            out = Arrow(dom, out) if name is None else Pi(name, dom, out)
         if n > base:
             c.unbind(base)
     return out
+
+
+def _parse_tp(c: _Cursor):
+    """A type: a chain at the cursor that does not end in `type`."""
+    tp = last = _parse_tpkind(c)
+    while type(last) is not AtomApp:
+        last = last.cod
+    if last is TYPE:
+        raise c.fail(c.i, "expected a type, found a kind", "tp")
+    return tp
 
 
 # ------------------------------------------------------ schemas and contexts
@@ -376,11 +360,8 @@ def _parse_block(c: _Cursor):
             raise c.name_error(i, ":", "blk")
         label = lex[i]
         c.i = i + 2
-        tp = _parse_tpkind(c)
+        entries.append((label, _parse_tp(c)))
         i = c.i
-        if type(tp) in _KINDS:
-            raise c.fail(i, "expected a type, found a kind", "tp")
-        entries.append((label, tp))
         # later entries see it
         names.append((label, depth.get(label)))
         depth[label] = n
@@ -509,10 +490,8 @@ def _parse_prp(c: _Cursor, schema_names, family_names):
             i += 5
             continue
         c.i = i + 3
-        tp = _parse_tpkind(c)
+        tp = _parse_tp(c)
         i = c.i
-        if type(tp) in _KINDS:
-            raise c.fail(i, "expected a type, found a kind", "tp")
         if lex[i] != close:
             raise c.error(i, repr(close), "quantif")
         quants.append((close == ">", var, None, tp))
@@ -646,8 +625,10 @@ def _parse_item(c: _Cursor, section, schema_names, family_names):
     name, loc = lex[j], c.toks.loc(i)
     c.i = j + 2
     if key is None:
-        node = _parse_tpkind(c)
-        node = (FamDecl if type(node) in _KINDS else ConstDecl)(name, node, loc)
+        node = last = _parse_tpkind(c)
+        while type(last) is not AtomApp:  # inline: a call here is one per declaration
+            last = last.cod
+        node = (FamDecl if last is TYPE else ConstDecl)(name, node, loc)
     elif key == "schema":
         alts = [_parse_block(c)]
         while lex[c.i] == "+":

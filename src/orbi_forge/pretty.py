@@ -30,9 +30,6 @@ from orbi_forge.syntax import (
     Imp,
     InductiveDef,
     Judgment,
-    KArrow,
-    Kind,
-    KPi,
     Lam,
     Or,
     OrbiSpec,
@@ -46,7 +43,6 @@ from orbi_forge.syntax import (
     Theorem,
     Tp,
     TrueP,
-    Type,
     Var,
     chain,
     last_uses,
@@ -187,12 +183,10 @@ def tp_str(tp, env: list, dom: bool = False) -> str:
         if not tp.args:
             return tp.family
         return tp.family + " " + " ".join(arg_strs(tp.args, env))
-    if t is Type:
-        return "type"
     s = ""
     names = None  # the chain's binder names, from its first product on
-    while t is Arrow or t is KArrow or t is Pi or t is KPi:
-        if t is Arrow or t is KArrow:
+    while t is Arrow or t is Pi:
+        if t is Arrow:
             s += tp_str(tp.dom, env, True) + " -> "
         else:
             if names is None:
@@ -317,7 +311,7 @@ def pretty(node, binders=()) -> str:
         return spec_str(node)
     if isinstance(node, Term):
         return term_str(node, env)
-    if isinstance(node, (Tp, Kind)):
+    if isinstance(node, Tp):
         return tp_str(node, env)
     if isinstance(node, (ConstDecl, FamDecl)):
         return decl_str(node)

@@ -7,7 +7,7 @@ carries the number of binders between its occurrence and the binder that
 introduced it.  Surface names survive only as printing hints on the binders
 themselves, so capture-avoiding substitution is plain structural recursion and
 ``==`` is alpha-equivalence.  The fields left out of equality and hashing are
-each class's ``_hidden``: the ``hint`` of ``Lam``/``Pi``/``KPi``, the ``loc`` of
+each class's ``_hidden``: the ``hint`` of ``Lam``/``Pi``, the ``loc`` of
 every declaration, and the raw ``source`` and ``section_spans`` of an
 ``OrbiSpec``; ``Block``'s own ``==`` ignores its entry labels.  Names that a
 reader can refer to are compared: the block labels of a ``CtxPattern``, the
@@ -21,7 +21,9 @@ its own, and ``translate.eta_contract`` a bottom-up walk that enters only
 applications and lambdas).  ``last_uses`` runs ``free`` once over each part
 of a telescope, a chain of products (``chain``) or a block, for the printer
 to name its binders and for the linter to find the vacuous ones.
-Nothing here consults a signature.
+A kind is a type whose chain ends in the atom ``TYPE``, as in a pure type
+system: one ``Arrow`` and one ``Pi`` serve both.  Nothing here consults a
+signature.
 """
 
 from __future__ import annotations
@@ -101,8 +103,8 @@ NO_LOC = Loc(0, 0)
 SECTIONS = ("Syntax", "Judgments", "Rules", "Schemas", "Definitions", "Directives", "Theorems")
 SYSTEMS = ("hy", "ab", "bel", "tw")
 
-# Name used when the `type` keyword leaks into a type position; the checker
-# rejects any type mentioning this pseudo-family.
+# The family of the atom that the `type` keyword reads as.  It ends the chain
+# of a family's kind; the checker rejects it anywhere else.
 TYPE_ATOM = "type"
 
 
@@ -158,24 +160,7 @@ class Pi(Tp):
     _hidden = ("hint",)
 
 
-# ------------------------------------------------------------------ kinds
-
-
-class Kind(Record):
-    __slots__ = ()
-
-
-class Type(Kind):
-    __slots__ = ()
-
-
-class KArrow(Kind):
-    __slots__ = ("dom", "cod")
-
-
-class KPi(Kind):
-    __slots__ = ("hint", "dom", "cod")  # cod scopes one binder
-    _hidden = ("hint",)
+TYPE = AtomApp(TYPE_ATOM)  # the one `type` atom the parser makes
 
 
 # ----------------------------------------------------------- declarations
@@ -380,7 +365,7 @@ class OrbiSpec(Record):
 
 
 def rebuild(node, f, d: int = 0):
-    """Bottom-up map over a Term, Tp or Kind.
+    """Bottom-up map over a Term or a Tp.
 
     Each node's children are rebuilt first; then ``f(node, k)`` replaces the
     node, where ``k`` counts the binders above it (from ``d``).  A node none
@@ -405,16 +390,16 @@ def rebuild(node, f, d: int = 0):
                 args = args[:i] + (b,) + args[i + 1 :]
         if args is not node.args:
             node = AtomApp(node.family, args)
-    elif t is Arrow or t is KArrow:
+    elif t is Arrow:
         dom = rebuild(node.dom, f, d)
         cod = rebuild(node.cod, f, d)
         if dom is not node.dom or cod is not node.cod:
-            node = t(dom, cod)
-    elif t is Pi or t is KPi:
+            node = Arrow(dom, cod)
+    elif t is Pi:
         dom = rebuild(node.dom, f, d)
         cod = rebuild(node.cod, f, d + 1)
         if dom is not node.dom or cod is not node.cod:
-            node = t(node.hint, dom, cod)
+            node = Pi(node.hint, dom, cod)
     return f(node, d)
 
 
@@ -463,7 +448,8 @@ def spec_alpha_equal(a: OrbiSpec, b: OrbiSpec) -> bool:
 
 def free(node, d: int = 0) -> set:
     """Free de Bruijn indices (ints, counted from outside ``d`` binders) and
-    the constant and family names (strs) occurring in a Term, Tp or Kind.
+    the constant and family names (strs) occurring in a Term or a Tp; a
+    kind's include ``TYPE_ATOM``.
     The arguments of an application or an atom are walked in a loop, each
     leaf read in place."""
     t = type(node)
@@ -493,25 +479,25 @@ def free(node, d: int = 0) -> set:
         return out
     if t is Lam:
         return free(node.body, d + 1)
-    if t is Arrow or t is KArrow:
+    if t is Arrow:
         return free(node.dom, d) | free(node.cod, d)
-    if t is Pi or t is KPi:
+    if t is Pi:
         return free(node.dom, d) | free(node.cod, d + 1)
     return set()
 
 
 def chain(tp) -> tuple[list, list]:
-    """A chain of arrows and products (``Arrow``, ``KArrow``, ``Pi``,
-    ``KPi``) followed along its codomains: the hints of its products,
+    """A chain of arrows and products (``Arrow``, ``Pi``), a type's or a
+    kind's, followed along its codomains: the hints of its products,
     outermost first, and its parts as ``last_uses`` takes them, each link's
-    domain and then the body that ends the chain, each under the products
+    domain and then the atom that ends the chain, each under the products
     before it."""
     hints: list = []
     parts: list = []
     t = type(tp)
-    while t is Arrow or t is KArrow or t is Pi or t is KPi:
+    while t is Arrow or t is Pi:
         parts += ((tp.dom, len(hints)),)
-        if t is Pi or t is KPi:
+        if t is Pi:
             hints += (tp.hint,)
         tp = tp.cod
         t = type(tp)

@@ -20,7 +20,6 @@ from orbi_forge.syntax import (
     Imp,
     InductiveDef,
     Judgment,
-    KArrow,
     Lam,
     Or,
     OrbiSpec,
@@ -30,7 +29,7 @@ from orbi_forge.syntax import (
     TermEq,
     Theorem,
     TrueP,
-    Type,
+    TYPE,
     Var,
 )
 
@@ -197,9 +196,9 @@ def _gen_tp(rng, d, envd, fams):
 
 
 def _gen_kind(rng, fams):
-    k = Type()
+    k = TYPE
     for _ in range(rng.randint(0, 2)):
-        k = KArrow(_gen_tp(rng, 1, 0, fams), k)
+        k = Arrow(_gen_tp(rng, 1, 0, fams), k)
     return k
 
 
@@ -261,7 +260,7 @@ def gen_spec(rng: random.Random) -> OrbiSpec:
     rels = [f"Rel{i}" for i in range(rng.randint(0, 2))]
     items = []
     for f in fams:
-        items.append(("Syntax", FamDecl(f, Type())))
+        items.append(("Syntax", FamDecl(f, TYPE)))
     for i in range(rng.randint(0, 3)):
         items.append(("Syntax", ConstDecl(f"con{i}", _gen_tp(rng, 2, 0, fams))))
     for i in range(rng.randint(0, 2)):

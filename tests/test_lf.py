@@ -8,7 +8,7 @@ import lamoracle
 from helpers import closed, make_spec, raises_code
 from orbi_forge import check_signature, normalize, parse_spec
 from orbi_forge.errors import OrbiError
-from orbi_forge.lf import _infer, _reconstruct, check_tp, closed_decl
+from orbi_forge.lf import _infer, _reconstruct, check_tp, closed_decl, kind_domains
 from orbi_forge.parser import parse_term_str, parse_tpkind_str
 from orbi_forge.pretty import tp_str
 from orbi_forge.syntax import (
@@ -325,7 +325,8 @@ def _assert_canonical(sig):
         if isinstance(entry.decl, ConstDecl):
             assert entry.decl.tp == normalize(entry.decl.tp), entry.decl.name
         else:
-            assert all(sig.entries[f].level == 0 for f in free(entry.decl.kind)), entry.decl.name
+            doms = kind_domains(entry.decl.kind)
+            assert all(sig.entries[f].level == 0 for d in doms for f in free(d)), entry.decl.name
 
 
 def _assert_sound(spec, sig):

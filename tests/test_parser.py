@@ -26,8 +26,6 @@ from orbi_forge.syntax import (
     ForallTm,
     Imp,
     Judgment,
-    KArrow,
-    KPi,
     Lam,
     Or,
     Pi,
@@ -35,7 +33,7 @@ from orbi_forge.syntax import (
     Separator,
     TermEq,
     TrueP,
-    Type,
+    TYPE,
     Var,
 )
 
@@ -103,7 +101,7 @@ def test_ctx_var_only_at_head():
 def test_const_and_family_decls():
     spec = parse_spec(make_spec(syntax="tm: type.\napp: tm -> tm -> tm."))
     fam, const = spec.syntax_decls
-    assert fam.kind == Type()
+    assert fam.kind is TYPE
     assert const.tp == Arrow(AtomApp("tm"), Arrow(AtomApp("tm"), AtomApp("tm")))
 
 
@@ -124,11 +122,13 @@ def test_mixed_arrows_rejected():
 
 
 def test_kind_productions():
-    assert parse_tpkind_str("type") == Type()
-    assert parse_tpkind_str("tm -> type") == KArrow(AtomApp("tm"), Type())
+    # a kind is an arrow or Pi chain that ends in the one `type` atom
+    assert parse_tpkind_str("type") is TYPE
+    assert parse_tpkind_str("tm -> type") == Arrow(AtomApp("tm"), TYPE)
     # repr, not ==: equality ignores binder hints and block labels, which
     # the parser must still keep
-    assert repr(parse_tpkind_str("{x:tm} type")) == repr(KPi("x", AtomApp("tm"), Type()))
+    assert repr(parse_tpkind_str("{x:tm} type")) == repr(Pi("x", AtomApp("tm"), TYPE))
+    assert parse_tpkind_str("tm -> (tm -> type)").cod.cod is TYPE
 
 
 def test_tp_productions():

@@ -21,15 +21,13 @@ from orbi_forge.syntax import (
     ForallCtx,
     ForallTm,
     InductiveDef,
-    KArrow,
-    KPi,
     Lam,
     Loc,
     OrbiSpec,
     Pi,
     RelApp,
     TrueP,
-    Type,
+    TYPE,
     Var,
     free,
     rebuild,
@@ -165,8 +163,8 @@ _BLK = Block((("x", _TM), ("u", _A)))
         (Lam("x", Var(0)), Lam("x", Var(1)), False),
         (Pi("x", _TM, _A), Pi("y", _TM, _A), True),
         (Pi("x", _TM, _A), Arrow(_TM, _A), False),
-        (KPi("x", _TM, Type()), KPi("y", _TM, Type()), True),
-        (KPi("x", _TM, Type()), KArrow(_TM, Type()), False),
+        (Pi("x", _TM, TYPE), Pi("y", _TM, TYPE), True),
+        (Pi("x", _TM, TYPE), Arrow(_TM, TYPE), False),
         (_BLK, Block((("y", _TM), ("w", _A))), True),
         (_BLK, Block((("x", _TM), ("u", _TM))), False),
         (_BLK, Block((("x", _TM),)), False),
@@ -228,9 +226,10 @@ def test_spec_alpha_equal_ignores_loc_and_source():
         (Arrow(_TM, _A), 0, {"tm", "a", 0}),
         (Pi("x", _TM, _A), 0, {"tm", "a"}),
         (Pi("x", _A, AtomApp("a", (Var(1),))), 0, {"a", 0}),
-        (KArrow(_A, Type()), 0, {"a", 0}),
-        (KPi("x", _TM, KArrow(AtomApp("a", (Var(0), Var(1))), Type())), 0, {"tm", "a", 0}),
-        (Type(), 0, set()),
+        # a kind's names include its `type` atom's
+        (Arrow(_A, TYPE), 0, {"a", 0, "type"}),
+        (Pi("x", _TM, Arrow(AtomApp("a", (Var(0), Var(1))), TYPE)), 0, {"tm", "a", 0, "type"}),
+        (TYPE, 0, {"type"}),
     ],
 )
 def test_free(node, d, expected):
@@ -315,12 +314,12 @@ _REDUCT = App(App(Const("app"), Const("c")), Var(0))
             Pi("x", AtomApp("a", (_REDEX,)), AtomApp("b", (_REDEX,))),
             Pi("x", AtomApp("a", (_REDUCT,)), AtomApp("b", (_REDUCT,))),
         ),
-        (KArrow(AtomApp("a", (_REDEX,)), Type()), KArrow(AtomApp("a", (_REDUCT,)), Type())),
+        (Arrow(AtomApp("a", (_REDEX,)), TYPE), Arrow(AtomApp("a", (_REDUCT,)), TYPE)),
         (
-            KPi("x", _TM, KArrow(AtomApp("a", (_REDEX,)), Type())),
-            KPi("x", _TM, KArrow(AtomApp("a", (_REDUCT,)), Type())),
+            Pi("x", _TM, Arrow(AtomApp("a", (_REDEX,)), TYPE)),
+            Pi("x", _TM, Arrow(AtomApp("a", (_REDUCT,)), TYPE)),
         ),
-        (Type(), Type()),
+        (TYPE, TYPE),
     ],
 )
 def test_normalize_reaches_every_sort(node, expected):
