@@ -108,14 +108,15 @@ def is_level0(sig: Signature, tp: Tp) -> bool:
 
 
 def families_in_tp(tp: Tp, out: dict | None = None) -> dict[str, None]:
-    """The families ``tp`` mentions, as the keys of a dict in source order."""
+    """The families ``tp`` mentions, as the keys of a dict in source order.
+    A chain is followed in a loop along its codomains, recursing only into
+    its domains."""
     if out is None:
         out = {}
-    if type(tp) is AtomApp:
-        out[tp.family] = None
-    else:
+    while type(tp) is not AtomApp:
         families_in_tp(tp.dom, out)
-        families_in_tp(tp.cod, out)
+        tp = tp.cod
+    out[tp.family] = None
     return out
 
 

@@ -396,14 +396,19 @@ _DEPTH_SIG = (
         pytest.param("r: j " + "((\\x. x) " * 441 + "c" + ")" * 441 + ".", id="redexes"),
         pytest.param("r: " + "j M -> " * 887 + "j M.", id="arrow-schematic"),
         pytest.param("r: " + "{x:tm} " * 887 + "j x.", id="pi-prefix"),
+        # families_in_tp follows a Pi domain's arrows in a loop
+        pytest.param("r: {f: " + "tm -> " * 5000 + "tm} j c.", id="pi-domain-arrows"),
     ],
 )
 def test_deep_rule_shapes_exit_zero(rule, tmp_path, capsys):
     p = tmp_path / "deep.orbi"
     p.write_text(_DEPTH_SIG + rule + "\n", encoding="utf-8")
-    for argv in (["check"], ["translate", "--target", "ab", "--out-dir", str(tmp_path)], ["fmt"]):
+    out = ["--out-dir", str(tmp_path)]
+    commands = [["check"], ["lint"], ["fmt"]]
+    commands += [["translate", "--target", t, *out] for t in ("ab", "hy", "bel", "tw")]
+    for argv in commands:
         assert run(argv + [str(p)]) == 0, argv
-        assert "[E-" not in capsys.readouterr().err
+        assert "[E-" not in capsys.readouterr().err, argv
 
 
 def test_deeply_parenthesised_theorem_checks(tmp_path, capsys):
@@ -420,6 +425,7 @@ def test_deeply_parenthesised_theorem_checks(tmp_path, capsys):
     [
         pytest.param("{M:tm} " * 3000 + "true", id="quantifiers"),
         pytest.param("true -> " * 3000 + "true", id="implications"),
+        pytest.param("{M: " + "tm -> " * 5000 + "tm} true", id="quantifier-arrows"),
         pytest.param(
             " & ".join(["true"] * 3000) + " -> " + " || ".join(["true"] * 3000),
             id="conjunctions",
