@@ -333,12 +333,14 @@ def _parse_tpkind(c: _Cursor):
 
 
 def _parse_tp(c: _Cursor):
-    """A type: a chain at the cursor that does not end in `type`."""
+    """A type: a chain at the cursor that does not end in `type`.  A kind
+    there is an error at its first token, and the cursor is left after it."""
+    start = c.i
     tp = last = _parse_tpkind(c)
     while type(last) is not AtomApp:
         last = last.cod
     if last is TYPE:
-        raise c.fail(c.i, "expected a type, found a kind", "tp")
+        raise ParseError("expected a type, found a kind", c.toks.loc(start), production="tp")
     return tp
 
 

@@ -207,8 +207,8 @@ _FOUND_KIND = "[E-PARSE] expected a type, found a kind"
             "9:1: [E-LEVEL] type families may not be declared in the Rules section",
             "r: j c0 -> type.",
         ),
-        ("kind-block-entry", "9:33: " + _FOUND_KIND, None),
-        ("kind-quantifier", "7:26: " + _FOUND_KIND, None),
+        ("kind-block-entry", "9:23: " + _FOUND_KIND, None),
+        ("kind-quantifier", "7:16: " + _FOUND_KIND, None),
     ],
 )
 def test_kind_positions(probe, diag, printed, tmp_path, capsys):

@@ -452,7 +452,7 @@ def test_item_locations_and_spans_match_reference_tokens():
         ("%% Schemas\nschema xG = (x:tm);\n", [(2, 13, "expected 'block' but found '('")]),
         ("%% Schemas\nschema xG = block (:tm);\n", [(2, 20, "expected an identifier but found ':'")]),
         ("%% Schemas\nschema xG = block (x tm);\n", [(2, 22, "expected ':' but found 'tm'")]),
-        ("%% Schemas\nschema xG = block (x:type);\n", [(2, 26, "expected a type, found a kind")]),
+        ("%% Schemas\nschema xG = block (x:type);\n", [(2, 22, "expected a type, found a kind")]),
         ("%% Schemas\nschema xG = block (x:tm;\n", [(2, 24, "expected ')' but found ';'")]),
         ("%% Schemas\nschema xG = block x:tm\n", [(3, 1, "expected ';' but found 'end of input'")]),
         ("%% Schemas\nschema xG = block (x:tm) + ;\n", [(2, 28, "expected 'block' but found ';'")]),
@@ -543,6 +543,12 @@ def test_item_locations_and_spans_match_reference_tokens():
         ("%% Theorems\ntheorem t: {M:tm -> tm true;\n", [(2, 24, "expected '}' but found 'true'")]),
         ("%% Theorems\ntheorem t: <M:tm} true;\n", [(2, 17, "expected '>' but found '}'")]),
         ("%% Theorems\ntheorem t: true\n", [(3, 1, "expected ';' but found 'end of input'")]),
+        # a kind is reported at its first token, and parsing resumes after
+        # it: the '.' of its lambda ends no declaration
+        (
+            "%% Theorems\ntheorem t: {M: a (\\x. x) -> type} true;\ntheorem u: ;\n",
+            [(2, 16, "expected a type, found a kind"), (3, 12, "expected a proposition but found ';'")],
+        ),
         # of a proposition's atoms
         ("%% Theorems\ntheorem t: ;\n", [(2, 12, "expected a proposition but found ';'")]),
         ("%% Theorems\ntheorem t: [g aeq M M];\n", [(2, 15, "expected '|-' but found 'aeq'")]),
