@@ -108,9 +108,8 @@ def is_level0(sig: Signature, tp: Tp) -> bool:
 
 
 def families_in_tp(tp: Tp, out: dict | None = None) -> dict[str, None]:
-    """The families ``tp`` mentions, as the keys of a dict in source order.
-    A chain is followed in a loop along its codomains, recursing only into
-    its domains."""
+    """The families ``tp`` mentions, as the keys of a dict in source order;
+    a loop follows a chain's codomains, recursing only into its domains."""
     if out is None:
         out = {}
     while type(tp) is not AtomApp:

@@ -390,16 +390,11 @@ def rebuild(node, f, d: int = 0):
                 args = args[:i] + (b,) + args[i + 1 :]
         if args is not node.args:
             node = AtomApp(node.family, args)
-    elif t is Arrow:
+    elif t is Arrow or t is Pi:
         dom = rebuild(node.dom, f, d)
-        cod = rebuild(node.cod, f, d)
+        cod = rebuild(node.cod, f, d + 1 if t is Pi else d)
         if dom is not node.dom or cod is not node.cod:
-            node = Arrow(dom, cod)
-    elif t is Pi:
-        dom = rebuild(node.dom, f, d)
-        cod = rebuild(node.cod, f, d + 1)
-        if dom is not node.dom or cod is not node.cod:
-            node = Pi(node.hint, dom, cod)
+            node = Arrow(dom, cod) if t is Arrow else Pi(node.hint, dom, cod)
     return f(node, d)
 
 
@@ -479,10 +474,8 @@ def free(node, d: int = 0) -> set:
         return out
     if t is Lam:
         return free(node.body, d + 1)
-    if t is Arrow:
-        return free(node.dom, d) | free(node.cod, d)
-    if t is Pi:
-        return free(node.dom, d) | free(node.cod, d + 1)
+    if t is Arrow or t is Pi:
+        return free(node.dom, d) | free(node.cod, d + 1 if t is Pi else d)
     return set()
 
 

@@ -485,8 +485,8 @@ def _long_kind(n):
     ],
 )
 def test_long_pi_chains_pass_every_command(text, tmp_path, capsys):
-    # check_tp and check_kind push a chain's domains onto one context in a
-    # loop, and a relation clause keeps its premises in a tuple
+    # check_tp pushes the domains of a chain, a type's or a kind's, onto one
+    # context in a loop, and a relation clause keeps its premises in a tuple
     p = tmp_path / "long.orbi"
     p.write_text(text, encoding="utf-8")
     out = ["--out-dir", str(tmp_path)]
