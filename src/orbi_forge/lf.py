@@ -172,11 +172,10 @@ def check_tp(
     """Check that ``tp`` is a well-formed type under ``ctx`` (Var(0) is the
     last entry), or with ``kind`` a family's kind, the one chain that may end
     in `type`, and return whether it is level-0: whether every family it
-    mentions is a syntax-level one.  An arrow or Pi chain
-    is walked in a loop that pushes each Pi domain onto ``ctx`` and pops them
-    all on the way out, also when the check raises.  A level-0 domain is
-    pushed as it is; any other is pushed in normal form and makes ``holes``
-    dependent."""
+    mentions is a syntax-level one.  An arrow or Pi chain is walked in a loop
+    that pushes each Pi domain onto ``ctx`` and pops them all on the way out,
+    also when the check raises.  A level-0 domain is pushed as it is; any
+    other is pushed in normal form and makes ``holes`` dependent."""
     pushed, level0 = 0, True
     try:
         while type(tp) is not AtomApp:
@@ -425,7 +424,7 @@ def check_signature(spec: OrbiSpec) -> Signature:
                         "only judgment (type family) declarations may appear in the "
                         "Judgments section",
                     )
-                if not check_tp(sig, [], decl.kind, None, True):
+                if not check_tp(sig, [], decl.kind, kind=True):
                     raise OrbiError(
                         "E-LEVEL",
                         f"judgment {decl.name!r} must be indexed by level-0 terms "

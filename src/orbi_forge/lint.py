@@ -73,11 +73,11 @@ def lint(checked: CheckedSpec) -> list[Diagnostic]:
                 return
 
     def walk_tp(tp, loc, in_rule: bool, scope=None, kind: bool = False):
-        # a type, or with ``kind`` a family's kind: a product's warnings, then
-        # its domain, then its codomain, in a loop along the codomains.  A binder is vacuous (L3)
-        # when nothing under it mentions it: one last_uses pass over the
-        # chain from its first product.  ``scope`` places ``tp`` in the
-        # chains around it, for _scope_names
+        # a type, or with ``kind`` a family's kind: a product's warnings,
+        # then its domain, then its codomain, in a loop along the codomains.
+        # A binder is vacuous (L3) when nothing under it mentions it: one
+        # last_uses pass over the chain from its first product.  ``scope``
+        # places ``tp`` in the chains around it, for _scope_names
         first, i = None, 0  # the chain's first product, and its products so far
         while True:
             k = type(tp)

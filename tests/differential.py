@@ -97,7 +97,8 @@ KIND_PROBES = {
     "kind-syntax-indexed": "%% Syntax\ntm: type.\nf: tm -> type.\n",
     "kind-judgment-constant": _KIND_SIG + "j: tm.\n",
     "kind-rules-family": _KIND_RULES + "r: j c0 -> type.\n",
-    "kind-block-entry": _KIND_SIG + "j: tm -> type.\n\n%% Schemas\nschema xG = block (x: tm -> type);\n",
+    "kind-block-entry": _KIND_SIG
+    + "j: tm -> type.\n\n%% Schemas\nschema xG = block (x: tm -> type);\n",
     "kind-quantifier": _KIND_SIG + "%% Theorems\ntheorem t: {M: tm -> type} true;\n",
 }
 

@@ -543,12 +543,6 @@ def test_item_locations_and_spans_match_reference_tokens():
         ("%% Theorems\ntheorem t: {M:tm -> tm true;\n", [(2, 24, "expected '}' but found 'true'")]),
         ("%% Theorems\ntheorem t: <M:tm} true;\n", [(2, 17, "expected '>' but found '}'")]),
         ("%% Theorems\ntheorem t: true\n", [(3, 1, "expected ';' but found 'end of input'")]),
-        # a kind is reported at its first token, and parsing resumes after
-        # it: the '.' of its lambda ends no declaration
-        (
-            "%% Theorems\ntheorem t: {M: a (\\x. x) -> type} true;\ntheorem u: ;\n",
-            [(2, 16, "expected a type, found a kind"), (3, 12, "expected a proposition but found ';'")],
-        ),
         # of a proposition's atoms
         ("%% Theorems\ntheorem t: ;\n", [(2, 12, "expected a proposition but found ';'")]),
         ("%% Theorems\ntheorem t: [g aeq M M];\n", [(2, 15, "expected '|-' but found 'aeq'")]),
@@ -569,6 +563,15 @@ def test_item_locations_and_spans_match_reference_tokens():
         ("%% Syntax\ntheorem t: true;\n", [(2, 1, "theorem in the Syntax section")]),
         ("%% Theorems\ntm: type.\n", [(2, 1, "constant or type declaration in the Theorems section")]),
         ("%% Syntax\nprop tm: type.\n", [(2, 1, "expected a declaration but found 'prop'")]),
+        # a kind is reported at its first token, and parsing resumes after
+        # it: the '.' of its lambda ends no declaration
+        (
+            "%% Theorems\ntheorem t: {M: a (\\x. x) -> type} true;\ntheorem u: ;\n",
+            [
+                (2, 16, "expected a type, found a kind"),
+                (3, 12, "expected a proposition but found ';'"),
+            ],
+        ),
     ],
 )
 def test_parse_error_locations(source, expected):
