@@ -188,6 +188,18 @@ def _probes(eq: str, head: str) -> list:
             "r3: {x:t} {d: j x x} k x x.\nr4: {y:t} ({d: j y y} {x:t} {e: k x y} j c0 c0) -> k y y.\n",
         ),
         *KIND_PROBES.items(),
+        # a rule used as a term passed check, and ab wrote it with f unbound
+        (
+            "rule-as-term",
+            _RULES_SIG + "\n%% Rules\nr0: {x:t} j x x.\nr1: j c0 c0 -> j c0 c0.\n"
+            "r: {f: j c0 c0 -> t} j (f (r0 c0)) c0.\n",
+        ),
+        (
+            "level1-var-as-term",
+            _RULES_SIG + "\n%% Rules\nr: {d: j c0 c0} {f: j c0 c0 -> t} j (f d) c0.\n",
+        ),
+        # a '->' before a '<-' chain was read as if it followed it
+        ("arrow-then-backarrow", "%% Syntax\ntm: type.\n\n%% Judgments\nj: tm -> type <- tm.\n"),
     ]
 
 
