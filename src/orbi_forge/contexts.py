@@ -203,8 +203,10 @@ def scope_check_theorem(sig: Signature, schemas: dict, relations: dict, t: Theor
                     check_tp(sig, telescope, tp)
                     tp = normalize(tp)
                 except OrbiError as e:
-                    # an ill-typed entry may have no normal form
+                    # an ill-typed entry may have no normal form, and a
+                    # variable of it is no term
                     report(e.code, e.message)
+                    tp = None
                 telescope.append(tp)
 
     def enter(scope: dict, name: str, body: Prp) -> None:

@@ -5,23 +5,15 @@ families are judgments indexed by level-0 terms (level 1), and Rules-section
 constants must target a judgment.  Definitional equality is beta only.  A
 rule's schematic variables are left implicit in the source; their types are
 inferred from Miller-pattern occurrences in the same traversal that checks
-the rule (the checker's hole mode).  The signature stores a rule as it was
-checked: its open body, in which each schematic occurrence is still a
-``Const``, and its schematic prefix, the names in ``SigEntry.implicit`` with
-their types.  ``closed_decl`` builds the closed rule only where it is shown or
-checked as a whole: for a rule used as a term, and to recheck a redex.
+the rule (the checker's hole mode).  The signature stores a rule's open body,
+in which each schematic occurrence is still a ``Const``, and its schematic
+prefix, the names in ``SigEntry.implicit`` with their types.
 
-Every term of a spec is a level-0 term, and a level-0 family has kind
-``type``, so a level-0 type mentions no term: it is closed and beta-normal.
-The checker keeps level-0 types as they are, with no shift, substitution or
-normalisation, and compares them with ``==`` (by identity first: the parser
-shares one argument-free ``AtomApp`` per family).  Only a type that is not
-level-0 can mention a bound variable.  Outside hole mode one may sit in the
-context (a block entry such as ``u: aeq x x``); in hole mode one enters only
-through a Pi domain such as ``{d: j x x}`` or a rule used as a term, and
-``_Holes.dependent`` records that it did.  Where one can occur, the checker
-shifts a variable's type to where it is read, instantiates a Pi codomain and
-checks that a schematic's type is closed and level-0.
+Every term of a spec is a level-0 term: a rule, or a variable of a type that
+is not level-0, used as a term is an ``E-TYPE``.  A level-0 family has kind
+``type``, so every type a term is checked against mentions no term: it is
+closed and beta-normal, kept as it is and compared with ``==`` (by identity
+first: the parser shares one argument-free ``AtomApp`` per family).
 """
 
 from __future__ import annotations
@@ -46,7 +38,6 @@ from orbi_forge.syntax import (
     apply_spine,
     free,
     rebuild,
-    shift,
     subst,
 )
 
@@ -157,36 +148,28 @@ class _Holes(dict):
     """Schematic variable name -> reconstructed type, in first-occurrence order.
 
     Passing one to ``check_tp`` puts the checker in hole mode: a spine headed
-    by an identifier the signature lacks is a schematic occurrence.  Until
-    ``dependent`` is set, every context entry and expected type is level-0,
-    so closed and normal.
+    by an identifier the signature lacks is a schematic occurrence.
     """
 
     beta = False  # set once a beta-redex was checked
-    dependent = False  # set once a type that is not level-0 entered the check
 
 
 def check_tp(
-    sig: Signature, ctx: list[Tp], tp: Tp, holes: _Holes | None = None, kind: bool = False
+    sig: Signature, ctx: list[Tp | None], tp: Tp, holes: _Holes | None = None, kind: bool = False
 ) -> bool:
     """Check that ``tp`` is a well-formed type under ``ctx`` (Var(0) is the
     last entry), or with ``kind`` a family's kind, the one chain that may end
     in `type`, and return whether it is level-0: whether every family it
-    mentions is a syntax-level one.  An arrow or Pi chain is walked in a loop
-    that pushes each Pi domain onto ``ctx`` and pops them all on the way out,
-    also when the check raises.  A level-0 domain is pushed as it is; any
-    other is pushed in normal form and makes ``holes`` dependent."""
+    mentions is a syntax-level one.  A loop along an arrow or Pi chain pushes
+    each Pi domain onto ``ctx``, one that is not level-0 as ``None``, and pops
+    them all on the way out, also when the check raises."""
     pushed, level0 = 0, True
     try:
         while type(tp) is not AtomApp:
             dom = tp.dom
             dom0 = check_tp(sig, ctx, dom, holes)
             if type(tp) is Pi:
-                if not dom0:
-                    dom = normalize(dom)
-                    if holes is not None:
-                        holes.dependent = True
-                ctx.append(dom)
+                ctx.append(dom if dom0 else None)
                 pushed += 1
             level0 = level0 and dom0
             tp = tp.cod
@@ -209,9 +192,7 @@ def check_tp(
                 raise OrbiError(
                     "E-KIND", f"type family {tp.family!r} applied to too many arguments"
                 )
-            # a stored kind's domains are level-0 types, which take no
-            # indices, so its codomain mentions no term and instantiating a
-            # Pi of a kind leaves the codomain as it is
+            # a stored kind's domains are level-0, so its codomain mentions no term
             dom, k = k.dom, k.cod
             _check(sig, ctx, arg, dom, holes)
         if type(k) is not AtomApp:
@@ -225,14 +206,19 @@ def check_tp(
 # ------------------------------------------------------------------ typing
 
 
-def _infer(sig: Signature, ctx: list[Tp], t: Term, holes: _Holes | None = None) -> Tp:
+def _infer(sig: Signature, ctx: list[Tp | None], t: Term, holes: _Holes | None = None) -> Tp:
     k = type(t)
     if k is Var:
         if t.index >= len(ctx):
             raise OrbiError("E-UNBOUND", f"unbound variable index {t.index}")
         tp = ctx[-1 - t.index]
-        if (holes is None or holes.dependent) and (type(tp) is not AtomApp or tp.args):
-            return shift(tp, t.index + 1)  # it may mention the variables bound before it
+        # check_tp pushes a Pi domain that is not level-0 as None, so in hole
+        # mode every other entry is level-0; a block's telescope, read outside
+        # it, holds each entry's type, level-0 or not
+        if tp is None or holes is None and (
+            sig.entries[tp.family].level if type(tp) is AtomApp else not is_level0(sig, tp)
+        ):
+            raise OrbiError("E-TYPE", "a variable of a non-level-0 type used as a term")
         return tp
     if k is Const:
         entry = sig.entries.get(t.name)
@@ -240,11 +226,9 @@ def _infer(sig: Signature, ctx: list[Tp], t: Term, holes: _Holes | None = None) 
             raise OrbiError("E-UNBOUND", f"unbound identifier {t.name!r}")
         if type(entry.decl) is FamDecl:
             raise OrbiError("E-TYPE", f"type family {t.name!r} used as a term")
-        if not entry.level:
-            return entry.decl.tp
-        if holes is not None:
-            holes.dependent = True  # a rule used as a term, typed with its schematic prefix
-        return closed_decl(entry).tp
+        if entry.level:
+            raise OrbiError("E-TYPE", f"rule {t.name!r} used as a term")
+        return entry.decl.tp
     if k is App:
         head, args = t.fn, [t.arg]  # the spine's arguments, last first
         while type(head) is App:
@@ -258,10 +242,8 @@ def _infer(sig: Signature, ctx: list[Tp], t: Term, holes: _Holes | None = None) 
             ta = _infer(sig, ctx, first)
             if args:
                 return _infer(sig, ctx, apply_spine(subst(head.body, first), reversed(args)))
-            tb = _infer(sig, ctx + [ta], head.body)
-            return tb if type(tb) is AtomApp and not tb.args else normalize(subst(tb, first))
+            return _infer(sig, ctx + [ta], head.body)
         tf = _infer(sig, ctx, head, holes)
-        dependent = holes is None or holes.dependent
         for arg in reversed(args):
             k = type(tf)
             if k is not Arrow and k is not Pi:
@@ -270,24 +252,20 @@ def _infer(sig: Signature, ctx: list[Tp], t: Term, holes: _Holes | None = None) 
                 )
             _check(sig, ctx, arg, tf.dom, holes)
             tf = tf.cod
-            if k is Pi and dependent and (type(tf) is not AtomApp or tf.args):
-                tf = normalize(subst(tf, arg))
         return tf
     raise OrbiError("E-TYPE", "cannot infer the type of a bare lambda")
 
 
-def _check(sig: Signature, ctx: list[Tp], t: Term, exp: Tp, holes: _Holes | None = None) -> None:
+def _check(
+    sig: Signature, ctx: list[Tp | None], t: Term, exp: Tp, holes: _Holes | None = None
+) -> None:
     if type(t) is Lam:
         k = type(exp)
         if k is not Arrow and k is not Pi:
             if holes is not None:
                 raise OrbiError("E-RECON", f"lambda used where {tp_str(exp, [])!r} is expected")
             raise OrbiError("E-TYPE", f"expected {tp_str(exp, [])}, got a lambda")
-        cod = exp.cod
-        if k is Arrow and (type(cod) is not AtomApp or cod.args):
-            if holes is None or holes.dependent:
-                cod = shift(cod, 1)  # it may mention the variables bound before it
-        _check(sig, ctx + [exp.dom], t.body, cod, holes)
+        _check(sig, ctx + [exp.dom], t.body, exp.cod, holes)
         return
     if holes is not None:
         head = t
@@ -306,7 +284,7 @@ def _check(sig: Signature, ctx: list[Tp], t: Term, exp: Tp, holes: _Holes | None
             return
         if type(head) is Const and head.name not in sig.entries:
             if head is not t or holes.get(t.name) is not exp:
-                _schematic(sig, ctx, t, exp, holes)
+                _schematic(ctx, t, exp, holes)
             # else a bare occurrence already recorded at this very type
             return
     actual = _infer(sig, ctx, t, holes)
@@ -317,42 +295,33 @@ def _check(sig: Signature, ctx: list[Tp], t: Term, exp: Tp, holes: _Holes | None
 # ---------------------------------------------------------- reconstruction
 
 
-def _schematic(sig: Signature, ctx: list[Tp], t: Term, exp: Tp, holes: _Holes) -> None:
+def _schematic(ctx: list[Tp | None], t: Term, exp: Tp, holes: _Holes) -> None:
     """Record the type of the schematic head of ``t : exp``, which must be a
-    Miller pattern: the head applied to distinct bound variables.  One loop
-    along the spine, last argument first, builds the candidate type, which is
-    closed and level-0 as built unless ``holes`` is dependent."""
-    cand, seen, fault, dependent = exp, 0, "", holes.dependent
+    Miller pattern: the head applied to distinct bound variables of level-0
+    types.  One loop along the spine, last argument first, builds the type."""
+    cand, seen, fault = exp, 0, ""
     while type(t) is App:
         arg, t = t.arg, t.fn
         if type(arg) is not Var or arg.index >= len(ctx):
             fault = "must be applied to bound variables only"
         elif not fault:
             i = arg.index
+            dom = ctx[-1 - i]
             if seen >> i & 1:
                 fault = "applied to repeated bound variables"
+            elif dom is None:
+                fault = "applied to a variable of a non-level-0 type"
             seen |= 1 << i
-            dom = ctx[-1 - i]
-            if dependent and (type(dom) is not AtomApp or dom.args):
-                dom = shift(dom, i + 1)
             cand = Arrow(dom, cand)
     name = t.name
     if not fault:
         prev = holes.get(name)
-        if prev is not None and (prev is cand or prev == cand):
-            return  # closedness and level are alpha-invariant: checked at the first occurrence
-        closed = type(cand) is AtomApp and not cand.args
-        if dependent and not closed and any(type(x) is int for x in free(cand)):
-            raise OrbiError(
-                "E-RECON", f"cannot infer a closed outermost type for schematic variable {name!r}"
-            )
-        if dependent and not is_level0(sig, cand):
-            fault = f"infers to the non-level-0 type {tp_str(cand, [])!r}"
-        elif prev is not None:
-            fault = f"used at incompatible types {tp_str(prev, [])!r} and {tp_str(cand, [])!r}"
-        else:
+        if prev is None:
             holes[name] = cand
             return
+        if prev is cand or prev == cand:
+            return
+        fault = f"used at incompatible types {tp_str(prev, [])!r} and {tp_str(cand, [])!r}"
     raise OrbiError("E-RECON", f"schematic variable {name!r} {fault}")
 
 

@@ -254,7 +254,8 @@ def _parse_tpkind(c: _Cursor):
 
     A loop collects the ``{x:A}`` binders and the ``->`` arms from the left
     and folds them from the right; a ``<-`` chain reads ``a <- b <- c`` as
-    ``c -> b -> a``.  A parenthesised type and a Π domain recurse.
+    ``c -> b -> a``, and no ``->`` arm may stand before or after it.  A
+    parenthesised type and a Π domain recurse.
     """
     lex, ids, names, depth = c.lex, c.ids, c.names, c.depth
     i = c.i
@@ -315,6 +316,8 @@ def _parse_tpkind(c: _Cursor):
             continue
         if op != "<-":
             break
+        if any(name is None for name, _ in prefix):
+            raise c.fail(i, "cannot mix '->' and '<-' without parentheses", "tp")
         arms = [atom]
         i += 1
     c.i = i

@@ -198,7 +198,7 @@ def _probes(eq: str, head: str) -> list:
             "level1-var-as-term",
             _RULES_SIG + "\n%% Rules\nr: {d: j c0 c0} {f: j c0 c0 -> t} j (f d) c0.\n",
         ),
-        # a '->' before a '<-' chain was read as if it followed it
+        # a '->' arm before a '<-' chain was taken into the chain's prefix
         ("arrow-then-backarrow", "%% Syntax\ntm: type.\n\n%% Judgments\nj: tm -> type <- tm.\n"),
     ]
 

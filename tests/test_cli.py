@@ -357,6 +357,23 @@ def test_rule_ends_in_one_diagnostic(rule, tmp_path, capsys):
     assert err.splitlines() == [f"{p}:9:1: [E-TYPE] cannot infer the type of a bare lambda"]
 
 
+def test_rule_used_as_term_is_no_clause(tmp_path, capsys):
+    # a Pi-bound variable of a level-1 type applied to a rule: no term is
+    # level-1, so neither is one, and ab writes no clause with them
+    p = tmp_path / "rule.orbi"
+    p.write_text(
+        "%% Syntax\nt: type.\nc0: t.\n\n%% Judgments\nj: t -> t -> type.\n\n%% Rules\n"
+        "r0: {x:t} j x x.\nr1: j c0 c0 -> j c0 c0.\nr: {f: j c0 c0 -> t} j (f (r0 c0)) c0.\n",
+        encoding="utf-8",
+    )
+    assert run(["check", str(p)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"{p}:11:1: [E-TYPE] a variable of a non-level-0 type used as a term"
+    ]
+    assert run(["translate", "--target", "ab", "--out-dir", str(tmp_path), str(p)]) == 1
+    assert not (tmp_path / "rule.ab.out").exists()
+
+
 def test_theorem_redex_discarding_a_divergent_argument_translates(tmp_path):
     # theorem terms are normalised without being typed
     p = tmp_path / "thm.orbi"
@@ -594,7 +611,7 @@ def test_checker_walks_no_shared_leaf(corpus_file, tmp_path, monkeypatch, capsys
     import workloads
 
     leaves = []
-    for name in ("shift", "normalize", "free", "families_in_tp"):
+    for name in ("normalize", "free", "families_in_tp"):
 
         def recording(node, *rest, walk=getattr(lf, name), name=name):
             caller = sys._getframe(1).f_code
@@ -605,11 +622,11 @@ def test_checker_walks_no_shared_leaf(corpus_file, tmp_path, monkeypatch, capsys
         monkeypatch.setattr(lf, name, recording)
     schematic, reached, repeated = lf._schematic, [], []
 
-    def counting(sig, ctx, t, exp, holes):
+    def counting(ctx, t, exp, holes):
         reached.append(t)
         if type(t) is Const and t.name in holes:
             repeated.append(t.name)
-        return schematic(sig, ctx, t, exp, holes)
+        return schematic(ctx, t, exp, holes)
 
     monkeypatch.setattr(lf, "_schematic", counting)
     files = [corpus_file]

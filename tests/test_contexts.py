@@ -256,15 +256,41 @@ def test_scope_check_stable_under_renaming(checked):
 
 
 def test_theorem_block_entry_after_untypable_redex(checked):
-    # the ill-typed entry is kept as written, not normalised, so the entry
-    # that depends on it is reported instead of exhausting the stack
+    # the ill-typed entry is not normalised, so the entry that depends on it
+    # is reported instead of exhausting the stack
     block = r"block (x:tm, u:aeq ((\y. y y) (\y. y y)) x, v:aeq u x)"
     spec = parse_spec(make_spec(theorems=f"theorem t: {{M:tm}} [b:{block} |- aeq M M];"))
     with raises_code("E-TYPE") as exc:
         scope_check_theorem(checked.sig, checked.schemas, checked.relations, spec.theorems[0])
     assert [d.message for d in exc.value.diagnostics] == [
         "cannot infer the type of a bare lambda",
-        r"expected tm, got aeq ((\y. y y) (\y. y y)) _1",
+        "a variable of a non-level-0 type used as a term",
+    ]
+
+
+@pytest.mark.parametrize(
+    "sections",
+    [
+        {"schemas": "schema s = block (x:tm, u:aeq x x, v:aeq u x);"},
+        {"schemas": "schema s = block (x:tm, u:ok, v:aeq u x);"},
+        {"schemas": "schema s = block (x:tm, u:{y:tm} aeq y y, v:aeq (u x) x);"},
+        {
+            "schemas": "schema s = block (x:tm, u:aeq x x);",
+            "definitions": "inductive R : {g:s} prop =\n"
+            "| R_c: R [g] -> R [g, b:block (x:tm, u:aeq x x, v:aeq u x)];",
+        },
+        {"theorems": "theorem t: {M:tm} [b:block (x:tm, u:aeq x x, v:aeq u x) |- aeq M M];"},
+    ],
+    ids=["schema", "argument-free-atom", "pi-entry", "ctx-pattern", "theorem-block"],
+)
+def test_block_entry_of_level1_type_is_no_term(sections):
+    # a block entry's variable of a level-1 type is rejected where it is
+    # used as a term, in the shape a rule's Pi-bound one is
+    src = make_spec(syntax="tm: type.", judgments="aeq: tm -> tm -> type.\nok: type.", **sections)
+    with raises_code("E-TYPE") as exc:
+        check_all(src)
+    assert [d.message for d in exc.value.diagnostics] == [
+        "a variable of a non-level-0 type used as a term"
     ]
 
 

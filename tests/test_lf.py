@@ -204,15 +204,19 @@ _DEPENDENT_SYNTAX = make_spec(
     syntax=_FAULT_DECLS, judgments="j: t -> t -> type.\nk: t -> t -> type."
 )
 _DEPENDENT_RULES = "r0: {x:t} j x x.\nr2: j M N -> k M N.\n"
+_LEVEL1_VAR = "a variable of a non-level-0 type used as a term"
 _DEPENDENT_FAULTS = [
-    # a variable of a level-1 type shows it shifted to where it is read
-    ("{x:t} {d: j x x} k d d", "E-TYPE", "expected t, got j _1 _1"),
-    # a rule applied as a term has its Pi-prefix instantiated
-    ("j (r0 c0) c0", "E-TYPE", "expected t, got j c0 c0"),
+    # a term is level-0: a variable of a level-1 type or a rule is none
+    ("{x:t} {d: j x x} k d d", "E-TYPE", _LEVEL1_VAR),
+    ("{d: j c0 c0} {f: j c0 c0 -> t} j (f d) c0", "E-TYPE", _LEVEL1_VAR),
+    ("{f: j c0 c0 -> t} j (f (r0 c0)) c0", "E-TYPE", _LEVEL1_VAR),
+    ("j (r0 c0) c0", "E-TYPE", "rule 'r0' used as a term"),
+    ("j (r2 c0 c0 X) c0", "E-TYPE", "rule 'r2' used as a term"),
+    (r"j (cb (\x. r0 x)) c0", "E-TYPE", "rule 'r0' used as a term"),
     (
-        "j (r2 c0 c0 X) c0",
+        "{d: j c0 c0} j (M d) c0",
         "E-RECON",
-        "schematic variable 'X' infers to the non-level-0 type 'j c0 c0'",
+        "schematic variable 'M' applied to a variable of a non-level-0 type",
     ),
 ]
 
@@ -260,12 +264,10 @@ _ATOMIC_APPLIED = "term of atomic type 't' applied to an argument"
             "E-TYPE",
             "cannot infer the type of a bare lambda",
         ),
-        # a Pi domain enters the context in normal form
-        (r"{u: j ((\x. x) c0) c0} j u c0", "E-TYPE", "expected t, got j c0 c0"),
+        (r"{u: j ((\x. x) c0) c0} j u c0", "E-TYPE", _LEVEL1_VAR),
         # two faults: the first in left-to-right order is reported
         (r"j (cb c0) c0 -> j (M c0) c0", "E-TYPE", "expected t -> t, got t"),
-        # a rule used as a term shows its type with its schematic prefix
-        ("j M N.\nq: j r c0", "E-TYPE", "expected t, got {M:t} {N:t} j M N"),
+        ("j M N.\nq: j r c0", "E-TYPE", "rule 'r' used as a term"),
         *_DEPENDENT_FAULTS,
     ],
 )
@@ -395,13 +397,14 @@ def test_normalize_idempotent_and_subject_reduction_sample(checked):
 
 
 def test_dependent_application_substitutes():
-    # a rule applied as a term is rejected, with its Pi-prefix instantiated
-    # by the argument in normal form
-    src = make_spec(
-        syntax="tm: type.\nc: tm.",
-        judgments="eq: tm -> tm -> type.",
-        rules="refl: {M:tm} eq M M.\nbad: eq (refl ((\\x. x) c)) c.",
-    )
-    with pytest.raises(OrbiError) as exc:
-        check_signature(parse_spec(src))
-    assert (exc.value.code, exc.value.message) == ("E-TYPE", "expected tm, got eq c c")
+    # a rule applied as a term is rejected at its head, before its argument
+    # is typed, so its Pi-prefix is never instantiated
+    for arg in (r"((\x. x) c)", "(c c)"):
+        src = make_spec(
+            syntax="tm: type.\nc: tm.",
+            judgments="eq: tm -> tm -> type.",
+            rules=f"refl: {{M:tm}} eq M M.\nbad: eq (refl {arg}) c.",
+        )
+        with pytest.raises(OrbiError) as exc:
+            check_signature(parse_spec(src))
+        assert (exc.value.code, exc.value.message) == ("E-TYPE", "rule 'refl' used as a term")

@@ -444,7 +444,7 @@ def test_item_locations_and_spans_match_reference_tokens():
         ("%% Rules\nr: j M <- j N -> j M.\n", [(2, 15, "cannot mix '->' and '<-' without parentheses")]),
         (
             "%% Rules\nr: j M -> j N <- j M <- j N -> j M.\n",
-            [(2, 29, "cannot mix '->' and '<-' without parentheses")],
+            [(2, 15, "cannot mix '->' and '<-' without parentheses")],
         ),
         # every exit of a schema and of its blocks
         ("%% Schemas\nschema = block (x:tm);\n", [(2, 8, "expected an identifier but found '='")]),
@@ -571,6 +571,11 @@ def test_item_locations_and_spans_match_reference_tokens():
                 (2, 16, "expected a type, found a kind"),
                 (3, 12, "expected a proposition but found ';'"),
             ],
+        ),
+        # a '->' arm before a '<-' chain is reported at the '<-'
+        (
+            "%% Judgments\nj: tm -> type <- tm.\n",
+            [(2, 15, "cannot mix '->' and '<-' without parentheses")],
         ),
     ],
 )
