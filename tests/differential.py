@@ -103,6 +103,27 @@ KIND_PROBES = {
 }
 
 
+_VACUOUS_SIG = (
+    "%% Syntax\ntm: type.\nc: tm.\nlam: ({x:tm} tm) -> tm.\napp2: (tm -> tm) -> tm.\n"
+    "f: tm -> tm.\n\n%% Judgments\nj: tm -> type.\n\n%% Rules\n"
+)
+
+# A level-0 Pi whose variable is vacuous, and the arrow it stands for, in a
+# term's type and in a rule's premise.
+VACUOUS_PROBES = {
+    "vacuous-pi-constant": _VACUOUS_SIG + "r: j (lam f).\n",
+    "vacuous-pi-bound": _VACUOUS_SIG + "r: {g: tm -> tm} j (lam g).\n",
+    "vacuous-pi-mirror": _VACUOUS_SIG + "r: {g: {y:tm} tm} j (app2 g).\n",
+    "level0-arrow-premise": _VACUOUS_SIG + "t: (tm -> j c) -> j c.\n",
+    "level0-pi-premise": _VACUOUS_SIG + "t: ({x:tm} j c) -> j c.\n",
+}
+
+
+def nested_redexes(n: int) -> str:
+    """``((\\x. x) ((\\x. x) … c0))``, ``n`` redexes deep."""
+    return "((\\x. x) " * n + "c0" + ")" * n
+
+
 def relation_premises(n: int) -> str:
     """A spec whose relation has a clause with ``n`` premises."""
     return (
@@ -200,6 +221,13 @@ def _probes(eq: str, head: str) -> list:
         ),
         # a '->' arm before a '<-' chain was taken into the chain's prefix
         ("arrow-then-backarrow", "%% Syntax\ntm: type.\n\n%% Judgments\nj: tm -> type <- tm.\n"),
+        # a vacuous Pi and its arrow were two types: the first three were
+        # rejected, and ab could not translate the arrow form of the fourth
+        *VACUOUS_PROBES.items(),
+        # a redex that mentions a schematic was normalised before it was typed
+        ("schematic-omega", _RULES_SIG + "\n%% Rules\nr: j ((\\x. x x) (\\x. M (x x))) c0.\n"),
+        # the schematic scan of a redex recursed once per nested redex
+        ("nested-redexes", _RULES_SIG + "\n%% Rules\nr: j " + nested_redexes(1000) + " c0.\n"),
     ]
 
 

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import lamoracle
-from helpers import closed, make_spec, raises_code
+from helpers import check_all, closed, make_spec, raises_code
 from orbi_forge import check_signature, normalize, parse_spec
 from orbi_forge.errors import OrbiError
 from orbi_forge.lf import _infer, _reconstruct, check_tp, closed_decl, kind_domains
@@ -21,6 +21,7 @@ from orbi_forge.syntax import (
     Pi,
     free,
 )
+from orbi_forge.translate import translate_spec
 from specgen import gen_noisy_rules_source, gen_rules_source, gen_tm_term
 
 
@@ -296,6 +297,51 @@ def test_rule_reconstructs(rule, implicit):
     entry = sig.entries["r"]
     assert entry.implicit == implicit
     assert closed(closed_decl(entry).tp)
+
+
+_VACUOUS_SIG = make_spec(
+    syntax="tm: type.\nc: tm.\nlam: ({x:tm} tm) -> tm.\napp2: (tm -> tm) -> tm.\nf: tm -> tm.",
+    judgments="j: tm -> type.",
+)
+
+
+def _verdict(source):
+    """The code of the first diagnostic of ``check``, then of ab translation,
+    or None; a RecursionError is E-DEPTH, as the command line reports it."""
+    try:
+        translate_spec(check_all(source), "ab")
+    except OrbiError as e:
+        return e.code
+    except RecursionError:
+        return "E-DEPTH"
+    return None
+
+
+@pytest.mark.parametrize(
+    "rule, code",
+    [
+        pytest.param("r: j (lam f).", "E-TYPE", id="vacuous-pi-constant"),
+        pytest.param("r: {g: tm -> tm} j (lam g).", "E-TYPE", id="vacuous-pi-bound"),
+        pytest.param("r: {g: {y:tm} tm} j (app2 g).", "E-TYPE", id="vacuous-pi-mirror"),
+        pytest.param("t: (tm -> j c) -> j c.", "E-SHAPE", id="level0-arrow-premise"),
+        pytest.param("t: ({x:tm} j c) -> j c.", None, id="level0-pi-premise"),
+    ],
+)
+def test_vacuous_pi_and_its_arrow(rule, code):
+    assert _verdict(_VACUOUS_SIG + f"\n%% Rules\n{rule}\n") == code
+
+
+@pytest.mark.parametrize(
+    "rule, code",
+    [
+        pytest.param(r"j ((\x. x x) (\x. M (x x))) c0", "E-DEPTH", id="schematic-omega"),
+        pytest.param(
+            "j " + "((\\x. x) " * 1000 + "c0" + ")" * 1000 + " c0", "E-DEPTH", id="nested-redexes"
+        ),
+    ],
+)
+def test_redex_rule_verdicts(rule, code):
+    assert _verdict(_FAULT_SYNTAX + f"\n%% Rules\nr: {rule}.\n") == code
 
 
 def _free_names(sig, tp, out):
