@@ -46,8 +46,9 @@ from orbi_forge.syntax import (
 
 
 def check_schema(sig: Signature, s: Schema) -> Schema:
-    """Check each block of ``s`` as a telescope; the returned schema holds
-    the beta-normal entry types."""
+    """Check each block of ``s`` as a telescope, each entry under the
+    erasures of the entries before it; the returned schema holds the
+    beta-normal entry types."""
     alternatives = []
     for block in s.alternatives:
         labels: dict[str, None] = {}  # in order, with a constant-time lookup
@@ -58,9 +59,8 @@ def check_schema(sig: Signature, s: Schema) -> Schema:
                     "E-DUP", f"duplicate label {label!r} in a block of schema {s.name!r}"
                 )
             labels[label] = None
-            check_tp(sig, telescope, tp)
-            telescope.append(normalize(tp))
-        alternatives.append(Block(tuple(zip(labels, telescope))))
+            telescope.append(check_tp(sig, telescope, tp))
+        alternatives.append(Block(tuple([(label, normalize(tp)) for label, tp in block.entries])))
     return Schema(s.name, tuple(alternatives), s.loc)
 
 
@@ -87,11 +87,10 @@ def check_ctx_pattern(
     for label, block in c.blocks:
         telescope = []
         for _, tp in block.entries:
-            check_tp(sig, telescope, tp)
-            telescope.append(normalize(tp))
-        labels = [name for name, _ in block.entries]
+            telescope.append(check_tp(sig, telescope, tp))
         # Block == compares entry types only, so labels rename freely
-        if Block(tuple(zip(labels, telescope))) not in schema.alternatives:
+        normal = Block(tuple([(name, normalize(tp)) for name, tp in block.entries]))
+        if normal not in schema.alternatives:
             raise OrbiError(
                 "E-SCHEMA", f"block {label!r} matches no alternative of schema {expected_schema!r}"
             )
@@ -200,11 +199,9 @@ def scope_check_theorem(sig: Signature, schemas: dict, relations: dict, t: Theor
             telescope = []
             for _, tp in block.entries:
                 try:
-                    check_tp(sig, telescope, tp)
-                    tp = normalize(tp)
+                    tp = check_tp(sig, telescope, tp)
                 except OrbiError as e:
-                    # an ill-typed entry may have no normal form, and a
-                    # variable of it is no term
+                    # a variable of an ill-typed entry is no term
                     report(e.code, e.message)
                     tp = None
                 telescope.append(tp)

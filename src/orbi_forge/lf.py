@@ -19,7 +19,6 @@ first: the parser shares one argument-free ``AtomApp`` per family).
 from __future__ import annotations
 
 from orbi_forge.errors import OrbiError
-from orbi_forge.pretty import tp_str
 from orbi_forge.syntax import (
     App,
     Arrow,
@@ -44,9 +43,37 @@ from orbi_forge.syntax import (
 
 class SigEntry(Record):
     # implicit: a rule's schematic variables, in first-occurrence order, and
-    # implicit_tps their reconstructed types; decl holds the open body
-    __slots__ = ("decl", "level", "section", "implicit", "implicit_tps")
-    _defaults = ((), ())
+    # implicit_tps their reconstructed simple types; decl holds the open body.
+    # simple: a level-0 constant's simple type, or a family's: its kind's
+    # domains, erased, ending in the family's atom
+    __slots__ = ("decl", "level", "section", "implicit", "implicit_tps", "simple")
+    _defaults = ((), (), None)
+
+
+class Simple:
+    """A simple type: the atom of a family (``family``), or an arrow ``dom ->
+    cod``.  A level-0 type erases to one, ``{x:A} B`` and ``A -> B`` alike to
+    ``A⁻ -> B⁻`` (Harper and Pfenning, TOCL 2005).  The simple types of one
+    signature are interned: each family has one atom, and an arrow is filed
+    under its domain's ``arrows``, keyed by its codomain; so two are equal iff
+    they are one object."""
+
+    __slots__ = ("family", "dom", "cod", "arrows")
+
+    def __init__(self, family=None, dom=None, cod=None):
+        self.family, self.dom, self.cod, self.arrows = family, dom, cod, {}
+
+    def __str__(self) -> str:
+        # as ORBI writes it: a domain that is an arrow is parenthesised
+        parts, t = [], self
+        while t.dom is not None:
+            d = t.dom
+            parts.append(f"({d})" if d.dom is not None else d.family)
+            t = t.cod
+        parts.append(t.family)
+        return " -> ".join(parts)
+
+
 
 
 class Signature:
@@ -155,49 +182,70 @@ class _Holes(dict):
 
 
 def check_tp(
-    sig: Signature, ctx: list[Tp | None], tp: Tp, holes: _Holes | None = None, kind: bool = False
-) -> bool:
+    sig: Signature,
+    ctx: list[Simple | None],
+    tp: Tp,
+    holes: _Holes | None = None,
+    kind: Simple | None = None,
+) -> Simple | None:
     """Check that ``tp`` is a well-formed type under ``ctx`` (Var(0) is the
     last entry), or with ``kind`` a family's kind, the one chain that may end
-    in `type`, and return whether it is level-0: whether every family it
-    mentions is a syntax-level one.  A loop along an arrow or Pi chain pushes
-    each Pi domain onto ``ctx``, one that is not level-0 as ``None``, and pops
-    them all on the way out, also when the check raises."""
-    pushed, level0 = 0, True
+    in `type`, and return its erasure: its simple type if it is level-0
+    (every family it mentions is a syntax-level one), else None.  A kind
+    erases as a type that ends in ``kind``, its family's atom.  A loop along
+    an arrow or Pi chain pushes each Pi domain's erasure onto ``ctx`` and
+    pops them all on the way out, also when the check raises.  Only a chain
+    that ends in a level-0 family or in `type` keeps its domains' erasures,
+    for its own, last first, as a chain of (domain, rest) pairs."""
+    entries = sig.entries
+    end = tp
+    while type(end) is not AtomApp:
+        end = end.cod
+    fam = end.family
+    keep = kind is not None or fam in entries and entries[fam].level == 0
+    doms, pushed = (), 0
     try:
         while type(tp) is not AtomApp:
-            dom = tp.dom
-            dom0 = check_tp(sig, ctx, dom, holes)
+            dom = check_tp(sig, ctx, tp.dom, holes)
             if type(tp) is Pi:
-                ctx.append(dom if dom0 else None)
+                ctx.append(dom)
                 pushed += 1
-            level0 = level0 and dom0
+            if keep:
+                doms = (dom, doms)
             tp = tp.cod
-        if tp.family == TYPE_ATOM:
-            if kind:
-                return level0
-            raise OrbiError(
-                "E-LEVEL",
-                "the kind 'type' cannot appear inside a type; "
-                "a family may only be indexed by level-0 terms",
-            )
-        entry = sig.entries.get(tp.family)
-        if entry is None:
-            raise OrbiError("E-UNBOUND", f"unknown type family {tp.family!r}")
-        if type(entry.decl) is not FamDecl:
-            raise OrbiError("E-TYPE", f"{tp.family!r} is a term constant, not a type family")
-        k = entry.decl.kind
-        for arg in tp.args:
-            if type(k) is AtomApp:
+        if fam == TYPE_ATOM:
+            if kind is None:
                 raise OrbiError(
-                    "E-KIND", f"type family {tp.family!r} applied to too many arguments"
+                    "E-LEVEL",
+                    "the kind 'type' cannot appear inside a type; "
+                    "a family may only be indexed by level-0 terms",
                 )
-            # a stored kind's domains are level-0, so its codomain mentions no term
-            dom, k = k.dom, k.cod
-            _check(sig, ctx, arg, dom, holes)
-        if type(k) is not AtomApp:
-            raise OrbiError("E-KIND", f"type family {tp.family!r} is not fully applied")
-        return level0 and entry.level == 0
+            out = kind
+        else:
+            entry = entries.get(fam)
+            if entry is None:
+                raise OrbiError("E-UNBOUND", f"unknown type family {fam!r}")
+            if type(entry.decl) is not FamDecl:
+                raise OrbiError("E-TYPE", f"{fam!r} is a term constant, not a type family")
+            out = entry.simple
+            for arg in tp.args:
+                if out.dom is None:
+                    raise OrbiError("E-KIND", f"type family {fam!r} applied to too many arguments")
+                _check(sig, ctx, arg, out.dom, holes)
+                out = out.cod
+            if out.dom is not None:
+                raise OrbiError("E-KIND", f"type family {fam!r} is not fully applied")
+            if not keep:
+                return None
+        while doms:
+            dom, doms = doms
+            if dom is None:
+                return None
+            to = dom.arrows
+            if out not in to:
+                to[out] = Simple(None, dom, out)
+            out = to[out]
+        return out
     finally:
         if pushed:
             del ctx[-pushed:]
@@ -206,18 +254,13 @@ def check_tp(
 # ------------------------------------------------------------------ typing
 
 
-def _infer(sig: Signature, ctx: list[Tp | None], t: Term, holes: _Holes | None = None) -> Tp:
+def _infer(sig: Signature, ctx: list[Simple | None], t: Term, holes: _Holes | None = None) -> Simple:
     k = type(t)
     if k is Var:
         if t.index >= len(ctx):
             raise OrbiError("E-UNBOUND", f"unbound variable index {t.index}")
         tp = ctx[-1 - t.index]
-        # check_tp pushes a Pi domain that is not level-0 as None, so in hole
-        # mode every other entry is level-0; a block's telescope, read outside
-        # it, holds each entry's type, level-0 or not
-        if tp is None or holes is None and (
-            sig.entries[tp.family].level if type(tp) is AtomApp else not is_level0(sig, tp)
-        ):
+        if tp is None:
             raise OrbiError("E-TYPE", "a variable of a non-level-0 type used as a term")
         return tp
     if k is Const:
@@ -228,7 +271,7 @@ def _infer(sig: Signature, ctx: list[Tp | None], t: Term, holes: _Holes | None =
             raise OrbiError("E-TYPE", f"type family {t.name!r} used as a term")
         if entry.level:
             raise OrbiError("E-TYPE", f"rule {t.name!r} used as a term")
-        return entry.decl.tp
+        return entry.simple
     if k is App:
         head, args = t.fn, [t.arg]  # the spine's arguments, last first
         while type(head) is App:
@@ -245,11 +288,8 @@ def _infer(sig: Signature, ctx: list[Tp | None], t: Term, holes: _Holes | None =
             return _infer(sig, ctx + [ta], head.body)
         tf = _infer(sig, ctx, head, holes)
         for arg in reversed(args):
-            k = type(tf)
-            if k is not Arrow and k is not Pi:
-                raise OrbiError(
-                    "E-TYPE", f"term of atomic type {tp_str(tf, [])!r} applied to an argument"
-                )
+            if tf.dom is None:
+                raise OrbiError("E-TYPE", f"term of atomic type '{tf}' applied to an argument")
             _check(sig, ctx, arg, tf.dom, holes)
             tf = tf.cod
         return tf
@@ -257,14 +297,13 @@ def _infer(sig: Signature, ctx: list[Tp | None], t: Term, holes: _Holes | None =
 
 
 def _check(
-    sig: Signature, ctx: list[Tp | None], t: Term, exp: Tp, holes: _Holes | None = None
+    sig: Signature, ctx: list[Simple | None], t: Term, exp: Simple, holes: _Holes | None = None
 ) -> None:
     if type(t) is Lam:
-        k = type(exp)
-        if k is not Arrow and k is not Pi:
+        if exp.dom is None:
             if holes is not None:
-                raise OrbiError("E-RECON", f"lambda used where {tp_str(exp, [])!r} is expected")
-            raise OrbiError("E-TYPE", f"expected {tp_str(exp, [])}, got a lambda")
+                raise OrbiError("E-RECON", f"lambda used where '{exp}' is expected")
+            raise OrbiError("E-TYPE", f"expected {exp}, got a lambda")
         _check(sig, ctx + [exp.dom], t.body, exp.cod, holes)
         return
     if holes is not None:
@@ -288,14 +327,14 @@ def _check(
             # else a bare occurrence already recorded at this very type
             return
     actual = _infer(sig, ctx, t, holes)
-    if actual is not exp and actual != exp:
-        raise OrbiError("E-TYPE", f"expected {tp_str(exp, [])}, got {tp_str(actual, [])}")
+    if actual is not exp:
+        raise OrbiError("E-TYPE", f"expected {exp}, got {actual}")
 
 
 # ---------------------------------------------------------- reconstruction
 
 
-def _schematic(ctx: list[Tp | None], t: Term, exp: Tp, holes: _Holes) -> None:
+def _schematic(ctx: list[Simple | None], t: Term, exp: Simple, holes: _Holes) -> None:
     """Record the type of the schematic head of ``t : exp``, which must be a
     Miller pattern: the head applied to distinct bound variables of level-0
     types.  One loop along the spine, last argument first, builds the type."""
@@ -311,17 +350,21 @@ def _schematic(ctx: list[Tp | None], t: Term, exp: Tp, holes: _Holes) -> None:
                 fault = "applied to repeated bound variables"
             elif dom is None:
                 fault = "applied to a variable of a non-level-0 type"
-            seen |= 1 << i
-            cand = Arrow(dom, cand)
+            else:
+                seen |= 1 << i
+                to = dom.arrows
+                if cand not in to:
+                    to[cand] = Simple(None, dom, cand)
+                cand = to[cand]
     name = t.name
     if not fault:
         prev = holes.get(name)
         if prev is None:
             holes[name] = cand
             return
-        if prev is cand or prev == cand:
+        if prev is cand:
             return
-        fault = f"used at incompatible types {tp_str(prev, [])!r} and {tp_str(cand, [])!r}"
+        fault = f"used at incompatible types '{prev}' and '{cand}'"
     raise OrbiError("E-RECON", f"schematic variable {name!r} {fault}")
 
 
@@ -350,9 +393,12 @@ def _close(tp: Tp, names: tuple[str, ...], tps: tuple[Tp, ...]) -> Tp:
     def bind(n, k):
         return Var(k + outer[n.name]) if type(n) is Const and n.name in outer else n
 
+    def lf(s):
+        return AtomApp(s.family) if s.dom is None else Arrow(lf(s.dom), lf(s.cod))
+
     body = rebuild(tp, bind)
     for name, dom in zip(reversed(names), reversed(tps)):
-        body = Pi(name, dom, body)
+        body = Pi(name, lf(dom), body)
     return body
 
 
@@ -380,12 +426,15 @@ def check_signature(spec: OrbiSpec) -> Signature:
                         raise OrbiError(
                             "E-LEVEL", f"syntax-level family {decl.name!r} must have kind 'type'"
                         )
-                elif not check_tp(sig, [], decl.tp):
-                    raise OrbiError(
-                        "E-LEVEL",
-                        f"syntax-level constant {decl.name!r} may only mention level-0 families",
-                    )
-                sig.add(SigEntry(decl, 0, section))
+                    simple = Simple(decl.name)
+                else:
+                    simple = check_tp(sig, [], decl.tp)
+                    if simple is None:
+                        raise OrbiError(
+                            "E-LEVEL",
+                            f"syntax-level constant {decl.name!r} may only mention level-0 families",
+                        )
+                sig.add(SigEntry(decl, 0, section, simple=simple))
             elif section == "Judgments":
                 if type(decl) is ConstDecl:
                     raise OrbiError(
@@ -393,13 +442,14 @@ def check_signature(spec: OrbiSpec) -> Signature:
                         "only judgment (type family) declarations may appear in the "
                         "Judgments section",
                     )
-                if not check_tp(sig, [], decl.kind, kind=True):
+                simple = check_tp(sig, [], decl.kind, kind=Simple(decl.name))
+                if simple is None:
                     raise OrbiError(
                         "E-LEVEL",
                         f"judgment {decl.name!r} must be indexed by level-0 terms "
                         "only (family indexed by a family)",
                     )
-                sig.add(SigEntry(decl, 1, section))
+                sig.add(SigEntry(decl, 1, section, simple=simple))
             elif section == "Rules":
                 if type(decl) is FamDecl:
                     raise OrbiError(

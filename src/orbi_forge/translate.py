@@ -304,7 +304,10 @@ def translate_rule(sig: Signature, entry: SigEntry, ann: AnnotationTable) -> Cla
         while name in last:
             name += "'"
         last[hint] = last[name] = name
-        if explicit and type(dom) is AtomApp and dom.family in ann.wf_families:
+        # a schematic's type is simple (an arrow's family is None), a Pi
+        # domain an LF type; an atom of either names its family
+        k = type(dom)
+        if explicit and k is not Arrow and k is not Pi and dom.family in ann.wf_families:
             guards.append(Guard(dom.family, name))
         env.append(name)
     premises = []
