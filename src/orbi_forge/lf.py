@@ -2,18 +2,16 @@
 
 Syntax-section families define object syntax (level 0), Judgments-section
 families are judgments indexed by level-0 terms (level 1), and Rules-section
-constants must target a judgment.  Definitional equality is beta only.  A
-rule's schematic variables are left implicit in the source; their types are
-inferred from Miller-pattern occurrences in the same traversal that checks
-the rule (the checker's hole mode).  The signature stores a rule's open body,
-in which each schematic occurrence is still a ``Const``, and its schematic
-prefix, the names in ``SigEntry.implicit`` with their types.
-
-Every term of a spec is a level-0 term: a rule, or a variable of a type that
-is not level-0, used as a term is an ``E-TYPE``.  A level-0 family has kind
-``type``, so every type a term is checked against mentions no term: it is
-closed and beta-normal, kept as it is and compared with ``==`` (by identity
-first: the parser shares one argument-free ``AtomApp`` per family).
+constants must target a judgment.  Every term is level-0, so it is simply
+typed: ``check_tp`` erases a level-0 type to its ``Simple`` type (``{x:A} B``
+and ``A -> B`` alike to ``A⁻ -> B⁻``), and terms are checked against the
+erasures.  A rule's schematic variables are left implicit in the source;
+each gets a type read off its Miller-pattern occurrences in the pass that
+checks the rule (hole mode).  A redex is typed as written, its schematics'
+types solved by unification, and only then normalised.  The signature stores
+a rule's open body in normal form, with an arrow from a level-0 domain made a
+Pi, and its schematic prefix, the names in ``SigEntry.implicit`` with their
+simple types.
 """
 
 from __future__ import annotations
@@ -35,8 +33,8 @@ from orbi_forge.syntax import (
     TYPE_ATOM,
     Var,
     apply_spine,
-    free,
     rebuild,
+    shift,
     subst,
 )
 
@@ -51,12 +49,10 @@ class SigEntry(Record):
 
 
 class Simple:
-    """A simple type: the atom of a family (``family``), or an arrow ``dom ->
-    cod``.  A level-0 type erases to one, ``{x:A} B`` and ``A -> B`` alike to
-    ``A⁻ -> B⁻`` (Harper and Pfenning, TOCL 2005).  The simple types of one
-    signature are interned: each family has one atom, and an arrow is filed
-    under its domain's ``arrows``, keyed by its codomain; so two are equal iff
-    they are one object."""
+    """A simple type: the atom of a family, or an arrow ``dom -> cod``.  The
+    simple types of one signature are interned: a family has one atom, and
+    an arrow is filed under its domain's ``arrows`` by its codomain, so two
+    are equal iff they are one object."""
 
     __slots__ = ("family", "dom", "cod", "arrows")
 
@@ -65,15 +61,55 @@ class Simple:
 
     def __str__(self) -> str:
         # as ORBI writes it: a domain that is an arrow is parenthesised
-        parts, t = [], self
+        parts, t = [], _resolve(self)
         while t.dom is not None:
-            d = t.dom
+            d = _resolve(t.dom)
             parts.append(f"({d})" if d.dom is not None else d.family)
-            t = t.cod
-        parts.append(t.family)
-        return " -> ".join(parts)
+            t = _resolve(t.cod)
+        return " -> ".join(parts + [t.family])
 
 
+class TypeVar(Simple):
+    """An unknown simple type, ``?``, until unification binds it (``ref``)."""
+
+    __slots__ = ("ref",)
+
+    def __init__(self):
+        super().__init__("?")
+        self.ref = None
+
+
+def _resolve(t: Simple) -> Simple:
+    while type(t) is TypeVar and t.ref is not None:
+        t = t.ref
+    return t
+
+
+def _unify(a: Simple, b: Simple) -> bool:
+    """Solve ``a = b`` by binding type variables, with an occurs check
+    (Damas and Milner, POPL 1982); False if there is no solution."""
+    pairs = [(a, b)]
+    while pairs:
+        a, b = pairs.pop()
+        a, b = _resolve(a), _resolve(b)
+        if a is b:
+            continue
+        if type(b) is TypeVar:
+            a, b = b, a
+        if type(a) is TypeVar:
+            todo = [b]
+            while todo:
+                t = _resolve(todo.pop())
+                if t is a:
+                    return False
+                if t.dom is not None:
+                    todo += (t.dom, t.cod)
+            a.ref = b
+        elif a.dom is None or b.dom is None:
+            return False  # two atoms, or an atom and an arrow
+        else:
+            pairs += ((a.cod, b.cod), (a.dom, b.dom))
+    return True
 
 
 class Signature:
@@ -172,13 +208,18 @@ def normalize(node):
 
 
 class _Holes(dict):
-    """Schematic variable name -> reconstructed type, in first-occurrence order.
+    """Schematic variable name -> its simple type, in first-occurrence order
+    in the rule's normal form.
 
-    Passing one to ``check_tp`` puts the checker in hole mode: a spine headed
-    by an identifier the signature lacks is a schematic occurrence.
+    Passing one to ``check_tp`` puts the checker in hole mode: an identifier
+    the signature lacks is a schematic variable, and an occurrence of one
+    must be a Miller pattern, whose type is read off it.  ``_redex`` types a
+    redex as written with ``solving`` set, in which a schematic without a
+    pattern occurrence yet has a ``TypeVar``.  ``normal`` is cleared once the
+    rule as written is not its stored form.
     """
 
-    beta = False  # set once a beta-redex was checked
+    normal, solving = True, False
 
 
 def check_tp(
@@ -190,13 +231,11 @@ def check_tp(
 ) -> Simple | None:
     """Check that ``tp`` is a well-formed type under ``ctx`` (Var(0) is the
     last entry), or with ``kind`` a family's kind, the one chain that may end
-    in `type`, and return its erasure: its simple type if it is level-0
-    (every family it mentions is a syntax-level one), else None.  A kind
-    erases as a type that ends in ``kind``, its family's atom.  A loop along
-    an arrow or Pi chain pushes each Pi domain's erasure onto ``ctx`` and
-    pops them all on the way out, also when the check raises.  Only a chain
-    that ends in a level-0 family or in `type` keeps its domains' erasures,
-    for its own, last first, as a chain of (domain, rest) pairs."""
+    in `type`, where ``kind`` is the family's atom, and return its erasure if
+    it is level-0 (mentions only syntax-level families), else None.  A loop
+    along the chain pushes each Pi domain's erasure onto ``ctx`` and pops
+    them all on the way out, also when the check raises; a chain that ends in
+    a level-0 family or `type` keeps its domains as (domain, rest) pairs."""
     entries = sig.entries
     end = tp
     while type(end) is not AtomApp:
@@ -210,6 +249,15 @@ def check_tp(
             if type(tp) is Pi:
                 ctx.append(dom)
                 pushed += 1
+            elif holes is not None and not keep:
+                # a rule's premise: a binder, stored as a Pi, or a judgment
+                end = tp.dom
+                while type(end) is not AtomApp:
+                    end = end.cod
+                if dom is not None:
+                    holes.normal = False
+                elif entries[end.family].level == 0:
+                    raise OrbiError("E-LEVEL", f"premise into level-0 {end.family!r}: no judgment")
             if keep:
                 doms = (dom, doms)
             tp = tp.cod
@@ -257,16 +305,19 @@ def check_tp(
 def _infer(sig: Signature, ctx: list[Simple | None], t: Term, holes: _Holes | None = None) -> Simple:
     k = type(t)
     if k is Var:
-        if t.index >= len(ctx):
-            raise OrbiError("E-UNBOUND", f"unbound variable index {t.index}")
-        tp = ctx[-1 - t.index]
+        tp = ctx[-1 - t.index]  # the parser binds every variable
         if tp is None:
             raise OrbiError("E-TYPE", "a variable of a non-level-0 type used as a term")
         return tp
     if k is Const:
         entry = sig.entries.get(t.name)
         if entry is None:
-            raise OrbiError("E-UNBOUND", f"unbound identifier {t.name!r}")
+            if holes is None:
+                raise OrbiError("E-UNBOUND", f"unbound identifier {t.name!r}")
+            tp = holes.get(t.name)  # a schematic in a redex, typed as written
+            if tp is None:
+                tp = holes[t.name] = TypeVar()
+            return tp
         if type(entry.decl) is FamDecl:
             raise OrbiError("E-TYPE", f"type family {t.name!r} used as a term")
         if entry.level:
@@ -282,14 +333,18 @@ def _infer(sig: Signature, ctx: list[Simple | None], t: Term, holes: _Holes | No
             # if the body discards it, then the instantiated body, applied to
             # the other arguments if there are any
             first = args.pop()
-            ta = _infer(sig, ctx, first)
+            ta = _infer(sig, ctx, first, holes)
             if args:
-                return _infer(sig, ctx, apply_spine(subst(head.body, first), reversed(args)))
-            return _infer(sig, ctx + [ta], head.body)
+                t = apply_spine(subst(head.body, first), reversed(args))
+                return _infer(sig, ctx, t, holes)
+            return _infer(sig, ctx + [ta], head.body, holes)
         tf = _infer(sig, ctx, head, holes)
         for arg in reversed(args):
-            if tf.dom is None:
-                raise OrbiError("E-TYPE", f"term of atomic type '{tf}' applied to an argument")
+            if tf.dom is None:  # an atom, or a type variable
+                fn = Simple(None, TypeVar(), TypeVar())
+                if not _unify(tf, fn):
+                    raise OrbiError("E-TYPE", f"term of atomic type '{tf}' applied to an argument")
+                tf = fn
             _check(sig, ctx, arg, tf.dom, holes)
             tf = tf.cod
         return tf
@@ -300,26 +355,21 @@ def _check(
     sig: Signature, ctx: list[Simple | None], t: Term, exp: Simple, holes: _Holes | None = None
 ) -> None:
     if type(t) is Lam:
-        if exp.dom is None:
-            if holes is not None:
-                raise OrbiError("E-RECON", f"lambda used where '{exp}' is expected")
-            raise OrbiError("E-TYPE", f"expected {exp}, got a lambda")
+        if exp.dom is None:  # an atom, or a type variable
+            fn = Simple(None, TypeVar(), TypeVar())
+            if not _unify(exp, fn):
+                if holes is not None:
+                    raise OrbiError("E-RECON", f"lambda used where '{exp}' is expected")
+                raise OrbiError("E-TYPE", f"expected {exp}, got a lambda")
+            exp = fn
         _check(sig, ctx + [exp.dom], t.body, exp.cod, holes)
         return
-    if holes is not None:
+    if holes is not None and not holes.solving:
         head = t
         while type(head) is App:
             head = head.fn
         if type(head) is Lam:
-            # _reconstruct checks each redex once more in the closed rule,
-            # and stores the open normal form
-            holes.beta = True
-            if any(type(x) is str and x not in sig.entries for x in free(t)):
-                # a schematic's type is read off its pattern occurrences,
-                # so reconstruction sees the normal form
-                _check(sig, ctx, normalize(t), exp, holes)
-            else:
-                _check(sig, ctx, t, exp)  # typed as written, so it normalises
+            _redex(sig, ctx, t, exp, holes)
             return
         if type(head) is Const and head.name not in sig.entries:
             if head is not t or holes.get(t.name) is not exp:
@@ -327,7 +377,7 @@ def _check(
             # else a bare occurrence already recorded at this very type
             return
     actual = _infer(sig, ctx, t, holes)
-    if actual is not exp:
+    if actual is not exp and not _unify(actual, exp):
         raise OrbiError("E-TYPE", f"expected {exp}, got {actual}")
 
 
@@ -364,51 +414,41 @@ def _schematic(ctx: list[Simple | None], t: Term, exp: Simple, holes: _Holes) ->
             return
         if prev is cand:
             return
+        if type(prev) is TypeVar and _unify(prev, cand):
+            del holes[name]  # typed in a redex, and here first in normal form
+            holes[name] = cand
+            return
         fault = f"used at incompatible types '{prev}' and '{cand}'"
     raise OrbiError("E-RECON", f"schematic variable {name!r} {fault}")
 
 
+def _redex(sig: Signature, ctx: list[Simple | None], t: Term, exp: Simple, holes: _Holes) -> None:
+    """Check the redex ``t : exp`` of a rule as written, so that an argument
+    the body discards is typed too, then its normal form in hole mode."""
+    holes.normal, holes.solving = False, True
+    _check(sig, ctx, t, exp, holes)
+    holes.solving = False
+    _check(sig, ctx, normalize(t), exp, holes)  # simply typed, so it has one
+
+
 def _reconstruct(sig: Signature, decl: ConstDecl) -> SigEntry:
     """Check a rule and infer its schematic prefix; the entry keeps the open
-    body."""
-    unknowns = _Holes()
-    check_tp(sig, [], decl.tp, unknowns)
-    entry = SigEntry(decl, 1, "Rules", tuple(unknowns), tuple(unknowns.values()))
-    if unknowns.beta:
-        # the schematics' types are known now: check each redex as written,
-        # so that its discarded arguments are well typed too, then store the
-        # open normal form (schematics are opaque constants, so normalising
-        # commutes with closing)
-        check_tp(sig, [], closed_decl(entry).tp)
-        entry = entry._replace(decl=ConstDecl(decl.name, normalize(decl.tp), decl.loc))
-    return entry
+    body of the rule's stored form."""
+    holes = _Holes()
+    check_tp(sig, [], decl.tp, holes)
+    if holes.normal:
+        return SigEntry(decl, 1, "Rules", tuple(holes), tuple(holes.values()))
+    for name, tp in holes.items():
+        if type(tp) is TypeVar:  # only a discarded argument mentions it
+            raise OrbiError("E-UNBOUND", f"unbound identifier {name!r}")
 
+    def binder(n, k):  # an arrow from a level-0 domain into a judgment
+        if type(n) is Arrow and is_level0(sig, n.dom) and not is_level0(sig, n.cod):
+            return Pi("x", n.dom, shift(n.cod, 1))
+        return n
 
-def _close(tp: Tp, names: tuple[str, ...], tps: tuple[Tp, ...]) -> Tp:
-    """Bind the schematic variables ``names`` of ``tp`` by an outermost
-    Pi-prefix with domains ``tps``."""
-    # index of each name's binder, counted from inside the prefix
-    outer = {n: len(names) - 1 - j for j, n in enumerate(names)}
-
-    def bind(n, k):
-        return Var(k + outer[n.name]) if type(n) is Const and n.name in outer else n
-
-    def lf(s):
-        return AtomApp(s.family) if s.dom is None else Arrow(lf(s.dom), lf(s.cod))
-
-    body = rebuild(tp, bind)
-    for name, dom in zip(reversed(names), reversed(tps)):
-        body = Pi(name, lf(dom), body)
-    return body
-
-
-def closed_decl(entry: SigEntry) -> ConstDecl:
-    """The declaration of a checked constant with its schematic variables
-    bound by an outermost Pi-prefix, in first-occurrence order."""
-    decl = entry.decl
-    if not entry.implicit:
-        return decl
-    return ConstDecl(decl.name, _close(decl.tp, entry.implicit, entry.implicit_tps), decl.loc)
+    tp = rebuild(normalize(decl.tp), binder)
+    return SigEntry(ConstDecl(decl.name, tp, decl.loc), 1, "Rules", tuple(holes), tuple(holes.values()))
 
 
 # ---------------------------------------------------------------- checking
@@ -450,7 +490,7 @@ def check_signature(spec: OrbiSpec) -> Signature:
                         "only (family indexed by a family)",
                     )
                 sig.add(SigEntry(decl, 1, section, simple=simple))
-            elif section == "Rules":
+            else:  # the parser admits a declaration in these three sections only
                 if type(decl) is FamDecl:
                     raise OrbiError(
                         "E-LEVEL", "type families may not be declared in the Rules section"
@@ -461,10 +501,6 @@ def check_signature(spec: OrbiSpec) -> Signature:
                         "E-LEVEL", f"rule {decl.name!r} must target a level-1 judgment family"
                     )
                 sig.add(entry)
-            else:
-                raise OrbiError(
-                    "E-LEVEL", f"constant or type declaration in unsupported section {section!r}"
-                )
         except OrbiError as e:
             raise e.at(decl.loc)
     return sig

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from conftest import golden
-from helpers import check_all, make_spec
+from helpers import check_all, closed_decl, make_spec
 from orbi_forge import (
     check_signature,
     check_spec,
@@ -17,7 +17,7 @@ from orbi_forge import (
 )
 from orbi_forge.directives import AnnotationTable
 from orbi_forge.errors import OrbiError
-from orbi_forge.lf import _infer, closed_decl
+from orbi_forge.lf import _infer
 from orbi_forge.lint import lint
 from orbi_forge.pretty import pretty, term_str
 from orbi_forge.syntax import Arrow, AtomApp, Pi
