@@ -10,6 +10,7 @@ from orbi_forge import directives
 from orbi_forge.errors import Diagnostic, OrbiError
 from orbi_forge.lf import (
     Signature,
+    TypeVar,
     check_signature,
     check_tp,
     families_in_tp,
@@ -71,9 +72,7 @@ def check_ctx_pattern(
     c: CtxPattern,
     ctx_vars: dict[str, str] | None = None,
 ) -> CtxPattern:
-    schema = schemas.get(expected_schema)
-    if schema is None:
-        raise OrbiError("E-NO-SCHEMA", f"unknown schema {expected_schema!r}")
+    schema = schemas[expected_schema]  # check_inductive_def checked the name
     if c.var is not None:
         declared = (ctx_vars or {}).get(c.var)
         if declared is None:
@@ -201,9 +200,9 @@ def scope_check_theorem(sig: Signature, schemas: dict, relations: dict, t: Theor
                 try:
                     tp = check_tp(sig, telescope, tp)
                 except OrbiError as e:
-                    # a variable of an ill-typed entry is no term
+                    # reported once: a use of its variable is of any type
                     report(e.code, e.message)
-                    tp = None
+                    tp = TypeVar()
                 telescope.append(tp)
 
     def enter(scope: dict, name: str, body: Prp) -> None:

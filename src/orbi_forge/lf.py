@@ -257,7 +257,7 @@ def check_tp(
                 if dom is not None:
                     holes.normal = False
                 elif entries[end.family].level == 0:
-                    raise OrbiError("E-LEVEL", f"premise into level-0 {end.family!r}: no judgment")
+                    raise OrbiError("E-LEVEL", f"a premise into level-0 {end.family!r} is no judgment")
             if keep:
                 doms = (dom, doms)
             tp = tp.cod

@@ -540,8 +540,9 @@ def _parse_prp_atom(c: _Cursor, schema_names, family_names):
         # `(` opens either a parenthesized proposition or a parenthesized
         # term starting a term equality.  The token after the matching `)`
         # decides: an identifier, `(` or `=` there means the term reading.
-        # Otherwise the proposition reading is tried, and if it fails the
-        # term reading gives the error.
+        # Otherwise the proposition reading is tried, and if it fails, so
+        # does the term reading: the error is the one of the reading that
+        # got further.
         if c.closers is None:
             c.closers, opened = {}, []
             for j, t in enumerate(lex):
@@ -550,21 +551,29 @@ def _parse_prp_atom(c: _Cursor, schema_names, family_names):
                 elif t == ")" and opened:
                     c.closers[opened.pop()] = j
         close = c.closers.get(i)  # None: this `(` is never closed
+        failed = None  # the proposition reading's error, and its token
         if close is None or not (lex[close + 1] in ids or lex[close + 1] in ("(", "=")):
             c.i = i + 1
             try:
                 p = _parse_prp(c, schema_names, family_names)
-            except ParseError:
+            except ParseError as e:
                 c.unbind()
+                failed = e, c.i
             else:
                 if c.i == close:
                     c.i = close + 1
                     return p
         c.i = i
-        term = _parse_term(c)
-        j = c.i
-        if lex[j] != "=":
-            raise c.error(j, "'='", "prp")
+        try:
+            term = _parse_term(c)
+            j = c.i
+            if lex[j] != "=":
+                raise c.error(j, "'='", "prp")
+        except ParseError:
+            if failed is None or c.i >= failed[1]:
+                raise
+            c.i = failed[1]
+            raise failed[0] from None
         c.i = j + 1
         return TermEq(term, _parse_term(c))
     if tok == "[":

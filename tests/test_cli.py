@@ -150,6 +150,16 @@ _SHAPES_SIG = "%% Syntax\ntm: type.\nc: tm.\n\n%% Judgments\nj: tm -> type.\nk: 
             "E-EMPTY",
             id="relation",
         ),
+        pytest.param(
+            "%% Schemas\nschema xG = block (x:tm -> tm);\n\n"
+            "%% Directives\n%% wf [ab] in tm\n%% explicit [ab] in xG\n",
+            "schema",
+            "E-SHAPE",
+            id="higher-order-entry",
+        ),
+        pytest.param(
+            "%% Schemas\nschema xG = block (x:tm, u:{y:tm} j y);\n", "schema", "E-SHAPE", id="pi-entry"
+        ),
     ],
 )
 def test_translation_error_located_at_its_declaration(body, decl, code, tmp_path, capsys):

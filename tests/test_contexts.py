@@ -8,6 +8,7 @@ import pytest
 import orbi_forge
 from helpers import check_all, first_error_code, make_spec, raises_code
 from orbi_forge import parse_spec
+from orbi_forge.errors import OrbiError
 from orbi_forge.contexts import (
     check_ctx_pattern,
     check_spec,
@@ -215,6 +216,12 @@ def test_relation_premise_must_be_bare_vars(checked):
             "relation 'R' expects 2 context arguments, got 1",
             id="head-arity",
         ),
+        pytest.param(
+            "inductive R : {g:xG} prop =\n| R_nl: R [];\n\ninductive R : {g:xG} prop =\n| R_nl: R [];",
+            "E-DUP",
+            "duplicate declaration of 'R'",
+            id="duplicate-relation",
+        ),
     ],
 )
 def test_relation_clause_diagnostics(definition, code, message):
@@ -256,16 +263,32 @@ def test_scope_check_stable_under_renaming(checked):
 
 
 def test_theorem_block_entry_after_untypable_redex(checked):
-    # the ill-typed entry is not normalised, so the entry that depends on it
-    # is reported instead of exhausting the stack
+    # the ill-typed entry is not normalised, so it is reported instead of
+    # exhausting the stack, and the entry that depends on it is not
     block = r"block (x:tm, u:aeq ((\y. y y) (\y. y y)) x, v:aeq u x)"
     spec = parse_spec(make_spec(theorems=f"theorem t: {{M:tm}} [b:{block} |- aeq M M];"))
     with raises_code("E-TYPE") as exc:
         scope_check_theorem(checked.sig, checked.schemas, checked.relations, spec.theorems[0])
-    assert [d.message for d in exc.value.diagnostics] == [
-        "cannot infer the type of a bare lambda",
-        "a variable of a non-level-0 type used as a term",
-    ]
+    assert [d.message for d in exc.value.diagnostics] == ["cannot infer the type of a bare lambda"]
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("u:foo, v:aeq u x", "unknown type family 'foo'"),
+        ("u:aeq x, v:aeq u x", "type family 'aeq' is not fully applied"),
+        ("u:tm -> foo, v:aeq (u x) x", "unknown type family 'foo'"),
+    ],
+    ids=["unknown-family", "partial-family", "unknown-codomain"],
+)
+def test_theorem_block_entry_that_failed_is_reported_once(entry, message, checked):
+    # a use of the variable of an entry whose type failed to check is of any
+    # type, so it adds no diagnostic of its own, applied or not
+    block = f"block (x:tm, {entry})"
+    spec = parse_spec(make_spec(theorems=f"theorem t: {{M:tm}} [b:{block} |- aeq M M];"))
+    with pytest.raises(OrbiError) as exc:
+        scope_check_theorem(checked.sig, checked.schemas, checked.relations, spec.theorems[0])
+    assert [d.message for d in exc.value.diagnostics] == [message]
 
 
 @pytest.mark.parametrize(
@@ -292,6 +315,30 @@ def test_block_entry_of_level1_type_is_no_term(sections):
     assert [d.message for d in exc.value.diagnostics] == [
         "a variable of a non-level-0 type used as a term"
     ]
+
+
+@pytest.mark.parametrize(
+    "sections, code, message",
+    [
+        pytest.param(
+            {"schemas": "schema xG = block (x:tm, u:aeq (\\y. y) x);"},
+            "E-TYPE",
+            "expected tm, got a lambda",
+            id="schema-entry-lambda",
+        ),
+        pytest.param(
+            {"theorems": "theorem t: true;\ntheorem t: true;"},
+            "E-DUP",
+            "duplicate theorem 't'",
+            id="duplicate-theorem",
+        ),
+    ],
+)
+def test_declaration_diagnostics(sections, code, message):
+    src = make_spec(syntax="tm: type.", judgments="aeq: tm -> tm -> type.", **sections)
+    with raises_code(code) as exc:
+        check_all(src)
+    assert exc.value.diagnostics[0].message == message
 
 
 def test_theorem_quantifier_level_enforced(checked):

@@ -98,6 +98,27 @@ def test_judgment_indexed_by_family_rejected():
         check_signature(parse_spec(src))
 
 
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        pytest.param(
+            "%% Syntax\ntm: type.\nc: tm.\n\n%% Judgments\nj: tm -> type.\n\n%% Syntax\nd: j c -> tm.\n",
+            "syntax-level constant 'd' may only mention level-0 families",
+            id="syntax-constant-over-judgment",
+        ),
+        pytest.param(
+            "%% Syntax\ntm: type.\n\n%% Judgments\nj: type.\nj2: j -> type.\n",
+            "judgment 'j2' must be indexed by level-0 terms only (family indexed by a family)",
+            id="judgment-indexed-by-judgment",
+        ),
+    ],
+)
+def test_signature_level_faults(source, message):
+    with raises_code("E-LEVEL") as exc:
+        check_signature(parse_spec(source))
+    assert exc.value.message == message
+
+
 def test_empty_spec_checks_to_empty_signature():
     sig = check_signature(parse_spec(""))
     assert sig.entries == {}
@@ -259,6 +280,8 @@ _ATOMIC_APPLIED = "term of atomic type 't' applied to an argument"
         ("j c0", "E-KIND", "type family 'j' is not fully applied"),
         ("j c0 c0 c0", "E-KIND", "type family 'j' applied to too many arguments"),
         ("t", "E-LEVEL", "rule 'r' must target a level-1 judgment family"),
+        # a premise is a judgment, or a level-0 type that binds a variable
+        ("(j c0 c0 -> t) -> j c0 c0", "E-LEVEL", "a premise into level-0 't' is no judgment"),
         # a redex is reconstructed through its normal form but checked as written
         (r"j ((\x. c0) M) c0", "E-UNBOUND", "unbound identifier 'M'"),
         (r"j ((\x. c0) t) c0", "E-TYPE", "type family 't' used as a term"),

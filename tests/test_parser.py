@@ -551,8 +551,8 @@ def test_item_locations_and_spans_match_reference_tokens():
         ("%% Theorems\ntheorem t: R [g;\n", [(2, 16, "expected ']' but found ';'")]),
         ("%% Theorems\ntheorem t: M N;\n", [(2, 15, "expected '=' after a term in a proposition")]),
         ("%% Theorems\ntheorem t: (M) N;\n", [(2, 17, "expected '=' but found ';'")]),
-        # the error of the term reading, not of the proposition reading
-        ("%% Theorems\ntheorem t: (true -> ;\n", [(2, 13, "expected a term but found 'true'")]),
+        # the error of the reading that got further, here the proposition's
+        ("%% Theorems\ntheorem t: (true -> ;\n", [(2, 21, "expected a proposition but found ';'")]),
         # of the item dispatch
         ("tm: type.\n", [(1, 1, "declaration before any %% section separator")]),
         ("%% Syntax\nschema xG = block (x:tm);\n", [(2, 1, "schema declaration in the Syntax section")]),
