@@ -14,7 +14,6 @@ from orbi_forge.lf import (
     check_signature,
     check_tp,
     families_in_tp,
-    kind_domains,
     normalize,
 )
 from orbi_forge.syntax import (
@@ -47,9 +46,8 @@ from orbi_forge.syntax import (
 
 
 def check_schema(sig: Signature, s: Schema) -> Schema:
-    """Check each block of ``s`` as a telescope, each entry under the
-    erasures of the entries before it; the returned schema holds the
-    beta-normal entry types."""
+    """Check each block of ``s`` as a telescope of erasures; the returned
+    schema holds the beta-normal entry types."""
     alternatives = []
     for block in s.alternatives:
         labels: dict[str, None] = {}  # in order, with a constant-time lookup
@@ -202,7 +200,7 @@ def scope_check_theorem(sig: Signature, schemas: dict, relations: dict, t: Theor
                 except OrbiError as e:
                     # reported once: a use of its variable is of any type
                     report(e.code, e.message)
-                    tp = TypeVar()
+                    tp = TypeVar("?")
                 telescope.append(tp)
 
     def enter(scope: dict, name: str, body: Prp) -> None:
@@ -256,7 +254,9 @@ def scope_check_theorem(sig: Signature, schemas: dict, relations: dict, t: Theor
             else:
                 if entry.level != 1:
                     report("E-LEVEL", f"judgment head {p.family!r} is not a level-1 family")
-                want = len(kind_domains(entry.decl.kind))
+                want, k = 0, entry.simple  # the erasure of its kind
+                while k.dom is not None:
+                    want, k = want + 1, k.cod
                 if len(p.args) != want:
                     report(
                         "E-ARITY",

@@ -2,16 +2,13 @@
 
 Syntax-section families define object syntax (level 0), Judgments-section
 families are judgments indexed by level-0 terms (level 1), and Rules-section
-constants must target a judgment.  Every term is level-0, so it is simply
-typed: ``check_tp`` erases a level-0 type to its ``Simple`` type (``{x:A} B``
-and ``A -> B`` alike to ``A⁻ -> B⁻``), and terms are checked against the
-erasures.  A rule's schematic variables are left implicit in the source;
-each gets a type read off its Miller-pattern occurrences in the pass that
-checks the rule (hole mode).  A redex is typed as written, its schematics'
-types solved by unification, and only then normalised.  The signature stores
-a rule's open body in normal form, with an arrow from a level-0 domain made a
-Pi, and its schematic prefix, the names in ``SigEntry.implicit`` with their
-simple types.
+constants must target a judgment.  Every term is level-0 and simply typed:
+``check_tp`` erases a level-0 type to a ``Simple`` type, ``{x:A} B`` and
+``A -> B`` alike to ``A⁻ -> B⁻``.  A rule's schematic variables are implicit;
+hole mode reads their types off their Miller-pattern occurrences, and types a
+redex as written, solving them by unification, before it normalises it.  The
+signature stores a rule's open body in normal form, with each arrow from a
+level-0 domain made a Pi, and its schematic prefix (``SigEntry.implicit``).
 """
 
 from __future__ import annotations
@@ -41,9 +38,8 @@ from orbi_forge.syntax import (
 
 class SigEntry(Record):
     # implicit: a rule's schematic variables, in first-occurrence order, and
-    # implicit_tps their reconstructed simple types; decl holds the open body.
-    # simple: a level-0 constant's simple type, or a family's: its kind's
-    # domains, erased, ending in the family's atom
+    # implicit_tps their simple types; decl holds the open body.  simple: a
+    # level-0 constant's erased type, or a family's erased kind, with its atom
     __slots__ = ("decl", "level", "section", "implicit", "implicit_tps", "simple")
     _defaults = ((), (), None)
 
@@ -70,13 +66,9 @@ class Simple:
 
 
 class TypeVar(Simple):
-    """An unknown simple type, ``?``, until unification binds it (``ref``)."""
+    """An unknown simple type, ``TypeVar("?")``, until unification binds ``ref``."""
 
-    __slots__ = ("ref",)
-
-    def __init__(self):
-        super().__init__("?")
-        self.ref = None
+    ref = None
 
 
 def _resolve(t: Simple) -> Simple:
@@ -113,11 +105,9 @@ def _unify(a: Simple, b: Simple) -> bool:
 
 
 class Signature:
-    """Ordered map ``entries`` from declared names to checked entries.
-
-    Each name is added once; ``add`` also files a constant under the family
-    its type targets, so ``constructors_of`` is a lookup.
-    """
+    """Ordered map ``entries`` from declared names to checked entries.  Each
+    name is added once; ``add`` also files a constant under the family its
+    type targets, so ``constructors_of`` is a lookup."""
 
     def __init__(self):
         self.entries: dict[str, SigEntry] = {}
@@ -142,18 +132,8 @@ def target_family(tp: Tp) -> str:
     return tp.family
 
 
-def kind_domains(k: Tp) -> tuple[Tp, ...]:
-    """The domains of a family's kind, up to the `type` atom that ends it."""
-    out = []
-    while type(k) is not AtomApp:
-        out.append(k.dom)
-        k = k.cod
-    return tuple(out)
-
-
 def is_level0(sig: Signature, tp: Tp) -> bool:
-    """Whether every family ``tp`` mentions is a syntax-level family."""
-    # an atom's indices are terms, which mention no family
+    """Whether every family ``tp`` mentions (not an atom's terms) is level-0."""
     for fam in (tp.family,) if type(tp) is AtomApp else families_in_tp(tp):
         entry = sig.entries.get(fam)
         if entry is None or entry.level != 0:
@@ -209,33 +189,23 @@ def normalize(node):
 
 class _Holes(dict):
     """Schematic variable name -> its simple type, in first-occurrence order
-    in the rule's normal form.
-
-    Passing one to ``check_tp`` puts the checker in hole mode: an identifier
-    the signature lacks is a schematic variable, and an occurrence of one
-    must be a Miller pattern, whose type is read off it.  ``_redex`` types a
-    redex as written with ``solving`` set, in which a schematic without a
-    pattern occurrence yet has a ``TypeVar``.  ``normal`` is cleared once the
-    rule as written is not its stored form.
-    """
+    in the rule's normal form.  Passing one to ``check_tp`` puts the checker
+    in hole mode: an identifier the signature lacks is a schematic variable,
+    whose type is read off its Miller-pattern occurrences, or is a
+    ``TypeVar`` while ``_redex`` types a redex as written (``solving``).
+    ``normal`` is cleared once the rule as written is not its stored form."""
 
     normal, solving = True, False
 
 
-def check_tp(
-    sig: Signature,
-    ctx: list[Simple | None],
-    tp: Tp,
-    holes: _Holes | None = None,
-    kind: Simple | None = None,
-) -> Simple | None:
+def check_tp(sig: Signature, ctx: list, tp: Tp, holes=None, kind=None) -> Simple | None:
     """Check that ``tp`` is a well-formed type under ``ctx`` (Var(0) is the
-    last entry), or with ``kind`` a family's kind, the one chain that may end
-    in `type`, where ``kind`` is the family's atom, and return its erasure if
-    it is level-0 (mentions only syntax-level families), else None.  A loop
-    along the chain pushes each Pi domain's erasure onto ``ctx`` and pops
-    them all on the way out, also when the check raises; a chain that ends in
-    a level-0 family or `type` keeps its domains as (domain, rest) pairs."""
+    last entry), or with ``kind``, its family's atom, a kind: the one chain
+    that may end in `type`.  Return its erasure if it is level-0 (mentions
+    only syntax-level families), else None.  A loop along the chain pushes
+    each Pi domain's erasure onto ``ctx``, and pops them all on the way out,
+    also when the check raises; a chain that ends in a level-0 family or
+    `type` keeps its domains as (domain, rest) pairs."""
     entries = sig.entries
     end = tp
     while type(end) is not AtomApp:
@@ -302,7 +272,7 @@ def check_tp(
 # ------------------------------------------------------------------ typing
 
 
-def _infer(sig: Signature, ctx: list[Simple | None], t: Term, holes: _Holes | None = None) -> Simple:
+def _infer(sig: Signature, ctx: list, t: Term, holes: _Holes | None = None) -> Simple:
     k = type(t)
     if k is Var:
         tp = ctx[-1 - t.index]  # the parser binds every variable
@@ -316,7 +286,7 @@ def _infer(sig: Signature, ctx: list[Simple | None], t: Term, holes: _Holes | No
                 raise OrbiError("E-UNBOUND", f"unbound identifier {t.name!r}")
             tp = holes.get(t.name)  # a schematic in a redex, typed as written
             if tp is None:
-                tp = holes[t.name] = TypeVar()
+                tp = holes[t.name] = TypeVar("?")
             return tp
         if type(entry.decl) is FamDecl:
             raise OrbiError("E-TYPE", f"type family {t.name!r} used as a term")
@@ -341,7 +311,7 @@ def _infer(sig: Signature, ctx: list[Simple | None], t: Term, holes: _Holes | No
         tf = _infer(sig, ctx, head, holes)
         for arg in reversed(args):
             if tf.dom is None:  # an atom, or a type variable
-                fn = Simple(None, TypeVar(), TypeVar())
+                fn = Simple(None, TypeVar("?"), TypeVar("?"))
                 if not _unify(tf, fn):
                     raise OrbiError("E-TYPE", f"term of atomic type '{tf}' applied to an argument")
                 tf = fn
@@ -351,12 +321,10 @@ def _infer(sig: Signature, ctx: list[Simple | None], t: Term, holes: _Holes | No
     raise OrbiError("E-TYPE", "cannot infer the type of a bare lambda")
 
 
-def _check(
-    sig: Signature, ctx: list[Simple | None], t: Term, exp: Simple, holes: _Holes | None = None
-) -> None:
+def _check(sig: Signature, ctx: list, t: Term, exp: Simple, holes: _Holes | None = None) -> None:
     if type(t) is Lam:
         if exp.dom is None:  # an atom, or a type variable
-            fn = Simple(None, TypeVar(), TypeVar())
+            fn = Simple(None, TypeVar("?"), TypeVar("?"))
             if not _unify(exp, fn):
                 if holes is not None:
                     raise OrbiError("E-RECON", f"lambda used where '{exp}' is expected")
@@ -384,10 +352,10 @@ def _check(
 # ---------------------------------------------------------- reconstruction
 
 
-def _schematic(ctx: list[Simple | None], t: Term, exp: Simple, holes: _Holes) -> None:
-    """Record the type of the schematic head of ``t : exp``, which must be a
-    Miller pattern: the head applied to distinct bound variables of level-0
-    types.  One loop along the spine, last argument first, builds the type."""
+def _schematic(ctx: list, t: Term, exp: Simple, holes: _Holes) -> None:
+    """Record the type of the schematic head of ``t : exp``, a Miller pattern:
+    the head applied to distinct bound variables of level-0 types, read in
+    one loop along the spine, last argument first."""
     cand, seen, fault = exp, 0, ""
     while type(t) is App:
         arg, t = t.arg, t.fn
@@ -422,7 +390,7 @@ def _schematic(ctx: list[Simple | None], t: Term, exp: Simple, holes: _Holes) ->
     raise OrbiError("E-RECON", f"schematic variable {name!r} {fault}")
 
 
-def _redex(sig: Signature, ctx: list[Simple | None], t: Term, exp: Simple, holes: _Holes) -> None:
+def _redex(sig: Signature, ctx: list, t: Term, exp: Simple, holes: _Holes) -> None:
     """Check the redex ``t : exp`` of a rule as written, so that an argument
     the body discards is typed too, then its normal form in hole mode."""
     holes.normal, holes.solving = False, True
@@ -432,23 +400,21 @@ def _redex(sig: Signature, ctx: list[Simple | None], t: Term, exp: Simple, holes
 
 
 def _reconstruct(sig: Signature, decl: ConstDecl) -> SigEntry:
-    """Check a rule and infer its schematic prefix; the entry keeps the open
-    body of the rule's stored form."""
+    """Check a rule and infer its schematic prefix, keeping its open body."""
     holes = _Holes()
     check_tp(sig, [], decl.tp, holes)
-    if holes.normal:
-        return SigEntry(decl, 1, "Rules", tuple(holes), tuple(holes.values()))
-    for name, tp in holes.items():
-        if type(tp) is TypeVar:  # only a discarded argument mentions it
-            raise OrbiError("E-UNBOUND", f"unbound identifier {name!r}")
+    if not holes.normal:
+        for name, tp in holes.items():
+            if type(tp) is TypeVar:  # only a discarded argument mentions it
+                raise OrbiError("E-UNBOUND", f"unbound identifier {name!r}")
 
-    def binder(n, k):  # an arrow from a level-0 domain into a judgment
-        if type(n) is Arrow and is_level0(sig, n.dom) and not is_level0(sig, n.cod):
-            return Pi("x", n.dom, shift(n.cod, 1))
-        return n
+        def binder(n, k):  # an arrow from a level-0 domain into a judgment
+            if type(n) is Arrow and is_level0(sig, n.dom) and not is_level0(sig, n.cod):
+                return Pi("x", n.dom, shift(n.cod, 1))
+            return n
 
-    tp = rebuild(normalize(decl.tp), binder)
-    return SigEntry(ConstDecl(decl.name, tp, decl.loc), 1, "Rules", tuple(holes), tuple(holes.values()))
+        decl = ConstDecl(decl.name, rebuild(normalize(decl.tp), binder), decl.loc)
+    return SigEntry(decl, 1, "Rules", tuple(holes), tuple(holes.values()))
 
 
 # ---------------------------------------------------------------- checking
@@ -467,13 +433,11 @@ def check_signature(spec: OrbiSpec) -> Signature:
                             "E-LEVEL", f"syntax-level family {decl.name!r} must have kind 'type'"
                         )
                     simple = Simple(decl.name)
-                else:
-                    simple = check_tp(sig, [], decl.tp)
-                    if simple is None:
-                        raise OrbiError(
-                            "E-LEVEL",
-                            f"syntax-level constant {decl.name!r} may only mention level-0 families",
-                        )
+                elif (simple := check_tp(sig, [], decl.tp)) is None:
+                    raise OrbiError(
+                        "E-LEVEL",
+                        f"syntax-level constant {decl.name!r} may only mention level-0 families",
+                    )
                 sig.add(SigEntry(decl, 0, section, simple=simple))
             elif section == "Judgments":
                 if type(decl) is ConstDecl:
@@ -482,8 +446,7 @@ def check_signature(spec: OrbiSpec) -> Signature:
                         "only judgment (type family) declarations may appear in the "
                         "Judgments section",
                     )
-                simple = check_tp(sig, [], decl.kind, kind=Simple(decl.name))
-                if simple is None:
+                if (simple := check_tp(sig, [], decl.kind, kind=Simple(decl.name))) is None:
                     raise OrbiError(
                         "E-LEVEL",
                         f"judgment {decl.name!r} must be indexed by level-0 terms "

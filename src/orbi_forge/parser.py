@@ -540,9 +540,8 @@ def _parse_prp_atom(c: _Cursor, schema_names, family_names):
         # `(` opens either a parenthesized proposition or a parenthesized
         # term starting a term equality.  The token after the matching `)`
         # decides: an identifier, `(` or `=` there means the term reading.
-        # Otherwise the proposition reading is tried, and if it fails, so
-        # does the term reading: the error is the one of the reading that
-        # got further.
+        # Otherwise the proposition reading is tried, then the term reading:
+        # if both fail, the error is that of the one that got further.
         if c.closers is None:
             c.closers, opened = {}, []
             for j, t in enumerate(lex):
@@ -714,25 +713,3 @@ def parse_spec(source: str) -> OrbiSpec:
         raise OrbiError.of(errors)
     return OrbiSpec(tuple(items), source, tuple(spans))
 
-
-# ------------------------------------------------------------ test helpers
-
-
-def _parse_str(parse, production: str, text: str, binders):
-    c = _Cursor(tokenize(text))
-    for k, name in enumerate(binders):
-        c.names.append((name, c.depth.get(name)))
-        c.depth[name] = k
-    node = parse(c)
-    if c.lex[c.i]:
-        raise c.fail(c.i, f"trailing input {c.lex[c.i]!r}", production)
-    return node
-
-
-def parse_term_str(text: str, binders=()):
-    """Parse a standalone term; ``binders`` lists enclosing names, outermost first."""
-    return _parse_str(_parse_term, "term", text, binders)
-
-
-def parse_tpkind_str(text: str, binders=()):
-    return _parse_str(_parse_tpkind, "tp", text, binders)

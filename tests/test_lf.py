@@ -5,11 +5,18 @@ import sys
 import pytest
 
 import lamoracle
-from helpers import check_all, closed, closed_decl, make_spec, raises_code
+from helpers import (
+    check_all,
+    closed,
+    closed_decl,
+    make_spec,
+    parse_term_str,
+    parse_tpkind_str,
+    raises_code,
+)
 from orbi_forge import check_signature, normalize, parse_spec
 from orbi_forge.errors import OrbiError
-from orbi_forge.lf import _infer, _reconstruct, check_tp, kind_domains
-from orbi_forge.parser import parse_term_str, parse_tpkind_str
+from orbi_forge.lf import _infer, _reconstruct, check_tp
 from orbi_forge.pretty import tp_str
 from orbi_forge.syntax import (
     App,
@@ -19,6 +26,7 @@ from orbi_forge.syntax import (
     ConstDecl,
     Lam,
     Pi,
+    chain,
     free,
 )
 from orbi_forge.translate import translate_spec
@@ -402,7 +410,7 @@ def _assert_canonical(sig):
         if isinstance(entry.decl, ConstDecl):
             assert entry.decl.tp == normalize(entry.decl.tp), entry.decl.name
         else:
-            doms = kind_domains(entry.decl.kind)
+            doms = [d for d, _ in chain(entry.decl.kind)[1][:-1]]
             assert all(sig.entries[f].level == 0 for d in doms for f in free(d)), entry.decl.name
 
 
