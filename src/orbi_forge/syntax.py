@@ -15,8 +15,8 @@ variables of ``ForallCtx``/``ForallTm``/``ExistsTm``, ``InductiveDef`` clause
 names and every ``Directive`` field.  Context patterns and relation clauses
 are stored flat: a ``CtxPattern`` keeps its blocks in a tuple, and a clause
 its premises.  ``free`` is the one walker asking which indices and names
-occur, and ``rebuild`` the one rewriting map (``shift``, ``subst`` and
-``lf._close`` are its instances; ``lf.normalize`` is a normal-order fold of
+occur, and ``rebuild`` the one rewriting map (``shift``, ``subst`` and a
+rule's stored form are its instances; ``lf.normalize`` is a normal-order fold of
 its own, and ``translate.eta_contract`` a bottom-up walk that enters only
 applications and lambdas).  ``last_uses`` runs ``free`` once over each part
 of a telescope, a chain of products (``chain``) or a block, for the printer

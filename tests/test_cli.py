@@ -367,6 +367,31 @@ def test_rule_ends_in_one_diagnostic(rule, tmp_path, capsys):
     assert err.splitlines() == [f"{p}:9:1: [E-TYPE] cannot infer the type of a bare lambda"]
 
 
+def test_level0_premise_as_arrow_or_pi_is_one_binder(tmp_path, capsys):
+    # lf stores the arrow form as the Pi form: one exit code under every
+    # command and one ab/hy clause; lint reads the source, so only the Pi
+    # form's vacuous x gets L3
+    sig = "%% Syntax\ntm: type.\nc: tm.\n\n%% Judgments\nj: tm -> type.\n\n%% Rules\n"
+    out = ["--out-dir", str(tmp_path)]
+    commands = [["check"], ["lint"], ["fmt"]]
+    commands += [["translate", "--target", t, *out] for t in ("ab", "hy", "bel", "tw")]
+    seen = []
+    for rule in ("t: (tm -> j c) -> j c.", "t: ({x:tm} j c) -> j c."):
+        p = tmp_path / "premise.orbi"
+        p.write_text(sig + rule + "\n", encoding="utf-8")
+        codes = [run(argv + [str(p)]) for argv in commands]
+        capsys.readouterr()
+        clauses = [(tmp_path / f"premise.{t}.out").read_text(encoding="utf-8") for t in ("ab", "hy")]
+        run(["lint", str(p)])
+        l3 = [line for line in capsys.readouterr().err.splitlines() if "[L3]" in line]
+        seen.append((codes, clauses, l3))
+    (arrow_codes, arrow_clauses, arrow_l3), (pi_codes, pi_clauses, pi_l3) = seen
+    assert arrow_codes == pi_codes == [0] * 7
+    assert arrow_clauses == pi_clauses
+    assert "j c :- pi x\\ j c." in arrow_clauses[0]
+    assert arrow_l3 == [] and len(pi_l3) == 1
+
+
 def test_rule_used_as_term_is_no_clause(tmp_path, capsys):
     # a Pi-bound variable of a level-1 type applied to a rule: no term is
     # level-1, so neither is one, and ab writes no clause with them
