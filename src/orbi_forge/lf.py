@@ -105,9 +105,11 @@ def _unify(a: Simple, b: Simple) -> bool:
 
 
 class Signature:
-    """Ordered map ``entries`` from declared names to checked entries.  Each
-    name is added once; ``add`` also files a constant under the family its
-    type targets, so ``constructors_of`` is a lookup."""
+    """Ordered map ``entries`` from declared names to checked entries.
+
+    Each name is added once; ``add`` also files a constant under the family
+    its type targets, so ``constructors_of`` is a lookup.
+    """
 
     def __init__(self):
         self.entries: dict[str, SigEntry] = {}
@@ -133,7 +135,8 @@ def target_family(tp: Tp) -> str:
 
 
 def is_level0(sig: Signature, tp: Tp) -> bool:
-    """Whether every family ``tp`` mentions (not an atom's terms) is level-0."""
+    """Whether every family ``tp`` mentions is a syntax-level family."""
+    # an atom's indices are terms, which mention no family
     for fam in (tp.family,) if type(tp) is AtomApp else families_in_tp(tp):
         entry = sig.entries.get(fam)
         if entry is None or entry.level != 0:
@@ -227,7 +230,10 @@ def check_tp(sig: Signature, ctx: list, tp: Tp, holes=None, kind=None) -> Simple
                 if dom is not None:
                     holes.normal = False
                 elif entries[end.family].level == 0:
-                    raise OrbiError("E-LEVEL", f"a premise into level-0 {end.family!r} is no judgment")
+                    raise OrbiError(
+                        "E-LEVEL",
+                        f"a premise must end in a judgment, not in the level-0 family {end.family!r}",
+                    )
             if keep:
                 doms = (dom, doms)
             tp = tp.cod
@@ -353,9 +359,9 @@ def _check(sig: Signature, ctx: list, t: Term, exp: Simple, holes: _Holes | None
 
 
 def _schematic(ctx: list, t: Term, exp: Simple, holes: _Holes) -> None:
-    """Record the type of the schematic head of ``t : exp``, a Miller pattern:
-    the head applied to distinct bound variables of level-0 types, read in
-    one loop along the spine, last argument first."""
+    """Record the type of the schematic head of ``t : exp``, which must be a
+    Miller pattern: the head applied to distinct bound variables of level-0
+    types.  One loop along the spine, last argument first, builds the type."""
     cand, seen, fault = exp, 0, ""
     while type(t) is App:
         arg, t = t.arg, t.fn

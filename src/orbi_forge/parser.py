@@ -713,3 +713,25 @@ def parse_spec(source: str) -> OrbiSpec:
         raise OrbiError.of(errors)
     return OrbiSpec(tuple(items), source, tuple(spans))
 
+
+# ------------------------------------------------------------ test helpers
+
+
+def _parse_str(parse, production: str, text: str, binders):
+    c = _Cursor(tokenize(text))
+    for k, name in enumerate(binders):
+        c.names.append((name, c.depth.get(name)))
+        c.depth[name] = k
+    node = parse(c)
+    if c.lex[c.i]:
+        raise c.fail(c.i, f"trailing input {c.lex[c.i]!r}", production)
+    return node
+
+
+def parse_term_str(text: str, binders=()):
+    """Parse a standalone term; ``binders`` lists enclosing names, outermost first."""
+    return _parse_str(_parse_term, "term", text, binders)
+
+
+def parse_tpkind_str(text: str, binders=()):
+    return _parse_str(_parse_tpkind, "tp", text, binders)

@@ -4,8 +4,8 @@ Proof-theoretic targets (ab, hy) get full pipelines: generated
 well-formedness predicates, rules as hereditary-Harrop clauses, schemas and
 context relations as inductive list predicates, theorem statements as
 formulas.  The first four lower to one clause IR of goal nodes in which the
-wf guard is a node of its own, so dropping the guards turns an explicit
-clause into the implicit one structurally.  A schema is the one-parameter relation
+wf guard is a node of its own, so ``erase_clause`` turns an explicit clause
+into the implicit one structurally.  A schema is the one-parameter relation
 it denotes: both lower to an ``Inductive``, whose ``render`` is the one place
 that writes the ab ``Define`` and the hy ``Inductive`` layout.  bel passes
 the signature through unchanged and lifts theorems; tw passes the signature
@@ -121,6 +121,37 @@ class RelClause(Record):
     level-0 block entries, its list variables for the context variables."""
 
     __slots__ = ("name", "nabla", "lists", "premises", "head")
+
+
+def _erase(g):
+    t = type(g)
+    if t is Guard:
+        return None
+    if t is PiG:
+        body = _erase(g.body)
+        return None if body is None else PiG(g.var, body)
+    if t is ImpG:
+        body, hyp = _erase(g.body), _erase(g.hyp)
+        return body if body is None or hyp is None else ImpG(hyp, body)
+    if t is AtomG:
+        return AtomG(g.pred, tuple(map(_erase, g.args)))
+    if t is Cons:
+        items = _erase_all(g.items)
+        return Cons(items, g.tail) if items else g.tail
+    return g  # a rendered term
+
+
+def _erase_all(goals) -> tuple:
+    return tuple([e for e in map(_erase, goals) if e is not None])
+
+
+def erase_clause(cl):
+    """The implicit form of an explicit clause: guards are dropped,
+    ``ImpG(guard, b)`` becomes ``b`` and every ``PiG`` stays.  A wf clause,
+    which defines a guard, erases to None."""
+    if type(cl) is RelClause:
+        return cl._replace(premises=_erase_all(cl.premises), head=_erase(cl.head))
+    return None if type(cl.head) is Guard else Clause(cl.head, _erase_all(cl.body))
 
 
 # -------------------------------------------------------------- eta + names

@@ -6,9 +6,6 @@ import pytest
 
 from orbi_forge import check_spec, parse_spec
 from orbi_forge.errors import OrbiError
-from orbi_forge.lexer import tokenize
-from orbi_forge.parser import _Cursor, _parse_term, _parse_tpkind
-from orbi_forge.translate import AtomG, Clause, Cons, Guard, ImpG, PiG, RelClause
 from orbi_forge.syntax import Arrow, AtomApp, Const, ConstDecl, Pi, Var, free, rebuild
 
 _SECTION_ORDER = (
@@ -81,53 +78,3 @@ def closed_decl(entry) -> ConstDecl:
         body = Pi(name, lf_type(dom), body)
     return ConstDecl(decl.name, body, decl.loc)
 
-
-def _parse_str(parse, production: str, text: str, binders):
-    c = _Cursor(tokenize(text))
-    for k, name in enumerate(binders):
-        c.names.append((name, c.depth.get(name)))
-        c.depth[name] = k
-    node = parse(c)
-    if c.lex[c.i]:
-        raise c.fail(c.i, f"trailing input {c.lex[c.i]!r}", production)
-    return node
-
-
-def parse_term_str(text: str, binders=()):
-    """Parse a standalone term; ``binders`` lists enclosing names, outermost first."""
-    return _parse_str(_parse_term, "term", text, binders)
-
-
-def parse_tpkind_str(text: str, binders=()):
-    return _parse_str(_parse_tpkind, "tp", text, binders)
-
-
-def _erase(g):
-    t = type(g)
-    if t is Guard:
-        return None
-    if t is PiG:
-        body = _erase(g.body)
-        return None if body is None else PiG(g.var, body)
-    if t is ImpG:
-        body, hyp = _erase(g.body), _erase(g.hyp)
-        return body if body is None or hyp is None else ImpG(hyp, body)
-    if t is AtomG:
-        return AtomG(g.pred, tuple(map(_erase, g.args)))
-    if t is Cons:
-        items = _erase_all(g.items)
-        return Cons(items, g.tail) if items else g.tail
-    return g  # a rendered term
-
-
-def _erase_all(goals) -> tuple:
-    return tuple([e for e in map(_erase, goals) if e is not None])
-
-
-def erase_clause(cl):
-    """The implicit form of an explicit clause: guards are dropped,
-    ``ImpG(guard, b)`` becomes ``b`` and every ``PiG`` stays.  A wf clause,
-    which defines a guard, erases to None."""
-    if type(cl) is RelClause:
-        return cl._replace(premises=_erase_all(cl.premises), head=_erase(cl.head))
-    return None if type(cl.head) is Guard else Clause(cl.head, _erase_all(cl.body))

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from conftest import golden
-from helpers import check_all, closed_decl, erase_clause, make_spec
+from helpers import check_all, closed_decl, make_spec
 from orbi_forge import (
     check_signature,
     check_spec,
@@ -21,7 +21,7 @@ from orbi_forge.lf import _infer
 from orbi_forge.lint import lint
 from orbi_forge.pretty import pretty, term_str
 from orbi_forge.syntax import Arrow, AtomApp, Pi
-from orbi_forge.translate import translate_rule, translate_spec
+from orbi_forge.translate import erase_clause, translate_rule, translate_spec
 from specgen import gen_rules_source, gen_spec, gen_tm_term
 
 

@@ -160,6 +160,8 @@ _SHAPES_SIG = "%% Syntax\ntm: type.\nc: tm.\n\n%% Judgments\nj: tm -> type.\nk: 
         pytest.param(
             "%% Schemas\nschema xG = block (x:tm, u:{y:tm} j y);\n", "schema", "E-SHAPE", id="pi-entry"
         ),
+        # a Pi after a premise passes check, but ab cannot lay it out
+        pytest.param("%% Rules\nr: j c -> {x:tm} j c.\n", "r:", "E-SHAPE", id="pi-after-premise"),
     ],
 )
 def test_translation_error_located_at_its_declaration(body, decl, code, tmp_path, capsys):

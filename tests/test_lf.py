@@ -5,18 +5,11 @@ import sys
 import pytest
 
 import lamoracle
-from helpers import (
-    check_all,
-    closed,
-    closed_decl,
-    make_spec,
-    parse_term_str,
-    parse_tpkind_str,
-    raises_code,
-)
+from helpers import check_all, closed, closed_decl, make_spec, raises_code
 from orbi_forge import check_signature, normalize, parse_spec
 from orbi_forge.errors import OrbiError
 from orbi_forge.lf import _infer, _reconstruct, check_tp
+from orbi_forge.parser import parse_term_str, parse_tpkind_str
 from orbi_forge.pretty import tp_str
 from orbi_forge.syntax import (
     App,
@@ -289,7 +282,11 @@ _ATOMIC_APPLIED = "term of atomic type 't' applied to an argument"
         ("j c0 c0 c0", "E-KIND", "type family 'j' applied to too many arguments"),
         ("t", "E-LEVEL", "rule 'r' must target a level-1 judgment family"),
         # a premise is a judgment, or a level-0 type that binds a variable
-        ("(j c0 c0 -> t) -> j c0 c0", "E-LEVEL", "a premise into level-0 't' is no judgment"),
+        (
+            "(j c0 c0 -> t) -> j c0 c0",
+            "E-LEVEL",
+            "a premise must end in a judgment, not in the level-0 family 't'",
+        ),
         # a redex is reconstructed through its normal form but checked as written
         (r"j ((\x. c0) M) c0", "E-UNBOUND", "unbound identifier 'M'"),
         (r"j ((\x. c0) t) c0", "E-TYPE", "type family 't' used as a term"),

@@ -5,11 +5,11 @@ import sys
 
 import pytest
 
-from helpers import make_spec, parse_term_str, parse_tpkind_str, raises_code
+from helpers import make_spec, raises_code
 from specgen import gen_spec
 from test_lexer import _reference_tokenize
 from orbi_forge import corpus_source, parse_spec
-from orbi_forge.parser import parse_directive_line
+from orbi_forge.parser import parse_directive_line, parse_term_str, parse_tpkind_str
 from orbi_forge.pretty import spec_str
 from orbi_forge.syntax import (
     SECTIONS,

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import lamoracle
-from helpers import closed, parse_term_str, parse_tpkind_str
+from helpers import closed
 from orbi_forge.lf import normalize
+from orbi_forge.parser import parse_term_str, parse_tpkind_str
 from orbi_forge.pretty import pretty
 from orbi_forge.syntax import (
     App,

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import golden
-from helpers import check_all, erase_clause, make_spec, parse_term_str, raises_code
+from helpers import check_all, make_spec, raises_code
 from orbi_forge.directives import AnnotationTable, resolve
 from orbi_forge.errors import OrbiError
+from orbi_forge.parser import parse_term_str
 from orbi_forge.syntax import App, Const, Lam, Var, free, rebuild, shift
 from orbi_forge.translate import (
+    erase_clause,
     eta_contract,
     gen_wf_predicates,
     translate_relation,
