@@ -29,7 +29,6 @@ from orbi_forge.syntax import (
     Tp,
     TYPE_ATOM,
     Var,
-    apply_spine,
     rebuild,
     shift,
     subst,
@@ -304,17 +303,15 @@ def _infer(sig: Signature, ctx: list, t: Term, holes: _Holes | None = None) -> S
         while type(head) is App:
             args.append(head.arg)
             head = head.fn
+        inner = ctx
         if type(head) is Lam:
-            # beta-redex: infer the first argument, so that it is typed even
-            # if the body discards it, then the instantiated body, applied to
-            # the other arguments if there are any
-            first = args.pop()
-            ta = _infer(sig, ctx, first, holes)
-            if args:
-                t = apply_spine(subst(head.body, first), reversed(args))
-                return _infer(sig, ctx, t, holes)
-            return _infer(sig, ctx + [ta], head.body, holes)
-        tf = _infer(sig, ctx, head, holes)
+            # a redex: infer each argument that its lambdas bind, so that it
+            # is typed even if the body discards it, then the body under them
+            inner = ctx[:]
+            while type(head) is Lam and args:
+                inner.append(_infer(sig, ctx, args.pop(), holes))
+                head = head.body
+        tf = _infer(sig, inner, head, holes)
         for arg in reversed(args):
             if tf.dom is None:  # an atom, or a type variable
                 fn = Simple(None, TypeVar("?"), TypeVar("?"))

@@ -132,13 +132,6 @@ class App(Term):
     __slots__ = ("fn", "arg")
 
 
-def apply_spine(head: Term, args) -> Term:
-    t = head
-    for a in args:
-        t = App(t, a)
-    return t
-
-
 # ------------------------------------------------------------------ types
 
 
