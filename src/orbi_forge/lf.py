@@ -329,7 +329,7 @@ def _check(sig: Signature, ctx: list, t: Term, exp: Simple, holes: _Holes | None
         if exp.dom is None:  # an atom, or a type variable
             fn = Simple(None, TypeVar("?"), TypeVar("?"))
             if not _unify(exp, fn):
-                if holes is not None:
+                if holes is not None and not holes.solving:
                     raise OrbiError("E-RECON", f"lambda used where '{exp}' is expected")
                 raise OrbiError("E-TYPE", f"expected {exp}, got a lambda")
             exp = fn

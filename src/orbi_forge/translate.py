@@ -337,8 +337,8 @@ def translate_rule(sig: Signature, entry: SigEntry, ann: AnnotationTable) -> Cla
             return PiG(var, body)
         if t is Arrow:
             return ImpG(goal_of(p.dom, env_names), goal_of(p.cod, env_names))
-        # a type that is neither a Pi nor an arrow is an atom: lf stores an
-        # arrow from a level-0 domain as a Pi, so it is a judgment
+        # an atom, and a judgment: lf stores an arrow from a level-0 domain
+        # as a Pi, and rejects a premise that ends in a level-0 family
         return atom_goal(p, env_names)
 
     return Clause(atom_goal(tp, env), tuple(guards + [goal_of(p, env) for p in premises]))

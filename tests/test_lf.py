@@ -290,6 +290,7 @@ _ATOMIC_APPLIED = "term of atomic type 't' applied to an argument"
         # a redex is reconstructed through its normal form but checked as written
         (r"j ((\x. c0) M) c0", "E-UNBOUND", "unbound identifier 'M'"),
         (r"j ((\x. c0) t) c0", "E-TYPE", "type family 't' used as a term"),
+        (r"j ((\f. f (\y. y)) c1) c0", "E-TYPE", "expected t, got a lambda"),
         # the argument a redex discards is typed too; this one has no type
         # and no normal form
         (r"j ((\x. c0) ((\y. y y) (\y. y y))) c0", "E-TYPE", "cannot infer the type of a bare lambda"),
