@@ -159,7 +159,7 @@ def families_in_tp(tp: Tp, out: dict | None = None) -> dict[str, None]:
 
 
 def normalize(node):
-    """Beta-normal form of a Term or a Tp, without eta, visiting each node
+    """β-normal form of a Term or a Tp, without eta, visiting each node
     once.  Normal order: a redex is contracted before its argument is
     normalised, if ever."""
     t = type(node)
