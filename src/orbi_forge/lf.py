@@ -47,12 +47,13 @@ class Simple:
     """A simple type: the atom of a family, or an arrow ``dom -> cod``.  The
     simple types of one signature are interned: a family has one atom, and
     an arrow is filed under its domain's ``arrows`` by its codomain, so two
-    are equal iff they are one object."""
+    are equal iff they are one object.  ``arrows`` is None until the first
+    arrow from the type is filed."""
 
     __slots__ = ("family", "dom", "cod", "arrows")
 
     def __init__(self, family=None, dom=None, cod=None):
-        self.family, self.dom, self.cod, self.arrows = family, dom, cod, {}
+        self.family, self.dom, self.cod, self.arrows = family, dom, cod, None
 
     def __str__(self) -> str:
         # as ORBI writes it: a domain that is an arrow is parenthesised
@@ -265,6 +266,8 @@ def check_tp(sig: Signature, ctx: list, tp: Tp, holes=None, kind=None) -> Simple
             if dom is None:
                 return None
             to = dom.arrows
+            if to is None:
+                to = dom.arrows = {}
             if out not in to:
                 to[out] = Simple(None, dom, out)
             out = to[out]
@@ -374,6 +377,8 @@ def _schematic(ctx: list, t: Term, exp: Simple, holes: _Holes) -> None:
             else:
                 seen |= 1 << i
                 to = dom.arrows
+                if to is None:
+                    to = dom.arrows = {}
                 if cand not in to:
                     to[cand] = Simple(None, dom, cand)
                 cand = to[cand]

@@ -2,11 +2,12 @@
 and through a ``Dialect`` the terms and formulas of ab/hy and bel.
 
 ``term_str``, ``tp_str`` (types and kinds) and ``prp_str`` are the only walks
-that print these trees.  In ORBI, binder hints are kept verbatim unless that
-would capture a free name in scope, in which case primes are appended (`y`
-becomes `y'`), so re-parsing the output gives the input up to alpha.  The
-binders of a telescope, a chain of products or a block, are named from one
-``last_uses`` pass over it, so printing one is linear in its length.
+that print these trees.  Binder hints are kept verbatim unless that would
+capture a free name in scope, in which case primes are appended (`y` becomes
+`y'`), so re-parsing the output gives the input up to alpha; every dialect
+names a lambda's binder by this one rule.  The binders of a telescope, a
+chain of products or a block, are named from one ``last_uses`` pass over it,
+so printing one is linear in its length.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from orbi_forge.syntax import (
     RelApp,
     Schema,
     Term,
-    TermEq,
     Theorem,
     Tp,
     TrueP,
@@ -56,17 +56,20 @@ _P_QUANT, _P_IMP, _P_OR, _P_AND, _P_ATOM = 0, 1, 2, 3, 4
 
 class Dialect(Record):
     """How one target writes terms and formulas.  A lambda is
-    ``{lam}x{dot}body``, its binder named ``binder(hint, body, env)``;
-    ``or_``/``and_`` are the connectives.  A quantifier chain ``p`` prints as
-    ``quant(p, d, cx)`` and an atomic formula as ``atom(p, d, cx)``, where
-    ``cx`` is what the target's layouts track from one quantifier to the next
-    (None for ORBI); ``sep`` goes between the groups of ORBI's layout."""
+    ``{lam}x{dot}body``, its binder named by ``_binder_name`` in every
+    dialect; ``or_``/``and_`` are the connectives.  A quantifier chain ``p``
+    prints as ``quant(p, d, cx)`` and an atomic formula as ``atom(p, d,
+    cx)``, where ``cx`` is what the target's layouts track from one
+    quantifier to the next (None for ORBI); ``sep`` goes between the groups
+    of ORBI's layout."""
 
-    __slots__ = ("lam", "dot", "binder", "or_", "and_", "sep", "quant", "atom")
+    __slots__ = ("lam", "dot", "or_", "and_", "sep", "quant", "atom")
 
 
 def _binder_name(hint: str, body, env: list) -> str:
-    """A lambda's binder name: a telescope of one binder, its body under it."""
+    """A lambda's binder name: a telescope of one binder, its body under it.
+    The hint is kept unless it would capture a constant or a binder in
+    ``env`` that the body mentions."""
     return telescope_names((hint,), ((body, 1),), env)[0]
 
 
@@ -105,12 +108,11 @@ def _atom(p: Prp, d: Dialect, cx) -> str:
         if not p.ctxs:
             return p.name
         return p.name + " " + " ".join([ctx_str(c) for c in p.ctxs])
-    if t is TermEq:
-        return f"{term_str(p.lhs, [], False, d)} = {term_str(p.rhs, [], False, d)}"
-    raise TypeError(f"cannot print {p!r}")
+    # prp_str hands this only atoms, so ``p`` is a TermEq
+    return f"{term_str(p.lhs, [], False, d)} = {term_str(p.rhs, [], False, d)}"
 
 
-ORBI = Dialect("\\", ". ", _binder_name, "||", "&", "", _groups, _atom)
+ORBI = Dialect("\\", ". ", "||", "&", "", _groups, _atom)
 
 
 def term_str(t: Term, env: list, atom: bool = False, d: Dialect = ORBI) -> str:
@@ -124,7 +126,7 @@ def term_str(t: Term, env: list, atom: bool = False, d: Dialect = ORBI) -> str:
     if k is Const:
         return t.name
     if k is Lam:
-        h = d.binder(t.hint, t.body, env)
+        h = _binder_name(t.hint, t.body, env)
         s = f"{d.lam}{h}{d.dot}{term_str(t.body, env + [h], False, d)}"
         return f"({s})" if atom else s
     args = []  # the spine, innermost argument first

@@ -12,8 +12,11 @@ the signature through unchanged and lifts theorems; tw passes the signature
 through and comments out everything it cannot say.
 
 No term or formula is printed here: ``pretty`` prints them in the ab/hy
-dialect ``AB``, whose binder rule and quantifier and atom layouts are defined
-here, or in ``BEL``, ORBI's dialect with spaced quantifier groups.
+dialect ``AB``, whose quantifier and atom layouts are defined here, or in
+``BEL``, ORBI's dialect with spaced quantifier groups; every dialect names a
+lambda's binder by ``pretty``'s one rule.  The variables that ab/hy
+generate, rule and nabla variables among them, come from one supply,
+``_Names``, which avoids the signature.
 
 Emission relies on the leaves the parser shares: within one parse every
 occurrence of a name is one ``Const`` or ``Var`` object, and a leaf holds no
@@ -191,44 +194,47 @@ def eta_contract(t: Term) -> Term:
 
 
 class _Names:
-    """Fresh-name supply that never collides with user identifiers:
-    ``reserved`` (typically ``sig.entries``) is consulted, never copied, and
-    names handed out go into the supply's own ``taken`` set.  Taken names
-    stay taken until ``drop``, so numbering a stem resumes where it last
-    stopped."""
+    """The one supply of ab/hy variables, which never collides with user
+    identifiers: ``reserved`` (typically ``sig.entries``) is consulted, never
+    copied, and names handed out go into the supply's own ``taken`` dict.
+    Taken names stay taken until ``drop``, so numbering a stem, or priming a
+    name, resumes where it last stopped; a prime makes no call."""
 
     def __init__(self, reserved, taken=()):
         self.reserved = reserved
-        self.taken = set(taken)
+        # taken name -> the last name ``grab`` handed out for it, or None
+        self.taken: dict = dict.fromkeys(taken) if taken else {}
         self.numbered: dict[str, int] = {}  # stem -> its highest number handed out
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.taken or name in self.reserved
-
     def grab(self, name: str) -> str:
-        while name in self:
+        """``name``, primed until it is free."""
+        taken, reserved, hint = self.taken, self.reserved, name
+        if name in taken:
+            name = taken[name] or name
+        while name in taken or name in reserved:
             name += "'"
-        self.taken.add(name)
+        taken[hint] = taken[name] = name
         return name
 
     def pick(self, pool):
         """The first free name of ``pool``, else ``pool[0]`` numbered."""
+        taken, reserved = self.taken, self.reserved
         for ch in pool:
-            if ch not in self:
-                self.taken.add(ch)
+            if ch not in taken and ch not in reserved:
+                taken[ch] = None
                 return ch
         stem = pool[0]
         i = self.numbered.get(stem, 0) + 1
-        while f"{stem}{i}" in self:
+        while f"{stem}{i}" in taken or f"{stem}{i}" in reserved:
             i += 1
         self.numbered[stem] = i
         name = f"{stem}{i}"
-        self.taken.add(name)
+        taken[name] = None
         return name
 
     def drop(self, name: str) -> None:
-        """Make ``name`` free again; numbering restarts from 1."""
-        self.taken.discard(name)
+        """Make the picked ``name`` free again; numbering restarts from 1."""
+        del self.taken[name]
         self.numbered.clear()
 
 
@@ -285,38 +291,16 @@ def gen_wf_predicates(sig: Signature, wf_families) -> list[Clause]:
 
 
 def translate_rule(sig: Signature, entry: SigEntry, ann: AnnotationTable) -> Clause:
-    """Render one checked rule as a hereditary-Harrop clause.  Its clause
-    variables are its schematic prefix, then the Pi binders that open its
-    beta-normal body, in which a schematic occurrence is a constant that
-    prints as its name."""
+    """Render one checked rule as a hereditary-Harrop clause, in one loop
+    along its beta-normal body after its schematic prefix, in which a
+    schematic occurrence is a constant that prints as its name.  A Pi,
+    wherever it stands, is a clause variable named by the rule's supply, so
+    away from the signature: ``G -> {x:A} B``, x not free in G, is the
+    clause ``{x:A} G -> B``.  An arrow's domain is a premise, lowered under
+    the names bound so far."""
     rule = entry.decl
-    explicit = rule.name in ann.explicit_rules
-    tp = rule.tp
-    binders = list(zip(entry.implicit, entry.implicit_tps))
-    while type(tp) is Pi:
-        binders.append((tp.hint, tp.dom))
-        tp = tp.cod
-    guards: list = []  # of the clause variables, when explicit
-    env: list[str] = []
-    last: dict[str, str] = {}  # name taken -> where priming it as a hint resumes; none is freed
-    for hint, dom in binders:
-        name = last[hint] if hint in last else hint
-        while name in last:
-            name += "'"
-        last[hint] = last[name] = name
-        # a schematic's type is a Simple, a Pi domain an LF type: atoms name a family
-        k = type(dom)
-        if explicit and k is not Arrow and k is not Pi and dom.family in ann.wf_families:
-            guards.append(Guard(dom.family, name))
-        env.append(name)
-    premises = []
-    while type(tp) is Arrow:
-        premises.append(tp.dom)
-        tp = tp.cod
-    if type(tp) is not AtomApp:
-        raise OrbiError(
-            "E-SHAPE", f"rule {rule.name!r}: conclusion must be an atomic judgment"
-        )
+    wf = ann.wf_families if rule.name in ann.explicit_rules else ()
+    env = list(entry.implicit)
     names = _Names(sig.entries, env)
 
     def atom_goal(a: AtomApp, env_names) -> AtomG:
@@ -331,17 +315,32 @@ def translate_rule(sig: Signature, entry: SigEntry, ann: AnnotationTable) -> Cla
                     "E-SHAPE", f"rule {rule.name!r}: premise quantifies over a non-level-0 type"
                 )
             var = names.grab(p.hint or "x")
-            body = goal_of(p.cod, env_names + [var])
-            if explicit and families_in_tp(p.dom).keys() <= ann.wf_families:
-                body = ImpG(_wf_goal(var, p.dom, names), body)
-            return PiG(var, body)
+            goal = goal_of(p.cod, env_names + [var])
+            if wf and families_in_tp(p.dom).keys() <= wf:
+                goal = ImpG(_wf_goal(var, p.dom, names), goal)
+            return PiG(var, goal)
         if t is Arrow:
             return ImpG(goal_of(p.dom, env_names), goal_of(p.cod, env_names))
         # an atom, and a judgment: lf stores an arrow from a level-0 domain
         # as a Pi, and rejects a premise that ends in a level-0 family
         return atom_goal(p, env_names)
 
-    return Clause(atom_goal(tp, env), tuple(guards + [goal_of(p, env) for p in premises]))
+    body: list = []  # the wf guards of the clause variables, when explicit, and the premises
+    for name, simple in zip(env, entry.implicit_tps):
+        if simple.family in wf:  # None for an arrow
+            body.append(Guard(simple.family, name))
+    tp = rule.tp
+    while type(tp) is not AtomApp:
+        if type(tp) is Pi:
+            name = names.grab(tp.hint)
+            dom = tp.dom
+            if type(dom) is AtomApp and dom.family in wf:
+                body.append(Guard(dom.family, name))
+            env.append(name)
+        else:
+            body.append(goal_of(tp.dom, env))
+        tp = tp.cod
+    return Clause(atom_goal(tp, env), tuple(body))
 
 
 # --------------------------------------------------- schemas and relations
@@ -555,16 +554,6 @@ class _Scope(Record):
         return scope[0]
 
 
-def _ab_binder(hint: str, body: Term, env: list) -> str:
-    """ab/hy binder name: the hint, primed away from every binder in scope and
-    from the constants free in the body."""
-    h = hint or "x"
-    consts = free(body)
-    while h in env or h in consts:
-        h += "'"
-    return h
-
-
 def _ab_quant(p: Prp, d, cx: _Scope) -> str:
     """``forall H M, xaG H -> {H |- is_tm M} -> body`` or ``exists N, body``:
     the ab/hy layout of a quantifier chain.  Each variable gets an upper-case
@@ -642,7 +631,7 @@ def _ab_atom(p: Prp, d, cx: _Scope) -> str:
     return f"{lhs} = {term_str(_target_term(p.rhs, cx.rename), [], False, d)}"
 
 
-AB = Dialect("", "\\ ", _ab_binder, "\\/", "/\\", "", _ab_quant, _ab_atom)
+AB = Dialect("", "\\ ", "\\/", "/\\", "", _ab_quant, _ab_atom)
 BEL = ORBI._replace(sep=" ")
 
 

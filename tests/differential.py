@@ -133,6 +133,26 @@ def relation_premises(n: int) -> str:
     )
 
 
+def clashing_labels(k: int) -> str:
+    """A spec whose one relation clause adds ``k`` blocks that label their
+    entries alike."""
+    blocks = ", ".join(f"b{i}:block (x:tm, u:aeq x x)" for i in range(1, k + 1))
+    return _REL_SIG + f"| R_k: R [g] [h] -> R [g, {blocks}] [h];\n"
+
+
+_HOIST_SIG = (
+    "%% Syntax\ntm: type.\nc: tm.\nlam: (tm -> tm) -> tm.\nf: tm -> tm -> tm.\n\n"
+    "%% Judgments\nj: tm -> type.\n\n%% Rules\n"
+)
+
+# A rule's Pi binders after a premise, and one named like a constant.
+HOIST_PROBES = {
+    "rule-binder-named-like-constant": _HOIST_SIG + "r2: {c:tm} j c -> j (lam (\\x. c)).\n",
+    "pi-after-premise": _HOIST_SIG + "s: j M -> {x:tm} j (f M x).\n",
+    "level0-arrow-after-premise": _HOIST_SIG + "r: j M -> tm -> j (f M c).\n",
+}
+
+
 def _probes(eq: str, head: str) -> list:
     """(name, text) of inputs that once showed a defect, one per defect;
     ``head`` is eq.orbi up to its Theorems section."""
@@ -228,6 +248,11 @@ def _probes(eq: str, head: str) -> list:
         ("schematic-omega", _RULES_SIG + "\n%% Rules\nr: j ((\\x. x x) (\\x. M (x x))) c0.\n"),
         # the schematic scan of a redex recursed once per nested redex
         ("nested-redexes", _RULES_SIG + "\n%% Rules\nr: j " + nested_redexes(1000) + " c0.\n"),
+        # ab/hy named a rule's clause variable into a constant it shadows,
+        # and rejected a Pi after a premise that check accepts
+        *HOIST_PROBES.items(),
+        # priming a label made one call per prime
+        ("clashing-entry-labels", clashing_labels(8)),
     ]
 
 

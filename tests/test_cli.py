@@ -7,7 +7,7 @@ import time
 import pytest
 
 from conftest import golden
-from differential import KIND_PROBES, relation_premises
+from differential import HOIST_PROBES, KIND_PROBES, relation_premises
 import orbi_forge
 from orbi_forge import corpus_source
 from orbi_forge.cli import run
@@ -74,6 +74,8 @@ def test_unknown_target_is_usage_error(corpus_file, capsys):
         pytest.param(["translate", "--out-dir", "OUT", "FILE"], 2, id="no-target"),
         pytest.param(["check", "--bogus", "FILE"], 2, id="unknown-option"),
         pytest.param(["check"], 2, id="no-file"),
+        pytest.param(["frob", "FILE"], 2, id="unknown-command"),
+        pytest.param(["translate", "--target", "ab", "FILE", "--out-dir"], 2, id="option-without-value"),
     ],
 )
 def test_argv_contract(argv, code, corpus_file, tmp_path, capsys):
@@ -160,8 +162,6 @@ _SHAPES_SIG = "%% Syntax\ntm: type.\nc: tm.\n\n%% Judgments\nj: tm -> type.\nk: 
         pytest.param(
             "%% Schemas\nschema xG = block (x:tm, u:{y:tm} j y);\n", "schema", "E-SHAPE", id="pi-entry"
         ),
-        # a Pi after a premise passes check, but ab cannot lay it out
-        pytest.param("%% Rules\nr: j c -> {x:tm} j c.\n", "r:", "E-SHAPE", id="pi-after-premise"),
     ],
 )
 def test_translation_error_located_at_its_declaration(body, decl, code, tmp_path, capsys):
@@ -175,6 +175,37 @@ def test_translation_error_located_at_its_declaration(body, decl, code, tmp_path
     assert error["code"] == code
     line = next(i for i, l in enumerate(text.splitlines(), 1) if l.startswith(decl))
     assert (error["line"], error["col"]) == (line, 1)
+
+
+@pytest.mark.parametrize("target", ["ab", "hy"])
+@pytest.mark.parametrize(
+    "text, clause",
+    [
+        # G -> {x:A} B, with x not free in G, is the clause {x:A} G -> B; the
+        # first passes check with lint's L3
+        pytest.param(
+            _SHAPES_SIG + "%% Rules\nr: j c -> {x:tm} j c.\n", "j c :- j c.", id="pi-after-premise"
+        ),
+        pytest.param(
+            HOIST_PROBES["pi-after-premise"], "j (f M x) :- j M.", id="pi-after-schematic-premise"
+        ),
+        pytest.param(
+            HOIST_PROBES["level0-arrow-after-premise"], "j (f M c) :- j M.", id="level0-arrow-after-premise"
+        ),
+        # a clause variable avoids the signature, as every generated name does
+        pytest.param(
+            HOIST_PROBES["rule-binder-named-like-constant"],
+            "j (lam (x\\ c')) :- j c'.",
+            id="binder-named-like-constant",
+        ),
+    ],
+)
+def test_rule_binder_is_a_clause_variable(text, clause, target, tmp_path, capsys):
+    p = tmp_path / "rule.orbi"
+    p.write_text(text, encoding="utf-8")
+    assert run(["translate", "--target", target, "--out-dir", str(tmp_path), str(p)]) == 0
+    assert "[E-" not in capsys.readouterr().err
+    assert (tmp_path / f"rule.{target}.out").read_text(encoding="utf-8") == clause + "\n"
 
 
 _INSIDE = (

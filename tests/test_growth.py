@@ -24,6 +24,7 @@ from orbi_forge.lexer import tokenize
 from orbi_forge.pretty import spec_str
 from orbi_forge.syntax import Block, Schema
 from orbi_forge.translate import translate_spec
+from differential import clashing_labels
 from specgen import gen_rules_source
 
 _ID = re.compile(r"[A-Za-z][A-Za-z0-9_']*")
@@ -260,3 +261,41 @@ def test_wide_block_grows_linearly(stage):
     specs = {n: _with_counted_labels(parse_spec(_wide_block(n))) for n in (200, 800)}
     ratio = _calls(fn, specs[800]) / _calls(fn, specs[200])
     assert ratio <= MAX_GROWTH, f"{stage}: {ratio:.2f}x calls for 4x entries"
+
+
+def test_clashing_entry_labels_translate_linearly():
+    # every block names its entry x, and ab names the k-th x with k primes:
+    # the supply resumes priming a name where it stopped and tests its dicts
+    # inline, so a prime makes no call.  The bytes stay quadratic until ab/hy
+    # number their names (ROADMAP item 6)
+    def calls(k):
+        return _calls(translate_spec, check_spec(parse_spec(clashing_labels(k))), "ab")
+
+    ratio = calls(400) / calls(100)
+    assert ratio <= MAX_GROWTH, f"translate_spec ab: {ratio:.2f}x calls for 4x blocks"
+
+
+def _nested_lambdas(n: int) -> str:
+    """``r: j (lam (\\x0. lam (\\x1. … x0))).``, ``n`` lambdas deep."""
+    term = "x0"
+    for i in reversed(range(1, n)):
+        term = f"lam (\\x{i}. {term})"
+    return (
+        "%% Syntax\ntm: type.\nlam: (tm -> tm) -> tm.\n\n%% Judgments\nj: tm -> type.\n\n"
+        f"%% Rules\nr: j (lam (\\x0. {term})).\n"
+    )
+
+
+@pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 6: each lambda is named from a pass over its whole body"
+)
+@pytest.mark.parametrize("stage", ["spec_str", "translate_spec ab"])
+def test_nested_lambdas_print_linearly(stage):
+    def calls(n):
+        spec = parse_spec(_nested_lambdas(n))
+        if stage == "spec_str":
+            return _calls(spec_str, spec)
+        return _calls(translate_spec, check_spec(spec), "ab")
+
+    ratio = calls(200) / calls(50)
+    assert ratio <= MAX_GROWTH, f"{stage}: {ratio:.2f}x calls for 4x nesting"

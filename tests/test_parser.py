@@ -317,8 +317,15 @@ def test_parse_directive_malformed():
         parse_directive_line("%% frobnicate [ab] in tm")
     with raises_code("E-DIR"):
         parse_directive_line("%% Syntax trailing")
-    with raises_code("E-DIR"):
+    with raises_code("E-DIR") as exc:
         parse_directive_line("%%")
+    assert exc.value.message == "empty directive line"
+
+
+def test_parse_term_str_rejects_trailing_input():
+    with raises_code("E-PARSE") as exc:
+        parse_term_str("c )")
+    assert exc.value.message == "trailing input ')'"
 
 
 def test_section_discipline_enforced():

@@ -85,6 +85,11 @@ def test_pretty_var_under_binder():
     assert pretty(Var(0), binders=("x",)) == "x"
 
 
+def test_pretty_rejects_a_foreign_object():
+    with pytest.raises(TypeError, match="cannot print"):
+        pretty(object())
+
+
 def test_app_spines_left_nested():
     t = parse_term_str("f a b")
     assert t == App(App(Const("f"), Const("a")), Const("b"))
