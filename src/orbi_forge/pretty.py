@@ -58,10 +58,9 @@ class Dialect(Record):
     """How one target writes terms and formulas.  A lambda is
     ``{lam}x{dot}body``, its binder named by ``_binder_name`` in every
     dialect; ``or_``/``and_`` are the connectives.  A quantifier chain ``p``
-    prints as ``quant(p, d, cx)`` and an atomic formula as ``atom(p, d,
-    cx)``, where ``cx`` is what the target's layouts track from one
-    quantifier to the next (None for ORBI); ``sep`` goes between the groups
-    of ORBI's layout."""
+    prints as ``quant(p, d, cx)``, an atomic formula as ``atom(p, d, cx)``,
+    where ``cx`` is what the target's layouts track from one quantifier to
+    the next (None for ORBI); ``sep`` goes between ORBI's groups."""
 
     __slots__ = ("lam", "dot", "or_", "and_", "sep", "quant", "atom")
 

@@ -11,12 +11,11 @@ that writes the ab ``Define`` and the hy ``Inductive`` layout.  bel passes
 the signature through unchanged and lifts theorems; tw passes the signature
 through and comments out everything it cannot say.
 
-No term or formula is printed here: ``pretty`` prints them in the ab/hy
-dialect ``AB``, whose quantifier and atom layouts are defined here, or in
-``BEL``, ORBI's dialect with spaced quantifier groups; every dialect names a
-lambda's binder by ``pretty``'s one rule.  The variables that ab/hy
-generate, rule and nabla variables among them, come from one supply,
-``_Names``, which avoids the signature.
+No term or formula is printed here: ``pretty`` prints them, and names every
+lambda's binder, in the ab/hy dialect ``AB``, whose quantifier and atom
+layouts are defined here, or in ``BEL``, ORBI's dialect with spaced
+quantifier groups.  Every variable ab/hy generate, rule and nabla variables
+among them, comes from one supply, ``_Names``, which avoids the signature.
 
 Emission relies on the leaves the parser shares: within one parse every
 occurrence of a name is one ``Const`` or ``Var`` object, and a leaf holds no
@@ -292,12 +291,11 @@ def gen_wf_predicates(sig: Signature, wf_families) -> list[Clause]:
 
 def translate_rule(sig: Signature, entry: SigEntry, ann: AnnotationTable) -> Clause:
     """Render one checked rule as a hereditary-Harrop clause, in one loop
-    along its beta-normal body after its schematic prefix, in which a
-    schematic occurrence is a constant that prints as its name.  A Pi,
-    wherever it stands, is a clause variable named by the rule's supply, so
-    away from the signature: ``G -> {x:A} B``, x not free in G, is the
-    clause ``{x:A} G -> B``.  An arrow's domain is a premise, lowered under
-    the names bound so far."""
+    along its beta-normal body after its schematic prefix (a schematic
+    occurrence is a constant printed as its name).  A Pi over a level-0
+    type, wherever it stands, is a clause variable from the rule's supply:
+    ``G -> {x:A} B``, x not free in G, is the clause ``{x:A} G -> B``.  An
+    arrow's domain, and a Pi's over a judgment, is a premise."""
     rule = entry.decl
     wf = ann.wf_families if rule.name in ann.explicit_rules else ()
     env = list(entry.implicit)
@@ -331,14 +329,20 @@ def translate_rule(sig: Signature, entry: SigEntry, ann: AnnotationTable) -> Cla
             body.append(Guard(simple.family, name))
     tp = rule.tp
     while type(tp) is not AtomApp:
-        if type(tp) is Pi:
-            name = names.grab(tp.hint)
-            dom = tp.dom
-            if type(dom) is AtomApp and dom.family in wf:
-                body.append(Guard(dom.family, name))
-            env.append(name)
+        dom = end = tp.dom
+        if type(tp) is Arrow:
+            body.append(goal_of(dom, env))
         else:
-            body.append(goal_of(tp.dom, env))
+            while type(end) is not AtomApp:
+                end = end.cod
+            if sig.entries[end.family].level:  # over a judgment: a premise, its variable in no term
+                body.append(goal_of(dom, env))
+                name = tp.hint
+            else:
+                name = names.grab(tp.hint)
+                if end is dom and dom.family in wf:
+                    body.append(Guard(dom.family, name))
+            env.append(name)
         tp = tp.cod
     return Clause(atom_goal(tp, env), tuple(body))
 

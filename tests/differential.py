@@ -145,11 +145,14 @@ _HOIST_SIG = (
     "%% Judgments\nj: tm -> type.\n\n%% Rules\n"
 )
 
-# A rule's Pi binders after a premise, and one named like a constant.
+# A rule's Pi binders after a premise, one named like a constant, and Pis
+# over a judgment, which are premises.
 HOIST_PROBES = {
     "rule-binder-named-like-constant": _HOIST_SIG + "r2: {c:tm} j c -> j (lam (\\x. c)).\n",
     "pi-after-premise": _HOIST_SIG + "s: j M -> {x:tm} j (f M x).\n",
     "level0-arrow-after-premise": _HOIST_SIG + "r: j M -> tm -> j (f M c).\n",
+    "judgment-pi": _HOIST_SIG + "r1: {D: j c} j (f c c).\n",
+    "judgment-pi-after-premise": _HOIST_SIG + "r: j c -> {D: j (f c c)} j c.\n",
 }
 
 

@@ -4,11 +4,11 @@ Each mutant replaces one ``raise`` statement of ``src/orbi_forge`` by ``pass``
 (its line count kept), in a copy of the repository in a temporary directory.
 A mutant is killed when tier-1 (``pytest -q -x``) fails on it, or else when
 ``tests/differential.py`` reports a differing record; a run that exceeds the
-timeout counts as killed.  The unmutated copy must pass both first.  One line per mutant says what killed it, and the
-survivors are listed last, as ``module.py:line`` of the tree under test.
+timeout counts as killed.  The unmutated copy must pass both first.  One
+line per mutant says what killed it, and the survivors are listed last, as
+``module.py:line`` of the tree under test.
 
-    python tests/mutate.py                  # every raise of src/orbi_forge
-    python tests/mutate.py cli.py pretty.py # the raises of these modules
+    python tests/mutate.py
 
 It is not part of tier-1 or CI: each mutant runs tier-1 and maybe the
 differential, some 20 s.
@@ -16,7 +16,6 @@ differential, some 20 s.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import shutil
@@ -75,13 +74,8 @@ def verdict(tree: str) -> str:
     return "survives"
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("modules", nargs="*", help="module file names (default: every module)")
-    args = p.parse_args(argv)
-    modules = args.modules or sorted(
-        f for f in os.listdir(os.path.join(ROOT, PACKAGE)) if f.endswith(".py")
-    )
+def main() -> int:
+    modules = sorted(f for f in os.listdir(os.path.join(ROOT, PACKAGE)) if f.endswith(".py"))
     survivors = []
     with tempfile.TemporaryDirectory() as tmp:
         tree = os.path.join(tmp, "repo")

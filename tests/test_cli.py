@@ -198,6 +198,13 @@ def test_translation_error_located_at_its_declaration(body, decl, code, tmp_path
             "j (lam (x\\ c')) :- j c'.",
             id="binder-named-like-constant",
         ),
+        # a Pi over a judgment is a premise, wherever it stands
+        pytest.param(HOIST_PROBES["judgment-pi"], "j (f c c) :- j c.", id="judgment-pi"),
+        pytest.param(
+            HOIST_PROBES["judgment-pi-after-premise"],
+            "j c :- j c, j (f c c).",
+            id="judgment-pi-after-premise",
+        ),
     ],
 )
 def test_rule_binder_is_a_clause_variable(text, clause, target, tmp_path, capsys):
