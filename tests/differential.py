@@ -274,6 +274,30 @@ _THEOREMS = {
     "no-ctx-nested": "true -> ({M:tm} [|- aeq M M])",
 }
 
+# Explicit variables and the contexts of the judgments that mention them:
+# names shadowed, numbered or clashing with a constructor, context variables
+# rebound, and the order of two W-CTX lines.  Each is (extra directives,
+# statement) after eq.orbi's directives, which mark M explicit.
+USAGE_PROBES = {
+    "explicit-shadowed-right": ("", "{h:xaG}{M:tm} [h |- aeq M M] -> ({M:tm} [h |- aeq M M])"),
+    "numbered-names-resume": (
+        "",
+        "{h:xaG}{M:tm}{M1:tm} [h |- aeq M M1] -> ({M:tm} [h |- aeq M M1])",
+    ),
+    "lower-case-twin": ("", "{h:xaG}{M:tm}{m:tm} [h |- aeq M m]"),
+    "constructor-named": ("", "{h:xaG}{M:tm}{app:tm} [h |- aeq app M]"),
+    "shadowed-context": (
+        "",
+        "{g:xaG}{h:xaG}{M:tm} [h |- aeq M M] -> ({h:xaG} [h |- aeq M M])",
+    ),
+    "context-rebound-inside": ("", "{g:xaG}{M:tm}{g:xaG} [g |- aeq M M]"),
+    "nested-w-ctx": (
+        "%% explicit [hy,ab,bel] in N\n",
+        "{g:xaG}{h:xaG}{M:tm} [g |- aeq M M] -> "
+        "({N:tm} [g |- aeq N N] -> [h |- aeq N N]) -> [h |- aeq M M]",
+    ),
+}
+
 
 def build_inputs() -> list:
     """(family, name, text) of every input, in a fixed order."""
@@ -313,6 +337,10 @@ def build_inputs() -> list:
     head = "\n".join(lines[:45]) + "\n\n%% Theorems\n"
     out += [("probe", f"probe-{name}", text) for name, text in _probes(eq, head)]
     out += [("thm", f"thm-{name}", f"{head}theorem t: {s};\n") for name, s in _THEOREMS.items()]
+    # last, so that adding them added lines at the end of the manifest only
+    top = "\n".join(lines[:45]) + "\n"  # eq.orbi up to its last directive
+    for name, (extra, s) in USAGE_PROBES.items():
+        out.append(("probe", f"probe-{name}", f"{top}{extra}\n%% Theorems\ntheorem t: {s};\n"))
     return out
 
 
