@@ -74,30 +74,42 @@ def _binder_name(hint: str, body, env: list) -> str:
 
 def _groups(p: Prp, d: Dialect, cx) -> str:
     """``{g:S}{M:tm}<N:tm> body``: the quantifier layout of ORBI and bel.  A
-    theorem's scope ``cx`` (bel) enters each context variable with
-    ``cx.bind`` and names the context of an explicit variable with
-    ``cx.ctx_of``, written ``{M:[g |- tm]}``."""
+    theorem's scope ``cx`` (bel) binds each variable of the chain and names
+    the context of each explicit variable once the body is printed, written
+    ``{M:[g |- tm]}``."""
     groups = []
+    if cx is not None:
+        # explicit variables, each with its slot (index in groups, name, type)
+        saved, pending = cx.open(), []
     while True:
         t = type(p)
         if t is ForallCtx:
             groups.append(f"{{{p.var}:{p.schema}}}")
             if cx is not None:
-                cx = cx.bind(p.var)
+                cx.bind(p, p.var)
         elif t is ForallTm:
             tp = tp_str(p.tp, [])
-            ctx = None if cx is None else cx.ctx_of(p)
-            groups.append(f"{{{p.var}:{tp}}}" if ctx is None else f"{{{p.var}:[{ctx} |- {tp}]}}")
+            if cx is not None and (usage := cx.bind(p, p.var)) is not None:
+                pending.append((p.var, usage, cx.ctxs, (len(groups), p.var, tp)))
+            groups.append(f"{{{p.var}:{tp}}}")
         elif t is ExistsTm:
             groups.append(f"<{p.var}:{tp_str(p.tp, [])}>")
+            if cx is not None:
+                cx.bind(p, p.var)
         else:
-            return d.sep.join(groups) + " " + prp_str(p, _P_QUANT, d, cx)
+            body = prp_str(p, _P_QUANT, d, cx)
+            if cx is not None:
+                for (i, var, tp), ctx in cx.close(saved, pending):
+                    groups[i] = f"{{{var}:[{ctx[0]} |- {tp}]}}"
+            return d.sep.join(groups) + " " + body
         p = p.body
 
 
 def _atom(p: Prp, d: Dialect, cx) -> str:
     t = type(p)
     if t is Judgment:
+        if cx is not None and p.args:
+            cx.use(p.ctx, p.args)
         ctx = _ctx_body(p.ctx)
         head = p.family
         if p.args:

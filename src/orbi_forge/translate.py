@@ -31,20 +31,18 @@ from orbi_forge.errors import Diagnostic, OrbiError
 from orbi_forge.lf import SigEntry, Signature, families_in_tp, is_level0, normalize
 from orbi_forge.pretty import _P_IMP, _P_QUANT, ORBI, Dialect, arg_strs, prp_str, term_str, theorem_str
 from orbi_forge.syntax import (
-    And,
     App,
     Arrow,
     AtomApp,
     Const,
+    CtxPattern,
     ExistsTm,
     FamDecl,
     ForallCtx,
     ForallTm,
-    Imp,
     InductiveDef,
     Judgment,
     Lam,
-    Or,
     Pi,
     Prp,
     Record,
@@ -493,96 +491,139 @@ def translate_relation(
 # ---------------------------------------------------------------- theorems
 
 
-def _usage_ctxs(q: ForallTm) -> list[str]:
-    """Context variables of the judgments in the scope of ``q`` that mention
-    its variable, in order; a quantifier that rebinds the name ends the scope."""
-    var = q.var
-    out: list[str] = []
-    stack = [q.body]
-    while stack:
-        p = stack.pop()
-        if isinstance(p, Judgment):
-            head = p.ctx.var
-            if head is not None and head not in out:
-                for a in p.args:
-                    k = type(a)
-                    if a.name == var if k is Const else k is not Var and var in free(a):
-                        out.append(head)
-                        break
-        elif isinstance(p, (And, Or, Imp)):
-            stack += [p.rhs, p.lhs]
-        elif isinstance(p, (ForallCtx, ForallTm, ExistsTm)) and p.var != var:
-            stack.append(p.body)
-    return out
+class _Scope:
+    """A theorem's printing state, one per theorem, in either formula layout.
 
+    A quantifier chain is printed in one walk: ``open`` copies the tables
+    that its bindings go into, ``bind`` binds each of its variables, and
+    ``close`` restores the tables once its body is printed.  That walk calls
+    ``use`` at each judgment, which appends the judgment's context binder to
+    the usage list of every explicit variable in scope that the judgment
+    mentions, so ``close`` names each explicit variable's context from its
+    list without a second look at the body.  A context binder is the triple
+    (variable, ab/hy name, serial): a context bound again under the same
+    name is a context of its own."""
 
-class _Scope(Record):
-    """A theorem's printing state at one quantifier depth: the context
-    variables in scope and the ab/hy name of each variable bound so far, with
-    what all depths share: the theorem, its explicit variables, the warnings
-    so far and the names to avoid."""
+    __slots__ = ("thm", "expl", "avoid", "warnings", "ctxs", "binders", "uses", "rename", "serial")
 
-    __slots__ = ("thm", "expl", "warnings", "avoid", "ctxs", "rename")
+    def __init__(self, thm: Theorem, expl, avoid):
+        self.thm, self.expl, self.avoid = thm, expl, avoid
+        self.warnings: list[Diagnostic] = []
+        self.ctxs: tuple = ()  # the context binders in scope, outermost first
+        self.binders: dict = {}  # context variable -> its binder in scope
+        self.uses: dict = {}  # explicit variable in scope -> the binders its judgments lie under
+        self.rename: dict = {}  # variable in scope -> its ab/hy name
+        self.serial = 0
 
-    def bind(self, var: str) -> _Scope:
-        return self._replace(ctxs=(*self.ctxs, var))
+    def open(self) -> tuple:
+        """Start a quantifier chain; returns what ``close`` restores."""
+        saved = self.ctxs, self.binders, self.uses, self.rename, len(self.warnings)
+        self.binders, self.uses, self.rename = dict(self.binders), dict(self.uses), dict(self.rename)
+        return saved
 
-    def ctx_of(self, q: ForallTm):
-        """The context of the wf antecedent of the variable of ``q`` if it is
-        explicit: the one context in scope it is used under, else the
-        outermost."""
-        var = q.var
-        if var not in self.expl:
-            return None
-        t, scope = self.thm, self.ctxs
-        usage = [c for c in _usage_ctxs(q) if c in scope]
-        if len(usage) == 1:
-            return usage[0]
-        if not scope:
-            raise OrbiError(
-                "E-NOCTX",
-                f"theorem {t.name!r}: variable {var!r} is explicit but no context "
-                "quantifier is in scope",
-                t.loc,
-            )
-        if len(usage) > 1:
-            self.warnings.append(
-                Diagnostic(
-                    "W-CTX",
-                    f"theorem {t.name!r}: variable {var!r} is used under several "
-                    f"contexts; its wf antecedent uses {scope[0]!r}",
-                    t.loc,
-                    "warning",
+    def bind(self, p: Prp, name: str):
+        """Bind the variable of the quantifier ``p``, printed ``name``.
+        Returns the usage list of an explicit term variable, else None; one
+        with no context in scope is ``E-NOCTX``."""
+        var = p.var
+        self.rename[var] = name
+        if var in self.uses:  # shadowed from here on
+            del self.uses[var]
+        if type(p) is ForallCtx:
+            b = self.binders[var] = (var, name, self.serial)
+            self.serial += 1
+            self.ctxs += (b,)
+        elif type(p) is ForallTm and var in self.expl:
+            if not self.ctxs:
+                raise OrbiError(
+                    "E-NOCTX",
+                    f"theorem {self.thm.name!r}: variable {var!r} is explicit but no context "
+                    "quantifier is in scope",
+                    self.thm.loc,
                 )
-            )
-        return scope[0]
+            usage = self.uses[var] = []
+            return usage
+        return None
+
+    def use(self, c: CtxPattern, args) -> None:
+        """Note a judgment under ``c`` with arguments ``args``: its context
+        binder joins the usage list of each explicit variable that they
+        mention."""
+        uses = self.uses
+        if c.var is None or not uses:
+            return
+        b = self.binders[c.var]
+        for a in args:
+            if type(a) is Const:
+                if a.name not in uses:
+                    continue
+                mentioned = (a.name,)
+            else:
+                mentioned = free(a) & uses.keys()
+            for var in mentioned:
+                usage = uses[var]
+                if b not in usage:
+                    usage.append(b)
+
+    def close(self, saved: tuple, pending) -> list:
+        """End the chain that ``open`` started.  ``pending`` holds a
+        (variable, usage, scope, slot) for each explicit variable of the
+        chain, ``scope`` the context binders in scope at its quantifier and
+        ``slot`` the caller's; returns (slot, binder) pairs, the binder
+        naming the context of the variable's wf antecedent: the one binder
+        its judgments lie under if that is in scope, else the outermost in
+        scope, with a ``W-CTX`` warning when they lie under several."""
+        self.ctxs, self.binders, self.uses, self.rename, at = saved
+        out, notes = [], []
+        for var, usage, scope, slot in pending:
+            if len(usage) == 1 and usage[0] in scope:
+                out.append((slot, usage[0]))
+                continue
+            if len(usage) > 1:
+                notes.append(
+                    Diagnostic(
+                        "W-CTX",
+                        f"theorem {self.thm.name!r}: variable {var!r} is used under several "
+                        f"contexts; its wf antecedent uses {scope[0][0]!r}",
+                        self.thm.loc,
+                        "warning",
+                    )
+                )
+            out.append((slot, scope[0]))
+        self.warnings[at:at] = notes  # before those of the chains in its body
+        return out
 
 
 def _ab_quant(p: Prp, d, cx: _Scope) -> str:
     """``forall H M, xaG H -> {H |- is_tm M} -> body`` or ``exists N, body``:
     the ab/hy layout of a quantifier chain.  Each variable gets an upper-case
     name away from the signature and the names in scope; a context variable
-    has its schema as an antecedent, an explicit variable its wf guard."""
-    rename = dict(cx.rename)
-    supply = _Names(cx.avoid, rename.values())
+    has its schema as an antecedent, an explicit variable its wf guard,
+    whose context is known once the body is printed."""
+    saved = cx.open()
+    supply = _Names(cx.avoid, cx.rename.values())
     if type(p) is ExistsTm:
-        upper = rename[p.var] = supply.pick((p.var[0].upper() + p.var[1:],))
-        return f"exists {upper}, {prp_str(p.body, _P_IMP, d, cx._replace(rename=rename))}"
+        upper = supply.pick((p.var[0].upper() + p.var[1:],))
+        cx.bind(p, upper)
+        body = prp_str(p.body, _P_IMP, d, cx)
+        cx.close(saved, ())
+        return f"exists {upper}, {body}"
     outer = set(supply.taken)  # names of the variables bound outside the chain
     names: list[str] = []
     antecedents: list[str] = []
+    pending: list = []  # explicit variables, each with its slot (index in antecedents, wf guard)
     while type(p) is ForallCtx or type(p) is ForallTm:
-        old = rename.get(p.var)
-        upper = rename[p.var] = supply.pick((p.var[0].upper() + p.var[1:],))
+        old = cx.rename.get(p.var)
+        upper = supply.pick((p.var[0].upper() + p.var[1:],))
         if old in outer:
             # the outer variable is shadowed from here on: its name is free
             outer.discard(old)
             supply.drop(old)
         names.append(upper)
+        usage = cx.bind(p, upper)
         if type(p) is ForallCtx:
-            cx = cx.bind(p.var)
             antecedents.append(f"{p.schema} {upper} -> ")
-        elif (ctx := cx.ctx_of(p)) is not None:
+        elif usage is not None:
             if type(p.tp) is not AtomApp or p.tp.args:
                 raise OrbiError(
                     "E-SHAPE",
@@ -591,9 +632,12 @@ def _ab_quant(p: Prp, d, cx: _Scope) -> str:
                     cx.thm.loc,
                 )
             guard = Guard(p.tp.family, upper).render()
-            antecedents.append(f"{{{rename.get(ctx, ctx)} |- {guard}}} -> ")
+            pending.append((p.var, usage, cx.ctxs, (len(antecedents), guard)))
+            antecedents.append("")
         p = p.body
-    body = prp_str(p, _P_QUANT, d, cx._replace(rename=rename))
+    body = prp_str(p, _P_QUANT, d, cx)
+    for (i, guard), ctx in cx.close(saved, pending):
+        antecedents[i] = f"{{{ctx[1]} |- {guard}}} -> "
     return f"forall {' '.join(names)}, {''.join(antecedents)}{body}"
 
 
@@ -615,7 +659,7 @@ def _bare_var(c, cx: _Scope, what: str) -> str:
             f"theorem {cx.thm.name!r}: {what} must be bare context variables in formula targets",
             cx.thm.loc,
         )
-    return cx.rename.get(c.var, c.var)
+    return cx.binders[c.var][1]
 
 
 def _ab_atom(p: Prp, d, cx: _Scope) -> str:
@@ -625,7 +669,13 @@ def _ab_atom(p: Prp, d, cx: _Scope) -> str:
         ctx = "nil" if c.var is None and not c.blocks else _bare_var(c, cx, "judgment contexts")
         head = p.family
         if p.args:
-            head += " " + " ".join([term_str(_target_term(a, cx.rename), [], True, d) for a in p.args])
+            cx.use(c, p.args)
+            rename = cx.rename
+            for a in p.args:
+                if type(a) is Const:  # a leaf: renamed in place
+                    head += " " + (rename[a.name] if a.name in rename else a.name)
+                else:
+                    head += " " + term_str(_target_term(a, rename), [], True, d)
         return f"{{{ctx} |- {head}}}"
     if t is RelApp:
         args = [_bare_var(c, cx, "relation arguments") for c in p.ctxs]
@@ -643,10 +693,8 @@ def translate_theorem(checked, t: Theorem, target: str, ann: AnnotationTable):
     """Render one theorem for a target; returns (text, warnings)."""
     if target == "tw":
         return "% " + theorem_str(t), []
-    warnings: list[Diagnostic] = []
-    expl = ann.explicit_theorem_vars.get(t.name, frozenset())
-    cx = _Scope(t, expl, warnings, checked.sig.entries, (), {})
-    return prp_str(t.statement, _P_QUANT, BEL if target == "bel" else AB, cx) + ".", warnings
+    cx = _Scope(t, ann.explicit_theorem_vars.get(t.name, frozenset()), checked.sig.entries)
+    return prp_str(t.statement, _P_QUANT, BEL if target == "bel" else AB, cx) + ".", cx.warnings
 
 
 # -------------------------------------------------------------- documents

@@ -197,6 +197,28 @@ def test_quantifier_chain_names_grow_linearly():
     assert ratio <= MAX_GROWTH, f"translate_spec ab: {ratio:.2f}x calls for 4x quantifiers"
 
 
+def _explicit_chain(n: int) -> str:
+    """eq.orbi plus ``theorem big: {h:xaG}{M0:tm}…{Mn-1:tm} [h |- aeq M0 M0]
+    -> … -> [h |- aeq Mn-1 Mn-1];``, each ``Mi`` marked explicit."""
+    directives = "".join(f"%% explicit [hy,ab,bel] in M{i}\n" for i in range(n))
+    quantifiers = "".join(f"{{M{i}:tm}}" for i in range(n))
+    judgments = " -> ".join(f"[h |- aeq M{i} M{i}]" for i in range(n))
+    source = corpus_source().replace("\n%% Theorems\n", f"{directives}\n%% Theorems\n")
+    return f"{source}theorem big: {{h:xaG}}{quantifiers} {judgments};\n"
+
+
+@pytest.mark.parametrize("target", ["ab", "hy", "bel"])
+def test_explicit_variables_translate_linearly(target):
+    # the walk that prints the chain's body records, at each judgment, its
+    # context for every explicit variable it mentions; rescanning the body
+    # once per explicit variable made this about 14x
+    def calls(n):
+        return _calls(translate_spec, check_spec(parse_spec(_explicit_chain(n))), target)
+
+    ratio = calls(200) / calls(50)
+    assert ratio <= MAX_GROWTH, f"translate_spec {target}: {ratio:.2f}x calls for 4x variables"
+
+
 def test_parenthesised_term_equality_parses_linearly():
     # the token after the matching ')' decides between a parenthesised
     # proposition and a term, so the term is read once, not once per '('

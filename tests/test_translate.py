@@ -488,6 +488,92 @@ def test_shadowing_quantifier_has_its_own_usage_contexts(corpus_text, target, te
     assert not [w for w in doc.warnings if w.code == "W-CTX"]
 
 
+def _eq_theorem(corpus_text, statement: str, directives: str = ""):
+    # eq.orbi up to its directives, which mark M explicit, and ``statement``
+    head = "\n".join(corpus_text.split("\n")[:45])
+    return check_all(f"{head}\n{directives}\n%% Theorems\ntheorem t: {statement};\n")
+
+
+@pytest.mark.parametrize(
+    "statement, ab, bel, warned",
+    [
+        (
+            "{g:xaG}{h:xaG}{M:tm} [h |- aeq M M] -> ({h:xaG} [h |- aeq M M])",
+            "forall G H M, xaG G -> xaG H -> {G |- is_tm M} -> {H |- aeq M M} -> "
+            "(forall H1, xaG H1 -> {H1 |- aeq M M}).",
+            "{g:xaG} {h:xaG} {M:[g |- tm]} [h |- aeq M M] -> ({h:xaG} [h |- aeq M M]).",
+            True,
+        ),
+        (
+            "{g:xaG}{h:xaG}{M:tm} [h |- aeq M M] -> ({k:xaG} [k |- aeq M M])",
+            "forall G H M, xaG G -> xaG H -> {G |- is_tm M} -> {H |- aeq M M} -> "
+            "(forall K, xaG K -> {K |- aeq M M}).",
+            "{g:xaG} {h:xaG} {M:[g |- tm]} [h |- aeq M M] -> ({k:xaG} [k |- aeq M M]).",
+            True,
+        ),
+        (
+            "{g:xaG}{h:xaG}{M:tm}{h:xaG} [h |- aeq M M]",
+            "forall G H M H1, xaG G -> xaG H -> {G |- is_tm M} -> xaG H1 -> {H1 |- aeq M M}.",
+            "{g:xaG} {h:xaG} {M:[g |- tm]} {h:xaG} [h |- aeq M M].",
+            False,
+        ),
+        (
+            "{g:xaG}{M:tm}{g:xaG} [g |- aeq M M]",
+            "forall G M G1, xaG G -> {G |- is_tm M} -> xaG G1 -> {G1 |- aeq M M}.",
+            "{g:xaG} {M:[g |- tm]} {g:xaG} [g |- aeq M M].",
+            False,
+        ),
+        (
+            "{g:xaG}{g:xaG}{M:tm} [|- aeq M M]",
+            "forall G G1 M, xaG G -> xaG G1 -> {G |- is_tm M} -> {nil |- aeq M M}.",
+            "{g:xaG} {g:xaG} {M:[g |- tm]} [|- aeq M M].",
+            False,
+        ),
+        (
+            "{g:xaG}{h:xaG}{g:tm}{M:tm} [h |- aeq M g] & [g |- aeq M M]",
+            "forall G H G1 M, xaG G -> xaG H -> {G |- is_tm M} -> {H |- aeq M G1} /\\ "
+            "{G |- aeq M M}.",
+            "{g:xaG} {h:xaG} {g:tm} {M:[g |- tm]} [h |- aeq M g] & [g |- aeq M M].",
+            True,
+        ),
+    ],
+    ids=[
+        "context-shadowed",
+        "context-bound-inside",
+        "shadowed-only",
+        "rebound-only",
+        "first-shadowed",
+        "term-named-g",
+    ],
+)
+def test_explicit_variable_context_is_read_per_binder(corpus_text, statement, ab, bel, warned):
+    # the judgments that mention M are noted under their context binder, so
+    # a context bound again under its name, or bound inside M's scope, is a
+    # context of its own; M under several contexts warns and takes the first
+    # bound one, as does M under one context that it cannot name, under
+    # that context's own ab/hy name.  A term variable named like a context
+    # does not rename it
+    checked = _eq_theorem(corpus_text, statement)
+    for target, text in (("ab", ab), ("hy", ab), ("bel", bel)):
+        doc = translate_spec(checked, target)
+        assert doc.block("t") == text, target
+        assert [w.code for w in doc.warnings] == ["W-CTX"] * warned, target
+
+
+def test_context_warnings_keep_quantifier_order(corpus_text):
+    # N's chain is printed, and its W-CTX known, before M's body is done
+    checked = _eq_theorem(
+        corpus_text,
+        "{g:xaG}{h:xaG}{M:tm} [g |- aeq M M] -> "
+        "({N:tm} [g |- aeq N N] -> [h |- aeq N N]) -> [h |- aeq M M]",
+        "%% explicit [hy,ab,bel] in N\n",
+    )
+    for target in ("ab", "hy", "bel"):
+        doc = translate_spec(checked, target)
+        variables = [w.message.split("'")[3] for w in doc.warnings]
+        assert variables == ["M", "N"], target
+
+
 def test_twelf_theorems_are_comments(tw_doc):
     assert tw_doc.block("reflG") == "% theorem reflG: {h:xaG}{M:tm} [h |- aeq M M];"
 
