@@ -59,8 +59,9 @@ class Dialect(Record):
     ``{lam}x{dot}body``, its binder named by ``_binder_name`` in every
     dialect; ``or_``/``and_`` are the connectives.  A quantifier chain ``p``
     prints as ``quant(p, d, cx)``, an atomic formula as ``atom(p, d, cx)``,
-    where ``cx`` is what the target's layouts track from one quantifier to
-    the next (None for ORBI); ``sep`` goes between ORBI's groups."""
+    where ``cx`` is the theorem's printing state, which the target's
+    layouts update as the walk goes (None for ORBI); ``sep`` goes between
+    ORBI's groups."""
 
     __slots__ = ("lam", "dot", "or_", "and_", "sep", "quant", "atom")
 
