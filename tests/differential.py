@@ -296,7 +296,46 @@ USAGE_PROBES = {
         "{g:xaG}{h:xaG}{M:tm} [g |- aeq M M] -> "
         "({N:tm} [g |- aeq N N] -> [h |- aeq N N]) -> [h |- aeq M M]",
     ),
+    # a term and a context variable named alike, a context named like a
+    # constructor, a shadowed first context, a shadowed name handed out
+    # again in one chain, an exists shadowing an explicit variable, and a
+    # variable renamed inside a compound argument
+    "term-and-context-named-alike": ("", "{h:xaG}{M:tm}{M:xaG} [h |- aeq M M]"),
+    "context-named-like-constructor": ("", "{app:xaG}{M:tm} [app |- aeq (app M M) M]"),
+    "first-context-shadowed": ("", "{g:xaG}{g:xaG}{M:tm} [|- aeq M M]"),
+    "shadowed-name-handed-out": ("", "{g:xaG} true -> ({M:tm}{g:xaG}{g:xaG} [|- aeq M M])"),
+    "exists-shadows-explicit": (
+        "",
+        "{g:xaG}{h:xaG}{M:tm} [g |- aeq M M] & (<M:tm> [h |- aeq M M])",
+    ),
+    "renamed-in-compound-argument": ("", "{h:xaG}{M:tm}{m:tm} [h |- aeq (app m m) M]"),
 }
+
+# A judgment, a rule and a relation of no arguments, next to an explicit
+# rule whose only premise is its variable's wf guard.
+NULLARY_PROBE = """%% Syntax
+tm: type.
+c: tm.
+
+%% Judgments
+j: type.
+k: tm -> type.
+
+%% Rules
+r: j.
+s: {x:tm} k x.
+
+%% Definitions
+inductive R : prop =
+| r0: R;
+
+%% Directives
+%% wf [ab] in tm
+%% explicit [ab] in s
+
+%% Theorems
+theorem t: R -> true;
+"""
 
 
 def build_inputs() -> list:
@@ -341,6 +380,7 @@ def build_inputs() -> list:
     top = "\n".join(lines[:45]) + "\n"  # eq.orbi up to its last directive
     for name, (extra, s) in USAGE_PROBES.items():
         out.append(("probe", f"probe-{name}", f"{top}{extra}\n%% Theorems\ntheorem t: {s};\n"))
+    out.append(("probe", "probe-nullary", NULLARY_PROBE))
     return out
 
 

@@ -222,6 +222,13 @@ def test_relation_premise_must_be_bare_vars(checked):
             "duplicate declaration of 'R'",
             id="duplicate-relation",
         ),
+        pytest.param(
+            "inductive Rxa : {g:xG} {h:xaG} prop =\n"
+            "| Rxa_cs: Rxa [] [h] -> Rxa [g, b:block (x:tm)] [h, b:block (x:tm, u:aeq x x)];",
+            "E-SHAPE",
+            "premise context arguments of clause 'Rxa_cs' must be bare context variables",
+            id="empty-premise-context",
+        ),
     ],
 )
 def test_relation_clause_diagnostics(definition, code, message):
@@ -339,6 +346,45 @@ def test_declaration_diagnostics(sections, code, message):
     with raises_code(code) as exc:
         check_all(src)
     assert exc.value.diagnostics[0].message == message
+
+
+@pytest.mark.parametrize(
+    "statement, diagnostics",
+    [
+        pytest.param(
+            "{h:xaG} ({M:tm} [h |- aeq M M]) & [h |- aeq M M]",
+            [("E-UNBOUND", "unbound term variable 'M'")],
+            id="out-of-scope",
+        ),
+        pytest.param(
+            "{h:xaG}{M:tm tm} [h |- aeq M M]",
+            [("E-KIND", "type family 'tm' applied to too many arguments")],
+            id="over-applied-quantifier-type",
+        ),
+        pytest.param(
+            "{h:xaG}{M:tm} [h |- Rxa M]",
+            [("E-UNBOUND", "unknown judgment 'Rxa'")],
+            id="relation-as-judgment",
+        ),
+        pytest.param(
+            "{h:xaG}{M:tm} [h |- tm]",
+            [("E-LEVEL", "judgment head 'tm' is not a level-1 family")],
+            id="level0-judgment-head",
+        ),
+        pytest.param(
+            "{h:xaG}{M:tm} [h |- aeq N N] & [h |- aeq N M]",
+            [("E-UNBOUND", "unbound term variable 'N'")],
+            id="reported-once",
+        ),
+    ],
+)
+def test_theorem_scope_diagnostics(checked, statement, diagnostics):
+    # over eq.orbi's signature: a variable is in scope in its quantifier's
+    # body only, and a diagnostic repeated in one theorem is reported once
+    spec = parse_spec(make_spec(theorems=f"theorem t: {statement};"))
+    with pytest.raises(OrbiError) as exc:
+        scope_check_theorem(checked.sig, checked.schemas, checked.relations, spec.theorems[0])
+    assert [(d.code, d.message) for d in exc.value.diagnostics] == diagnostics
 
 
 def test_theorem_quantifier_level_enforced(checked):

@@ -536,6 +536,19 @@ def _eq_theorem(corpus_text, statement: str, directives: str = ""):
             "{g:xaG} {h:xaG} {g:tm} {M:[g |- tm]} [h |- aeq M g] & [g |- aeq M M].",
             True,
         ),
+        (
+            "{g:xaG}{h:xaG}{M:tm} [g |- aeq M M] & (<M:tm> [h |- aeq M M])",
+            "forall G H M, xaG G -> xaG H -> {G |- is_tm M} -> {G |- aeq M M} /\\ "
+            "(exists M1, {H |- aeq M1 M1}).",
+            "{g:xaG} {h:xaG} {M:[g |- tm]} [g |- aeq M M] & (<M:tm> [h |- aeq M M]).",
+            False,
+        ),
+        (
+            "{h:xaG}{M:tm}{m:tm} [h |- aeq (app m m) M]",
+            "forall H M M1, xaG H -> {H |- is_tm M} -> {H |- aeq (app M1 M1) M}.",
+            "{h:xaG} {M:[h |- tm]} {m:tm} [h |- aeq (app m m) M].",
+            False,
+        ),
     ],
     ids=[
         "context-shadowed",
@@ -544,6 +557,8 @@ def _eq_theorem(corpus_text, statement: str, directives: str = ""):
         "rebound-only",
         "first-shadowed",
         "term-named-g",
+        "exists-shadows-explicit",
+        "renamed-in-compound-argument",
     ],
 )
 def test_explicit_variable_context_is_read_per_binder(corpus_text, statement, ab, bel, warned):
