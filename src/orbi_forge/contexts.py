@@ -39,7 +39,6 @@ from orbi_forge.syntax import (
     Schema,
     TermEq,
     Theorem,
-    Var,
 )
 
 # ----------------------------------------------------------------- schemas
@@ -176,18 +175,16 @@ def scope_check_theorem(sig: Signature, schemas: dict, relations: dict, t: Theor
             seen.add(key)
             diags.append(Diagnostic(code, message, t.loc))
 
-    def scope_term(term, depth: int) -> None:
-        if isinstance(term, Var):
-            if term.index >= depth:
-                report("E-UNBOUND", f"unbound variable index {term.index}")
-        elif isinstance(term, Const):
+    def scope_term(term) -> None:
+        # the parser binds every Var, so only a constant can be unbound
+        if isinstance(term, Const):
             if term.name not in term_scope and term.name not in sig.entries:
                 report("E-UNBOUND", f"unbound term variable {term.name!r}")
         elif isinstance(term, Lam):
-            scope_term(term.body, depth + 1)
+            scope_term(term.body)
         elif isinstance(term, App):
-            scope_term(term.fn, depth)
-            scope_term(term.arg, depth)
+            scope_term(term.fn)
+            scope_term(term.arg)
 
     def scope_ctx(c: CtxPattern) -> None:
         if c.var is not None and c.var not in ctx_scope:
@@ -263,7 +260,7 @@ def scope_check_theorem(sig: Signature, schemas: dict, relations: dict, t: Theor
                         f"judgment {p.family!r} expects {want} arguments, got {len(p.args)}",
                     )
             for a in p.args:
-                scope_term(a, 0)
+                scope_term(a)
         elif k is RelApp:
             rel = relations.get(p.name)
             if rel is None:
@@ -277,8 +274,8 @@ def scope_check_theorem(sig: Signature, schemas: dict, relations: dict, t: Theor
             for c in p.ctxs:
                 scope_ctx(c)
         elif k is TermEq:
-            scope_term(p.lhs, 0)
-            scope_term(p.rhs, 0)
+            scope_term(p.lhs)
+            scope_term(p.rhs)
         elif k is And or k is Or or k is Imp:
             stack.append(p.rhs)
             stack.append(p.lhs)

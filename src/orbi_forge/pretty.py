@@ -59,9 +59,9 @@ class Dialect(Record):
     ``{lam}x{dot}body``, its binder named by ``_binder_name`` in every
     dialect; ``or_``/``and_`` are the connectives.  A quantifier chain ``p``
     prints as ``quant(p, d, cx)``, an atomic formula as ``atom(p, d, cx)``,
-    where ``cx`` is the theorem's printing state, which the target's
-    layouts update as the walk goes (None for ORBI); ``sep`` goes between
-    ORBI's groups."""
+    where ``cx`` is the theorem's printing state, ``translate._Scope``, into
+    whose context and term tables both formula layouts bind as the walk
+    goes (None for ORBI); ``sep`` goes between ORBI's groups."""
 
     __slots__ = ("lam", "dot", "or_", "and_", "sep", "quant", "atom")
 
@@ -75,12 +75,12 @@ def _binder_name(hint: str, body, env: list) -> str:
 
 def _groups(p: Prp, d: Dialect, cx) -> str:
     """``{g:S}{M:tm}<N:tm> body``: the quantifier layout of ORBI and bel.  A
-    theorem's scope ``cx`` (bel) binds each variable of the chain and names
-    the context of each explicit variable once the body is printed, written
-    ``{M:[g |- tm]}``."""
+    theorem's scope ``cx`` (bel) binds each variable of the chain and, once
+    the body is printed, names the context of each explicit variable from
+    the entry that binding it returned, written ``{M:[g |- tm]}``."""
     groups = []
     if cx is not None:
-        # explicit variables, each with its slot (index in groups, name, type)
+        # (entry, slot) of each explicit variable, the slot (index in groups, name, type)
         saved, pending = cx.open(), []
     while True:
         t = type(p)
@@ -90,8 +90,8 @@ def _groups(p: Prp, d: Dialect, cx) -> str:
                 cx.bind(p, p.var)
         elif t is ForallTm:
             tp = tp_str(p.tp, [])
-            if cx is not None and (usage := cx.bind(p, p.var)) is not None:
-                pending.append((p.var, usage, cx.ctxs, (len(groups), p.var, tp)))
+            if cx is not None and (entry := cx.bind(p, p.var)) is not None:
+                pending.append((entry, (len(groups), p.var, tp)))
             groups.append(f"{{{p.var}:{tp}}}")
         elif t is ExistsTm:
             groups.append(f"<{p.var}:{tp_str(p.tp, [])}>")

@@ -37,7 +37,6 @@ from orbi_forge.syntax import (
     Const,
     CtxPattern,
     ExistsTm,
-    FamDecl,
     ForallCtx,
     ForallTm,
     InductiveDef,
@@ -194,8 +193,8 @@ class _Names:
     """The one supply of ab/hy variables, which never collides with user
     identifiers: ``reserved`` (typically ``sig.entries``) is consulted, never
     copied, and names handed out go into the supply's own ``taken`` dict.
-    Taken names stay taken until ``drop``, so numbering a stem, or priming a
-    name, resumes where it last stopped; a prime makes no call."""
+    Taken names stay taken, so numbering a stem, or priming a name, resumes
+    where it last stopped; a prime makes no call."""
 
     def __init__(self, reserved, taken=()):
         self.reserved = reserved
@@ -229,11 +228,6 @@ class _Names:
         taken[name] = None
         return name
 
-    def drop(self, name: str) -> None:
-        """Make the picked ``name`` free again; numbering restarts from 1."""
-        del self.taken[name]
-        self.numbered.clear()
-
 
 _UPPER, _LOWER = "MNOPQRSTUVWXYZABCDEFGHIJKL", "xyzuvw"
 
@@ -261,26 +255,20 @@ def _wf_goal(expr: str, tp, names: _Names):
     return PiG(x, ImpG(hyp, _wf_goal(f"{expr} {x}", tp.cod, names)))
 
 
-def gen_wf_predicates(sig: Signature, wf_families) -> list[Clause]:
-    """Wf clauses of the given families, in the order given; names that are
-    not declared families are skipped."""
+def gen_wf_predicates(sig: Signature, fam: str) -> list[Clause]:
+    """The wf clauses of the level-0 family ``fam``, one per constructor
+    (``directives`` admits a wf directive on such a family only)."""
     out: list[Clause] = []
-    for fam in dict.fromkeys(wf_families):
-        entry = sig.entries.get(fam)
-        if entry is None or type(entry.decl) is not FamDecl:
-            continue
-        if entry.level != 0:
-            raise OrbiError("E-LEVEL", f"wf predicate requested for non-level-0 family {fam!r}")
-        for c in sig.constructors_of(fam):
-            doms = []
-            tp = c.tp
-            while type(tp) is Arrow or type(tp) is Pi:
-                doms.append(tp.dom)
-                tp = tp.cod
-            names = _Names(sig.entries)
-            arg_names = [names.pick(_UPPER) for _ in doms]
-            head = Guard(fam, _atomize(" ".join([c.name, *arg_names])))
-            out.append(Clause(head, tuple([_wf_goal(n, d, names) for n, d in zip(arg_names, doms)])))
+    for c in sig.constructors_of(fam):
+        doms = []
+        tp = c.tp
+        while type(tp) is Arrow or type(tp) is Pi:
+            doms.append(tp.dom)
+            tp = tp.cod
+        names = _Names(sig.entries)
+        arg_names = [names.pick(_UPPER) for _ in doms]
+        head = Guard(fam, _atomize(" ".join([c.name, *arg_names])))
+        out.append(Clause(head, tuple([_wf_goal(n, d, names) for n, d in zip(arg_names, doms)])))
     return out
 
 
@@ -370,9 +358,9 @@ class Inductive(Record):
                 if c.premises:
                     s += " := " + " /\\ ".join([p.render() for p in c.premises])
                 parts.append(s)
-            tp = " -> ".join(["olist"] * self.arity)
-            return f"Define {self.name} : {tp} -> prop by\n  " + ";\n  ".join(parts) + "."
-        lines = [f"Inductive {self.name} : {' -> '.join(['list atm'] * self.arity)} -> Prop :="]
+            tp = " -> ".join(["olist"] * self.arity + ["prop"])
+            return f"Define {self.name} : {tp} by\n  " + ";\n  ".join(parts) + "."
+        lines = [f"Inductive {self.name} : {' -> '.join(['list atm'] * self.arity + ['Prop'])} :="]
         for c in self.clauses:
             binders = [f"({v}:list atm)" for v in c.lists] + [f"({v}:uexp)" for v in c.nabla]
             chain = [f"proper {v}" for v in c.nabla] + [p.render() for p in (*c.premises, c.head)]
@@ -494,55 +482,68 @@ def translate_relation(
 class _Scope:
     """A theorem's printing state, one per theorem, in either formula layout.
 
-    A quantifier chain is printed in one walk: ``open`` copies the tables
-    that its bindings go into, ``bind`` binds each of its variables, and
-    ``close`` restores the tables once its body is printed.  That walk calls
-    ``use`` at each judgment, which appends the judgment's context binder to
-    the usage list of every explicit variable in scope that the judgment
-    mentions, so ``close`` names each explicit variable's context from its
-    list without a second look at the body.  A context binder is the triple
-    (variable, ab/hy name, serial): a context bound again under the same
-    name is a context of its own."""
+    Context and term variables have tables of their own, as in
+    ``contexts.scope_check_theorem``: ``ctxs`` maps a context variable in
+    scope to its binder (variable, ab/hy name, serial), outermost first, a
+    context bound again under its name being a binder of its own, and
+    ``terms`` maps a term variable to its ab/hy name.  ab/hy names come
+    from the theorem's one supply, ``names`` (None for bel).  A quantifier
+    chain is printed in one walk: ``open`` copies the tables, ``bind`` binds
+    each variable and ``close`` restores the tables once the body is
+    printed, so no name in scope is handed out again.  The walk calls
+    ``use`` at each judgment, which appends its context binder to the usage
+    list of every explicit variable in scope that it mentions, so ``close``
+    names each explicit variable's context without a second look at the
+    body."""
 
-    __slots__ = ("thm", "expl", "avoid", "warnings", "ctxs", "binders", "uses", "rename", "serial")
+    __slots__ = ("thm", "expl", "names", "warnings", "ctxs", "uses", "terms", "serial")
 
-    def __init__(self, thm: Theorem, expl, avoid):
-        self.thm, self.expl, self.avoid = thm, expl, avoid
+    def __init__(self, thm: Theorem, expl, names):
+        self.thm, self.expl, self.names = thm, expl, names
         self.warnings: list[Diagnostic] = []
-        self.ctxs: tuple = ()  # the context binders in scope, outermost first
-        self.binders: dict = {}  # context variable -> its binder in scope
+        self.ctxs: dict = {}  # context variable in scope -> its binder, outermost first
         self.uses: dict = {}  # explicit variable in scope -> the binders its judgments lie under
-        self.rename: dict = {}  # variable in scope -> its ab/hy name
+        self.terms: dict = {}  # term variable in scope -> its ab/hy name
         self.serial = 0
 
     def open(self) -> tuple:
-        """Start a quantifier chain; returns what ``close`` restores."""
-        saved = self.ctxs, self.binders, self.uses, self.rename, len(self.warnings)
-        self.binders, self.uses, self.rename = dict(self.binders), dict(self.uses), dict(self.rename)
+        """Start a quantifier chain; returns what ``close`` restores.  Only
+        ab/hy copy the term names and the supply, which bel does not read."""
+        saved = self.ctxs, self.uses, self.terms, len(self.warnings)
+        self.ctxs, self.uses = dict(self.ctxs), dict(self.uses)
+        names = self.names
+        if names is not None:
+            saved += (names.taken, names.numbered)
+            self.terms = dict(self.terms)
+            names.taken, names.numbered = dict(names.taken), dict(names.numbered)
         return saved
 
     def bind(self, p: Prp, name: str):
         """Bind the variable of the quantifier ``p``, printed ``name``.
-        Returns the usage list of an explicit term variable, else None; one
+        Returns the entry (variable, usage list, scope) of an explicit term
+        variable, ``scope`` being the first context binder visible at ``p``
+        and the serial of the next binder, else None; an explicit variable
         with no context in scope is ``E-NOCTX``."""
         var = p.var
-        self.rename[var] = name
+        if type(p) is ForallCtx:
+            if var in self.ctxs:  # shadowed: its binder leaves the binding order
+                del self.ctxs[var]
+            self.ctxs[var] = (var, name, self.serial)
+            self.serial += 1
+            return None
+        self.terms[var] = name
+        if type(p) is ForallTm and var in self.expl:
+            for first in self.ctxs:  # the first context visible
+                usage = self.uses[var] = []
+                return var, usage, (self.ctxs[first], self.serial)
+            raise OrbiError(
+                "E-NOCTX",
+                f"theorem {self.thm.name!r}: variable {var!r} is explicit but no context "
+                "quantifier is in scope",
+                self.thm.loc,
+            )
         if var in self.uses:  # shadowed from here on
             del self.uses[var]
-        if type(p) is ForallCtx:
-            b = self.binders[var] = (var, name, self.serial)
-            self.serial += 1
-            self.ctxs += (b,)
-        elif type(p) is ForallTm and var in self.expl:
-            if not self.ctxs:
-                raise OrbiError(
-                    "E-NOCTX",
-                    f"theorem {self.thm.name!r}: variable {var!r} is explicit but no context "
-                    "quantifier is in scope",
-                    self.thm.loc,
-                )
-            usage = self.uses[var] = []
-            return usage
         return None
 
     def use(self, c: CtxPattern, args) -> None:
@@ -552,7 +553,7 @@ class _Scope:
         uses = self.uses
         if c.var is None or not uses:
             return
-        b = self.binders[c.var]
+        b = self.ctxs[c.var]
         for a in args:
             if type(a) is Const:
                 if a.name not in uses:
@@ -566,17 +567,19 @@ class _Scope:
                     usage.append(b)
 
     def close(self, saved: tuple, pending) -> list:
-        """End the chain that ``open`` started.  ``pending`` holds a
-        (variable, usage, scope, slot) for each explicit variable of the
-        chain, ``scope`` the context binders in scope at its quantifier and
-        ``slot`` the caller's; returns (slot, binder) pairs, the binder
-        naming the context of the variable's wf antecedent: the one binder
-        its judgments lie under if that is in scope, else the outermost in
-        scope, with a ``W-CTX`` warning when they lie under several."""
-        self.ctxs, self.binders, self.uses, self.rename, at = saved
+        """End the chain that ``open`` started.  ``pending`` holds an
+        (entry, slot) pair for each explicit variable of the chain, the
+        entry as ``bind`` returned it and the slot the caller's; returns
+        (slot, binder) pairs, the binder naming the context of the
+        variable's wf antecedent: the one binder its judgments lie under if
+        that is visible at its quantifier, else the first one visible there,
+        with a ``W-CTX`` warning when they lie under several."""
+        self.ctxs, self.uses, self.terms, at, *supply = saved
+        if supply:
+            self.names.taken, self.names.numbered = supply
         out, notes = [], []
-        for var, usage, scope, slot in pending:
-            if len(usage) == 1 and usage[0] in scope:
+        for (var, usage, (first, serial)), slot in pending:
+            if len(usage) == 1 and usage[0][2] < serial:
                 out.append((slot, usage[0]))
                 continue
             if len(usage) > 1:
@@ -584,12 +587,12 @@ class _Scope:
                     Diagnostic(
                         "W-CTX",
                         f"theorem {self.thm.name!r}: variable {var!r} is used under several "
-                        f"contexts; its wf antecedent uses {scope[0][0]!r}",
+                        f"contexts; its wf antecedent uses {first[0]!r}",
                         self.thm.loc,
                         "warning",
                     )
                 )
-            out.append((slot, scope[0]))
+            out.append((slot, first))
         self.warnings[at:at] = notes  # before those of the chains in its body
         return out
 
@@ -597,33 +600,28 @@ class _Scope:
 def _ab_quant(p: Prp, d, cx: _Scope) -> str:
     """``forall H M, xaG H -> {H |- is_tm M} -> body`` or ``exists N, body``:
     the ab/hy layout of a quantifier chain.  Each variable gets an upper-case
-    name away from the signature and the names in scope; a context variable
-    has its schema as an antecedent, an explicit variable its wf guard,
-    whose context is known once the body is printed."""
+    name from the theorem's supply, away from the signature and every name
+    handed out around it; a context variable has its schema as an antecedent,
+    an explicit variable its wf guard, whose context is known once the body
+    is printed."""
     saved = cx.open()
-    supply = _Names(cx.avoid, cx.rename.values())
+    supply = cx.names
     if type(p) is ExistsTm:
         upper = supply.pick((p.var[0].upper() + p.var[1:],))
         cx.bind(p, upper)
         body = prp_str(p.body, _P_IMP, d, cx)
         cx.close(saved, ())
         return f"exists {upper}, {body}"
-    outer = set(supply.taken)  # names of the variables bound outside the chain
     names: list[str] = []
     antecedents: list[str] = []
-    pending: list = []  # explicit variables, each with its slot (index in antecedents, wf guard)
+    pending: list = []  # explicit variables, each (entry, (index in antecedents, wf guard))
     while type(p) is ForallCtx or type(p) is ForallTm:
-        old = cx.rename.get(p.var)
         upper = supply.pick((p.var[0].upper() + p.var[1:],))
-        if old in outer:
-            # the outer variable is shadowed from here on: its name is free
-            outer.discard(old)
-            supply.drop(old)
         names.append(upper)
-        usage = cx.bind(p, upper)
+        entry = cx.bind(p, upper)
         if type(p) is ForallCtx:
             antecedents.append(f"{p.schema} {upper} -> ")
-        elif usage is not None:
+        elif entry is not None:
             if type(p.tp) is not AtomApp or p.tp.args:
                 raise OrbiError(
                     "E-SHAPE",
@@ -632,7 +630,7 @@ def _ab_quant(p: Prp, d, cx: _Scope) -> str:
                     cx.thm.loc,
                 )
             guard = Guard(p.tp.family, upper).render()
-            pending.append((p.var, usage, cx.ctxs, (len(antecedents), guard)))
+            pending.append((entry, (len(antecedents), guard)))
             antecedents.append("")
         p = p.body
     body = prp_str(p, _P_QUANT, d, cx)
@@ -641,12 +639,12 @@ def _ab_quant(p: Prp, d, cx: _Scope) -> str:
     return f"forall {' '.join(names)}, {''.join(antecedents)}{body}"
 
 
-def _target_term(t: Term, rename: dict) -> Term:
+def _target_term(t: Term, terms: dict) -> Term:
     """A theorem's term as ab/hy print it: beta-normal, eta-short, and with
-    its quantified variables, which are constants here, renamed."""
+    its quantified term variables, which are constants here, renamed."""
 
     def f(n, k):
-        return Const(rename[n.name]) if type(n) is Const and n.name in rename else n
+        return Const(terms[n.name]) if type(n) is Const and n.name in terms else n
 
     t = rebuild(normalize(t), f)
     return t if type(t) is Const or type(t) is Var else eta_contract(t)
@@ -659,7 +657,7 @@ def _bare_var(c, cx: _Scope, what: str) -> str:
             f"theorem {cx.thm.name!r}: {what} must be bare context variables in formula targets",
             cx.thm.loc,
         )
-    return cx.binders[c.var][1]
+    return cx.ctxs[c.var][1]
 
 
 def _ab_atom(p: Prp, d, cx: _Scope) -> str:
@@ -670,19 +668,19 @@ def _ab_atom(p: Prp, d, cx: _Scope) -> str:
         head = p.family
         if p.args:
             cx.use(c, p.args)
-            rename = cx.rename
+            terms = cx.terms
             for a in p.args:
                 if type(a) is Const:  # a leaf: renamed in place
-                    head += " " + (rename[a.name] if a.name in rename else a.name)
+                    head += " " + (terms[a.name] if a.name in terms else a.name)
                 else:
-                    head += " " + term_str(_target_term(a, rename), [], True, d)
+                    head += " " + term_str(_target_term(a, terms), [], True, d)
         return f"{{{ctx} |- {head}}}"
     if t is RelApp:
         args = [_bare_var(c, cx, "relation arguments") for c in p.ctxs]
         return f"{p.name} {' '.join(args)}" if args else p.name
     # prp_str hands this only atoms, so ``p`` is a TermEq
-    lhs = term_str(_target_term(p.lhs, cx.rename), [], False, d)
-    return f"{lhs} = {term_str(_target_term(p.rhs, cx.rename), [], False, d)}"
+    lhs = term_str(_target_term(p.lhs, cx.terms), [], False, d)
+    return f"{lhs} = {term_str(_target_term(p.rhs, cx.terms), [], False, d)}"
 
 
 AB = Dialect("", "\\ ", "\\/", "/\\", "", _ab_quant, _ab_atom)
@@ -693,8 +691,9 @@ def translate_theorem(checked, t: Theorem, target: str, ann: AnnotationTable):
     """Render one theorem for a target; returns (text, warnings)."""
     if target == "tw":
         return "% " + theorem_str(t), []
-    cx = _Scope(t, ann.explicit_theorem_vars.get(t.name, frozenset()), checked.sig.entries)
-    return prp_str(t.statement, _P_QUANT, BEL if target == "bel" else AB, cx) + ".", cx.warnings
+    names = None if target == "bel" else _Names(checked.sig.entries)
+    cx = _Scope(t, ann.explicit_theorem_vars.get(t.name, frozenset()), names)
+    return prp_str(t.statement, _P_QUANT, BEL if names is None else AB, cx) + ".", cx.warnings
 
 
 # -------------------------------------------------------------- documents
@@ -734,7 +733,7 @@ def translate_spec(checked, target: str) -> TargetDoc:
     if target in ("ab", "hy"):
         for fam in sig.entries:  # every wf family is a declared one
             if fam in ann.wf_families:
-                clauses = gen_wf_predicates(sig, [fam])
+                clauses = gen_wf_predicates(sig, fam)
                 blocks.append(DocBlock(fam, "\n".join(c.render() for c in clauses)))
         item = None  # the rule, schema or relation being translated
         try:

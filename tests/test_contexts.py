@@ -376,6 +376,11 @@ def test_declaration_diagnostics(sections, code, message):
             [("E-UNBOUND", "unbound term variable 'N'")],
             id="reported-once",
         ),
+        pytest.param(
+            "{h:xaG}{M:aeq} true",
+            [("E-LEVEL", "theorem quantifier 'M' must range over a level-0 type, not 'aeq'")],
+            id="level1-quantifier-type-not-kind-checked",
+        ),
     ],
 )
 def test_theorem_scope_diagnostics(checked, statement, diagnostics):

@@ -105,7 +105,7 @@ def test_lambda_binder_avoids_the_constants_of_its_body(target):
 
 
 def test_gen_wf_corpus_tm(checked):
-    clauses = gen_wf_predicates(checked.sig, {"tm"})
+    clauses = gen_wf_predicates(checked.sig, "tm")
     assert [c.render() for c in clauses] == [
         "is_tm (app M N) :- is_tm M, is_tm N.",
         "is_tm (lam M) :- pi x\\ is_tm x => is_tm (M x).",
@@ -114,21 +114,16 @@ def test_gen_wf_corpus_tm(checked):
 
 def test_gen_wf_nullary_constructor():
     checked = check_all(make_spec(syntax="f: type.\nc: f."))
-    (clause,) = gen_wf_predicates(checked.sig, {"f"})
+    (clause,) = gen_wf_predicates(checked.sig, "f")
     assert clause.render() == "is_f c."
 
 
 def test_gen_wf_third_order_nesting():
     checked = check_all(make_spec(syntax="tm: type.\nk: ((tm -> tm) -> tm) -> tm."))
-    (clause,) = gen_wf_predicates(checked.sig, {"tm"})
+    (clause,) = gen_wf_predicates(checked.sig, "tm")
     assert clause.render() == (
         "is_tm (k M) :- pi x\\ (pi y\\ is_tm y => is_tm (x y)) => is_tm (M x)."
     )
-
-
-def test_gen_wf_rejects_level1(checked):
-    with raises_code("E-LEVEL"):
-        gen_wf_predicates(checked.sig, {"aeq"})
 
 
 # ------------------------------------------------------------------- rules
@@ -335,8 +330,9 @@ def _erasure_holds(checked, target) -> Counter:
     bare = ann._replace(
         explicit_rules=frozenset(), explicit_schemas=frozenset(), explicit_relation_params={}
     )
-    for cl in gen_wf_predicates(sig, ann.wf_families):
-        assert erase_clause(cl) is None, cl
+    for fam in ann.wf_families:
+        for cl in gen_wf_predicates(sig, fam):
+            assert erase_clause(cl) is None, cl
     changed = Counter()
     for entry in sig.rules():
         full = translate_rule(sig, entry, ann)
@@ -432,6 +428,16 @@ def test_explicit_var_needs_ctx_in_scope():
         translate_theorem(checked, checked.theorems[0], "ab", ann)
 
 
+@pytest.mark.parametrize("target", ["ab", "hy"])
+def test_theorem_relation_argument_must_be_a_bare_context_variable(corpus_text, target):
+    checked = _eq_theorem(corpus_text, "{h:xaG}{M:tm} Rxa [] [h] -> [h |- aeq M M]")
+    with raises_code("E-SHAPE") as exc:
+        translate_spec(checked, target)
+    assert exc.value.message == (
+        "theorem 't': relation arguments must be bare context variables in formula targets"
+    )
+
+
 def test_multi_context_usage_warns(checked):
     doc = translate_spec(checked, "ab")
     assert any("ceqR" in w.message for w in doc.warnings)
@@ -525,7 +531,7 @@ def _eq_theorem(corpus_text, statement: str, directives: str = ""):
         ),
         (
             "{g:xaG}{g:xaG}{M:tm} [|- aeq M M]",
-            "forall G G1 M, xaG G -> xaG G1 -> {G |- is_tm M} -> {nil |- aeq M M}.",
+            "forall G G1 M, xaG G -> xaG G1 -> {G1 |- is_tm M} -> {nil |- aeq M M}.",
             "{g:xaG} {g:xaG} {M:[g |- tm]} [|- aeq M M].",
             False,
         ),
@@ -549,6 +555,31 @@ def _eq_theorem(corpus_text, statement: str, directives: str = ""):
             "{h:xaG} {M:[h |- tm]} {m:tm} [h |- aeq (app m m) M].",
             False,
         ),
+        (
+            "{h:xaG}{M:tm}{M:xaG} [h |- aeq M M]",
+            "forall H M M1, xaG H -> {H |- is_tm M} -> xaG M1 -> {H |- aeq M M}.",
+            "{h:xaG} {M:[h |- tm]} {M:xaG} [h |- aeq M M].",
+            False,
+        ),
+        (
+            "{app:xaG}{M:tm} [app |- aeq (app M M) M]",
+            "forall App M, xaG App -> {App |- is_tm M} -> {App |- aeq (app M M) M}.",
+            "{app:xaG} {M:[app |- tm]} [app |- aeq (app M M) M].",
+            False,
+        ),
+        (
+            "{g:xaG} true -> ({M:tm}{g:xaG}{g:xaG} [|- aeq M M])",
+            "forall G, xaG G -> true -> "
+            "(forall M G1 G2, {G |- is_tm M} -> xaG G1 -> xaG G2 -> {nil |- aeq M M}).",
+            "{g:xaG} true -> ({M:[g |- tm]} {g:xaG} {g:xaG} [|- aeq M M]).",
+            False,
+        ),
+        (
+            "{g:xaG}{h:xaG}{g:xaG}{M:tm} [|- aeq M M]",
+            "forall G H G1 M, xaG G -> xaG H -> xaG G1 -> {H |- is_tm M} -> {nil |- aeq M M}.",
+            "{g:xaG} {h:xaG} {g:xaG} {M:[h |- tm]} [|- aeq M M].",
+            False,
+        ),
     ],
     ids=[
         "context-shadowed",
@@ -559,15 +590,20 @@ def _eq_theorem(corpus_text, statement: str, directives: str = ""):
         "term-named-g",
         "exists-shadows-explicit",
         "renamed-in-compound-argument",
+        "term-and-context-named-alike",
+        "context-named-like-constructor",
+        "shadowed-name-handed-out",
+        "first-visible-in-binding-order",
     ],
 )
 def test_explicit_variable_context_is_read_per_binder(corpus_text, statement, ab, bel, warned):
     # the judgments that mention M are noted under their context binder, so
     # a context bound again under its name, or bound inside M's scope, is a
     # context of its own; M under several contexts warns and takes the first
-    # bound one, as does M under one context that it cannot name, under
-    # that context's own ab/hy name.  A term variable named like a context
-    # does not rename it
+    # context visible at its quantifier, as does M under one context that it
+    # cannot name, under that context's own ab/hy name.  Context and term
+    # variables are renamed in tables of their own, so neither renames the
+    # other, nor a constructor; and no name in scope is handed out again
     checked = _eq_theorem(corpus_text, statement)
     for target, text in (("ab", ab), ("hy", ab), ("bel", bel)):
         doc = translate_spec(checked, target)
@@ -671,14 +707,48 @@ def test_theorem_variable_rename_avoids_signature_constants():
 
 
 @pytest.mark.parametrize("target", ["ab", "hy"])
-def test_inner_chain_reuses_the_names_of_shadowed_variables(target):
-    # once the inner m and M shadow the outer ones, their names M1 and M are
-    # free again: one name supply per chain, which frees a shadowed name
-    checked = check_all(
-        make_spec(
-            syntax="tm: type.",
-            theorems="theorem t: {M:tm}{m:tm} true -> ({m:tm}{M:tm}{m:tm}{M1:tm} true);",
-        )
-    )
-    text, _ = translate_theorem(checked, checked.theorems[0], target, _ann(wf=()))
-    assert text == "forall M M1, true -> (forall M2 M1 M M11, true)."
+@pytest.mark.parametrize(
+    "statement, text",
+    [
+        (
+            "{M:tm}{m:tm} true -> ({m:tm}{M:tm}{m:tm}{M1:tm} true)",
+            "forall M M1, true -> (forall M2 M3 M4 M11, true).",
+        ),
+        (
+            "{M:tm} ({N:tm}{N:tm} true) & ({N:tm} true)",
+            "forall M, (forall N N1, true) /\\ (forall N, true).",
+        ),
+    ],
+    ids=["shadowed", "siblings"],
+)
+def test_chain_hands_out_no_name_in_scope(statement, text, target):
+    # a theorem has one name supply, which frees no name: the inner m and M
+    # shadow the outer ones, yet M1 and M stay taken, and numbering resumes;
+    # a chain's names leave the supply when it closes
+    checked = check_all(make_spec(syntax="tm: type.", theorems=f"theorem t: {statement};"))
+    got, _ = translate_theorem(checked, checked.theorems[0], target, _ann(wf=()))
+    assert got == text
+
+
+_NULLARY = make_spec(
+    syntax="tm: type.\nc: tm.",
+    judgments="j: type.\nk: tm -> type.",
+    rules="r: j.\ns: {x:tm} k x.",
+    definitions="inductive R : prop =\n| r0: R;",
+    directives="%% wf [ab,hy] in tm\n%% explicit [ab,hy] in s",
+    theorems="theorem t: R -> true;",
+)
+
+
+@pytest.mark.parametrize(
+    "target, relation",
+    [("ab", "Define R : prop by\n  R."), ("hy", "Inductive R : Prop :=\n| r0 : R.")],
+)
+def test_nullary_judgment_rule_and_relation(target, relation):
+    # a relation of no parameters has the bare type prop (ab wrote
+    # `R :  -> prop`); a judgment of no arguments is its bare name
+    doc = translate_spec(check_all(_NULLARY), target)
+    assert doc.block("R") == relation
+    assert doc.block("r") == "j."
+    assert doc.block("s") == "k x :- is_tm x."
+    assert doc.block("t") == "R -> true."
