@@ -337,6 +337,27 @@ inductive R : prop =
 theorem t: R -> true;
 """
 
+_VERDICT_SIG = "%% Syntax\ntm: type.\nc: tm.\n\n%% Judgments\nj: tm -> type.\nk: tm -> type.\n"
+
+# Shapes that check, bel and tw accept and ab/hy once rejected: a premise's
+# Pi over a judgment beside its arrow form, a higher-order explicit theorem
+# variable and an empty relation argument (each a theorem after eq.orbi's
+# directives, with the variable named first explicit); then block entries
+# that hold a redex, and a wf family with no constructor.
+VERDICT_PROBES = {
+    "premise-pi-over-judgment": _VERDICT_SIG
+    + "\n%% Rules\nr: ({D:j c} k c) -> k c.\ns: (j c -> k c) -> k c.\n",
+    "explicit-higher-order": ("F", "{h:xaG}{F:tm -> tm} [h |- aeq (lam F) (lam F)]"),
+    "empty-relation-argument": ("M", "{h:xaG}{M:tm} Rxa [] [h] -> [h |- aeq M M]"),
+    "redex-in-block-entries": "%% Syntax\ntm: type.\n\n%% Judgments\naeq: tm -> tm -> type.\n\n"
+    "%% Schemas\nschema xaG = block (x:tm, u:aeq ((\\y. y) x) x);\n\n%% Definitions\n"
+    "inductive R : {g:xaG} prop =\n| R_nl: R []\n"
+    "| R_cs: R [g] -> R [g, b:block (x:tm, u:aeq ((\\y. y) x) x)];\n\n"
+    "%% Directives\n%% wf [ab,hy] in tm\n%% explicit [ab,hy] in xaG\n",
+    "wf-no-constructor": "%% Syntax\ntm: type.\n\n%% Judgments\nj: tm -> type.\n\n"
+    "%% Rules\nr: {x:tm} j x.\n\n%% Directives\n%% wf [ab,hy] in tm\n",
+}
+
 
 def build_inputs() -> list:
     """(family, name, text) of every input, in a fixed order."""
@@ -381,6 +402,11 @@ def build_inputs() -> list:
     for name, (extra, s) in USAGE_PROBES.items():
         out.append(("probe", f"probe-{name}", f"{top}{extra}\n%% Theorems\ntheorem t: {s};\n"))
     out.append(("probe", "probe-nullary", NULLARY_PROBE))
+    for name, text in VERDICT_PROBES.items():
+        if type(text) is tuple:  # (explicit variable, theorem statement)
+            directives = top.replace(" in M\n", f" in {text[0]}\n")
+            text = f"{directives}\n%% Theorems\ntheorem t: {text[1]};\n"
+        out.append(("probe", f"probe-{name}", text))
     return out
 
 
