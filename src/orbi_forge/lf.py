@@ -8,7 +8,8 @@ constants must target a judgment.  Every term is level-0 and simply typed:
 hole mode reads their types off their Miller-pattern occurrences, and types a
 redex as written, solving them by unification, before it normalises it.  The
 signature stores a rule's open body in normal form, with each arrow from a
-level-0 domain made a Pi, and its schematic prefix (``SigEntry.implicit``).
+level-0 domain made a Pi and each Pi over a judgment an arrow (no term may
+use its variable), and its schematic prefix (``SigEntry.implicit``).
 """
 
 from __future__ import annotations
@@ -222,6 +223,8 @@ def check_tp(sig: Signature, ctx: list, tp: Tp, holes=None, kind=None) -> Simple
             if type(tp) is Pi:
                 ctx.append(dom)
                 pushed += 1
+                if dom is None and holes is not None:
+                    holes.normal = False  # one over a judgment is stored as its arrow
             elif holes is not None and not keep:
                 # a rule's premise: a binder, stored as a Pi, or a judgment
                 end = tp.dom
@@ -416,9 +419,11 @@ def _reconstruct(sig: Signature, decl: ConstDecl) -> SigEntry:
             if type(tp) is TypeVar:  # only a discarded argument mentions it
                 raise OrbiError("E-UNBOUND", f"unbound identifier {name!r}")
 
-        def binder(n, k):  # an arrow from a level-0 domain into a judgment
+        def binder(n, k):  # an arrow from a level-0 domain into a judgment; a Pi over a judgment
             if type(n) is Arrow and is_level0(sig, n.dom) and not is_level0(sig, n.cod):
                 return Pi("x", n.dom, shift(n.cod, 1))
+            if type(n) is Pi and sig.entries[target_family(n.dom)].level:
+                return Arrow(n.dom, shift(n.cod, -1))
             return n
 
         decl = ConstDecl(decl.name, rebuild(normalize(decl.tp), binder), decl.loc)

@@ -278,10 +278,11 @@ def gen_wf_predicates(sig: Signature, fam: str) -> list[Clause]:
 def translate_rule(sig: Signature, entry: SigEntry, ann: AnnotationTable) -> Clause:
     """Render one checked rule as a hereditary-Harrop clause, in one loop
     along its beta-normal body after its schematic prefix (a schematic
-    occurrence is a constant printed as its name).  A Pi over a level-0
-    type, wherever it stands, is a clause variable from the rule's supply:
-    ``G -> {x:A} B``, x not free in G, is the clause ``{x:A} G -> B``.  An
-    arrow's domain, and a Pi's over a judgment, is a premise."""
+    occurrence is a constant printed as its name).  lf stores each premise,
+    a Pi over a judgment among them, as an arrow and each binder as a Pi, so
+    the node type decides: a Pi, wherever it stands, is a clause variable
+    from the rule's supply (``G -> {x:A} B``, x not free in G, is the clause
+    ``{x:A} G -> B``), and an arrow's domain is a premise."""
     rule = entry.decl
     wf = ann.wf_families if rule.name in ann.explicit_rules else ()
     env = list(entry.implicit)
@@ -294,10 +295,6 @@ def translate_rule(sig: Signature, entry: SigEntry, ann: AnnotationTable) -> Cla
     def goal_of(p, env_names):
         t = type(p)
         if t is Pi:
-            if not is_level0(sig, p.dom):
-                raise OrbiError(
-                    "E-SHAPE", f"rule {rule.name!r}: premise quantifies over a non-level-0 type"
-                )
             var = names.grab(p.hint or "x")
             goal = goal_of(p.cod, env_names + [var])
             if wf and families_in_tp(p.dom).keys() <= wf:
@@ -305,8 +302,7 @@ def translate_rule(sig: Signature, entry: SigEntry, ann: AnnotationTable) -> Cla
             return PiG(var, goal)
         if t is Arrow:
             return ImpG(goal_of(p.dom, env_names), goal_of(p.cod, env_names))
-        # an atom, and a judgment: lf stores an arrow from a level-0 domain
-        # as a Pi, and rejects a premise that ends in a level-0 family
+        # a judgment: lf rejects a premise that ends in a level-0 family
         return atom_goal(p, env_names)
 
     body: list = []  # the wf guards of the clause variables, when explicit, and the premises
@@ -315,19 +311,13 @@ def translate_rule(sig: Signature, entry: SigEntry, ann: AnnotationTable) -> Cla
             body.append(Guard(simple.family, name))
     tp = rule.tp
     while type(tp) is not AtomApp:
-        dom = end = tp.dom
+        dom = tp.dom
         if type(tp) is Arrow:
             body.append(goal_of(dom, env))
         else:
-            while type(end) is not AtomApp:
-                end = end.cod
-            if sig.entries[end.family].level:  # over a judgment: a premise, its variable in no term
-                body.append(goal_of(dom, env))
-                name = tp.hint
-            else:
-                name = names.grab(tp.hint)
-                if end is dom and dom.family in wf:
-                    body.append(Guard(dom.family, name))
+            name = names.grab(tp.hint)
+            if type(dom) is AtomApp and dom.family in wf:
+                body.append(Guard(dom.family, name))
             env.append(name)
         tp = tp.cod
     return Clause(atom_goal(tp, env), tuple(body))
@@ -400,7 +390,11 @@ def _block_parts(sig: Signature, owner: str, blocks, wf, names, nabla) -> tuple:
                         "E-SHAPE", f"{owner}: block entry {label!r} must be an atomic judgment"
                     )
                 var = label
-                goals.append(AtomG(tp.family, tuple(arg_strs(tp.args, env, AB))))
+                args = list(tp.args)  # beta-normal, as a theorem's; a leaf is printed in place
+                for i, a in enumerate(args):
+                    if type(a) is not Const and type(a) is not Var:
+                        args[i] = normalize(a)
+                goals.append(AtomG(tp.family, tuple(arg_strs(args, env, AB))))
             env.append(var)
     return tuple(goals)
 
@@ -622,14 +616,7 @@ def _ab_quant(p: Prp, d, cx: _Scope) -> str:
         if type(p) is ForallCtx:
             antecedents.append(f"{p.schema} {upper} -> ")
         elif entry is not None:
-            if type(p.tp) is not AtomApp or p.tp.args:
-                raise OrbiError(
-                    "E-SHAPE",
-                    f"theorem {cx.thm.name!r}: explicit variable {p.var!r} must have an "
-                    "atomic level-0 type",
-                    cx.thm.loc,
-                )
-            guard = Guard(p.tp.family, upper).render()
+            guard = _wf_goal(upper, p.tp, supply).render()
             pending.append((entry, (len(antecedents), guard)))
             antecedents.append("")
         p = p.body
@@ -651,20 +638,22 @@ def _target_term(t: Term, terms: dict) -> Term:
 
 
 def _bare_var(c, cx: _Scope, what: str) -> str:
-    if c.var is None or c.blocks:
+    """The list a context pattern of no blocks names: ``nil``, or the ab/hy
+    name of its context variable."""
+    if c.blocks:
         raise OrbiError(
             "E-SHAPE",
             f"theorem {cx.thm.name!r}: {what} must be bare context variables in formula targets",
             cx.thm.loc,
         )
-    return cx.ctxs[c.var][1]
+    return "nil" if c.var is None else cx.ctxs[c.var][1]
 
 
 def _ab_atom(p: Prp, d, cx: _Scope) -> str:
     t = type(p)
     if t is Judgment:
         c = p.ctx
-        ctx = "nil" if c.var is None and not c.blocks else _bare_var(c, cx, "judgment contexts")
+        ctx = _bare_var(c, cx, "judgment contexts")
         head = p.family
         if p.args:
             cx.use(c, p.args)
@@ -734,7 +723,8 @@ def translate_spec(checked, target: str) -> TargetDoc:
         for fam in sig.entries:  # every wf family is a declared one
             if fam in ann.wf_families:
                 clauses = gen_wf_predicates(sig, fam)
-                blocks.append(DocBlock(fam, "\n".join(c.render() for c in clauses)))
+                if clauses:  # a family with no constructor has no wf block
+                    blocks.append(DocBlock(fam, "\n".join(c.render() for c in clauses)))
         item = None  # the rule, schema or relation being translated
         try:
             for entry in sig.rules():

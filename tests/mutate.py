@@ -1,23 +1,33 @@
-"""Raise-deletion mutation analysis of ``src/``: which checks do the tests pin?
+"""Mutation analysis of ``src/``: which checks and branches do the tests pin?
 
-Each mutant replaces one ``raise`` statement of ``src/orbi_forge`` by ``pass``
-(its line count kept), in a copy of the repository in a temporary directory.
+Each mutant changes one site of a module of ``src/orbi_forge``, in a copy of
+the repository in a temporary directory:
+
+- a ``raise`` statement becomes ``pass``;
+- the test of an ``if``, a ``while`` or a conditional expression, and each
+  comprehension filter, becomes ``True``, and in another mutant ``False``
+  (a test that already reads so is left out);
+- an ``and`` or ``or`` loses its first operand.
+
 A mutant is killed when tier-1 (``pytest -q -x``) fails on it, or else when
 ``tests/differential.py`` reports a differing record; a run that exceeds the
-timeout counts as killed.  The unmutated copy must pass both first.  One
-line per mutant says what killed it, and the survivors are listed last, as
-``module.py:line`` of the tree under test.
+timeout or the memory cap counts as killed.  The unmutated copy must pass
+both first.  One line per mutant says what killed it, and the survivors are
+listed last, as ``module.py:line`` of the tree under test and the mutation.
 
-    python tests/mutate.py
+    python tests/mutate.py                      # every module
+    python tests/mutate.py translate lint.py    # the modules named
 
 It is not part of tier-1 or CI: each mutant runs tier-1 and maybe the
-differential, some 20 s.
+differential, some 5 to 20 s.
 """
 
 from __future__ import annotations
 
 import ast
 import os
+import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -26,34 +36,81 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 PACKAGE = os.path.join("src", "orbi_forge")
-TIMEOUT = 900  # seconds for one run of tier-1 or of the differential
+# one run of tier-1 or of the differential: a mutant that loops or grows
+# without end is stopped by the timeout, or by a MemoryError at the cap
+TIMEOUT = 120  # seconds
+MEMORY = 1 << 29  # bytes of address space
 
 
-def raise_sites(source: str) -> list:
-    """(line, col, end line, end col) of each ``raise`` in ``source``, in order."""
-    sites = [
-        (n.lineno, n.col_offset, n.end_lineno, n.end_col_offset)
-        for n in ast.walk(ast.parse(source))
-        if isinstance(n, ast.Raise)
-    ]
-    return sorted(sites)
+_TESTED = {ast.If: "if", ast.While: "while", ast.IfExp: "ternary"}
+_OPERATOR = re.compile(r"\b(?:and|or)\b\s*")
 
 
-def mutate(source: str, site) -> str:
-    """``source`` with the raise at ``site`` replaced by ``pass``, padded with
-    newlines so that every other statement keeps its line."""
-    line, col, end_line, end_col = site
+def sites(source: str) -> list:
+    """(start, end, replacement, line, label) of each mutation of ``source``,
+    in source order: the text from offset ``start`` to ``end`` is replaced."""
     lines = source.splitlines(keepends=True)
-    head = "".join(lines[: line - 1]) + lines[line - 1][:col]
-    tail = lines[end_line - 1][end_col:] + "".join(lines[end_line:])
-    return head + "pass" + "\n" * (end_line - line) + tail
+    starts = [0]
+    for text in lines:
+        starts.append(starts[-1] + len(text))
+
+    def at(line, col):  # ``ast`` counts a column in UTF-8 bytes
+        return starts[line - 1] + len(lines[line - 1].encode()[:col].decode())
+
+    out = []
+    for n in ast.walk(ast.parse(source)):
+        tests = []
+        if isinstance(n, ast.Raise):
+            span = at(n.lineno, n.col_offset), at(n.end_lineno, n.end_col_offset)
+            out.append((*span, "pass", n.lineno, "raise -> pass"))
+        elif type(n) in _TESTED:
+            tests.append((n.test, _TESTED[type(n)]))
+        elif isinstance(n, ast.comprehension):
+            tests += [(t, "filter") for t in n.ifs]
+        elif isinstance(n, ast.BoolOp):
+            # the first operand and its operator, up to the second operand or
+            # the bracket that opens it
+            first, second = n.values[0], n.values[1]
+            gap = at(first.end_lineno, first.end_col_offset), at(second.lineno, second.col_offset)
+            op = _OPERATOR.search(source, *gap)
+            label = f"{type(n.op).__name__.lower()} without its first operand"
+            out.append((at(n.lineno, n.col_offset), op.end(), "", n.lineno, label))
+        for test, what in tests:
+            for value in (True, False):
+                if not (isinstance(test, ast.Constant) and test.value is value):
+                    start = at(test.lineno, test.col_offset)
+                    end = at(test.end_lineno, test.end_col_offset)
+                    out.append((start, end, str(value), test.lineno, f"{what} -> {value}"))
+    return sorted(out)
+
+
+def mutate(source: str, start: int, end: int, text: str) -> str:
+    """``source`` with its text from offset ``start`` to ``end`` replaced by
+    ``text``, padded with newlines, where that still parses, so that every
+    other line keeps its number."""
+    padded = source[:start] + text + "\n" * source.count("\n", start, end) + source[end:]
+    try:
+        ast.parse(padded)
+    except SyntaxError:  # a line break outside brackets
+        return source[:start] + text + source[end:]
+    return padded
+
+
+def _cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY))
 
 
 def _run(argv, cwd: str) -> subprocess.CompletedProcess | None:
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     try:
         return subprocess.run(
-            argv, cwd=cwd, env=env, capture_output=True, text=True, timeout=TIMEOUT
+            argv,
+            cwd=cwd,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=TIMEOUT,
+            preexec_fn=_cap_memory,
         )
     except subprocess.TimeoutExpired:
         return None
@@ -74,8 +131,15 @@ def verdict(tree: str) -> str:
     return "survives"
 
 
-def main() -> int:
-    modules = sorted(f for f in os.listdir(os.path.join(ROOT, PACKAGE)) if f.endswith(".py"))
+def main(argv=None) -> int:
+    names = sys.argv[1:] if argv is None else argv
+    package = os.path.join(ROOT, PACKAGE)
+    modules = [n if n.endswith(".py") else n + ".py" for n in names]
+    unknown = [m for m in modules if not os.path.isfile(os.path.join(package, m))]
+    if unknown:
+        print(f"no module {', '.join(unknown)} in {PACKAGE}", file=sys.stderr)
+        return 2
+    modules = modules or sorted(f for f in os.listdir(package) if f.endswith(".py"))
     survivors = []
     with tempfile.TemporaryDirectory() as tmp:
         tree = os.path.join(tmp, "repo")
@@ -90,17 +154,17 @@ def main() -> int:
             with open(path, encoding="utf-8") as f:
                 source = f.read()
             try:
-                for site in raise_sites(source):
+                for start, end, text, line, label in sites(source):
                     with open(path, "w", encoding="utf-8") as f:
-                        f.write(mutate(source, site))
+                        f.write(mutate(source, start, end, text))
                     what = verdict(tree)
-                    print(f"{module}:{site[0]} {what}", flush=True)
+                    print(f"{module}:{line} {label}: {what}", flush=True)
                     if what == "survives":
-                        survivors.append(f"{module}:{site[0]}")
+                        survivors.append(f"{module}:{line} {label}")
             finally:
                 with open(path, "w", encoding="utf-8") as f:
                     f.write(source)
-    print(f"{len(survivors)} surviving raise mutants" + "".join(f"\n  {s}" for s in survivors))
+    print(f"{len(survivors)} surviving mutants" + "".join(f"\n  {s}" for s in survivors))
     return 0
 
 

@@ -142,7 +142,6 @@ _SHAPES_SIG = "%% Syntax\ntm: type.\nc: tm.\n\n%% Judgments\nj: tm -> type.\nk: 
 @pytest.mark.parametrize(
     "body, decl, code",
     [
-        pytest.param("%% Rules\nr: ({D:j c} k c) -> k c.\n", "r:", "E-SHAPE", id="rule"),
         pytest.param("%% Schemas\nschema xG = block (x:tm);\n", "schema", "E-EMPTY", id="schema"),
         pytest.param(
             "%% Schemas\nschema xG = block (x:tm);\n\n%% Definitions\n"

@@ -113,6 +113,29 @@ def test_wf_dest_must_be_family(corpus_text):
         check_all(bad)
 
 
+def test_wf_dest_is_no_context_parameter():
+    # a wf destination in brackets names a context parameter, never a family
+    src = make_spec(syntax="tm: type.\nc: tm.", directives="%% wf [ab] in [tm]")
+    with raises_code("E-DEST") as exc:
+        check_all(src)
+    assert exc.value.message == "wf destination 'tm' is not a declared type family"
+
+
+@pytest.mark.parametrize("first, second", [("explicit", "implicit"), ("implicit", "explicit")])
+def test_conflict_in_either_order(first, second):
+    # the clash sits at the directive that completes it, whichever comes first
+    src = make_spec(
+        syntax="tm: type.\nc: tm.",
+        judgments="j: tm -> type.",
+        rules="r: j c.",
+        directives=f"%% {first} [ab] in r\n%% {second} [ab] in r",
+    )
+    with raises_code("E-CONFLICT") as exc:
+        check_all(src)
+    assert exc.value.message == "rule r is marked both explicit and implicit for 'ab'"
+    assert exc.value.loc.line == src.splitlines().index(f"%% {second} [ab] in r") + 1
+
+
 def test_wf_dest_must_be_level0():
     src = make_spec(
         syntax="tm: type.\nc: tm.",

@@ -367,6 +367,30 @@ def test_vacuous_pi_and_its_arrow(rule, code):
 
 
 @pytest.mark.parametrize(
+    "pi, arrow",
+    [
+        pytest.param("{D:j c} k c", "j c -> k c", id="outermost"),
+        pytest.param("({D:j c} k c) -> k c", "(j c -> k c) -> k c", id="in-premise"),
+        pytest.param(
+            "{x:tm} ({D:j x} {y:tm} {E:k y} j y) -> k x",
+            "{x:tm} (j x -> {y:tm} k y -> j y) -> k x",
+            id="nested",
+        ),
+    ],
+)
+def test_pi_over_judgment_is_stored_as_its_arrow(pi, arrow):
+    # no term may use its variable, so lf stores it as the arrow it is, at
+    # any depth, as it stores an arrow from a level-0 domain as a Pi
+    src = make_spec(
+        syntax="tm: type.\nc: tm.",
+        judgments="j: tm -> type.\nk: tm -> type.",
+        rules=f"r: {pi}.\ns: {arrow}.",
+    )
+    sig = check_all(src).sig
+    assert sig.entries["r"].decl.tp == sig.entries["s"].decl.tp
+
+
+@pytest.mark.parametrize(
     "rule, code",
     [
         pytest.param(r"j ((\x. x x) (\x. M (x x))) c0", "E-TYPE", id="schematic-omega"),

@@ -88,6 +88,17 @@ def test_l2_prints_the_domain_under_the_binder_names_of_fmt(rule, domains):
     assert l2 == [f"quantification over the non-level-0 type {dom!r}" for dom in domains]
 
 
+def test_l1_and_l2_only_in_rules():
+    # a constructor's upper-case Pi hint and a block entry's Pi over a
+    # judgment are no eigenvariables of a rule
+    src = make_spec(
+        syntax="tm: type.\nlam: ({X:tm} tm) -> tm.",
+        judgments="j: tm -> type.",
+        schemas="schema xG = block (x:tm, u:{d: j x} j x);",
+    )
+    assert _codes(src) == ["L3", "L3"]
+
+
 def test_l3_vacuous_pi_suggests_arrow():
     src = make_spec(syntax="tm: type.\nk: {x:tm} tm.")
     diags = lint(check_all(src))

@@ -430,11 +430,28 @@ def test_explicit_var_needs_ctx_in_scope():
 
 @pytest.mark.parametrize("target", ["ab", "hy"])
 def test_theorem_relation_argument_must_be_a_bare_context_variable(corpus_text, target):
-    checked = _eq_theorem(corpus_text, "{h:xaG}{M:tm} Rxa [] [h] -> [h |- aeq M M]")
+    statement = "{g:xG}{h:xaG}{M:tm} Rxa [g, b:block (x:tm)] [h] -> [h |- aeq M M]"
+    checked = _eq_theorem(corpus_text, statement)
     with raises_code("E-SHAPE") as exc:
         translate_spec(checked, target)
     assert exc.value.message == (
         "theorem 't': relation arguments must be bare context variables in formula targets"
+    )
+    # an empty context argument is nil, as a judgment's empty context is
+    checked = _eq_theorem(corpus_text, "{h:xaG}{M:tm} Rxa [] [h] -> [h |- aeq M M]")
+    assert translate_spec(checked, target).block("t") == (
+        "forall H M, xaG H -> {H |- is_tm M} -> Rxa nil H -> {H |- aeq M M}."
+    )
+
+
+@pytest.mark.parametrize("target", ["ab", "hy"])
+def test_explicit_higher_order_variable_has_its_hereditary_wf_antecedent(corpus_text, target):
+    # the antecedent is the wf goal of a rule premise's Pi variable
+    checked = _eq_theorem(
+        corpus_text.replace("in M\n", "in F\n"), "{h:xaG}{F:tm -> tm} [h |- aeq (lam F) (lam F)]"
+    )
+    assert translate_spec(checked, target).block("t") == (
+        "forall H F, xaG H -> {H |- pi x\\ is_tm x => is_tm (F x)} -> {H |- aeq (lam F) (lam F)}."
     )
 
 
@@ -662,16 +679,16 @@ def test_generated_names_do_not_collide_with_user_symbols(checked, ab_doc):
     assert ":: As)" in ab_doc.block("xaG")
 
 
-def test_premise_quantifier_over_judgment_rejected():
+def test_premise_quantifier_over_judgment_lowers_as_its_arrow():
+    # lf stores a Pi over a judgment as its arrow, in a premise too
     src = make_spec(
         syntax="tm: type.\nc: tm.",
         judgments="j: tm -> type.\nk: tm -> type.",
-        rules="r: ({D:j c} k c) -> k c.",
+        rules="r: ({D:j c} k c) -> k c.\ns: (j c -> k c) -> k c.",
     )
     checked = check_all(src)
-    (entry,) = checked.sig.rules()
-    with raises_code("E-SHAPE"):
-        translate_rule(checked.sig, entry, _ann(wf=()))
+    clauses = [translate_rule(checked.sig, e, _ann(wf=())).render() for e in checked.sig.rules()]
+    assert clauses == ["k c :- j c => k c."] * 2
 
 
 def test_functional_premise_variable_gets_hereditary_wf():
@@ -752,3 +769,49 @@ def test_nullary_judgment_rule_and_relation(target, relation):
     assert doc.block("r") == "j."
     assert doc.block("s") == "k x :- is_tm x."
     assert doc.block("t") == "R -> true."
+
+
+@pytest.mark.parametrize("target", ["ab", "hy"])
+def test_wf_family_with_no_constructor_emits_no_block(target):
+    # the output starts with the rule's clause, not with an empty block
+    src = make_spec(
+        syntax="tm: type.",
+        judgments="j: tm -> type.",
+        rules="r: {x:tm} j x.",
+        directives="%% wf [ab,hy] in tm",
+    )
+    doc = translate_spec(check_all(src), target)
+    assert [b.tag for b in doc.blocks] == ["r"]
+    assert doc.render() == "j x.\n"
+
+
+@pytest.mark.parametrize(
+    "target, schema, relation",
+    [
+        (
+            "ab",
+            "nabla x, xaG (is_tm x :: aeq x x :: As) := xaG As",
+            "nabla x, R (aeq x x :: G) := R G",
+        ),
+        (
+            "hy",
+            "proper x -> xaG Gamma -> xaG (is_tm x :: aeq x x :: Gamma)",
+            "proper x -> R G -> R (aeq x x :: G)",
+        ),
+    ],
+    ids=["ab", "hy"],
+)
+def test_block_entries_are_printed_beta_normal(target, schema, relation):
+    # a redex in a schema's or a relation's block entry is printed in
+    # normal form, as a theorem's terms are
+    src = make_spec(
+        syntax="tm: type.",
+        judgments="aeq: tm -> tm -> type.",
+        schemas="schema xaG = block (x:tm, u:aeq ((\\y. y) x) x);",
+        definitions="inductive R : {g:xaG} prop =\n| R_nl: R []\n"
+        "| R_cs: R [g] -> R [g, b:block (x:tm, u:aeq ((\\y. y) x) x)];",
+        directives="%% wf [ab,hy] in tm\n%% explicit [ab,hy] in xaG",
+    )
+    doc = translate_spec(check_all(src), target)
+    assert schema in doc.block("xaG")
+    assert relation in doc.block("R")
