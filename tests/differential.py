@@ -155,6 +155,18 @@ HOIST_PROBES = {
     "judgment-pi-after-premise": _HOIST_SIG + "r: j c -> {D: j (f c c)} j c.\n",
 }
 
+_CAPTURE_SIG = (
+    "%% Syntax\ntm: type.\napp: tm -> tm -> tm.\nlam: (tm -> tm) -> tm.\n\n"
+    "%% Judgments\nj: tm -> type.\n\n%% Rules\n"
+)
+
+# A redex whose argument, a rule variable x, lands under a lambda hinted x:
+# ab must prime the lambda, in a rule's head and in a premise.
+CAPTURE_PROBES = {
+    "capture-head": _CAPTURE_SIG + "r: j ((\\y. lam (\\x. app (app y x) x)) x).\n",
+    "capture-premise": _CAPTURE_SIG + "s: {x:tm} j ((\\y. lam (\\x. app (app y x) x)) x) -> j x.\n",
+}
+
 
 def _probes(eq: str, head: str) -> list:
     """(name, text) of inputs that once showed a defect, one per defect;
@@ -407,6 +419,7 @@ def build_inputs() -> list:
             directives = top.replace(" in M\n", f" in {text[0]}\n")
             text = f"{directives}\n%% Theorems\ntheorem t: {text[1]};\n"
         out.append(("probe", f"probe-{name}", text))
+    out += [("probe", f"probe-{name}", text) for name, text in CAPTURE_PROBES.items()]
     return out
 
 

@@ -103,6 +103,46 @@ def test_shadowing_prints_without_capture():
     assert parse_term_str(s) == t
 
 
+def _unprimed(node):
+    """``node`` with the primes stripped from every binder's hint."""
+
+    def strip(n, k):
+        t = type(n)
+        if t is Lam:
+            return Lam(n.hint.rstrip("'"), n.body)
+        if t is Pi:
+            return Pi(n.hint.rstrip("'"), n.dom, n.cod)
+        return n
+
+    return rebuild(node, strip)
+
+
+@pytest.mark.parametrize(
+    "node,expected",
+    [
+        # the outer binder is primed away from the constant x, the inner
+        # one, which mentions no x, keeps its hint
+        (_unprimed(parse_term_str(r"\x'. c x (\x. x')")), r"\x'. c x (\x. x')"),
+        (_unprimed(parse_term_str(r"\x'. c (\x''. c x' x)")), r"\x'. c (\x''. c x' x)"),
+        (_unprimed(parse_tpkind_str("{x:t} {x':t} j x")), "{x:t} {x':t} j x"),
+        (
+            _unprimed(parse_tpkind_str("{x:t} ({x':t} j x x') -> j x x")),
+            "{x:t} ({x':t} j x x') -> j x x",
+        ),
+        (
+            Block(
+                (("x", AtomApp("tm")), ("x", AtomApp("tm")), ("u", AtomApp("aeq", (Var(1), Var(0)))))
+            ),
+            "block (x:tm, x':tm, u:aeq x x')",
+        ),
+        (Lam("type", Var(0)), r"\type'. type'"),
+        (Lam("", Var(0)), r"\x. x"),
+    ],
+)
+def test_binder_names_avoid_capture(node, expected):
+    assert pretty(node) == expected
+
+
 # ---------------------------------------------------------------- property
 
 
