@@ -181,6 +181,8 @@ def _run_file(path: str, args) -> int:
     except UnicodeDecodeError:
         _emit([_encoding_error(path)], path, args.structured)
         return 1
+    if text[:1] == "\ufeff":  # a byte-order mark
+        text = text[1:]
     worst = 0
     try:
         spec = parse_spec(text)

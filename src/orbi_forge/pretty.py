@@ -2,12 +2,16 @@
 and through a ``Dialect`` the terms and formulas of ab/hy and bel.
 
 ``term_str``, ``tp_str`` (types and kinds) and ``prp_str`` are the only walks
-that print these trees.  Binder hints are kept verbatim unless that would
-capture a free name in scope, in which case primes are appended (`y` becomes
-`y'`), so re-parsing the output gives the input up to alpha; every dialect
-names a lambda's binder by this one rule.  The binders of a telescope, a
-chain of products or a block, are named from one ``last_uses`` pass over it,
-so printing one is linear in its length.
+that print these trees.  Every dialect names a binder, a lambda's, a
+product's or a block entry's, by one rule: its hint is kept verbatim unless
+that would capture a name in scope, in which case primes are appended (`y`
+becomes `y'`), so re-parsing the output gives the input up to alpha.  A
+print names each binder from its hint, primed only away from a keyword,
+with no pass over its scope, and tests each leaf against the names it gave
+by lookup.  Only on a capture does the outermost lambda, chain of products
+or block around the leaf print again by the exact rule: ``telescope_names``
+over one ``last_uses`` pass, a lambda being a telescope of one.  So printing
+is linear in the size of a tree with no capture.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ _P_QUANT, _P_IMP, _P_OR, _P_AND, _P_ATOM = 0, 1, 2, 3, 4
 
 class Dialect(Record):
     """How one target writes terms and formulas.  A lambda is
-    ``{lam}x{dot}body``, its binder named by ``_binder_name`` in every
+    ``{lam}x{dot}body``, its binder named by ``term_str``'s one rule in every
     dialect; ``or_``/``and_`` are the connectives.  A quantifier chain ``p``
     prints as ``quant(p, d, cx)``, an atomic formula as ``atom(p, d, cx)``,
     where ``cx`` is the theorem's printing state, ``translate._Scope``, into
@@ -64,13 +68,6 @@ class Dialect(Record):
     goes (None for ORBI); ``sep`` goes between ORBI's groups."""
 
     __slots__ = ("lam", "dot", "or_", "and_", "sep", "quant", "atom")
-
-
-def _binder_name(hint: str, body, env: list) -> str:
-    """A lambda's binder name: a telescope of one binder, its body under it.
-    The hint is kept unless it would capture a constant or a binder in
-    ``env`` that the body mentions."""
-    return telescope_names((hint,), ((body, 1),), env)[0]
 
 
 def _groups(p: Prp, d: Dialect, cx) -> str:
@@ -127,19 +124,52 @@ def _atom(p: Prp, d: Dialect, cx) -> str:
 ORBI = Dialect("\\", ". ", "||", "&", "", _groups, _atom)
 
 
-def term_str(t: Term, env: list, atom: bool = False, d: Dialect = ORBI) -> str:
+class _Capture(Exception):
+    """A leaf named like a binder that this print named from its hint, and
+    lying under it."""
+
+
+def term_str(
+    t: Term, env: list, atom: bool = False, d: Dialect = ORBI, own: dict | bool | None = None
+) -> str:
     """``t`` under the binder names ``env`` (innermost last), in parentheses
-    if ``atom`` and it is a lambda or an application."""
+    if ``atom`` and it is a lambda or an application.
+
+    A lambda's binder is named from its hint, and ``own`` holds the names
+    this print gave so far (None before the first).  A leaf that a binder so
+    named may capture raises ``_Capture``.  The lambda, chain or block
+    entered with no such binder around it catches it and prints again with
+    ``own`` False: each binder under it is named by ``telescope_names``, a
+    lambda's as a telescope of one binder with its body under it."""
     k = type(t)
     if k is Var:
-        if t.index < len(env):
-            return env[-1 - t.index]
-        return f"_{t.index}"  # out-of-scope index; diagnostics only
+        i = t.index
+        if i < len(env):
+            s = env[-1 - i]
+            if own and i and s in own and s in env[-i:]:
+                raise _Capture
+            return s
+        return f"_{i}"  # out-of-scope index; diagnostics only
     if k is Const:
+        if own and t.name in own:
+            raise _Capture
         return t.name
     if k is Lam:
-        h = _binder_name(t.hint, t.body, env)
-        s = f"{d.lam}{h}{d.dot}{term_str(t.body, env + [h], False, d)}"
+        root = not own
+        if own is False:
+            h = telescope_names((t.hint,), ((t.body, 1),), env)[0]
+        else:
+            h = t.hint + "'" if t.hint in _KEYWORDS else t.hint or "x"
+            if root:
+                own = {}
+            own[h] = None
+        try:
+            s = term_str(t.body, env + [h], False, d, own)
+        except _Capture:
+            if not root:
+                raise
+            return term_str(t, env, atom, d, False)
+        s = f"{d.lam}{h}{d.dot}{s}"
         return f"({s})" if atom else s
     args = []  # the spine, innermost argument first
     while k is App:
@@ -147,22 +177,29 @@ def term_str(t: Term, env: list, atom: bool = False, d: Dialect = ORBI) -> str:
         t = t.fn
         k = type(t)
     args += (t,)
-    s = " ".join(arg_strs(args[::-1], env, d))
+    s = " ".join(arg_strs(args[::-1], env, d, own))
     return f"({s})" if atom else s
 
 
-def arg_strs(ts, env: list, d: Dialect = ORBI) -> list[str]:
-    """Each term of ``ts`` in argument position; a constant or an in-scope
-    variable is read in place."""
+def arg_strs(ts, env: list, d: Dialect = ORBI, own: dict | bool | None = None) -> list[str]:
+    """Each term of ``ts`` in argument position, under ``own`` as
+    ``term_str`` takes it; a constant or an in-scope variable is read in
+    place."""
     out: list[str] = []
     for a in ts:
         k = type(a)
         if k is Const:
+            if own and a.name in own:
+                raise _Capture
             out += (a.name,)
         elif k is Var and a.index < len(env):
-            out += (env[-1 - a.index],)
+            i = a.index
+            s = env[-1 - i]
+            if own and i and s in own and s in env[-i:]:
+                raise _Capture
+            out += (s,)
         else:
-            out += (term_str(a, env, True, d),)
+            out += (term_str(a, env, True, d, own),)
     return out
 
 
@@ -188,30 +225,47 @@ def telescope_names(hints, parts, env: list) -> list[str]:
     return names
 
 
-def tp_str(tp, env: list, dom: bool = False) -> str:
+def tp_str(tp, env: list, dom: bool = False, own: dict | bool | None = None) -> str:
     """A type or a kind, in parentheses if ``dom`` and it is an arrow or a
     product.  A chain of arrows and products prints in a loop along its
-    codomains, its binders named by one ``telescope_names`` pass."""
+    codomains, each product's binder named from its hint and added to
+    ``own`` as ``term_str`` adds a lambda's; printed again, with ``own``
+    False, its binders are named by one ``telescope_names`` pass."""
     t = type(tp)
     if t is AtomApp:
+        if own and tp.family in own:
+            raise _Capture
         if not tp.args:
             return tp.family
-        return tp.family + " " + " ".join(arg_strs(tp.args, env))
-    s = ""
-    names = None  # the chain's binder names, from its first product on
-    while t is Arrow or t is Pi:
-        if t is Arrow:
-            s += tp_str(tp.dom, env, True) + " -> "
-        else:
-            if names is None:
-                names = iter(telescope_names(*chain(tp), env))
-                env = list(env)
-            h = next(names)
-            s += f"{{{h}:{tp_str(tp.dom, env)}}} "
-            env += (h,)
-        tp = tp.cod
-        t = type(tp)
-    s += tp_str(tp, env)
+        return tp.family + " " + " ".join(arg_strs(tp.args, env, ORBI, own))
+    s, link, scope, root = "", tp, env, not own
+    names = None  # with ``own`` False, the chain's binder names from its first product on
+    try:
+        while t is Arrow or t is Pi:
+            if t is Arrow:
+                s += tp_str(link.dom, scope, True, own) + " -> "
+            else:
+                if scope is env:  # the chain's first product
+                    scope = list(env)
+                    if own is False:
+                        names = iter(telescope_names(*chain(link), env))
+                    elif root:
+                        own = {}
+                if names is None:
+                    h = link.hint + "'" if link.hint in _KEYWORDS else link.hint or "x"
+                else:
+                    h = next(names)
+                s += f"{{{h}:{tp_str(link.dom, scope, False, own)}}} "
+                scope += (h,)
+                if names is None:
+                    own[h] = None
+            link = link.cod
+            t = type(link)
+        s += tp_str(link, scope, False, own)
+    except _Capture:
+        if not root:
+            raise
+        return tp_str(tp, env, dom, False)
     return f"({s})" if dom else s
 
 
@@ -219,17 +273,33 @@ def decl_str(d) -> str:
     return f"{d.name}: {tp_str(d.kind if type(d) is FamDecl else d.tp, [])}."
 
 
-def block_str(b: Block, env: list | None = None) -> str:
-    """A block: a telescope whose entry i lies under entries 0..i-1."""
-    env = list(env or [])
+def block_str(b: Block, exact: bool = False) -> str:
+    """A block: a telescope whose entry i lies under entries 0..i-1, its
+    entries named as ``tp_str`` names a chain's products."""
     entries = b.entries
-    names = telescope_names(
-        [label for label, _ in entries], [(tp, i) for i, (_, tp) in enumerate(entries)], env
-    )
+    env: list[str] = []
+    own: dict | bool = {}
+    names = None
+    if exact:
+        own = False
+        names = iter(
+            telescope_names(
+                [label for label, _ in entries], [(tp, i) for i, (_, tp) in enumerate(entries)], env
+            )
+        )
     parts = []
-    for name, (_, tp) in zip(names, entries):
-        parts += (f"{name}:{tp_str(tp, env)}",)
-        env += (name,)
+    try:
+        for label, tp in entries:
+            if names is None:
+                h = label + "'" if label in _KEYWORDS else label or "x"
+            else:
+                h = next(names)
+            parts += (f"{h}:{tp_str(tp, env, False, own)}",)
+            env += (h,)
+            if names is None:
+                own[h] = None
+    except _Capture:
+        return block_str(b, True)
     return "block (" + ", ".join(parts) + ")"
 
 
@@ -332,7 +402,7 @@ def pretty(node, binders=()) -> str:
     if isinstance(node, Schema):
         return schema_str(node)
     if isinstance(node, Block):
-        return block_str(node, env)
+        return block_str(node)
     if isinstance(node, CtxPattern):
         return ctx_str(node)
     if isinstance(node, Prp):

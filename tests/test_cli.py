@@ -7,11 +7,12 @@ import time
 import pytest
 
 from conftest import golden
-from differential import HOIST_PROBES, KIND_PROBES, relation_premises
+from differential import CAPTURE_PROBES, HOIST_PROBES, KIND_PROBES, relation_premises
 import orbi_forge
-from orbi_forge import corpus_source
+from orbi_forge import check_spec, corpus_source, parse_spec
 from orbi_forge.cli import run
 from orbi_forge.syntax import AtomApp, Const, Var
+from orbi_forge.translate import translate_spec
 
 
 @pytest.fixture()
@@ -356,6 +357,31 @@ def test_non_utf8_input_is_an_encoding_diagnostic(cmd, tmp_path, capsys):
     if cmd[0] == "translate":
         assert (tmp_path / "good.ab.out").exists()
         assert not (tmp_path / "bad.ab.out").exists()
+
+
+@pytest.mark.parametrize("cmd", [["check"], ["lint"], ["fmt"], ["translate", "--target", "ab"]])
+def test_leading_byte_order_mark_is_dropped(cmd, tmp_path, capsys):
+    # a file saved with a UTF-8 byte-order mark behaves as it does without one
+    runs = []
+    for name, text in (("plain", corpus_source()), ("bom", "\ufeff" + corpus_source())):
+        (tmp_path / name).mkdir()
+        p = tmp_path / name / "eq.orbi"
+        p.write_text(text, encoding="utf-8")
+        argv = cmd + ["--out-dir", str(p.parent)] if cmd[0] == "translate" else cmd
+        code = run(argv + [str(p)])
+        out, err = capsys.readouterr()
+        written = (p.parent / "eq.ab.out").read_bytes() if cmd[0] == "translate" else None
+        runs.append((code, out, err.replace(str(p), "eq.orbi"), written))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+
+
+def test_byte_order_mark_past_the_start_is_illegal(tmp_path, capsys):
+    p = tmp_path / "bom.orbi"
+    p.write_text("\ufeff\ufeff%% Syntax\ntm: type.\n", encoding="utf-8")
+    assert run(["check", "--structured", str(p)]) == 1
+    (record,) = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert (record["line"], record["col"], record["code"]) == (1, 1, "E-LEX")
 
 
 _DEEP_RULE = "r: j " + "(s " * 1000 + "z" + ")" * 1000 + "."
@@ -718,8 +744,9 @@ def test_checker_walks_no_shared_leaf(corpus_file, tmp_path, monkeypatch, capsys
 @pytest.mark.parametrize("target", ["ab", "hy"])
 def test_emitter_walks_no_shared_leaf(target, corpus_file, tmp_path, monkeypatch, capsys):
     # a Const or Var leaf holds no lambda and no redex, so the emitter and
-    # the printer, which reaches free through syntax.last_uses, hand none to
-    # eta_contract or free (a walk's calls to itself are its own)
+    # the printer, which reaches free through syntax.last_uses when it prints
+    # a captured term again, hand none to eta_contract or free (a walk's
+    # calls to itself are its own)
     import orbi_forge.syntax as syntax
     import orbi_forge.translate as translate
 
@@ -747,6 +774,35 @@ def test_emitter_walks_no_shared_leaf(target, corpus_file, tmp_path, monkeypatch
     assert run(["translate", "--target", target, *out, *files]) == 0
     assert "[E-" not in capsys.readouterr().err
     assert leaves == []
+
+
+def test_printer_names_binders_without_a_scan(monkeypatch):
+    # with no capture to mend, fmt and ab name each binder from its hint:
+    # neither runs the exact rule's scans, telescope_names and last_uses.
+    # A capture probe, whose ab term primes a lambda, runs them
+    import orbi_forge.syntax as syntax
+
+    if _PERFBENCH not in sys.path:
+        sys.path.append(_PERFBENCH)
+    import workloads
+
+    pretty = sys.modules["orbi_forge.pretty"]  # the package's ``pretty`` is the function
+    scans = []
+    for module, name in ((pretty, "telescope_names"), (pretty, "last_uses"), (syntax, "last_uses")):
+
+        def recording(*args, scan=getattr(module, name), name=name):
+            scans.append(name)
+            return scan(*args)
+
+        monkeypatch.setattr(module, name, recording)
+    texts = [corpus_source(), *(f.text for f in workloads.rules(7).files if not f.reject)]
+    for text in texts:
+        spec = parse_spec(text)
+        pretty.spec_str(spec)
+        translate_spec(check_spec(spec), "ab")
+    assert scans == []
+    translate_spec(check_spec(parse_spec(CAPTURE_PROBES["capture-head"])), "ab")
+    assert scans
 
 
 def test_importing_the_cli_leaves_json_out():

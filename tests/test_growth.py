@@ -21,8 +21,9 @@ import pytest
 from orbi_forge import check_signature, check_spec, corpus_source, lint, parse_spec
 from orbi_forge.directives import resolve
 from orbi_forge.lexer import tokenize
-from orbi_forge.pretty import spec_str
-from orbi_forge.syntax import Block, Schema
+from orbi_forge.parser import parse_tpkind_str
+from orbi_forge.pretty import spec_str, term_str, tp_str
+from orbi_forge.syntax import Block, Lam, Schema, Var
 from orbi_forge.translate import translate_spec
 from differential import clashing_labels
 from specgen import gen_rules_source
@@ -244,7 +245,7 @@ def _wide_block(n: int) -> str:
 
 
 def test_pi_chain_prints_linearly():
-    # one last_uses pass names every binder of the chain, which prints in a loop
+    # each binder of the chain is named from its hint, and the chain prints in a loop
     calls = {n: _calls(spec_str, parse_spec(_flat_rule(n))) for n in (250, 1000)}
     ratio = calls[1000] / calls[250]
     assert ratio <= MAX_GROWTH, f"spec_str: {ratio:.2f}x calls for 4x binders"
@@ -277,8 +278,9 @@ def _with_counted_labels(spec):
 
 @pytest.mark.parametrize("stage", ["spec_str", "check_spec"])
 def test_wide_block_grows_linearly(stage):
-    # a block's entries are named by one telescope pass, and check_schema
-    # finds a duplicate label by lookup rather than by scanning
+    # a block's entries are named from their labels, a leaf is tested against
+    # them by lookup, and check_schema finds a duplicate label by lookup
+    # rather than by scanning
     fn = spec_str if stage == "spec_str" else check_spec
     specs = {n: _with_counted_labels(parse_spec(_wide_block(n))) for n in (200, 800)}
     ratio = _calls(fn, specs[800]) / _calls(fn, specs[200])
@@ -308,11 +310,10 @@ def _nested_lambdas(n: int) -> str:
     )
 
 
-@pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 6: each lambda is named from a pass over its whole body"
-)
 @pytest.mark.parametrize("stage", ["spec_str", "translate_spec ab"])
 def test_nested_lambdas_print_linearly(stage):
+    # each lambda is named from its hint, with no pass over its body; a pass
+    # per lambda made this about 14x
     def calls(n):
         spec = parse_spec(_nested_lambdas(n))
         if stage == "spec_str":
@@ -321,3 +322,38 @@ def test_nested_lambdas_print_linearly(stage):
 
     ratio = calls(200) / calls(50)
     assert ratio <= MAX_GROWTH, f"{stage}: {ratio:.2f}x calls for 4x nesting"
+
+
+def _nested_domains(n: int) -> str:
+    """``{x_{n-1}:{…{x0:t} t…} t} t``: ``n`` products, each in the domain of
+    the next."""
+    tp = "t"
+    for i in range(n):
+        tp = f"{{x{i}:{tp}}} t"
+    return tp
+
+
+def test_products_nested_in_domains_print_linearly():
+    # a product's domain lies under no binder of its chain, so each nested
+    # chain is named on its own
+    calls = {n: _calls(tp_str, parse_tpkind_str(_nested_domains(n)), []) for n in (50, 200)}
+    ratio = calls[200] / calls[50]
+    assert ratio <= MAX_GROWTH, f"tp_str: {ratio:.2f}x calls for 4x nesting"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 6: a captured term prints again by the exact rule, "
+    "a pass over each lambda's body",
+)
+def test_forced_captures_print_linearly():
+    # ``\x. \x. … x``, every lambda hinted x and the innermost body naming
+    # the outermost binder, which every binder under it would capture
+    def calls(n):
+        t = Var(n - 1)
+        for _ in range(n):
+            t = Lam("x", t)
+        return _calls(term_str, t, [])
+
+    ratio = calls(200) / calls(50)
+    assert ratio <= MAX_GROWTH, f"term_str: {ratio:.2f}x calls for 4x nesting"

@@ -7,7 +7,7 @@ import lamoracle
 from helpers import closed
 from orbi_forge.lf import normalize
 from orbi_forge.parser import parse_term_str, parse_tpkind_str
-from orbi_forge.pretty import pretty
+from orbi_forge.pretty import ORBI, block_str, pretty, term_str, tp_str
 from orbi_forge.syntax import (
     App,
     Arrow,
@@ -136,11 +136,35 @@ def _unprimed(node):
             "block (x:tm, x':tm, u:aeq x x')",
         ),
         (Lam("type", Var(0)), r"\type'. type'"),
+        (Pi("type", AtomApp("tm"), AtomApp("j", (Var(0),))), "{type':tm} j type'"),
+        (Block((("type", AtomApp("tm")), ("", AtomApp("j", (Var(0),))))), "block (type':tm, x:j type')"),
+        # a capture under it prints the outer binder again by the exact rule
+        (Lam("type", Lam("x", App(Const("c"), Const("x")))), r"\type'. \x'. c x"),
         (Lam("", Var(0)), r"\x. x"),
     ],
 )
 def test_binder_names_avoid_capture(node, expected):
     assert pretty(node) == expected
+
+
+@pytest.mark.parametrize(
+    "pick,expected",
+    [
+        (lambda s: s.schemas[1], "schema xaG = block (x:tm, u:aeq x x);"),
+        (lambda s: s.definitions[0].clauses[1][2].ctxs[1], "[h, b:block (x:tm, u:aeq x x)]"),
+        (lambda s: s.theorems[2].statement, "{g:xG}{h:xaG}{M:tm} Rxa [g] [h] -> [h |- aeq M M]"),
+        (
+            lambda s: s.definitions[0],
+            "inductive Rxa : {g:xG} {h:xaG} prop =\n| Rxa_nl: Rxa [] []\n"
+            "| Rxa_cs: Rxa [g] [h] -> Rxa [g, b:block (x:tm)] [h, b:block (x:tm, u:aeq x x)];",
+        ),
+        (lambda s: s.theorems[0], "theorem reflG: {h:xaG}{M:tm} [h |- aeq M M];"),
+        (lambda s: s.directives[5], "%% explicit [hy,ab] in [g]"),
+    ],
+    ids=["schema", "context", "formula", "inductive", "theorem", "directive"],
+)
+def test_pretty_prints_each_node_kind(corpus_spec, pick, expected):
+    assert pretty(pick(corpus_spec)) == expected
 
 
 # ---------------------------------------------------------------- property
@@ -186,6 +210,24 @@ def test_pretty_parse_term_roundtrip(t):
     if not closed(t):
         return
     assert parse_term_str(pretty(t)) == t
+
+
+def test_hint_names_agree_with_the_exact_rule():
+    # a print names each binder from its hint and prints again by the exact
+    # rule only on a capture, so both give the same bytes; the hints and the
+    # families share names with the constants, so captures abound
+    rng = random.Random(5)
+    fams = ["x", "tm", "app"]
+    for _ in range(1500):
+        envd = rng.randrange(3)
+        env = [rng.choice(["x", "y", "M"]) for _ in range(envd)]
+        t = _gen_term(rng, 4, envd)
+        assert term_str(t, env) == term_str(t, env, False, ORBI, False), t
+        tp = _gen_tp(rng, 3, envd, fams)
+        assert tp_str(tp, env) == tp_str(tp, env, False, False), tp
+        labels = [rng.choice(["x", "y", "u", "tm", ""]) for _ in range(3)]
+        block = Block(tuple((h, _gen_tp(rng, 2, i, fams)) for i, h in enumerate(labels)))
+        assert block_str(block) == block_str(block, True), block
 
 
 def test_corpus_roundtrip(corpus_spec):
