@@ -371,6 +371,24 @@ VERDICT_PROBES = {
 }
 
 
+_ETA_SIG = (
+    "%% Syntax\ntm: type.\napp: tm -> tm -> tm.\nlam: (tm -> tm) -> tm.\n\n"
+    "%% Judgments\naeq: tm -> tm -> type.\n\n"
+)
+
+# LF's equality is beta-eta: an eta-long block entry beside the eta-short
+# rule and theorem argument it equals, and a Pi from a type that ends in a
+# level-0 family but mentions a judgment, whose arrow form is E-LEVEL.  The
+# first probe, eq.orbi with xaG's entry eta-long and its clause blocks
+# eta-short, is built in ``build_inputs``.
+ETA_PROBES = {
+    "eta-long-block-entry": _ETA_SIG + "%% Rules\nr: aeq (lam (\\y. app M y)) M.\n\n"
+    "%% Schemas\nschema xaG = block (x:tm, u:aeq (lam (\\y. app x y)) x);\n\n"
+    "%% Theorems\ntheorem t: {h:xaG}{M:tm} [h |- aeq (lam (\\y. app M y)) M];\n",
+    "pi-over-judgment-to-level0": _VERDICT_SIG + "\n%% Rules\ns: {f: j c -> tm} k c.\n",
+}
+
+
 def build_inputs() -> list:
     """(family, name, text) of every input, in a fixed order."""
     for path in (HERE, os.path.join(ROOT, "perfbench")):
@@ -420,6 +438,12 @@ def build_inputs() -> list:
             text = f"{directives}\n%% Theorems\ntheorem t: {text[1]};\n"
         out.append(("probe", f"probe-{name}", text))
     out += [("probe", f"probe-{name}", text) for name, text in CAPTURE_PROBES.items()]
+    eta = eq.replace(
+        "schema xaG = block (x:tm, u:aeq x x);",
+        "schema xaG = block (x:tm, u:aeq (lam (\\y. app x y)) x);",
+    ).replace("[h, b:block (x:tm, u:aeq x x)]", "[h, b:block (x:tm, u:aeq (lam (app x)) x)]")
+    out.append(("probe", "probe-eta-block-matching", eta))
+    out += [("probe", f"probe-{name}", text) for name, text in ETA_PROBES.items()]
     return out
 
 
