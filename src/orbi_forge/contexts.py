@@ -46,7 +46,7 @@ from orbi_forge.syntax import (
 
 def check_schema(sig: Signature, s: Schema) -> Schema:
     """Check each block of ``s`` as a telescope of erasures; the returned
-    schema holds the beta-normal entry types."""
+    schema holds the βη-normal entry types, so blocks match modulo βη."""
     alternatives = []
     for block in s.alternatives:
         labels: dict[str, None] = {}  # in order, with a constant-time lookup

@@ -7,9 +7,11 @@ constants must target a judgment.  Every term is level-0 and simply typed:
 ``A -> B`` alike to ``A⁻ -> B⁻``.  A rule's schematic variables are implicit;
 hole mode reads their types off their Miller-pattern occurrences, and types a
 redex as written, solving them by unification, before it normalises it.  The
-signature stores a rule's open body in normal form, with each arrow from a
-level-0 domain made a Pi and each Pi over a judgment an arrow (no term may
-use its variable), and its schematic prefix (``SigEntry.implicit``).
+signature stores a rule's schematic prefix (``SigEntry.implicit``) and its
+open body, β-normal, with each arrow from a level-0 domain made a Pi and each
+Pi over a judgment an arrow (no term may use its variable): as written when
+it is so already, else βη-normal.  ``normalize`` is the one βη normaliser:
+block matching in ``contexts`` and ab/hy emission use it too.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from orbi_forge.syntax import (
     Tp,
     TYPE_ATOM,
     Var,
+    free,
     rebuild,
     shift,
     subst,
@@ -161,25 +164,45 @@ def families_in_tp(tp: Tp, out: dict | None = None) -> dict[str, None]:
 
 
 def normalize(node):
-    """β-normal form of a Term or a Tp, without eta, visiting each node
-    once.  Normal order: a redex is contracted before its argument is
-    normalised, if ever."""
+    """βη-normal form of a Term or a Tp.  β is normal order: a redex is
+    contracted before its argument is normalised, if ever.  η is bottom-up:
+    ``\\x. f x`` becomes ``f`` when x is not free in ``f``.  Only
+    applications, lambdas and types are entered, so a ``Const`` or ``Var``
+    leaf costs no call; a node none of whose subterms changed is returned
+    itself."""
     t = type(node)
-    if t is AtomApp and not node.args:
-        return node
-    if t is Lam:
-        body = normalize(node.body)
-        return node if body is node.body else Lam(node.hint, body)
     if t is App:
-        fn = normalize(node.fn)
-        if type(fn) is Lam:
-            return normalize(subst(fn.body, node.arg))
-        arg = normalize(node.arg)
+        fn, arg = node.fn, node.arg
+        k = type(fn)
+        if k is App or k is Lam:
+            fn = normalize(fn)
+            if type(fn) is Lam:
+                return normalize(subst(fn.body, arg))
+        k = type(arg)
+        if k is App or k is Lam:
+            arg = normalize(arg)
         return node if fn is node.fn and arg is node.arg else App(fn, arg)
+    if t is Lam:
+        body = node.body
+        k = type(body)
+        if k is App or k is Lam:
+            body = normalize(body)
+            if type(body) is App and type(body.arg) is Var and body.arg.index == 0:
+                fn = body.fn
+                if type(fn) is Const:
+                    return fn
+                if 0 not in free(fn):
+                    return shift(fn, -1)
+        return node if body is node.body else Lam(node.hint, body)
     if t is AtomApp:
-        args = tuple([normalize(a) for a in node.args])
-        changed = [a is not b for a, b in zip(args, node.args)]
-        return AtomApp(node.family, args) if any(changed) else node
+        args = node.args
+        for i, a in enumerate(args):
+            k = type(a)
+            if k is App or k is Lam:
+                b = normalize(a)
+                if b is not a:
+                    args = (*args[:i], b, *args[i + 1 :])
+        return node if args is node.args else AtomApp(node.family, args)
     if t is Arrow or t is Pi:
         dom, cod = normalize(node.dom), normalize(node.cod)
         if dom is node.dom and cod is node.cod:
@@ -220,23 +243,24 @@ def check_tp(sig: Signature, ctx: list, tp: Tp, holes=None, kind=None) -> Simple
     try:
         while type(tp) is not AtomApp:
             dom = check_tp(sig, ctx, tp.dom, holes)
+            if holes is not None and not keep:
+                # a rule's product: over a level-0 type a binder, stored as
+                # a Pi, else a premise, stored as an arrow (no term may use
+                # its variable), which must end in a judgment
+                if (dom is None) is (type(tp) is Pi):
+                    holes.normal = False  # stored otherwise than written
+                if dom is None:
+                    end = tp.dom
+                    while type(end) is not AtomApp:
+                        end = end.cod
+                    if entries[end.family].level == 0:
+                        raise OrbiError(
+                            "E-LEVEL",
+                            f"a premise must end in a judgment, not in the level-0 family {end.family!r}",
+                        )
             if type(tp) is Pi:
                 ctx.append(dom)
                 pushed += 1
-                if dom is None and holes is not None:
-                    holes.normal = False  # one over a judgment is stored as its arrow
-            elif holes is not None and not keep:
-                # a rule's premise: a binder, stored as a Pi, or a judgment
-                end = tp.dom
-                while type(end) is not AtomApp:
-                    end = end.cod
-                if dom is not None:
-                    holes.normal = False
-                elif entries[end.family].level == 0:
-                    raise OrbiError(
-                        "E-LEVEL",
-                        f"a premise must end in a judgment, not in the level-0 family {end.family!r}",
-                    )
             if keep:
                 doms = (dom, doms)
             tp = tp.cod

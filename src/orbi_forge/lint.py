@@ -56,7 +56,7 @@ def lint(checked: CheckedSpec) -> list[Diagnostic]:
         while True:
             k = type(t)
             if k is Lam:
-                if t.hint and t.hint[0].isupper():
+                if t.hint[0].isupper():
                     warn(
                         "L1",
                         f"eigenvariable {t.hint!r} should be lowercase",
@@ -133,7 +133,7 @@ def lint(checked: CheckedSpec) -> list[Diagnostic]:
                     seen[label] = blabel
 
     def check_ctx_var(name, loc):
-        if name and name[0].isupper():
+        if name[0].isupper():
             warn(
                 "L1",
                 f"context variable {name!r} should be lowercase",

@@ -16,6 +16,7 @@ is linear in the size of a tree with no capture.
 
 from __future__ import annotations
 
+from orbi_forge.lexer import KEYWORDS
 from orbi_forge.syntax import (
     SECTIONS,
     And,
@@ -51,8 +52,6 @@ from orbi_forge.syntax import (
     chain,
     last_uses,
 )
-
-_KEYWORDS = {"type", "schema", "block", "inductive", "prop", "theorem", "true", "false"}
 
 # precedence levels of formulas
 _P_QUANT, _P_IMP, _P_OR, _P_AND, _P_ATOM = 0, 1, 2, 3, 4
@@ -159,7 +158,7 @@ def term_str(
         if own is False:
             h = telescope_names((t.hint,), ((t.body, 1),), env)[0]
         else:
-            h = t.hint + "'" if t.hint in _KEYWORDS else t.hint or "x"
+            h = t.hint + "'" if t.hint in KEYWORDS else t.hint or "x"
             if root:
                 own = {}
             own[h] = None
@@ -217,7 +216,7 @@ def telescope_names(hints, parts, env: list) -> list[str]:
     names: list[str] = []
     for i, h in enumerate(hints):
         h = h or "x"
-        while h in _KEYWORDS or h in last and last[h] > i or h in reach and reach[h] > i:
+        while h in KEYWORDS or h in last and last[h] > i or h in reach and reach[h] > i:
             h += "'"
         names += (h,)
         if i in last and (h not in reach or reach[h] < last[i]):
@@ -252,7 +251,7 @@ def tp_str(tp, env: list, dom: bool = False, own: dict | bool | None = None) -> 
                     elif root:
                         own = {}
                 if names is None:
-                    h = link.hint + "'" if link.hint in _KEYWORDS else link.hint or "x"
+                    h = link.hint + "'" if link.hint in KEYWORDS else link.hint or "x"
                 else:
                     h = next(names)
                 s += f"{{{h}:{tp_str(link.dom, scope, False, own)}}} "
@@ -291,7 +290,7 @@ def block_str(b: Block, exact: bool = False) -> str:
     try:
         for label, tp in entries:
             if names is None:
-                h = label + "'" if label in _KEYWORDS else label or "x"
+                h = label + "'" if label in KEYWORDS else label or "x"
             else:
                 h = next(names)
             parts += (f"{h}:{tp_str(tp, env, False, own)}",)

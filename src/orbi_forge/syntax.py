@@ -16,11 +16,12 @@ names and every ``Directive`` field.  Context patterns and relation clauses
 are stored flat: a ``CtxPattern`` keeps its blocks in a tuple, and a clause
 its premises.  ``free`` is the one walker asking which indices and names
 occur, and ``rebuild`` the one rewriting map (``shift``, ``subst`` and a
-rule's stored form are its instances; ``lf.normalize`` is a normal-order fold of
-its own, and ``translate.eta_contract`` a bottom-up walk that enters only
-applications and lambdas).  ``last_uses`` runs ``free`` once over each part
-of a telescope, a chain of products (``chain``) or a block, for the printer
-to name its binders and for the linter to find the vacuous ones.
+rule's stored form are its instances; ``lf.normalize``, the one βη
+normaliser, is a walk of its own that enters only applications, lambdas
+and types, with normal-order β and bottom-up η).  ``last_uses`` runs
+``free`` once over each part of a telescope, a chain of products
+(``chain``) or a block, for the printer to name its binders and for the
+linter to find the vacuous ones.
 A kind is a type whose chain ends in the atom ``TYPE``, as in a pure type
 system: one ``Arrow`` and one ``Pi`` serve both.  Nothing here consults a
 signature.

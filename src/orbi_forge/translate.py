@@ -17,11 +17,13 @@ layouts are defined here, or in ``BEL``, ORBI's dialect with spaced
 quantifier groups.  Every variable ab/hy generate, rule and nabla variables
 among them, comes from one supply, ``_Names``, which avoids the signature.
 
-Emission relies on the leaves the parser shares: within one parse every
-occurrence of a name is one ``Const`` or ``Var`` object, and a leaf holds no
-lambda and no redex.  So ``eta_contract`` enters only applications and
-lambdas and returns a leaf as it is, a rule atom hands it no leaf argument,
-and a leaf is printed, and tested for a name, in place.
+Rule arguments, block entries and theorem terms print in the one canonical
+form, βη-normal, which ``lf.normalize`` computes; ``translate`` has no walk
+of its own for it.  Emission relies on the leaves the parser shares: within
+one parse every occurrence of a name is one ``Const`` or ``Var`` object, and
+a leaf holds no lambda and no redex.  So ``normalize`` returns a leaf as it
+is, a rule atom hands it no leaf argument, and a leaf is printed, and tested
+for a name, in place.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from orbi_forge.errors import Diagnostic, OrbiError
 from orbi_forge.lf import SigEntry, Signature, families_in_tp, is_level0, normalize
 from orbi_forge.pretty import _P_IMP, _P_QUANT, ORBI, Dialect, arg_strs, prp_str, term_str, theorem_str
 from orbi_forge.syntax import (
-    App,
     Arrow,
     AtomApp,
     Const,
@@ -41,7 +42,6 @@ from orbi_forge.syntax import (
     ForallTm,
     InductiveDef,
     Judgment,
-    Lam,
     Pi,
     Prp,
     Record,
@@ -52,7 +52,6 @@ from orbi_forge.syntax import (
     Var,
     free,
     rebuild,
-    shift,
 )
 
 # -------------------------------------------------------------- clause IR
@@ -153,40 +152,7 @@ def erase_clause(cl):
     return None if type(cl.head) is Guard else Clause(cl.head, _erase_all(cl.body))
 
 
-# -------------------------------------------------------------- eta + names
-
-
-def eta_contract(t: Term) -> Term:
-    """Syntactic eta, bottom-up: \\x. (f x) becomes f when x is not free in
-    f.  Only applications and lambdas are entered; a leaf is returned as it
-    is, and a term none of whose subterms changed is returned itself."""
-    k = type(t)
-    if k is App:
-        fn, arg = t.fn, t.arg
-        k = type(fn)
-        if k is App or k is Lam:
-            fn = eta_contract(fn)
-        k = type(arg)
-        if k is App or k is Lam:
-            arg = eta_contract(arg)
-        return t if fn is t.fn and arg is t.arg else App(fn, arg)
-    if k is Lam:
-        body = t.body
-        k = type(body)
-        if k is App or k is Lam:
-            body = eta_contract(body)
-        if type(body) is App and type(body.arg) is Var and body.arg.index == 0:
-            fn = body.fn
-            k = type(fn)
-            if k is Const:
-                return fn
-            if k is Var:
-                if fn.index:
-                    return Var(fn.index - 1)
-            elif 0 not in free(fn):
-                return shift(fn, -1)
-        return t if body is t.body else Lam(t.hint, body)
-    return t
+# ------------------------------------------------------------------- names
 
 
 class _Names:
@@ -289,7 +255,7 @@ def translate_rule(sig: Signature, entry: SigEntry, ann: AnnotationTable) -> Cla
     names = _Names(sig.entries, env)
 
     def atom_goal(a: AtomApp, env_names) -> AtomG:
-        args = [x if type(x) is Const or type(x) is Var else eta_contract(x) for x in a.args]
+        args = [x if type(x) is Const or type(x) is Var else normalize(x) for x in a.args]
         return AtomG(a.family, tuple(arg_strs(args, env_names, AB)))
 
     def goal_of(p, env_names):
@@ -390,11 +356,8 @@ def _block_parts(sig: Signature, owner: str, blocks, wf, names, nabla) -> tuple:
                         "E-SHAPE", f"{owner}: block entry {label!r} must be an atomic judgment"
                     )
                 var = label
-                args = list(tp.args)  # beta-normal, as a theorem's; a leaf is printed in place
-                for i, a in enumerate(args):
-                    if type(a) is not Const and type(a) is not Var:
-                        args[i] = normalize(a)
-                goals.append(AtomG(tp.family, tuple(arg_strs(args, env, AB))))
+                tp = normalize(tp)  # βη-normal, as a rule's and a theorem's
+                goals.append(AtomG(tp.family, tuple(arg_strs(tp.args, env, AB))))
             env.append(var)
     return tuple(goals)
 
@@ -627,14 +590,13 @@ def _ab_quant(p: Prp, d, cx: _Scope) -> str:
 
 
 def _target_term(t: Term, terms: dict) -> Term:
-    """A theorem's term as ab/hy print it: beta-normal, eta-short, and with
-    its quantified term variables, which are constants here, renamed."""
+    """A theorem's term as ab/hy print it: βη-normal, and with its
+    quantified term variables, which are constants here, renamed."""
 
     def f(n, k):
         return Const(terms[n.name]) if type(n) is Const and n.name in terms else n
 
-    t = rebuild(normalize(t), f)
-    return t if type(t) is Const or type(t) is Var else eta_contract(t)
+    return rebuild(normalize(t), f)
 
 
 def _bare_var(c, cx: _Scope, what: str) -> str:

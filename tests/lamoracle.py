@@ -71,27 +71,38 @@ def nsubst(t, name, repl):
     return NApp(nsubst(t.fn, name, repl), nsubst(t.arg, name, repl))
 
 
-def _step(t):
+def _step(t, eta):
+    """One leftmost-outermost beta step, or with ``eta`` beta or eta step:
+    ``\\x. f x`` is ``f`` when x is not free in ``f``."""
     if isinstance(t, NApp):
         if isinstance(t.fn, NLam):
             return nsubst(t.fn.body, t.fn.name, t.arg), True
-        fn, changed = _step(t.fn)
+        fn, changed = _step(t.fn, eta)
         if changed:
             return NApp(fn, t.arg), True
-        arg, changed = _step(t.arg)
+        arg, changed = _step(t.arg, eta)
         return NApp(t.fn, arg), changed
     if isinstance(t, NLam):
-        body, changed = _step(t.body)
+        body = t.body
+        if eta and isinstance(body, NApp) and body.arg == NVar(t.name):
+            if t.name not in free_names(body.fn):
+                return body.fn, True
+        body, changed = _step(body, eta)
         return NLam(t.name, body), changed
     return t, False
 
 
 def nnormalize(t, fuel=10_000):
+    """The beta-eta normal form of ``t``."""
     for _ in range(fuel):
-        t, changed = _step(t)
+        t, changed = _step(t, True)
         if not changed:
             return t
     raise RuntimeError("oracle ran out of fuel")
+
+
+def beta_normal(t) -> bool:
+    return not _step(t, False)[1]
 
 
 def nalpha(a, b, m1=(), m2=()):

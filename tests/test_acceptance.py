@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+import lamoracle
 from conftest import golden
 from helpers import check_all, closed_decl, make_spec
 from orbi_forge import (
@@ -220,11 +221,15 @@ def test_criterion_7_normalization_invariants(checked):
             continue
         if i % 5:
             continue
-        # through check: a rule types the term as written and stores its
-        # normal form, and de_r used as a term is rejected at its head
+        # through check: a rule types the term as written and stores it
+        # beta-normal, with its normal form, and de_r used as a term is
+        # rejected at its head
         written = term_str(t, [], atom=True)
         rule = check_signature(parse_spec(_DEQ + f"r: deq {written} {written}.\n")).entries["r"]
-        if rule.decl.tp != AtomApp("deq", (n, n)):
+        stored = rule.decl.tp
+        if normalize(stored) != AtomApp("deq", (n, n)) or not all(
+            lamoracle.beta_normal(lamoracle.from_core(a)) for a in stored.args
+        ):
             violations += 1
         with pytest.raises(OrbiError) as exc:
             check_signature(parse_spec(_DEQ + f"r: deq (de_r {written}) {written}.\n"))

@@ -458,18 +458,17 @@ def test_level0_premise_as_arrow_or_pi_is_one_binder(tmp_path, capsys):
 
 
 def test_rule_used_as_term_is_no_clause(tmp_path, capsys):
-    # a Pi-bound variable of a level-1 type applied to a rule: no term is
-    # level-1, so neither is one, and ab writes no clause with them
+    # a Pi-bound variable applied to a rule: no term is level-1, so a rule
+    # is none, and ab writes no clause with it.  A variable of a level-1
+    # type is no binder but a premise, which must end in a judgment
     p = tmp_path / "rule.orbi"
     p.write_text(
         "%% Syntax\nt: type.\nc0: t.\n\n%% Judgments\nj: t -> t -> type.\n\n%% Rules\n"
-        "r0: {x:t} j x x.\nr1: j c0 c0 -> j c0 c0.\nr: {f: j c0 c0 -> t} j (f (r0 c0)) c0.\n",
+        "r0: {x:t} j x x.\nr1: j c0 c0 -> j c0 c0.\nr: {f: t -> t} j (f (r0 c0)) c0.\n",
         encoding="utf-8",
     )
     assert run(["check", str(p)]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        f"{p}:11:1: [E-TYPE] a variable of a non-level-0 type used as a term"
-    ]
+    assert capsys.readouterr().err.splitlines() == [f"{p}:11:1: [E-TYPE] rule 'r0' used as a term"]
     assert run(["translate", "--target", "ab", "--out-dir", str(tmp_path), str(p)]) == 1
     assert not (tmp_path / "rule.ab.out").exists()
 
@@ -743,10 +742,11 @@ def test_checker_walks_no_shared_leaf(corpus_file, tmp_path, monkeypatch, capsys
 
 @pytest.mark.parametrize("target", ["ab", "hy"])
 def test_emitter_walks_no_shared_leaf(target, corpus_file, tmp_path, monkeypatch, capsys):
-    # a Const or Var leaf holds no lambda and no redex, so the emitter and
-    # the printer, which reaches free through syntax.last_uses when it prints
-    # a captured term again, hand none to eta_contract or free (a walk's
-    # calls to itself are its own)
+    # a Const or Var leaf holds no lambda and no redex, so the emitter,
+    # normalize's eta step and the printer, which reaches free through
+    # syntax.last_uses when it prints a captured term again, hand none to
+    # normalize or free (a walk's calls to itself are its own)
+    import orbi_forge.lf as lf
     import orbi_forge.syntax as syntax
     import orbi_forge.translate as translate
 
@@ -755,8 +755,14 @@ def test_emitter_walks_no_shared_leaf(target, corpus_file, tmp_path, monkeypatch
     import workloads
 
     leaves = []
-    walks = {"eta_contract": translate.eta_contract, "free": syntax.free}
-    for module, name in ((translate, "eta_contract"), (translate, "free"), (syntax, "free")):
+    walks = {"normalize": lf.normalize, "free": syntax.free}
+    for module, name in (
+        (translate, "normalize"),
+        (lf, "normalize"),
+        (translate, "free"),
+        (lf, "free"),
+        (syntax, "free"),
+    ):
 
         def recording(node, *rest, walk=walks[name], name=name):
             caller = sys._getframe(1).f_code

@@ -103,11 +103,16 @@ def test_block_matching_invariant_under_label_renaming(checked):
         (r"aeq ((\y. y) x) x", "aeq x x", None),
         ("aeq x x", "aeq x (app x x)", "E-SCHEMA"),
         (r"aeq ((\y. y) x) x", "aeq x (app x x)", "E-SCHEMA"),
+        # and up to eta, in either direction, but no further
+        (r"aeq (lam (\y. app x y)) x", "aeq (lam (app x)) x", None),
+        ("aeq (lam (app x)) x", r"aeq (lam (\y. app x y)) x", None),
+        (r"aeq (lam (\y. app y x)) x", "aeq (lam (app x)) x", "E-SCHEMA"),
     ],
 )
 def test_block_matching_up_to_beta(alt, pattern, code):
+    # blocks match modulo beta-eta, LF's definitional equality
     src = make_spec(
-        syntax="tm: type.\napp: tm -> tm -> tm.",
+        syntax="tm: type.\napp: tm -> tm -> tm.\nlam: (tm -> tm) -> tm.",
         judgments="aeq: tm -> tm -> type.",
         schemas=f"schema xaG = block (x:tm, u:{alt});",
         definitions=(

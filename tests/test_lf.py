@@ -19,6 +19,7 @@ from orbi_forge.syntax import (
     ConstDecl,
     Lam,
     Pi,
+    Var,
     chain,
     free,
 )
@@ -36,6 +37,20 @@ def _agrees_with_oracle(t):
 
 def test_normalize_beta_contraction():
     assert normalize(parse_term_str(r"(\x. app x x) c")) == parse_term_str("app c c")
+
+
+def test_normalize_eta_contraction():
+    assert normalize(parse_term_str(r"\x. M x")) == parse_term_str("M")
+    t = parse_term_str(r"\x. app x x")
+    assert normalize(t) == t
+    nested = parse_term_str(r"lam (\x. M x)")
+    assert normalize(nested) == parse_term_str("lam M")
+    # a redex under a binder, whose contraction makes the binder a redex too
+    assert normalize(parse_term_str(r"\z. lam (\y. z y)")) == parse_term_str("lam")
+    under = parse_term_str(r"lam (\x. app x (\y. N y))")
+    assert normalize(under) == parse_term_str(r"lam (\x. app x N)")
+    twice = parse_term_str(r"\x. f x x")
+    assert normalize(twice) is twice
 
 
 def test_normalize_already_normal():
@@ -66,22 +81,30 @@ def test_normalize_is_normal_order():
 
 
 def test_normalize_visits_each_node_once():
-    # a normal type comes back as it is, each of its 24 nodes walked once
+    # a normal type comes back as it is: each of its 13 types, applications
+    # and lambdas is entered once, and none of its Const or Var leaves, nor
+    # a lambda's leaf body; an eta-redex whose head is a constant contracts
+    # with no scan of its head, making only the nodes of its result
     tp = parse_tpkind_str(r"{x:tm} aeq (app x (app x x)) (lam (\y. app y x)) -> aeq x x")
-    calls = []
+    leaf_body = parse_term_str(r"lam (\y. y)")
+    eta_redex, eta_short = parse_term_str(r"lam (\x. M x)"), parse_term_str("lam M")
+    for node, normal, n in ((tp, tp, 13), (leaf_body, leaf_body, 2), (eta_redex, eta_short, 3)):
+        entered = []
 
-    def hook(frame, event, arg):
-        if event == "call":
-            calls.append(frame.f_code.co_name)
+        def hook(frame, event, arg):
+            if event == "call":
+                entered.append((frame.f_code.co_name, type(frame.f_locals.get("node"))))
 
-    sys.setprofile(hook)
-    try:
-        out = normalize(tp)
-    finally:
-        sys.setprofile(None)
-    assert out is tp
-    assert calls.count("normalize") == 24
-    assert set(calls) <= {"normalize", "<listcomp>"}
+        sys.setprofile(hook)
+        try:
+            out = normalize(node)
+        finally:
+            sys.setprofile(None)
+        assert out == normal and (out is node) == (normal is node)
+        kinds = [kind for name, kind in entered if name == "normalize"]
+        assert len(kinds) == n
+        assert {name for name, _ in entered} <= {"normalize", "__init__"}
+        assert not set(kinds) & {Const, Var}
 
 
 def test_check_signature_corpus_levels(corpus_spec):
@@ -234,11 +257,15 @@ _DEPENDENT_SYNTAX = make_spec(
 )
 _DEPENDENT_RULES = "r0: {x:t} j x x.\nr2: j M N -> k M N.\n"
 _LEVEL1_VAR = "a variable of a non-level-0 type used as a term"
+_LEVEL0_PREMISE = "a premise must end in a judgment, not in the level-0 family 't'"
 _DEPENDENT_FAULTS = [
     # a term is level-0: a variable of a level-1 type or a rule is none
     ("{x:t} {d: j x x} k d d", "E-TYPE", _LEVEL1_VAR),
-    ("{d: j c0 c0} {f: j c0 c0 -> t} j (f d) c0", "E-TYPE", _LEVEL1_VAR),
-    ("{f: j c0 c0 -> t} j (f (r0 c0)) c0", "E-TYPE", _LEVEL1_VAR),
+    # a Pi over a type that mentions a judgment is a premise, as its arrow
+    # is, so it must end in a judgment, before any term may use its variable
+    ("{d: j c0 c0} {f: j c0 c0 -> t} j (f d) c0", "E-LEVEL", _LEVEL0_PREMISE),
+    ("{f: j c0 c0 -> t} j (f (r0 c0)) c0", "E-LEVEL", _LEVEL0_PREMISE),
+    ("{f: j c0 c0 -> t} k c0 c0", "E-LEVEL", _LEVEL0_PREMISE),
     ("j (r0 c0) c0", "E-TYPE", "rule 'r0' used as a term"),
     ("j (r2 c0 c0 X) c0", "E-TYPE", "rule 'r2' used as a term"),
     (r"j (cb (\x. r0 x)) c0", "E-TYPE", "rule 'r0' used as a term"),
@@ -425,12 +452,24 @@ def _free_names(sig, tp, out):
     return out
 
 
-def _assert_canonical(sig):
-    # every stored type is beta-normal, and every stored kind is indexed by
-    # level-0 types only, so it contains no term
+def _beta_normal(tp, env=()):
+    """Whether every term of ``tp`` is beta-normal by the named oracle."""
+    if isinstance(tp, AtomApp):
+        return all(lamoracle.beta_normal(lamoracle.from_core(a, env)) for a in tp.args)
+    inner = env + (f"p{len(env)}",) if isinstance(tp, Pi) else env
+    return _beta_normal(tp.dom, env) and _beta_normal(tp.cod, inner)
+
+
+def _assert_canonical(spec, sig):
+    # every stored type is beta-normal and has the beta-eta normal form of
+    # the type as written, and every stored kind is indexed by level-0 types
+    # only, so it contains no term
+    written = {decl.name: decl for _, decl in spec.decls_in_order()}
     for entry in sig.entries.values():
         if isinstance(entry.decl, ConstDecl):
-            assert entry.decl.tp == normalize(entry.decl.tp), entry.decl.name
+            name = entry.decl.name
+            assert _beta_normal(entry.decl.tp), name
+            assert normalize(entry.decl.tp) == normalize(written[name].tp), name
         else:
             doms = [d for d, _ in chain(entry.decl.kind)[1][:-1]]
             assert all(sig.entries[f].level == 0 for d in doms for f in free(d)), entry.decl.name
@@ -441,7 +480,7 @@ def _assert_sound(spec, sig):
     # checker once closed, bind no free identifier, and list its implicits
     # in the order they first occur in the rule's normal form, which is the
     # form reconstruction reads redexes in
-    _assert_canonical(sig)
+    _assert_canonical(spec, sig)
     written = {d.name: d for d in spec.rules}
     n = 0
     for entry in sig.rules():

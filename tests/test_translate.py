@@ -9,11 +9,10 @@ from conftest import golden
 from helpers import check_all, make_spec, raises_code
 from orbi_forge.directives import AnnotationTable, resolve
 from orbi_forge.errors import OrbiError
-from orbi_forge.parser import parse_term_str
+from orbi_forge.lf import normalize
 from orbi_forge.syntax import App, Const, Lam, Var, free, rebuild, shift
 from orbi_forge.translate import (
     erase_clause,
-    eta_contract,
     gen_wf_predicates,
     translate_relation,
     translate_rule,
@@ -38,22 +37,8 @@ def _ann(target="ab", wf=("tm",), rules=(), schemas=(), rels=None, thms=None):
 # -------------------------------------------------------------------- terms
 
 
-def test_eta_contract():
-    assert eta_contract(parse_term_str(r"\x. M x")) == parse_term_str("M")
-    t = parse_term_str(r"\x. app x x")
-    assert eta_contract(t) == t
-    nested = parse_term_str(r"lam (\x. M x)")
-    assert eta_contract(nested) == parse_term_str("lam M")
-    # a redex under a binder, whose contraction makes the binder a redex too
-    assert eta_contract(parse_term_str(r"\z. lam (\y. z y)")) == parse_term_str("lam")
-    under = parse_term_str(r"lam (\x. app x (\y. N y))")
-    assert eta_contract(under) == parse_term_str(r"lam (\x. app x N)")
-    twice = parse_term_str(r"\x. f x x")
-    assert eta_contract(twice) is twice
-
-
 def _eta_reference(t):
-    # eta_contract's definition as a rebuild, which visits every node
+    # bottom-up eta as a rebuild, which visits every node
     def eta(n, k):
         if type(n) is Lam:
             body = n.body
@@ -65,25 +50,27 @@ def _eta_reference(t):
 
 
 @st.composite
-def _eta_terms(draw, depth=0):
-    """Terms with bound and free indices, rich in \\x. (f x) redexes."""
+def _eta_terms(draw, depth=0, head=False):
+    """Beta-normal terms with bound and free indices, rich in \\x. (f x)
+    redexes: an application's function (``head``) is no lambda."""
     choice = draw(st.integers(0, 4 if depth < 4 else 1))
     if choice == 0:
         return Var(draw(st.integers(0, depth + 1)))
-    if choice == 1:
+    if choice == 1 or head and choice < 4:
         return Const(draw(st.sampled_from(["f", "c", "M"])))
     if choice == 2:
         return Lam("x", draw(_eta_terms(depth + 1)))
     if choice == 3:
-        return Lam("x", App(draw(_eta_terms(depth + 1)), Var(0)))
-    return App(draw(_eta_terms(depth)), draw(_eta_terms(depth)))
+        return Lam("x", App(draw(_eta_terms(depth + 1, True)), Var(0)))
+    return App(draw(_eta_terms(depth, True)), draw(_eta_terms(depth)))
 
 
 @given(_eta_terms())
 def test_eta_contract_matches_its_rebuild_definition(t):
-    # the same term, and the input itself exactly when nothing contracts
+    # on a beta-normal term, normalize is eta alone: the same term, and the
+    # input itself exactly when nothing contracts
     want = _eta_reference(t)
-    got = eta_contract(t)
+    got = normalize(t)
     assert got == want
     assert (got is t) == (want is t)
 
