@@ -388,6 +388,17 @@ ETA_PROBES = {
     "pi-over-judgment-to-level0": _VERDICT_SIG + "\n%% Rules\ns: {f: j c -> tm} k c.\n",
 }
 
+# Theorem contexts against their schemas, after eq.orbi's signature: a block
+# whose entry labels repeat, arguments swapped between schemas, a block of
+# another schema, and two controls, a fitting block and a closed context.
+CONTEXT_THEOREMS = {
+    "ctx-dup-entry-theorem": "{g:xG}{M:tm} [g, b:block (x:tm, x:tm) |- aeq M M]",
+    "thm-schema-swap": "{g:xG}{h:xaG}{M:tm} Rxa [h] [g] -> [h |- aeq M M]",
+    "thm-foreign-block": "{g:xG}{M:tm} [g, b:block (x:tm, u:aeq x x) |- aeq M M]",
+    "thm-fitting-block": "{g:xaG}{M:tm} [g, b:block (x:tm, u:aeq x x) |- aeq M M]",
+    "thm-closed-context": "{M:tm} [b:block (x:tm, u:aeq x x) |- aeq M M]",
+}
+
 
 def build_inputs() -> list:
     """(family, name, text) of every input, in a fixed order."""
@@ -444,6 +455,18 @@ def build_inputs() -> list:
     ).replace("[h, b:block (x:tm, u:aeq x x)]", "[h, b:block (x:tm, u:aeq (lam (app x)) x)]")
     out.append(("probe", "probe-eta-block-matching", eta))
     out += [("probe", f"probe-{name}", text) for name, text in ETA_PROBES.items()]
+    # a relation clause's block whose entry labels repeat, as no schema block may
+    dup_entry = (
+        eq.replace("schema daG", "schema tmG = block (x:tm, y:tm);\nschema daG")
+        .replace("%% explicit [hy] in daG\n", "%% explicit [hy] in daG\n%% explicit [ab] in tmG\n")
+        .replace(
+            "\n\n%% Directives",
+            "\n\ninductive Rt : {g:tmG} prop =\n| Rt_nl: Rt []\n"
+            "| Rt_cs: Rt [g] -> Rt [g, b:block (x:tm, x:tm)];\n\n%% Directives",
+        )
+    )
+    out.append(("probe", "probe-ctx-dup-entry-relation", dup_entry))
+    out += [("probe", f"probe-{name}", f"{head}theorem t: {s};\n") for name, s in CONTEXT_THEOREMS.items()]
     return out
 
 
