@@ -1,7 +1,9 @@
 """Checking of schemas, context patterns, context relations, and theorems.
 
-Theorem statements get scope and arity checking only; no meaning is assigned
-to a judgment-in-context, so its terms are never typed against the context.
+Every context is checked against its schema by ``check_ctx_pattern``, each
+block by ``check_block``.  Theorem statements get scope and arity checking
+only; no meaning is assigned to a judgment-in-context, so its terms are
+never typed against the context.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from orbi_forge import directives
 from orbi_forge.errors import Diagnostic, OrbiError
 from orbi_forge.lf import (
     Signature,
-    TypeVar,
     check_signature,
     check_tp,
     families_in_tp,
@@ -44,53 +45,51 @@ from orbi_forge.syntax import (
 # ----------------------------------------------------------------- schemas
 
 
+def check_block(sig: Signature, block: Block, owner: str) -> Block:
+    """Check that ``block``'s labels are distinct and its entries a telescope
+    of erasures; returns it with βη-normal entry types, so blocks match
+    modulo βη.  ``owner`` names the block in a message."""
+    labels: dict[str, None] = {}  # a set, with no call per label
+    telescope = []
+    for label, tp in block.entries:
+        if label in labels:
+            raise OrbiError("E-DUP", f"duplicate label {label!r} in {owner}")
+        labels[label] = None
+        telescope.append(check_tp(sig, telescope, tp))
+    return Block(tuple([(label, normalize(tp)) for label, tp in block.entries]))
+
+
 def check_schema(sig: Signature, s: Schema) -> Schema:
-    """Check each block of ``s`` as a telescope of erasures; the returned
-    schema holds the βη-normal entry types, so blocks match modulo βη."""
-    alternatives = []
-    for block in s.alternatives:
-        labels: dict[str, None] = {}  # in order, with a constant-time lookup
-        telescope = []
-        for label, tp in block.entries:
-            if label in labels:
-                raise OrbiError(
-                    "E-DUP", f"duplicate label {label!r} in a block of schema {s.name!r}"
-                )
-            labels[label] = None
-            telescope.append(check_tp(sig, telescope, tp))
-        alternatives.append(Block(tuple([(label, normalize(tp)) for label, tp in block.entries])))
-    return Schema(s.name, tuple(alternatives), s.loc)
+    owner = f"a block of schema {s.name!r}"
+    return Schema(s.name, tuple([check_block(sig, b, owner) for b in s.alternatives]), s.loc)
 
 
 def check_ctx_pattern(
-    sig: Signature,
-    schemas: dict,
-    expected_schema: str,
-    c: CtxPattern,
-    ctx_vars: dict[str, str] | None = None,
-) -> CtxPattern:
-    schema = schemas[expected_schema]  # check_inductive_def checked the name
+    sig: Signature, schemas: dict, schema: str | None, c: CtxPattern, ctx_vars: dict, owner: str
+) -> None:
+    """Check ``c`` at the schema named ``schema``: its variable is declared in
+    ``ctx_vars`` (variable -> schema, None where unknown) at it, its block
+    labels are distinct, and each block passes ``check_block`` and is one of
+    its alternatives modulo βη, unless ``schema`` is None (a theorem context
+    with no variable).  ``owner`` names the clause or theorem."""
     if c.var is not None:
-        declared = (ctx_vars or {}).get(c.var)
-        if declared is None:
+        if c.var not in ctx_vars:
             raise OrbiError("E-CTXVAR", f"context variable {c.var!r} is not declared")
-        if declared != expected_schema:
+        declared = ctx_vars[c.var]
+        if declared != schema and declared is not None:
             raise OrbiError(
                 "E-SCHEMA",
-                f"context variable {c.var!r} has schema {declared!r} "
-                f"but {expected_schema!r} is expected",
+                f"context variable {c.var!r} has schema {declared!r} but {schema!r} is expected",
             )
+    labels: dict[str, None] = {}
     for label, block in c.blocks:
-        telescope = []
-        for _, tp in block.entries:
-            telescope.append(check_tp(sig, telescope, tp))
+        if label in labels:
+            raise OrbiError("E-DUP", f"block label {label!r} used twice in one context of {owner}")
+        labels[label] = None
         # Block == compares entry types only, so labels rename freely
-        normal = Block(tuple([(name, normalize(tp)) for name, tp in block.entries]))
-        if normal not in schema.alternatives:
-            raise OrbiError(
-                "E-SCHEMA", f"block {label!r} matches no alternative of schema {expected_schema!r}"
-            )
-    return c
+        normal = check_block(sig, block, f"block {label!r} of {owner}")
+        if schema is not None and normal not in schemas[schema].alternatives:
+            raise OrbiError("E-SCHEMA", f"block {label!r} matches no alternative of schema {schema!r}")
 
 
 # --------------------------------------------------------------- relations
@@ -143,16 +142,8 @@ def check_inductive_def(
                 f"relation {d.name!r} expects {len(d.params)} context arguments, "
                 f"got {len(head.ctxs)}",
             )
-        for (_, schema_name), arg in zip(d.params, head.ctxs):
-            labels = set()
-            for label, _ in arg.blocks:
-                if label in labels:
-                    raise OrbiError(
-                        "E-DUP",
-                        f"block label {label!r} used twice in one context of clause {cname!r}",
-                    )
-                labels.add(label)
-            check_ctx_pattern(sig, schemas, schema_name, arg, ctx_vars)
+        for (_, schema), arg in zip(d.params, head.ctxs):
+            check_ctx_pattern(sig, schemas, schema, arg, ctx_vars, f"clause {cname!r}")
     return d
 
 
@@ -164,10 +155,11 @@ def scope_check_theorem(sig: Signature, schemas: dict, relations: dict, t: Theor
     diags: list[Diagnostic] = []
     bound: list[str] = []
     seen: set[tuple[str, str]] = set()
-    # the context and the term variables bound around the formula being
-    # visited, each with the number of its binders there
-    ctx_scope: dict[str, int] = {}
-    term_scope: dict[str, int] = {}
+    owner = f"theorem {t.name!r}"
+    # the context variables bound around the formula being visited, each to
+    # its schema (None where unknown), and the term variables, each to True
+    ctx_scope: dict = {}
+    term_scope: dict = {}
 
     def report(code: str, message: str) -> None:
         key = (code, message)
@@ -186,24 +178,23 @@ def scope_check_theorem(sig: Signature, schemas: dict, relations: dict, t: Theor
             scope_term(term.fn)
             scope_term(term.arg)
 
-    def scope_ctx(c: CtxPattern) -> None:
+    def scope_ctx(c: CtxPattern, schema: str | None = None) -> None:
+        # at ``schema``, or else at its variable's own: only a block or
+        # another schema leaves more to check than the binding
         if c.var is not None and c.var not in ctx_scope:
             report("E-UNBOUND", f"context variable {c.var!r} is not bound by a quantifier")
-        for _, block in c.blocks:
-            telescope = []
-            for _, tp in block.entries:
-                try:
-                    tp = check_tp(sig, telescope, tp)
-                except OrbiError as e:
-                    # reported once: a use of its variable is of any type
-                    report(e.code, e.message)
-                    tp = TypeVar("?")
-                telescope.append(tp)
+            c = CtxPattern(None, c.blocks)  # its blocks are checked all the same
+        var = c.var
+        if c.blocks or schema is not None and var is not None and ctx_scope[var] != schema:
+            try:
+                check_ctx_pattern(sig, schemas, schema or ctx_scope.get(var), c, ctx_scope, owner)
+            except OrbiError as e:
+                report(e.code, e.message)
 
-    def enter(scope: dict, name: str, body: Prp) -> None:
-        # the body is visited next, and (scope, name) once the body is done
-        scope[name] = scope.get(name, 0) + 1
-        stack.append((scope, name))
+    def enter(scope: dict, name: str, value, body: Prp) -> None:
+        # the body is visited next, then (scope, name, the value it shadows or ...)
+        stack.append((scope, name, scope.get(name, ...)))
+        scope[name] = value
         stack.append(body)
 
     # formulas still to visit, in left-to-right pre-order: the last one
@@ -213,15 +204,15 @@ def scope_check_theorem(sig: Signature, schemas: dict, relations: dict, t: Theor
         p = stack.pop()
         k = type(p)
         if k is tuple:  # leaving the body of a quantifier
-            scope, name = p
-            if scope[name] == 1:
+            scope, name, shadowed = p
+            if shadowed is ...:
                 del scope[name]
             else:
-                scope[name] -= 1
+                scope[name] = shadowed
         elif k is ForallCtx:
             if p.schema not in schemas:
                 report("E-NO-SCHEMA", f"unknown schema {p.schema!r}")
-            enter(ctx_scope, p.var, p.body)
+            enter(ctx_scope, p.var, p.schema if p.schema in schemas else None, p.body)
         elif k is ForallTm or k is ExistsTm:
             bad_level = False
             for fam in families_in_tp(p.tp):
@@ -242,7 +233,7 @@ def scope_check_theorem(sig: Signature, schemas: dict, relations: dict, t: Theor
                 except OrbiError as e:
                     report(e.code, e.message)
             bound.append(p.var)
-            enter(term_scope, p.var, p.body)
+            enter(term_scope, p.var, True, p.body)
         elif k is Judgment:
             scope_ctx(p.ctx)
             entry = sig.entries.get(p.family)
@@ -271,8 +262,9 @@ def scope_check_theorem(sig: Signature, schemas: dict, relations: dict, t: Theor
                     f"relation {p.name!r} expects {len(rel.params)} context "
                     f"arguments, got {len(p.ctxs)}",
                 )
-            for c in p.ctxs:
-                scope_ctx(c)
+                rel = None
+            for i, c in enumerate(p.ctxs):  # at its parameter's schema, if known
+                scope_ctx(c, rel.params[i][1] if rel is not None else None)
         elif k is TermEq:
             scope_term(p.lhs)
             scope_term(p.rhs)

@@ -13,8 +13,6 @@ worked out once per checked specification (``index_directives``), so each
 
 from __future__ import annotations
 
-from types import MappingProxyType
-
 from orbi_forge.errors import OrbiError
 from orbi_forge.syntax import FamDecl, Record
 
@@ -25,10 +23,10 @@ class AnnotationTable(Record):
         "wf_families",
         "explicit_rules",
         "explicit_schemas",
-        "explicit_relation_params",  # relation -> explicit parameters
-        "explicit_theorem_vars",  # theorem -> explicit variables
+        "explicit_relation_params",  # (relation, parameter) of each explicit parameter
+        "explicit_theorem_vars",  # (theorem, variable) of each explicit variable
     )
-    _defaults = (frozenset(),) * 3 + (MappingProxyType({}),) * 2
+    _defaults = (frozenset(),) * 5
 
 
 def wf_name(family: str) -> str:
@@ -135,13 +133,6 @@ def resolve(checked, target: str) -> AnnotationTable:
         frozenset(marks["wf"]["fam"]),
         frozenset(marks["explicit"]["rule"]),
         frozenset(marks["explicit"]["schema"]),
-        _by_owner(marks["explicit"]["rel"]),
-        _by_owner(marks["explicit"]["thm"]),
+        frozenset(marks["explicit"]["rel"]),
+        frozenset(marks["explicit"]["thm"]),
     )
-
-
-def _by_owner(pairs) -> dict:
-    out: dict[str, set] = {}
-    for owner, var in pairs:
-        out.setdefault(owner, set()).add(var)
-    return {k: frozenset(v) for k, v in out.items()}

@@ -8,10 +8,10 @@ that would capture a name in scope, in which case primes are appended (`y`
 becomes `y'`), so re-parsing the output gives the input up to alpha.  A
 print names each binder from its hint, primed only away from a keyword,
 with no pass over its scope, and tests each leaf against the names it gave
-by lookup.  Only on a capture does the outermost lambda, chain of products
-or block around the leaf print again by the exact rule: ``telescope_names``
-over one ``last_uses`` pass, a lambda being a telescope of one.  So printing
-is linear in the size of a tree with no capture.
+by lookup.  Only on a capture does the outermost chain of lambdas or of
+products, or block, around the leaf print again by the exact rule:
+``telescope_names`` over one ``last_uses`` pass per chain.  So printing is
+linear in the size of a tree with no capture.
 """
 
 from __future__ import annotations
@@ -138,8 +138,8 @@ def term_str(
     this print gave so far (None before the first).  A leaf that a binder so
     named may capture raises ``_Capture``.  The lambda, chain or block
     entered with no such binder around it catches it and prints again with
-    ``own`` False: each binder under it is named by ``telescope_names``, a
-    lambda's as a telescope of one binder with its body under it."""
+    ``own`` False: each chain of lambdas under it is named as a telescope
+    by ``telescope_names``, with its body under it."""
     k = type(t)
     if k is Var:
         i = t.index
@@ -153,22 +153,26 @@ def term_str(
         if own and t.name in own:
             raise _Capture
         return t.name
-    if k is Lam:
-        root = not own
-        if own is False:
-            h = telescope_names((t.hint,), ((t.body, 1),), env)[0]
+    if k is Lam:  # a chain of lambdas is one telescope, as a chain of products is
+        root, names, body = not own, [], t
+        while type(body) is Lam:
+            h = body.hint
+            names += (h + "'" if h in KEYWORDS else h or "x",)
+            body = body.body
+        if own is False:  # telescope_names primes a name as the loop above does first
+            names = telescope_names(names, ((body, len(names)),), env)
         else:
-            h = t.hint + "'" if t.hint in KEYWORDS else t.hint or "x"
-            if root:
-                own = {}
-            own[h] = None
+            own = own or {}
+            for h in names:
+                own[h] = None
         try:
-            s = term_str(t.body, env + [h], False, d, own)
+            s = term_str(body, env + names, False, d, own)
         except _Capture:
             if not root:
                 raise
             return term_str(t, env, atom, d, False)
-        s = f"{d.lam}{h}{d.dot}{s}"
+        for h in names[::-1]:
+            s = f"{d.lam}{h}{d.dot}{s}"
         return f"({s})" if atom else s
     args = []  # the spine, innermost argument first
     while k is App:

@@ -22,8 +22,8 @@ form, βη-normal, which ``lf.normalize`` computes; ``translate`` has no walk
 of its own for it.  Emission relies on the leaves the parser shares: within
 one parse every occurrence of a name is one ``Const`` or ``Var`` object, and
 a leaf holds no lambda and no redex.  So ``normalize`` returns a leaf as it
-is, a rule atom hands it no leaf argument, and a leaf is printed, and tested
-for a name, in place.
+is, a rule atom hands it only its other arguments, a block entry only one
+that has another, and a leaf is printed, and tested for a name, in place.
 """
 
 from __future__ import annotations
@@ -356,7 +356,10 @@ def _block_parts(sig: Signature, owner: str, blocks, wf, names, nabla) -> tuple:
                         "E-SHAPE", f"{owner}: block entry {label!r} must be an atomic judgment"
                     )
                 var = label
-                tp = normalize(tp)  # βη-normal, as a rule's and a theorem's
+                for a in tp.args:  # βη-normal, as a rule's and a theorem's
+                    if type(a) is not Const and type(a) is not Var:
+                        tp = normalize(tp)
+                        break
                 goals.append(AtomG(tp.family, tuple(arg_strs(tp.args, env, AB))))
             env.append(var)
     return tuple(goals)
@@ -399,7 +402,6 @@ def translate_relation(
     premises' other context variables.  All come from one supply per clause
     that also holds the signature and the relation's name; every list
     variable the clause uses is bound."""
-    explicit_vars = ann.explicit_relation_params.get(d.name, frozenset())
     params = [v for v, _ in d.params]
     owner = f"relation {d.name!r}"
     clauses = []
@@ -408,7 +410,7 @@ def translate_relation(
         nabla: dict = {}
         args = []  # (context variable or None, goals) of each head argument
         for var, arg in zip(params, head.ctxs):
-            wf = ann.wf_families if var in explicit_vars else None
+            wf = ann.wf_families if (d.name, var) in ann.explicit_relation_params else None
             goals = _block_parts(sig, owner, arg.blocks, wf, names, nabla)
             if arg.blocks and not goals:
                 raise OrbiError(
@@ -489,7 +491,7 @@ class _Scope:
             self.serial += 1
             return None
         self.terms[var] = name
-        if type(p) is ForallTm and var in self.expl:
+        if type(p) is ForallTm and (self.thm.name, var) in self.expl:
             for first in self.ctxs:  # the first context visible
                 usage = self.uses[var] = []
                 return var, usage, (self.ctxs[first], self.serial)
@@ -643,7 +645,7 @@ def translate_theorem(checked, t: Theorem, target: str, ann: AnnotationTable):
     if target == "tw":
         return "% " + theorem_str(t), []
     names = None if target == "bel" else _Names(checked.sig.entries)
-    cx = _Scope(t, ann.explicit_theorem_vars.get(t.name, frozenset()), names)
+    cx = _Scope(t, ann.explicit_theorem_vars, names)
     return prp_str(t.statement, _P_QUANT, BEL if names is None else AB, cx) + ".", cx.warnings
 
 
@@ -692,9 +694,9 @@ def translate_spec(checked, target: str) -> TargetDoc:
             for entry in sig.rules():
                 item = entry.decl
                 blocks.append(DocBlock(item.name, translate_rule(sig, entry, ann).render()))
-            for item in spec.schemas:
+            for item in checked.schemas.values():
                 blocks.append(DocBlock(item.name, translate_schema(sig, item, target, ann).render()))
-            for item in spec.definitions:
+            for item in checked.relations.values():
                 blocks.append(DocBlock(item.name, translate_relation(sig, item, target, ann).render()))
         except OrbiError as e:
             raise e.at(item.loc)

@@ -63,37 +63,38 @@ def test_check_schema_duplicate_label(checked):
 
 def test_ctx_pattern_block_instance(checked):
     pat = CtxPattern("h", (("b", checked.schemas["xaG"].alternatives[0]),))
-    out = check_ctx_pattern(checked.sig, checked.schemas, "xaG", pat, {"h": "xaG"})
-    assert out is pat
+    check_ctx_pattern(checked.sig, checked.schemas, "xaG", pat, {"h": "xaG"}, "clause 'c'")
 
 
 def test_empty_ctx_inhabits_every_schema(checked):
     for name in checked.schemas:
-        check_ctx_pattern(checked.sig, checked.schemas, name, CtxPattern())
+        check_ctx_pattern(checked.sig, checked.schemas, name, CtxPattern(), {}, "clause 'c'")
 
 
 def test_ctx_pattern_schema_mismatch(checked):
     deq_block = checked.schemas["xdG"].alternatives[0]
     pat = CtxPattern("g", (("b", deq_block),))
     with raises_code("E-SCHEMA"):
-        check_ctx_pattern(checked.sig, checked.schemas, "xaG", pat, {"g": "xaG"})
+        check_ctx_pattern(checked.sig, checked.schemas, "xaG", pat, {"g": "xaG"}, "clause 'c'")
 
 
 def test_ctx_pattern_unknown_var(checked):
     with raises_code("E-CTXVAR"):
-        check_ctx_pattern(checked.sig, checked.schemas, "xaG", CtxPattern("nope"), {})
+        check_ctx_pattern(checked.sig, checked.schemas, "xaG", CtxPattern("nope"), {}, "clause 'c'")
 
 
 def test_ctx_var_wrong_schema(checked):
     with raises_code("E-SCHEMA"):
-        check_ctx_pattern(checked.sig, checked.schemas, "xaG", CtxPattern("g"), {"g": "xG"})
+        check_ctx_pattern(
+            checked.sig, checked.schemas, "xaG", CtxPattern("g"), {"g": "xG"}, "clause 'c'"
+        )
 
 
 def test_block_matching_invariant_under_label_renaming(checked):
     xa = checked.schemas["xaG"].alternatives[0]
     renamed = Block((("y", xa.entries[0][1]), ("w", xa.entries[1][1])))
     pat = CtxPattern("h", (("b", renamed),))
-    check_ctx_pattern(checked.sig, checked.schemas, "xaG", pat, {"h": "xaG"})
+    check_ctx_pattern(checked.sig, checked.schemas, "xaG", pat, {"h": "xaG"}, "clause 'c'")
 
 
 @pytest.mark.parametrize(
@@ -234,6 +235,12 @@ def test_relation_premise_must_be_bare_vars(checked):
             "premise context arguments of clause 'Rxa_cs' must be bare context variables",
             id="empty-premise-context",
         ),
+        pytest.param(
+            "inductive R : {g:xG} prop =\n| R_c: R [g] -> R [g, b:block (x:tm, x:tm)];",
+            "E-DUP",
+            "duplicate label 'x' in block 'b' of clause 'R_c'",
+            id="duplicate-entry-label",
+        ),
     ],
 )
 def test_relation_clause_diagnostics(definition, code, message):
@@ -272,6 +279,17 @@ def test_scope_check_reports_all_diagnostics(checked):
 def test_scope_check_stable_under_renaming(checked):
     spec = parse_spec(make_spec(theorems="theorem r2: {k:xaG}{P:tm} [k |- aeq P P];"))
     scope_check_theorem(checked.sig, checked.schemas, checked.relations, spec.theorems[0])
+
+
+def test_bare_theorem_contexts_make_no_pattern_check(checked, monkeypatch):
+    # a context variable at the schema it is bound with has nothing left to
+    # check, in a judgment and as a relation argument: eq.orbi's theorems
+    # have only such contexts, and checking them would cost a call each
+    seen = []
+    monkeypatch.setattr(orbi_forge.contexts, "check_ctx_pattern", lambda *a: seen.append(a))
+    for t in checked.theorems:
+        scope_check_theorem(checked.sig, checked.schemas, checked.relations, t)
+    assert seen == []
 
 
 def test_theorem_block_entry_after_untypable_redex(checked):
@@ -386,15 +404,78 @@ def test_declaration_diagnostics(sections, code, message):
             [("E-LEVEL", "theorem quantifier 'M' must range over a level-0 type, not 'aeq'")],
             id="level1-quantifier-type-not-kind-checked",
         ),
+        pytest.param(
+            "{g:xG}{M:tm} [g, b:block (x:tm, x:tm) |- aeq M M]",
+            [("E-DUP", "duplicate label 'x' in block 'b' of theorem 't'")],
+            id="duplicate-entry-label",
+        ),
+        pytest.param(
+            "{g:xaG}{M:tm} [g, b:block (x:tm, u:aeq x x), b:block (x:tm, u:aeq x x) |- aeq M M]",
+            [("E-DUP", "block label 'b' used twice in one context of theorem 't'")],
+            id="duplicate-block-label",
+        ),
+        pytest.param(
+            "{g:xG}{h:xaG}{M:tm} Rxa [h] [g] -> [h |- aeq M M]",
+            [
+                ("E-SCHEMA", "context variable 'h' has schema 'xaG' but 'xG' is expected"),
+                ("E-SCHEMA", "context variable 'g' has schema 'xG' but 'xaG' is expected"),
+            ],
+            id="schema-swap",
+        ),
+        pytest.param(
+            "{g:xG}{M:tm} [g, b:block (x:tm, u:aeq x x) |- aeq M M]",
+            [("E-SCHEMA", "block 'b' matches no alternative of schema 'xG'")],
+            id="foreign-block",
+        ),
+        pytest.param(
+            "{g:xG}{h:xaG}{M:tm} Rxa [g, b:block (x:tm, u:aeq x x)] [h] -> [h |- aeq M M]",
+            [("E-SCHEMA", "block 'b' matches no alternative of schema 'xG'")],
+            id="foreign-block-in-argument",
+        ),
+        pytest.param(
+            "{g:xG} Rzz [g, b:block (x:tm, u:aeq x x)]",
+            [
+                ("E-NO-RELATION", "unknown relation 'Rzz'"),
+                ("E-SCHEMA", "block 'b' matches no alternative of schema 'xG'"),
+            ],
+            id="argument-of-unknown-relation",
+        ),
+        pytest.param(
+            "{g:nope}{h:xaG}{M:tm} Rxa [g, b:block (x:tm)] [h] -> [g, b:block (y:tm) |- aeq M M]",
+            [("E-NO-SCHEMA", "unknown schema 'nope'")],
+            id="unknown-schema-no-cascade",
+        ),
+        pytest.param(
+            "{g:xG}{M:tm} ({g:xaG} [g |- aeq M M]) -> [g, b:block (x:tm) |- aeq M M]",
+            [],
+            id="schema-restored-after-shadowing",
+        ),
+        pytest.param(
+            "{M:tm} [g, b:block (x:nope) |- aeq M M]",
+            [
+                ("E-UNBOUND", "context variable 'g' is not bound by a quantifier"),
+                ("E-UNBOUND", "unknown type family 'nope'"),
+            ],
+            id="unbound-context-variable-blocks-still-checked",
+        ),
+        pytest.param(
+            "{g:xaG}{M:tm} [g, b:block (x:tm, u:aeq x x) |- aeq M M]", [], id="fitting-block"
+        ),
+        pytest.param("{M:tm} [b:block (x:tm, u:aeq x x) |- aeq M M]", [], id="closed-context"),
     ],
 )
 def test_theorem_scope_diagnostics(checked, statement, diagnostics):
     # over eq.orbi's signature: a variable is in scope in its quantifier's
-    # body only, and a diagnostic repeated in one theorem is reported once
+    # body only, and a diagnostic repeated in one theorem is reported once;
+    # a judgment's context is checked at its variable's schema, and a
+    # relation argument at its parameter's, as a relation clause's context is
     spec = parse_spec(make_spec(theorems=f"theorem t: {statement};"))
-    with pytest.raises(OrbiError) as exc:
+    try:
         scope_check_theorem(checked.sig, checked.schemas, checked.relations, spec.theorems[0])
-    assert [(d.code, d.message) for d in exc.value.diagnostics] == diagnostics
+        got = []
+    except OrbiError as e:
+        got = [(d.code, d.message) for d in e.diagnostics]
+    assert got == diagnostics
 
 
 def test_theorem_quantifier_level_enforced(checked):

@@ -9,12 +9,10 @@ def test_resolve_corpus_ab(checked):
     assert ann.wf_families == frozenset({"tm"})
     assert ann.explicit_rules == frozenset({"de_l", "de_r"})
     assert ann.explicit_schemas == frozenset({"xG"})
-    assert ann.explicit_relation_params == {
-        "Rxa": frozenset({"g"}),
-        "Rda": frozenset({"g"}),
-    }
-    assert set(ann.explicit_theorem_vars) == {"reflG", "ceqG", "reflR", "ceqR"}
-    assert all(v == frozenset({"M"}) for v in ann.explicit_theorem_vars.values())
+    assert ann.explicit_relation_params == frozenset({("Rxa", "g"), ("Rda", "g")})
+    assert ann.explicit_theorem_vars == frozenset(
+        {("reflG", "M"), ("ceqG", "M"), ("reflR", "M"), ("ceqR", "M")}
+    )
 
 
 def test_resolve_corpus_hy(checked):
@@ -28,14 +26,14 @@ def test_resolve_corpus_tw_is_empty(checked):
     assert ann.wf_families == frozenset()
     assert ann.explicit_rules == frozenset()
     assert ann.explicit_schemas == frozenset()
-    assert ann.explicit_relation_params == {}
-    assert ann.explicit_theorem_vars == {}
+    assert ann.explicit_relation_params == frozenset()
+    assert ann.explicit_theorem_vars == frozenset()
 
 
 def test_resolve_bel_only_theorem_vars(checked):
     ann = resolve(checked, "bel")
     assert ann.wf_families == frozenset()
-    assert set(ann.explicit_theorem_vars) == {"reflG", "ceqG", "reflR", "ceqR"}
+    assert {thm for thm, _ in ann.explicit_theorem_vars} == {"reflG", "ceqG", "reflR", "ceqR"}
 
 
 def test_targets_resolve_independently(corpus_text):

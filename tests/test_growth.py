@@ -341,11 +341,6 @@ def test_products_nested_in_domains_print_linearly():
     assert ratio <= MAX_GROWTH, f"tp_str: {ratio:.2f}x calls for 4x nesting"
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 6: a captured term prints again by the exact rule, "
-    "a pass over each lambda's body",
-)
 def test_forced_captures_print_linearly():
     # ``\x. \x. … x``, every lambda hinted x and the innermost body naming
     # the outermost binder, which every binder under it would capture

@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import check_all, make_spec
+from helpers import check_all, first_error_code, make_spec
 from orbi_forge.lint import lint
 
 
@@ -125,6 +125,27 @@ def test_l4_repeated_names_across_blocks():
     )
     diags = lint(check_all(src))
     assert [d.code for d in diags] == ["L4"]
+
+
+@pytest.mark.parametrize(
+    "context, code",
+    [
+        pytest.param("[g, b1:block (x:tm, y:tm), b2:block (x:tm, z:tm)]", "L4", id="across-blocks"),
+        pytest.param("[g, b1:block (x:tm, x:tm)]", "E-DUP", id="within-one-block"),
+    ],
+)
+def test_l4_is_across_blocks_and_check_rejects_a_repeat_within_one(context, code):
+    # in a relation clause's context: L4 is a label repeated across blocks;
+    # check rejects a repeat within one block, as in a schema block
+    src = make_spec(
+        syntax="tm: type.",
+        schemas="schema tmG = block (x:tm, y:tm);",
+        definitions=f"inductive R : {{g:tmG}} prop =\n| R_nl: R []\n| R_c: R [g] -> R {context};",
+    )
+    if code == "L4":
+        assert _codes(src) == ["L4"]
+    else:
+        assert first_error_code(src) == code
 
 
 def test_l4_scope_is_one_context_expression(checked):

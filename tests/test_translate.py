@@ -315,7 +315,7 @@ def _erasure_holds(checked, target) -> Counter:
     sig = checked.sig
     ann = resolve(checked, target)
     bare = ann._replace(
-        explicit_rules=frozenset(), explicit_schemas=frozenset(), explicit_relation_params={}
+        explicit_rules=frozenset(), explicit_schemas=frozenset(), explicit_relation_params=frozenset()
     )
     for fam in ann.wf_families:
         for cl in gen_wf_predicates(sig, fam):
