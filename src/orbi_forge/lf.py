@@ -4,14 +4,16 @@ Syntax-section families define object syntax (level 0), Judgments-section
 families are judgments indexed by level-0 terms (level 1), and Rules-section
 constants must target a judgment.  Every term is level-0 and simply typed:
 ``check_tp`` erases a level-0 type to a ``Simple`` type, ``{x:A} B`` and
-``A -> B`` alike to ``A⁻ -> B⁻``.  A rule's schematic variables are implicit;
-hole mode reads their types off their Miller-pattern occurrences, and types a
-redex as written, solving them by unification, before it normalises it.  The
-signature stores a rule's schematic prefix (``SigEntry.implicit``) and its
-open body, β-normal, with each arrow from a level-0 domain made a Pi and each
-Pi over a judgment an arrow (no term may use its variable): as written when
-it is so already, else βη-normal.  ``normalize`` is the one βη normaliser:
-block matching in ``contexts`` and ab/hy emission use it too.
+``A -> B`` alike to ``A⁻ -> B⁻``, in one loop per chain that recurses only
+into a domain that is itself a chain.  A rule's schematic variables are
+implicit; hole mode reads their types off their Miller-pattern occurrences,
+and types a redex as written, solving them by unification, before it
+normalises it.  The signature stores a rule's schematic prefix
+(``SigEntry.implicit``) and its open body, β-normal, with each arrow from a
+level-0 domain made a Pi and each Pi over a judgment an arrow (no term may
+use its variable): as written when it is so already, else βη-normal.
+``normalize`` is the one βη normaliser: block matching in ``contexts`` and
+ab/hy emission use it too.
 """
 
 from __future__ import annotations
@@ -229,28 +231,59 @@ def check_tp(sig: Signature, ctx: list, tp: Tp, holes=None, kind=None) -> Simple
     """Check that ``tp`` is a well-formed type under ``ctx`` (Var(0) is the
     last entry), or with ``kind``, its family's atom, a kind: the one chain
     that may end in `type`.  Return its erasure if it is level-0 (mentions
-    only syntax-level families), else None.  A loop along the chain pushes
-    each Pi domain's erasure onto ``ctx``, and pops them all on the way out,
-    also when the check raises; a chain that ends in a level-0 family or
-    `type` keeps its domains as (domain, rest) pairs."""
+    only syntax-level families), else None.  One loop along the chain checks
+    each atom, a domain or its end, in place, and pushes each Pi domain's
+    erasure onto ``ctx``, popping them all on the way out, also when the
+    check raises; a chain that ends in a level-0 family or `type` keeps its
+    domains as (domain, rest) pairs."""
     entries = sig.entries
     end = tp
     while type(end) is not AtomApp:
         end = end.cod
-    fam = end.family
-    keep = kind is not None or fam in entries and entries[fam].level == 0
+    keep = kind is not None or end.family in entries and entries[end.family].level == 0
     doms, pushed = (), 0
     try:
-        while type(tp) is not AtomApp:
-            dom = check_tp(sig, ctx, tp.dom, holes)
+        while True:
+            part = tp if type(tp) is AtomApp else tp.dom
+            if type(part) is not AtomApp:
+                out = check_tp(sig, ctx, part, holes)
+            elif part.family == TYPE_ATOM:
+                if kind is None or part is not tp:
+                    raise OrbiError(
+                        "E-LEVEL",
+                        "the kind 'type' cannot appear inside a type; "
+                        "a family may only be indexed by level-0 terms",
+                    )
+                out = kind
+            else:
+                entry = entries.get(fam := part.family)
+                if entry is None:
+                    raise OrbiError("E-UNBOUND", f"unknown type family {fam!r}")
+                if type(entry.decl) is not FamDecl:
+                    raise OrbiError("E-TYPE", f"{fam!r} is a term constant, not a type family")
+                out = entry.simple
+                for arg in part.args:
+                    if out.dom is None:
+                        raise OrbiError(
+                            "E-KIND", f"type family {fam!r} applied to too many arguments"
+                        )
+                    if type(arg) is not Var or ctx[-1 - arg.index] is not out.dom:
+                        _check(sig, ctx, arg, out.dom, holes)
+                    out = out.cod
+                if out.dom is not None:
+                    raise OrbiError("E-KIND", f"type family {fam!r} is not fully applied")
+                if entry.level:
+                    out = None
+            if part is tp:
+                break
             if holes is not None and not keep:
                 # a rule's product: over a level-0 type a binder, stored as
                 # a Pi, else a premise, stored as an arrow (no term may use
                 # its variable), which must end in a judgment
-                if (dom is None) is (type(tp) is Pi):
+                if (out is None) is (type(tp) is Pi):
                     holes.normal = False  # stored otherwise than written
-                if dom is None:
-                    end = tp.dom
+                if out is None:
+                    end = part
                     while type(end) is not AtomApp:
                         end = end.cod
                     if entries[end.family].level == 0:
@@ -259,35 +292,11 @@ def check_tp(sig: Signature, ctx: list, tp: Tp, holes=None, kind=None) -> Simple
                             f"a premise must end in a judgment, not in the level-0 family {end.family!r}",
                         )
             if type(tp) is Pi:
-                ctx.append(dom)
+                ctx.append(out)
                 pushed += 1
             if keep:
-                doms = (dom, doms)
+                doms = (out, doms)
             tp = tp.cod
-        if fam == TYPE_ATOM:
-            if kind is None:
-                raise OrbiError(
-                    "E-LEVEL",
-                    "the kind 'type' cannot appear inside a type; "
-                    "a family may only be indexed by level-0 terms",
-                )
-            out = kind
-        else:
-            entry = entries.get(fam)
-            if entry is None:
-                raise OrbiError("E-UNBOUND", f"unknown type family {fam!r}")
-            if type(entry.decl) is not FamDecl:
-                raise OrbiError("E-TYPE", f"{fam!r} is a term constant, not a type family")
-            out = entry.simple
-            for arg in tp.args:
-                if out.dom is None:
-                    raise OrbiError("E-KIND", f"type family {fam!r} applied to too many arguments")
-                _check(sig, ctx, arg, out.dom, holes)
-                out = out.cod
-            if out.dom is not None:
-                raise OrbiError("E-KIND", f"type family {fam!r} is not fully applied")
-            if not keep:
-                return None
         while doms:
             dom, doms = doms
             if dom is None:
@@ -348,7 +357,8 @@ def _infer(sig: Signature, ctx: list, t: Term, holes: _Holes | None = None) -> S
                 if not _unify(tf, fn):
                     raise OrbiError("E-TYPE", f"term of atomic type '{tf}' applied to an argument")
                 tf = fn
-            _check(sig, ctx, arg, tf.dom, holes)
+            if type(arg) is not Var or ctx[-1 - arg.index] is not tf.dom:
+                _check(sig, ctx, arg, tf.dom, holes)
             tf = tf.cod
         return tf
     raise OrbiError("E-TYPE", "cannot infer the type of a bare lambda")

@@ -1,7 +1,8 @@
 """Style guideline checks (L1-L4), all warning-severity.
 
 Translation never depends on these; they exist to keep specifications
-portable across the target systems.
+portable across the target systems.  A type is walked in one loop along its
+chain, which recurses only into a domain that is itself a chain.
 """
 
 from __future__ import annotations
@@ -73,21 +74,18 @@ def lint(checked: CheckedSpec) -> list[Diagnostic]:
                 return
 
     def walk_tp(tp, loc, in_rule: bool, scope=None, kind: bool = False):
-        # a type, or with ``kind`` a family's kind: a product's warnings,
-        # then its domain, then its codomain, in a loop along the codomains.
-        # A binder is vacuous (L3) when nothing under it mentions it: one
-        # last_uses pass over the chain from its first product.  ``scope``
-        # places ``tp`` in the chains around it, for _scope_names
+        # a type, or with ``kind`` a family's kind: in a loop along the
+        # codomains, a product's warnings, then its domain, an atom walked in
+        # place, then its codomain.  A binder is vacuous (L3) when nothing
+        # under it mentions it: one last_uses pass over the chain from its
+        # first product.  ``scope`` places ``tp`` in the chains around it,
+        # for _scope_names
         first, i = None, 0  # the chain's first product, and its products so far
         while True:
             k = type(tp)
-            if k is AtomApp:
-                for a in tp.args:
-                    k = type(a)
-                    if k is Lam or k is App:
-                        walk_terms(a, loc)
-                return
-            over = (scope, first, i)  # the binders over ``tp.dom``
+            part = tp
+            if k is not AtomApp:
+                part, over = tp.dom, (scope, first, i)  # the binders over the domain
             if k is Pi:
                 if in_rule and tp.hint and tp.hint[0].isupper():
                     warn(
@@ -96,8 +94,8 @@ def lint(checked: CheckedSpec) -> list[Diagnostic]:
                         loc,
                         f"rename {tp.hint!r} to {tp.hint[0].lower() + tp.hint[1:]!r}",
                     )
-                if in_rule and not is_level0(sig, tp.dom):
-                    dom = tp_str(tp.dom, _scope_names(over))
+                if in_rule and not is_level0(sig, part):
+                    dom = tp_str(part, _scope_names(over))
                     warn(
                         "L2",
                         f"quantification over the non-level-0 type '{dom}'",
@@ -115,7 +113,15 @@ def lint(checked: CheckedSpec) -> list[Diagnostic]:
                         f"write the non-dependent product as '{form}'",
                     )
                 i += 1
-            walk_tp(tp.dom, loc, in_rule, over)
+            if type(part) is not AtomApp:
+                walk_tp(part, loc, in_rule, over)
+            else:
+                for a in part.args:
+                    k = type(a)
+                    if k is Lam or k is App:
+                        walk_terms(a, loc)
+                if part is tp:
+                    return
             tp = tp.cod
 
     def check_ctx_labels(c: CtxPattern, loc):

@@ -9,10 +9,10 @@ a list index, and a fixed run of tokens such as ``inductive NAME :`` or
 ``{ v : s }`` is checked in place, so no call is made per token.  A
 production stores the index back in the cursor only to call another one or to
 return.  A term, however deeply nested, is one loop with an explicit stack of
-open parentheses; a type is one loop over its Π binders and arrows, recursing
-only into a parenthesised type or a Π domain; a proposition's quantifiers and
-connectives, and a relation clause's premises, are read in loops, so only
-parentheses recurse.  A bound name resolves to its de Bruijn index in one
+open parentheses, and so is a type, with its open Π domains on that stack
+too; a proposition's quantifiers and connectives, and a relation clause's
+premises, are read in loops, so only a parenthesised proposition recurses,
+two frames a level.  A bound name resolves to its de Bruijn index in one
 lookup, and the leaves of one parse (constants, variables, argument-free type
 atoms) are shared.
 """
@@ -169,7 +169,7 @@ def _parse_term(c: _Cursor, args: bool = False):
 
     One loop reads the tokens.  ``head`` is the application spine read so
     far inside the innermost open parenthesis, and the binders above ``base``
-    are the lambdas opened there; ``levels`` keeps both for every enclosing
+    are the lambdas opened there; ``levels`` links both for every enclosing
     parenthesis.  ``collect`` holds outside every parenthesis with ``args``,
     where atoms go to ``out`` instead of a spine.  A ``\\`` is reached only
     where a term starts, since a spine goes on only at an identifier or ``(``.
@@ -180,7 +180,7 @@ def _parse_term(c: _Cursor, args: bool = False):
     n = base = len(names)
     collect = args
     out = []
-    levels = []
+    levels = ()  # (head, base, enclosing) of each open parenthesis
     head = None
     while True:
         tok = lex[i]
@@ -197,7 +197,7 @@ def _parse_term(c: _Cursor, args: bool = False):
                 t = consts[tok] = Const(tok)
             i += 1
         elif tok == "(":
-            levels.append((head, base))
+            levels = (head, base, levels)
             head = None
             base = n
             collect = False
@@ -240,7 +240,7 @@ def _parse_term(c: _Cursor, args: bool = False):
                 raise c.error(i, "')'", "term")
             i += 1
             t = head
-            head, base = levels.pop()
+            head, base, levels = levels
             collect = args and not levels
 
 
@@ -252,32 +252,32 @@ def _parse_tpkind(c: _Cursor):
     iff it ends in the `type` atom ``TYPE``.  Only a family's kind may end
     so; the checker rejects `type` anywhere else with a level error.
 
-    A loop collects the ``{x:A}`` binders and the ``->`` arms from the left
-    and folds them from the right; a ``<-`` chain reads ``a <- b <- c`` as
-    ``c -> b -> a``, and no ``->`` arm may stand before or after it.  A
-    parenthesised type and a Π domain recurse.
+    One loop reads the chain and every chain nested in it.  A chain's
+    ``{x:A}`` binders and ``->`` arms are linked in ``prefix``, innermost
+    first, and folded from the right where it ends; a ``<-`` chain reads
+    ``a <- b <- c`` as ``c -> b -> a``, and no ``->`` arm may stand before or
+    after it.  A ``(`` or a Π domain opens a chain inside the current one:
+    ``stack`` links, for each open one, its closing token, the binder's name
+    (None for a parenthesis) and the enclosing chain's state.
     """
     lex, ids, names, depth = c.lex, c.ids, c.names, c.depth
     i = c.i
     n = base = len(names)
-    prefix = []  # (binder, domain) of each Π, (None, domain) of each '->'
+    prefix = ()  # (binder, domain, rest) of each Π, (None, domain, rest) of each '->'
     arms = None  # a '<-' chain's atoms
+    stack = None  # (closer, binder, prefix, arms, base, enclosing) of each open chain
     while True:
         tok = lex[i]
-        if tok == "{" and arms is None:
-            if lex[i + 1] not in ids or lex[i + 2] != ":":
+        if tok == "(" or tok == "{" and arms is None:
+            if tok == "(":
+                stack = (")", None, prefix, arms, base, stack)
+                i += 1
+            elif lex[i + 1] not in ids or lex[i + 2] != ":":
                 raise c.name_error(i + 1, ":", "tp")
-            name = lex[i + 1]
-            c.i = i + 3
-            dom = _parse_tpkind(c)
-            i = c.i
-            if lex[i] != "}":
-                raise c.error(i, "'}'", "tp")
-            i += 1
-            names.append((name, depth.get(name)))
-            depth[name] = n
-            n += 1
-            prefix.append((name, dom))
+            else:
+                stack = ("}", lex[i + 1], prefix, arms, base, stack)
+                i += 3
+            prefix, arms, base = (), None, n
             continue
         if tok in ids:
             i += 1
@@ -289,50 +289,54 @@ def _parse_tpkind(c: _Cursor):
                 atom = c.atoms[tok]
             else:
                 atom = c.atoms[tok] = AtomApp(tok)
-        elif tok == "(":
-            c.i = i + 1
-            atom = _parse_tpkind(c)
-            i = c.i
-            if lex[i] != ")":
-                raise c.error(i, "')'", "tp")
-            i += 1
         elif tok == "type":
             atom = TYPE
             i += 1
         else:
             raise c.error(i, "a type", "tp")
-        op = lex[i]
-        if arms is not None:
-            arms.append(atom)
-            if op == "<-":
-                i += 1
-                continue
-            if op == "->":
+        # ``atom`` is whole: go on along its chain, or end the chain and
+        # every enclosing one that ends with it
+        while True:
+            op = lex[i]
+            mixed = arms is not None and op == "->"
+            if arms is not None:
+                arms.append(atom)
+            elif op == "->":
+                prefix = (None, atom, prefix)
+            elif op == "<-":  # mixed if an arm of ``prefix`` is a '->' one
+                arms, mixed = [atom], prefix
+                while mixed and mixed[0] is not None:
+                    mixed = mixed[2]
+            if mixed:
                 raise c.fail(i, "cannot mix '->' and '<-' without parentheses", "tp")
-            break
-        if op == "->":
-            prefix.append((None, atom))
+            if op == "<-" or op == "->":
+                i += 1
+                break
+            out = atom
+            if arms is not None:
+                out = arms[0]
+                for a in arms[1:]:
+                    out = Arrow(a, out)
+            while prefix:
+                name, dom, prefix = prefix
+                out = Arrow(dom, out) if name is None else Pi(name, dom, out)
+            if n > base:
+                c.unbind(base)
+                n = base
+            if stack is None:
+                c.i = i
+                return out
+            closer, name, prefix, arms, base, stack = stack
+            if lex[i] != closer:
+                raise c.error(i, repr(closer), "tp")
             i += 1
-            continue
-        if op != "<-":
-            break
-        if any(name is None for name, _ in prefix):
-            raise c.fail(i, "cannot mix '->' and '<-' without parentheses", "tp")
-        arms = [atom]
-        i += 1
-    c.i = i
-    if arms is None:
-        out = atom
-    else:
-        out = arms[0]
-        for a in arms[1:]:
-            out = Arrow(a, out)
-    if prefix:
-        for name, dom in reversed(prefix):
-            out = Arrow(dom, out) if name is None else Pi(name, dom, out)
-        if n > base:
-            c.unbind(base)
-    return out
+            if name is not None:  # a Π domain: the binder scopes over the rest
+                names.append((name, depth.get(name)))
+                depth[name] = n
+                n += 1
+                prefix = (name, out, prefix)
+                break
+            atom = out
 
 
 def _parse_tp(c: _Cursor):

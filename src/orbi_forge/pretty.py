@@ -11,7 +11,8 @@ with no pass over its scope, and tests each leaf against the names it gave
 by lookup.  Only on a capture does the outermost chain of lambdas or of
 products, or block, around the leaf print again by the exact rule:
 ``telescope_names`` over one ``last_uses`` pass per chain.  So printing is
-linear in the size of a tree with no capture.
+linear in the size of a tree with no capture.  A type prints in one loop
+along its chain, each atom in place.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ def term_str(
             if own and i and s in own and s in env[-i:]:
                 raise _Capture
             return s
-        return f"_{i}"  # out-of-scope index; diagnostics only
+        return f"_{i}"  # out of scope: an open term printed by ``pretty``
     if k is Const:
         if own and t.name in own:
             raise _Capture
@@ -231,23 +232,17 @@ def telescope_names(hints, parts, env: list) -> list[str]:
 def tp_str(tp, env: list, dom: bool = False, own: dict | bool | None = None) -> str:
     """A type or a kind, in parentheses if ``dom`` and it is an arrow or a
     product.  A chain of arrows and products prints in a loop along its
-    codomains, each product's binder named from its hint and added to
-    ``own`` as ``term_str`` adds a lambda's; printed again, with ``own``
-    False, its binders are named by one ``telescope_names`` pass."""
-    t = type(tp)
-    if t is AtomApp:
-        if own and tp.family in own:
-            raise _Capture
-        if not tp.args:
-            return tp.family
-        return tp.family + " " + " ".join(arg_strs(tp.args, env, ORBI, own))
+    codomains that prints an atom, a domain or the end, in place, each
+    product's binder named from its hint and added to ``own`` as
+    ``term_str`` adds a lambda's; printed again, with ``own`` False, its
+    binders are named by one ``telescope_names`` pass."""
     s, link, scope, root = "", tp, env, not own
     names = None  # with ``own`` False, the chain's binder names from its first product on
     try:
-        while t is Arrow or t is Pi:
-            if t is Arrow:
-                s += tp_str(link.dom, scope, True, own) + " -> "
-            else:
+        while True:
+            t = type(link)
+            part = link if t is AtomApp else link.dom
+            if t is Pi:
                 if scope is env:  # the chain's first product
                     scope = list(env)
                     if own is False:
@@ -258,18 +253,28 @@ def tp_str(tp, env: list, dom: bool = False, own: dict | bool | None = None) -> 
                     h = link.hint + "'" if link.hint in KEYWORDS else link.hint or "x"
                 else:
                     h = next(names)
-                s += f"{{{h}:{tp_str(link.dom, scope, False, own)}}} "
+                s += f"{{{h}:"
+            if type(part) is not AtomApp:
+                s += tp_str(part, scope, t is Arrow, own)
+            elif own and part.family in own:
+                raise _Capture
+            elif part.args:
+                s += part.family + " " + " ".join(arg_strs(part.args, scope, ORBI, own))
+            else:
+                s += part.family
+            if t is AtomApp:
+                break
+            s += " -> " if t is Arrow else "} "
+            if t is Pi:
                 scope += (h,)
                 if names is None:
                     own[h] = None
             link = link.cod
-            t = type(link)
-        s += tp_str(link, scope, False, own)
     except _Capture:
         if not root:
             raise
         return tp_str(tp, env, dom, False)
-    return f"({s})" if dom else s
+    return f"({s})" if dom and type(tp) is not AtomApp else s
 
 
 def decl_str(d) -> str:

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from conftest import golden
+import depth_probe
 from differential import CAPTURE_PROBES, HOIST_PROBES, KIND_PROBES, relation_premises
 import orbi_forge
 from orbi_forge import check_spec, corpus_source, parse_spec
@@ -525,6 +526,16 @@ def test_deep_rule_shapes_exit_zero(rule, tmp_path, capsys):
     for argv in commands:
         assert run(argv + [str(p)]) == 0, argv
         assert "[E-" not in capsys.readouterr().err, argv
+
+
+@pytest.mark.parametrize(
+    "build",
+    [depth_probe.SHAPES["((( … tm … ))) as a type"], depth_probe.pi_domain],
+    ids=["type", "pi-domain"],
+)
+def test_types_in_deep_parentheses_pass_every_command(build):
+    # the parser keeps a type's open parentheses and Π domains on a stack
+    assert depth_probe.failures(build(10_000)) == []
 
 
 def test_deeply_parenthesised_theorem_checks(tmp_path, capsys):

@@ -134,6 +134,69 @@ def test_parse_makes_few_calls_per_token():
     assert per_token <= 2.5, f"parse_spec: {per_token:.2f} calls per token"
 
 
+def test_parse_makes_few_calls_per_token_on_rules():
+    # a type, with its parentheses and Π domains, is one loop, and so is a
+    # term; a call per parenthesis, Π domain or atom domain gave about 1.5
+    for seed in range(3):
+        text = gen_rules_source(random.Random(seed), 40)[0]
+        per_token = _calls(parse_spec, text) / len(tokenize(text))
+        assert per_token <= 1.25, f"seed {seed}: {per_token:.2f} calls per token"
+
+
+def _calls_of(names, fn, *args) -> dict:
+    """How many times ``fn(*args)`` calls each Python function of ``names``."""
+    count = dict.fromkeys(names, 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name in count:
+            count[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+# six declaration types, and one domain that is itself a chain, (tm -> tm);
+# every other domain is an atom, some in parentheses
+_CHAINS = """\
+%% Syntax
+tm: type.
+app: tm -> (tm) -> tm.
+lam: ((tm -> tm)) -> tm.
+
+%% Judgments
+j: tm -> type.
+k: {x:(tm)} tm -> type.
+
+%% Rules
+r: {x:((tm))} {y:tm} (j x) -> k x y -> j (app x y).
+"""
+
+
+def test_one_parse_per_declaration_type():
+    # the parser keeps a type's open parentheses and Π domains on a stack
+    calls = _calls_of(["_parse_tpkind"], parse_spec, _CHAINS)
+    assert calls == {"_parse_tpkind": 6}
+
+
+def test_one_call_per_chain_with_atom_domains():
+    # check_tp, walk_tp and tp_str take an atom domain in place, and recurse
+    # only into (tm -> tm); check_tp skips tm's kind.  check_tp accepts the
+    # bound variables x and y, whose types are the ones expected, without
+    # _check; so does _infer within app x y, the one _check, which infers app
+    spec = parse_spec(_CHAINS)
+    assert _calls_of(["check_tp", "_check", "_infer"], check_signature, spec) == {
+        "check_tp": 6,
+        "_check": 1,
+        "_infer": 2,
+    }
+    assert _calls_of(["walk_tp"], lint, check_spec(spec)) == {"walk_tp": 7}
+    assert _calls_of(["tp_str"], spec_str, spec) == {"tp_str": 7}
+
+
 def test_parse_peaks_at_little_memory_per_token():
     # the lexer sets the peak: the matches and the lexemes, of which a parse
     # keeps only the lexemes, the identifier set and one small cached int a

@@ -114,6 +114,9 @@ def test_reverse_arrow_chain_left_assoc():
     # a <- b <- c reads ((a <- b) <- c), i.e. c -> b -> a
     node = parse_tpkind_str("a <- b <- c")
     assert node == Arrow(AtomApp("c"), Arrow(AtomApp("b"), AtomApp("a")))
+    # a Π binder may stand before a '<-' chain, which it scopes over
+    node = parse_tpkind_str("{x:a} b x <- c x")
+    assert node == Pi("x", AtomApp("a"), Arrow(AtomApp("c", (Var(0),)), AtomApp("b", (Var(0),))))
 
 
 def test_mixed_arrows_rejected():
@@ -448,6 +451,10 @@ def test_item_locations_and_spans_match_reference_tokens():
         ("%% Rules\nr: (j M -> j M.\n", [(2, 15, "expected ')' but found '.'")]),
         ("%% Rules\nr: {x tm} j x.\n", [(2, 7, "expected ':' but found 'tm'")]),
         ("%% Rules\nr: {x:tm j x.\n", [(2, 13, "expected '}' but found '.'")]),
+        ("%% Rules\nr: {(:tm} j c.\n", [(2, 5, "expected an identifier but found '('")]),
+        # a parenthesis and a Π domain each wait for their own closer
+        ("%% Rules\nr: {x:(tm} j x.\n", [(2, 10, "expected ')' but found '}'")]),
+        ("%% Rules\nr: ({x:tm j x).\n", [(2, 14, "expected '}' but found ')'")]),
         ("%% Rules\nr: j M <- j N -> j M.\n", [(2, 15, "cannot mix '->' and '<-' without parentheses")]),
         (
             "%% Rules\nr: j M -> j N <- j M <- j N -> j M.\n",

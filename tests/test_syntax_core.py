@@ -85,6 +85,12 @@ def test_pretty_var_under_binder():
     assert pretty(Var(0), binders=("x",)) == "x"
 
 
+def test_pretty_open_term_names_its_out_of_scope_index():
+    # no parsed term has one; a term built by hand may
+    assert pretty(Var(1), binders=("x",)) == "_1"
+    assert pretty(App(Const("f"), Var(1)), binders=("x",)) == "f _1"
+
+
 def test_pretty_rejects_a_foreign_object():
     with pytest.raises(TypeError, match="cannot print"):
         pretty(object())
