@@ -451,10 +451,6 @@ def test_item_locations_and_spans_match_reference_tokens():
         ("%% Rules\nr: (j M -> j M.\n", [(2, 15, "expected ')' but found '.'")]),
         ("%% Rules\nr: {x tm} j x.\n", [(2, 7, "expected ':' but found 'tm'")]),
         ("%% Rules\nr: {x:tm j x.\n", [(2, 13, "expected '}' but found '.'")]),
-        ("%% Rules\nr: {(:tm} j c.\n", [(2, 5, "expected an identifier but found '('")]),
-        # a parenthesis and a Π domain each wait for their own closer
-        ("%% Rules\nr: {x:(tm} j x.\n", [(2, 10, "expected ')' but found '}'")]),
-        ("%% Rules\nr: ({x:tm j x).\n", [(2, 14, "expected '}' but found ')'")]),
         ("%% Rules\nr: j M <- j N -> j M.\n", [(2, 15, "cannot mix '->' and '<-' without parentheses")]),
         (
             "%% Rules\nr: j M -> j N <- j M <- j N -> j M.\n",
@@ -591,6 +587,10 @@ def test_item_locations_and_spans_match_reference_tokens():
             "%% Judgments\nj: tm -> type <- tm.\n",
             [(2, 15, "cannot mix '->' and '<-' without parentheses")],
         ),
+        ("%% Rules\nr: {(:tm} j c.\n", [(2, 5, "expected an identifier but found '('")]),
+        # a parenthesis and a Π domain each wait for their own closer
+        ("%% Rules\nr: {x:(tm} j x.\n", [(2, 10, "expected ')' but found '}'")]),
+        ("%% Rules\nr: ({x:tm j x).\n", [(2, 14, "expected '}' but found ')'")]),
     ],
 )
 def test_parse_error_locations(source, expected):
