@@ -167,17 +167,6 @@ def scope_check_theorem(sig: Signature, schemas: dict, relations: dict, t: Theor
             seen.add(key)
             diags.append(Diagnostic(code, message, t.loc))
 
-    def scope_term(term) -> None:
-        # the parser binds every Var, so only a constant can be unbound
-        if isinstance(term, Const):
-            if term.name not in term_scope and term.name not in sig.entries:
-                report("E-UNBOUND", f"unbound term variable {term.name!r}")
-        elif isinstance(term, Lam):
-            scope_term(term.body)
-        elif isinstance(term, App):
-            scope_term(term.fn)
-            scope_term(term.arg)
-
     def scope_ctx(c: CtxPattern, schema: str | None = None) -> None:
         # at ``schema``, or else at its variable's own: only a block or
         # another schema leaves more to check than the binding
@@ -197,8 +186,8 @@ def scope_check_theorem(sig: Signature, schemas: dict, relations: dict, t: Theor
         scope[name] = value
         stack.append(body)
 
-    # formulas still to visit, in left-to-right pre-order: the last one
-    # pushed is visited first
+    # formulas and terms still to visit, in left-to-right pre-order: the last
+    # one pushed is visited first
     stack: list = [t.statement]
     while stack:
         p = stack.pop()
@@ -250,8 +239,7 @@ def scope_check_theorem(sig: Signature, schemas: dict, relations: dict, t: Theor
                         "E-ARITY",
                         f"judgment {p.family!r} expects {want} arguments, got {len(p.args)}",
                     )
-            for a in p.args:
-                scope_term(a)
+            stack += p.args[::-1]
         elif k is RelApp:
             rel = relations.get(p.name)
             if rel is None:
@@ -265,12 +253,17 @@ def scope_check_theorem(sig: Signature, schemas: dict, relations: dict, t: Theor
                 rel = None
             for i, c in enumerate(p.ctxs):  # at its parameter's schema, if known
                 scope_ctx(c, rel.params[i][1] if rel is not None else None)
-        elif k is TermEq:
-            scope_term(p.lhs)
-            scope_term(p.rhs)
-        elif k is And or k is Or or k is Imp:
+        elif k is And or k is Or or k is Imp or k is TermEq:
             stack.append(p.rhs)
             stack.append(p.lhs)
+        elif k is Const:  # the parser binds every Var, so only a constant can be unbound
+            if p.name not in term_scope and p.name not in sig.entries:
+                report("E-UNBOUND", f"unbound term variable {p.name!r}")
+        elif k is Lam:
+            stack.append(p.body)
+        elif k is App:
+            stack.append(p.arg)
+            stack.append(p.fn)
 
     if diags:
         raise OrbiError.of(diags)

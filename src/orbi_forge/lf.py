@@ -52,14 +52,13 @@ class SigEntry(Record):
 class Simple:
     """A simple type: the atom of a family, or an arrow ``dom -> cod``.  The
     simple types of one signature are interned: a family has one atom, and
-    an arrow is filed under its domain's ``arrows`` by its codomain, so two
-    are equal iff they are one object.  ``arrows`` is None until the first
-    arrow from the type is filed."""
+    an arrow is filed in ``Signature.arrows`` by its domain and codomain, so
+    two are equal iff they are one object."""
 
-    __slots__ = ("family", "dom", "cod", "arrows")
+    __slots__ = ("family", "dom", "cod")
 
     def __init__(self, family=None, dom=None, cod=None):
-        self.family, self.dom, self.cod, self.arrows = family, dom, cod, None
+        self.family, self.dom, self.cod = family, dom, cod
 
     def __str__(self) -> str:
         # as ORBI writes it: a domain that is an arrow is parenthesised
@@ -114,12 +113,14 @@ class Signature:
     """Ordered map ``entries`` from declared names to checked entries.
 
     Each name is added once; ``add`` also files a constant under the family
-    its type targets, so ``constructors_of`` is a lookup.
+    its type targets, so ``constructors_of`` is a lookup.  ``arrows`` interns
+    the arrows of its simple types by (domain, codomain).
     """
 
     def __init__(self):
         self.entries: dict[str, SigEntry] = {}
         self._constructors: dict[str, list[ConstDecl]] = {}
+        self.arrows: dict[tuple[Simple, Simple], Simple] = {}
 
     def add(self, entry: SigEntry) -> None:
         decl = entry.decl
@@ -301,12 +302,10 @@ def check_tp(sig: Signature, ctx: list, tp: Tp, holes=None, kind=None) -> Simple
             dom, doms = doms
             if dom is None:
                 return None
-            to = dom.arrows
-            if to is None:
-                to = dom.arrows = {}
-            if out not in to:
-                to[out] = Simple(None, dom, out)
-            out = to[out]
+            key = dom, out
+            if key not in sig.arrows:
+                sig.arrows[key] = Simple(None, dom, out)
+            out = sig.arrows[key]
         return out
     finally:
         if pushed:
@@ -384,7 +383,7 @@ def _check(sig: Signature, ctx: list, t: Term, exp: Simple, holes: _Holes | None
             return
         if type(head) is Const and head.name not in sig.entries:
             if head is not t or holes.get(t.name) is not exp:
-                _schematic(ctx, t, exp, holes)
+                _schematic(sig, ctx, t, exp, holes)
             # else a bare occurrence already recorded at this very type
             return
     actual = _infer(sig, ctx, t, holes)
@@ -395,7 +394,7 @@ def _check(sig: Signature, ctx: list, t: Term, exp: Simple, holes: _Holes | None
 # ---------------------------------------------------------- reconstruction
 
 
-def _schematic(ctx: list, t: Term, exp: Simple, holes: _Holes) -> None:
+def _schematic(sig: Signature, ctx: list, t: Term, exp: Simple, holes: _Holes) -> None:
     """Record the type of the schematic head of ``t : exp``, which must be a
     Miller pattern: the head applied to distinct bound variables of level-0
     types.  One loop along the spine, last argument first, builds the type."""
@@ -413,12 +412,10 @@ def _schematic(ctx: list, t: Term, exp: Simple, holes: _Holes) -> None:
                 fault = "applied to a variable of a non-level-0 type"
             else:
                 seen |= 1 << i
-                to = dom.arrows
-                if to is None:
-                    to = dom.arrows = {}
-                if cand not in to:
-                    to[cand] = Simple(None, dom, cand)
-                cand = to[cand]
+                key = dom, cand
+                if key not in sig.arrows:
+                    sig.arrows[key] = Simple(None, dom, cand)
+                cand = sig.arrows[key]
     name = t.name
     if not fault:
         prev = holes.get(name)

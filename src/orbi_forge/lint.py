@@ -43,6 +43,81 @@ def _scope_names(scope) -> list[str]:
     return env if first is None else env + telescope_names(*chain(first), env)[:n]
 
 
+def walk_terms(warn, t, loc):
+    """Warn through ``warn`` of the lambdas of ``t``, left to right; a Var or
+    Const leaf, which holds none, is never entered."""
+    while True:
+        k = type(t)
+        if k is Lam:
+            if t.hint[0].isupper():
+                warn(
+                    "L1",
+                    f"eigenvariable {t.hint!r} should be lowercase",
+                    loc,
+                    f"rename {t.hint!r} to {t.hint[0].lower() + t.hint[1:]!r}",
+                )
+            t = t.body
+        elif k is App:
+            k = type(t.fn)
+            if k is Lam or k is App:
+                walk_terms(warn, t.fn, loc)
+            t = t.arg
+        else:
+            return
+
+
+def walk_tp(sig, warn, tp, loc, in_rule: bool, scope=None, kind: bool = False):
+    """Warn of a type, or with ``kind`` a family's kind: in a loop along the
+    codomains, a product's warnings, then its domain, an atom walked in
+    place, then its codomain.  A binder is vacuous (L3) when nothing under
+    it mentions it: one last_uses pass over the chain from its first
+    product.  ``scope`` places ``tp`` in the chains around it, for
+    _scope_names."""
+    first, i = None, 0  # the chain's first product, and its products so far
+    while True:
+        k = type(tp)
+        part = tp
+        if k is not AtomApp:
+            part, over = tp.dom, (scope, first, i)  # the binders over the domain
+        if k is Pi:
+            if in_rule and tp.hint and tp.hint[0].isupper():
+                warn(
+                    "L1",
+                    f"eigenvariable {tp.hint!r} should be lowercase",
+                    loc,
+                    f"rename {tp.hint!r} to {tp.hint[0].lower() + tp.hint[1:]!r}",
+                )
+            if in_rule and not is_level0(sig, part):
+                dom = tp_str(part, _scope_names(over))
+                warn(
+                    "L2",
+                    f"quantification over the non-level-0 type '{dom}'",
+                    loc,
+                    "quantify only over syntax-level (level-0) types",
+                )
+            if first is None:
+                first, last = tp, last_uses(chain(tp)[1])
+            if i not in last:
+                body, form = ("kind body", "A -> K") if kind else ("body", "A -> B")
+                warn(
+                    "L3",
+                    f"Pi-bound variable {tp.hint!r} does not occur in the {body}",
+                    loc,
+                    f"write the non-dependent product as '{form}'",
+                )
+            i += 1
+        if type(part) is not AtomApp:
+            walk_tp(sig, warn, part, loc, in_rule, over)
+        else:
+            for a in part.args:
+                k = type(a)
+                if k is Lam or k is App:
+                    walk_terms(warn, a, loc)
+            if part is tp:
+                return
+        tp = tp.cod
+
+
 def lint(checked: CheckedSpec) -> list[Diagnostic]:
     spec = checked.spec
     sig = checked.sig
@@ -50,79 +125,6 @@ def lint(checked: CheckedSpec) -> list[Diagnostic]:
 
     def warn(code, message, loc, hint=""):
         diags.append(Diagnostic(code, message, loc, "warning", hint))
-
-    def walk_terms(t, loc):
-        # visits the lambdas of ``t`` left to right; a Var or Const leaf,
-        # which holds none, is never entered
-        while True:
-            k = type(t)
-            if k is Lam:
-                if t.hint[0].isupper():
-                    warn(
-                        "L1",
-                        f"eigenvariable {t.hint!r} should be lowercase",
-                        loc,
-                        f"rename {t.hint!r} to {t.hint[0].lower() + t.hint[1:]!r}",
-                    )
-                t = t.body
-            elif k is App:
-                k = type(t.fn)
-                if k is Lam or k is App:
-                    walk_terms(t.fn, loc)
-                t = t.arg
-            else:
-                return
-
-    def walk_tp(tp, loc, in_rule: bool, scope=None, kind: bool = False):
-        # a type, or with ``kind`` a family's kind: in a loop along the
-        # codomains, a product's warnings, then its domain, an atom walked in
-        # place, then its codomain.  A binder is vacuous (L3) when nothing
-        # under it mentions it: one last_uses pass over the chain from its
-        # first product.  ``scope`` places ``tp`` in the chains around it,
-        # for _scope_names
-        first, i = None, 0  # the chain's first product, and its products so far
-        while True:
-            k = type(tp)
-            part = tp
-            if k is not AtomApp:
-                part, over = tp.dom, (scope, first, i)  # the binders over the domain
-            if k is Pi:
-                if in_rule and tp.hint and tp.hint[0].isupper():
-                    warn(
-                        "L1",
-                        f"eigenvariable {tp.hint!r} should be lowercase",
-                        loc,
-                        f"rename {tp.hint!r} to {tp.hint[0].lower() + tp.hint[1:]!r}",
-                    )
-                if in_rule and not is_level0(sig, part):
-                    dom = tp_str(part, _scope_names(over))
-                    warn(
-                        "L2",
-                        f"quantification over the non-level-0 type '{dom}'",
-                        loc,
-                        "quantify only over syntax-level (level-0) types",
-                    )
-                if first is None:
-                    first, last = tp, last_uses(chain(tp)[1])
-                if i not in last:
-                    body, form = ("kind body", "A -> K") if kind else ("body", "A -> B")
-                    warn(
-                        "L3",
-                        f"Pi-bound variable {tp.hint!r} does not occur in the {body}",
-                        loc,
-                        f"write the non-dependent product as '{form}'",
-                    )
-                i += 1
-            if type(part) is not AtomApp:
-                walk_tp(part, loc, in_rule, over)
-            else:
-                for a in part.args:
-                    k = type(a)
-                    if k is Lam or k is App:
-                        walk_terms(a, loc)
-                if part is tp:
-                    return
-            tp = tp.cod
 
     def check_ctx_labels(c: CtxPattern, loc):
         seen: dict[str, str] = {}
@@ -150,9 +152,9 @@ def lint(checked: CheckedSpec) -> list[Diagnostic]:
     # declarations
     for section, decl in spec.decls_in_order():
         if type(decl) is ConstDecl:
-            walk_tp(decl.tp, decl.loc, in_rule=(section == "Rules"))
+            walk_tp(sig, warn, decl.tp, decl.loc, in_rule=(section == "Rules"))
         else:
-            walk_tp(decl.kind, decl.loc, False, kind=True)
+            walk_tp(sig, warn, decl.kind, decl.loc, False, kind=True)
     for entry in sig.rules():
         for name in entry.implicit:
             if name[0].islower():
@@ -167,7 +169,7 @@ def lint(checked: CheckedSpec) -> list[Diagnostic]:
     for s in spec.schemas:
         for block in s.alternatives:
             for _, tp in block.entries:
-                walk_tp(tp, s.loc, False)
+                walk_tp(sig, warn, tp, s.loc, False)
 
     # definitions
     for d in spec.definitions:
@@ -191,20 +193,20 @@ def lint(checked: CheckedSpec) -> list[Diagnostic]:
                 check_ctx_var(node.var, t.loc)
                 stack.append(node.body)
             elif k is ForallTm or k is ExistsTm:
-                walk_tp(node.tp, t.loc, False)
+                walk_tp(sig, warn, node.tp, t.loc, False)
                 stack.append(node.body)
             elif k is And or k is Or or k is Imp:
                 stack += [node.lhs, node.rhs]
             elif k is Judgment:
                 check_ctx_labels(node.ctx, t.loc)
                 for a in node.args:
-                    walk_terms(a, t.loc)
+                    walk_terms(warn, a, t.loc)
             elif k is RelApp:
                 for c in node.ctxs:
                     check_ctx_labels(c, t.loc)
             elif k is TermEq:
-                walk_terms(node.lhs, t.loc)
-                walk_terms(node.rhs, t.loc)
+                walk_terms(warn, node.lhs, t.loc)
+                walk_terms(warn, node.rhs, t.loc)
 
     diags.sort(key=lambda d: (d.loc.line, d.loc.col, d.code))
     return diags

@@ -241,6 +241,27 @@ def gen_wf_predicates(sig: Signature, fam: str) -> list[Clause]:
 # ------------------------------------------------------------------- rules
 
 
+def _atom_goal(a: AtomApp, env_names) -> AtomG:
+    args = [x if type(x) is Const or type(x) is Var else normalize(x) for x in a.args]
+    return AtomG(a.family, tuple(arg_strs(args, env_names, AB)))
+
+
+def _goal_of(p, env_names, names: _Names, wf):
+    """The goal of a rule's premise ``p``: its Pi binders are clause variables
+    from ``names``, guarded when their families are all in ``wf``."""
+    t = type(p)
+    if t is Pi:
+        var = names.grab(p.hint or "x")
+        goal = _goal_of(p.cod, env_names + [var], names, wf)
+        if wf and families_in_tp(p.dom).keys() <= wf:
+            goal = ImpG(_wf_goal(var, p.dom, names), goal)
+        return PiG(var, goal)
+    if t is Arrow:
+        return ImpG(_goal_of(p.dom, env_names, names, wf), _goal_of(p.cod, env_names, names, wf))
+    # a judgment: lf rejects a premise that ends in a level-0 family
+    return _atom_goal(p, env_names)
+
+
 def translate_rule(sig: Signature, entry: SigEntry, ann: AnnotationTable) -> Clause:
     """Render one checked rule as a hereditary-Harrop clause, in one loop
     along its beta-normal body after its schematic prefix (a schematic
@@ -254,23 +275,6 @@ def translate_rule(sig: Signature, entry: SigEntry, ann: AnnotationTable) -> Cla
     env = list(entry.implicit)
     names = _Names(sig.entries, env)
 
-    def atom_goal(a: AtomApp, env_names) -> AtomG:
-        args = [x if type(x) is Const or type(x) is Var else normalize(x) for x in a.args]
-        return AtomG(a.family, tuple(arg_strs(args, env_names, AB)))
-
-    def goal_of(p, env_names):
-        t = type(p)
-        if t is Pi:
-            var = names.grab(p.hint or "x")
-            goal = goal_of(p.cod, env_names + [var])
-            if wf and families_in_tp(p.dom).keys() <= wf:
-                goal = ImpG(_wf_goal(var, p.dom, names), goal)
-            return PiG(var, goal)
-        if t is Arrow:
-            return ImpG(goal_of(p.dom, env_names), goal_of(p.cod, env_names))
-        # a judgment: lf rejects a premise that ends in a level-0 family
-        return atom_goal(p, env_names)
-
     body: list = []  # the wf guards of the clause variables, when explicit, and the premises
     for name, simple in zip(env, entry.implicit_tps):
         if simple.family in wf:  # None for an arrow
@@ -279,14 +283,14 @@ def translate_rule(sig: Signature, entry: SigEntry, ann: AnnotationTable) -> Cla
     while type(tp) is not AtomApp:
         dom = tp.dom
         if type(tp) is Arrow:
-            body.append(goal_of(dom, env))
+            body.append(_goal_of(dom, env, names, wf))
         else:
             name = names.grab(tp.hint)
             if type(dom) is AtomApp and dom.family in wf:
                 body.append(Guard(dom.family, name))
             env.append(name)
         tp = tp.cod
-    return Clause(atom_goal(tp, env), tuple(body))
+    return Clause(_atom_goal(tp, env), tuple(body))
 
 
 # --------------------------------------------------- schemas and relations

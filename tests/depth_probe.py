@@ -51,6 +51,9 @@ SHAPES = {
     "((( … tm … ))) as a type": lambda n: (
         "%% Syntax\ntm: type.\nc: " + "(" * n + "tm" + ")" * n + ".\n"
     ),
+    "{x:{x:{…} tm} tm} tm -> j c, a Π domain that is a Π chain": lambda n: _rule(
+        "{x:" * n + "tm" + "} tm" * n + " -> j c"
+    ),
 }
 
 

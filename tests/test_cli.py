@@ -734,11 +734,11 @@ def test_checker_walks_no_shared_leaf(corpus_file, tmp_path, monkeypatch, capsys
         monkeypatch.setattr(lf, name, recording)
     schematic, reached, repeated = lf._schematic, [], []
 
-    def counting(ctx, t, exp, holes):
+    def counting(sig, ctx, t, exp, holes):
         reached.append(t)
         if type(t) is Const and t.name in holes:
             repeated.append(t.name)
-        return schematic(ctx, t, exp, holes)
+        return schematic(sig, ctx, t, exp, holes)
 
     monkeypatch.setattr(lf, "_schematic", counting)
     files = [corpus_file]

@@ -186,14 +186,18 @@ def test_one_call_per_chain_with_atom_domains():
     # check_tp, walk_tp and tp_str take an atom domain in place, and recurse
     # only into (tm -> tm); check_tp skips tm's kind.  check_tp accepts the
     # bound variables x and y, whose types are the ones expected, without
-    # _check; so does _infer within app x y, the one _check, which infers app
+    # _check; so does _infer within app x y, the one _check, which infers app.
+    # walk_terms enters app x y and its head app x, but none of the leaves
     spec = parse_spec(_CHAINS)
     assert _calls_of(["check_tp", "_check", "_infer"], check_signature, spec) == {
         "check_tp": 6,
         "_check": 1,
         "_infer": 2,
     }
-    assert _calls_of(["walk_tp"], lint, check_spec(spec)) == {"walk_tp": 7}
+    assert _calls_of(["walk_tp", "walk_terms"], lint, check_spec(spec)) == {
+        "walk_tp": 7,
+        "walk_terms": 2,
+    }
     assert _calls_of(["tp_str"], spec_str, spec) == {"tp_str": 7}
 
 

@@ -1,7 +1,7 @@
 """Every name a module of the package imports is used in that module, every
-function, class and method it defines is named by the program, importing the
-CLI loads none of the standard modules it has no use for, and README lists
-every diagnostic code."""
+function, class and method it defines is named by the program, no nested
+function names itself, importing the CLI loads none of the standard modules
+it has no use for, and README lists every diagnostic code."""
 
 import ast
 import os
@@ -78,6 +78,22 @@ def test_every_definition_is_named_by_the_program():
         if name not in named and name not in orbi_forge.__all__ and name not in _TEST_HELPERS
     }
     assert not unnamed, sorted(unnamed)
+
+
+def test_no_nested_function_names_itself():
+    # a nested function that calls itself holds itself in its closure cell:
+    # a reference cycle that keeps everything its cells hold, the AST among
+    # it, until the cyclic collector runs (tests/test_cycles.py)
+    selfish = set()
+    for path in _SRC.glob("*.py"):
+        for outer in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(outer, (ast.FunctionDef, ast.Lambda)):
+                continue
+            for node in ast.walk(outer):
+                if node is not outer and isinstance(node, ast.FunctionDef):
+                    if any(isinstance(n, ast.Name) and n.id == node.name for n in ast.walk(node)):
+                        selfish.add(f"{path.name}:{node.lineno} {node.name}")
+    assert not selfish, sorted(selfish)
 
 
 def test_cli_import_loads_no_unused_stdlib_module():

@@ -39,14 +39,18 @@ def test_l1_uppercase_eigenvariable():
 
 
 def test_l1_uppercase_lambda_hints_warn_in_source_order():
-    # the walk skips the leaves c and x but enters both lambdas, left to right
+    # the walk skips the leaves c and x but enters every lambda, left to
+    # right: a judgment's argument, the head of a redex and a nested one
     src = make_spec(
         syntax="tm: type.\nc: tm.\nlam: (tm -> tm) -> tm.\napp: tm -> tm -> tm.",
-        judgments="j: tm -> tm -> type.",
-        rules=r"r: {x:tm} j c (app (lam (\Y. app x Y)) (app c (lam (\X. X)))).",
+        judgments="j: (tm -> tm) -> tm -> tm -> type.",
+        rules=r"r: {x:tm} j (\W. W) ((\Z. Z) c) "
+        r"(app (lam (\Y. app x Y)) (app c (lam (\X. X)))).",
     )
     l1 = [d.message for d in lint(check_all(src)) if d.code == "L1"]
     assert l1 == [
+        "eigenvariable 'W' should be lowercase",
+        "eigenvariable 'Z' should be lowercase",
         "eigenvariable 'Y' should be lowercase",
         "eigenvariable 'X' should be lowercase",
     ]
